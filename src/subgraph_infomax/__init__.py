@@ -35,8 +35,6 @@ from .graph import (
 )
 from .infomax import (
     Augmentor,
-    LossWeights,
-    NegativeSampler,
     augment,
     cgd_random_trials,
     cross_subgraph_negatives,
@@ -65,7 +63,6 @@ from .train import (
     evaluate,
     sweep_lambda,
     sweep_observed,
-    train,
     unpaired_t_test,
 )
 

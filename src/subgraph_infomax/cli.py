@@ -13,6 +13,7 @@ import logging
 import os
 import sys
 import time
+import typing
 from dataclasses import fields
 from pathlib import Path
 
@@ -40,55 +41,40 @@ from .train import (
     write_csv,
     write_manifest,
     _build_model,
-    _run_rows,
+    _result_row,
 )
 
 log = logging.getLogger("subgraph_infomax")
 
-# Config-file key -> (section, attribute).  "lambda" is the single-stage
-# loss weight; the khop/second weights keep their long names.
-MODEL_KEYS = {
-    "variant": "variant",
-    "estimator": "estimator",
-    "k": "k",
-    "pool_ratio": "pool_ratio",
-    "lambda": "lambda_single",
-    "lambda_khop": "lambda_khop",
-    "lambda_second": "lambda_second",
-    "p_d": "p_d",
-    "aug_p": "aug_p",
-    "ppr_alpha": "ppr_alpha",
-    "ppr_top_t": "ppr_top_t",
-    "temperature": "temperature",
-    "hidden_dim": "hidden_dim",
-    "use_positional_encoding": "use_positional_encoding",
-    "dropout": "dropout",
-    "neighbor_cap": "neighbor_cap",
-    "max_positions": "max_positions",
-    "premixer": "premixer",
-    "include_observed_in_pool": "include_observed_in_pool",
-    "concat_observed_summary": "concat_observed_summary",
-    "use_global_induced_edges": "use_global_induced_edges",
-    "bidirectional": "bidirectional",
-}
-PROTOCOL_KEYS = {
-    "n_obs": "n_obs",
-    "ordered": "ordered",
-    "train_jitter": "train_jitter",
-    "eval_seed": "eval_fixed_seed",
-}
-RUN_KEYS = {
-    "epochs": "epochs",
-    "batch_size": "batch_size",
-    "grad_accum": "grad_accum",
-    "embedding_trainable": "embedding_trainable",
-}
-ADAM_KEYS = {
-    "learning_rate": "learning_rate",
-    "weight_decay": "weight_decay",
-    "beta1": "beta1",
-    "beta2": "beta2",
-}
+
+def _scalar_fields(dc_cls) -> dict[str, tuple[type, bool]]:
+    """Scalar fields of a config dataclass: name -> (base type, accepts None)."""
+    hints = typing.get_type_hints(dc_cls)
+    scalars = {}
+    for f in fields(dc_cls):
+        args = typing.get_args(hints[f.name])
+        optional = type(None) in args
+        base = next(a for a in args if a is not type(None)) if optional else hints[f.name]
+        if base in (int, float, bool, str):
+            scalars[f.name] = (base, optional)
+    return scalars
+
+
+# Fields whose config-file key is not the field name: "lambda" is the
+# single-stage loss weight; the khop/second weights keep their long names.
+KEY_ALIASES = {"lambda_single": "lambda", "eval_fixed_seed": "eval_seed"}
+
+
+def _config_keys(dc_cls) -> dict[str, str]:
+    """Config-file key -> attribute, one key per scalar field of ``dc_cls``."""
+    return {KEY_ALIASES.get(name, name): name for name in _scalar_fields(dc_cls)}
+
+
+MODEL_KEYS = _config_keys(ModelConfig)
+PROTOCOL_KEYS = _config_keys(ObservationProtocol)
+RUN_KEYS = _config_keys(RunConfig)
+ADAM_KEYS = _config_keys(AdamConfig)
+# Synthetic keys carry a prefix and six of them are renames, so they stay a table.
 SYNTHETIC_KEYS = {
     "synthetic_nodes": "num_nodes",
     "synthetic_communities": "communities",
@@ -103,7 +89,6 @@ SYNTHETIC_KEYS = {
     "synthetic_leak": "community_leak",
     "synthetic_seed": "seed",
 }
-FILE_KEYS = ("edge_file", "subgraph_file", "embedding_file", "split_file")
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -129,37 +114,17 @@ def _coerce(value: str, target_type):
         if lowered in ("0", "false", "no", "off"):
             return False
         raise ValueError(f"expected a boolean, got {value!r}")
-    if target_type is int:
-        return int(value)
-    if target_type is float:
-        return float(value)
-    return value
-
-
-def _field_types(dc_cls) -> dict[str, type]:
-    types = {}
-    for f in fields(dc_cls):
-        if f.type in ("int", int):
-            types[f.name] = int
-        elif f.type in ("float", float):
-            types[f.name] = float
-        elif f.type in ("bool", bool):
-            types[f.name] = bool
-        else:
-            types[f.name] = str
-    return types
+    return target_type(value)
 
 
 def _collect(mapping: dict[str, str], keys: dict[str, str], dc_cls) -> dict:
-    types = _field_types(dc_cls)
+    types = _scalar_fields(dc_cls)
     out = {}
     for key, attr in keys.items():
         if key in mapping:
+            base, optional = types[attr]
             raw = mapping[key]
-            if attr == "neighbor_cap" and raw.lower() in ("none", "inf"):
-                out[attr] = None
-            else:
-                out[attr] = _coerce(raw, types.get(attr, str))
+            out[attr] = None if optional and raw.lower() in ("none", "inf") else _coerce(raw, base)
     return out
 
 
@@ -170,23 +135,17 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     run_kwargs = _collect(mapping, RUN_KEYS, RunConfig)
     if "seeds" in mapping:
         run_kwargs["seeds"] = tuple(int(s) for s in mapping["seeds"].split(",") if s)
-    if "out_dir" in mapping:
-        run_kwargs["out_dir"] = mapping["out_dir"]
 
     synthetic = None
     files = None
     if mapping.get("dataset", "synthetic") == "synthetic" and "edge_file" not in mapping:
         synthetic = SyntheticSpec(**_collect(mapping, SYNTHETIC_KEYS, SyntheticSpec))
     else:
-        kwargs = {key: mapping[key] for key in FILE_KEYS if key in mapping}
+        kwargs = _collect(mapping, _config_keys(DatasetFiles), DatasetFiles)
         if "split_ratios" in mapping:
             kwargs["split_ratios"] = tuple(
                 float(r) for r in mapping["split_ratios"].split(",")
             )
-        if "split_seed" in mapping:
-            kwargs["split_seed"] = int(mapping["split_seed"])
-        if "directed" in mapping:
-            kwargs["directed"] = _coerce(mapping["directed"], bool)
         expected_kwargs = {}
         for stat_key, attr in (
             ("expected_subgraphs", "num_subgraphs"),
@@ -251,7 +210,7 @@ def cmd_train(args) -> int:
     config.out_dir = str(out)
     bundle = load_bundle(config)
     metrics = train(config, bundle=bundle)
-    rows = _run_rows(config, metrics, config.protocol.n_obs, config.protocol.n_obs, bundle.name)
+    rows = [_result_row(config, bundle.name, r.seed, r.test_accuracy) for r in metrics.per_seed]
     write_csv(out / "metrics.csv", rows)
     write_manifest(
         out, config, started,

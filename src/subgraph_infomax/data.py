@@ -400,9 +400,14 @@ def load_embedding_file(path, num_nodes: int) -> np.ndarray:
             if not line:
                 continue
             try:
-                rows.append([float(tok) for tok in line.split()])
+                row = [float(tok) for tok in line.split()]
             except ValueError:
                 raise _parse_error(path, lineno, "non-numeric embedding entry") from None
+            if rows and len(row) != len(rows[0]):
+                raise _parse_error(
+                    path, lineno, f"{len(row)} embedding values, expected {len(rows[0])}"
+                )
+            rows.append(row)
     values = np.array(rows, dtype=np.float64)
     if values.shape[0] != num_nodes:
         raise ValueError(
@@ -421,7 +426,10 @@ def load_split_file(path, num_records: int) -> tuple[str, ...]:
             parts = line.split("\t")
             if len(parts) != 2 or parts[1] not in STAGES:
                 raise _parse_error(path, lineno, "expected 'index<TAB>train|val|test'")
-            idx = int(parts[0])
+            try:
+                idx = int(parts[0])
+            except ValueError:
+                raise _parse_error(path, lineno, f"non-integer record index {parts[0]!r}") from None
             if not 0 <= idx < num_records:
                 raise _parse_error(path, lineno, f"record index {idx} out of range")
             assignment[idx] = parts[1]

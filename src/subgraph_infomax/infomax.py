@@ -26,20 +26,6 @@ log = logging.getLogger(__name__)
 PPR_DENSE_CAP = 2000
 
 
-@dataclass
-class LossWeights:
-    """Mixing weights for the joint objective."""
-
-    lambda_single: float = 1.0
-    lambda_khop: float = 1.0
-    lambda_second: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("lambda_single", "lambda_khop", "lambda_second"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-
-
 def gd_loss(pos_scores, neg_scores) -> Tensor:
     """Binary joint-vs-marginal discrimination loss.
 
@@ -101,27 +87,6 @@ def khop_loss(pos_scores, neg_scores) -> Tensor:
         terms.append(ad.sum_all(ad.log_sigmoid(ad.neg(neg))))
     total = terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
     return ad.scale(total, -1.0 / (n_pos + n_neg))
-
-
-@dataclass(frozen=True)
-class NegativeSampler:
-    """Negative-sample source: row-wise shuffled nodes or nodes of other
-    in-batch subgraphs."""
-
-    variant: str
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("row-shuffle", "cross-subgraph"):
-            raise ValueError(f"unknown negative sampler: {self.variant!r}")
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
-    def draw(self, encoded, target_index: int = 0, rng: np.random.Generator | None = None) -> Tensor:
-        if self.variant == "row-shuffle":
-            return shuffle_negatives(encoded, rng if rng is not None else self.rng())
-        return cross_subgraph_negatives(encoded, target_index)
 
 
 def shuffle_negatives(h: Tensor, rng: np.random.Generator) -> Tensor:

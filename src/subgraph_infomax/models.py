@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -27,7 +27,6 @@ from .graph import (
 )
 from .infomax import (
     Augmentor,
-    LossWeights,
     augment,
     cross_subgraph_negatives,
     gd_loss,
@@ -47,13 +46,13 @@ from .layers import (
     SageEncoder,
     cross_entropy,
     encode,
-    positional_max_length,
 )
 from .optim import ParameterStore
 
 SINGLE_VARIANTS = ("baseline", "ps-dgi", "ps-infograph", "ps-mvgrl", "ps-graphcl", "khop")
 TWO_STAGE_SECONDS = ("ps-dgi", "ps-infograph")
 GRAPHCL_AUGMENTATIONS = ("node-drop", "edge-perturb", "attr-mask")
+BATCH_NEGATIVE_VARIANTS = ("ps-infograph", "ps-graphcl")
 
 
 @dataclass
@@ -61,7 +60,6 @@ class ModelConfig:
     """Plain-data model configuration; see the README for the config-file keys."""
 
     variant: str = "ps-infograph"
-    estimator: str = "auto"
     k: int = 1
     pool_ratio: float = 1e-2
     lambda_single: float = 1.0
@@ -91,14 +89,8 @@ class ModelConfig:
                 f"two-stage second model must be one of {TWO_STAGE_SECONDS}, "
                 f"got {self.second_variant!r}"
             )
-        if self.estimator not in ("auto", "gd", "infonce"):
-            raise ValueError(f"unknown estimator: {self.estimator!r}")
-        resolved = self.resolved_estimator
-        if self.estimator != "auto" and self.estimator != resolved:
-            raise ValueError(
-                f"variant {self.variant!r} uses the {resolved!r} estimator, "
-                f"not {self.estimator!r}"
-            )
+        if self.is_two_stage and self.first_variant != "khop":
+            raise ValueError("the first stage of a two-stage model must be 'khop'")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not 0.0 < self.pool_ratio <= 1.0:
@@ -122,8 +114,9 @@ class ModelConfig:
         return self.variant.split("+", 1)[1] if self.is_two_stage else None
 
     @property
-    def resolved_estimator(self) -> str:
-        return "infonce" if self.first_variant == "ps-graphcl" else "gd"
+    def uses_batch_negatives(self) -> bool:
+        """Whether an MI term draws its negatives from the other batch members."""
+        return not {self.first_variant, self.second_variant}.isdisjoint(BATCH_NEGATIVE_VARIANTS)
 
 
 @dataclass
@@ -178,25 +171,27 @@ def observation_positions(
 
 
 class _ModelBase:
-    """Sharable wiring: embedding table, encoder, views, batch preparation."""
+    """The one implementation of every variant.
 
-    config: ModelConfig
-    graph: GlobalGraph
-    store: ParameterStore
-    table: EmbeddingTable
-    encoder: SageEncoder
+    A step encodes the observed portion into ``s_obs`` (through the k-hop
+    reconstruction when the first stage is ``khop``), predicts from it, and
+    in training adds each MI term of the variant to the cross-entropy as
+    ``ce + lambda * term``, in order: khop, then infomax or second.  The
+    two-stage ``second`` term is the ps-dgi or ps-infograph term scored
+    against the reconstructed summary with its own bilinear matrix.
+    """
 
-    def _init_common(
+    def __init__(
         self,
         config: ModelConfig,
         graph: GlobalGraph,
         num_classes: int,
         feature_dim: int,
         rng: np.random.Generator,
-        embedding_values,
-        embedding_trainable: bool,
-        g_dim: int | None,
-    ) -> None:
+        embedding_values=None,
+        embedding_trainable: bool = True,
+        g_dim: int | None = None,
+    ):
         self.config = config
         self.graph = graph
         self.num_classes = num_classes
@@ -211,14 +206,41 @@ class _ModelBase:
             self.store, "encoder", feature_dim, config.hidden_dim, rng,
             bidirectional=config.bidirectional, dropout=config.dropout,
         )
-
-    @property
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            lambda_single=self.config.lambda_single,
-            lambda_khop=self.config.lambda_khop,
-            lambda_second=self.config.lambda_second,
-        )
+        # Each parameter draws its initial values from ``rng`` as it is
+        # created, so this creation order fixes every initial value.
+        dim = config.hidden_dim
+        first = config.first_variant
+        if config.is_two_stage:
+            premixer = None if config.premixer == "none" else config.premixer
+            self.readout = GatedAttentionReadout(
+                self.store, "readout", dim, rng, premixer=premixer,
+                max_positions=config.max_positions,
+            )
+        else:
+            self.readout = MeanMlpReadout(self.store, "readout", dim, rng)
+        self.augmentors = ()
+        if first == "baseline":
+            self.discriminator = None
+        elif first == "ps-graphcl":
+            self.discriminator = CosineDiscriminator(config.temperature)
+            self.augmentors = tuple(
+                Augmentor(name, p=config.aug_p) for name in GRAPHCL_AUGMENTATIONS
+            )
+        else:
+            self.discriminator = BilinearDiscriminator(self.store, "discriminator", dim, rng)
+        if config.is_two_stage:
+            self.discriminator_second = BilinearDiscriminator(
+                self.store, "discriminator_second", dim, rng
+            )
+        if first == "ps-mvgrl":
+            self.encoder_b = SageEncoder(
+                self.store, "encoder_b", feature_dim, dim, rng,
+                bidirectional=config.bidirectional, dropout=config.dropout,
+            )
+        if first == "khop":
+            self.pool_mlp = Mlp(self.store, "pool_mlp", dim, dim, dim, rng)
+        head_in = 2 * dim if first == "khop" and config.concat_observed_summary else dim
+        self.head = PredictionHead(self.store, "head", head_in, num_classes, rng, g_dim=g_dim)
 
     def full_view(self, record: SubgraphRecord) -> SubgraphView:
         if self.config.use_global_induced_edges:
@@ -243,15 +265,6 @@ class _ModelBase:
             edge_weights=view.edge_weights,
         )
 
-    def _needs_full_batch(self) -> bool:
-        return (
-            self.config.first_variant == "ps-infograph"
-            or self.config.second_variant == "ps-infograph"
-        )
-
-    def _needs_augmented_batch(self) -> bool:
-        return self.config.first_variant == "ps-graphcl"
-
     def prepare_batch(
         self,
         records: Sequence[SubgraphRecord],
@@ -259,14 +272,15 @@ class _ModelBase:
         training: bool,
     ) -> BatchContext:
         """Encode per-batch material once; reuse it for every target in the batch."""
+        cfg = self.config
         records = tuple(records)
         encoded_full = None
         aug_summaries = None
-        if training and self._needs_full_batch():
+        if training and "ps-infograph" in (cfg.first_variant, cfg.second_variant):
             encoded_full = tuple(
                 self.encode_view(self.full_view(r), training, rng) for r in records
             )
-        if training and self._needs_augmented_batch():
+        if training and cfg.first_variant == "ps-graphcl":
             summaries = []
             for r in records:
                 view = self.full_view(r)
@@ -278,6 +292,121 @@ class _ModelBase:
         return BatchContext(
             records=records, encoded_full=encoded_full, aug_summaries=aug_summaries
         )
+
+    def step(
+        self,
+        record: SubgraphRecord,
+        partial: PartialSubgraph,
+        batch: BatchContext | None = None,
+        rng: np.random.Generator | None = None,
+        training: bool = False,
+    ) -> StepOutput:
+        cfg = self.config
+        khop = None
+        positions = None
+        if cfg.first_variant == "khop":
+            khop = khop_forward(self, record, partial, rng=rng, training=training)
+            s_obs = khop.s_obs
+            summary = khop.s_khop
+            if cfg.concat_observed_summary:
+                summary = ad.concat_cols(summary, s_obs)
+        else:
+            h_obs = self.encode_view(SubgraphView.from_partial(partial), training, rng)
+            positions = observation_positions(record, partial, cfg.use_positional_encoding)
+            s_obs = summary = self.readout(h_obs, positions)
+        logits = self.head(summary, record.subgraph_feature)
+        if not training:
+            return StepOutput(logits=logits.values[0].copy())
+
+        ce = cross_entropy(logits, record.label)
+        terms: dict[str, tuple[Tensor, float]] = {}
+        if khop is not None:
+            terms["khop"] = (khop.loss_khop, cfg.lambda_khop)
+        if cfg.is_two_stage:
+            loss = self._mi_loss(
+                cfg.second_variant, khop.s_khop, self.discriminator_second,
+                record, partial, positions, batch, rng, training,
+            )
+            terms["second"] = (loss, cfg.lambda_second)
+        elif cfg.variant not in ("baseline", "khop"):
+            loss = self._mi_loss(
+                cfg.variant, s_obs, self.discriminator,
+                record, partial, positions, batch, rng, training,
+            )
+            terms["infomax"] = (loss, cfg.lambda_single)
+        objective = ce
+        for loss, weight in terms.values():
+            objective = ad.add(objective, ad.scale(loss, weight))
+        return StepOutput(
+            logits=logits.values[0].copy(),
+            objective=objective,
+            loss_graph=ce.item(),
+            total=objective.item(),
+            **{f"loss_{name}": loss.item() for name, (loss, _) in terms.items()},
+        )
+
+    def _mi_loss(
+        self, variant, summary, discriminator, record, partial, positions, batch, rng, training
+    ) -> Tensor:
+        """One MI term: ``summary`` against the variant's positives and negatives."""
+        if variant == "ps-dgi":
+            h_sub = self.encode_view(self.full_view(record), training, rng)
+            return gd_loss(
+                discriminator(h_sub, summary),
+                discriminator(shuffle_negatives(h_sub, rng), summary),
+            )
+
+        if variant == "ps-infograph":
+            if batch is None or batch.encoded_full is None or len(batch.records) < 2:
+                raise ValueError(
+                    "ps-infograph training needs a batch context with at least "
+                    "2 encoded subgraphs"
+                )
+            h_sub = batch.encoded_full[batch.target_index]
+            h_neg = cross_subgraph_negatives(batch.encoded_full, batch.target_index)
+            return gd_loss(discriminator(h_sub, summary), discriminator(h_neg, summary))
+
+        if variant == "ps-mvgrl":
+            # Two views, each summary against the other view's nodes.
+            cfg = self.config
+            obs_view = SubgraphView.from_partial(partial)
+            obs_diffused = ppr_view(obs_view, cfg.ppr_alpha, cfg.ppr_top_t)
+            s_obs_b = self.readout(
+                self.encode_view(obs_diffused, training, rng, encoder=self.encoder_b),
+                positions,
+            )
+            full = self.full_view(record)
+            h_a = self.encode_view(full, training, rng)
+            h_b = self.encode_view(
+                ppr_view(full, cfg.ppr_alpha, cfg.ppr_top_t), training, rng,
+                encoder=self.encoder_b,
+            )
+            loss_a = gd_loss(
+                discriminator(h_a, s_obs_b),
+                discriminator(shuffle_negatives(h_a, rng), s_obs_b),
+            )
+            loss_b = gd_loss(
+                discriminator(h_b, summary),
+                discriminator(shuffle_negatives(h_b, rng), summary),
+            )
+            return ad.scale(ad.add(loss_a, loss_b), 0.5)
+
+        # ps-graphcl: the summary against the augmented full-subgraph summary,
+        # negatives are the other in-batch augmented summaries.
+        if batch is None or batch.aug_summaries is None or len(batch.records) < 2:
+            raise ValueError(
+                "ps-graphcl training needs a batch context with at least "
+                "2 augmented summaries"
+            )
+        pos = discriminator(batch.aug_summaries[batch.target_index], summary)
+        negs = ad.concat_cols(
+            *[
+                ad.transpose(discriminator(s, summary))
+                for i, s in enumerate(batch.aug_summaries)
+                if i != batch.target_index
+            ]
+        )
+        return infonce_loss(pos, negs)
 
 
 def topk_softmax_pool(
@@ -387,167 +516,18 @@ def khop_forward(
     )
 
 
-class PsiModel(_ModelBase):
-    """One single-stage variant, wired per its substructure pairing,
-    negative sampling, augmentation, encoder sharing, and estimator.
-    The ``baseline`` variant is the plain encoder-readout-head trained
-    with cross-entropy only."""
+# Two sibling classes over the one implementation; each only checks which
+# variant family it accepts.  They stay siblings so that wrapping ``step`` on
+# each class (as perfbench/tracer.py does) wraps the shared function once.
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        graph: GlobalGraph,
-        num_classes: int,
-        feature_dim: int,
-        rng: np.random.Generator,
-        embedding_values=None,
-        embedding_trainable: bool = True,
-        g_dim: int | None = None,
-    ):
+
+class PsiModel(_ModelBase):
+    """A single-stage variant; ``baseline`` trains with cross-entropy only."""
+
+    def __init__(self, config: ModelConfig, *args, **kwargs):
         if config.is_two_stage:
             raise ValueError("use TwoStageModel for composed variants")
-        self._init_common(
-            config, graph, num_classes, feature_dim, rng,
-            embedding_values, embedding_trainable, g_dim,
-        )
-        self.variant = config.variant
-        dim = config.hidden_dim
-        self.readout = MeanMlpReadout(self.store, "readout", dim, rng)
-        if self.variant == "baseline":
-            self.discriminator = None
-            self.augmentors = ()
-        elif self.variant == "ps-graphcl":
-            self.discriminator = CosineDiscriminator(config.temperature)
-            self.augmentors = tuple(
-                Augmentor(name, p=config.aug_p) for name in GRAPHCL_AUGMENTATIONS
-            )
-        else:
-            self.discriminator = BilinearDiscriminator(self.store, "discriminator", dim, rng)
-            self.augmentors = ()
-        if self.variant == "ps-mvgrl":
-            self.encoder_b = SageEncoder(
-                self.store, "encoder_b", feature_dim, dim, rng,
-                bidirectional=config.bidirectional, dropout=config.dropout,
-            )
-        if self.variant == "khop":
-            self.pool_mlp = Mlp(self.store, "pool_mlp", dim, dim, dim, rng)
-            head_in = 2 * dim if config.concat_observed_summary else dim
-        else:
-            head_in = dim
-        self.head = PredictionHead(self.store, "head", head_in, num_classes, rng, g_dim=g_dim)
-
-    def step(
-        self,
-        record: SubgraphRecord,
-        partial: PartialSubgraph,
-        batch: BatchContext | None = None,
-        rng: np.random.Generator | None = None,
-        training: bool = False,
-    ) -> StepOutput:
-        g = record.subgraph_feature
-        if self.variant == "khop":
-            return self._khop_step(record, partial, rng, training, g)
-        h_obs = self.encode_view(SubgraphView.from_partial(partial), training, rng)
-        positions = observation_positions(record, partial, self.config.use_positional_encoding)
-        s_obs = self.readout(h_obs, positions)
-        logits = self.head(s_obs, g)
-        if not training:
-            return StepOutput(logits=logits.values[0].copy())
-        ce = cross_entropy(logits, record.label)
-        if self.variant == "baseline":
-            return StepOutput(
-                logits=logits.values[0].copy(),
-                objective=ce,
-                loss_graph=ce.item(),
-                total=ce.item(),
-            )
-        li = self._infomax_loss(record, partial, s_obs, positions, batch, rng, training)
-        objective = ad.add(ce, ad.scale(li, self.config.lambda_single))
-        return StepOutput(
-            logits=logits.values[0].copy(),
-            objective=objective,
-            loss_graph=ce.item(),
-            loss_infomax=li.item(),
-            total=objective.item(),
-        )
-
-    def _khop_step(self, record, partial, rng, training, g) -> StepOutput:
-        result = khop_forward(self, record, partial, rng=rng, training=training)
-        summary = result.s_khop
-        if self.config.concat_observed_summary:
-            summary = ad.concat_cols(summary, result.s_obs)
-        logits = self.head(summary, g)
-        if not training:
-            return StepOutput(logits=logits.values[0].copy())
-        ce = cross_entropy(logits, record.label)
-        objective = ad.add(ce, ad.scale(result.loss_khop, self.config.lambda_khop))
-        return StepOutput(
-            logits=logits.values[0].copy(),
-            objective=objective,
-            loss_graph=ce.item(),
-            loss_khop=result.loss_khop.item(),
-            total=objective.item(),
-        )
-
-    def _infomax_loss(self, record, partial, s_obs, positions, batch, rng, training) -> Tensor:
-        if self.variant == "ps-dgi":
-            h_sub = self.encode_view(self.full_view(record), training, rng)
-            pos = self.discriminator(h_sub, s_obs)
-            neg = self.discriminator(shuffle_negatives(h_sub, rng), s_obs)
-            return gd_loss(pos, neg)
-
-        if self.variant == "ps-infograph":
-            if batch is None or batch.encoded_full is None or len(batch.records) < 2:
-                raise ValueError(
-                    "ps-infograph training needs a batch context with at least "
-                    "2 encoded subgraphs"
-                )
-            h_sub = batch.encoded_full[batch.target_index]
-            h_neg = cross_subgraph_negatives(batch.encoded_full, batch.target_index)
-            return gd_loss(
-                self.discriminator(h_sub, s_obs), self.discriminator(h_neg, s_obs)
-            )
-
-        if self.variant == "ps-mvgrl":
-            cfg = self.config
-            obs_view = SubgraphView.from_partial(partial)
-            obs_diffused = ppr_view(obs_view, cfg.ppr_alpha, cfg.ppr_top_t)
-            s_obs_b = self.readout(
-                self.encode_view(obs_diffused, training, rng, encoder=self.encoder_b),
-                positions,
-            )
-            full = self.full_view(record)
-            h_a = self.encode_view(full, training, rng)
-            h_b = self.encode_view(
-                ppr_view(full, cfg.ppr_alpha, cfg.ppr_top_t), training, rng,
-                encoder=self.encoder_b,
-            )
-            loss_a = gd_loss(
-                self.discriminator(h_a, s_obs_b),
-                self.discriminator(shuffle_negatives(h_a, rng), s_obs_b),
-            )
-            loss_b = gd_loss(
-                self.discriminator(h_b, s_obs),
-                self.discriminator(shuffle_negatives(h_b, rng), s_obs),
-            )
-            return ad.scale(ad.add(loss_a, loss_b), 0.5)
-
-        # ps-graphcl: the observed summary against the augmented full-subgraph
-        # summary, negatives are the other in-batch augmented summaries.
-        if batch is None or batch.aug_summaries is None or len(batch.records) < 2:
-            raise ValueError(
-                "ps-graphcl training needs a batch context with at least "
-                "2 augmented summaries"
-            )
-        pos = self.discriminator(batch.aug_summaries[batch.target_index], s_obs)
-        negs = ad.concat_cols(
-            *[
-                ad.transpose(self.discriminator(s, s_obs))
-                for i, s in enumerate(batch.aug_summaries)
-                if i != batch.target_index
-            ]
-        )
-        return infonce_loss(pos, negs)
+        super().__init__(config, *args, **kwargs)
 
 
 class TwoStageModel(_ModelBase):
@@ -558,90 +538,10 @@ class TwoStageModel(_ModelBase):
     across stages; each stage has its own bilinear matrix.
     """
 
-    def __init__(
-        self,
-        config: ModelConfig,
-        graph: GlobalGraph,
-        num_classes: int,
-        feature_dim: int,
-        rng: np.random.Generator,
-        embedding_values=None,
-        embedding_trainable: bool = True,
-        g_dim: int | None = None,
-    ):
+    def __init__(self, config: ModelConfig, *args, **kwargs):
         if not config.is_two_stage:
             raise ValueError("TwoStageModel requires a composed variant like 'khop+ps-dgi'")
-        if config.first_variant != "khop":
-            raise ValueError("the first stage of a two-stage model must be 'khop'")
-        self._init_common(
-            config, graph, num_classes, feature_dim, rng,
-            embedding_values, embedding_trainable, g_dim,
-        )
-        self.second = config.second_variant
-        dim = config.hidden_dim
-        premixer = None if config.premixer == "none" else config.premixer
-        self.readout = GatedAttentionReadout(
-            self.store, "readout", dim, rng, premixer=premixer,
-            max_positions=config.max_positions,
-        )
-        self.discriminator = BilinearDiscriminator(self.store, "discriminator", dim, rng)
-        self.discriminator_second = BilinearDiscriminator(
-            self.store, "discriminator_second", dim, rng
-        )
-        self.pool_mlp = Mlp(self.store, "pool_mlp", dim, dim, dim, rng)
-        head_in = 2 * dim if config.concat_observed_summary else dim
-        self.head = PredictionHead(self.store, "head", head_in, num_classes, rng, g_dim=g_dim)
-        self.augmentors = ()
-
-    def step(
-        self,
-        record: SubgraphRecord,
-        partial: PartialSubgraph,
-        batch: BatchContext | None = None,
-        rng: np.random.Generator | None = None,
-        training: bool = False,
-    ) -> StepOutput:
-        g = record.subgraph_feature
-        result = khop_forward(self, record, partial, rng=rng, training=training)
-        summary = result.s_khop
-        if self.config.concat_observed_summary:
-            summary = ad.concat_cols(summary, result.s_obs)
-        logits = self.head(summary, g)
-        if not training:
-            return StepOutput(logits=logits.values[0].copy())
-
-        ce = cross_entropy(logits, record.label)
-        loss_second = self._second_loss(record, result.s_khop, batch, rng, training)
-        objective = ad.add(
-            ad.add(ce, ad.scale(result.loss_khop, self.config.lambda_khop)),
-            ad.scale(loss_second, self.config.lambda_second),
-        )
-        return StepOutput(
-            logits=logits.values[0].copy(),
-            objective=objective,
-            loss_graph=ce.item(),
-            loss_khop=result.loss_khop.item(),
-            loss_second=loss_second.item(),
-            total=objective.item(),
-        )
-
-    def _second_loss(self, record, s_khop, batch, rng, training) -> Tensor:
-        if self.second == "ps-dgi":
-            h_sub = self.encode_view(self.full_view(record), training, rng)
-            return gd_loss(
-                self.discriminator_second(h_sub, s_khop),
-                self.discriminator_second(shuffle_negatives(h_sub, rng), s_khop),
-            )
-        if batch is None or batch.encoded_full is None or len(batch.records) < 2:
-            raise ValueError(
-                "the second stage needs a batch context with at least 2 encoded subgraphs"
-            )
-        h_sub = batch.encoded_full[batch.target_index]
-        h_neg = cross_subgraph_negatives(batch.encoded_full, batch.target_index)
-        return gd_loss(
-            self.discriminator_second(h_sub, s_khop),
-            self.discriminator_second(h_neg, s_khop),
-        )
+        super().__init__(config, *args, **kwargs)
 
 
 def build_model(

@@ -167,10 +167,23 @@ def _loss_keys(out: StepOutput) -> dict[str, float]:
     return keys
 
 
+def _batches(n: int, size: int) -> list[slice]:
+    """Batch slices over ``n`` records; a lone trailing record joins the previous batch."""
+    starts = list(range(0, n, size))
+    if size > 1 and len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def train_single_seed(
     config: RunConfig, bundle: DatasetBundle, seed: int
 ) -> tuple[SeedResult, object]:
     """Train one seed; returns its metrics and the best-checkpoint model."""
+    if config.batch_size < 2 and config.model.uses_batch_negatives:
+        raise ValueError(
+            f"{config.model.variant} draws negatives from the other batch members; "
+            f"batch_size must be >= 2, got {config.batch_size}"
+        )
     rng = np.random.default_rng(seed)
     model = _build_model(config, bundle, rng)
     protocol = config.protocol
@@ -190,8 +203,8 @@ def train_single_seed(
         epoch_sums: dict[str, float] = {}
         epoch_count = 0
         micro_batches = 0
-        for start in range(0, len(order), config.batch_size):
-            batch_idx = [int(i) for i in order[start : start + config.batch_size]]
+        for batch in _batches(len(order), config.batch_size):
+            batch_idx = [int(i) for i in order[batch]]
             records = [bundle.records[i] for i in batch_idx]
             context = model.prepare_batch(records, rng, training=True)
             objectives = []
@@ -303,29 +316,21 @@ def unpaired_t_test(sample_a, sample_b) -> float:
     return float(scipy.stats.ttest_ind(a, b, equal_var=False).pvalue)
 
 
-def _run_rows(
-    config: RunConfig,
-    metrics: MetricsRecord,
-    n_obs_train: int,
-    n_obs_test: int,
-    dataset_name: str,
-) -> list[dict]:
-    rows = []
-    for result in metrics.per_seed:
-        rows.append(
-            {
-                "dataset": dataset_name,
-                "model": config.model.variant,
-                "seed": result.seed,
-                "n_obs_train": n_obs_train,
-                "n_obs_test": n_obs_test,
-                "lambda_khop": config.model.lambda_khop,
-                "lambda_second": config.model.lambda_second,
-                "split": "test",
-                "accuracy": result.test_accuracy,
-            }
-        )
-    return rows
+def _result_row(
+    config: RunConfig, dataset: str, seed: int, accuracy: float, n_obs_test: int | None = None
+) -> dict:
+    """One CSV_COLUMNS row: a seed's test accuracy under ``config``."""
+    return {
+        "dataset": dataset,
+        "model": config.model.variant,
+        "seed": seed,
+        "n_obs_train": config.protocol.n_obs,
+        "n_obs_test": config.protocol.n_obs if n_obs_test is None else n_obs_test,
+        "lambda_khop": config.model.lambda_khop,
+        "lambda_second": config.model.lambda_second,
+        "split": "test",
+        "accuracy": accuracy,
+    }
 
 
 def write_csv(path, rows: list[dict], columns=CSV_COLUMNS) -> None:
@@ -335,21 +340,39 @@ def write_csv(path, rows: list[dict], columns=CSV_COLUMNS) -> None:
         writer.writerows(rows)
 
 
-def _summarize(rows: list[dict], cell_keys: tuple[str, ...]) -> list[dict]:
+def _summarize(
+    rows: list[dict],
+    cell_keys: tuple[str, ...],
+    config: RunConfig,
+    bundle: DatasetBundle,
+    out_dir,
+    prefix: str,
+) -> list[dict]:
+    """Mean and std of accuracy per cell; writes ``<prefix>_runs.csv`` and
+    ``<prefix>_summary.csv`` when ``out_dir`` is given."""
     cells: dict[tuple, list[float]] = {}
-    meta: dict[tuple, dict] = {}
     for row in rows:
-        key = tuple(row[k] for k in cell_keys)
-        cells.setdefault(key, []).append(row["accuracy"])
-        meta[key] = {k: row[k] for k in cell_keys}
-    summary = []
-    for key in sorted(cells):
-        accs = cells[key]
-        entry = dict(meta[key])
-        entry["mean_accuracy"] = float(np.mean(accs))
-        entry["std_accuracy"] = float(np.std(accs))
-        entry["n_seeds"] = len(accs)
-        summary.append(entry)
+        cells.setdefault(tuple(row[k] for k in cell_keys), []).append(row["accuracy"])
+    summary = [
+        {
+            **dict(zip(cell_keys, key)),
+            "mean_accuracy": float(np.mean(accs)),
+            "std_accuracy": float(np.std(accs)),
+            "n_seeds": len(accs),
+            "dataset": bundle.name,
+            "model": config.model.variant,
+        }
+        for key, accs in sorted(cells.items())
+    ]
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_csv(out / f"{prefix}_runs.csv", rows)
+        write_csv(
+            out / f"{prefix}_summary.csv",
+            summary,
+            columns=("dataset", "model", *cell_keys, "mean_accuracy", "std_accuracy", "n_seeds"),
+        )
     return summary
 
 
@@ -374,68 +397,24 @@ def sweep_observed(
             log.warning("observed size %d exceeds every subgraph; it will clamp", size)
     rows = []
     for train_size in sizes:
-        train_protocol = ObservationProtocol(
-            n_obs=train_size,
-            ordered=config.protocol.ordered,
-            train_jitter=config.protocol.train_jitter,
-            eval_fixed_seed=config.protocol.eval_fixed_seed,
-        )
-        cfg = RunConfig(
-            model=config.model,
-            protocol=train_protocol,
-            synthetic=config.synthetic,
-            files=config.files,
-            adam=config.adam,
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            grad_accum=config.grad_accum,
-            seeds=config.seeds,
-            embedding_trainable=config.embedding_trainable,
+        cfg = dataclasses.replace(
+            config,
+            protocol=dataclasses.replace(config.protocol, n_obs=train_size),
+            out_dir=None,
         )
         for seed in cfg.seeds:
             result, model = train_single_seed(cfg, bundle, seed)
             for test_size in sizes:
-                test_protocol = ObservationProtocol(
-                    n_obs=test_size,
-                    ordered=config.protocol.ordered,
-                    train_jitter=config.protocol.train_jitter,
-                    eval_fixed_seed=config.protocol.eval_fixed_seed,
-                )
+                test_protocol = dataclasses.replace(config.protocol, n_obs=test_size)
                 accuracy = (
                     evaluate(model, bundle, test_protocol, "test")
                     if not result.diverged
                     else float("nan")
                 )
-                rows.append(
-                    {
-                        "dataset": bundle.name,
-                        "model": cfg.model.variant,
-                        "seed": seed,
-                        "n_obs_train": train_size,
-                        "n_obs_test": test_size,
-                        "lambda_khop": cfg.model.lambda_khop,
-                        "lambda_second": cfg.model.lambda_second,
-                        "split": "test",
-                        "accuracy": accuracy,
-                    }
-                )
-    summary = _summarize(rows, ("n_obs_train", "n_obs_test"))
-    for entry in summary:
-        entry["dataset"] = bundle.name
-        entry["model"] = config.model.variant
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "observed_sweep_runs.csv", rows)
-        write_csv(
-            out / "observed_sweep_summary.csv",
-            summary,
-            columns=(
-                "dataset", "model", "n_obs_train", "n_obs_test",
-                "mean_accuracy", "std_accuracy", "n_seeds",
-            ),
-        )
-    return summary
+                rows.append(_result_row(cfg, bundle.name, seed, accuracy, n_obs_test=test_size))
+    return _summarize(
+        rows, ("n_obs_train", "n_obs_test"), config, bundle, out_dir, "observed_sweep"
+    )
 
 
 def sweep_lambda(
@@ -452,46 +431,18 @@ def sweep_lambda(
     rows = []
     for lam_k in lambda_khop_grid:
         for lam_2 in lambda_second_grid:
-            model_cfg = ModelConfig(
-                **{
-                    **asdict(config.model),
-                    "lambda_khop": lam_k,
-                    "lambda_second": lam_2,
-                }
-            )
-            cfg = RunConfig(
-                model=model_cfg,
-                protocol=config.protocol,
-                synthetic=config.synthetic,
-                files=config.files,
-                adam=config.adam,
-                epochs=config.epochs,
-                batch_size=config.batch_size,
-                grad_accum=config.grad_accum,
-                seeds=config.seeds,
-                embedding_trainable=config.embedding_trainable,
+            cfg = dataclasses.replace(
+                config,
+                model=dataclasses.replace(config.model, lambda_khop=lam_k, lambda_second=lam_2),
+                out_dir=None,
             )
             metrics = train(cfg, bundle=bundle)
             rows.extend(
-                _run_rows(cfg, metrics, config.protocol.n_obs, config.protocol.n_obs, bundle.name)
+                _result_row(cfg, bundle.name, r.seed, r.test_accuracy) for r in metrics.per_seed
             )
-    summary = _summarize(rows, ("lambda_khop", "lambda_second"))
-    for entry in summary:
-        entry["dataset"] = bundle.name
-        entry["model"] = config.model.variant
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "lambda_sweep_runs.csv", rows)
-        write_csv(
-            out / "lambda_sweep_summary.csv",
-            summary,
-            columns=(
-                "dataset", "model", "lambda_khop", "lambda_second",
-                "mean_accuracy", "std_accuracy", "n_seeds",
-            ),
-        )
-    return summary
+    return _summarize(
+        rows, ("lambda_khop", "lambda_second"), config, bundle, out_dir, "lambda_sweep"
+    )
 
 
 def write_manifest(out_dir, config: RunConfig, started: float, extra: dict | None = None) -> str:
@@ -499,7 +450,7 @@ def write_manifest(out_dir, config: RunConfig, started: float, extra: dict | Non
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "config": _config_dict(config),
+        "config": asdict(config),
         "seeds": list(config.seeds),
         "versions": {
             "subgraph_infomax": __version__,
@@ -515,8 +466,3 @@ def write_manifest(out_dir, config: RunConfig, started: float, extra: dict | Non
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, default=str)
     return str(path)
-
-
-def _config_dict(config: RunConfig) -> dict:
-    data = asdict(config)
-    return data

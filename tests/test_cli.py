@@ -57,6 +57,35 @@ class TestConfigParsing:
         config = build_run_config({"neighbor_cap": "none"})
         assert config.model.neighbor_cap is None
 
+    def test_neighbor_cap_number_is_an_int(self):
+        config = build_run_config({"neighbor_cap": "100", "variant": "khop"})
+        assert config.model.neighbor_cap == 100
+        assert isinstance(config.model.neighbor_cap, int)
+
+    def test_every_scalar_field_has_a_key(self):
+        from dataclasses import fields
+
+        from subgraph_infomax.cli import ADAM_KEYS, MODEL_KEYS, PROTOCOL_KEYS, RUN_KEYS
+        from subgraph_infomax.data import ObservationProtocol
+        from subgraph_infomax.models import ModelConfig
+        from subgraph_infomax.optim import AdamConfig
+
+        assert set(MODEL_KEYS.values()) == {f.name for f in fields(ModelConfig)}
+        assert set(PROTOCOL_KEYS.values()) == {f.name for f in fields(ObservationProtocol)}
+        assert set(ADAM_KEYS.values()) == {f.name for f in fields(AdamConfig)}
+        assert set(RUN_KEYS) == {
+            "epochs", "batch_size", "grad_accum", "embedding_trainable", "out_dir",
+        }
+        assert MODEL_KEYS["lambda"] == "lambda_single" and "lambda_single" not in MODEL_KEYS
+        assert PROTOCOL_KEYS["eval_seed"] == "eval_fixed_seed"
+
+    def test_derived_keys_coerce_to_field_types(self):
+        config = build_run_config(
+            {"epsilon": "1e-6", "beta1": "0.8", "grad_accum": "2", "out_dir": "runs/x"}
+        )
+        assert config.adam.epsilon == 1e-6 and config.adam.beta1 == 0.8
+        assert config.grad_accum == 2 and config.out_dir == "runs/x"
+
     def test_file_dataset_keys(self, tmp_path):
         (tmp_path / "e.txt").write_text("0 1\n", encoding="utf-8")
         (tmp_path / "s.tsv").write_text("0\t0,1\n", encoding="utf-8")

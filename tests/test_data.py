@@ -223,6 +223,24 @@ class TestFileRoundTrip:
         with pytest.raises(ValueError, match="edges.txt:2"):
             load_dataset(edge_file, sub_file)
 
+    def test_non_integer_split_index_reports_lineno(self, tmp_path):
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n", encoding="utf-8")
+        (tmp_path / "subs.tsv").write_text("0\t0,1\n1\t1,2\n", encoding="utf-8")
+        (tmp_path / "splits.tsv").write_text("0\ttrain\none\ttest\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"splits\.tsv:2: non-integer record index 'one'"):
+            load_dataset(
+                tmp_path / "edges.txt", tmp_path / "subs.tsv", split=tmp_path / "splits.tsv"
+            )
+
+    def test_short_embedding_row_reports_lineno(self, tmp_path):
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n", encoding="utf-8")
+        (tmp_path / "subs.tsv").write_text("0\t0,1\n1\t1,2\n", encoding="utf-8")
+        (tmp_path / "emb.txt").write_text("0.1 0.2\n0.3\n0.5 0.6\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"emb\.txt:2: 1 embedding values, expected 2"):
+            load_dataset(
+                tmp_path / "edges.txt", tmp_path / "subs.tsv", embeddings=tmp_path / "emb.txt"
+            )
+
     def test_single_node_subgraphs_excluded(self, tmp_path, caplog):
         (tmp_path / "edges.txt").write_text("0 1\n1 2\n", encoding="utf-8")
         (tmp_path / "subs.tsv").write_text("0\t0,1\n1\t2\n", encoding="utf-8")

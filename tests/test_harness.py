@@ -1,4 +1,5 @@
 import csv
+import inspect
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from subgraph_infomax.train import (
     train,
     train_single_seed,
     unpaired_t_test,
+    _batches,
 )
 
 SMALL_SPEC = SyntheticSpec(
@@ -112,6 +114,43 @@ class TestTrain:
         metrics = MetricsRecord(per_seed=per_seed)
         assert abs(metrics.mean - float(np.mean([0.5, 0.75, 1.0]))) < 1e-12
         assert abs(metrics.std - float(np.std([0.5, 0.75, 1.0]))) < 1e-12
+
+
+ALL_VARIANTS = (
+    "baseline", "ps-dgi", "ps-infograph", "ps-mvgrl", "ps-graphcl",
+    "khop", "khop+ps-dgi", "khop+ps-infograph",
+)
+
+
+class TestBatching:
+    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    def test_lone_trailing_record_joins_previous_batch(self, variant):
+        config = small_config(variant=variant, epochs=1, pool_ratio=0.5)
+        bundle = load_bundle(config)
+        assert len(bundle.indices("train")) == 17  # batches of 8 leave one over
+        result, _ = train_single_seed(config, bundle, 0)
+        assert not result.diverged
+        assert all(math.isfinite(v) for trace in result.loss_trace.values() for v in trace)
+
+    @pytest.mark.parametrize("variant", ["ps-infograph", "ps-graphcl", "khop+ps-infograph"])
+    def test_batch_size_one_rejected_for_in_batch_negatives(self, variant):
+        config = small_config(variant=variant, epochs=1)
+        config.batch_size = 1
+        with pytest.raises(ValueError, match="batch_size must be >= 2"):
+            train_single_seed(config, load_bundle(config), 0)
+
+    def test_batch_slices(self):
+        assert _batches(17, 8) == [slice(0, 8), slice(8, 17)]
+        assert _batches(16, 8) == [slice(0, 8), slice(8, 16)]
+        assert _batches(18, 8) == [slice(0, 8), slice(8, 16), slice(16, 18)]
+        assert _batches(1, 8) == [slice(0, 1)]
+        assert _batches(3, 1) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+
+def test_train_submodule_is_not_shadowed():
+    import subgraph_infomax.train as T
+
+    assert inspect.ismodule(T)
 
 
 class _StubModel:

@@ -9,7 +9,6 @@ from subgraph_infomax.autodiff import Tensor, backward
 from subgraph_infomax.graph import SubgraphView
 from subgraph_infomax.infomax import (
     Augmentor,
-    LossWeights,
     augment,
     cgd_random_trials,
     cross_subgraph_negatives,
@@ -133,24 +132,7 @@ class TestKhopLoss:
         assert got == pytest.approx(want, abs=1e-12)
 
 
-class TestLossWeights:
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(lambda_khop=-0.5)
-
-
 class TestSamplers:
-    def test_sampler_type_dispatch(self):
-        from subgraph_infomax.infomax import NegativeSampler
-
-        h = Tensor(np.arange(8.0).reshape(4, 2))
-        shuffled = NegativeSampler("row-shuffle", seed=3).draw(h)
-        assert sorted(map(tuple, shuffled.values)) == sorted(map(tuple, h.values))
-        others = NegativeSampler("cross-subgraph").draw([h, Tensor(np.ones((2, 2)))], 0)
-        assert others.shape == (2, 2)
-        with pytest.raises(ValueError):
-            NegativeSampler("nearest")
-
     def test_shuffle_single_row_is_identity(self):
         h = Tensor([[1.0, 2.0]])
         assert shuffle_negatives(h, np.random.default_rng(0)) is h

@@ -138,10 +138,22 @@ class TestStepContract:
         with pytest.raises(ValueError, match="ps-dgi"):
             ModelConfig(variant="khop+ps-graphcl")
 
-    def test_estimator_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="estimator"):
-            ModelConfig(variant="ps-dgi", estimator="infonce")
-        ModelConfig(variant="ps-graphcl", estimator="infonce")  # consistent is fine
+    def test_first_stage_must_be_khop(self):
+        with pytest.raises(ValueError, match="first stage"):
+            ModelConfig(variant="ps-dgi+ps-infograph")
+
+    def test_negative_weight_rejected(self):
+        for name in ("lambda_single", "lambda_khop", "lambda_second"):
+            with pytest.raises(ValueError, match=name):
+                ModelConfig(**{name: -0.5})
+
+    def test_model_classes_check_their_variant_family(self):
+        bundle = generate_synthetic(TOY_SPEC)
+        args = (bundle.graph, bundle.num_classes, bundle.feature_dim, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="TwoStageModel"):
+            PsiModel(toy_config("khop+ps-dgi"), *args)
+        with pytest.raises(ValueError, match="composed variant"):
+            TwoStageModel(toy_config("khop"), *args)
 
     def test_infograph_requires_batch(self):
         bundle, model = make_toy("ps-infograph")
