@@ -25,7 +25,6 @@ from .data import (
 from .graph import (
     GlobalGraph,
     KhopPartition,
-    PartialSubgraph,
     SubgraphRecord,
     SubgraphView,
     bfs_khop_oracle,

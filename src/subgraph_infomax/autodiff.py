@@ -29,8 +29,6 @@ __all__ = [
     "neg",
     "relu",
     "sigmoid",
-    "log",
-    "exp",
     "sqrt",
     "log_sigmoid",
     "softmax_rows",
@@ -90,35 +88,8 @@ class Tensor:
             raise ValueError(f"item() requires a scalar, got shape {self.shape}")
         return float(self.values[0, 0])
 
-    def detach(self) -> "Tensor":
-        """Stop-gradient marker: same values, no parents, no gradient flow."""
-        return Tensor(self.values)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, as_tensor(other))
-
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, scale(as_tensor(other), -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
 
 def as_tensor(x) -> Tensor:
@@ -245,26 +216,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def bwd(g: Array) -> None:
         _accum(a, g * out * (1.0 - out))
-
-    return _make(out, (a,), bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = np.log(a.values)
-
-    def bwd(g: Array) -> None:
-        _accum(a, g / a.values)
-
-    return _make(out, (a,), bwd)
-
-
-def exp(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.values)
-
-    def bwd(g: Array) -> None:
-        _accum(a, g * out)
 
     return _make(out, (a,), bwd)
 

@@ -89,6 +89,23 @@ SYNTHETIC_KEYS = {
     "synthetic_leak": "community_leak",
     "synthetic_seed": "seed",
 }
+FILES_KEYS = _config_keys(DatasetFiles)
+EXPECTED_KEYS = {
+    "expected_subgraphs": "num_subgraphs",
+    "expected_classes": "num_classes",
+    "expected_global_nodes": "num_global_nodes",
+}
+KNOWN_KEYS = frozenset().union(
+    MODEL_KEYS, PROTOCOL_KEYS, RUN_KEYS, ADAM_KEYS, SYNTHETIC_KEYS, FILES_KEYS, EXPECTED_KEYS,
+    {"seeds", "dataset", "split_ratios"},
+)
+
+
+def _check_keys(mapping: dict[str, str]) -> None:
+    """Reject config keys that no subcommand reads, so a typo cannot fall back to a default."""
+    unknown = sorted(set(mapping) - KNOWN_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
 
 
 def parse_kv_file(path) -> dict[str, str]:
@@ -129,6 +146,7 @@ def _collect(mapping: dict[str, str], keys: dict[str, str], dc_cls) -> dict:
 
 
 def build_run_config(mapping: dict[str, str]) -> RunConfig:
+    _check_keys(mapping)
     model = ModelConfig(**_collect(mapping, MODEL_KEYS, ModelConfig))
     protocol = ObservationProtocol(**_collect(mapping, PROTOCOL_KEYS, ObservationProtocol))
     adam = AdamConfig(**_collect(mapping, ADAM_KEYS, AdamConfig))
@@ -141,19 +159,14 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     if mapping.get("dataset", "synthetic") == "synthetic" and "edge_file" not in mapping:
         synthetic = SyntheticSpec(**_collect(mapping, SYNTHETIC_KEYS, SyntheticSpec))
     else:
-        kwargs = _collect(mapping, _config_keys(DatasetFiles), DatasetFiles)
+        kwargs = _collect(mapping, FILES_KEYS, DatasetFiles)
         if "split_ratios" in mapping:
             kwargs["split_ratios"] = tuple(
                 float(r) for r in mapping["split_ratios"].split(",")
             )
-        expected_kwargs = {}
-        for stat_key, attr in (
-            ("expected_subgraphs", "num_subgraphs"),
-            ("expected_classes", "num_classes"),
-            ("expected_global_nodes", "num_global_nodes"),
-        ):
-            if stat_key in mapping:
-                expected_kwargs[attr] = int(mapping[stat_key])
+        expected_kwargs = {
+            attr: int(mapping[key]) for key, attr in EXPECTED_KEYS.items() if key in mapping
+        }
         if expected_kwargs:
             kwargs["expected"] = ExpectedStats(**expected_kwargs)
         files = DatasetFiles(**kwargs)
@@ -193,6 +206,7 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 
 def cmd_generate(args) -> int:
     mapping = _mapping_from_args(args)
+    _check_keys(mapping)
     spec = SyntheticSpec(**_collect(mapping, SYNTHETIC_KEYS, SyntheticSpec))
     bundle = generate_synthetic(spec)
     out = _out_dir(args, "synthetic")

@@ -8,8 +8,8 @@ edges as traversable in both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -40,12 +40,6 @@ class GlobalGraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    @property
-    def density(self) -> float:
-        if self.num_nodes < 2:
-            return 0.0
-        return self.num_edges / (self.num_nodes * (self.num_nodes - 1))
 
     def has_edge(self, u: int, v: int) -> bool:
         return (u, v) in self._edge_set
@@ -113,15 +107,6 @@ class SubgraphRecord:
 
 
 @dataclass(frozen=True)
-class PartialSubgraph:
-    """The observed portion of a full subgraph; edges are induced on the observed set."""
-
-    observed_ids: tuple[int, ...]
-    observed_edges: tuple[EdgePair, ...]
-    parent_index: int = -1
-
-
-@dataclass(frozen=True)
 class KhopPartition:
     """k-hop neighbors of an observed set, split by full-subgraph membership.
 
@@ -139,7 +124,8 @@ class KhopPartition:
 
 @dataclass(frozen=True)
 class SubgraphView:
-    """A lightweight (possibly augmented) view of a subgraph for encoding.
+    """One view of a subgraph for encoding: the full subgraph, its observed
+    part, an augmentation, or a diffusion.
 
     ``masked`` holds node ids whose feature rows are zeroed; ``edge_weights``,
     when present, aligns with ``edges`` and drives weighted aggregation.
@@ -154,43 +140,20 @@ class SubgraphView:
     def from_record(record: SubgraphRecord) -> "SubgraphView":
         return SubgraphView(record.node_ids, record.edge_pairs)
 
-    @staticmethod
-    def from_partial(partial: PartialSubgraph) -> "SubgraphView":
-        return SubgraphView(partial.observed_ids, partial.observed_edges)
 
-
-def induced_partial_subgraph(
-    subgraph: SubgraphRecord,
-    observed: Iterable[int],
-    parent_index: int = -1,
-    graph: GlobalGraph | None = None,
-    use_global_edges: bool = False,
-) -> PartialSubgraph:
-    """Build the partial subgraph induced by an observed node set.
-
-    By default the observed edges are the parent's edges with both endpoints
-    observed.  With ``use_global_edges`` they are instead induced from the
-    global graph (requires ``graph``).
-    """
+def induced_partial_subgraph(subgraph: SubgraphRecord, observed: Iterable[int]) -> SubgraphView:
+    """The observed view: sorted observed ids and the parent's edges with both
+    endpoints observed."""
     observed_set = {int(n) for n in observed}
     if not observed_set:
         raise ValueError("observed set must be nonempty")
     missing = observed_set - set(subgraph.node_ids)
     if missing:
         raise ValueError(f"observed ids not in subgraph: {sorted(missing)}")
-    if use_global_edges:
-        if graph is None:
-            raise ValueError("use_global_edges requires the global graph")
-        edges = graph.induced_edges(observed_set)
-    else:
-        edges = tuple(
-            (u, v) for u, v in subgraph.edge_pairs if u in observed_set and v in observed_set
-        )
-    return PartialSubgraph(
-        observed_ids=tuple(sorted(observed_set)),
-        observed_edges=tuple(sorted(edges)),
-        parent_index=parent_index,
+    edges = tuple(
+        (u, v) for u, v in subgraph.edge_pairs if u in observed_set and v in observed_set
     )
+    return SubgraphView(tuple(sorted(observed_set)), edges)
 
 
 def khop_neighbors(

@@ -98,14 +98,8 @@ def shuffle_negatives(h: Tensor, rng: np.random.Generator) -> Tensor:
     return ad.gather_rows(h, rng.permutation(n))
 
 
-def cross_subgraph_negatives(
-    encoded: Sequence[Tensor], target_index: int, rng: np.random.Generator | None = None
-) -> Tensor:
-    """Stack the node rows of every non-target batch member.
-
-    All non-target pairs act as negatives, so ``rng`` is accepted only for
-    interface symmetry with the other samplers.
-    """
+def cross_subgraph_negatives(encoded: Sequence[Tensor], target_index: int) -> Tensor:
+    """Stack the node rows of every non-target batch member."""
     if len(encoded) < 2:
         raise ValueError(
             "cross-subgraph negatives need a batch of at least 2 subgraphs"
@@ -118,15 +112,13 @@ def cross_subgraph_negatives(
 
 @dataclass(frozen=True)
 class Augmentor:
-    """One structural augmentation: node-drop, edge-perturb, attr-mask, or ppr."""
+    """One structural augmentation: node-drop, edge-perturb, or attr-mask."""
 
     variant: str
     p: float = 0.2
-    alpha: float = 0.15
-    top_t: int = 32
 
     def __post_init__(self) -> None:
-        if self.variant not in ("node-drop", "edge-perturb", "attr-mask", "ppr"):
+        if self.variant not in ("node-drop", "edge-perturb", "attr-mask"):
             raise ValueError(f"unknown augmentation: {self.variant!r}")
         if not 0.0 <= self.p < 1.0:
             raise ValueError(f"augmentation probability must be in [0, 1), got {self.p}")
@@ -183,9 +175,7 @@ def augment(aug: Augmentor, view: SubgraphView, rng: np.random.Generator) -> Sub
         return _node_drop(view, aug.p, rng)
     if aug.variant == "edge-perturb":
         return _edge_perturb(view, aug.p, rng)
-    if aug.variant == "attr-mask":
-        return _attr_mask(view, aug.p, rng)
-    return ppr_view(view, aug.alpha, aug.top_t)
+    return _attr_mask(view, aug.p, rng)
 
 
 class PprDiffusion(NamedTuple):

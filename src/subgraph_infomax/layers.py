@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -21,13 +20,6 @@ from .autodiff import Tensor
 from .optim import ParameterStore
 
 log = logging.getLogger(__name__)
-
-DEFAULT_MAX_POSITIONS = 20
-
-
-def positional_max_length(n_obs: int) -> int:
-    """Positional-encoding budget for a target observation count (20 at 8, 36 at 16, ...)."""
-    return 2 * n_obs + 4
 
 
 class EmbeddingTable:
@@ -233,23 +225,15 @@ def encode(
     return encoder(x, local, training=training, rng=rng, weights=weights)
 
 
-@lru_cache(maxsize=32)
-def _sinusoid_table(max_len: int, dim: int) -> np.ndarray:
-    table = np.zeros((max_len, dim))
-    pos = np.arange(max_len)[:, None].astype(np.float64)
+def sinusoidal_encoding(positions: Sequence[int], dim: int) -> np.ndarray:
+    """Sinusoidal position rows for the given integer positions."""
+    rows = np.zeros((len(positions), dim))
+    pos = np.asarray(positions, dtype=np.float64)[:, None]
     idx = np.arange(0, dim, 2).astype(np.float64)
     angles = pos / np.power(10000.0, idx / dim)[None, :]
-    table[:, 0::2] = np.sin(angles)
-    table[:, 1::2] = np.cos(angles[:, : table[:, 1::2].shape[1]])
-    return table
-
-
-def sinusoidal_encoding(positions: Sequence[int], dim: int, max_len: int) -> np.ndarray:
-    """Sinusoidal position rows for the given integer positions."""
-    pos = np.asarray(positions, dtype=np.int64)
-    if pos.size and pos.max() >= max_len:
-        raise ValueError(f"position {pos.max()} exceeds the maximum length {max_len}")
-    return _sinusoid_table(max_len, dim)[pos]
+    rows[:, 0::2] = np.sin(angles)
+    rows[:, 1::2] = np.cos(angles[:, : rows[:, 1::2].shape[1]])
+    return rows
 
 
 class MeanMlpReadout:
@@ -297,10 +281,8 @@ class GatedAttentionReadout:
         dim: int,
         rng: np.random.Generator,
         premixer: str | None = "mlp",
-        max_positions: int = DEFAULT_MAX_POSITIONS,
     ):
         self.dim = dim
-        self.max_positions = max_positions
         if premixer == "mlp":
             self.premixer = Mlp(store, f"{name}.premixer", dim, dim, dim, rng)
         elif premixer == "attention":
@@ -320,7 +302,7 @@ class GatedAttentionReadout:
                 raise ValueError(
                     f"{len(positions)} positions for {h.shape[0]} rows"
                 )
-            pe = sinusoidal_encoding(positions, self.dim, self.max_positions)
+            pe = sinusoidal_encoding(positions, self.dim)
             h = ad.add(h, Tensor(pe))
         if self.premixer is not None:
             h = self.premixer(h)

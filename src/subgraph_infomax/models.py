@@ -3,14 +3,14 @@
 Five single-stage variants plus the two-stage composition.  Every step
 produces class logits from the observed portion of a subgraph; in training
 it additionally produces the variant's MI loss(es) and the cross-entropy,
-combined as ``loss_graph + sum_i lambda_i * loss_i``.
+combined as ``graph + sum_i lambda_i * term_i``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -20,7 +20,6 @@ from .autodiff import Tensor
 from .graph import (
     GlobalGraph,
     KhopPartition,
-    PartialSubgraph,
     SubgraphRecord,
     SubgraphView,
     khop_neighbors,
@@ -74,11 +73,9 @@ class ModelConfig:
     use_positional_encoding: bool = False
     dropout: float = 0.2
     neighbor_cap: int | None = 5000
-    max_positions: int = 20
     premixer: str = "mlp"
     include_observed_in_pool: bool = True
     concat_observed_summary: bool = False
-    use_global_induced_edges: bool = False
     bidirectional: bool = False
 
     def __post_init__(self) -> None:
@@ -124,18 +121,15 @@ class StepOutput:
     """Result of one model step.
 
     In inference mode only ``logits`` is set.  In training, ``objective`` is
-    the differentiable total and ``total`` its float value, exactly equal to
-    ``loss_graph`` plus the lambda-weighted loss fields, composed left to
-    right in field order.
+    the differentiable total and ``losses`` holds the float value of each
+    term: ``graph`` (the cross-entropy), then ``khop``, then ``infomax`` or
+    ``second``.  ``objective`` is ``graph`` plus each later term times its
+    lambda, composed left to right in that order.
     """
 
     logits: np.ndarray
     objective: Tensor | None = None
-    loss_graph: float | None = None
-    loss_infomax: float | None = None
-    loss_khop: float | None = None
-    loss_second: float | None = None
-    total: float | None = None
+    losses: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -161,13 +155,13 @@ class KhopResult(NamedTuple):
 
 
 def observation_positions(
-    record: SubgraphRecord, partial: PartialSubgraph, enabled: bool
+    record: SubgraphRecord, partial: SubgraphView, enabled: bool
 ) -> list[int] | None:
     """Positional-encoding ranks for the observed rows (sorted-id order)."""
     if not enabled or record.observation_order is None:
         return None
     rank = {n: i for i, n in enumerate(record.observation_order)}
-    return [rank[n] for n in partial.observed_ids]
+    return [rank[n] for n in partial.node_ids]
 
 
 class _ModelBase:
@@ -212,10 +206,7 @@ class _ModelBase:
         first = config.first_variant
         if config.is_two_stage:
             premixer = None if config.premixer == "none" else config.premixer
-            self.readout = GatedAttentionReadout(
-                self.store, "readout", dim, rng, premixer=premixer,
-                max_positions=config.max_positions,
-            )
+            self.readout = GatedAttentionReadout(self.store, "readout", dim, rng, premixer=premixer)
         else:
             self.readout = MeanMlpReadout(self.store, "readout", dim, rng)
         self.augmentors = ()
@@ -241,11 +232,6 @@ class _ModelBase:
             self.pool_mlp = Mlp(self.store, "pool_mlp", dim, dim, dim, rng)
         head_in = 2 * dim if first == "khop" and config.concat_observed_summary else dim
         self.head = PredictionHead(self.store, "head", head_in, num_classes, rng, g_dim=g_dim)
-
-    def full_view(self, record: SubgraphRecord) -> SubgraphView:
-        if self.config.use_global_induced_edges:
-            return SubgraphView(record.node_ids, self.graph.induced_edges(record.node_ids))
-        return SubgraphView.from_record(record)
 
     def encode_view(
         self,
@@ -278,12 +264,12 @@ class _ModelBase:
         aug_summaries = None
         if training and "ps-infograph" in (cfg.first_variant, cfg.second_variant):
             encoded_full = tuple(
-                self.encode_view(self.full_view(r), training, rng) for r in records
+                self.encode_view(SubgraphView.from_record(r), training, rng) for r in records
             )
         if training and cfg.first_variant == "ps-graphcl":
             summaries = []
             for r in records:
-                view = self.full_view(r)
+                view = SubgraphView.from_record(r)
                 for aug in self.augmentors:
                     view = augment(aug, view, rng)
                 h = self.encode_view(view, training, rng)
@@ -296,7 +282,7 @@ class _ModelBase:
     def step(
         self,
         record: SubgraphRecord,
-        partial: PartialSubgraph,
+        partial: SubgraphView,
         batch: BatchContext | None = None,
         rng: np.random.Generator | None = None,
         training: bool = False,
@@ -311,7 +297,7 @@ class _ModelBase:
             if cfg.concat_observed_summary:
                 summary = ad.concat_cols(summary, s_obs)
         else:
-            h_obs = self.encode_view(SubgraphView.from_partial(partial), training, rng)
+            h_obs = self.encode_view(partial, training, rng)
             positions = observation_positions(record, partial, cfg.use_positional_encoding)
             s_obs = summary = self.readout(h_obs, positions)
         logits = self.head(summary, record.subgraph_feature)
@@ -340,9 +326,7 @@ class _ModelBase:
         return StepOutput(
             logits=logits.values[0].copy(),
             objective=objective,
-            loss_graph=ce.item(),
-            total=objective.item(),
-            **{f"loss_{name}": loss.item() for name, (loss, _) in terms.items()},
+            losses={"graph": ce.item(), **{name: loss.item() for name, (loss, _) in terms.items()}},
         )
 
     def _mi_loss(
@@ -350,7 +334,7 @@ class _ModelBase:
     ) -> Tensor:
         """One MI term: ``summary`` against the variant's positives and negatives."""
         if variant == "ps-dgi":
-            h_sub = self.encode_view(self.full_view(record), training, rng)
+            h_sub = self.encode_view(SubgraphView.from_record(record), training, rng)
             return gd_loss(
                 discriminator(h_sub, summary),
                 discriminator(shuffle_negatives(h_sub, rng), summary),
@@ -369,13 +353,12 @@ class _ModelBase:
         if variant == "ps-mvgrl":
             # Two views, each summary against the other view's nodes.
             cfg = self.config
-            obs_view = SubgraphView.from_partial(partial)
-            obs_diffused = ppr_view(obs_view, cfg.ppr_alpha, cfg.ppr_top_t)
+            obs_diffused = ppr_view(partial, cfg.ppr_alpha, cfg.ppr_top_t)
             s_obs_b = self.readout(
                 self.encode_view(obs_diffused, training, rng, encoder=self.encoder_b),
                 positions,
             )
-            full = self.full_view(record)
+            full = SubgraphView.from_record(record)
             h_a = self.encode_view(full, training, rng)
             h_b = self.encode_view(
                 ppr_view(full, cfg.ppr_alpha, cfg.ppr_top_t), training, rng,
@@ -441,9 +424,7 @@ def topk_softmax_pool(
 def khop_forward(
     model: "_ModelBase",
     record: SubgraphRecord,
-    partial: PartialSubgraph,
-    k: int | None = None,
-    pool_ratio: float | None = None,
+    partial: SubgraphView,
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> KhopResult:
@@ -455,25 +436,20 @@ def khop_forward(
     also returned.
     """
     cfg = model.config
-    k = cfg.k if k is None else k
-    ratio = cfg.pool_ratio if pool_ratio is None else pool_ratio
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError(f"pool_ratio must be in (0, 1], got {ratio}")
-
     partition = khop_neighbors(
         model.graph,
-        partial.observed_ids,
-        k,
+        partial.node_ids,
+        cfg.k,
         cap=cfg.neighbor_cap,
         p_d=cfg.p_d if training else 0.0,
         rng=rng,
         subgraph=record,
     )
-    h_obs = model.encode_view(SubgraphView.from_partial(partial), training, rng)
+    h_obs = model.encode_view(partial, training, rng)
     positions = observation_positions(record, partial, cfg.use_positional_encoding)
     s_obs = model.readout(h_obs, positions)
 
-    observed_set = set(partial.observed_ids)
+    observed_set = set(partial.node_ids)
     all_ids = tuple(sorted(observed_set | set(partition.neighbors)))
     h_khop = encode(
         model.encoder, model.table, all_ids, partition.edges_khop,
@@ -494,7 +470,7 @@ def khop_forward(
         ad.gather_rows(scores, base_rows),
         ad.gather_rows(h_khop, base_rows),
         [all_ids[i] for i in base_rows],
-        ratio,
+        cfg.pool_ratio,
         model.pool_mlp,
     )
 

@@ -77,9 +77,6 @@ class ParameterStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -91,13 +88,6 @@ class ParameterStore:
 
     def trainable(self) -> list[Tensor]:
         return [t for t in self._params.values() if t.requires_grad]
-
-    def num_values(self) -> int:
-        return sum(t.values.size for t in self._params.values())
-
-    def zero_grad(self) -> None:
-        for t in self._params.values():
-            t.grad = None
 
     def clone_values(self) -> dict[str, np.ndarray]:
         return {name: t.values.copy() for name, t in self._params.items()}

@@ -21,7 +21,6 @@ import scipy.stats
 
 from . import __version__
 from . import autodiff as ad
-from .layers import positional_max_length
 from .data import (
     DatasetBundle,
     ExpectedStats,
@@ -32,7 +31,7 @@ from .data import (
     sample_observed,
 )
 from .graph import induced_partial_subgraph
-from .models import ModelConfig, StepOutput, build_model
+from .models import ModelConfig, build_model
 from .optim import AdamConfig, adam_step
 
 log = logging.getLogger(__name__)
@@ -138,14 +137,8 @@ def load_bundle(config: RunConfig) -> DatasetBundle:
 def _build_model(config: RunConfig, bundle: DatasetBundle, rng: np.random.Generator):
     if bundle.feature_dim is None:
         raise ValueError("the bundle carries no node features or embedding table")
-    model_cfg = config.model
-    if model_cfg.use_positional_encoding:
-        # Scale the positional budget with the observation target (+2 jitter).
-        needed = positional_max_length(config.protocol.n_obs + 2)
-        if needed > model_cfg.max_positions:
-            model_cfg = dataclasses.replace(model_cfg, max_positions=needed)
     return build_model(
-        model_cfg,
+        config.model,
         bundle.graph,
         bundle.num_classes,
         bundle.feature_dim,
@@ -154,17 +147,6 @@ def _build_model(config: RunConfig, bundle: DatasetBundle, rng: np.random.Genera
         embedding_trainable=config.embedding_trainable,
         g_dim=bundle.g_dim,
     )
-
-
-def _loss_keys(out: StepOutput) -> dict[str, float]:
-    keys = {"graph": out.loss_graph}
-    if out.loss_infomax is not None:
-        keys["infomax"] = out.loss_infomax
-    if out.loss_khop is not None:
-        keys["khop"] = out.loss_khop
-    if out.loss_second is not None:
-        keys["second"] = out.loss_second
-    return keys
 
 
 def _batches(n: int, size: int) -> list[slice]:
@@ -204,22 +186,18 @@ def train_single_seed(
         epoch_count = 0
         micro_batches = 0
         for batch in _batches(len(order), config.batch_size):
-            batch_idx = [int(i) for i in order[batch]]
-            records = [bundle.records[i] for i in batch_idx]
+            records = [bundle.records[int(i)] for i in order[batch]]
             context = model.prepare_batch(records, rng, training=True)
             objectives = []
-            for pos, (rec_idx, record) in enumerate(zip(batch_idx, records)):
+            for pos, record in enumerate(records):
                 observed = sample_observed(record, protocol, "train", rng)
-                partial = induced_partial_subgraph(
-                    record, observed, parent_index=rec_idx, graph=bundle.graph,
-                    use_global_edges=config.model.use_global_induced_edges,
-                )
+                partial = induced_partial_subgraph(record, observed)
                 out = model.step(
                     record, partial, batch=context.for_target(pos),
                     rng=rng, training=True,
                 )
                 objectives.append(out.objective)
-                for key, value in _loss_keys(out).items():
+                for key, value in out.losses.items():
                     epoch_sums[key] = epoch_sums.get(key, 0.0) + value
                 epoch_count += 1
             batch_obj = objectives[0]
@@ -289,10 +267,7 @@ def evaluate(
     correct = 0
     for idx in indices:
         record = bundle.records[idx]
-        partial = induced_partial_subgraph(
-            record, frozen[idx], parent_index=idx, graph=bundle.graph,
-            use_global_edges=model.config.use_global_induced_edges,
-        )
+        partial = induced_partial_subgraph(record, frozen[idx])
         # Fresh per-record rng: only consumed if neighborhood capping binds.
         rng = np.random.default_rng([protocol.eval_fixed_seed, 104729, idx])
         out = model.step(record, partial, rng=rng, training=False)

@@ -101,8 +101,30 @@ class TestConfigParsing:
         assert config.files.split_ratios == (0.8, 0.1, 0.1)
         assert config.files.expected.num_classes == 1
 
+    @pytest.mark.parametrize("key", ["lamda", "max_positions", "use_global_induced_edges"])
+    def test_unknown_key_rejected(self, key):
+        with pytest.raises(ValueError, match=f"unknown config keys: {key}"):
+            build_run_config({key: "5", "epochs": "3"})
+
 
 class TestSubcommands:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate"],
+            ["train"],
+            ["evaluate", "--checkpoint", "missing.json"],
+            ["sweep-observed", "--sizes", "2"],
+            ["sweep-lambda"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_config_subcommand_rejects_unknown_keys(self, tmp_path, argv):
+        config = write_config(tmp_path, {"lamda": "5"})
+        with pytest.raises(ValueError, match="lamda"):
+            main(argv + ["--config", str(config), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
     def test_generate_writes_bundle_files(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "bundle"

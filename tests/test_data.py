@@ -215,6 +215,14 @@ class TestFileRoundTrip:
             assert got.edge_pairs == want.edge_pairs
             assert got.observation_order == want.observation_order
 
+    def test_record_edges_are_the_global_induced_edges(self, tmp_path):
+        bundle = generate_synthetic(SyntheticSpec(num_nodes=70, num_subgraphs=12, seed=9))
+        paths = save_bundle(bundle, tmp_path)
+        loaded = load_dataset(paths["edges"], paths["subgraphs"], embeddings=paths["embeddings"])
+        for built in (bundle, loaded):
+            for record in built.records:
+                assert record.edge_pairs == built.graph.induced_edges(record.node_ids)
+
     def test_malformed_edge_line_reports_lineno(self, tmp_path):
         edge_file = tmp_path / "edges.txt"
         edge_file.write_text("0 1\n0 1 2\n", encoding="utf-8")

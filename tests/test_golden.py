@@ -7,6 +7,7 @@ them exactly.  A change that alters training numerics on purpose (a new rng
 draw order, a batched forward) re-records them and says so in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -43,6 +44,27 @@ GOLDEN = {
     "khop+ps-infograph": "1199397ab126e70b",
 }
 
+# Options no variant default turns on: name -> (variant, model overrides,
+# protocol or None for the golden one, digest).  Recorded while the
+# ``max_positions`` and ``use_global_induced_edges`` options still existed;
+# deleting them must not move these digests.
+EXTRA_GOLDEN = {
+    "khop/pool-neighbors-only": (
+        "khop", {"include_observed_in_pool": False}, None, "cce4b8fa12a84a25",
+    ),
+    "khop+ps-infograph/concat-summary": (
+        "khop+ps-infograph", {"concat_observed_summary": True}, None, "1e4a1edab2344375",
+    ),
+    "khop+ps-dgi/positional-ordered": (
+        "khop+ps-dgi", {"use_positional_encoding": True},
+        ObservationProtocol(n_obs=3, ordered=True), "557cf97421cd6dbf",
+    ),
+    "khop+ps-dgi/attention-bidirectional": (
+        "khop+ps-dgi", {"premixer": "attention", "bidirectional": True}, None,
+        "6a019689b9238e4b",
+    ),
+}
+
 
 def golden_config(variant: str) -> RunConfig:
     return RunConfig(
@@ -56,10 +78,23 @@ def golden_config(variant: str) -> RunConfig:
     )
 
 
+def extra_config(name: str) -> RunConfig:
+    variant, model_changes, protocol, _ = EXTRA_GOLDEN[name]
+    config = golden_config(variant)
+    return dataclasses.replace(
+        config,
+        model=dataclasses.replace(config.model, **model_changes),
+        protocol=protocol or config.protocol,
+    )
+
+
 def training_digest(variant: str) -> str:
+    return config_digest(golden_config(variant))
+
+
+def config_digest(config: RunConfig) -> str:
     """Digest of test accuracy, the val curve, every loss-trace value (as float
     hex) and the bytes of the kept parameters in creation order."""
-    config = golden_config(variant)
     result, model = train_single_seed(config, load_bundle(config), 0)
     params = hashlib.sha256()
     for name, tensor in model.store.items():
@@ -80,6 +115,13 @@ def test_training_digest_is_unchanged(variant):
     assert training_digest(variant) == GOLDEN[variant]
 
 
+@pytest.mark.parametrize("name", sorted(EXTRA_GOLDEN))
+def test_option_digest_is_unchanged(name):
+    assert config_digest(extra_config(name)) == EXTRA_GOLDEN[name][-1]
+
+
 if __name__ == "__main__":
     for name in GOLDEN:
         print(f'    "{name}": "{training_digest(name)}",')
+    for name in EXTRA_GOLDEN:
+        print(f'    "{name}": "{config_digest(extra_config(name))}",')

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from subgraph_infomax.graph import (
     GlobalGraph,
     SubgraphRecord,
+    SubgraphView,
     bfs_khop_oracle,
     induced_partial_subgraph,
     khop_neighbors,
@@ -52,10 +53,6 @@ class TestGlobalGraph:
         g = GlobalGraph(3, [(0, 1), (0, 1), (1, 0)])
         assert g.edges == ((0, 1), (1, 0))
 
-    def test_density_matches_definition(self):
-        g = GlobalGraph(4, [(0, 1), (1, 0), (2, 3)])
-        assert abs(g.density - 3 / (4 * 3)) < 1e-12
-
     def test_induced_edges(self):
         g = path_graph(4)
         assert g.induced_edges({0, 1}) == ((0, 1), (1, 0))
@@ -80,13 +77,12 @@ class TestInducedPartialSubgraph:
     def test_induced_edge_definition(self):
         record = SubgraphRecord(node_ids=(1, 2, 3), edge_pairs=((1, 2), (2, 3)), label=0)
         partial = induced_partial_subgraph(record, {1, 2})
-        assert partial.observed_edges == ((1, 2),)
+        assert partial.edges == ((1, 2),)
 
     def test_full_observation_is_identity(self):
         record = SubgraphRecord(node_ids=(1, 2, 3), edge_pairs=((1, 2), (2, 3)), label=0)
         partial = induced_partial_subgraph(record, record.node_ids)
-        assert partial.observed_ids == record.node_ids
-        assert partial.observed_edges == record.edge_pairs
+        assert partial == SubgraphView.from_record(record)
 
     def test_path_endpoints_have_no_edges(self):
         # Oracle: enumerate the parent edges (0,1),(1,2),(2,3) plus reverses;
@@ -97,7 +93,7 @@ class TestInducedPartialSubgraph:
             label=0,
         )
         partial = induced_partial_subgraph(record, {0, 3})
-        assert partial.observed_edges == ()
+        assert partial.edges == ()
 
     def test_empty_observed_rejected(self):
         record = SubgraphRecord(node_ids=(1, 2), edge_pairs=(), label=0)
@@ -112,18 +108,8 @@ class TestInducedPartialSubgraph:
     def test_idempotent(self):
         record = SubgraphRecord(node_ids=(1, 2, 3), edge_pairs=((1, 2), (2, 3)), label=0)
         once = induced_partial_subgraph(record, {1, 2})
-        again = induced_partial_subgraph(record, once.observed_ids)
-        assert once.observed_ids == again.observed_ids
-        assert once.observed_edges == again.observed_edges
-
-    def test_global_edge_flag(self):
-        g = path_graph(4)
-        # The record tracks no edges of its own; the flag induces them globally.
-        record = SubgraphRecord(node_ids=(0, 1, 2), edge_pairs=(), label=0)
-        default = induced_partial_subgraph(record, {0, 1})
-        flagged = induced_partial_subgraph(record, {0, 1}, graph=g, use_global_edges=True)
-        assert default.observed_edges == ()
-        assert flagged.observed_edges == ((0, 1), (1, 0))
+        again = induced_partial_subgraph(record, once.node_ids)
+        assert once == again
 
 
 class TestKhopNeighbors:

@@ -58,6 +58,23 @@ class TestTrain:
         assert all(0.0 <= a <= 1.0 for a in metrics.accuracies)
         assert not metrics.any_diverged
 
+    def test_positional_encoding_ranks_beyond_twenty(self):
+        # Unordered records of 30-40 nodes rank their observed nodes by walk
+        # position, so ranks run past 20 even though only about 4 are observed.
+        config = RunConfig(
+            model=ModelConfig(variant="khop+ps-dgi", hidden_dim=8, use_positional_encoding=True),
+            protocol=ObservationProtocol(n_obs=4, ordered=False),
+            synthetic=SyntheticSpec(
+                num_nodes=200, num_subgraphs=20, subgraph_size_min=30,
+                subgraph_size_max=40, seed=3,
+            ),
+            epochs=1,
+            batch_size=8,
+            seeds=(0,),
+        )
+        result, _ = train_single_seed(config, load_bundle(config), 0)
+        assert not result.diverged and len(result.val_accuracy) == 1
+
     def test_same_seed_reproduces_loss_traces(self):
         config = small_config(epochs=2)
         bundle = load_bundle(config)

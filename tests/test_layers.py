@@ -14,7 +14,6 @@ from subgraph_infomax.layers import (
     SageLayer,
     cross_entropy,
     encode,
-    positional_max_length,
     sinusoidal_encoding,
 )
 from subgraph_infomax.optim import ParameterStore
@@ -179,20 +178,8 @@ class TestReadouts:
         s2 = readout(Tensor(h), positions=[2, 1, 0]).values
         assert not np.allclose(s1, s2)
 
-    def test_sequence_longer_than_budget_rejected(self):
-        store = ParameterStore()
-        readout = GatedAttentionReadout(store, "r", 4, rng(), max_positions=4)
-        with pytest.raises(ValueError):
-            readout(Tensor(np.zeros((5, 4))), positions=[0, 1, 2, 3, 4])
-
-    def test_positional_budget_formula(self):
-        assert positional_max_length(8) == 20
-        assert positional_max_length(16) == 36
-        assert positional_max_length(32) == 68
-        assert positional_max_length(64) == 132
-
     def test_sinusoid_rows_depend_on_position(self):
-        pe = sinusoidal_encoding([0, 1, 2], dim=8, max_len=20)
+        pe = sinusoidal_encoding([0, 1, 2], dim=8)
         assert pe.shape == (3, 8)
         assert not np.allclose(pe[0], pe[1])
 

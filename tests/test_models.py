@@ -82,8 +82,8 @@ def step_inputs(bundle, seed=0, n_obs=2):
     rng = np.random.default_rng(seed)
     records = list(bundle.records[:3])
     partials = [
-        induced_partial_subgraph(r, sample_observed(r, protocol, "train", rng), parent_index=i)
-        for i, r in enumerate(records)
+        induced_partial_subgraph(r, sample_observed(r, protocol, "train", rng))
+        for r in records
     ]
     return records, partials
 
@@ -95,8 +95,7 @@ class TestStepContract:
         records, partials = step_inputs(bundle)
         out = model.step(records[0], partials[0], rng=np.random.default_rng(1), training=False)
         assert out.logits.shape == (bundle.num_classes,)
-        assert out.total is None and out.loss_graph is None
-        assert out.loss_infomax is None and out.loss_khop is None
+        assert out.objective is None and out.losses == {}
 
     @pytest.mark.parametrize("variant", ALL_VARIANTS)
     def test_total_recomposes_bit_exactly(self, variant):
@@ -107,30 +106,33 @@ class TestStepContract:
         out = model.step(records[0], partials[0], batch=context.for_target(0), rng=rng, training=True)
         cfg = model.config
         if variant == "baseline":
-            expected = out.loss_graph
+            names = ["graph"]
         elif variant == "khop":
-            expected = out.loss_graph + cfg.lambda_khop * out.loss_khop
+            names = ["graph", "khop"]
         elif "+" in variant:
-            expected = (
-                out.loss_graph + cfg.lambda_khop * out.loss_khop
-            ) + cfg.lambda_second * out.loss_second
+            names = ["graph", "khop", "second"]
         else:
-            expected = out.loss_graph + cfg.lambda_single * out.loss_infomax
-        assert out.total == expected
+            names = ["graph", "infomax"]
+        assert list(out.losses) == names
+        weights = {"khop": cfg.lambda_khop, "second": cfg.lambda_second, "infomax": cfg.lambda_single}
+        expected = out.losses["graph"]
+        for name in names[1:]:
+            expected = expected + weights[name] * out.losses[name]
+        assert out.objective.item() == expected
 
     def test_lambda_zero_total_equals_graph_loss(self):
         bundle, model = make_toy("ps-dgi", lambda_single=0.0)
         records, partials = step_inputs(bundle)
         rng = np.random.default_rng(3)
         out = model.step(records[0], partials[0], rng=rng, training=True)
-        assert out.total == out.loss_graph
+        assert out.objective.item() == out.losses["graph"]
 
     def test_two_stage_lambda_zero(self):
         bundle, model = make_toy("khop+ps-dgi", lambda_khop=0.0, lambda_second=0.0)
         records, partials = step_inputs(bundle)
         rng = np.random.default_rng(3)
         out = model.step(records[0], partials[0], rng=rng, training=True)
-        assert out.total == out.loss_graph
+        assert out.objective.item() == out.losses["graph"]
 
     def test_invalid_second_stage_rejected(self):
         with pytest.raises(ValueError, match="ps-dgi"):
@@ -168,7 +170,7 @@ class TestVariantLossValues:
         model.discriminator.w.values[:] = 0.0
         records, partials = step_inputs(bundle)
         out = model.step(records[0], partials[0], rng=np.random.default_rng(1), training=True)
-        assert out.loss_infomax == pytest.approx(2 * math.log(2), abs=1e-12)
+        assert out.losses["infomax"] == pytest.approx(2 * math.log(2), abs=1e-12)
 
     def test_graphcl_batch_of_two_equal_scores(self):
         # Zeroed parameters make every summary the zero vector, whose cosine
@@ -180,7 +182,7 @@ class TestVariantLossValues:
         rng = np.random.default_rng(4)
         context = model.prepare_batch(records[:2], rng, training=True)
         out = model.step(records[0], partials[0], batch=context.for_target(0), rng=rng, training=True)
-        assert out.loss_infomax == pytest.approx(math.log(2), abs=1e-12)
+        assert out.losses["infomax"] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_infograph_matches_scripted_composition(self):
         # Independent end-to-end script of encode -> readout -> scores -> loss.
@@ -199,15 +201,15 @@ class TestVariantLossValues:
         rng2 = np.random.default_rng(7)
         h_own = encode(model.encoder, model.table, records[0].node_ids, records[0].edge_pairs)
         h_other = encode(model.encoder, model.table, records[1].node_ids, records[1].edge_pairs)
-        h_obs = encode(model.encoder, model.table, partials[0].observed_ids, partials[0].observed_edges)
+        h_obs = encode(model.encoder, model.table, partials[0].node_ids, partials[0].edges)
         s_obs = model.readout(h_obs)
         li = gd_loss(model.discriminator(h_own, s_obs), model.discriminator(h_other, s_obs))
         from subgraph_infomax.layers import cross_entropy
 
         logits = model.head(s_obs)
         ce = cross_entropy(logits, records[0].label)
-        assert out.loss_infomax == pytest.approx(li.item(), abs=1e-12)
-        assert out.total == pytest.approx(ce.item() + li.item(), abs=1e-12)
+        assert out.losses["infomax"] == pytest.approx(li.item(), abs=1e-12)
+        assert out.objective.item() == pytest.approx(ce.item() + li.item(), abs=1e-12)
 
     def test_dgi_matches_scripted_composition(self):
         from subgraph_infomax.infomax import gd_loss, shuffle_negatives
@@ -218,7 +220,7 @@ class TestVariantLossValues:
         out = model.step(records[0], partials[0], rng=np.random.default_rng(11), training=True)
 
         rng = np.random.default_rng(11)
-        h_obs = encode(model.encoder, model.table, partials[0].observed_ids, partials[0].observed_edges)
+        h_obs = encode(model.encoder, model.table, partials[0].node_ids, partials[0].edges)
         s_obs = model.readout(h_obs)
         h_sub = encode(model.encoder, model.table, records[0].node_ids, records[0].edge_pairs)
         li = gd_loss(
@@ -227,7 +229,7 @@ class TestVariantLossValues:
         )
         logits = model.head(s_obs)
         ce = cross_entropy(logits, records[0].label)
-        assert out.total == pytest.approx(ce.item() + li.item(), abs=1e-12)
+        assert out.objective.item() == pytest.approx(ce.item() + li.item(), abs=1e-12)
 
 
 class TestTopkPooling:
@@ -280,7 +282,7 @@ class TestKhopForward:
         res = khop_forward(model, records[0], partials[0], rng=np.random.default_rng(0), training=True)
         assert res.s_khop.shape == (1, model.config.hidden_dim)
         assert res.loss_khop is not None
-        observed = set(partials[0].observed_ids)
+        observed = set(partials[0].node_ids)
         assert set(res.scored_ids) == observed | set(res.partition.neighbors)
         assert set(res.selected_ids) <= set(res.scored_ids)
 
@@ -345,10 +347,8 @@ class TestTrainingDescent:
             rng = np.random.default_rng(seed + 1000)
             protocol = ObservationProtocol(n_obs=2, train_jitter=False)
             partials = [
-                induced_partial_subgraph(
-                    r, sample_observed(r, protocol, "train", rng), parent_index=i
-                )
-                for i, r in enumerate(records)
+                induced_partial_subgraph(r, sample_observed(r, protocol, "train", rng))
+                for r in records
             ]
             config = AdamConfig(learning_rate=3e-3)
             first = last = None
