@@ -106,8 +106,25 @@ def _accum(t: Tensor, g) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    t.grad += g
+        # g + 0.0 equals 0.0 + g bit for bit (-0.0 becomes 0.0), without
+        # zero-filling a buffer first.
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.values))
+    else:
+        t.grad += g
+
+
+def _scatter_sum(values: Array, seg: Array, n: int) -> Array:
+    """``n`` rows: row ``i`` sums the rows of ``values`` whose ``seg`` is ``i``.
+
+    ``np.bincount`` adds the weights in input order, starting from 0.0: the
+    same float additions, in the same order, as an unbuffered in-place
+    scatter-add into zeros, so it matches one bit for bit.  (With no input
+    it returns integer zeros, hence the cast.)
+    """
+    d = values.shape[1]
+    codes = (seg[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(codes, weights=values.ravel(), minlength=n * d)
+    return sums.astype(np.float64, copy=False).reshape(n, d)
 
 
 def _unbroadcast(g: Array, shape: tuple[int, int]) -> Array:
@@ -369,9 +386,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     out = a.values[idx]
 
     def bwd(g: Array) -> None:
-        full = np.zeros_like(a.values)
-        np.add.at(full, idx, g)
-        _accum(a, full)
+        _accum(a, _scatter_sum(g, idx, a.shape[0]))
 
     return _make(out, (a,), bwd)
 
@@ -385,8 +400,7 @@ def segment_sum(a: Tensor, segments, num_segments: int) -> Tensor:
         )
     if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
         raise ValueError(f"segment_sum: segment id out of range [0, {num_segments})")
-    out = np.zeros((num_segments, a.shape[1]))
-    np.add.at(out, seg, a.values)
+    out = _scatter_sum(a.values, seg, num_segments)
 
     def bwd(g: Array) -> None:
         _accum(a, g[seg])
@@ -406,8 +420,7 @@ def segment_mean(a: Tensor, segments, num_segments: int) -> Tensor:
         raise ValueError(f"segment_mean: segment id out of range [0, {num_segments})")
     counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
     denom = np.maximum(counts, 1.0)[:, None]
-    out = np.zeros((num_segments, a.shape[1]))
-    np.add.at(out, seg, a.values)
+    out = _scatter_sum(a.values, seg, num_segments)
     out /= denom
 
     def bwd(g: Array) -> None:

@@ -150,14 +150,20 @@ def validate_bundle(bundle: DatasetBundle) -> None:
     if bundle.embedding_values is not None:
         if bundle.embedding_values.shape[0] != graph.num_nodes:
             raise ValueError("embedding row count differs from the global node count")
+    # One lookup for every record edge; each record's first missing edge.
+    flat = [e for record in bundle.records for e in record.edge_pairs]
+    owner = np.repeat(np.arange(len(bundle.records)), [len(r.edge_pairs) for r in bundle.records])
+    missing: dict[int, tuple[int, int]] = {}
+    for pos in np.flatnonzero(~graph.has_edges(flat)):
+        missing.setdefault(int(owner[pos]), flat[pos])
     for idx, record in enumerate(bundle.records):
         if len(record.node_ids) < 2:
             raise ValueError(f"record {idx} is a single-node subgraph")
         if record.node_ids[-1] >= graph.num_nodes or record.node_ids[0] < 0:
             raise ValueError(f"record {idx} references nodes outside the global graph")
-        for u, v in record.edge_pairs:
-            if not graph.has_edge(u, v):
-                raise ValueError(f"record {idx} edge ({u}, {v}) is not a global edge")
+        if idx in missing:
+            u, v = missing[idx]
+            raise ValueError(f"record {idx} edge ({u}, {v}) is not a global edge")
         if not 0 <= record.label < bundle.num_classes:
             raise ValueError(f"record {idx} label {record.label} out of range")
 

@@ -22,54 +22,92 @@ class GlobalGraph:
     """The shared graph hosting every subgraph.
 
     Invariants: all edge endpoints are < ``num_nodes`` and the directed edge
-    set contains no duplicates.
+    set contains no duplicates.  Edges are held as sorted unique ``u*n+v``
+    codes, a directed out-CSR, and an undirected neighbor CSR (read-only
+    int64 arrays).
     """
 
     def __init__(self, num_nodes: int, edges: Iterable[EdgePair]):
         if num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-        self.num_nodes = int(num_nodes)
-        deduped = sorted({(int(u), int(v)) for u, v in edges})
-        for u, v in deduped:
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
-        self.edges: tuple[EdgePair, ...] = tuple(deduped)
-        self._edge_set = frozenset(self.edges)
-        self._adj: dict[int, np.ndarray] | None = None
+        n = self.num_nodes = int(num_nodes)
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        src, dst = pairs[:, 0], pairs[:, 1]
+        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+        if bad.any():
+            u, v = min(map(tuple, pairs[bad].tolist()))
+            raise ValueError(f"edge ({u}, {v}) out of range for {num_nodes} nodes")
+        codes = src * n + dst
+        self._codes = _frozen(np.unique(codes))
+        self._out_indptr, self._out_indices = _csr(self._codes, n)
+        both = np.concatenate([codes, dst * n + src])
+        self._nbr_indptr, self._nbr_indices = _csr(np.unique(both), n)
+        self._edges: tuple[EdgePair, ...] | None = None
+
+    @property
+    def edges(self) -> tuple[EdgePair, ...]:
+        """Sorted directed edge pairs, built on first use."""
+        if self._edges is None:
+            n = self.num_nodes
+            self._edges = tuple(zip((self._codes // n).tolist(), (self._codes % n).tolist()))
+        return self._edges
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return int(self._codes.size)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edge_set
+        return bool(self.has_edges([(u, v)])[0])
 
-    def _adjacency(self) -> dict[int, np.ndarray]:
-        # Undirected adjacency view, built lazily and cached.
-        if self._adj is None:
-            lists: dict[int, set[int]] = {}
-            for u, v in self.edges:
-                lists.setdefault(u, set()).add(v)
-                lists.setdefault(v, set()).add(u)
-            self._adj = {
-                node: np.fromiter(sorted(nbrs), dtype=np.int64)
-                for node, nbrs in lists.items()
-            }
-        return self._adj
+    def has_edges(self, pairs) -> np.ndarray:
+        """Boolean mask over the rows ``(u, v)`` of ``pairs``: is it a directed edge."""
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        n = self.num_nodes
+        u, v = pairs[:, 0], pairs[:, 1]
+        codes = np.where((u >= 0) & (u < n) & (v >= 0) & (v < n), u * n + v, -1)
+        pos = np.searchsorted(self._codes, codes)
+        found = pos < self._codes.size
+        found[found] = self._codes[pos[found]] == codes[found]
+        return found
 
     def neighbors(self, node: int) -> np.ndarray:
-        return self._adjacency().get(node, np.empty(0, dtype=np.int64))
+        """Sorted ids adjacent to ``node`` in either direction."""
+        if not 0 <= node < self.num_nodes:
+            return self._nbr_indices[:0]
+        return self._nbr_indices[self._nbr_indptr[node]:self._nbr_indptr[node + 1]]
 
     def induced_edges(self, nodes: Iterable[int]) -> tuple[EdgePair, ...]:
-        """Directed global edges with both endpoints in ``nodes``."""
-        node_set = set(int(n) for n in nodes)
-        found = []
-        for u in node_set:
-            for v in self._adjacency().get(u, ()):
-                v = int(v)
-                if v in node_set and (u, v) in self._edge_set:
-                    found.append((u, v))
-        return tuple(sorted(found))
+        """Sorted directed global edges with both endpoints in ``nodes``."""
+        ids = np.unique(np.fromiter(nodes, dtype=np.int64))
+        ids = ids[(ids >= 0) & (ids < self.num_nodes)]
+        member = np.zeros(self.num_nodes, dtype=bool)
+        member[ids] = True
+        src, dst = _csr_rows(self._out_indptr, self._out_indices, ids)
+        keep = member[dst]
+        return tuple(zip(src[keep].tolist(), dst[keep].tolist()))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _csr(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of sorted unique ``u*n+v`` codes, rows indexed by u."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(codes // n, minlength=n), out=indptr[1:])
+    return _frozen(indptr), _frozen(codes % n)
+
+
+def _csr_rows(
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated CSR rows: (row id per entry, entry), in row order."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    offsets = np.cumsum(lengths) - lengths
+    flat = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
+    return np.repeat(rows, lengths), indices[flat]
 
 
 @dataclass(frozen=True)
@@ -173,8 +211,8 @@ def khop_neighbors(
     dropped independently with probability ``p_d``.  When ``subgraph`` is
     given, neighbors are additionally partitioned by membership in it.
     """
-    observed_set = {int(n) for n in observed}
-    if not observed_set:
+    observed_ids = np.unique(np.fromiter(observed, dtype=np.int64))
+    if not observed_ids.size:
         raise ValueError("observed set must be nonempty")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -182,40 +220,34 @@ def khop_neighbors(
         raise ValueError(f"p_d must be in [0, 1), got {p_d}")
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be >= 1 or None, got {cap}")
-    for n in observed_set:
-        if not 0 <= n < graph.num_nodes:
-            raise ValueError(f"observed id {n} out of range")
+    stray = observed_ids[(observed_ids < 0) | (observed_ids >= graph.num_nodes)]
+    if stray.size:
+        raise ValueError(f"observed id {stray[0]} out of range")
 
-    visited = set(observed_set)
-    frontier = observed_set
-    collected: set[int] = set()
+    visited = np.zeros(graph.num_nodes, dtype=bool)
+    visited[observed_ids] = True
+    frontier = observed_ids
     for _ in range(k):
-        nxt: set[int] = set()
-        for node in frontier:
-            for nbr in graph.neighbors(node):
-                nbr = int(nbr)
-                if nbr not in visited:
-                    nxt.add(nbr)
-        if not nxt:
+        _, reached = _csr_rows(graph._nbr_indptr, graph._nbr_indices, frontier)
+        frontier = np.unique(reached)
+        frontier = frontier[~visited[frontier]]
+        if not frontier.size:
             break
-        visited |= nxt
-        collected |= nxt
-        frontier = nxt
-
-    neighbor_ids = np.fromiter(sorted(collected), dtype=np.int64)
+        visited[frontier] = True
+    visited[observed_ids] = False
+    neighbor_ids = np.flatnonzero(visited)
     if cap is not None and neighbor_ids.size > cap:
         if rng is None:
             raise ValueError("cap subsampling requires an rng")
         neighbor_ids = np.sort(rng.choice(neighbor_ids, size=cap, replace=False))
 
-    neighbors = tuple(int(n) for n in neighbor_ids)
-    all_nodes = observed_set | set(neighbors)
-    edges = list(graph.induced_edges(all_nodes))
+    neighbors = tuple(neighbor_ids.tolist())
+    edges = graph.induced_edges(np.union1d(observed_ids, neighbor_ids))
     if p_d > 0.0:
         if rng is None:
             raise ValueError("edge dropout requires an rng")
         keep = rng.random(len(edges)) >= p_d
-        edges = [e for e, k_ in zip(edges, keep) if k_]
+        edges = tuple(e for e, k_ in zip(edges, keep) if k_)
 
     if subgraph is not None:
         in_sub, outside = partition_khop(neighbors, subgraph)
@@ -225,7 +257,7 @@ def khop_neighbors(
         neighbors=neighbors,
         in_subgraph=in_sub,
         outside=outside,
-        edges_khop=tuple(edges),
+        edges_khop=edges,
     )
 
 
@@ -243,7 +275,7 @@ def partition_khop(
 def bfs_khop_oracle(graph: GlobalGraph, observed: Iterable[int], k: int) -> frozenset[int]:
     """Brute-force k-hop neighbor oracle: level-by-level scan of the full edge list.
 
-    Intentionally independent of the adjacency-based traversal in
+    Intentionally independent of the CSR traversal in
     ``khop_neighbors``; used to validate it.
     """
     observed_set = frozenset(int(n) for n in observed)

@@ -86,8 +86,7 @@ def _aggregate(
     messages = ad.gather_rows(h, src)
     if weights is None:
         return ad.segment_mean(messages, dst, num_nodes)
-    totals = np.zeros(num_nodes)
-    np.add.at(totals, dst, weights)
+    totals = np.bincount(dst, weights=weights, minlength=num_nodes)
     coeff = (weights / np.maximum(totals[dst], 1e-12))[:, None]
     return ad.segment_sum(ad.mul(messages, Tensor(coeff)), dst, num_nodes)
 

@@ -477,8 +477,9 @@ def khop_forward(
     loss = None
     if training:
         in_sub = set(partition.in_subgraph)
+        outside = set(partition.outside)
         pos_rows = [i for i, gid in enumerate(all_ids) if gid in observed_set or gid in in_sub]
-        neg_rows = [i for i, gid in enumerate(all_ids) if gid in set(partition.outside)]
+        neg_rows = [i for i, gid in enumerate(all_ids) if gid in outside]
         pos = ad.gather_rows(scores, pos_rows) if pos_rows else None
         neg = ad.gather_rows(scores, neg_rows) if neg_rows else None
         loss = khop_loss(pos, neg)

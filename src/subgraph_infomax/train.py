@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-import scipy.stats
+import scipy
 
 from . import __version__
 from . import autodiff as ad
@@ -210,12 +210,18 @@ def train_single_seed(
                 break
             ad.backward(batch_obj)
             micro_batches += 1
-            if micro_batches % config.grad_accum == 0:
-                adam_step(model.store, config.adam)
+            if micro_batches % config.grad_accum == 0 and not _checked_adam_step(
+                model.store, config.adam, seed, epoch
+            ):
+                diverged = True
+                break
         if diverged:
             break
-        if micro_batches % config.grad_accum:
-            adam_step(model.store, config.adam)
+        if micro_batches % config.grad_accum and not _checked_adam_step(
+            model.store, config.adam, seed, epoch
+        ):
+            diverged = True
+            break
 
         for key, total in epoch_sums.items():
             traces.setdefault(key, []).append(total / epoch_count)
@@ -237,6 +243,19 @@ def train_single_seed(
         diverged=diverged,
     )
     return result, model
+
+
+def _checked_adam_step(store, adam: AdamConfig, seed: int, epoch: int) -> bool:
+    """Apply Adam unless a trainable gradient is non-finite; False on divergence."""
+    for name, param in store.items():
+        if param.grad is not None and not np.isfinite(param.grad).all():
+            log.error(
+                "seed %d diverged at epoch %d: non-finite gradient for %s; aborting this seed",
+                seed, epoch, name,
+            )
+            return False
+    adam_step(store, adam)
+    return True
 
 
 def train(config: RunConfig, bundle: DatasetBundle | None = None) -> MetricsRecord:
@@ -288,6 +307,8 @@ def unpaired_t_test(sample_a, sample_b) -> float:
         raise ValueError("each sample needs at least 2 values")
     if a.var(ddof=1) == 0.0 and b.var(ddof=1) == 0.0:
         return 1.0 if a.mean() == b.mean() else 0.0
+    import scipy.stats  # about 1 s to import; only this function needs it
+
     return float(scipy.stats.ttest_ind(a, b, equal_var=False).pvalue)
 
 

@@ -73,7 +73,67 @@ class TestForwardOps:
         assert np.array_equal(out.values, [[2.0], [0.0]])
 
 
+def add_at_reference(values, seg, n):
+    out = np.zeros((n, values.shape[1]))
+    np.add.at(out, seg, values)
+    return out
+
+
+class TestScatterSum:
+    """``_scatter_sum`` must equal ``np.add.at`` into zeros byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    def test_matches_add_at_bytewise(self, n, m, d, seed):
+        rng = np.random.default_rng(seed)
+        seg = rng.integers(0, n, size=m)  # repeated ids whenever m > n
+        scale = 10.0 ** rng.uniform(-5, 4, size=(m, d))
+        values = rng.normal(size=(m, d)) * scale
+        values[rng.random((m, d)) < 0.1] = -0.0
+        got = ad._scatter_sum(values, seg, n)
+        want = add_at_reference(values, seg, n)
+        assert got.dtype == np.float64 and got.shape == (n, d)
+        assert got.tobytes() == want.tobytes()
+
+    def test_negative_zero_sums_like_add_at(self):
+        values = np.array([[-0.0, 1.0], [-0.0, -1.0]])
+        got = ad._scatter_sum(values, np.array([1, 1]), 3)
+        assert got.tobytes() == add_at_reference(values, np.array([1, 1]), 3).tobytes()
+
+    def test_empty_input_gives_float_zeros(self):
+        got = ad._scatter_sum(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 4)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.zeros((4, 3)).tobytes()
+        out = ad.segment_mean(Tensor(np.zeros((0, 3))), [], 4)
+        assert out.values.dtype == np.float64 and not out.values.any()
+
+    def test_gather_rows_backward_accumulates_into_existing_grad(self):
+        rng = np.random.default_rng(7)
+        table = param(rng.normal(size=(5, 3)))
+        existing = rng.normal(size=(5, 3)) * 1e3
+        table.grad = existing.copy()
+        idx = np.array([4, 0, 4, 4, 2])
+        g = rng.normal(size=(5, 3)) * 1e-4
+        ad.gather_rows(table, idx)._backward(g)
+        want = existing.copy()
+        want += add_at_reference(g, idx, 5)
+        assert table.grad.tobytes() == want.tobytes()
+
+
 class TestBackward:
+    def test_first_gradient_lands_on_positive_zero(self):
+        # A fresh gradient is 0.0 + g, as accumulating into zeros gives, so a
+        # -0.0 contribution is stored as 0.0.
+        x = param([[1.0, 2.0]])
+        backward(ad.sum_all(ad.scale(x, -0.0)))
+        assert np.array_equal(x.grad, [[0.0, 0.0]])
+        assert not np.signbit(x.grad).any()
+
     def test_sum_of_squares(self):
         x = param([[1.0, 2.0]])
         backward(ad.sum_all(ad.mul(x, x)))

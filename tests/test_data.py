@@ -193,6 +193,19 @@ class TestBundle:
         with pytest.raises(ValueError, match="not a global edge"):
             validate_bundle(bundle)
 
+    def test_validator_reports_the_first_failure_in_record_order(self):
+        # All record edges are looked up at once; the error must still name
+        # the first failing record, and its first missing edge.
+        graph = GlobalGraph(5, [(0, 1), (1, 0), (3, 4)])
+        good = SubgraphRecord(node_ids=(0, 1), edge_pairs=((0, 1), (1, 0)), label=0)
+        bad_edges = SubgraphRecord(node_ids=(2, 3, 4), edge_pairs=((3, 4), (2, 3), (4, 3)), label=0)
+        bad_label = SubgraphRecord(node_ids=(0, 1), edge_pairs=(), label=5)
+        splits = ("train",) * 3
+        with pytest.raises(ValueError, match=r"^record 1 edge \(2, 3\) is not a global edge$"):
+            validate_bundle(DatasetBundle(graph, (good, bad_edges, bad_label), 1, splits))
+        with pytest.raises(ValueError, match=r"^record 1 label 5 out of range$"):
+            validate_bundle(DatasetBundle(graph, (good, bad_label, bad_edges), 1, splits))
+
 
 class TestFileRoundTrip:
     def test_save_and_load_reproduce_bundle(self, tmp_path):

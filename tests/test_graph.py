@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from subgraph_infomax.graph import (
     GlobalGraph,
+    KhopPartition,
     SubgraphRecord,
     SubgraphView,
     bfs_khop_oracle,
@@ -44,10 +45,144 @@ def er_graphs(draw):
     return GlobalGraph(n, edges)
 
 
+@st.composite
+def directed_graphs(draw):
+    """An ``er_graphs`` edge list with some directed edges dropped, a few
+    repeated, and isolated nodes appended after the last id."""
+    base = draw(er_graphs())
+    extra = draw(st.integers(min_value=0, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
+    keep = rng.random(base.num_edges) < 0.7
+    edges = [e for e, kept in zip(base.edges, keep) if kept]
+    return GlobalGraph(base.num_nodes + extra, edges + edges[:3])
+
+
+any_graphs = st.one_of(er_graphs(), directed_graphs())
+
+
+# Reference implementations: the dict-of-sets adjacency and set-based BFS
+# that the CSR graph core replaced.  The CSR queries must equal them exactly.
+
+
+def reference_adjacency(graph):
+    lists = {}
+    for u, v in graph.edges:
+        lists.setdefault(u, set()).add(v)
+        lists.setdefault(v, set()).add(u)
+    return {node: np.fromiter(sorted(nbrs), dtype=np.int64) for node, nbrs in lists.items()}
+
+
+def reference_neighbors(graph, node):
+    return reference_adjacency(graph).get(node, np.empty(0, dtype=np.int64))
+
+
+def reference_induced_edges(graph, nodes):
+    adjacency = reference_adjacency(graph)
+    edge_set = frozenset(graph.edges)
+    node_set = set(int(n) for n in nodes)
+    found = []
+    for u in node_set:
+        for v in adjacency.get(u, ()):
+            v = int(v)
+            if v in node_set and (u, v) in edge_set:
+                found.append((u, v))
+    return tuple(sorted(found))
+
+
+def reference_khop_neighbors(graph, observed, k, cap, p_d, rng, subgraph=None):
+    adjacency = reference_adjacency(graph)
+    observed_set = {int(n) for n in observed}
+    visited = set(observed_set)
+    frontier = observed_set
+    collected = set()
+    for _ in range(k):
+        nxt = set()
+        for node in frontier:
+            for nbr in adjacency.get(node, ()):
+                nbr = int(nbr)
+                if nbr not in visited:
+                    nxt.add(nbr)
+        if not nxt:
+            break
+        visited |= nxt
+        collected |= nxt
+        frontier = nxt
+    neighbor_ids = np.fromiter(sorted(collected), dtype=np.int64)
+    if cap is not None and neighbor_ids.size > cap:
+        neighbor_ids = np.sort(rng.choice(neighbor_ids, size=cap, replace=False))
+    neighbors = tuple(int(n) for n in neighbor_ids)
+    edges = list(reference_induced_edges(graph, observed_set | set(neighbors)))
+    if p_d > 0.0:
+        keep = rng.random(len(edges)) >= p_d
+        edges = [e for e, k_ in zip(edges, keep) if k_]
+    if subgraph is not None:
+        in_sub, outside = partition_khop(neighbors, subgraph)
+    else:
+        in_sub, outside = (), ()
+    return KhopPartition(neighbors, in_sub, outside, tuple(edges))
+
+
+class TestAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=30), st.data())
+    def test_edges_are_sorted_unique_input(self, n, data):
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        raw = data.draw(st.lists(pair, max_size=80))
+        graph = GlobalGraph(n, raw)
+        assert graph.edges == tuple(sorted(set(raw)))
+        assert graph.num_edges == len(set(raw))
+        assert all(type(u) is int and type(v) is int for u, v in graph.edges)
+
+    @settings(max_examples=80, deadline=None)
+    @given(any_graphs, st.data())
+    def test_queries_match_reference(self, graph, data):
+        n = graph.num_nodes
+        nodes = data.draw(st.lists(st.integers(min_value=-3, max_value=n + 3), max_size=n + 6))
+        got = graph.induced_edges(nodes)
+        assert got == reference_induced_edges(graph, nodes)
+        assert all(type(u) is int and type(v) is int for u, v in got)
+        for node in range(-2, n + 2):
+            nbrs = graph.neighbors(node)
+            assert nbrs.dtype == np.int64
+            assert np.array_equal(nbrs, reference_neighbors(graph, node))
+        edge_set = frozenset(graph.edges)
+        for u in range(-1, n + 1):
+            for v in range(-1, n + 1):
+                assert graph.has_edge(u, v) is ((u, v) in edge_set)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        any_graphs,
+        st.integers(min_value=1, max_value=4),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+        st.sampled_from([0.0, 0.3]),
+        st.integers(min_value=0, max_value=2**31),
+        st.data(),
+    )
+    def test_khop_matches_reference(self, graph, k, cap, p_d, seed, data):
+        ids = st.integers(min_value=0, max_value=graph.num_nodes - 1)
+        observed = data.draw(st.sets(ids, min_size=1, max_size=5))
+        members = data.draw(st.sets(ids, max_size=10)) | observed
+        record = SubgraphRecord(node_ids=tuple(members), edge_pairs=(), label=0)
+        rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast = khop_neighbors(graph, observed, k, cap=cap, p_d=p_d, rng=rng_fast, subgraph=record)
+        ref = reference_khop_neighbors(graph, observed, k, cap, p_d, rng_ref, subgraph=record)
+        assert fast == ref
+        assert all(type(n) is int for n in fast.neighbors)
+        # Both consumed the same draws.
+        assert rng_fast.random() == rng_ref.random()
+
+
 class TestGlobalGraph:
     def test_rejects_out_of_range_edges(self):
         with pytest.raises(ValueError):
             GlobalGraph(3, [(0, 3)])
+
+    def test_out_of_range_error_names_the_first_sorted_edge(self):
+        with pytest.raises(ValueError, match=r"^edge \(0, 3\) out of range for 3 nodes$"):
+            GlobalGraph(3, [(5, 0), (1, 2), (0, 3)])
+        with pytest.raises(ValueError, match=r"^edge \(-1, 7\) out of range for 3 nodes$"):
+            GlobalGraph(3, [(0, 4), (-1, 7)])
 
     def test_deduplicates_directed_edges(self):
         g = GlobalGraph(3, [(0, 1), (0, 1), (1, 0)])

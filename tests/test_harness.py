@@ -1,6 +1,9 @@
 import csv
 import inspect
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -48,6 +51,15 @@ def small_config(variant="ps-dgi", epochs=2, seeds=(0,), **model_kwargs):
         batch_size=8,
         seeds=seeds,
     )
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second to import; only unpaired_t_test needs it.
+    code = (
+        "import sys, subgraph_infomax, subgraph_infomax.train\n"
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env=os.environ.copy())
 
 
 class TestTrain:
@@ -112,6 +124,35 @@ class TestTrain:
         flagged = [s for s in metrics.per_seed if s.diverged]
         assert flagged and all(math.isnan(s.test_accuracy) for s in flagged)
         assert len(metrics.per_seed) == 2  # the loop reached every seed
+
+    @pytest.mark.parametrize("grad_accum", [1, 2])
+    def test_non_finite_gradient_flags_seed_before_adam(self, monkeypatch, caplog, grad_accum):
+        # The objective stays finite and one gradient turns NaN: Adam must not
+        # run on it, and the log names the parameter.
+        import subgraph_infomax.autodiff as ad
+        import subgraph_infomax.train as train_module
+
+        models, adam_calls = [], []
+        real_build, real_backward = train_module._build_model, ad.backward
+
+        def build(*args):
+            models.append(real_build(*args))
+            return models[-1]
+
+        def poisoned_backward(loss):
+            real_backward(loss)
+            models[-1].store["head.w"].grad[0, 0] = np.nan
+
+        monkeypatch.setattr(train_module, "_build_model", build)
+        monkeypatch.setattr(ad, "backward", poisoned_backward)
+        monkeypatch.setattr(train_module, "adam_step", lambda *args: adam_calls.append(args))
+        config = small_config(epochs=2)
+        config.grad_accum = grad_accum
+        with caplog.at_level("ERROR", logger="subgraph_infomax.train"):
+            result, _ = train_single_seed(config, load_bundle(config), 0)
+        assert result.diverged and math.isnan(result.test_accuracy)
+        assert adam_calls == []
+        assert "non-finite gradient for head.w;" in caplog.text
 
     def test_two_stage_ordered_with_positional_encoding(self):
         config = small_config(
