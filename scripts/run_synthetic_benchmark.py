@@ -13,17 +13,9 @@ from subgraph_infomax.data import ObservationProtocol, SyntheticSpec
 from subgraph_infomax.models import ModelConfig
 from subgraph_infomax.optim import AdamConfig
 from subgraph_infomax.train import RunConfig, load_bundle, train, unpaired_t_test
+from subgraph_infomax.verify import ALL_VARIANTS
 
-VARIANTS = (
-    "baseline",
-    "ps-dgi",
-    "ps-infograph",
-    "ps-mvgrl",
-    "ps-graphcl",
-    "khop",
-    "khop+ps-dgi",
-    "khop+ps-infograph",
-)
+VARIANTS = ("baseline",) + ALL_VARIANTS
 
 
 def main() -> None:

@@ -30,7 +30,6 @@ from .graph import (
     bfs_khop_oracle,
     induced_partial_subgraph,
     khop_neighbors,
-    partition_khop,
 )
 from .infomax import (
     Augmentor,

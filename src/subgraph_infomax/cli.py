@@ -23,6 +23,7 @@ from .data import (
     ExpectedStats,
     ObservationProtocol,
     SyntheticSpec,
+    _read_lines,
     generate_synthetic,
     save_bundle,
 )
@@ -111,15 +112,14 @@ def _check_keys(mapping: dict[str, str]) -> None:
 def parse_kv_file(path) -> dict[str, str]:
     """Plain-text config: one ``key = value`` per line, '#' comments."""
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            mapping[key.strip()] = value.strip()
+    for lineno, line in _read_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        if not eq or not key.strip():
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        mapping[key.strip()] = value.strip()
     return mapping
 
 
@@ -130,7 +130,7 @@ def _coerce(value: str, target_type):
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
-        raise ValueError(f"expected a boolean, got {value!r}")
+        raise ValueError(value)
     return target_type(value)
 
 
@@ -141,8 +141,25 @@ def _collect(mapping: dict[str, str], keys: dict[str, str], dc_cls) -> dict:
         if key in mapping:
             base, optional = types[attr]
             raw = mapping[key]
-            out[attr] = None if optional and raw.lower() in ("none", "inf") else _coerce(raw, base)
+            if optional and raw.lower() in ("none", "inf"):
+                out[attr] = None
+                continue
+            try:
+                out[attr] = _coerce(raw, base)
+            except ValueError:
+                raise ValueError(f"{key}: expected {base.__name__}, got {raw!r}") from None
     return out
+
+
+def _parse_list(mapping: dict[str, str], key: str, item_type) -> tuple:
+    """A comma-separated ``key`` value; empty items are skipped."""
+    raw = mapping[key]
+    try:
+        return tuple(item_type(s) for s in raw.split(",") if s)
+    except ValueError:
+        raise ValueError(
+            f"{key}: expected comma-separated {item_type.__name__}s, got {raw!r}"
+        ) from None
 
 
 def build_run_config(mapping: dict[str, str]) -> RunConfig:
@@ -152,7 +169,7 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     adam = AdamConfig(**_collect(mapping, ADAM_KEYS, AdamConfig))
     run_kwargs = _collect(mapping, RUN_KEYS, RunConfig)
     if "seeds" in mapping:
-        run_kwargs["seeds"] = tuple(int(s) for s in mapping["seeds"].split(",") if s)
+        run_kwargs["seeds"] = _parse_list(mapping, "seeds", int)
 
     synthetic = None
     files = None
@@ -161,12 +178,8 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     else:
         kwargs = _collect(mapping, FILES_KEYS, DatasetFiles)
         if "split_ratios" in mapping:
-            kwargs["split_ratios"] = tuple(
-                float(r) for r in mapping["split_ratios"].split(",")
-            )
-        expected_kwargs = {
-            attr: int(mapping[key]) for key, attr in EXPECTED_KEYS.items() if key in mapping
-        }
+            kwargs["split_ratios"] = _parse_list(mapping, "split_ratios", float)
+        expected_kwargs = _collect(mapping, EXPECTED_KEYS, ExpectedStats)
         if expected_kwargs:
             kwargs["expected"] = ExpectedStats(**expected_kwargs)
         files = DatasetFiles(**kwargs)
@@ -181,9 +194,9 @@ def _mapping_from_args(args) -> dict[str, str]:
     if getattr(args, "config", None):
         mapping.update(parse_kv_file(args.config))
     for item in getattr(args, "set", None) or []:
-        if "=" not in item:
+        key, eq, value = item.partition("=")
+        if not eq or not key.strip():
             raise SystemExit(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
     return mapping
 

@@ -13,6 +13,7 @@ File formats (line-oriented, UTF-8, LF):
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -123,13 +124,6 @@ class DatasetBundle:
     @property
     def feature_dim(self) -> int | None:
         return None if self.embedding_values is None else self.embedding_values.shape[1]
-
-    @property
-    def g_dim(self) -> int | None:
-        for r in self.records:
-            if r.subgraph_feature is not None:
-                return int(np.asarray(r.subgraph_feature).size)
-        return None
 
     def majority_class_rate(self, stage: str) -> float:
         labels = [self.records[i].label for i in self.indices(stage)]
@@ -342,78 +336,87 @@ class ExpectedStats:
     num_subgraphs: int | None = None
     num_classes: int | None = None
     num_global_nodes: int | None = None
-    mean_nodes: float | None = None
-    mean_edges: float | None = None
-    tolerance: float = 0.05
 
 
 def _parse_error(path, lineno: int, message: str) -> ValueError:
     return ValueError(f"{path}:{lineno}: {message}")
 
 
+def _read_lines(path):
+    """Yield ``(lineno, line)`` over a UTF-8 text file; a line that is not
+    UTF-8 raises a ValueError naming the path and line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise _parse_error(path, lineno, "not UTF-8 text") from None
+            yield lineno, line
+
+
 def load_edge_file(path, directed: bool = False) -> tuple[int, list[tuple[int, int]]]:
     edges = []
     max_id = -1
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise _parse_error(path, lineno, f"expected 'src dst', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise _parse_error(path, lineno, f"non-integer node id in {line!r}") from None
-            if u < 0 or v < 0:
-                raise _parse_error(path, lineno, "node ids must be nonnegative")
-            edges.append((u, v))
-            if not directed:
-                edges.append((v, u))
-            max_id = max(max_id, u, v)
+    for lineno, line in _read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise _parse_error(path, lineno, f"expected 'src dst', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise _parse_error(path, lineno, f"non-integer node id in {line!r}") from None
+        if u < 0 or v < 0:
+            raise _parse_error(path, lineno, "node ids must be nonnegative")
+        edges.append((u, v))
+        if not directed:
+            edges.append((v, u))
+        max_id = max(max_id, u, v)
     return max_id + 1, edges
 
 
 def load_subgraph_file(path) -> list[tuple[int, list[int]]]:
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise _parse_error(path, lineno, "expected 'label<TAB>id,id,...'")
-            try:
-                label = int(parts[0])
-                ids = [int(tok) for tok in parts[1].split(",") if tok]
-            except ValueError:
-                raise _parse_error(path, lineno, f"bad record line {line!r}") from None
-            if not ids:
-                raise _parse_error(path, lineno, "empty node list")
-            if len(set(ids)) != len(ids):
-                raise _parse_error(path, lineno, "duplicate node ids in record")
-            rows.append((label, ids))
+    for lineno, line in _read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise _parse_error(path, lineno, "expected 'label<TAB>id,id,...'")
+        try:
+            label = int(parts[0])
+            ids = [int(tok) for tok in parts[1].split(",") if tok]
+        except ValueError:
+            raise _parse_error(path, lineno, f"bad record line {line!r}") from None
+        if not ids:
+            raise _parse_error(path, lineno, "empty node list")
+        if len(set(ids)) != len(ids):
+            raise _parse_error(path, lineno, "duplicate node ids in record")
+        rows.append((label, ids))
     return rows
 
 
 def load_embedding_file(path, num_nodes: int) -> np.ndarray:
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split()]
-            except ValueError:
-                raise _parse_error(path, lineno, "non-numeric embedding entry") from None
-            if rows and len(row) != len(rows[0]):
-                raise _parse_error(
-                    path, lineno, f"{len(row)} embedding values, expected {len(rows[0])}"
-                )
-            rows.append(row)
+    for lineno, line in _read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = [float(tok) for tok in line.split()]
+        except ValueError:
+            raise _parse_error(path, lineno, "non-numeric embedding entry") from None
+        if not all(map(math.isfinite, row)):
+            raise _parse_error(path, lineno, "non-finite embedding entry")
+        if rows and len(row) != len(rows[0]):
+            raise _parse_error(
+                path, lineno, f"{len(row)} embedding values, expected {len(rows[0])}"
+            )
+        rows.append(row)
     values = np.array(rows, dtype=np.float64)
     if values.shape[0] != num_nodes:
         raise ValueError(
@@ -424,21 +427,20 @@ def load_embedding_file(path, num_nodes: int) -> np.ndarray:
 
 def load_split_file(path, num_records: int) -> tuple[str, ...]:
     assignment = [""] * num_records
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or parts[1] not in STAGES:
-                raise _parse_error(path, lineno, "expected 'index<TAB>train|val|test'")
-            try:
-                idx = int(parts[0])
-            except ValueError:
-                raise _parse_error(path, lineno, f"non-integer record index {parts[0]!r}") from None
-            if not 0 <= idx < num_records:
-                raise _parse_error(path, lineno, f"record index {idx} out of range")
-            assignment[idx] = parts[1]
+    for lineno, line in _read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or parts[1] not in STAGES:
+            raise _parse_error(path, lineno, "expected 'index<TAB>train|val|test'")
+        try:
+            idx = int(parts[0])
+        except ValueError:
+            raise _parse_error(path, lineno, f"non-integer record index {parts[0]!r}") from None
+        if not 0 <= idx < num_records:
+            raise _parse_error(path, lineno, f"record index {idx} out of range")
+        assignment[idx] = parts[1]
     if any(not s for s in assignment):
         raise ValueError(f"{path}: split file does not cover every record")
     return tuple(assignment)
@@ -451,7 +453,6 @@ def load_dataset(
     split=None,
     directed: bool = False,
     expected: ExpectedStats | None = None,
-    name: str | None = None,
 ) -> DatasetBundle:
     """Build a bundle from the published file formats.
 
@@ -503,7 +504,7 @@ def load_dataset(
         num_classes=len(labels) if labels else 0,
         splits=assignment,
         embedding_values=embedding_values,
-        name=name or Path(str(subgraph_file)).stem,
+        name=Path(str(subgraph_file)).stem,
     )
     if expected is not None:
         _check_stats(bundle, expected)
@@ -514,20 +515,12 @@ def load_dataset(
 
 def _check_stats(bundle: DatasetBundle, expected: ExpectedStats) -> None:
     checks = [
-        ("subgraph count", len(bundle.records), expected.num_subgraphs, 0),
-        ("class count", bundle.num_classes, expected.num_classes, 0),
-        ("global node count", bundle.graph.num_nodes, expected.num_global_nodes, 0),
+        ("subgraph count", len(bundle.records), expected.num_subgraphs),
+        ("class count", bundle.num_classes, expected.num_classes),
+        ("global node count", bundle.graph.num_nodes, expected.num_global_nodes),
     ]
-    if expected.mean_nodes is not None:
-        mean_nodes = float(np.mean([len(r.node_ids) for r in bundle.records]))
-        checks.append(("mean nodes per subgraph", mean_nodes, expected.mean_nodes, expected.tolerance))
-    if expected.mean_edges is not None:
-        mean_edges = float(np.mean([len(r.edge_pairs) for r in bundle.records]))
-        checks.append(("mean edges per subgraph", mean_edges, expected.mean_edges, expected.tolerance))
-    for label, got, want, tol in checks:
-        if want is None:
-            continue
-        if abs(got - want) > tol:
+    for label, got, want in checks:
+        if want is not None and got != want:
             raise ValueError(f"{bundle.name}: {label} is {got}, expected {want}")
 
 

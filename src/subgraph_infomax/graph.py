@@ -1,4 +1,4 @@
-"""Immutable storage and query of the global graph, subgraphs, and k-hop partitions.
+"""Immutable storage and query of the global graph, subgraphs, and k-hop neighborhoods.
 
 All structures are frozen after construction and safe to share across
 concurrent readers.  Edge storage is directed; undirected inputs are
@@ -55,9 +55,6 @@ class GlobalGraph:
     @property
     def num_edges(self) -> int:
         return int(self._codes.size)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.has_edges([(u, v)])[0])
 
     def has_edges(self, pairs) -> np.ndarray:
         """Boolean mask over the rows ``(u, v)`` of ``pairs``: is it a directed edge."""
@@ -117,7 +114,6 @@ class SubgraphRecord:
     node_ids: tuple[int, ...]
     edge_pairs: tuple[EdgePair, ...]
     label: int
-    subgraph_feature: np.ndarray | None = None
     observation_order: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -146,17 +142,13 @@ class SubgraphRecord:
 
 @dataclass(frozen=True)
 class KhopPartition:
-    """k-hop neighbors of an observed set, split by full-subgraph membership.
+    """k-hop neighbors of an observed set.
 
-    ``in_subgraph`` and ``outside`` are filled only when the parent record is
-    known; they always form a disjoint cover of ``neighbors`` in that case.
     ``edges_khop`` are the global edges induced on observed + neighbors,
     after edge dropout.
     """
 
     neighbors: tuple[int, ...]
-    in_subgraph: tuple[int, ...]
-    outside: tuple[int, ...]
     edges_khop: tuple[EdgePair, ...]
 
 
@@ -201,15 +193,13 @@ def khop_neighbors(
     cap: int | None = DEFAULT_NEIGHBOR_CAP,
     p_d: float = 0.0,
     rng: np.random.Generator | None = None,
-    subgraph: SubgraphRecord | None = None,
 ) -> KhopPartition:
     """Sample the k-hop neighborhood of an observed node set.
 
     Neighbors are the BFS frontier union at distances 1..k, excluding the
     observed nodes.  If ``cap`` is exceeded, neighbors are uniformly
     subsampled to ``cap``; ``cap=None`` means unlimited.  Each induced edge is
-    dropped independently with probability ``p_d``.  When ``subgraph`` is
-    given, neighbors are additionally partitioned by membership in it.
+    dropped independently with probability ``p_d``.
     """
     observed_ids = np.unique(np.fromiter(observed, dtype=np.int64))
     if not observed_ids.size:
@@ -248,28 +238,7 @@ def khop_neighbors(
             raise ValueError("edge dropout requires an rng")
         keep = rng.random(len(edges)) >= p_d
         edges = tuple(e for e, k_ in zip(edges, keep) if k_)
-
-    if subgraph is not None:
-        in_sub, outside = partition_khop(neighbors, subgraph)
-    else:
-        in_sub, outside = (), ()
-    return KhopPartition(
-        neighbors=neighbors,
-        in_subgraph=in_sub,
-        outside=outside,
-        edges_khop=edges,
-    )
-
-
-def partition_khop(
-    neighbors: Iterable[int], subgraph: SubgraphRecord
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split neighbor ids into (members of the full subgraph, everything else)."""
-    neighbor_set = {int(n) for n in neighbors}
-    members = set(subgraph.node_ids)
-    in_sub = tuple(sorted(neighbor_set & members))
-    outside = tuple(sorted(neighbor_set - members))
-    return in_sub, outside
+    return KhopPartition(neighbors=neighbors, edges_khop=edges)
 
 
 def bfs_khop_oracle(graph: GlobalGraph, observed: Iterable[int], k: int) -> frozenset[int]:

@@ -189,7 +189,6 @@ def ppr_diffusion(
     n: int,
     alpha: float,
     top_t: int,
-    dense_cap: int = PPR_DENSE_CAP,
 ) -> PprDiffusion:
     """Dense personalized-PageRank propagation over local node ids 0..n-1.
 
@@ -202,9 +201,9 @@ def ppr_diffusion(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if top_t < 1:
         raise ValueError(f"top_t must be >= 1, got {top_t}")
-    if n > dense_cap:
+    if n > PPR_DENSE_CAP:
         raise ValueError(
-            f"{n} nodes exceed the dense solve cap of {dense_cap}; subsample the input first"
+            f"{n} nodes exceed the dense solve cap of {PPR_DENSE_CAP}; subsample the input first"
         )
     a = np.zeros((n, n))
     for u, v in edges:

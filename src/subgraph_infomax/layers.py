@@ -146,8 +146,6 @@ class SageLayer:
 class SageEncoder:
     """Two mean-aggregation layers with skips; dropout between layers in training."""
 
-    num_layers = 2
-
     def __init__(
         self,
         store: ParameterStore,
@@ -343,7 +341,7 @@ class CosineDiscriminator:
 
 
 class PredictionHead:
-    """Single linear layer to class logits, with an optional subgraph-feature path."""
+    """Single linear layer to class logits."""
 
     def __init__(
         self,
@@ -352,32 +350,13 @@ class PredictionHead:
         in_dim: int,
         num_classes: int,
         rng: np.random.Generator,
-        g_dim: int | None = None,
     ):
         self.in_dim = in_dim
         self.num_classes = num_classes
-        self.g_dim = g_dim
-        if g_dim is not None:
-            self.w_g = store.create(f"{name}.w_g", (g_dim, in_dim), rng)
-            self.b_g = store.create(f"{name}.b_g", (1, in_dim), rng, fan_in=g_dim)
-            width = 2 * in_dim
-        else:
-            self.w_g = None
-            width = in_dim
-        self.w = store.create(f"{name}.w", (width, num_classes), rng)
-        self.b = store.create(f"{name}.b", (1, num_classes), rng, fan_in=width)
+        self.w = store.create(f"{name}.w", (in_dim, num_classes), rng)
+        self.b = store.create(f"{name}.b", (1, num_classes), rng, fan_in=in_dim)
 
-    def __call__(self, s: Tensor, g=None) -> Tensor:
-        if g is not None and self.w_g is None:
-            raise ValueError("subgraph feature given but the head has no feature path")
-        if g is None and self.w_g is not None:
-            raise ValueError("the head expects a subgraph feature")
-        if g is not None:
-            g_t = ad.as_tensor(np.asarray(g, dtype=np.float64).reshape(1, -1))
-            if g_t.shape[1] != self.g_dim:
-                raise ValueError(f"subgraph feature width {g_t.shape[1]} != {self.g_dim}")
-            transformed = ad.add(ad.matmul(g_t, self.w_g), self.b_g)
-            s = ad.concat_cols(s, transformed)
+    def __call__(self, s: Tensor) -> Tensor:
         return ad.add(ad.matmul(s, self.w), self.b)
 
 

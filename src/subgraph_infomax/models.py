@@ -184,13 +184,11 @@ class _ModelBase:
         rng: np.random.Generator,
         embedding_values=None,
         embedding_trainable: bool = True,
-        g_dim: int | None = None,
     ):
         self.config = config
         self.graph = graph
         self.num_classes = num_classes
         self.feature_dim = feature_dim
-        self.g_dim = g_dim
         self.store = ParameterStore()
         self.table = EmbeddingTable(
             self.store, "embedding", graph.num_nodes, feature_dim, rng,
@@ -231,7 +229,7 @@ class _ModelBase:
         if first == "khop":
             self.pool_mlp = Mlp(self.store, "pool_mlp", dim, dim, dim, rng)
         head_in = 2 * dim if first == "khop" and config.concat_observed_summary else dim
-        self.head = PredictionHead(self.store, "head", head_in, num_classes, rng, g_dim=g_dim)
+        self.head = PredictionHead(self.store, "head", head_in, num_classes, rng)
 
     def encode_view(
         self,
@@ -300,7 +298,7 @@ class _ModelBase:
             h_obs = self.encode_view(partial, training, rng)
             positions = observation_positions(record, partial, cfg.use_positional_encoding)
             s_obs = summary = self.readout(h_obs, positions)
-        logits = self.head(summary, record.subgraph_feature)
+        logits = self.head(summary)
         if not training:
             return StepOutput(logits=logits.values[0].copy())
 
@@ -432,8 +430,8 @@ def khop_forward(
 
     The pooled summary is a softmax-weighted average of the top-scoring
     rows (ties broken by lower node id), passed through a two-layer MLP.
-    In training the membership loss over the neighborhood partition is
-    also returned.
+    In training the membership loss is also returned: scored rows whose id
+    belongs to the full subgraph are positives, all others negatives.
     """
     cfg = model.config
     partition = khop_neighbors(
@@ -443,14 +441,12 @@ def khop_forward(
         cap=cfg.neighbor_cap,
         p_d=cfg.p_d if training else 0.0,
         rng=rng,
-        subgraph=record,
     )
     h_obs = model.encode_view(partial, training, rng)
     positions = observation_positions(record, partial, cfg.use_positional_encoding)
     s_obs = model.readout(h_obs, positions)
 
-    observed_set = set(partial.node_ids)
-    all_ids = tuple(sorted(observed_set | set(partition.neighbors)))
+    all_ids = tuple(sorted(set(partial.node_ids) | set(partition.neighbors)))
     h_khop = encode(
         model.encoder, model.table, all_ids, partition.edges_khop,
         training=training, rng=rng,
@@ -476,12 +472,10 @@ def khop_forward(
 
     loss = None
     if training:
-        in_sub = set(partition.in_subgraph)
-        outside = set(partition.outside)
-        pos_rows = [i for i, gid in enumerate(all_ids) if gid in observed_set or gid in in_sub]
-        neg_rows = [i for i, gid in enumerate(all_ids) if gid in outside]
-        pos = ad.gather_rows(scores, pos_rows) if pos_rows else None
-        neg = ad.gather_rows(scores, neg_rows) if neg_rows else None
+        member = np.isin(all_ids, record.node_ids)
+        pos_rows, neg_rows = np.flatnonzero(member), np.flatnonzero(~member)
+        pos = ad.gather_rows(scores, pos_rows) if pos_rows.size else None
+        neg = ad.gather_rows(scores, neg_rows) if neg_rows.size else None
         loss = khop_loss(pos, neg)
     return KhopResult(
         s_khop=pooled,
@@ -529,12 +523,10 @@ def build_model(
     rng: np.random.Generator,
     embedding_values=None,
     embedding_trainable: bool = True,
-    g_dim: int | None = None,
 ):
     cls = TwoStageModel if config.is_two_stage else PsiModel
     return cls(
         config, graph, num_classes, feature_dim, rng,
         embedding_values=embedding_values,
         embedding_trainable=embedding_trainable,
-        g_dim=g_dim,
     )

@@ -83,9 +83,6 @@ class ParameterStore:
     def items(self):
         return self._params.items()
 
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
-
     def trainable(self) -> list[Tensor]:
         return [t for t in self._params.values() if t.requires_grad]
 
@@ -120,18 +117,25 @@ class ParameterStore:
             json.dump(self.state_dict(), fh)
 
     def load(self, path) -> None:
-        """Load a checkpoint written by ``save``; values round-trip exactly."""
+        """Load a checkpoint written by ``save``; values round-trip exactly.
+
+        The checkpoint must hold exactly this store's parameter names.
+        """
         with open(path, encoding="utf-8") as fh:
             state = json.load(fh)
         if state.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"unrecognized checkpoint format in {path}")
-        for name, entry in state["params"].items():
-            shape = tuple(entry["shape"])
-            values = np.array(entry["values"], dtype=np.float64).reshape(shape)
-            if name in self._params:
-                self.load_values({name: values})
-            else:
-                self.create(name, shape, values=values, trainable=entry["trainable"])
+        saved = state["params"]
+        if saved.keys() != self._params.keys():
+            raise ValueError(
+                f"{path}: checkpoint parameters do not match the model: "
+                f"missing {sorted(self._params.keys() - saved.keys())}, "
+                f"unexpected {sorted(saved.keys() - self._params.keys())}"
+            )
+        self.load_values({
+            name: np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
+            for name, entry in saved.items()
+        })
 
 
 def adam_step(store: ParameterStore, config: AdamConfig) -> None:

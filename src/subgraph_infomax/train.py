@@ -145,7 +145,6 @@ def _build_model(config: RunConfig, bundle: DatasetBundle, rng: np.random.Genera
         rng,
         embedding_values=bundle.embedding_values,
         embedding_trainable=config.embedding_trainable,
-        g_dim=bundle.g_dim,
     )
 
 

@@ -101,6 +101,34 @@ class TestConfigParsing:
         assert config.files.split_ratios == (0.8, 0.1, 0.1)
         assert config.files.expected.num_classes == 1
 
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("epochs", "abc", "epochs: expected int, got 'abc'"),
+            ("lambda", "big", "lambda: expected float, got 'big'"),
+            ("ordered", "maybe", "ordered: expected bool, got 'maybe'"),
+            ("neighbor_cap", "lots", "neighbor_cap: expected int, got 'lots'"),
+            ("seeds", "0,x", "seeds: expected comma-separated ints, got '0,x'"),
+        ],
+    )
+    def test_bad_value_error_names_its_key(self, key, raw, message):
+        with pytest.raises(ValueError) as err:
+            build_run_config({key: raw})
+        assert str(err.value) == message
+
+    def test_bad_file_dataset_values_name_their_key(self):
+        files = {"edge_file": "e.txt", "subgraph_file": "s.tsv"}
+        with pytest.raises(ValueError, match=r"^split_ratios: expected comma-separated floats"):
+            build_run_config({**files, "split_ratios": "0.8,a,0.1"})
+        with pytest.raises(ValueError, match=r"^expected_classes: expected int, got 'two'$"):
+            build_run_config({**files, "expected_classes": "two"})
+
+    def test_empty_key_rejected(self, tmp_path):
+        path = tmp_path / "c.conf"
+        path.write_text("epochs = 2\n = 3\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"c\.conf:2: expected 'key = value'"):
+            parse_kv_file(path)
+
     @pytest.mark.parametrize("key", ["lamda", "max_positions", "use_global_induced_edges"])
     def test_unknown_key_rejected(self, key):
         with pytest.raises(ValueError, match=f"unknown config keys: {key}"):

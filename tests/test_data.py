@@ -9,6 +9,7 @@ from subgraph_infomax.data import (
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
+    load_embedding_file,
     make_splits,
     sample_observed,
     save_bundle,
@@ -261,6 +262,19 @@ class TestFileRoundTrip:
             load_dataset(
                 tmp_path / "edges.txt", tmp_path / "subs.tsv", embeddings=tmp_path / "emb.txt"
             )
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_embedding_reports_lineno(self, tmp_path, entry):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"0.1 0.2\n{entry} 1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"emb\.txt:2: non-finite embedding entry"):
+            load_embedding_file(path, 2)
+
+    def test_non_utf8_line_reports_lineno(self, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(b"0 1\n1 \xff2\n")
+        with pytest.raises(ValueError, match=r"edges\.txt:2: not UTF-8 text"):
+            load_dataset(path, path)
 
     def test_single_node_subgraphs_excluded(self, tmp_path, caplog):
         (tmp_path / "edges.txt").write_text("0 1\n1 2\n", encoding="utf-8")

@@ -10,7 +10,6 @@ from subgraph_infomax.graph import (
     bfs_khop_oracle,
     induced_partial_subgraph,
     khop_neighbors,
-    partition_khop,
 )
 
 
@@ -89,7 +88,7 @@ def reference_induced_edges(graph, nodes):
     return tuple(sorted(found))
 
 
-def reference_khop_neighbors(graph, observed, k, cap, p_d, rng, subgraph=None):
+def reference_khop_neighbors(graph, observed, k, cap, p_d, rng):
     adjacency = reference_adjacency(graph)
     observed_set = {int(n) for n in observed}
     visited = set(observed_set)
@@ -115,11 +114,7 @@ def reference_khop_neighbors(graph, observed, k, cap, p_d, rng, subgraph=None):
     if p_d > 0.0:
         keep = rng.random(len(edges)) >= p_d
         edges = [e for e, k_ in zip(edges, keep) if k_]
-    if subgraph is not None:
-        in_sub, outside = partition_khop(neighbors, subgraph)
-    else:
-        in_sub, outside = (), ()
-    return KhopPartition(neighbors, in_sub, outside, tuple(edges))
+    return KhopPartition(neighbors, tuple(edges))
 
 
 class TestAgainstReference:
@@ -146,9 +141,8 @@ class TestAgainstReference:
             assert nbrs.dtype == np.int64
             assert np.array_equal(nbrs, reference_neighbors(graph, node))
         edge_set = frozenset(graph.edges)
-        for u in range(-1, n + 1):
-            for v in range(-1, n + 1):
-                assert graph.has_edge(u, v) is ((u, v) in edge_set)
+        pairs = [(u, v) for u in range(-1, n + 1) for v in range(-1, n + 1)]
+        assert graph.has_edges(pairs).tolist() == [p in edge_set for p in pairs]
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -162,11 +156,9 @@ class TestAgainstReference:
     def test_khop_matches_reference(self, graph, k, cap, p_d, seed, data):
         ids = st.integers(min_value=0, max_value=graph.num_nodes - 1)
         observed = data.draw(st.sets(ids, min_size=1, max_size=5))
-        members = data.draw(st.sets(ids, max_size=10)) | observed
-        record = SubgraphRecord(node_ids=tuple(members), edge_pairs=(), label=0)
         rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        fast = khop_neighbors(graph, observed, k, cap=cap, p_d=p_d, rng=rng_fast, subgraph=record)
-        ref = reference_khop_neighbors(graph, observed, k, cap, p_d, rng_ref, subgraph=record)
+        fast = khop_neighbors(graph, observed, k, cap=cap, p_d=p_d, rng=rng_fast)
+        ref = reference_khop_neighbors(graph, observed, k, cap, p_d, rng_ref)
         assert fast == ref
         assert all(type(n) is int for n in fast.neighbors)
         # Both consumed the same draws.
@@ -278,13 +270,6 @@ class TestKhopNeighbors:
         assert len(part.neighbors) == 3
         assert set(part.neighbors) <= set(range(1, 11))
 
-    def test_partition_attached_when_record_given(self):
-        g = star_graph(4)
-        record = SubgraphRecord(node_ids=(0, 1), edge_pairs=((0, 1), (1, 0)), label=0)
-        part = khop_neighbors(g, {0}, k=1, cap=None, p_d=0.0, subgraph=record)
-        assert part.in_subgraph == (1,)
-        assert part.outside == (2, 3, 4)
-
     @settings(max_examples=60, deadline=None)
     @given(er_graphs(), st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**31))
     def test_matches_bfs_oracle(self, graph, k, seed):
@@ -301,35 +286,6 @@ class TestKhopNeighbors:
         n1 = set(khop_neighbors(graph, observed, 1, cap=None, p_d=0.0).neighbors)
         n2 = set(khop_neighbors(graph, observed, 2, cap=None, p_d=0.0).neighbors)
         assert n1 <= n2
-
-
-class TestPartitionKhop:
-    def test_disjoint_cover(self):
-        record = SubgraphRecord(node_ids=(0, 1), edge_pairs=(), label=0)
-        in_sub, outside = partition_khop({1, 2, 3, 4}, record)
-        assert in_sub == (1,)
-        assert outside == (2, 3, 4)
-        assert set(in_sub) | set(outside) == {1, 2, 3, 4}
-        assert set(in_sub) & set(outside) == set()
-
-    def test_empty_neighbors(self):
-        record = SubgraphRecord(node_ids=(0, 1), edge_pairs=(), label=0)
-        assert partition_khop(set(), record) == ((), ())
-
-    def test_all_members(self):
-        record = SubgraphRecord(node_ids=(0, 1, 2), edge_pairs=(), label=0)
-        in_sub, outside = partition_khop({1, 2}, record)
-        assert outside == ()
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.sets(st.integers(min_value=0, max_value=50)), st.sets(st.integers(min_value=0, max_value=50), min_size=1))
-    def test_property_disjoint_cover(self, neighbors, members):
-        record = SubgraphRecord(node_ids=tuple(members), edge_pairs=(), label=0)
-        in_sub, outside = partition_khop(neighbors, record)
-        assert set(in_sub) | set(outside) == set(neighbors)
-        assert set(in_sub) & set(outside) == set()
-        assert set(in_sub) <= set(record.node_ids)
-        assert not set(outside) & set(record.node_ids)
 
 
 class TestBfsOracle:

@@ -4,10 +4,12 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subgraph_infomax
 from subgraph_infomax.data import ObservationProtocol, SyntheticSpec
 from subgraph_infomax.models import ModelConfig
 from subgraph_infomax.optim import AdamConfig
@@ -53,13 +55,35 @@ def small_config(variant="ps-dgi", epochs=2, seeds=(0,), **model_kwargs):
     )
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _subprocess_env():
+    """The environment plus this package's source directory on PYTHONPATH."""
+    env = os.environ.copy()
+    src = str(Path(subgraph_infomax.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_package_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs about a second to import; only unpaired_t_test needs it.
     code = (
         "import sys, subgraph_infomax, subgraph_infomax.train\n"
         "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n"
     )
-    subprocess.run([sys.executable, "-c", code], check=True, env=os.environ.copy())
+    subprocess.run([sys.executable, "-c", code], check=True, env=_subprocess_env())
+
+
+def test_synthetic_benchmark_script_smoke():
+    argv = ["--epochs", "1", "--seeds", "0,1", "--variants", "baseline,khop+ps-dgi"]
+    out = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_synthetic_benchmark.py"), *argv],
+        check=True, capture_output=True, text=True, env=_subprocess_env(), timeout=300,
+    ).stdout.splitlines()
+    rows = {line.split()[0]: line.split() for line in out if line.startswith(("baseline ", "khop"))}
+    assert set(rows) == {"baseline", "khop+ps-dgi"}
+    assert 0.0 <= float(rows["khop+ps-dgi"][-1]) <= 1.0  # p-value against baseline
 
 
 class TestTrain:

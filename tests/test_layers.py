@@ -239,24 +239,6 @@ class TestPredictionHead:
         assert np.argmax(head(Tensor([[3.0, 0.0]])).values) == 0
         assert np.argmax(head(Tensor([[-3.0, 0.0]])).values) == 1
 
-    def test_feature_path_keeps_logit_width(self):
-        store = ParameterStore()
-        head = PredictionHead(store, "h", 3, 5, rng(), g_dim=2)
-        logits = head(Tensor([[0.1, 0.2, 0.3]]), g=[1.0, -1.0])
-        assert logits.shape == (1, 5)
-
-    def test_unexpected_feature_rejected(self):
-        store = ParameterStore()
-        head = PredictionHead(store, "h", 3, 2, rng())
-        with pytest.raises(ValueError):
-            head(Tensor([[0.0, 0.0, 0.0]]), g=[1.0])
-
-    def test_missing_feature_rejected(self):
-        store = ParameterStore()
-        head = PredictionHead(store, "h", 3, 2, rng(), g_dim=1)
-        with pytest.raises(ValueError):
-            head(Tensor([[0.0, 0.0, 0.0]]))
-
 
 class TestCrossEntropy:
     def test_uniform_logits(self):

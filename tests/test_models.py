@@ -286,6 +286,23 @@ class TestKhopForward:
         assert set(res.scored_ids) == observed | set(res.partition.neighbors)
         assert set(res.selected_ids) <= set(res.scored_ids)
 
+    def test_loss_splits_scored_rows_by_record_membership(self):
+        from subgraph_infomax.infomax import khop_loss
+        from subgraph_infomax.layers import encode
+
+        bundle, model = make_toy("khop")
+        records, partials = step_inputs(bundle)
+        record, partial = records[0], partials[0]
+        res = khop_forward(model, record, partial, rng=np.random.default_rng(0), training=True)
+        # dropout 0, p_d 0 and no cap: the training forward draws nothing.
+        h = encode(model.encoder, model.table, res.scored_ids, res.partition.edges_khop)
+        scores = model.discriminator(h, res.s_obs).values[:, 0]
+        members = set(record.node_ids)
+        pos = [s for gid, s in zip(res.scored_ids, scores) if gid in members]
+        neg = [s for gid, s in zip(res.scored_ids, scores) if gid not in members]
+        assert len(pos) > len(partial.node_ids) and neg
+        assert res.loss_khop.item() == khop_loss(np.array(pos), np.array(neg)).item()
+
     def test_inference_has_no_loss(self):
         bundle, model = make_toy("khop")
         records, partials = step_inputs(bundle)

@@ -114,7 +114,23 @@ class TestParameterStore:
         store.save(path)
 
         fresh = ParameterStore()
+        fresh.create("a", (3, 4), values=np.zeros((3, 4)))
+        fresh.create("b", (1, 7), values=np.zeros((1, 7)), trainable=False)
         fresh.load(path)
         for name in store.names():
             assert np.array_equal(fresh[name].values, store[name].values)
             assert fresh[name].requires_grad == store[name].requires_grad
+
+    def test_checkpoint_with_other_names_is_rejected(self, tmp_path):
+        store = ParameterStore()
+        store.create("a", (1, 2), values=[[1.0, 2.0]])
+        store.create("b", (1, 1), values=[[3.0]])
+        path = tmp_path / "params.json"
+        store.save(path)
+
+        other = ParameterStore()
+        kept = other.create("a", (1, 2), values=[[0.0, 0.0]])
+        other.create("c", (1, 1), values=[[0.0]])
+        with pytest.raises(ValueError, match=r"params\.json.*missing \['c'\], unexpected \['b'\]"):
+            other.load(path)
+        assert np.array_equal(kept.values, [[0.0, 0.0]])
