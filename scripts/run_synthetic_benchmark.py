@@ -10,12 +10,9 @@ import argparse
 import time
 
 from subgraph_infomax.data import ObservationProtocol, SyntheticSpec
-from subgraph_infomax.models import ModelConfig
+from subgraph_infomax.models import VARIANTS, ModelConfig
 from subgraph_infomax.optim import AdamConfig
 from subgraph_infomax.train import RunConfig, load_bundle, train, unpaired_t_test
-from subgraph_infomax.verify import ALL_VARIANTS
-
-VARIANTS = ("baseline",) + ALL_VARIANTS
 
 
 def main() -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 import time
@@ -96,9 +97,10 @@ EXPECTED_KEYS = {
     "expected_classes": "num_classes",
     "expected_global_nodes": "num_global_nodes",
 }
+# Any of these keys selects a file dataset; without them the dataset is synthetic.
+FILE_SOURCE_KEYS = frozenset().union(FILES_KEYS, EXPECTED_KEYS, {"split_ratios"})
 KNOWN_KEYS = frozenset().union(
-    MODEL_KEYS, PROTOCOL_KEYS, RUN_KEYS, ADAM_KEYS, SYNTHETIC_KEYS, FILES_KEYS, EXPECTED_KEYS,
-    {"seeds", "dataset", "split_ratios"},
+    MODEL_KEYS, PROTOCOL_KEYS, RUN_KEYS, ADAM_KEYS, SYNTHETIC_KEYS, FILE_SOURCE_KEYS, {"seeds"}
 )
 
 
@@ -123,15 +125,19 @@ def parse_kv_file(path) -> dict[str, str]:
     return mapping
 
 
-def _coerce(value: str, target_type):
-    if target_type is bool:
-        lowered = value.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(value)
-    return target_type(value)
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
+def _coerce(key: str, raw: str, target_type):
+    """``raw`` as ``target_type``, floats finite; a ValueError names ``key``."""
+    try:
+        value = _BOOLS[raw.lower()] if target_type is bool else target_type(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"{key}: expected {target_type.__name__}, got {raw!r}") from None
+    if target_type is float and not math.isfinite(value):
+        raise ValueError(f"{key}: expected a finite float, got {raw!r}")
+    return value
 
 
 def _collect(mapping: dict[str, str], keys: dict[str, str], dc_cls) -> dict:
@@ -143,19 +149,16 @@ def _collect(mapping: dict[str, str], keys: dict[str, str], dc_cls) -> dict:
             raw = mapping[key]
             if optional and raw.lower() in ("none", "inf"):
                 out[attr] = None
-                continue
-            try:
-                out[attr] = _coerce(raw, base)
-            except ValueError:
-                raise ValueError(f"{key}: expected {base.__name__}, got {raw!r}") from None
+            else:
+                out[attr] = _coerce(key, raw, base)
     return out
 
 
 def _parse_list(mapping: dict[str, str], key: str, item_type) -> tuple:
-    """A comma-separated ``key`` value; empty items are skipped."""
+    """A comma-separated ``key`` value; empty items are skipped, floats must be finite."""
     raw = mapping[key]
     try:
-        return tuple(item_type(s) for s in raw.split(",") if s)
+        return tuple(_coerce(key, s, item_type) for s in raw.split(",") if s)
     except ValueError:
         raise ValueError(
             f"{key}: expected comma-separated {item_type.__name__}s, got {raw!r}"
@@ -173,8 +176,18 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
 
     synthetic = None
     files = None
-    if mapping.get("dataset", "synthetic") == "synthetic" and "edge_file" not in mapping:
+    file_keys = sorted(FILE_SOURCE_KEYS & mapping.keys())
+    synthetic_keys = sorted(SYNTHETIC_KEYS.keys() & mapping.keys())
+    missing = [key for key in ("edge_file", "subgraph_file") if key not in mapping]
+    if not file_keys:
         synthetic = SyntheticSpec(**_collect(mapping, SYNTHETIC_KEYS, SyntheticSpec))
+    elif synthetic_keys:
+        raise ValueError(
+            f"synthetic dataset keys ({', '.join(synthetic_keys)}) and file dataset "
+            f"keys ({', '.join(file_keys)}) cannot be mixed"
+        )
+    elif missing:
+        raise ValueError(f"a file dataset needs {' and '.join(missing)}")
     else:
         kwargs = _collect(mapping, FILES_KEYS, DatasetFiles)
         if "split_ratios" in mapping:
@@ -234,9 +247,8 @@ def cmd_train(args) -> int:
     mapping = _mapping_from_args(args)
     config = build_run_config(mapping)
     out = _out_dir(args, "train")
-    config.out_dir = str(out)
     bundle = load_bundle(config)
-    metrics = train(config, bundle=bundle)
+    metrics = train(config, bundle=bundle, out_dir=out)
     rows = [_result_row(config, bundle.name, r.seed, r.test_accuracy) for r in metrics.per_seed]
     write_csv(out / "metrics.csv", rows)
     write_manifest(

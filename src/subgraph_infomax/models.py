@@ -48,8 +48,10 @@ from .layers import (
 )
 from .optim import ParameterStore
 
-SINGLE_VARIANTS = ("baseline", "ps-dgi", "ps-infograph", "ps-mvgrl", "ps-graphcl", "khop")
-TWO_STAGE_SECONDS = ("ps-dgi", "ps-infograph")
+VARIANTS = (
+    "baseline", "ps-dgi", "ps-infograph", "ps-mvgrl", "ps-graphcl", "khop",
+    "khop+ps-dgi", "khop+ps-infograph",
+)
 GRAPHCL_AUGMENTATIONS = ("node-drop", "edge-perturb", "attr-mask")
 BATCH_NEGATIVE_VARIANTS = ("ps-infograph", "ps-graphcl")
 
@@ -79,21 +81,18 @@ class ModelConfig:
     bidirectional: bool = False
 
     def __post_init__(self) -> None:
-        if self.variant not in SINGLE_VARIANTS and not self.is_two_stage:
-            raise ValueError(f"unknown model variant: {self.variant!r}")
-        if self.is_two_stage and self.second_variant not in TWO_STAGE_SECONDS:
+        if self.variant not in VARIANTS:
             raise ValueError(
-                f"two-stage second model must be one of {TWO_STAGE_SECONDS}, "
-                f"got {self.second_variant!r}"
+                f"unknown model variant {self.variant!r}; expected one of {', '.join(VARIANTS)}"
             )
-        if self.is_two_stage and self.first_variant != "khop":
-            raise ValueError("the first stage of a two-stage model must be 'khop'")
+        if self.premixer not in ("mlp", "attention", "none"):
+            raise ValueError(f"premixer must be mlp, attention or none, got {self.premixer!r}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if not 0.0 < self.pool_ratio <= 1.0:
             raise ValueError(f"pool_ratio must be in (0, 1], got {self.pool_ratio}")
         for name in ("lambda_single", "lambda_khop", "lambda_second"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.p_d < 1.0:
             raise ValueError(f"p_d must be in [0, 1), got {self.p_d}")

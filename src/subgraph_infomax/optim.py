@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import json
 import logging
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,8 +12,6 @@ import numpy as np
 from .autodiff import Tensor
 
 log = logging.getLogger(__name__)
-
-CHECKPOINT_FORMAT = "subgraph-infomax-params-v1"
 
 
 @dataclass
@@ -25,13 +23,13 @@ class AdamConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         for name in ("beta1", "beta2"):
             b = getattr(self, name)
             if not 0.0 <= b < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {b}")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
 
 
@@ -89,53 +87,43 @@ class ParameterStore:
     def clone_values(self) -> dict[str, np.ndarray]:
         return {name: t.values.copy() for name, t in self._params.items()}
 
-    def load_values(self, snapshot: dict[str, np.ndarray]) -> None:
+    def load_values(self, snapshot: dict[str, np.ndarray], source="snapshot") -> None:
+        """Copy ``snapshot`` in; nothing is written unless every name and shape matches."""
+        if snapshot.keys() != self._params.keys():
+            raise ValueError(
+                f"{source}: parameters do not match the model: "
+                f"missing {sorted(self._params.keys() - snapshot.keys())}, "
+                f"unexpected {sorted(snapshot.keys() - self._params.keys())}"
+            )
         for name, values in snapshot.items():
-            tensor = self._params[name]
-            if tensor.values.shape != values.shape:
+            if values.shape != self._params[name].values.shape:
                 raise ValueError(
-                    f"snapshot shape mismatch for {name!r}: "
-                    f"{values.shape} vs {tensor.values.shape}"
+                    f"{source}: shape mismatch for {name!r}: "
+                    f"{values.shape} vs {self._params[name].values.shape}"
                 )
-            np.copyto(tensor.values, values)
-
-    def state_dict(self) -> dict:
-        return {
-            "format": CHECKPOINT_FORMAT,
-            "params": {
-                name: {
-                    "shape": list(t.values.shape),
-                    "trainable": t.requires_grad,
-                    "values": t.values.reshape(-1).tolist(),
-                }
-                for name, t in self._params.items()
-            },
-        }
+        for name, values in snapshot.items():
+            np.copyto(self._params[name].values, values)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.state_dict(), fh)
+        """Write every parameter to ``path`` as an ``.npz`` archive keyed by name."""
+        with open(path, "wb") as fh:  # a handle keeps np.savez from appending .npz
+            np.savez(fh, **self.clone_values())
 
     def load(self, path) -> None:
-        """Load a checkpoint written by ``save``; values round-trip exactly.
-
-        The checkpoint must hold exactly this store's parameter names.
-        """
-        with open(path, encoding="utf-8") as fh:
-            state = json.load(fh)
-        if state.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"unrecognized checkpoint format in {path}")
-        saved = state["params"]
-        if saved.keys() != self._params.keys():
-            raise ValueError(
-                f"{path}: checkpoint parameters do not match the model: "
-                f"missing {sorted(self._params.keys() - saved.keys())}, "
-                f"unexpected {sorted(saved.keys() - self._params.keys())}"
-            )
-        self.load_values({
-            name: np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in saved.items()
-        })
+        """Load a ``save`` checkpoint exactly; nothing is written unless every
+        name and shape matches and every value is a finite float64."""
+        try:
+            archive = np.load(path, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("a single array, not an .npz archive")
+            with archive:
+                saved = {name: archive[name] for name in archive.files}
+        except (ValueError, EOFError, zipfile.BadZipFile) as err:
+            raise ValueError(f"{path}: not a checkpoint written by save: {err}") from None
+        for name, values in saved.items():
+            if values.dtype != np.float64 or not np.isfinite(values).all():
+                raise ValueError(f"{path}: {name!r} holds non-finite or non-float64 values")
+        self.load_values(saved, source=path)
 
 
 def adam_step(store: ParameterStore, config: AdamConfig) -> None:

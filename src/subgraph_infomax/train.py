@@ -73,7 +73,6 @@ class RunConfig:
     grad_accum: int = 1
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     embedding_trainable: bool = True
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -257,17 +256,22 @@ def _checked_adam_step(store, adam: AdamConfig, seed: int, epoch: int) -> bool:
     return True
 
 
-def train(config: RunConfig, bundle: DatasetBundle | None = None) -> MetricsRecord:
-    """Run every seed; divergent seeds are flagged and the rest continue."""
+def train(
+    config: RunConfig, bundle: DatasetBundle | None = None, out_dir=None
+) -> MetricsRecord:
+    """Run every seed; divergent seeds are flagged and the rest continue.
+
+    Given ``out_dir``, each seed's kept parameters go to ``params_seed<seed>.npz``.
+    """
     bundle = bundle if bundle is not None else load_bundle(config)
     results = []
     for seed in config.seeds:
         result, model = train_single_seed(config, bundle, seed)
         results.append(result)
-        if config.out_dir:
-            out = Path(config.out_dir)
+        if out_dir is not None:
+            out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            model.store.save(out / f"params_seed{seed}.json")
+            model.store.save(out / f"params_seed{seed}.npz")
     return MetricsRecord(per_seed=results)
 
 
@@ -395,7 +399,6 @@ def sweep_observed(
         cfg = dataclasses.replace(
             config,
             protocol=dataclasses.replace(config.protocol, n_obs=train_size),
-            out_dir=None,
         )
         for seed in cfg.seeds:
             result, model = train_single_seed(cfg, bundle, seed)
@@ -429,7 +432,6 @@ def sweep_lambda(
             cfg = dataclasses.replace(
                 config,
                 model=dataclasses.replace(config.model, lambda_khop=lam_k, lambda_second=lam_2),
-                out_dir=None,
             )
             metrics = train(cfg, bundle=bundle)
             rows.extend(

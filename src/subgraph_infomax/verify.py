@@ -18,7 +18,7 @@ from .autodiff import Tensor, finite_diff_check
 from .data import ObservationProtocol, SyntheticSpec, generate_synthetic
 from .graph import GlobalGraph, bfs_khop_oracle, induced_partial_subgraph, khop_neighbors
 from .infomax import cgd_random_trials, gd_loss, infonce_loss, khop_loss
-from .models import ModelConfig, build_model
+from .models import VARIANTS, ModelConfig, build_model
 from .data import sample_observed
 
 
@@ -35,16 +35,6 @@ class CheckResult:
 
 
 GRADIENT_LIMIT = 1e-4
-
-ALL_VARIANTS = (
-    "ps-dgi",
-    "ps-infograph",
-    "ps-mvgrl",
-    "ps-graphcl",
-    "khop",
-    "khop+ps-dgi",
-    "khop+ps-infograph",
-)
 
 
 def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
@@ -178,7 +168,7 @@ def model_gradient_closure(variant: str, seed: int = 0):
 
 def gradient_model_report(seed: int = 0) -> list[CheckResult]:
     results = []
-    for variant in ALL_VARIANTS:
+    for variant in VARIANTS:
         closure, params = model_gradient_closure(variant, seed)
         err = finite_diff_check(closure, params)
         results.append(

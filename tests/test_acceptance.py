@@ -130,7 +130,7 @@ def test_criterion_05_pooling_example_and_ties():
     assert value_ok and tie_ok
 
 
-def _frozen_sets_fingerprint():
+def _frozen_sets_fingerprint(env):
     code = (
         "import json\n"
         "from subgraph_infomax.data import ObservationProtocol, SyntheticSpec, generate_synthetic\n"
@@ -141,12 +141,12 @@ def _frozen_sets_fingerprint():
         "print(json.dumps(out, sort_keys=True))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     return proc.stdout.strip()
 
 
-def test_criterion_06_protocol_invariants():
+def test_criterion_06_protocol_invariants(subprocess_env):
     # Frozen eval sets: 3 in-process recomputations x 2 separate processes.
     protocol = ObservationProtocol(n_obs=4)
     in_process = []
@@ -156,7 +156,9 @@ def test_criterion_06_protocol_invariants():
             {stage: bundle.frozen_eval(protocol, stage) for stage in ("val", "test")}
         )
     frozen_ok = in_process[0] == in_process[1] == in_process[2]
-    process_ok = _frozen_sets_fingerprint() == _frozen_sets_fingerprint()
+    process_ok = (
+        _frozen_sets_fingerprint(subprocess_env) == _frozen_sets_fingerprint(subprocess_env)
+    )
 
     record = SubgraphRecord(
         node_ids=tuple(range(30)), edge_pairs=(), label=0,

@@ -54,8 +54,8 @@ class TestConfigParsing:
             parse_kv_file(path)
 
     def test_neighbor_cap_none(self):
-        config = build_run_config({"neighbor_cap": "none"})
-        assert config.model.neighbor_cap is None
+        for raw in ("none", "inf"):
+            assert build_run_config({"neighbor_cap": raw}).model.neighbor_cap is None
 
     def test_neighbor_cap_number_is_an_int(self):
         config = build_run_config({"neighbor_cap": "100", "variant": "khop"})
@@ -73,18 +73,16 @@ class TestConfigParsing:
         assert set(MODEL_KEYS.values()) == {f.name for f in fields(ModelConfig)}
         assert set(PROTOCOL_KEYS.values()) == {f.name for f in fields(ObservationProtocol)}
         assert set(ADAM_KEYS.values()) == {f.name for f in fields(AdamConfig)}
-        assert set(RUN_KEYS) == {
-            "epochs", "batch_size", "grad_accum", "embedding_trainable", "out_dir",
-        }
+        assert set(RUN_KEYS) == {"epochs", "batch_size", "grad_accum", "embedding_trainable"}
         assert MODEL_KEYS["lambda"] == "lambda_single" and "lambda_single" not in MODEL_KEYS
         assert PROTOCOL_KEYS["eval_seed"] == "eval_fixed_seed"
 
     def test_derived_keys_coerce_to_field_types(self):
         config = build_run_config(
-            {"epsilon": "1e-6", "beta1": "0.8", "grad_accum": "2", "out_dir": "runs/x"}
+            {"epsilon": "1e-6", "beta1": "0.8", "grad_accum": "2", "embedding_trainable": "no"}
         )
         assert config.adam.epsilon == 1e-6 and config.adam.beta1 == 0.8
-        assert config.grad_accum == 2 and config.out_dir == "runs/x"
+        assert config.grad_accum == 2 and config.embedding_trainable is False
 
     def test_file_dataset_keys(self, tmp_path):
         (tmp_path / "e.txt").write_text("0 1\n", encoding="utf-8")
@@ -109,6 +107,11 @@ class TestConfigParsing:
             ("ordered", "maybe", "ordered: expected bool, got 'maybe'"),
             ("neighbor_cap", "lots", "neighbor_cap: expected int, got 'lots'"),
             ("seeds", "0,x", "seeds: expected comma-separated ints, got '0,x'"),
+            ("learning_rate", "nan", "learning_rate: expected a finite float, got 'nan'"),
+            ("lambda", "nan", "lambda: expected a finite float, got 'nan'"),
+            ("dropout", "inf", "dropout: expected a finite float, got 'inf'"),
+            ("synthetic_noise", "nan", "synthetic_noise: expected a finite float, got 'nan'"),
+            ("premixer", "bogus", "premixer must be mlp, attention or none, got 'bogus'"),
         ],
     )
     def test_bad_value_error_names_its_key(self, key, raw, message):
@@ -118,10 +121,29 @@ class TestConfigParsing:
 
     def test_bad_file_dataset_values_name_their_key(self):
         files = {"edge_file": "e.txt", "subgraph_file": "s.tsv"}
-        with pytest.raises(ValueError, match=r"^split_ratios: expected comma-separated floats"):
-            build_run_config({**files, "split_ratios": "0.8,a,0.1"})
+        for ratios in ("0.8,a,0.1", "nan,0.5,0.5"):
+            with pytest.raises(ValueError, match=r"^split_ratios: expected comma-separated floats"):
+                build_run_config({**files, "split_ratios": ratios})
         with pytest.raises(ValueError, match=r"^expected_classes: expected int, got 'two'$"):
             build_run_config({**files, "expected_classes": "two"})
+
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            ({"subgraph_file": "s.tsv", "split_file": "t.tsv"}, "a file dataset needs edge_file$"),
+            ({"edge_file": "e.txt"}, "a file dataset needs subgraph_file$"),
+            ({"expected_classes": "2"}, "a file dataset needs edge_file and subgraph_file$"),
+            (
+                {"edge_file": "e.txt", "subgraph_file": "s.tsv", "synthetic_nodes": "80"},
+                r"synthetic dataset keys \(synthetic_nodes\) and file dataset keys "
+                r"\(edge_file, subgraph_file\) cannot be mixed",
+            ),
+            ({"dataset": "files"}, "unknown config keys: dataset"),
+        ],
+    )
+    def test_dataset_source_comes_from_the_keys_given(self, mapping, message):
+        with pytest.raises(ValueError, match=message):
+            build_run_config(mapping)
 
     def test_empty_key_rejected(self, tmp_path):
         path = tmp_path / "c.conf"
@@ -141,7 +163,7 @@ class TestSubcommands:
         [
             ["generate"],
             ["train"],
-            ["evaluate", "--checkpoint", "missing.json"],
+            ["evaluate", "--checkpoint", "missing.npz"],
             ["sweep-observed", "--sizes", "2"],
             ["sweep-lambda"],
         ],
@@ -152,6 +174,13 @@ class TestSubcommands:
         with pytest.raises(ValueError, match="lamda"):
             main(argv + ["--config", str(config), "--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
+
+    def test_out_dir_is_not_a_config_key(self, tmp_path):
+        config = write_config(tmp_path)
+        argv = ["train", "--config", str(config), "--set", f"out_dir={tmp_path / 'wanted'}"]
+        with pytest.raises(ValueError, match="^unknown config keys: out_dir$"):
+            main(argv + ["--out", str(tmp_path / "got")])
+        assert not (tmp_path / "wanted").exists() and not (tmp_path / "got").exists()
 
     def test_generate_writes_bundle_files(self, tmp_path):
         config = write_config(tmp_path)
@@ -165,7 +194,7 @@ class TestSubcommands:
         out = tmp_path / "run"
         assert main(["train", "--config", str(config), "--out", str(out)]) == 0
         assert (out / "metrics.csv").exists()
-        assert (out / "params_seed0.json").exists()
+        assert (out / "params_seed0.npz").exists()
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["seeds"] == [0]
         assert "versions" in manifest and "wall_time_seconds" in manifest
@@ -182,7 +211,7 @@ class TestSubcommands:
             [
                 "evaluate",
                 "--config", str(config),
-                "--checkpoint", str(out / "params_seed0.json"),
+                "--checkpoint", str(out / "params_seed0.npz"),
                 "--stage", "test",
             ]
         )

@@ -1,7 +1,6 @@
 import csv
 import inspect
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import subgraph_infomax
 from subgraph_infomax.data import ObservationProtocol, SyntheticSpec
-from subgraph_infomax.models import ModelConfig
+from subgraph_infomax.models import VARIANTS, ModelConfig
 from subgraph_infomax.optim import AdamConfig
 from subgraph_infomax.train import (
     CSV_COLUMNS,
@@ -58,28 +56,20 @@ def small_config(variant="ps-dgi", epochs=2, seeds=(0,), **model_kwargs):
 REPO = Path(__file__).resolve().parents[1]
 
 
-def _subprocess_env():
-    """The environment plus this package's source directory on PYTHONPATH."""
-    env = os.environ.copy()
-    src = str(Path(subgraph_infomax.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
-
-
-def test_package_import_leaves_scipy_stats_unloaded():
+def test_package_import_leaves_scipy_stats_unloaded(subprocess_env):
     # scipy.stats costs about a second to import; only unpaired_t_test needs it.
     code = (
         "import sys, subgraph_infomax, subgraph_infomax.train\n"
         "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n"
     )
-    subprocess.run([sys.executable, "-c", code], check=True, env=_subprocess_env())
+    subprocess.run([sys.executable, "-c", code], check=True, env=subprocess_env)
 
 
-def test_synthetic_benchmark_script_smoke():
+def test_synthetic_benchmark_script_smoke(subprocess_env):
     argv = ["--epochs", "1", "--seeds", "0,1", "--variants", "baseline,khop+ps-dgi"]
     out = subprocess.run(
         [sys.executable, str(REPO / "scripts" / "run_synthetic_benchmark.py"), *argv],
-        check=True, capture_output=True, text=True, env=_subprocess_env(), timeout=300,
+        check=True, capture_output=True, text=True, env=subprocess_env, timeout=300,
     ).stdout.splitlines()
     rows = {line.split()[0]: line.split() for line in out if line.startswith(("baseline ", "khop"))}
     assert set(rows) == {"baseline", "khop+ps-dgi"}
@@ -198,14 +188,8 @@ class TestTrain:
         assert abs(metrics.std - float(np.std([0.5, 0.75, 1.0]))) < 1e-12
 
 
-ALL_VARIANTS = (
-    "baseline", "ps-dgi", "ps-infograph", "ps-mvgrl", "ps-graphcl",
-    "khop", "khop+ps-dgi", "khop+ps-infograph",
-)
-
-
 class TestBatching:
-    @pytest.mark.parametrize("variant", ALL_VARIANTS)
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_lone_trailing_record_joins_previous_batch(self, variant):
         config = small_config(variant=variant, epochs=1, pool_ratio=0.5)
         bundle = load_bundle(config)

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -24,6 +27,8 @@ class TestAdamConfig:
         {"learning_rate": 0.0},
         {"beta1": 1.0},
         {"beta2": -0.1},
+        {"learning_rate": float("nan")},
+        {"epsilon": float("nan")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -110,27 +115,82 @@ class TestParameterStore:
         rng = np.random.default_rng(3)
         store.create("a", (3, 4), rng)
         store.create("b", (1, 7), rng, trainable=False)
-        path = tmp_path / "params.json"
+        path = tmp_path / "params"  # save keeps the path as given; no .npz is appended
         store.save(path)
+        assert list(tmp_path.iterdir()) == [path]
 
         fresh = ParameterStore()
         fresh.create("a", (3, 4), values=np.zeros((3, 4)))
         fresh.create("b", (1, 7), values=np.zeros((1, 7)), trainable=False)
         fresh.load(path)
         for name in store.names():
-            assert np.array_equal(fresh[name].values, store[name].values)
+            assert fresh[name].values.tobytes() == store[name].values.tobytes()
             assert fresh[name].requires_grad == store[name].requires_grad
 
     def test_checkpoint_with_other_names_is_rejected(self, tmp_path):
         store = ParameterStore()
         store.create("a", (1, 2), values=[[1.0, 2.0]])
         store.create("b", (1, 1), values=[[3.0]])
-        path = tmp_path / "params.json"
+        path = tmp_path / "params.npz"
         store.save(path)
 
         other = ParameterStore()
         kept = other.create("a", (1, 2), values=[[0.0, 0.0]])
         other.create("c", (1, 1), values=[[0.0]])
-        with pytest.raises(ValueError, match=r"params\.json.*missing \['c'\], unexpected \['b'\]"):
+        with pytest.raises(ValueError, match=r"params\.npz.*missing \['c'\], unexpected \['b'\]"):
             other.load(path)
         assert np.array_equal(kept.values, [[0.0, 0.0]])
+
+
+def _write_params(path, **arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _write_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros((1, 2)))
+
+
+# Each writer leaves at ``path`` a file that ``load`` must refuse, and the
+# message it must raise (after the path).
+BAD_CHECKPOINTS = {
+    "shape": (
+        lambda path: _write_params(path, a=np.zeros((1, 2)), b=np.zeros((1, 1))),
+        r": shape mismatch for 'b': \(1, 1\) vs \(1, 2\)",
+    ),
+    "names": (
+        lambda path: _write_params(path, a=np.zeros((1, 2))),
+        r": parameters do not match the model: missing \['b'\], unexpected \[\]",
+    ),
+    "nan": (
+        lambda path: _write_params(path, a=np.zeros((1, 2)), b=np.array([[0.0, np.nan]])),
+        r": 'b' holds non-finite or non-float64 values",
+    ),
+    "int": (
+        lambda path: _write_params(path, a=np.zeros((1, 2)), b=np.ones((1, 2), dtype=np.int64)),
+        r": 'b' holds non-finite or non-float64 values",
+    ),
+    "json": (
+        lambda path: path.write_text(
+            json.dumps({"format": "subgraph-infomax-params-v1", "params": {}}), encoding="utf-8"
+        ),
+        r": not a checkpoint written by save",
+    ),
+    "empty": (lambda path: path.write_bytes(b""), r": not a checkpoint written by save"),
+    "npy": (_write_npy, r": not a checkpoint written by save"),
+    "zip": (lambda path: path.write_bytes(b"PK\x03\x04 not a zip"), r": not a checkpoint"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_CHECKPOINTS))
+def test_failed_load_names_the_file_and_leaves_values_unchanged(tmp_path, kind):
+    write, message = BAD_CHECKPOINTS[kind]
+    path = tmp_path / f"{kind}.npz"
+    write(path)
+    store = ParameterStore()
+    a = store.create("a", (1, 2), values=[[1.0, 2.0]])
+    b = store.create("b", (1, 2), values=[[3.0, 4.0]], trainable=False)
+    with pytest.raises(ValueError, match="^" + re.escape(str(path)) + message):
+        store.load(path)
+    assert np.array_equal(a.values, [[1.0, 2.0]]) and np.array_equal(b.values, [[3.0, 4.0]])

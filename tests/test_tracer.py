@@ -6,7 +6,6 @@ Installing it runs in a fresh interpreter, so the wrappers never leak into
 other tests; no training runs.
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,14 +31,10 @@ print("bound")
 """
 
 
-def test_tracer_installs_and_wraps_each_step_once():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
+def test_tracer_installs_and_wraps_each_step_once(subprocess_env):
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=subprocess_env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "bound"
