@@ -32,7 +32,6 @@ from .graph import (
     khop_neighbors,
 )
 from .infomax import (
-    Augmentor,
     augment,
     cgd_random_trials,
     cross_subgraph_negatives,

@@ -28,7 +28,7 @@ from .data import (
     generate_synthetic,
     save_bundle,
 )
-from .models import ModelConfig
+from .models import ModelConfig, build_model
 from .optim import AdamConfig
 from .train import (
     DatasetFiles,
@@ -42,7 +42,6 @@ from .train import (
     unpaired_t_test,
     write_csv,
     write_manifest,
-    _build_model,
     _result_row,
 )
 
@@ -147,16 +146,16 @@ def _collect(mapping: dict[str, str], keys: dict[str, str], dc_cls) -> dict:
         if key in mapping:
             base, optional = types[attr]
             raw = mapping[key]
-            if optional and raw.lower() in ("none", "inf"):
+            # Only ``int | None`` keys spell None; for a file key "none" is a path.
+            if optional and base is int and raw.lower() in ("none", "inf"):
                 out[attr] = None
             else:
                 out[attr] = _coerce(key, raw, base)
     return out
 
 
-def _parse_list(mapping: dict[str, str], key: str, item_type) -> tuple:
-    """A comma-separated ``key`` value; empty items are skipped, floats must be finite."""
-    raw = mapping[key]
+def _parse_list(key: str, raw: str, item_type) -> tuple:
+    """A comma-separated value of ``key``; empty items are skipped, floats must be finite."""
     try:
         return tuple(_coerce(key, s, item_type) for s in raw.split(",") if s)
     except ValueError:
@@ -172,13 +171,13 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
     adam = AdamConfig(**_collect(mapping, ADAM_KEYS, AdamConfig))
     run_kwargs = _collect(mapping, RUN_KEYS, RunConfig)
     if "seeds" in mapping:
-        run_kwargs["seeds"] = _parse_list(mapping, "seeds", int)
+        run_kwargs["seeds"] = _parse_list("seeds", mapping["seeds"], int)
 
     synthetic = None
     files = None
     file_keys = sorted(FILE_SOURCE_KEYS & mapping.keys())
     synthetic_keys = sorted(SYNTHETIC_KEYS.keys() & mapping.keys())
-    missing = [key for key in ("edge_file", "subgraph_file") if key not in mapping]
+    missing = [k for k in ("edge_file", "subgraph_file", "embedding_file") if k not in mapping]
     if not file_keys:
         synthetic = SyntheticSpec(**_collect(mapping, SYNTHETIC_KEYS, SyntheticSpec))
     elif synthetic_keys:
@@ -187,11 +186,11 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
             f"keys ({', '.join(file_keys)}) cannot be mixed"
         )
     elif missing:
-        raise ValueError(f"a file dataset needs {' and '.join(missing)}")
+        raise ValueError(f"a file dataset needs {', '.join(missing)}")
     else:
         kwargs = _collect(mapping, FILES_KEYS, DatasetFiles)
         if "split_ratios" in mapping:
-            kwargs["split_ratios"] = _parse_list(mapping, "split_ratios", float)
+            kwargs["split_ratios"] = _parse_list("split_ratios", mapping["split_ratios"], float)
         expected_kwargs = _collect(mapping, EXPECTED_KEYS, ExpectedStats)
         if expected_kwargs:
             kwargs["expected"] = ExpectedStats(**expected_kwargs)
@@ -266,7 +265,8 @@ def cmd_evaluate(args) -> int:
     mapping = _mapping_from_args(args)
     config = build_run_config(mapping)
     bundle = load_bundle(config)
-    model = _build_model(config, bundle, np.random.default_rng(config.seeds[0]))
+    rng = np.random.default_rng(config.seeds[0])
+    model = build_model(config.model, bundle, rng, embedding_trainable=config.embedding_trainable)
     model.store.load(args.checkpoint)
     accuracy = evaluate(model, bundle, config.protocol, args.stage)
     print(f"{args.stage} accuracy: {accuracy:.4f}")
@@ -277,7 +277,7 @@ def cmd_sweep_observed(args) -> int:
     started = time.time()
     mapping = _mapping_from_args(args)
     config = build_run_config(mapping)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    sizes = _parse_list("--sizes", args.sizes, int)
     out = _out_dir(args, "sweep_observed")
     summary = sweep_observed(config, sizes, out_dir=out)
     write_manifest(out, config, started, extra={"sizes": sizes})
@@ -293,8 +293,8 @@ def cmd_sweep_lambda(args) -> int:
     started = time.time()
     mapping = _mapping_from_args(args)
     config = build_run_config(mapping)
-    grid_khop = [float(v) for v in args.grid_khop.split(",") if v]
-    grid_second = [float(v) for v in args.grid_second.split(",") if v]
+    grid_khop = _parse_list("--grid-khop", args.grid_khop, float)
+    grid_second = _parse_list("--grid-second", args.grid_second, float)
     out = _out_dir(args, "sweep_lambda")
     summary = sweep_lambda(config, grid_khop, grid_second, out_dir=out)
     write_manifest(out, config, started, extra={"grid_khop": grid_khop, "grid_second": grid_second})

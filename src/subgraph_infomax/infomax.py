@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -110,20 +109,6 @@ def cross_subgraph_negatives(encoded: Sequence[Tensor], target_index: int) -> Te
     return others[0] if len(others) == 1 else ad.concat_rows(*others)
 
 
-@dataclass(frozen=True)
-class Augmentor:
-    """One structural augmentation: node-drop, edge-perturb, or attr-mask."""
-
-    variant: str
-    p: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("node-drop", "edge-perturb", "attr-mask"):
-            raise ValueError(f"unknown augmentation: {self.variant!r}")
-        if not 0.0 <= self.p < 1.0:
-            raise ValueError(f"augmentation probability must be in [0, 1), got {self.p}")
-
-
 def _node_drop(view: SubgraphView, p: float, rng: np.random.Generator) -> SubgraphView:
     ids = np.array(view.node_ids)
     keep = rng.random(ids.size) >= p
@@ -169,13 +154,16 @@ def _attr_mask(view: SubgraphView, p: float, rng: np.random.Generator) -> Subgra
     return SubgraphView(view.node_ids, view.edges, frozenset(masked))
 
 
-def augment(aug: Augmentor, view: SubgraphView, rng: np.random.Generator) -> SubgraphView:
-    """Apply one augmentation, returning a structurally valid view."""
-    if aug.variant == "node-drop":
-        return _node_drop(view, aug.p, rng)
-    if aug.variant == "edge-perturb":
-        return _edge_perturb(view, aug.p, rng)
-    return _attr_mask(view, aug.p, rng)
+_AUGMENTATIONS = {"node-drop": _node_drop, "edge-perturb": _edge_perturb, "attr-mask": _attr_mask}
+
+
+def augment(variant: str, view: SubgraphView, p: float, rng: np.random.Generator) -> SubgraphView:
+    """Apply the named augmentation with probability ``p``; the result is a valid view."""
+    if variant not in _AUGMENTATIONS:
+        raise ValueError(f"unknown augmentation: {variant!r}")
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"augmentation probability must be in [0, 1), got {p}")
+    return _AUGMENTATIONS[variant](view, p, rng)
 
 
 class PprDiffusion(NamedTuple):

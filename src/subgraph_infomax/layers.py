@@ -41,8 +41,6 @@ class EmbeddingTable:
                 raise ValueError(
                     f"embedding values shape {values.shape} != ({num_nodes}, {dim})"
                 )
-        self.num_nodes = num_nodes
-        self.dim = dim
         self.weights = store.create(
             name, (num_nodes, dim), rng=rng, values=values, trainable=trainable
         )
@@ -104,8 +102,6 @@ class SageLayer:
         bidirectional: bool = False,
         project_skip: bool = False,
     ):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.bidirectional = bidirectional
         self.w_self = store.create(f"{name}.w_self", (in_dim, out_dim), rng)
         if bidirectional:
@@ -156,8 +152,6 @@ class SageEncoder:
         bidirectional: bool = False,
         dropout: float = 0.2,
     ):
-        self.in_dim = in_dim
-        self.hidden_dim = hidden_dim
         self.dropout = dropout
         self.layer1 = SageLayer(
             store, f"{name}.layer1", in_dim, hidden_dim, rng,
@@ -234,10 +228,10 @@ def sinusoidal_encoding(positions: Sequence[int], dim: int) -> np.ndarray:
 
 
 class MeanMlpReadout:
-    """Permutation-invariant summary: mean pooling after a two-layer MLP."""
+    """Permutation-invariant summary: mean pooling after a two-layer MLP.
+    ``positions`` is ignored, so ``khop_forward`` calls either readout alike."""
 
     def __init__(self, store: ParameterStore, name: str, dim: int, rng: np.random.Generator):
-        self.dim = dim
         self.mlp = Mlp(store, name, dim, dim, dim, rng)
 
     def __call__(self, h: Tensor, positions=None) -> Tensor:
@@ -351,8 +345,6 @@ class PredictionHead:
         num_classes: int,
         rng: np.random.Generator,
     ):
-        self.in_dim = in_dim
-        self.num_classes = num_classes
         self.w = store.create(f"{name}.w", (in_dim, num_classes), rng)
         self.b = store.create(f"{name}.b", (1, num_classes), rng, fan_in=in_dim)
 

@@ -17,15 +17,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import DatasetBundle
 from .graph import (
-    GlobalGraph,
     KhopPartition,
     SubgraphRecord,
     SubgraphView,
     khop_neighbors,
 )
 from .infomax import (
-    Augmentor,
     augment,
     cross_subgraph_negatives,
     gd_loss,
@@ -87,15 +86,24 @@ class ModelConfig:
             )
         if self.premixer not in ("mlp", "attention", "none"):
             raise ValueError(f"premixer must be mlp, attention or none, got {self.premixer!r}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 0.0 < self.pool_ratio <= 1.0:
-            raise ValueError(f"pool_ratio must be in (0, 1], got {self.pool_ratio}")
+        # Every check is written so that NaN fails it.
+        for name in ("k", "hidden_dim", "ppr_top_t"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.neighbor_cap is not None and not self.neighbor_cap >= 1:
+            raise ValueError(f"neighbor_cap must be >= 1 or none, got {self.neighbor_cap}")
         for name in ("lambda_single", "lambda_khop", "lambda_second"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
-        if not 0.0 <= self.p_d < 1.0:
-            raise ValueError(f"p_d must be in [0, 1), got {self.p_d}")
+        for name in ("p_d", "dropout", "aug_p"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0.0 < self.pool_ratio <= 1.0:
+            raise ValueError(f"pool_ratio must be in (0, 1], got {self.pool_ratio}")
+        if not 0.0 < self.ppr_alpha < 1.0:
+            raise ValueError(f"ppr_alpha must be in (0, 1), got {self.ppr_alpha}")
+        if not self.temperature > 0:
+            raise ValueError(f"temperature must be > 0, got {self.temperature}")
 
     @property
     def is_two_stage(self) -> bool:
@@ -177,21 +185,19 @@ class _ModelBase:
     def __init__(
         self,
         config: ModelConfig,
-        graph: GlobalGraph,
-        num_classes: int,
-        feature_dim: int,
+        bundle: DatasetBundle,
         rng: np.random.Generator,
-        embedding_values=None,
         embedding_trainable: bool = True,
     ):
+        feature_dim = bundle.feature_dim
+        if feature_dim is None:
+            raise ValueError("the bundle carries no node features or embedding table")
         self.config = config
-        self.graph = graph
-        self.num_classes = num_classes
-        self.feature_dim = feature_dim
+        self.graph = bundle.graph
         self.store = ParameterStore()
         self.table = EmbeddingTable(
-            self.store, "embedding", graph.num_nodes, feature_dim, rng,
-            values=embedding_values, trainable=embedding_trainable,
+            self.store, "embedding", bundle.graph.num_nodes, feature_dim, rng,
+            values=bundle.embedding_values, trainable=embedding_trainable,
         )
         self.encoder = SageEncoder(
             self.store, "encoder", feature_dim, config.hidden_dim, rng,
@@ -206,14 +212,10 @@ class _ModelBase:
             self.readout = GatedAttentionReadout(self.store, "readout", dim, rng, premixer=premixer)
         else:
             self.readout = MeanMlpReadout(self.store, "readout", dim, rng)
-        self.augmentors = ()
         if first == "baseline":
             self.discriminator = None
         elif first == "ps-graphcl":
             self.discriminator = CosineDiscriminator(config.temperature)
-            self.augmentors = tuple(
-                Augmentor(name, p=config.aug_p) for name in GRAPHCL_AUGMENTATIONS
-            )
         else:
             self.discriminator = BilinearDiscriminator(self.store, "discriminator", dim, rng)
         if config.is_two_stage:
@@ -228,7 +230,7 @@ class _ModelBase:
         if first == "khop":
             self.pool_mlp = Mlp(self.store, "pool_mlp", dim, dim, dim, rng)
         head_in = 2 * dim if first == "khop" and config.concat_observed_summary else dim
-        self.head = PredictionHead(self.store, "head", head_in, num_classes, rng)
+        self.head = PredictionHead(self.store, "head", head_in, bundle.num_classes, rng)
 
     def encode_view(
         self,
@@ -267,8 +269,8 @@ class _ModelBase:
             summaries = []
             for r in records:
                 view = SubgraphView.from_record(r)
-                for aug in self.augmentors:
-                    view = augment(aug, view, rng)
+                for name in GRAPHCL_AUGMENTATIONS:
+                    view = augment(name, view, cfg.aug_p, rng)
                 h = self.encode_view(view, training, rng)
                 summaries.append(self.readout(h))
             aug_summaries = tuple(summaries)
@@ -286,7 +288,6 @@ class _ModelBase:
     ) -> StepOutput:
         cfg = self.config
         khop = None
-        positions = None
         if cfg.first_variant == "khop":
             khop = khop_forward(self, record, partial, rng=rng, training=training)
             s_obs = khop.s_obs
@@ -294,9 +295,7 @@ class _ModelBase:
             if cfg.concat_observed_summary:
                 summary = ad.concat_cols(summary, s_obs)
         else:
-            h_obs = self.encode_view(partial, training, rng)
-            positions = observation_positions(record, partial, cfg.use_positional_encoding)
-            s_obs = summary = self.readout(h_obs, positions)
+            s_obs = summary = self.readout(self.encode_view(partial, training, rng))
         logits = self.head(summary)
         if not training:
             return StepOutput(logits=logits.values[0].copy())
@@ -308,13 +307,13 @@ class _ModelBase:
         if cfg.is_two_stage:
             loss = self._mi_loss(
                 cfg.second_variant, khop.s_khop, self.discriminator_second,
-                record, partial, positions, batch, rng, training,
+                record, partial, batch, rng, training,
             )
             terms["second"] = (loss, cfg.lambda_second)
         elif cfg.variant not in ("baseline", "khop"):
             loss = self._mi_loss(
                 cfg.variant, s_obs, self.discriminator,
-                record, partial, positions, batch, rng, training,
+                record, partial, batch, rng, training,
             )
             terms["infomax"] = (loss, cfg.lambda_single)
         objective = ce
@@ -327,7 +326,7 @@ class _ModelBase:
         )
 
     def _mi_loss(
-        self, variant, summary, discriminator, record, partial, positions, batch, rng, training
+        self, variant, summary, discriminator, record, partial, batch, rng, training
     ) -> Tensor:
         """One MI term: ``summary`` against the variant's positives and negatives."""
         if variant == "ps-dgi":
@@ -352,8 +351,7 @@ class _ModelBase:
             cfg = self.config
             obs_diffused = ppr_view(partial, cfg.ppr_alpha, cfg.ppr_top_t)
             s_obs_b = self.readout(
-                self.encode_view(obs_diffused, training, rng, encoder=self.encoder_b),
-                positions,
+                self.encode_view(obs_diffused, training, rng, encoder=self.encoder_b)
             )
             full = SubgraphView.from_record(record)
             h_a = self.encode_view(full, training, rng)
@@ -516,16 +514,10 @@ class TwoStageModel(_ModelBase):
 
 def build_model(
     config: ModelConfig,
-    graph: GlobalGraph,
-    num_classes: int,
-    feature_dim: int,
+    bundle: DatasetBundle,
     rng: np.random.Generator,
-    embedding_values=None,
     embedding_trainable: bool = True,
 ):
+    """The model for ``config`` over ``bundle``'s graph, features and classes."""
     cls = TwoStageModel if config.is_two_stage else PsiModel
-    return cls(
-        config, graph, num_classes, feature_dim, rng,
-        embedding_values=embedding_values,
-        embedding_trainable=embedding_trainable,
-    )
+    return cls(config, bundle, rng, embedding_trainable=embedding_trainable)

@@ -53,7 +53,7 @@ CSV_COLUMNS = (
 class DatasetFiles:
     edge_file: str
     subgraph_file: str
-    embedding_file: str | None = None
+    embedding_file: str
     split_file: str | None = None
     split_ratios: tuple[float, float, float] = (0.7, 0.15, 0.15)
     split_seed: int = 0
@@ -133,20 +133,6 @@ def load_bundle(config: RunConfig) -> DatasetBundle:
     return generate_synthetic(config.synthetic)
 
 
-def _build_model(config: RunConfig, bundle: DatasetBundle, rng: np.random.Generator):
-    if bundle.feature_dim is None:
-        raise ValueError("the bundle carries no node features or embedding table")
-    return build_model(
-        config.model,
-        bundle.graph,
-        bundle.num_classes,
-        bundle.feature_dim,
-        rng,
-        embedding_values=bundle.embedding_values,
-        embedding_trainable=config.embedding_trainable,
-    )
-
-
 def _batches(n: int, size: int) -> list[slice]:
     """Batch slices over ``n`` records; a lone trailing record joins the previous batch."""
     starts = list(range(0, n, size))
@@ -165,7 +151,7 @@ def train_single_seed(
             f"batch_size must be >= 2, got {config.batch_size}"
         )
     rng = np.random.default_rng(seed)
-    model = _build_model(config, bundle, rng)
+    model = build_model(config.model, bundle, rng, embedding_trainable=config.embedding_trainable)
     protocol = config.protocol
     train_indices = bundle.indices("train")
     if not train_indices:
@@ -182,8 +168,8 @@ def train_single_seed(
         order = rng.permutation(train_indices)
         epoch_sums: dict[str, float] = {}
         epoch_count = 0
-        micro_batches = 0
-        for batch in _batches(len(order), config.batch_size):
+        batches = _batches(len(order), config.batch_size)
+        for number, batch in enumerate(batches, 1):
             records = [bundle.records[int(i)] for i in order[batch]]
             context = model.prepare_batch(records, rng, training=True)
             objectives = []
@@ -207,18 +193,11 @@ def train_single_seed(
                 diverged = True
                 break
             ad.backward(batch_obj)
-            micro_batches += 1
-            if micro_batches % config.grad_accum == 0 and not _checked_adam_step(
-                model.store, config.adam, seed, epoch
-            ):
+            step = number % config.grad_accum == 0 or number == len(batches)
+            if step and not _checked_adam_step(model.store, config.adam, seed, epoch):
                 diverged = True
                 break
         if diverged:
-            break
-        if micro_batches % config.grad_accum and not _checked_adam_step(
-            model.store, config.adam, seed, epoch
-        ):
-            diverged = True
             break
 
         for key, total in epoch_sums.items():
@@ -375,6 +354,24 @@ def _summarize(
     return summary
 
 
+def _grid(cells: list[RunConfig], bundle: DatasetBundle, test_sizes=None) -> list[dict]:
+    """Train every cell once per seed; one CSV_COLUMNS row per seed and test size
+    (default: the trained size).  The trained size reports the seed's test
+    accuracy; every other size is evaluated on its own frozen observations."""
+    rows = []
+    for cell in cells:
+        trained = cell.protocol.n_obs
+        for seed in cell.seeds:
+            result, model = train_single_seed(cell, bundle, seed)
+            for size in test_sizes or [trained]:
+                accuracy = result.test_accuracy
+                if size != trained and not result.diverged:
+                    protocol = dataclasses.replace(cell.protocol, n_obs=size)
+                    accuracy = evaluate(model, bundle, protocol, "test")
+                rows.append(_result_row(cell, bundle.name, seed, accuracy, n_obs_test=size))
+    return rows
+
+
 def sweep_observed(
     config: RunConfig,
     sizes: list[int],
@@ -394,22 +391,11 @@ def sweep_observed(
     for size in sizes:
         if size > max_size:
             log.warning("observed size %d exceeds every subgraph; it will clamp", size)
-    rows = []
-    for train_size in sizes:
-        cfg = dataclasses.replace(
-            config,
-            protocol=dataclasses.replace(config.protocol, n_obs=train_size),
-        )
-        for seed in cfg.seeds:
-            result, model = train_single_seed(cfg, bundle, seed)
-            for test_size in sizes:
-                test_protocol = dataclasses.replace(config.protocol, n_obs=test_size)
-                accuracy = (
-                    evaluate(model, bundle, test_protocol, "test")
-                    if not result.diverged
-                    else float("nan")
-                )
-                rows.append(_result_row(cfg, bundle.name, seed, accuracy, n_obs_test=test_size))
+    cells = [
+        dataclasses.replace(config, protocol=dataclasses.replace(config.protocol, n_obs=size))
+        for size in sizes
+    ]
+    rows = _grid(cells, bundle, test_sizes=sizes)
     return _summarize(
         rows, ("n_obs_train", "n_obs_test"), config, bundle, out_dir, "observed_sweep"
     )
@@ -426,17 +412,15 @@ def sweep_lambda(
     if not lambda_khop_grid or not lambda_second_grid:
         raise ValueError("both lambda grids must be nonempty")
     bundle = bundle if bundle is not None else load_bundle(config)
-    rows = []
-    for lam_k in lambda_khop_grid:
-        for lam_2 in lambda_second_grid:
-            cfg = dataclasses.replace(
-                config,
-                model=dataclasses.replace(config.model, lambda_khop=lam_k, lambda_second=lam_2),
-            )
-            metrics = train(cfg, bundle=bundle)
-            rows.extend(
-                _result_row(cfg, bundle.name, r.seed, r.test_accuracy) for r in metrics.per_seed
-            )
+    cells = [
+        dataclasses.replace(
+            config,
+            model=dataclasses.replace(config.model, lambda_khop=lam_k, lambda_second=lam_2),
+        )
+        for lam_k in lambda_khop_grid
+        for lam_2 in lambda_second_grid
+    ]
+    rows = _grid(cells, bundle)
     return _summarize(
         rows, ("lambda_khop", "lambda_second"), config, bundle, out_dir, "lambda_sweep"
     )

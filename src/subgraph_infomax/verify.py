@@ -140,14 +140,7 @@ def model_gradient_closure(variant: str, seed: int = 0):
     """
     bundle = generate_synthetic(_toy_spec(seed))
     protocol = ObservationProtocol(n_obs=2, train_jitter=False, eval_fixed_seed=seed)
-    model = build_model(
-        _toy_model_config(variant),
-        bundle.graph,
-        bundle.num_classes,
-        bundle.feature_dim,
-        np.random.default_rng(seed + 17),
-        embedding_values=bundle.embedding_values,
-    )
+    model = build_model(_toy_model_config(variant), bundle, np.random.default_rng(seed + 17))
     records = bundle.records[:3]
     sampler = np.random.default_rng(seed + 23)
     partials = [

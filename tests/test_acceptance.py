@@ -196,6 +196,7 @@ def _headline_run(variant, epochs, bundle, **model_kwargs):
     return train(config, bundle=bundle)
 
 
+@pytest.mark.slow
 def test_criterion_07_synthetic_end_to_end():
     started = time.time()
     bundle = load_bundle(RunConfig(synthetic=SyntheticSpec(), epochs=1))
@@ -307,6 +308,7 @@ SMOKE_SPEC = SyntheticSpec(
 )
 
 
+@pytest.mark.slow
 def test_criterion_10_sweep_harnesses(tmp_path):
     started = time.time()
     observed_config = RunConfig(

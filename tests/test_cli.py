@@ -91,6 +91,7 @@ class TestConfigParsing:
             {
                 "edge_file": str(tmp_path / "e.txt"),
                 "subgraph_file": str(tmp_path / "s.tsv"),
+                "embedding_file": str(tmp_path / "x.txt"),
                 "split_ratios": "0.8,0.1,0.1",
                 "expected_classes": "1",
             }
@@ -120,7 +121,7 @@ class TestConfigParsing:
         assert str(err.value) == message
 
     def test_bad_file_dataset_values_name_their_key(self):
-        files = {"edge_file": "e.txt", "subgraph_file": "s.tsv"}
+        files = {"edge_file": "e.txt", "subgraph_file": "s.tsv", "embedding_file": "x.txt"}
         for ratios in ("0.8,a,0.1", "nan,0.5,0.5"):
             with pytest.raises(ValueError, match=r"^split_ratios: expected comma-separated floats"):
                 build_run_config({**files, "split_ratios": ratios})
@@ -130,20 +131,38 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "mapping, message",
         [
-            ({"subgraph_file": "s.tsv", "split_file": "t.tsv"}, "a file dataset needs edge_file$"),
-            ({"edge_file": "e.txt"}, "a file dataset needs subgraph_file$"),
-            ({"expected_classes": "2"}, "a file dataset needs edge_file and subgraph_file$"),
+            (
+                {"subgraph_file": "s.tsv", "embedding_file": "x.txt", "split_file": "t.tsv"},
+                "a file dataset needs edge_file$",
+            ),
+            ({"edge_file": "e.txt", "embedding_file": "x.txt"}, "a file dataset needs subgraph_file$"),
+            (
+                {"expected_classes": "2"},
+                "a file dataset needs edge_file, subgraph_file, embedding_file$",
+            ),
             (
                 {"edge_file": "e.txt", "subgraph_file": "s.tsv", "synthetic_nodes": "80"},
                 r"synthetic dataset keys \(synthetic_nodes\) and file dataset keys "
                 r"\(edge_file, subgraph_file\) cannot be mixed",
             ),
             ({"dataset": "files"}, "unknown config keys: dataset"),
+            (
+                {"edge_file": "e.txt", "subgraph_file": "s.tsv", "split_file": "t.tsv"},
+                "a file dataset needs embedding_file$",
+            ),
         ],
     )
     def test_dataset_source_comes_from_the_keys_given(self, mapping, message):
         with pytest.raises(ValueError, match=message):
             build_run_config(mapping)
+
+    def test_only_int_keys_spell_none(self):
+        files = {"edge_file": "e.txt", "subgraph_file": "s.tsv"}
+        config = build_run_config(
+            {**files, "embedding_file": "inf", "split_file": "none", "expected_classes": "none"}
+        )
+        assert config.files.embedding_file == "inf" and config.files.split_file == "none"
+        assert config.files.expected.num_classes is None
 
     def test_empty_key_rejected(self, tmp_path):
         path = tmp_path / "c.conf"
@@ -181,6 +200,31 @@ class TestSubcommands:
         with pytest.raises(ValueError, match="^unknown config keys: out_dir$"):
             main(argv + ["--out", str(tmp_path / "got")])
         assert not (tmp_path / "wanted").exists() and not (tmp_path / "got").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep-observed", "--sizes", "4,x"], "--sizes: expected comma-separated ints"),
+            (["sweep-lambda", "--grid-khop", "inf"], "--grid-khop: expected comma-separated floats"),
+            (["sweep-lambda", "--grid-second", "1,nan"], "--grid-second: expected comma-separated floats"),
+        ],
+        ids=["sizes", "grid-khop", "grid-second"],
+    )
+    def test_grid_flag_errors_name_the_flag(self, tmp_path, argv, message):
+        config = write_config(tmp_path)
+        with pytest.raises(ValueError) as err:
+            main(argv + ["--config", str(config), "--out", str(tmp_path / "out")])
+        assert str(err.value) == f"{message}, got {argv[-1]!r}"
+        assert not (tmp_path / "out").exists()
+
+    def test_file_dataset_without_embeddings_fails_before_reading(self, tmp_path):
+        # The files do not exist: reading any of them would raise FileNotFoundError.
+        argv = ["train", "--out", str(tmp_path / "out")]
+        for key in ("edge_file", "subgraph_file", "split_file"):
+            argv += ["--set", f"{key}={tmp_path / key}"]
+        with pytest.raises(ValueError, match="^a file dataset needs embedding_file$"):
+            main(argv)
+        assert not (tmp_path / "out").exists()
 
     def test_generate_writes_bundle_files(self, tmp_path):
         config = write_config(tmp_path)

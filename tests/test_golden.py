@@ -10,13 +10,21 @@ draw order, a batched forward) re-records them and says so in CHANGES.md.
 import dataclasses
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from subgraph_infomax.data import ObservationProtocol, SyntheticSpec
 from subgraph_infomax.models import ModelConfig
 from subgraph_infomax.optim import AdamConfig
-from subgraph_infomax.train import RunConfig, load_bundle, train_single_seed
+from subgraph_infomax.train import (
+    RunConfig,
+    load_bundle,
+    sweep_lambda,
+    sweep_observed,
+    train_single_seed,
+)
 
 SPEC = SyntheticSpec(
     num_nodes=80,
@@ -45,24 +53,29 @@ GOLDEN = {
 }
 
 # Options no variant default turns on: name -> (variant, model overrides,
-# protocol or None for the golden one, digest).  Recorded while the
+# run overrides, digest).  The first four were recorded while the
 # ``max_positions`` and ``use_global_induced_edges`` options still existed;
-# deleting them must not move these digests.
+# deleting them must not move these digests.  The ``grad-accum`` entries were
+# recorded while Adam stepped both inside the batch loop and in a tail block
+# after it: with 17 records in batches of 6 (3 batches), accumulation 2 steps
+# once in the loop and once in the tail, accumulation 4 only in the tail.
 EXTRA_GOLDEN = {
     "khop/pool-neighbors-only": (
-        "khop", {"include_observed_in_pool": False}, None, "cce4b8fa12a84a25",
+        "khop", {"include_observed_in_pool": False}, {}, "cce4b8fa12a84a25",
     ),
     "khop+ps-infograph/concat-summary": (
-        "khop+ps-infograph", {"concat_observed_summary": True}, None, "1e4a1edab2344375",
+        "khop+ps-infograph", {"concat_observed_summary": True}, {}, "1e4a1edab2344375",
     ),
     "khop+ps-dgi/positional-ordered": (
         "khop+ps-dgi", {"use_positional_encoding": True},
-        ObservationProtocol(n_obs=3, ordered=True), "557cf97421cd6dbf",
+        {"protocol": ObservationProtocol(n_obs=3, ordered=True)}, "557cf97421cd6dbf",
     ),
     "khop+ps-dgi/attention-bidirectional": (
-        "khop+ps-dgi", {"premixer": "attention", "bidirectional": True}, None,
+        "khop+ps-dgi", {"premixer": "attention", "bidirectional": True}, {},
         "6a019689b9238e4b",
     ),
+    "ps-infograph/grad-accum-2": ("ps-infograph", {}, {"grad_accum": 2}, "fb8baa58eab99dbf"),
+    "ps-infograph/grad-accum-4": ("ps-infograph", {}, {"grad_accum": 4}, "f2eeb86be861ea37"),
 }
 
 
@@ -79,12 +92,10 @@ def golden_config(variant: str) -> RunConfig:
 
 
 def extra_config(name: str) -> RunConfig:
-    variant, model_changes, protocol, _ = EXTRA_GOLDEN[name]
+    variant, model_changes, run_changes, _ = EXTRA_GOLDEN[name]
     config = golden_config(variant)
     return dataclasses.replace(
-        config,
-        model=dataclasses.replace(config.model, **model_changes),
-        protocol=protocol or config.protocol,
+        config, model=dataclasses.replace(config.model, **model_changes), **run_changes
     )
 
 
@@ -110,6 +121,23 @@ def config_digest(config: RunConfig) -> str:
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()[:16]
 
 
+# The four CSVs of both sweeps on the golden spec (khop+ps-dgi, 1 epoch,
+# seeds 0 and 1), recorded while each sweep ran its own cells x seeds loop,
+# re-evaluated the trained size, and sweep_lambda went through ``train``.
+SWEEP_GOLDEN = "3d13723b2403f9c5"
+
+
+def sweep_digest(out_dir) -> str:
+    config = dataclasses.replace(golden_config("khop+ps-dgi"), epochs=1, seeds=(0, 1))
+    sweep_observed(config, [2, 3, 5], out_dir=out_dir)
+    sweep_lambda(config, [0.5, 1], [1, 2], out_dir=out_dir)
+    digest = hashlib.sha256()
+    for prefix in ("observed_sweep", "lambda_sweep"):
+        for kind in ("runs", "summary"):
+            digest.update((out_dir / f"{prefix}_{kind}.csv").read_bytes())
+    return digest.hexdigest()[:16]
+
+
 @pytest.mark.parametrize("variant", sorted(GOLDEN))
 def test_training_digest_is_unchanged(variant):
     assert training_digest(variant) == GOLDEN[variant]
@@ -120,8 +148,14 @@ def test_option_digest_is_unchanged(name):
     assert config_digest(extra_config(name)) == EXTRA_GOLDEN[name][-1]
 
 
+def test_sweep_digest_is_unchanged(tmp_path):
+    assert sweep_digest(tmp_path) == SWEEP_GOLDEN
+
+
 if __name__ == "__main__":
     for name in GOLDEN:
         print(f'    "{name}": "{training_digest(name)}",')
     for name in EXTRA_GOLDEN:
         print(f'    "{name}": "{config_digest(extra_config(name))}",')
+    with tempfile.TemporaryDirectory() as tmp:
+        print(f'SWEEP_GOLDEN = "{sweep_digest(Path(tmp))}"')

@@ -147,17 +147,17 @@ class TestTrain:
         import subgraph_infomax.train as train_module
 
         models, adam_calls = [], []
-        real_build, real_backward = train_module._build_model, ad.backward
+        real_build, real_backward = train_module.build_model, ad.backward
 
-        def build(*args):
-            models.append(real_build(*args))
+        def build(*args, **kwargs):
+            models.append(real_build(*args, **kwargs))
             return models[-1]
 
         def poisoned_backward(loss):
             real_backward(loss)
             models[-1].store["head.w"].grad[0, 0] = np.nan
 
-        monkeypatch.setattr(train_module, "_build_model", build)
+        monkeypatch.setattr(train_module, "build_model", build)
         monkeypatch.setattr(ad, "backward", poisoned_backward)
         monkeypatch.setattr(train_module, "adam_step", lambda *args: adam_calls.append(args))
         config = small_config(epochs=2)
@@ -278,10 +278,7 @@ class TestEvaluate:
         _, model = None, None
         from subgraph_infomax.models import build_model
 
-        model = build_model(
-            config.model, bundle.graph, bundle.num_classes, bundle.feature_dim,
-            np.random.default_rng(0), embedding_values=bundle.embedding_values,
-        )
+        model = build_model(config.model, bundle, np.random.default_rng(0))
         with pytest.raises(ValueError):
             evaluate(model, bundle, config.protocol, "test")
 

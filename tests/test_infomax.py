@@ -8,7 +8,6 @@ from subgraph_infomax import autodiff as ad
 from subgraph_infomax.autodiff import Tensor, backward
 from subgraph_infomax.graph import SubgraphView
 from subgraph_infomax.infomax import (
-    Augmentor,
     augment,
     cgd_random_trials,
     cross_subgraph_negatives,
@@ -185,14 +184,14 @@ class TestAugmentations:
     @pytest.mark.parametrize("variant", ["node-drop", "edge-perturb", "attr-mask"])
     def test_p_zero_is_identity(self, variant):
         view = make_view()
-        out = augment(Augmentor(variant, p=0.0), view, np.random.default_rng(0))
+        out = augment(variant, view, 0.0, np.random.default_rng(0))
         assert out.node_ids == view.node_ids
         assert set(out.edges) == set(view.edges)
         assert out.masked == view.masked
 
     def test_node_drop_forced_retention(self):
         view = make_view()
-        out = augment(Augmentor("node-drop", p=0.999999), view, np.random.default_rng(0))
+        out = augment("node-drop", view, 0.999999, np.random.default_rng(0))
         assert len(out.node_ids) >= 1
         assert out.edges == () or all(
             u in out.node_ids and v in out.node_ids for u, v in out.edges
@@ -200,7 +199,7 @@ class TestAugmentations:
 
     def test_node_drop_prunes_edges(self):
         view = make_view()
-        out = augment(Augmentor("node-drop", p=0.5), view, np.random.default_rng(3))
+        out = augment("node-drop", view, 0.5, np.random.default_rng(3))
         kept = set(out.node_ids)
         assert kept < set(view.node_ids)
         for u, v in out.edges:
@@ -211,7 +210,7 @@ class TestAugmentations:
         view = make_view()  # 10 edges
         rng = np.random.default_rng(7)
         counts = [
-            len(augment(Augmentor("edge-perturb", p=0.3), view, rng).edges)
+            len(augment("edge-perturb", view, 0.3, rng).edges)
             for _ in range(1000)
         ]
         assert abs(np.mean(counts) - len(view.edges)) < 2.0
@@ -219,20 +218,25 @@ class TestAugmentations:
     def test_edge_perturb_adds_only_within_node_set(self):
         view = make_view()
         rng = np.random.default_rng(11)
-        out = augment(Augmentor("edge-perturb", p=0.5), view, rng)
+        out = augment("edge-perturb", view, 0.5, rng)
         for u, v in out.edges:
             assert u in view.node_ids and v in view.node_ids
 
     def test_attr_mask_marks_nodes(self):
         view = make_view()
-        out = augment(Augmentor("attr-mask", p=0.5), view, np.random.default_rng(2))
+        out = augment("attr-mask", view, 0.5, np.random.default_rng(2))
         assert out.masked <= set(view.node_ids)
         assert out.node_ids == view.node_ids
         assert len(out.masked) > 0
 
     def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            Augmentor("edge-add", p=0.1)
+        with pytest.raises(ValueError, match="unknown augmentation: 'edge-add'"):
+            augment("edge-add", make_view(), 0.1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("p", [-0.1, 1.0, float("nan")])
+    def test_probability_outside_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="augmentation probability"):
+            augment("node-drop", make_view(), p, np.random.default_rng(0))
 
 
 class TestPprDiffusion:

@@ -56,14 +56,7 @@ def toy_config(variant, **overrides):
 
 def make_toy(variant, seed=0, **overrides):
     bundle = generate_synthetic(TOY_SPEC)
-    model = build_model(
-        toy_config(variant, **overrides),
-        bundle.graph,
-        bundle.num_classes,
-        bundle.feature_dim,
-        np.random.default_rng(seed),
-        embedding_values=bundle.embedding_values,
-    )
+    model = build_model(toy_config(variant, **overrides), bundle, np.random.default_rng(seed))
     return bundle, model
 
 
@@ -141,9 +134,25 @@ class TestStepContract:
                 with pytest.raises(ValueError, match=name):
                     ModelConfig(**{name: value})
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("dropout", -0.2), ("dropout", 1.5), ("dropout", float("nan")),
+            ("aug_p", 2.0), ("aug_p", 1.0), ("aug_p", float("nan")),
+            ("p_d", float("nan")),
+            ("hidden_dim", 0), ("k", 0), ("ppr_top_t", 0), ("neighbor_cap", 0),
+            ("temperature", 0.0), ("temperature", float("nan")),
+            ("ppr_alpha", 1.5), ("ppr_alpha", 0.0), ("ppr_alpha", float("nan")),
+            ("pool_ratio", 0.0), ("pool_ratio", float("nan")),
+        ],
+    )
+    def test_out_of_range_field_rejected_at_construction(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            ModelConfig(**{name: value})
+
     def test_model_classes_check_their_variant_family(self):
         bundle = generate_synthetic(TOY_SPEC)
-        args = (bundle.graph, bundle.num_classes, bundle.feature_dim, np.random.default_rng(0))
+        args = (bundle, np.random.default_rng(0))
         with pytest.raises(ValueError, match="TwoStageModel"):
             PsiModel(toy_config("khop+ps-dgi"), *args)
         with pytest.raises(ValueError, match="composed variant"):
@@ -336,6 +345,7 @@ class TestGradients:
         assert finite_diff_check(closure, params) < 1e-4
 
 
+@pytest.mark.slow
 class TestTrainingDescent:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_fifty_steps_decrease_loss_for_most_seeds(self, variant):
@@ -345,14 +355,7 @@ class TestTrainingDescent:
         records = list(bundle.records[:4])
         wins = 0
         for seed in range(50):
-            model = build_model(
-                toy_config(variant),
-                bundle.graph,
-                bundle.num_classes,
-                bundle.feature_dim,
-                np.random.default_rng(seed),
-                embedding_values=bundle.embedding_values,
-            )
+            model = build_model(toy_config(variant), bundle, np.random.default_rng(seed))
             rng = np.random.default_rng(seed + 1000)
             protocol = ObservationProtocol(n_obs=2, train_jitter=False)
             partials = [
