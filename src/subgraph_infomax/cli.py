@@ -15,7 +15,6 @@ import os
 import sys
 import time
 import typing
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -48,64 +47,58 @@ from .train import (
 log = logging.getLogger("subgraph_infomax")
 
 
-def _scalar_fields(dc_cls) -> dict[str, tuple[type, bool]]:
-    """Scalar fields of a config dataclass: name -> (base type, accepts None)."""
-    hints = typing.get_type_hints(dc_cls)
-    scalars = {}
-    for f in fields(dc_cls):
-        args = typing.get_args(hints[f.name])
-        optional = type(None) in args
-        base = next(a for a in args if a is not type(None)) if optional else hints[f.name]
+def _field_types(dc_cls) -> dict[str, tuple[type, bool, bool]]:
+    """Fields a key can set: name -> (value or item type, accepts None, is a tuple)."""
+    out = {}
+    for name, hint in typing.get_type_hints(dc_cls).items():
+        args = typing.get_args(hint)
+        base = next((a for a in args if a is not type(None)), hint)
         if base in (int, float, bool, str):
-            scalars[f.name] = (base, optional)
-    return scalars
+            out[name] = (base, type(None) in args, typing.get_origin(hint) is tuple)
+    return out
 
 
-# Fields whose config-file key is not the field name: "lambda" is the
-# single-stage loss weight; the khop/second weights keep their long names.
-KEY_ALIASES = {"lambda_single": "lambda", "eval_fixed_seed": "eval_seed"}
-
-
-def _config_keys(dc_cls) -> dict[str, str]:
-    """Config-file key -> attribute, one key per scalar field of ``dc_cls``."""
-    return {KEY_ALIASES.get(name, name): name for name in _scalar_fields(dc_cls)}
-
-
-MODEL_KEYS = _config_keys(ModelConfig)
-PROTOCOL_KEYS = _config_keys(ObservationProtocol)
-RUN_KEYS = _config_keys(RunConfig)
-ADAM_KEYS = _config_keys(AdamConfig)
-# Synthetic keys carry a prefix and six of them are renames, so they stay a table.
-SYNTHETIC_KEYS = {
-    "synthetic_nodes": "num_nodes",
-    "synthetic_communities": "communities",
-    "synthetic_p_intra": "p_intra",
-    "synthetic_p_inter": "p_inter",
-    "synthetic_subgraphs": "num_subgraphs",
-    "synthetic_size_min": "subgraph_size_min",
-    "synthetic_size_max": "subgraph_size_max",
-    "synthetic_n_obs": "n_obs",
-    "synthetic_feature_dim": "feature_dim",
-    "synthetic_noise": "feature_noise",
-    "synthetic_leak": "community_leak",
-    "synthetic_seed": "seed",
+# Keys that are not their field's name ("lambda" is the single-stage loss
+# weight).  SyntheticSpec and ExpectedStats fields are keys only under the
+# prefixed names listed here.
+_RENAMED = {
+    ModelConfig: {"lambda_single": "lambda"},
+    ObservationProtocol: {"eval_fixed_seed": "eval_seed"},
+    SyntheticSpec: {
+        "num_nodes": "synthetic_nodes", "communities": "synthetic_communities",
+        "p_intra": "synthetic_p_intra", "p_inter": "synthetic_p_inter",
+        "num_subgraphs": "synthetic_subgraphs", "subgraph_size_min": "synthetic_size_min",
+        "subgraph_size_max": "synthetic_size_max", "n_obs": "synthetic_n_obs",
+        "feature_dim": "synthetic_feature_dim", "feature_noise": "synthetic_noise",
+        "community_leak": "synthetic_leak", "seed": "synthetic_seed",
+    },
+    ExpectedStats: {
+        "num_subgraphs": "expected_subgraphs", "num_classes": "expected_classes",
+        "num_global_nodes": "expected_global_nodes",
+    },
 }
-FILES_KEYS = _config_keys(DatasetFiles)
-EXPECTED_KEYS = {
-    "expected_subgraphs": "num_subgraphs",
-    "expected_classes": "num_classes",
-    "expected_global_nodes": "num_global_nodes",
+
+# Config-file key -> (config dataclass, field).  Within a class the tuple
+# keys come last, the order in which values are checked.
+KEYS: dict[str, tuple[type, str]] = {
+    _RENAMED.get(dc_cls, {}).get(name, name): (dc_cls, name)
+    for dc_cls in (
+        ModelConfig, ObservationProtocol, AdamConfig, RunConfig, SyntheticSpec, DatasetFiles,
+        ExpectedStats,
+    )
+    for name, _ in sorted(_field_types(dc_cls).items(), key=lambda item: item[1][2])
+    if dc_cls not in (SyntheticSpec, ExpectedStats) or name in _RENAMED[dc_cls]
 }
-# Any of these keys selects a file dataset; without them the dataset is synthetic.
-FILE_SOURCE_KEYS = frozenset().union(FILES_KEYS, EXPECTED_KEYS, {"split_ratios"})
-KNOWN_KEYS = frozenset().union(
-    MODEL_KEYS, PROTOCOL_KEYS, RUN_KEYS, ADAM_KEYS, SYNTHETIC_KEYS, FILE_SOURCE_KEYS, {"seeds"}
-)
+
+
+def _keys_for(mapping: dict[str, str], *classes) -> list[str]:
+    """The keys of ``mapping`` that set a field of one of ``classes``, sorted."""
+    return sorted(key for key in mapping if KEYS[key][0] in classes)
 
 
 def _check_keys(mapping: dict[str, str]) -> None:
     """Reject config keys that no subcommand reads, so a typo cannot fall back to a default."""
-    unknown = sorted(set(mapping) - KNOWN_KEYS)
+    unknown = sorted(set(mapping) - KEYS.keys())
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
 
@@ -114,10 +107,7 @@ def parse_kv_file(path) -> dict[str, str]:
     """Plain-text config: one ``key = value`` per line, '#' comments."""
     mapping: dict[str, str] = {}
     for lineno, line in _read_lines(path):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, value = line.partition("=")
+        key, eq, value = line.split("#", 1)[0].partition("=")
         if not eq or not key.strip():
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         mapping[key.strip()] = value.strip()
@@ -139,18 +129,22 @@ def _coerce(key: str, raw: str, target_type):
     return value
 
 
-def _collect(mapping: dict[str, str], keys: dict[str, str], dc_cls) -> dict:
-    types = _scalar_fields(dc_cls)
+def _collect(mapping: dict[str, str], dc_cls) -> dict:
+    """Keyword arguments for ``dc_cls`` from the keys of ``mapping`` that set its fields."""
+    types = _field_types(dc_cls)
     out = {}
-    for key, attr in keys.items():
-        if key in mapping:
-            base, optional = types[attr]
-            raw = mapping[key]
-            # Only ``int | None`` keys spell None; for a file key "none" is a path.
-            if optional and base is int and raw.lower() in ("none", "inf"):
-                out[attr] = None
-            else:
-                out[attr] = _coerce(key, raw, base)
+    for key, (cls, name) in KEYS.items():
+        if cls is not dc_cls or key not in mapping:
+            continue
+        base, optional, is_tuple = types[name]
+        raw = mapping[key]
+        if is_tuple:
+            out[name] = _parse_list(key, raw, base)
+        # Only ``int | None`` keys spell None; for a file key "none" is a path.
+        elif optional and base is int and raw.lower() in ("none", "inf"):
+            out[name] = None
+        else:
+            out[name] = _coerce(key, raw, base)
     return out
 
 
@@ -166,38 +160,38 @@ def _parse_list(key: str, raw: str, item_type) -> tuple:
 
 def build_run_config(mapping: dict[str, str]) -> RunConfig:
     _check_keys(mapping)
-    model = ModelConfig(**_collect(mapping, MODEL_KEYS, ModelConfig))
-    protocol = ObservationProtocol(**_collect(mapping, PROTOCOL_KEYS, ObservationProtocol))
-    adam = AdamConfig(**_collect(mapping, ADAM_KEYS, AdamConfig))
-    run_kwargs = _collect(mapping, RUN_KEYS, RunConfig)
-    if "seeds" in mapping:
-        run_kwargs["seeds"] = _parse_list("seeds", mapping["seeds"], int)
+    model = ModelConfig(**_collect(mapping, ModelConfig))
+    protocol = ObservationProtocol(**_collect(mapping, ObservationProtocol))
+    adam = AdamConfig(**_collect(mapping, AdamConfig))
+    run_kwargs = _collect(mapping, RunConfig)
 
-    synthetic = None
+    # Any file dataset key selects a file dataset; without them the dataset is synthetic.
     files = None
-    file_keys = sorted(FILE_SOURCE_KEYS & mapping.keys())
-    synthetic_keys = sorted(SYNTHETIC_KEYS.keys() & mapping.keys())
-    missing = [k for k in ("edge_file", "subgraph_file", "embedding_file") if k not in mapping]
-    if not file_keys:
-        synthetic = SyntheticSpec(**_collect(mapping, SYNTHETIC_KEYS, SyntheticSpec))
-    elif synthetic_keys:
-        raise ValueError(
-            f"synthetic dataset keys ({', '.join(synthetic_keys)}) and file dataset "
-            f"keys ({', '.join(file_keys)}) cannot be mixed"
+    file_keys = _keys_for(mapping, DatasetFiles, ExpectedStats)
+    if file_keys:
+        synthetic_keys = _keys_for(mapping, SyntheticSpec)
+        missing = [k for k in ("edge_file", "subgraph_file", "embedding_file") if k not in mapping]
+        split_keys = [k for k in ("split_ratios", "split_seed") if k in mapping]
+        if synthetic_keys:
+            raise ValueError(
+                f"synthetic dataset keys ({', '.join(synthetic_keys)}) and file dataset "
+                f"keys ({', '.join(file_keys)}) cannot be mixed"
+            )
+        if missing:
+            raise ValueError(f"a file dataset needs {', '.join(missing)}")
+        if "split_file" in mapping and split_keys:
+            raise ValueError(
+                f"split_file fixes the splits; {', '.join(split_keys)} would be ignored"
+            )
+        expected = _collect(mapping, ExpectedStats)
+        files = DatasetFiles(
+            **_collect(mapping, DatasetFiles),
+            expected=ExpectedStats(**expected) if expected else None,
         )
-    elif missing:
-        raise ValueError(f"a file dataset needs {', '.join(missing)}")
-    else:
-        kwargs = _collect(mapping, FILES_KEYS, DatasetFiles)
-        if "split_ratios" in mapping:
-            kwargs["split_ratios"] = _parse_list("split_ratios", mapping["split_ratios"], float)
-        expected_kwargs = _collect(mapping, EXPECTED_KEYS, ExpectedStats)
-        if expected_kwargs:
-            kwargs["expected"] = ExpectedStats(**expected_kwargs)
-        files = DatasetFiles(**kwargs)
     return RunConfig(
-        model=model, protocol=protocol, synthetic=synthetic, files=files,
-        adam=adam, **run_kwargs,
+        model=model, protocol=protocol, adam=adam, files=files,
+        synthetic=None if files else SyntheticSpec(**_collect(mapping, SyntheticSpec)),
+        **run_kwargs,
     )
 
 
@@ -215,9 +209,7 @@ def _mapping_from_args(args) -> dict[str, str]:
 
 def _out_dir(args, default_name: str) -> Path:
     root = os.environ.get("SUBGRAPH_INFOMAX_OUT", "runs")
-    out = Path(args.out) if getattr(args, "out", None) else Path(root) / default_name
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    return Path(args.out) if getattr(args, "out", None) else Path(root) / default_name
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -232,7 +224,13 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
 def cmd_generate(args) -> int:
     mapping = _mapping_from_args(args)
     _check_keys(mapping)
-    spec = SyntheticSpec(**_collect(mapping, SYNTHETIC_KEYS, SyntheticSpec))
+    file_keys = _keys_for(mapping, DatasetFiles, ExpectedStats)
+    if file_keys:
+        raise ValueError(
+            f"generate makes a synthetic bundle; it takes no file dataset keys "
+            f"({', '.join(file_keys)})"
+        )
+    spec = SyntheticSpec(**_collect(mapping, SyntheticSpec))
     bundle = generate_synthetic(spec)
     out = _out_dir(args, "synthetic")
     paths = save_bundle(bundle, out)

@@ -1,6 +1,7 @@
 """Observation protocols, dataset bundles, file loaders, and the synthetic benchmark.
 
-File formats (line-oriented, UTF-8, LF):
+File formats (line-oriented, UTF-8, LF; in every format blank lines and
+lines starting with '#' are skipped and surrounding whitespace is ignored):
   - edge list: one whitespace-separated "src dst" pair per line, consecutive
     integer node ids from 0;
   - subgraphs: one record per line, "label<TAB>id,id,id,..." with ids in
@@ -343,7 +344,8 @@ def _parse_error(path, lineno: int, message: str) -> ValueError:
 
 
 def _read_lines(path):
-    """Yield ``(lineno, line)`` over a UTF-8 text file; a line that is not
+    """Yield ``(lineno, line)`` for each content line of a UTF-8 text file:
+    stripped, and neither blank nor a ``#`` comment.  A line that is not
     UTF-8 raises a ValueError naming the path and line."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -352,16 +354,15 @@ def _read_lines(path):
                     line.encode("utf-8")
                 except UnicodeEncodeError:
                     raise _parse_error(path, lineno, "not UTF-8 text") from None
-            yield lineno, line
+            line = line.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
 
 
 def load_edge_file(path, directed: bool = False) -> tuple[int, list[tuple[int, int]]]:
     edges = []
     max_id = -1
     for lineno, line in _read_lines(path):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         parts = line.split()
         if len(parts) != 2:
             raise _parse_error(path, lineno, f"expected 'src dst', got {line!r}")
@@ -381,9 +382,6 @@ def load_edge_file(path, directed: bool = False) -> tuple[int, list[tuple[int, i
 def load_subgraph_file(path) -> list[tuple[int, list[int]]]:
     rows = []
     for lineno, line in _read_lines(path):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise _parse_error(path, lineno, "expected 'label<TAB>id,id,...'")
@@ -403,9 +401,6 @@ def load_subgraph_file(path) -> list[tuple[int, list[int]]]:
 def load_embedding_file(path, num_nodes: int) -> np.ndarray:
     rows = []
     for lineno, line in _read_lines(path):
-        line = line.strip()
-        if not line:
-            continue
         try:
             row = [float(tok) for tok in line.split()]
         except ValueError:
@@ -428,9 +423,6 @@ def load_embedding_file(path, num_nodes: int) -> np.ndarray:
 def load_split_file(path, num_records: int) -> tuple[str, ...]:
     assignment = [""] * num_records
     for lineno, line in _read_lines(path):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         parts = line.split("\t")
         if len(parts) != 2 or parts[1] not in STAGES:
             raise _parse_error(path, lineno, "expected 'index<TAB>train|val|test'")

@@ -144,10 +144,11 @@ class SubgraphRecord:
 class KhopPartition:
     """k-hop neighbors of an observed set.
 
-    ``edges_khop`` are the global edges induced on observed + neighbors,
-    after edge dropout.
+    ``node_ids`` is the sorted union of the observed ids and ``neighbors``;
+    ``edges_khop`` are the global edges induced on it, after edge dropout.
     """
 
+    node_ids: tuple[int, ...]
     neighbors: tuple[int, ...]
     edges_khop: tuple[EdgePair, ...]
 
@@ -231,14 +232,16 @@ def khop_neighbors(
             raise ValueError("cap subsampling requires an rng")
         neighbor_ids = np.sort(rng.choice(neighbor_ids, size=cap, replace=False))
 
-    neighbors = tuple(neighbor_ids.tolist())
-    edges = graph.induced_edges(np.union1d(observed_ids, neighbor_ids))
+    node_ids = np.union1d(observed_ids, neighbor_ids)
+    edges = graph.induced_edges(node_ids)
     if p_d > 0.0:
         if rng is None:
             raise ValueError("edge dropout requires an rng")
         keep = rng.random(len(edges)) >= p_d
         edges = tuple(e for e, k_ in zip(edges, keep) if k_)
-    return KhopPartition(neighbors=neighbors, edges_khop=edges)
+    return KhopPartition(
+        node_ids=tuple(node_ids.tolist()), neighbors=tuple(neighbor_ids.tolist()), edges_khop=edges
+    )
 
 
 def bfs_khop_oracle(graph: GlobalGraph, observed: Iterable[int], k: int) -> frozenset[int]:

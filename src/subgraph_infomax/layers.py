@@ -22,33 +22,6 @@ from .optim import ParameterStore
 log = logging.getLogger(__name__)
 
 
-class EmbeddingTable:
-    """Per-node input features, trainable by default or loaded from file."""
-
-    def __init__(
-        self,
-        store: ParameterStore,
-        name: str,
-        num_nodes: int,
-        dim: int,
-        rng: np.random.Generator | None = None,
-        values=None,
-        trainable: bool = True,
-    ):
-        if values is not None:
-            values = np.asarray(values, dtype=np.float64)
-            if values.shape != (num_nodes, dim):
-                raise ValueError(
-                    f"embedding values shape {values.shape} != ({num_nodes}, {dim})"
-                )
-        self.weights = store.create(
-            name, (num_nodes, dim), rng=rng, values=values, trainable=trainable
-        )
-
-    def gather(self, node_ids) -> Tensor:
-        return ad.gather_rows(self.weights, node_ids)
-
-
 class Mlp:
     """Two fully connected layers with a ReLU in between."""
 
@@ -180,7 +153,7 @@ class SageEncoder:
 
 def encode(
     encoder: SageEncoder,
-    table: EmbeddingTable,
+    table: Tensor,
     node_ids: Sequence[int],
     edges: Sequence[tuple[int, int]],
     training: bool = False,
@@ -190,6 +163,7 @@ def encode(
 ) -> Tensor:
     """Encode a node set with its edges; rows follow the order of ``node_ids``.
 
+    ``table`` is the ``(num_nodes, feature_dim)`` input-feature parameter.
     Edges are re-indexed locally and must reference only ``node_ids``.
     ``masked`` node ids get zeroed feature rows before encoding.
     """
@@ -202,7 +176,7 @@ def encode(
             local[row, 1] = position[int(v)]
         except KeyError:
             raise ValueError(f"edge ({u}, {v}) references a node outside node_ids") from None
-    x = table.gather(ids)
+    x = ad.gather_rows(table, ids)
     if masked:
         keep = np.array([[0.0] if n in masked else [1.0] for n in ids])
         x = ad.mul(x, Tensor(keep))

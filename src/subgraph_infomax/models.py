@@ -36,7 +36,6 @@ from .infomax import (
 from .layers import (
     BilinearDiscriminator,
     CosineDiscriminator,
-    EmbeddingTable,
     GatedAttentionReadout,
     MeanMlpReadout,
     Mlp,
@@ -90,6 +89,8 @@ class ModelConfig:
         for name in ("k", "hidden_dim", "ppr_top_t"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.bidirectional and self.hidden_dim % 2:
+            raise ValueError(f"hidden_dim must be even when bidirectional, got {self.hidden_dim}")
         if self.neighbor_cap is not None and not self.neighbor_cap >= 1:
             raise ValueError(f"neighbor_cap must be >= 1 or none, got {self.neighbor_cap}")
         for name in ("lambda_single", "lambda_khop", "lambda_second"):
@@ -195,8 +196,8 @@ class _ModelBase:
         self.config = config
         self.graph = bundle.graph
         self.store = ParameterStore()
-        self.table = EmbeddingTable(
-            self.store, "embedding", bundle.graph.num_nodes, feature_dim, rng,
+        self.table = self.store.create(
+            "embedding", (bundle.graph.num_nodes, feature_dim), rng,
             values=bundle.embedding_values, trainable=embedding_trainable,
         )
         self.encoder = SageEncoder(
@@ -443,33 +444,23 @@ def khop_forward(
     positions = observation_positions(record, partial, cfg.use_positional_encoding)
     s_obs = model.readout(h_obs, positions)
 
-    all_ids = tuple(sorted(set(partial.node_ids) | set(partition.neighbors)))
+    node_ids = partition.node_ids
     h_khop = encode(
-        model.encoder, model.table, all_ids, partition.edges_khop,
+        model.encoder, model.table, node_ids, partition.edges_khop,
         training=training, rng=rng,
     )
     scores = model.discriminator(h_khop, s_obs)
 
-    if cfg.include_observed_in_pool:
-        base_rows = np.arange(len(all_ids))
-    else:
-        neighbor_set = set(partition.neighbors)
-        base_rows = np.array(
-            [i for i, gid in enumerate(all_ids) if gid in neighbor_set], dtype=np.int64
-        )
-        if base_rows.size == 0:
-            base_rows = np.arange(len(all_ids))
-    pooled, selected_ids = topk_softmax_pool(
-        ad.gather_rows(scores, base_rows),
-        ad.gather_rows(h_khop, base_rows),
-        [all_ids[i] for i in base_rows],
-        cfg.pool_ratio,
-        model.pool_mlp,
-    )
+    pool = (scores, h_khop, node_ids)
+    if not cfg.include_observed_in_pool and partition.neighbors:
+        # Without neighbours the pool keeps every row.
+        rows = np.flatnonzero(np.isin(node_ids, partition.neighbors))
+        pool = (ad.gather_rows(scores, rows), ad.gather_rows(h_khop, rows), partition.neighbors)
+    pooled, selected_ids = topk_softmax_pool(*pool, cfg.pool_ratio, model.pool_mlp)
 
     loss = None
     if training:
-        member = np.isin(all_ids, record.node_ids)
+        member = np.isin(node_ids, record.node_ids)
         pos_rows, neg_rows = np.flatnonzero(member), np.flatnonzero(~member)
         pos = ad.gather_rows(scores, pos_rows) if pos_rows.size else None
         neg = ad.gather_rows(scores, neg_rows) if neg_rows.size else None
@@ -479,7 +470,7 @@ def khop_forward(
         loss_khop=loss,
         s_obs=s_obs,
         partition=partition,
-        scored_ids=all_ids,
+        scored_ids=node_ids,
         selected_ids=selected_ids,
     )
 

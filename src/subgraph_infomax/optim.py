@@ -31,6 +31,8 @@ class AdamConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {b}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 class _AdamSlot:
@@ -58,7 +60,8 @@ class ParameterStore:
         trainable: bool = True,
         fan_in: int | None = None,
     ) -> Tensor:
-        """Register a parameter; default init is uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
+        """Register a parameter; default init is uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)).
+        Given ``values`` must have exactly ``shape``."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
         if values is None:
@@ -66,8 +69,12 @@ class ParameterStore:
                 raise ValueError(f"parameter {name!r} needs an rng or explicit values")
             bound = 1.0 / math.sqrt(max(fan_in if fan_in is not None else shape[0], 1))
             values = rng.uniform(-bound, bound, size=shape)
-        arr = np.asarray(values, dtype=np.float64).reshape(shape)
-        tensor = Tensor(arr.copy(), requires_grad=trainable)
+        arr = np.array(values, dtype=np.float64)
+        if arr.shape != tuple(shape):
+            raise ValueError(
+                f"parameter {name!r}: values of shape {arr.shape}, expected {tuple(shape)}"
+            )
+        tensor = Tensor(arr, requires_grad=trainable)
         self._params[name] = tensor
         self._slots[name] = _AdamSlot(shape)
         return tensor

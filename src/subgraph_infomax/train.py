@@ -63,9 +63,12 @@ class DatasetFiles:
 
 @dataclass
 class RunConfig:
+    """One run's settings; the dataset is ``files`` when given, else
+    ``synthetic`` (default ``SyntheticSpec()``)."""
+
     model: ModelConfig = field(default_factory=ModelConfig)
     protocol: ObservationProtocol = field(default_factory=ObservationProtocol)
-    synthetic: SyntheticSpec | None = field(default_factory=SyntheticSpec)
+    synthetic: SyntheticSpec | None = None
     files: DatasetFiles | None = None
     adam: AdamConfig = field(default_factory=AdamConfig)
     epochs: int = 100
@@ -81,8 +84,10 @@ class RunConfig:
             raise ValueError("seeds must be nonempty")
         if self.batch_size < 1 or self.grad_accum < 1:
             raise ValueError("batch_size and grad_accum must be >= 1")
-        if self.synthetic is None and self.files is None:
-            raise ValueError("a dataset source (synthetic or files) is required")
+        if self.synthetic is not None and self.files is not None:
+            raise ValueError("give one dataset source, synthetic or files, not both")
+        if self.files is None and self.synthetic is None:
+            self.synthetic = SyntheticSpec()
 
 
 @dataclass
@@ -354,6 +359,13 @@ def _summarize(
     return summary
 
 
+def _check_distinct(name: str, values) -> None:
+    """Reject a repeated grid value: its cell would train again and count its seeds twice."""
+    repeated = [value for i, value in enumerate(values) if value in values[:i]]
+    if repeated:
+        raise ValueError(f"{name}: {repeated[0]!r} is repeated")
+
+
 def _grid(cells: list[RunConfig], bundle: DatasetBundle, test_sizes=None) -> list[dict]:
     """Train every cell once per seed; one CSV_COLUMNS row per seed and test size
     (default: the trained size).  The trained size reports the seed's test
@@ -386,6 +398,7 @@ def sweep_observed(
     """
     if not sizes:
         raise ValueError("sizes must be nonempty")
+    _check_distinct("sizes", sizes)
     bundle = bundle if bundle is not None else load_bundle(config)
     max_size = max(len(r.node_ids) for r in bundle.records)
     for size in sizes:
@@ -411,6 +424,8 @@ def sweep_lambda(
     """Grid over the k-hop and second-stage loss weights."""
     if not lambda_khop_grid or not lambda_second_grid:
         raise ValueError("both lambda grids must be nonempty")
+    _check_distinct("lambda_khop_grid", lambda_khop_grid)
+    _check_distinct("lambda_second_grid", lambda_second_grid)
     bundle = bundle if bundle is not None else load_bundle(config)
     cells = [
         dataclasses.replace(

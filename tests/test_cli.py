@@ -21,6 +21,9 @@ SMALL_KEYS = {
 }
 
 
+FILES = {"edge_file": "e.txt", "subgraph_file": "s.tsv", "embedding_file": "x.txt"}
+
+
 def write_config(tmp_path, extra=None):
     mapping = dict(SMALL_KEYS)
     mapping.update(extra or {})
@@ -65,17 +68,46 @@ class TestConfigParsing:
     def test_every_scalar_field_has_a_key(self):
         from dataclasses import fields
 
-        from subgraph_infomax.cli import ADAM_KEYS, MODEL_KEYS, PROTOCOL_KEYS, RUN_KEYS
-        from subgraph_infomax.data import ObservationProtocol
+        from subgraph_infomax.cli import KEYS
+        from subgraph_infomax.data import ExpectedStats, ObservationProtocol, SyntheticSpec
         from subgraph_infomax.models import ModelConfig
         from subgraph_infomax.optim import AdamConfig
+        from subgraph_infomax.train import DatasetFiles, RunConfig
 
-        assert set(MODEL_KEYS.values()) == {f.name for f in fields(ModelConfig)}
-        assert set(PROTOCOL_KEYS.values()) == {f.name for f in fields(ObservationProtocol)}
-        assert set(ADAM_KEYS.values()) == {f.name for f in fields(AdamConfig)}
-        assert set(RUN_KEYS) == {"epochs", "batch_size", "grad_accum", "embedding_trainable"}
-        assert MODEL_KEYS["lambda"] == "lambda_single" and "lambda_single" not in MODEL_KEYS
-        assert PROTOCOL_KEYS["eval_seed"] == "eval_fixed_seed"
+        nested = {"model", "protocol", "synthetic", "files", "adam", "expected"}
+        classes = (
+            ModelConfig, ObservationProtocol, AdamConfig, RunConfig, SyntheticSpec,
+            DatasetFiles, ExpectedStats,
+        )
+        keyed = {(cls, f.name) for cls in classes for f in fields(cls) if f.name not in nested}
+        keyed.remove((SyntheticSpec, "split_ratios"))  # a synthetic bundle's splits are fixed
+        targets = list(KEYS.values())
+        assert len(targets) == len(set(targets)) and set(targets) == keyed
+        assert KEYS["lambda"] == (ModelConfig, "lambda_single") and "lambda_single" not in KEYS
+        assert KEYS["eval_seed"] == (ObservationProtocol, "eval_fixed_seed")
+        assert {key for key, (cls, _) in KEYS.items() if cls is RunConfig} == {
+            "epochs", "batch_size", "grad_accum", "seeds", "embedding_trainable",
+        }
+        assert sum(key.startswith("synthetic_") for key in KEYS) == 12
+        assert {key for key in KEYS if key.startswith("expected_")} == {
+            "expected_subgraphs", "expected_classes", "expected_global_nodes",
+        }
+
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
+            ({"seeds": "x", "embedding_trainable": "maybe"}, "^embedding_trainable: "),
+            ({"epochs": "x", "lambda": "big"}, "^lambda: "),
+            (
+                {"edge_file": "e", "subgraph_file": "s", "embedding_file": "x",
+                 "split_ratios": "a", "split_seed": "b"},
+                "^split_seed: ",
+            ),
+        ],
+    )
+    def test_errors_follow_the_class_then_scalar_then_tuple_order(self, mapping, message):
+        with pytest.raises(ValueError, match=message):
+            build_run_config(mapping)
 
     def test_derived_keys_coerce_to_field_types(self):
         config = build_run_config(
@@ -121,12 +153,11 @@ class TestConfigParsing:
         assert str(err.value) == message
 
     def test_bad_file_dataset_values_name_their_key(self):
-        files = {"edge_file": "e.txt", "subgraph_file": "s.tsv", "embedding_file": "x.txt"}
         for ratios in ("0.8,a,0.1", "nan,0.5,0.5"):
             with pytest.raises(ValueError, match=r"^split_ratios: expected comma-separated floats"):
-                build_run_config({**files, "split_ratios": ratios})
+                build_run_config({**FILES, "split_ratios": ratios})
         with pytest.raises(ValueError, match=r"^expected_classes: expected int, got 'two'$"):
-            build_run_config({**files, "expected_classes": "two"})
+            build_run_config({**FILES, "expected_classes": "two"})
 
     @pytest.mark.parametrize(
         "mapping, message",
@@ -149,6 +180,18 @@ class TestConfigParsing:
             (
                 {"edge_file": "e.txt", "subgraph_file": "s.tsv", "split_file": "t.tsv"},
                 "a file dataset needs embedding_file$",
+            ),
+            (
+                {**FILES, "split_file": "t.tsv", "split_ratios": "0.5,0.25,0.25"},
+                "^split_file fixes the splits; split_ratios would be ignored$",
+            ),
+            (
+                {**FILES, "split_file": "t.tsv", "split_seed": "3"},
+                "^split_file fixes the splits; split_seed would be ignored$",
+            ),
+            (
+                {**FILES, "split_file": "t.tsv", "split_seed": "3", "split_ratios": "1,0,0"},
+                "^split_file fixes the splits; split_ratios, split_seed would be ignored$",
             ),
         ],
     )
@@ -224,6 +267,26 @@ class TestSubcommands:
             argv += ["--set", f"{key}={tmp_path / key}"]
         with pytest.raises(ValueError, match="^a file dataset needs embedding_file$"):
             main(argv)
+        assert not (tmp_path / "out").exists()
+
+    def test_generate_rejects_file_dataset_keys(self, tmp_path):
+        config = write_config(tmp_path, {"split_file": "t.tsv", "expected_classes": "2"})
+        with pytest.raises(ValueError) as err:
+            main(["generate", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert str(err.value) == (
+            "generate makes a synthetic bundle; it takes no file dataset keys "
+            "(expected_classes, split_file)"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_flags_reject_a_repeated_value(self, tmp_path):
+        config = write_config(tmp_path)
+        argv = ["sweep-observed", "--sizes", "2,3,2", "--config", str(config)]
+        with pytest.raises(ValueError, match="^sizes: 2 is repeated$"):
+            main(argv + ["--out", str(tmp_path / "out")])
+        argv = ["sweep-lambda", "--grid-second", "1,1", "--config", str(config)]
+        with pytest.raises(ValueError, match="^lambda_second_grid: 1.0 is repeated$"):
+            main(argv + ["--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
     def test_generate_writes_bundle_files(self, tmp_path):

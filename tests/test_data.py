@@ -9,7 +9,10 @@ from subgraph_infomax.data import (
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
+    load_edge_file,
     load_embedding_file,
+    load_split_file,
+    load_subgraph_file,
     make_splits,
     sample_observed,
     save_bundle,
@@ -276,6 +279,14 @@ class TestFileRoundTrip:
         with pytest.raises(ValueError, match=r"edges\.txt:2: not UTF-8 text"):
             load_dataset(path, path)
 
+    def test_embedding_and_subgraph_files_skip_comments_and_blank_lines(self, tmp_path):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("# node features\n0.1 0.2\n\n  # indented\n  0.3 0.4  \n", encoding="utf-8")
+        assert load_embedding_file(emb, 2).tolist() == [[0.1, 0.2], [0.3, 0.4]]
+        subs = tmp_path / "subs.tsv"
+        subs.write_text("  # label<TAB>ids\n 1\t0,1\t\n\n", encoding="utf-8")
+        assert load_subgraph_file(subs) == [(1, [0, 1])]
+
     def test_single_node_subgraphs_excluded(self, tmp_path, caplog):
         (tmp_path / "edges.txt").write_text("0 1\n1 2\n", encoding="utf-8")
         (tmp_path / "subs.tsv").write_text("0\t0,1\n1\t2\n", encoding="utf-8")
@@ -320,3 +331,35 @@ class TestFileRoundTrip:
         assert bundle.graph.edges == ((0, 1), (1, 0))
         directed = load_dataset(tmp_path / "edges.txt", tmp_path / "subs.tsv", directed=True)
         assert directed.graph.edges == ((0, 1),)
+
+
+# The loaded output of three readers, recorded before the readers shared one
+# line filter; blank lines and unindented '#' lines must not change it.
+READER_PINS = {
+    "edges": (
+        load_edge_file,
+        ["0 1", "1 2", "2 0"],
+        (3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)]),
+    ),
+    "subgraphs": (
+        load_subgraph_file,
+        ["1\t0,1,2", "0\t2,0"],
+        [(1, [0, 1, 2]), (0, [2, 0])],
+    ),
+    "splits": (
+        lambda path: load_split_file(path, 2),
+        ["0\ttrain", "1\ttest"],
+        ("train", "test"),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READER_PINS))
+@pytest.mark.parametrize("commented", [False, True], ids=["plain", "commented"])
+def test_reader_output_is_pinned(tmp_path, kind, commented):
+    read, lines, want = READER_PINS[kind]
+    if commented:
+        lines = ["# header", "", lines[0], "#", "", *lines[1:], "# trailer", ""]
+    path = tmp_path / f"{kind}.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert read(path) == want

@@ -13,10 +13,13 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from subgraph_infomax.data import ObservationProtocol, SyntheticSpec
-from subgraph_infomax.models import ModelConfig
+from subgraph_infomax import autodiff as ad
+from subgraph_infomax.data import ObservationProtocol, SyntheticSpec, sample_observed
+from subgraph_infomax.graph import SubgraphRecord, SubgraphView, induced_partial_subgraph
+from subgraph_infomax.models import ModelConfig, build_model, khop_forward
 from subgraph_infomax.optim import AdamConfig
 from subgraph_infomax.train import (
     RunConfig,
@@ -138,6 +141,54 @@ def sweep_digest(out_dir) -> str:
     return digest.hexdigest()[:16]
 
 
+# One training-mode ``khop_forward`` on the golden spec: name ->
+# (include_observed_in_pool, observe the whole graph, digest).  Observing
+# every node leaves no neighbours, so the neighbours-only pool falls back to
+# all scored rows.  Recorded before the forward took its scored ids from
+# ``KhopPartition.node_ids`` and stopped gathering rows by identity.
+KHOP_GOLDEN = {
+    "default-pool": (True, False, "3ba3287e3f366f1a"),
+    "neighbors-only-pool": (False, False, "f17443ab741b4fd9"),
+    "no-neighbors-fallback": (False, True, "44371959dd8880c8"),
+}
+
+
+def khop_forward_digest(name: str) -> str:
+    """Digest of scored and selected ids, the pooled summary's bytes, the
+    membership loss and every parameter gradient after ``backward``."""
+    include_observed, whole_graph, _ = KHOP_GOLDEN[name]
+    config = golden_config("khop")
+    model_config = dataclasses.replace(
+        config.model, include_observed_in_pool=include_observed, pool_ratio=0.5
+    )
+    bundle = load_bundle(config)
+    model = build_model(model_config, bundle, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    if whole_graph:
+        record = SubgraphRecord(tuple(range(bundle.graph.num_nodes)), bundle.graph.edges, 0)
+        partial = SubgraphView.from_record(record)
+    else:
+        record = bundle.records[0]
+        observed = sample_observed(record, config.protocol, "train", rng)
+        partial = induced_partial_subgraph(record, observed)
+    res = khop_forward(model, record, partial, rng=rng, training=True)
+    ad.backward(ad.add(ad.sum_all(res.s_khop), res.loss_khop))
+    digest = hashlib.sha256()
+    ids_and_loss = [res.scored_ids, res.selected_ids, res.loss_khop.item().hex()]
+    digest.update(json.dumps(ids_and_loss).encode())
+    digest.update(res.s_khop.values.tobytes())
+    for param_name, tensor in model.store.items():
+        if tensor.grad is not None:
+            digest.update(param_name.encode())
+            digest.update(tensor.grad.tobytes())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(KHOP_GOLDEN))
+def test_khop_forward_digest_is_unchanged(name):
+    assert khop_forward_digest(name) == KHOP_GOLDEN[name][-1]
+
+
 @pytest.mark.parametrize("variant", sorted(GOLDEN))
 def test_training_digest_is_unchanged(variant):
     assert training_digest(variant) == GOLDEN[variant]
@@ -157,5 +208,7 @@ if __name__ == "__main__":
         print(f'    "{name}": "{training_digest(name)}",')
     for name in EXTRA_GOLDEN:
         print(f'    "{name}": "{config_digest(extra_config(name))}",')
+    for name in KHOP_GOLDEN:
+        print(f'    "{name}": "{khop_forward_digest(name)}",')
     with tempfile.TemporaryDirectory() as tmp:
         print(f'SWEEP_GOLDEN = "{sweep_digest(Path(tmp))}"')

@@ -110,11 +110,12 @@ def reference_khop_neighbors(graph, observed, k, cap, p_d, rng):
     if cap is not None and neighbor_ids.size > cap:
         neighbor_ids = np.sort(rng.choice(neighbor_ids, size=cap, replace=False))
     neighbors = tuple(int(n) for n in neighbor_ids)
-    edges = list(reference_induced_edges(graph, observed_set | set(neighbors)))
+    node_ids = tuple(sorted(observed_set | set(neighbors)))
+    edges = list(reference_induced_edges(graph, node_ids))
     if p_d > 0.0:
         keep = rng.random(len(edges)) >= p_d
         edges = [e for e, k_ in zip(edges, keep) if k_]
-    return KhopPartition(neighbors, tuple(edges))
+    return KhopPartition(node_ids, neighbors, tuple(edges))
 
 
 class TestAgainstReference:
@@ -160,7 +161,7 @@ class TestAgainstReference:
         fast = khop_neighbors(graph, observed, k, cap=cap, p_d=p_d, rng=rng_fast)
         ref = reference_khop_neighbors(graph, observed, k, cap, p_d, rng_ref)
         assert fast == ref
-        assert all(type(n) is int for n in fast.neighbors)
+        assert all(type(n) is int for n in fast.node_ids + fast.neighbors)
         # Both consumed the same draws.
         assert rng_fast.random() == rng_ref.random()
 
@@ -269,6 +270,12 @@ class TestKhopNeighbors:
         part = khop_neighbors(g, {0}, k=1, cap=3, p_d=0.0, rng=rng)
         assert len(part.neighbors) == 3
         assert set(part.neighbors) <= set(range(1, 11))
+        assert part.node_ids == (0, *part.neighbors)
+
+    def test_node_ids_are_the_sorted_observed_and_neighbors(self):
+        part = khop_neighbors(path_graph(8), [5, 1], k=1, cap=None, p_d=0.0)
+        assert part.neighbors == (0, 2, 4, 6)
+        assert part.node_ids == (0, 1, 2, 4, 5, 6)
 
     @settings(max_examples=60, deadline=None)
     @given(er_graphs(), st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**31))

@@ -13,6 +13,7 @@ from subgraph_infomax.models import VARIANTS, ModelConfig
 from subgraph_infomax.optim import AdamConfig
 from subgraph_infomax.train import (
     CSV_COLUMNS,
+    DatasetFiles,
     MetricsRecord,
     RunConfig,
     SeedResult,
@@ -188,6 +189,20 @@ class TestTrain:
         assert abs(metrics.std - float(np.std([0.5, 0.75, 1.0]))) < 1e-12
 
 
+class TestRunConfig:
+    def test_synthetic_spec_is_the_default_source(self):
+        assert RunConfig().synthetic == SyntheticSpec()
+
+    def test_files_leave_no_synthetic_spec(self):
+        files = DatasetFiles("e.txt", "s.tsv", "x.txt")
+        assert RunConfig(files=files).synthetic is None
+
+    def test_both_sources_rejected(self):
+        files = DatasetFiles("e.txt", "s.tsv", "x.txt")
+        with pytest.raises(ValueError, match="^give one dataset source"):
+            RunConfig(files=files, synthetic=SyntheticSpec())
+
+
 class TestBatching:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_lone_trailing_record_joins_previous_batch(self, variant):
@@ -351,6 +366,26 @@ class TestSweeps:
         assert len(summary) == 1
         assert summary[0]["lambda_khop"] == 1.5
         assert summary[0]["lambda_second"] == 2.5
+
+    @pytest.mark.parametrize(
+        "sweep, message",
+        [
+            (lambda c, out: sweep_observed(c, [3, 2, 3], out_dir=out), "^sizes: 3 is repeated$"),
+            (
+                lambda c, out: sweep_lambda(c, [1, 1.0], [2], out_dir=out),
+                r"^lambda_khop_grid: 1\.0 is repeated$",
+            ),
+            (
+                lambda c, out: sweep_lambda(c, [1], [2, 0.5, 2], out_dir=out),
+                "^lambda_second_grid: 2 is repeated$",
+            ),
+        ],
+        ids=["sizes", "grid-khop", "grid-second"],
+    )
+    def test_repeated_grid_value_rejected_before_training(self, tmp_path, sweep, message):
+        with pytest.raises(ValueError, match=message):
+            sweep(small_config(), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

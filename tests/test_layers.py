@@ -6,7 +6,6 @@ from subgraph_infomax.autodiff import Tensor
 from subgraph_infomax.layers import (
     BilinearDiscriminator,
     CosineDiscriminator,
-    EmbeddingTable,
     GatedAttentionReadout,
     MeanMlpReadout,
     PredictionHead,
@@ -93,14 +92,14 @@ class TestEncode:
     def test_rejects_foreign_edge(self):
         store = ParameterStore()
         enc = SageEncoder(store, "e", 2, 2, rng(), dropout=0.0)
-        table = EmbeddingTable(store, "t", 5, 2, rng())
+        table = store.create("t", (5, 2), rng())
         with pytest.raises(ValueError):
             encode(enc, table, [0, 1], [(0, 4)])
 
     def test_row_order_follows_node_ids(self):
         store = ParameterStore()
         enc = SageEncoder(store, "e", 2, 2, rng(), dropout=0.0)
-        table = EmbeddingTable(store, "t", 5, 2, rng())
+        table = store.create("t", (5, 2), rng())
         h_a = encode(enc, table, [3, 1], [])
         h_b = encode(enc, table, [1, 3], [])
         assert np.allclose(h_a.values[0], h_b.values[1])
@@ -110,14 +109,14 @@ class TestEncode:
         # away leaves the representation unchanged.
         store = ParameterStore()
         enc = SageEncoder(store, "e", 2, 4, rng(), dropout=0.0)
-        table = EmbeddingTable(store, "t", 6, 2, rng())
+        table = store.create("t", (6, 2), rng())
         path = [(i, i + 1) for i in range(5)] + [(i + 1, i) for i in range(5)]
         ids = [0, 1, 2, 3, 4, 5]
         before = encode(enc, table, ids, path).values[0].copy()
-        table.weights.values[3] += 10.0  # 3 hops from node 0
+        table.values[3] += 10.0  # 3 hops from node 0
         after = encode(enc, table, ids, path).values[0]
         assert np.allclose(before, after, atol=1e-12)
-        table.weights.values[2] += 10.0  # 2 hops: inside the field
+        table.values[2] += 10.0  # 2 hops: inside the field
         changed = encode(enc, table, ids, path).values[0]
         assert not np.allclose(before, changed)
 

@@ -140,15 +140,19 @@ class TestStepContract:
             ("dropout", -0.2), ("dropout", 1.5), ("dropout", float("nan")),
             ("aug_p", 2.0), ("aug_p", 1.0), ("aug_p", float("nan")),
             ("p_d", float("nan")),
-            ("hidden_dim", 0), ("k", 0), ("ppr_top_t", 0), ("neighbor_cap", 0),
+            ("hidden_dim", 0), ("hidden_dim", 7), ("k", 0), ("ppr_top_t", 0), ("neighbor_cap", 0),
             ("temperature", 0.0), ("temperature", float("nan")),
             ("ppr_alpha", 1.5), ("ppr_alpha", 0.0), ("ppr_alpha", float("nan")),
             ("pool_ratio", 0.0), ("pool_ratio", float("nan")),
         ],
     )
     def test_out_of_range_field_rejected_at_construction(self, name, value):
+        # bidirectional layers split the hidden width in halves, so it must be even
         with pytest.raises(ValueError, match=rf"^{name} must be"):
-            ModelConfig(**{name: value})
+            ModelConfig(**{name: value, "bidirectional": True})
+
+    def test_odd_hidden_dim_is_accepted_without_bidirectional(self):
+        assert ModelConfig(hidden_dim=7).hidden_dim == 7
 
     def test_model_classes_check_their_variant_family(self):
         bundle = generate_synthetic(TOY_SPEC)

@@ -29,6 +29,8 @@ class TestAdamConfig:
         {"beta2": -0.1},
         {"learning_rate": float("nan")},
         {"epsilon": float("nan")},
+        {"weight_decay": -5.0},
+        {"weight_decay": float("nan")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -90,6 +92,14 @@ class TestParameterStore:
         store.create("w", (1, 1), values=[[0.0]])
         with pytest.raises(ValueError):
             store.create("w", (1, 1), values=[[0.0]])
+
+    @pytest.mark.parametrize("values", [np.zeros((10, 4)), np.zeros((20, 2, 1)), [1.0, 2.0]])
+    def test_values_of_another_shape_rejected(self, values):
+        store = ParameterStore()
+        message = r"^parameter 'x': values of shape .*, expected \(20, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            store.create("x", (20, 2), values=values)
+        assert store.names() == []
 
     def test_fan_in_bound(self):
         store = ParameterStore()
