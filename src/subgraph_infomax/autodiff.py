@@ -384,9 +384,25 @@ def gather_rows(a: Tensor, indices) -> Tensor:
             f"[{idx.min()}, {idx.max()}]"
         )
     out = a.values[idx]
+    # Row compaction sums ``g`` per distinct row and adds into those rows
+    # only.  Timed per call (numpy 2.4, 8- and 64-dim sources, 16 rows read):
+    # compaction costs a flat 30-35 us and the dense scatter about 10 us plus
+    # 1 ns per source value, so dense wins up to 32,768 source values.  With
+    # more rows read, compaction stops paying between 8 and 4 source rows per
+    # row read (1,024 rows) or between 4 and 2 (5,000 rows).  Small views
+    # stay dense; a large embedding table read at few rows compacts.
+    compact = a.values.size > 1 << 15 and a.shape[0] > 4 * idx.size
 
     def bwd(g: Array) -> None:
-        _accum(a, _scatter_sum(g, idx, a.shape[0]))
+        if not compact:
+            _accum(a, _scatter_sum(g, idx, a.shape[0]))
+            return
+        rows, inverse = np.unique(idx, return_inverse=True)
+        if a.grad is None:
+            a.grad = np.zeros_like(a.values)
+        # The grad never holds -0.0 (``_accum`` adds 0.0 on first touch), so
+        # leaving untouched rows alone equals adding the dense zeros to them.
+        a.grad[rows] += _scatter_sum(g, inverse, rows.size)
 
     return _make(out, (a,), bwd)
 

@@ -163,18 +163,25 @@ def validate_bundle(bundle: DatasetBundle) -> None:
             raise ValueError(f"record {idx} label {record.label} out of range")
 
 
+def check_split_ratios(ratios: Sequence[float]) -> tuple[float, float, float]:
+    """``ratios`` as three floats in [0, 1] summing to 1 (NaN fails), or a
+    ValueError naming ``split_ratios``."""
+    ratios = tuple(float(r) for r in ratios)
+    if len(ratios) != 3:
+        raise ValueError(f"split_ratios: need 3 ratios (train, val, test), got {len(ratios)}")
+    if not all(0.0 <= r <= 1.0 for r in ratios):
+        raise ValueError(f"split_ratios: each ratio must be in [0, 1]: {ratios}")
+    if not abs(sum(ratios) - 1.0) <= 1e-9:
+        raise ValueError(f"split_ratios: ratios must sum to 1: {ratios}")
+    return ratios
+
+
 def make_splits(
     records: int | Sequence, ratios: Sequence[float], seed: int
 ) -> tuple[str, ...]:
     """Seeded uniform shuffle followed by a contiguous train/val/test cut."""
     n = records if isinstance(records, int) else len(records)
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3:
-        raise ValueError(f"need 3 ratios (train, val, test), got {len(ratios)}")
-    if any(r < 0 for r in ratios):
-        raise ValueError(f"ratios must be nonnegative: {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1: {ratios}")
+    ratios = check_split_ratios(ratios)
     perm = np.random.default_rng(seed).permutation(n)
     cut1 = int(round(ratios[0] * n))
     cut2 = int(round((ratios[0] + ratios[1]) * n))
@@ -226,6 +233,13 @@ class SyntheticSpec:
             raise ValueError("feature_dim must be >= the community count")
         if not 0.0 <= self.community_leak < 1.0:
             raise ValueError("community_leak must be in [0, 1)")
+        # Written so that NaN fails each check.
+        for name in ("p_intra", "p_inter"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        if not self.feature_noise >= 0.0:
+            raise ValueError(f"feature_noise must be >= 0, got {self.feature_noise}")
+        check_split_ratios(self.split_ratios)
 
     @property
     def effective_size_min(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -167,18 +168,17 @@ def encode(
     Edges are re-indexed locally and must reference only ``node_ids``.
     ``masked`` node ids get zeroed feature rows before encoding.
     """
-    ids = [int(n) for n in node_ids]
-    position = {n: i for i, n in enumerate(ids)}
-    local = np.empty((len(edges), 2), dtype=np.int64)
-    for row, (u, v) in enumerate(edges):
-        try:
-            local[row, 0] = position[int(u)]
-            local[row, 1] = position[int(v)]
-        except KeyError:
-            raise ValueError(f"edge ({u}, {v}) references a node outside node_ids") from None
-    x = ad.gather_rows(table, ids)
+    position = dict(zip(node_ids, range(len(node_ids))))
+    try:
+        # One dict lookup per endpoint, mapped in C: no Python loop body.
+        flat = map(position.__getitem__, chain.from_iterable(edges))
+        local = np.fromiter(flat, np.int64, 2 * len(edges)).reshape(-1, 2)
+    except KeyError:
+        u, v = next((u, v) for u, v in edges if u not in position or v not in position)
+        raise ValueError(f"edge ({u}, {v}) references a node outside node_ids") from None
+    x = ad.gather_rows(table, node_ids)
     if masked:
-        keep = np.array([[0.0] if n in masked else [1.0] for n in ids])
+        keep = np.array([[0.0] if n in masked else [1.0] for n in node_ids])
         x = ad.mul(x, Tensor(keep))
     weights = None
     if edge_weights is not None:
@@ -275,37 +275,60 @@ class GatedAttentionReadout:
 
 
 class BilinearDiscriminator:
-    """Pairing score h^T W s, linear in each argument."""
+    """Pairing score h^T W s, linear in each argument.
+
+    ``project(h)`` is ``h W``; ``score(p, s)`` scores projected rows against
+    one summary.  Projecting once and scoring many summaries against it gives
+    the same products as calling the discriminator on each pair.
+    """
 
     def __init__(self, store: ParameterStore, name: str, dim: int, rng: np.random.Generator):
         self.dim = dim
         self.w = store.create(name, (dim, dim), rng)
 
+    def project(self, h: Tensor) -> Tensor:
+        if h.shape[1] != self.dim:
+            raise ValueError(f"discriminator width mismatch: h {h.shape}, dim {self.dim}")
+        return ad.matmul(h, self.w)
+
+    def score(self, p: Tensor, s: Tensor) -> Tensor:
+        if s.shape != (1, self.dim):
+            raise ValueError(f"discriminator width mismatch: s {s.shape}, dim {self.dim}")
+        return ad.matmul(p, ad.transpose(s))
+
     def __call__(self, h: Tensor, s: Tensor) -> Tensor:
-        if h.shape[1] != self.dim or s.shape != (1, self.dim):
-            raise ValueError(
-                f"discriminator width mismatch: h {h.shape}, s {s.shape}, dim {self.dim}"
-            )
-        return ad.matmul(ad.matmul(h, self.w), ad.transpose(s))
+        return self.score(self.project(h), s)
 
 
 class CosineDiscriminator:
-    """Temperature-scaled cosine similarity; zero vectors score exactly 0."""
+    """Temperature-scaled cosine similarity ``unit(h) @ unit(s)^T / tau``;
+    zero vectors score exactly 0.
+
+    ``project(h)`` gives the unit rows, so a batch of candidates is
+    normalised once and ``score`` scores all of it against a summary with
+    one product.
+    """
 
     def __init__(self, temperature: float):
         if temperature <= 0:
             raise ValueError(f"temperature must be > 0, got {temperature}")
         self.temperature = temperature
 
-    def __call__(self, h: Tensor, s: Tensor) -> Tensor:
-        if h.shape[1] != s.shape[1] or s.shape[0] != 1:
-            raise ValueError(f"cosine width mismatch: h {h.shape}, s {s.shape}")
-        if not h.values.any(axis=1).all() or not s.values.any():
+    @staticmethod
+    def project(h: Tensor) -> Tensor:
+        """Rows scaled to unit length; the squared norm is floored at 1e-30."""
+        if not h.values.any(axis=1).all():
             log.debug("cosine discriminator saw a zero vector; its score is 0 by convention")
-        dots = ad.row_sums(ad.mul(h, s))
-        h_norm = ad.sqrt(ad.clip_min(ad.row_sums(ad.mul(h, h)), 1e-30))
-        s_norm = ad.sqrt(ad.clip_min(ad.row_sums(ad.mul(s, s)), 1e-30))
-        return ad.scale(ad.div(dots, ad.mul(h_norm, s_norm)), 1.0 / self.temperature)
+        return ad.div(h, ad.sqrt(ad.clip_min(ad.row_sums(ad.mul(h, h)), 1e-30)))
+
+    def score(self, u: Tensor, s: Tensor) -> Tensor:
+        if u.shape[1] != s.shape[1] or s.shape[0] != 1:
+            raise ValueError(f"cosine width mismatch: h {u.shape}, s {s.shape}")
+        product = ad.matmul(u, ad.transpose(self.project(s)))
+        return ad.scale(product, 1.0 / self.temperature)
+
+    def __call__(self, h: Tensor, s: Tensor) -> Tensor:
+        return self.score(self.project(h), s)
 
 
 class PredictionHead:

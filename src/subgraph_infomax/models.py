@@ -142,12 +142,17 @@ class StepOutput:
 
 @dataclass
 class BatchContext:
-    """In-batch material for cross-subgraph negative sampling."""
+    """In-batch material for cross-subgraph negative sampling.
+
+    ``projected_full`` holds each record's full-subgraph encoding projected
+    through the bilinear matrix of the ps-infograph term; ``aug_summaries``
+    holds the augmented summaries of all records as one matrix of unit rows.
+    """
 
     records: tuple[SubgraphRecord, ...]
     target_index: int = 0
-    encoded_full: tuple[Tensor, ...] | None = None
-    aug_summaries: tuple[Tensor, ...] | None = None
+    projected_full: tuple[Tensor, ...] | None = None
+    aug_summaries: Tensor | None = None
 
     def for_target(self, index: int) -> "BatchContext":
         return dataclasses.replace(self, target_index=index)
@@ -233,6 +238,13 @@ class _ModelBase:
         head_in = 2 * dim if first == "khop" and config.concat_observed_summary else dim
         self.head = PredictionHead(self.store, "head", head_in, bundle.num_classes, rng)
 
+    @property
+    def mi_discriminator(self):
+        """The discriminator of the model's MI term: the second stage's in a
+        two-stage model.  ``prepare_batch`` projects through it and ``step``
+        scores with it, so both read this one choice."""
+        return self.discriminator_second if self.config.is_two_stage else self.discriminator
+
     def encode_view(
         self,
         view: SubgraphView,
@@ -257,14 +269,18 @@ class _ModelBase:
         rng: np.random.Generator | None,
         training: bool,
     ) -> BatchContext:
-        """Encode per-batch material once; reuse it for every target in the batch."""
+        """Encode per-batch material once and project it through the term's
+        discriminator, so every target in the batch scores against it directly."""
         cfg = self.config
         records = tuple(records)
-        encoded_full = None
+        projected_full = None
         aug_summaries = None
         if training and "ps-infograph" in (cfg.first_variant, cfg.second_variant):
-            encoded_full = tuple(
-                self.encode_view(SubgraphView.from_record(r), training, rng) for r in records
+            projected_full = tuple(
+                self.mi_discriminator.project(
+                    self.encode_view(SubgraphView.from_record(r), training, rng)
+                )
+                for r in records
             )
         if training and cfg.first_variant == "ps-graphcl":
             summaries = []
@@ -274,9 +290,9 @@ class _ModelBase:
                     view = augment(name, view, cfg.aug_p, rng)
                 h = self.encode_view(view, training, rng)
                 summaries.append(self.readout(h))
-            aug_summaries = tuple(summaries)
+            aug_summaries = self.mi_discriminator.project(ad.concat_rows(*summaries))
         return BatchContext(
-            records=records, encoded_full=encoded_full, aug_summaries=aug_summaries
+            records=records, projected_full=projected_full, aug_summaries=aug_summaries
         )
 
     def step(
@@ -307,15 +323,11 @@ class _ModelBase:
             terms["khop"] = (khop.loss_khop, cfg.lambda_khop)
         if cfg.is_two_stage:
             loss = self._mi_loss(
-                cfg.second_variant, khop.s_khop, self.discriminator_second,
-                record, partial, batch, rng, training,
+                cfg.second_variant, khop.s_khop, record, partial, batch, rng, training
             )
             terms["second"] = (loss, cfg.lambda_second)
         elif cfg.variant not in ("baseline", "khop"):
-            loss = self._mi_loss(
-                cfg.variant, s_obs, self.discriminator,
-                record, partial, batch, rng, training,
-            )
+            loss = self._mi_loss(cfg.variant, s_obs, record, partial, batch, rng, training)
             terms["infomax"] = (loss, cfg.lambda_single)
         objective = ce
         for loss, weight in terms.values():
@@ -326,10 +338,9 @@ class _ModelBase:
             losses={"graph": ce.item(), **{name: loss.item() for name, (loss, _) in terms.items()}},
         )
 
-    def _mi_loss(
-        self, variant, summary, discriminator, record, partial, batch, rng, training
-    ) -> Tensor:
+    def _mi_loss(self, variant, summary, record, partial, batch, rng, training) -> Tensor:
         """One MI term: ``summary`` against the variant's positives and negatives."""
+        discriminator = self.mi_discriminator
         if variant == "ps-dgi":
             h_sub = self.encode_view(SubgraphView.from_record(record), training, rng)
             return gd_loss(
@@ -338,14 +349,16 @@ class _ModelBase:
             )
 
         if variant == "ps-infograph":
-            if batch is None or batch.encoded_full is None or len(batch.records) < 2:
+            if batch is None or batch.projected_full is None or len(batch.records) < 2:
                 raise ValueError(
                     "ps-infograph training needs a batch context with at least "
                     "2 encoded subgraphs"
                 )
-            h_sub = batch.encoded_full[batch.target_index]
-            h_neg = cross_subgraph_negatives(batch.encoded_full, batch.target_index)
-            return gd_loss(discriminator(h_sub, summary), discriminator(h_neg, summary))
+            projected, target = batch.projected_full, batch.target_index
+            return gd_loss(
+                discriminator.score(projected[target], summary),
+                discriminator.score(cross_subgraph_negatives(projected, target), summary),
+            )
 
         if variant == "ps-mvgrl":
             # Two views, each summary against the other view's nodes.
@@ -371,20 +384,17 @@ class _ModelBase:
             return ad.scale(ad.add(loss_a, loss_b), 0.5)
 
         # ps-graphcl: the summary against the augmented full-subgraph summary,
-        # negatives are the other in-batch augmented summaries.
+        # negatives are the other in-batch augmented summaries.  One product
+        # scores the summary against every augmented summary of the batch.
         if batch is None or batch.aug_summaries is None or len(batch.records) < 2:
             raise ValueError(
                 "ps-graphcl training needs a batch context with at least "
                 "2 augmented summaries"
             )
-        pos = discriminator(batch.aug_summaries[batch.target_index], summary)
-        negs = ad.concat_cols(
-            *[
-                ad.transpose(discriminator(s, summary))
-                for i, s in enumerate(batch.aug_summaries)
-                if i != batch.target_index
-            ]
-        )
+        scores = discriminator.score(batch.aug_summaries, summary)
+        others = [i for i in range(len(batch.records)) if i != batch.target_index]
+        pos = ad.gather_rows(scores, [batch.target_index])
+        negs = ad.transpose(ad.gather_rows(scores, others))
         return infonce_loss(pos, negs)
 
 

@@ -26,6 +26,7 @@ from .data import (
     ExpectedStats,
     ObservationProtocol,
     SyntheticSpec,
+    check_split_ratios,
     generate_synthetic,
     load_dataset,
     sample_observed,
@@ -59,6 +60,9 @@ class DatasetFiles:
     split_seed: int = 0
     directed: bool = False
     expected: ExpectedStats | None = None
+
+    def __post_init__(self) -> None:
+        check_split_ratios(self.split_ratios)
 
 
 @dataclass

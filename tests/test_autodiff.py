@@ -124,6 +124,23 @@ class TestScatterSum:
         want += add_at_reference(g, idx, 5)
         assert table.grad.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_row_compacted_backward_equals_the_dense_scatter(self, existing):
+        # A 5,000 x 8 table read at 40 rows takes the row-compacted path; the
+        # bytes must equal those of the dense scatter added into the grad.
+        rng = np.random.default_rng(11)
+        table = param(rng.normal(size=(5000, 8)))
+        want = np.zeros((5000, 8))
+        if existing:
+            table.grad = rng.normal(size=(5000, 8))
+            want = table.grad.copy()
+        idx = rng.integers(0, 60, size=40)  # repeated rows
+        g = rng.normal(size=(40, 8)) * 10.0 ** rng.uniform(-5, 4, size=(40, 8))
+        g[rng.random((40, 8)) < 0.2] = -0.0
+        ad.gather_rows(table, idx)._backward(g)
+        want += add_at_reference(g, idx, 5000)
+        assert table.grad.tobytes() == want.tobytes()
+
 
 class TestBackward:
     def test_first_gradient_lands_on_positive_zero(self):

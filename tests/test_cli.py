@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from subgraph_infomax.cli import build_run_config, main, parse_kv_file
+from subgraph_infomax.data import SyntheticSpec, generate_synthetic, save_bundle
 
 
 SMALL_KEYS = {
@@ -267,6 +268,23 @@ class TestSubcommands:
             argv += ["--set", f"{key}={tmp_path / key}"]
         with pytest.raises(ValueError, match="^a file dataset needs embedding_file$"):
             main(argv)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ratios", ["0.5,0.5", "0.5,0.25,0.25,0", "0.6,0.3,0.3", "1.5,-0.5,0"])
+    def test_bad_split_ratios_fail_before_any_file_is_opened(self, tmp_path, monkeypatch, ratios):
+        paths = save_bundle(generate_synthetic(SyntheticSpec(num_nodes=40, num_subgraphs=8)), tmp_path)
+        argv = ["train", "--out", str(tmp_path / "out"), "--set", f"split_ratios={ratios}"]
+        for key, kind in (("edge_file", "edges"), ("subgraph_file", "subgraphs"),
+                          ("embedding_file", "embeddings")):
+            argv += ["--set", f"{key}={paths[kind]}"]
+
+        def no_open(*args, **kwargs):
+            raise AssertionError(f"opened {args[0]!r} before the config was checked")
+
+        monkeypatch.setattr("builtins.open", no_open)
+        with pytest.raises(ValueError, match="^split_ratios: "):
+            main(argv)
+        monkeypatch.undo()
         assert not (tmp_path / "out").exists()
 
     def test_generate_rejects_file_dataset_keys(self, tmp_path):

@@ -163,6 +163,22 @@ class TestSynthetic:
             assert record.observation_order is not None
             assert sorted(record.observation_order) == list(record.node_ids)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("p_intra", 1.5, "p_intra must be in [0, 1], got 1.5"),
+            ("p_intra", float("nan"), "p_intra must be in [0, 1], got nan"),
+            ("p_inter", -0.2, "p_inter must be in [0, 1], got -0.2"),
+            ("feature_noise", -1.0, "feature_noise must be >= 0, got -1.0"),
+            ("feature_noise", float("nan"), "feature_noise must be >= 0, got nan"),
+            ("split_ratios", (0.5, 0.5), "split_ratios: need 3 ratios (train, val, test), got 2"),
+        ],
+    )
+    def test_out_of_range_field_rejected(self, field, value, message):
+        with pytest.raises(ValueError) as err:
+            SyntheticSpec(**{field: value})
+        assert str(err.value) == message
+
     def test_infeasible_spec_rejected(self):
         with pytest.raises(ValueError):
             SyntheticSpec(num_nodes=10, subgraph_size_max=50)

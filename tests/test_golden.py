@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import json
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,13 @@ import pytest
 from subgraph_infomax import autodiff as ad
 from subgraph_infomax.data import ObservationProtocol, SyntheticSpec, sample_observed
 from subgraph_infomax.graph import SubgraphRecord, SubgraphView, induced_partial_subgraph
-from subgraph_infomax.models import ModelConfig, build_model, khop_forward
+from subgraph_infomax.infomax import augment, gd_loss, infonce_loss
+from subgraph_infomax.models import (
+    GRAPHCL_AUGMENTATIONS,
+    ModelConfig,
+    build_model,
+    khop_forward,
+)
 from subgraph_infomax.optim import AdamConfig
 from subgraph_infomax.train import (
     RunConfig,
@@ -44,30 +51,35 @@ SPEC = SyntheticSpec(
 )
 
 # 17 training records in batches of 6: no batch holds a single record.
+# ps-infograph, ps-graphcl and khop+ps-infograph (and the three options below
+# that train them) were re-recorded when in-batch negatives came to be scored
+# once per batch; ``test_batched_negatives_match_the_per_pair_oracle`` checks
+# that change against the per-pair formulation.
 GOLDEN = {
     "baseline": "64cced3b10fe7ffa",
     "ps-dgi": "11cad7e04af0e14f",
-    "ps-infograph": "54d68355dcdc8566",
+    "ps-infograph": "d23925b2194e3553",
     "ps-mvgrl": "5e85bd47ca4e3171",
-    "ps-graphcl": "58269141e41c051b",
+    "ps-graphcl": "0af90ff6334024a9",
     "khop": "07e36d6a2d6829ef",
     "khop+ps-dgi": "a9ea24bc8697fc5e",
-    "khop+ps-infograph": "1199397ab126e70b",
+    "khop+ps-infograph": "07477b4f890bb13c",
 }
 
 # Options no variant default turns on: name -> (variant, model overrides,
 # run overrides, digest).  The first four were recorded while the
 # ``max_positions`` and ``use_global_induced_edges`` options still existed;
 # deleting them must not move these digests.  The ``grad-accum`` entries were
-# recorded while Adam stepped both inside the batch loop and in a tail block
-# after it: with 17 records in batches of 6 (3 batches), accumulation 2 steps
-# once in the loop and once in the tail, accumulation 4 only in the tail.
+# first recorded while Adam stepped both inside the batch loop and in a tail
+# block after it: with 17 records in batches of 6 (3 batches), accumulation 2
+# steps once in the loop and once in the tail, accumulation 4 only in the
+# tail.  They and ``concat-summary`` were re-recorded with the variants above.
 EXTRA_GOLDEN = {
     "khop/pool-neighbors-only": (
         "khop", {"include_observed_in_pool": False}, {}, "cce4b8fa12a84a25",
     ),
     "khop+ps-infograph/concat-summary": (
-        "khop+ps-infograph", {"concat_observed_summary": True}, {}, "1e4a1edab2344375",
+        "khop+ps-infograph", {"concat_observed_summary": True}, {}, "506eaba9ecbcd04d",
     ),
     "khop+ps-dgi/positional-ordered": (
         "khop+ps-dgi", {"use_positional_encoding": True},
@@ -77,8 +89,8 @@ EXTRA_GOLDEN = {
         "khop+ps-dgi", {"premixer": "attention", "bidirectional": True}, {},
         "6a019689b9238e4b",
     ),
-    "ps-infograph/grad-accum-2": ("ps-infograph", {}, {"grad_accum": 2}, "fb8baa58eab99dbf"),
-    "ps-infograph/grad-accum-4": ("ps-infograph", {}, {"grad_accum": 4}, "f2eeb86be861ea37"),
+    "ps-infograph/grad-accum-2": ("ps-infograph", {}, {"grad_accum": 2}, "66d9a2ca4bb61111"),
+    "ps-infograph/grad-accum-4": ("ps-infograph", {}, {"grad_accum": 4}, "289af73caf8e3ebe"),
 }
 
 
@@ -182,6 +194,119 @@ def khop_forward_digest(name: str) -> str:
             digest.update(param_name.encode())
             digest.update(tensor.grad.tobytes())
     return digest.hexdigest()[:16]
+
+
+# -- in-batch negatives against the per-pair and per-target oracle ----------
+#
+# ps-graphcl used to score its summary against each augmented summary with
+# one cosine call per pair, and ps-infograph (alone or as the second stage)
+# used to push every target's stacked negatives through the bilinear matrix
+# again.  The oracle below is that formulation; the batched one must give
+# the same objectives and gradients, and draw the same random numbers.
+
+
+def _per_pair_cosine(h, s, temperature):
+    dots = ad.row_sums(ad.mul(h, s))
+    h_norm = ad.sqrt(ad.clip_min(ad.row_sums(ad.mul(h, h)), 1e-30))
+    s_norm = ad.sqrt(ad.clip_min(ad.row_sums(ad.mul(s, s)), 1e-30))
+    return ad.scale(ad.div(dots, ad.mul(h_norm, s_norm)), 1.0 / temperature)
+
+
+def _per_target_bilinear(discriminator, h, s):
+    return ad.matmul(ad.matmul(h, discriminator.w), ad.transpose(s))
+
+
+@dataclasses.dataclass
+class _PerPairBatch:
+    records: tuple
+    encoded_full: tuple | None
+    aug_summaries: tuple | None
+    target_index: int = 0
+
+    def for_target(self, index):
+        return dataclasses.replace(self, target_index=index)
+
+
+def _per_pair_prepare_batch(model, records, rng, training):
+    cfg = model.config
+    encoded_full = aug_summaries = None
+    if "ps-infograph" in (cfg.first_variant, cfg.second_variant):
+        encoded_full = tuple(
+            model.encode_view(SubgraphView.from_record(r), training, rng) for r in records
+        )
+    if cfg.first_variant == "ps-graphcl":
+        summaries = []
+        for r in records:
+            view = SubgraphView.from_record(r)
+            for name in GRAPHCL_AUGMENTATIONS:
+                view = augment(name, view, cfg.aug_p, rng)
+            summaries.append(model.readout(model.encode_view(view, training, rng)))
+        aug_summaries = tuple(summaries)
+    return _PerPairBatch(tuple(records), encoded_full, aug_summaries)
+
+
+def _per_pair_mi_loss(model, variant, summary, record, partial, batch, rng, training):
+    # The per-pair path took the second stage's W in a two-stage model.
+    two_stage = model.config.is_two_stage
+    discriminator = model.discriminator_second if two_stage else model.discriminator
+    target = batch.target_index
+    if variant == "ps-infograph":
+        h_neg = ad.concat_rows(*[h for i, h in enumerate(batch.encoded_full) if i != target])
+        return gd_loss(
+            _per_target_bilinear(discriminator, batch.encoded_full[target], summary),
+            _per_target_bilinear(discriminator, h_neg, summary),
+        )
+    tau = model.config.temperature
+    pos = _per_pair_cosine(batch.aug_summaries[target], summary, tau)
+    negs = ad.concat_cols(*[
+        ad.transpose(_per_pair_cosine(s, summary, tau))
+        for i, s in enumerate(batch.aug_summaries) if i != target
+    ])
+    return infonce_loss(pos, negs)
+
+
+def _train_batch(config, per_pair):
+    """One training batch of 6 records as ``train_single_seed`` runs it:
+    per-record objectives, the batch objective, every parameter gradient and
+    the rng state after the batch."""
+    bundle = load_bundle(config)
+    model = build_model(config.model, bundle, np.random.default_rng(0))
+    if per_pair:
+        model.prepare_batch = types.MethodType(_per_pair_prepare_batch, model)
+        model._mi_loss = types.MethodType(_per_pair_mi_loss, model)
+    rng = np.random.default_rng(7)
+    records = [bundle.records[i] for i in bundle.indices("train")[:6]]
+    context = model.prepare_batch(records, rng, training=True)
+    objectives = []
+    for pos, record in enumerate(records):
+        partial = induced_partial_subgraph(
+            record, sample_observed(record, config.protocol, "train", rng)
+        )
+        out = model.step(record, partial, batch=context.for_target(pos), rng=rng, training=True)
+        objectives.append(out.objective)
+    batch_obj = objectives[0]
+    for extra in objectives[1:]:
+        batch_obj = ad.add(batch_obj, extra)
+    batch_obj = ad.scale(batch_obj, 1.0 / len(objectives))
+    ad.backward(batch_obj)
+    grads = {name: t.grad for name, t in model.store.items()}
+    return [o.item() for o in objectives + [batch_obj]], grads, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("variant", ["ps-graphcl", "ps-infograph", "khop+ps-infograph"])
+def test_batched_negatives_match_the_per_pair_oracle(variant):
+    config = golden_config(variant)
+    objectives, grads, rng_state = _train_batch(config, per_pair=False)
+    oracle_objectives, oracle_grads, oracle_rng_state = _train_batch(config, per_pair=True)
+    np.testing.assert_allclose(objectives, oracle_objectives, rtol=1e-10, atol=0)
+    assert grads.keys() == oracle_grads.keys()
+    for name, grad in grads.items():
+        oracle = oracle_grads[name]
+        assert (grad is None) == (oracle is None), name
+        if grad is not None:
+            scale = np.max(np.abs(oracle))
+            assert np.max(np.abs(grad - oracle)) <= 1e-10 * scale, name
+    assert rng_state == oracle_rng_state
 
 
 @pytest.mark.parametrize("name", sorted(KHOP_GOLDEN))

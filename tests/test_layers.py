@@ -93,8 +93,26 @@ class TestEncode:
         store = ParameterStore()
         enc = SageEncoder(store, "e", 2, 2, rng(), dropout=0.0)
         table = store.create("t", (5, 2), rng())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^edge \(0, 4\) references a node outside node_ids$"):
             encode(enc, table, [0, 1], [(0, 4)])
+        with pytest.raises(ValueError, match=r"^edge \(2, 1\) references"):
+            encode(enc, table, [1, 3], [(1, 3), (2, 1)])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_relabel_matches_the_position_lookup(self, seed):
+        # The reference re-indexes each edge through a dict of positions.
+        gen = np.random.default_rng(seed)
+        store = ParameterStore()
+        enc = SageEncoder(store, "e", 2, 2, rng(), dropout=0.0)
+        table = store.create("t", (30, 2), rng())
+        ids = gen.choice(30, size=9, replace=False)
+        if seed % 2:
+            ids.sort()
+        edges = [tuple(int(n) for n in gen.choice(ids, size=2)) for _ in range(15)]
+        position = {int(n): i for i, n in enumerate(ids)}
+        local = np.array([[position[u], position[v]] for u, v in edges])
+        want = enc(ad.gather_rows(table, ids), local).values
+        assert np.array_equal(encode(enc, table, ids, edges).values, want)
 
     def test_row_order_follows_node_ids(self):
         store = ParameterStore()
@@ -200,6 +218,25 @@ class TestDiscriminators:
         for alpha in (2.0, 0.5, -1.0):  # binary scalings commute exactly
             scaled = d(Tensor(alpha * h), s).values
             assert np.array_equal(scaled, alpha * base)
+
+    def test_bilinear_project_then_score_is_the_call(self):
+        store = ParameterStore()
+        d = BilinearDiscriminator(store, "d", 3, rng())
+        h = Tensor(np.random.default_rng(1).normal(size=(4, 3)))
+        s = Tensor(np.random.default_rng(2).normal(size=(1, 3)))
+        assert np.array_equal(d.score(d.project(h), s).values, d(h, s).values)
+
+    def test_cosine_scores_a_batch_of_unit_rows_at_once(self):
+        d = CosineDiscriminator(temperature=0.5)
+        h = np.random.default_rng(1).normal(size=(5, 3))
+        s = Tensor(np.random.default_rng(2).normal(size=(1, 3)))
+        units = d.project(Tensor(h))
+        assert np.allclose(np.linalg.norm(units.values, axis=1), 1.0, atol=1e-15)
+        batch = d.score(units, s).values
+        rows = [d(Tensor(h[i : i + 1]), s).values[0, 0] for i in range(5)]
+        assert np.allclose(batch[:, 0], rows, rtol=1e-14, atol=0)
+        cosine = h @ s.values[0] / (np.linalg.norm(h, axis=1) * np.linalg.norm(s.values))
+        assert np.allclose(batch[:, 0], cosine / 0.5, rtol=1e-13, atol=0)
 
     def test_cosine_aligned_with_temperature(self):
         d = CosineDiscriminator(temperature=0.5)
