@@ -57,6 +57,7 @@ from .train import (
     DatasetFiles,
     MetricsRecord,
     RunConfig,
+    compare,
     evaluate,
     sweep_lambda,
     sweep_observed,

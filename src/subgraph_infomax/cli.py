@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``generate``, ``train``, ``evaluate``, ``sweep-observed``,
-``sweep-lambda``, ``verify``.  Configuration comes from a plain-text
-``key = value`` file plus repeatable ``--set key=value`` overrides; the
-``SUBGRAPH_INFOMAX_OUT`` environment variable sets the default output root.
+``sweep-lambda``, ``compare``, ``verify``.  Configuration comes from a
+plain-text ``key = value`` file plus repeatable ``--set key=value``
+overrides; the ``SUBGRAPH_INFOMAX_OUT`` environment variable sets the
+default output root.
 """
 
 from __future__ import annotations
@@ -27,18 +28,17 @@ from .data import (
     generate_synthetic,
     save_bundle,
 )
-from .models import ModelConfig, build_model
+from .models import VARIANTS, ModelConfig, build_model
 from .optim import AdamConfig
 from .train import (
     DatasetFiles,
     RunConfig,
+    compare,
     evaluate,
     load_bundle,
     sweep_lambda,
     sweep_observed,
     train,
-    train_single_seed,
-    unpaired_t_test,
     write_csv,
     write_manifest,
     _result_row,
@@ -304,6 +304,23 @@ def cmd_sweep_lambda(args) -> int:
     return 0
 
 
+def cmd_compare(args) -> int:
+    started = time.time()
+    mapping = _mapping_from_args(args)
+    config = build_run_config(mapping)
+    variants = _parse_list("--variants", args.variants, str)
+    out = _out_dir(args, "compare")
+    summary = compare(config, variants, out_dir=out)
+    write_manifest(out, config, started, extra={"variants": variants})
+    for entry in summary:
+        p_value = entry["p_vs_baseline"]
+        print(
+            f"{entry['model']:<20} {entry['mean_accuracy']:.4f} +/- {entry['std_accuracy']:.4f}"
+            + (f"  p vs baseline {p_value:.4f}" if p_value != "" else "")
+        )
+    return 0
+
+
 def cmd_verify(args) -> int:
     from .verify import run_all
 
@@ -350,6 +367,11 @@ def main(argv=None) -> int:
     p.add_argument("--grid-khop", default="1,2,3")
     p.add_argument("--grid-second", default="1,2,3")
     p.set_defaults(func=cmd_sweep_lambda)
+
+    p = sub.add_parser("compare", help="train each variant and t-test it against baseline")
+    _add_config_args(p)
+    p.add_argument("--variants", default=",".join(VARIANTS), help="comma-separated variants")
+    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify", help="run the property suites")
     p.add_argument("--seed", type=int, default=0)

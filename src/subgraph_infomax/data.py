@@ -27,6 +27,7 @@ log = logging.getLogger(__name__)
 
 STAGES = ("train", "val", "test")
 _STAGE_CODE = {"val": 1, "test": 2}
+DEFAULT_SPLIT_RATIOS = (0.7, 0.15, 0.15)
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,7 @@ class SyntheticSpec:
     feature_dim: int = 8
     feature_noise: float = 0.8
     community_leak: float = 0.1
-    split_ratios: tuple[float, float, float] = (0.7, 0.15, 0.15)
+    split_ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS
     seed: int = 19
 
     def __post_init__(self) -> None:
@@ -494,7 +495,7 @@ def load_dataset(
         log.warning("%s: excluded %d single-node subgraphs", subgraph_file, skipped)
 
     if split is None:
-        assignment = make_splits(len(records), (0.7, 0.15, 0.15), seed=0)
+        assignment = make_splits(len(records), DEFAULT_SPLIT_RATIOS, seed=0)
     elif isinstance(split, (str, Path)):
         assignment = load_split_file(split, len(records))
     else:

@@ -19,6 +19,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .data import DatasetBundle
 from .graph import (
+    DEFAULT_NEIGHBOR_CAP,
     KhopPartition,
     SubgraphRecord,
     SubgraphView,
@@ -72,7 +73,7 @@ class ModelConfig:
     hidden_dim: int = 64
     use_positional_encoding: bool = False
     dropout: float = 0.2
-    neighbor_cap: int | None = 5000
+    neighbor_cap: int | None = DEFAULT_NEIGHBOR_CAP
     premixer: str = "mlp"
     include_observed_in_pool: bool = True
     concat_observed_summary: bool = False
@@ -455,10 +456,7 @@ def khop_forward(
     s_obs = model.readout(h_obs, positions)
 
     node_ids = partition.node_ids
-    h_khop = encode(
-        model.encoder, model.table, node_ids, partition.edges_khop,
-        training=training, rng=rng,
-    )
+    h_khop = model.encode_view(SubgraphView(node_ids, partition.edges_khop), training, rng)
     scores = model.discriminator(h_khop, s_obs)
 
     pool = (scores, h_khop, node_ids)

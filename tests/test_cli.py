@@ -229,6 +229,7 @@ class TestSubcommands:
             ["evaluate", "--checkpoint", "missing.npz"],
             ["sweep-observed", "--sizes", "2"],
             ["sweep-lambda"],
+            ["compare"],
         ],
         ids=lambda argv: argv[0],
     )
@@ -304,6 +305,29 @@ class TestSubcommands:
             main(argv + ["--out", str(tmp_path / "out")])
         argv = ["sweep-lambda", "--grid-second", "1,1", "--config", str(config)]
         with pytest.raises(ValueError, match="^lambda_second_grid: 1.0 is repeated$"):
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "variants, seeds, message",
+        [
+            ("", "0,1", "^variants must be nonempty$"),
+            ("baseline,nope", "0,1", "^unknown model variant 'nope'"),
+            ("khop,baseline,khop", "0,1", "^variants: 'khop' is repeated$"),
+            ("ps-dgi,baseline", "0", "^the t-test against baseline needs at least 2 seeds, got 1$"),
+        ],
+        ids=["empty", "unknown", "repeated", "baseline-one-seed"],
+    )
+    def test_compare_rejects_bad_variants_before_training(
+        self, tmp_path, monkeypatch, variants, seeds, message
+    ):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the variants were checked")
+
+        monkeypatch.setattr("subgraph_infomax.train.train_single_seed", no_training)
+        config = write_config(tmp_path, {"seeds": seeds})
+        argv = ["compare", "--variants", variants, "--config", str(config)]
+        with pytest.raises(ValueError, match=message):
             main(argv + ["--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 

@@ -7,6 +7,7 @@ them exactly.  A change that alters training numerics on purpose (a new rng
 draw order, a batched forward) re-records them and says so in CHANGES.md.
 """
 
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -49,6 +50,34 @@ SPEC = SyntheticSpec(
     feature_noise=0.4,
     seed=13,
 )
+
+# The digests hash raw float64 bytes, so they hold only where BLAS rounds as
+# it did when they were recorded: under OpenBLAS's AVX2 kernels the training,
+# option and k-hop digests fail.
+GOLDEN_ENV = {"blas_core": "SkylakeX", "numpy": "2.4.6"}
+
+
+def blas_core() -> str:
+    """The OpenBLAS kernel numpy's bundled library runs, or ``unknown``."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def env_note() -> str:
+    """Where the digests were recorded and where they are checked."""
+    return (
+        f"recorded on BLAS core {GOLDEN_ENV['blas_core']}, numpy {GOLDEN_ENV['numpy']}; "
+        f"running on BLAS core {blas_core()}, numpy {np.__version__}"
+    )
+
 
 # 17 training records in batches of 6: no batch holds a single record.
 # ps-infograph, ps-graphcl and khop+ps-infograph (and the three options below
@@ -311,24 +340,25 @@ def test_batched_negatives_match_the_per_pair_oracle(variant):
 
 @pytest.mark.parametrize("name", sorted(KHOP_GOLDEN))
 def test_khop_forward_digest_is_unchanged(name):
-    assert khop_forward_digest(name) == KHOP_GOLDEN[name][-1]
+    assert khop_forward_digest(name) == KHOP_GOLDEN[name][-1], env_note()
 
 
 @pytest.mark.parametrize("variant", sorted(GOLDEN))
 def test_training_digest_is_unchanged(variant):
-    assert training_digest(variant) == GOLDEN[variant]
+    assert training_digest(variant) == GOLDEN[variant], env_note()
 
 
 @pytest.mark.parametrize("name", sorted(EXTRA_GOLDEN))
 def test_option_digest_is_unchanged(name):
-    assert config_digest(extra_config(name)) == EXTRA_GOLDEN[name][-1]
+    assert config_digest(extra_config(name)) == EXTRA_GOLDEN[name][-1], env_note()
 
 
 def test_sweep_digest_is_unchanged(tmp_path):
-    assert sweep_digest(tmp_path) == SWEEP_GOLDEN
+    assert sweep_digest(tmp_path) == SWEEP_GOLDEN, env_note()
 
 
 if __name__ == "__main__":
+    print(f'GOLDEN_ENV = {{"blas_core": "{blas_core()}", "numpy": "{np.__version__}"}}')
     for name in GOLDEN:
         print(f'    "{name}": "{training_digest(name)}",')
     for name in EXTRA_GOLDEN:

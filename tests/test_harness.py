@@ -1,13 +1,14 @@
 import csv
 import inspect
+import json
 import math
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from subgraph_infomax.cli import main
 from subgraph_infomax.data import ObservationProtocol, SyntheticSpec
 from subgraph_infomax.models import VARIANTS, ModelConfig
 from subgraph_infomax.optim import AdamConfig
@@ -17,6 +18,7 @@ from subgraph_infomax.train import (
     MetricsRecord,
     RunConfig,
     SeedResult,
+    compare,
     evaluate,
     load_bundle,
     sweep_lambda,
@@ -25,6 +27,7 @@ from subgraph_infomax.train import (
     train_single_seed,
     unpaired_t_test,
     _batches,
+    _summarize,
 )
 
 SMALL_SPEC = SyntheticSpec(
@@ -54,9 +57,6 @@ def small_config(variant="ps-dgi", epochs=2, seeds=(0,), **model_kwargs):
     )
 
 
-REPO = Path(__file__).resolve().parents[1]
-
-
 def test_package_import_leaves_scipy_stats_unloaded(subprocess_env):
     # scipy.stats costs about a second to import; only unpaired_t_test needs it.
     code = (
@@ -66,15 +66,54 @@ def test_package_import_leaves_scipy_stats_unloaded(subprocess_env):
     subprocess.run([sys.executable, "-c", code], check=True, env=subprocess_env)
 
 
-def test_synthetic_benchmark_script_smoke(subprocess_env):
-    argv = ["--epochs", "1", "--seeds", "0,1", "--variants", "baseline,khop+ps-dgi"]
-    out = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / "run_synthetic_benchmark.py"), *argv],
-        check=True, capture_output=True, text=True, env=subprocess_env, timeout=300,
-    ).stdout.splitlines()
-    rows = {line.split()[0]: line.split() for line in out if line.startswith(("baseline ", "khop"))}
-    assert set(rows) == {"baseline", "khop+ps-dgi"}
-    assert 0.0 <= float(rows["khop+ps-dgi"][-1]) <= 1.0  # p-value against baseline
+def test_compare_subcommand_smoke(tmp_path):
+    out = tmp_path / "compare"
+    argv = ["compare", "--variants", "baseline,khop+ps-dgi", "--out", str(out)]
+    for item in ("epochs=1", "seeds=0,1", "learning_rate=0.003", "pool_ratio=0.25"):
+        argv += ["--set", item]
+    assert main(argv) == 0
+    with open(out / "compare_runs.csv", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        assert tuple(reader.fieldnames) == CSV_COLUMNS
+        runs = [(row["model"], row["seed"]) for row in reader]
+    assert sorted(runs) == [(v, s) for v in ("baseline", "khop+ps-dgi") for s in ("0", "1")]
+    with open(out / "compare_summary.csv", encoding="utf-8") as fh:
+        summary = {row["model"]: row for row in csv.DictReader(fh)}
+    assert set(summary) == {"baseline", "khop+ps-dgi"}
+    assert summary["baseline"]["p_vs_baseline"] == ""
+    assert 0.0 <= float(summary["khop+ps-dgi"]["p_vs_baseline"]) <= 1.0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["variants"] == ["baseline", "khop+ps-dgi"]
+
+
+def test_compare_matches_training_each_variant_alone(tmp_path):
+    # Each variant trained on its own the way the all-variants script did
+    # (hidden 64, batch 16, learning rate 3e-3, pool_ratio 0.25 only for
+    # k-hop variants) must give compare's accuracies bit for bit.  The noisier
+    # spec keeps accuracies apart across variants and seeds.
+    spec = SyntheticSpec(feature_noise=2.0)
+    seeds = (0, 1)
+    config = RunConfig(
+        model=ModelConfig(pool_ratio=0.25), synthetic=spec,
+        adam=AdamConfig(learning_rate=3e-3), epochs=1, seeds=seeds,
+    )
+    bundle = load_bundle(config)
+    compare(config, ["baseline", "khop+ps-dgi"], out_dir=tmp_path, bundle=bundle)
+    with open(tmp_path / "compare_runs.csv", encoding="utf-8") as fh:
+        got = {(row["model"], int(row["seed"])): float(row["accuracy"]) for row in csv.DictReader(fh)}
+    for variant in ("baseline", "khop+ps-dgi"):
+        extra = {"pool_ratio": 0.25} if "khop" in variant else {}
+        alone = RunConfig(
+            model=ModelConfig(variant=variant, hidden_dim=64, **extra),
+            protocol=ObservationProtocol(n_obs=4),
+            synthetic=spec,
+            adam=AdamConfig(learning_rate=3e-3),
+            epochs=1,
+            batch_size=16,
+            seeds=seeds,
+        )
+        assert [got[variant, seed] for seed in seeds] == train(alone, bundle=bundle).accuracies
+    assert len(set(got.values())) > 1
 
 
 class TestTrain:
@@ -386,6 +425,21 @@ class TestSweeps:
         with pytest.raises(ValueError, match=message):
             sweep(small_config(), tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    def test_summary_tests_each_model_against_baseline(self):
+        accuracies = {"baseline": [0.5, 0.6, 0.7], "ps-dgi": [0.8, 0.9, 0.85], "khop": [0.6, 0.6, 0.7]}
+        rows = [
+            {"dataset": "d", "model": model, "accuracy": accuracy}
+            for model, accs in accuracies.items() for accuracy in accs
+        ]
+        summary = {entry["model"]: entry for entry in _summarize(rows, (), None, "c", "baseline")}
+        assert summary["baseline"]["p_vs_baseline"] == ""
+        for model in ("ps-dgi", "khop"):
+            expected = unpaired_t_test(accuracies[model], accuracies["baseline"])
+            assert summary[model]["p_vs_baseline"] == expected
+        without = _summarize(rows[3:], (), None, "c", "baseline")
+        assert [entry["p_vs_baseline"] for entry in without] == ["", ""]
+        assert "p_vs_baseline" not in _summarize(rows, (), None, "c")[0]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
