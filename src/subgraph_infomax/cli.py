@@ -1,10 +1,9 @@
-"""Command-line interface.
+"""Command-line interface: parses arguments, calls the package, prints.
 
 Subcommands: ``generate``, ``train``, ``evaluate``, ``sweep-observed``,
 ``sweep-lambda``, ``compare``, ``verify``.  Configuration comes from a
 plain-text ``key = value`` file plus repeatable ``--set key=value``
-overrides; the ``SUBGRAPH_INFOMAX_OUT`` environment variable sets the
-default output root.
+overrides.  The ``train`` module writes each run directory.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import logging
 import math
 import os
 import sys
-import time
 import typing
 from pathlib import Path
 
@@ -39,9 +37,6 @@ from .train import (
     sweep_lambda,
     sweep_observed,
     train,
-    write_csv,
-    write_manifest,
-    _result_row,
 )
 
 log = logging.getLogger("subgraph_infomax")
@@ -240,18 +235,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    started = time.time()
-    mapping = _mapping_from_args(args)
-    config = build_run_config(mapping)
-    out = _out_dir(args, "train")
-    bundle = load_bundle(config)
-    metrics = train(config, bundle=bundle, out_dir=out)
-    rows = [_result_row(config, bundle.name, r.seed, r.test_accuracy) for r in metrics.per_seed]
-    write_csv(out / "metrics.csv", rows)
-    write_manifest(
-        out, config, started,
-        extra={"mean_accuracy": metrics.mean, "std_accuracy": metrics.std},
-    )
+    config = build_run_config(_mapping_from_args(args))
+    metrics = train(config, out_dir=_out_dir(args, "train"))
     for result in metrics.per_seed:
         print(f"seed {result.seed}: test accuracy {result.test_accuracy:.4f}"
               + (" (diverged)" if result.diverged else ""))
@@ -271,51 +256,35 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_sweep_observed(args) -> int:
-    started = time.time()
-    mapping = _mapping_from_args(args)
-    config = build_run_config(mapping)
-    sizes = _parse_list("--sizes", args.sizes, int)
-    out = _out_dir(args, "sweep_observed")
-    summary = sweep_observed(config, sizes, out_dir=out)
-    write_manifest(out, config, started, extra={"sizes": sizes})
-    for entry in summary:
+# Grid subcommand -> (its function, its help, and the list flags it takes in
+# argument order: flag, item type, argparse options).
+GRIDS = {
+    "sweep-observed": (sweep_observed, "grid over observed-node counts", [
+        ("--sizes", int, {"required": True, "help": "comma-separated sizes, e.g. 4,8"}),
+    ]),
+    "sweep-lambda": (sweep_lambda, "grid over the loss-weight lambdas", [
+        ("--grid-khop", float, {"default": "1,2,3"}),
+        ("--grid-second", float, {"default": "1,2,3"}),
+    ]),
+    "compare": (compare, "train each variant and t-test it against baseline", [
+        ("--variants", str, {"default": ",".join(VARIANTS), "help": "comma-separated variants"}),
+    ]),
+}
+
+_NOT_CELL_COLUMNS = ("dataset", "mean_accuracy", "std_accuracy", "n_seeds", "p_vs_baseline")
+
+
+def cmd_grid(args) -> int:
+    """Run a grid subcommand and print one line per summary row: its cell
+    columns, mean +/- std, and the p-value against baseline where it has one."""
+    config = build_run_config(_mapping_from_args(args))
+    grid, _, flags = GRIDS[args.command]
+    lists = [_parse_list(f, getattr(args, f[2:].replace("-", "_")), item) for f, item, _ in flags]
+    for entry in grid(config, *lists, out_dir=_out_dir(args, args.command.replace("-", "_"))):
+        cells = " / ".join(f"{k} {v}" for k, v in entry.items() if k not in _NOT_CELL_COLUMNS)
+        p_value = entry.get("p_vs_baseline", "")
         print(
-            f"train {entry['n_obs_train']:>3} / test {entry['n_obs_test']:>3}: "
-            f"{entry['mean_accuracy']:.4f} +/- {entry['std_accuracy']:.4f}"
-        )
-    return 0
-
-
-def cmd_sweep_lambda(args) -> int:
-    started = time.time()
-    mapping = _mapping_from_args(args)
-    config = build_run_config(mapping)
-    grid_khop = _parse_list("--grid-khop", args.grid_khop, float)
-    grid_second = _parse_list("--grid-second", args.grid_second, float)
-    out = _out_dir(args, "sweep_lambda")
-    summary = sweep_lambda(config, grid_khop, grid_second, out_dir=out)
-    write_manifest(out, config, started, extra={"grid_khop": grid_khop, "grid_second": grid_second})
-    for entry in summary:
-        print(
-            f"lambda_khop {entry['lambda_khop']} / lambda_second {entry['lambda_second']}: "
-            f"{entry['mean_accuracy']:.4f} +/- {entry['std_accuracy']:.4f}"
-        )
-    return 0
-
-
-def cmd_compare(args) -> int:
-    started = time.time()
-    mapping = _mapping_from_args(args)
-    config = build_run_config(mapping)
-    variants = _parse_list("--variants", args.variants, str)
-    out = _out_dir(args, "compare")
-    summary = compare(config, variants, out_dir=out)
-    write_manifest(out, config, started, extra={"variants": variants})
-    for entry in summary:
-        p_value = entry["p_vs_baseline"]
-        print(
-            f"{entry['model']:<20} {entry['mean_accuracy']:.4f} +/- {entry['std_accuracy']:.4f}"
+            f"{cells}: {entry['mean_accuracy']:.4f} +/- {entry['std_accuracy']:.4f}"
             + (f"  p vs baseline {p_value:.4f}" if p_value != "" else "")
         )
     return 0
@@ -357,21 +326,12 @@ def main(argv=None) -> int:
     p.add_argument("--stage", default="test", choices=("train", "val", "test"))
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("sweep-observed", help="grid over observed-node counts")
-    _add_config_args(p)
-    p.add_argument("--sizes", required=True, help="comma-separated sizes, e.g. 4,8")
-    p.set_defaults(func=cmd_sweep_observed)
-
-    p = sub.add_parser("sweep-lambda", help="grid over the loss-weight lambdas")
-    _add_config_args(p)
-    p.add_argument("--grid-khop", default="1,2,3")
-    p.add_argument("--grid-second", default="1,2,3")
-    p.set_defaults(func=cmd_sweep_lambda)
-
-    p = sub.add_parser("compare", help="train each variant and t-test it against baseline")
-    _add_config_args(p)
-    p.add_argument("--variants", default=",".join(VARIANTS), help="comma-separated variants")
-    p.set_defaults(func=cmd_compare)
+    for command, (_, help_text, flags) in GRIDS.items():
+        p = sub.add_parser(command, help=help_text)
+        _add_config_args(p)
+        for flag, _, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("verify", help="run the property suites")
     p.add_argument("--seed", type=int, default=0)

@@ -164,7 +164,6 @@ class KhopResult(NamedTuple):
     loss_khop: Tensor | None
     s_obs: Tensor
     partition: KhopPartition
-    scored_ids: tuple[int, ...]
     selected_ids: tuple[int, ...]
 
 
@@ -265,31 +264,29 @@ class _ModelBase:
         )
 
     def prepare_batch(
-        self,
-        records: Sequence[SubgraphRecord],
-        rng: np.random.Generator | None,
-        training: bool,
+        self, records: Sequence[SubgraphRecord], rng: np.random.Generator | None
     ) -> BatchContext:
-        """Encode per-batch material once and project it through the term's
-        discriminator, so every target in the batch scores against it directly."""
+        """Encode a training batch's per-batch material once, in training mode,
+        and project it through the term's discriminator, so every target in
+        the batch scores against it directly."""
         cfg = self.config
         records = tuple(records)
         projected_full = None
         aug_summaries = None
-        if training and "ps-infograph" in (cfg.first_variant, cfg.second_variant):
+        if "ps-infograph" in (cfg.first_variant, cfg.second_variant):
             projected_full = tuple(
                 self.mi_discriminator.project(
-                    self.encode_view(SubgraphView.from_record(r), training, rng)
+                    self.encode_view(SubgraphView.from_record(r), True, rng)
                 )
                 for r in records
             )
-        if training and cfg.first_variant == "ps-graphcl":
+        if cfg.first_variant == "ps-graphcl":
             summaries = []
             for r in records:
                 view = SubgraphView.from_record(r)
                 for name in GRAPHCL_AUGMENTATIONS:
                     view = augment(name, view, cfg.aug_p, rng)
-                h = self.encode_view(view, training, rng)
+                h = self.encode_view(view, True, rng)
                 summaries.append(self.readout(h))
             aug_summaries = self.mi_discriminator.project(ad.concat_rows(*summaries))
         return BatchContext(
@@ -478,7 +475,6 @@ def khop_forward(
         loss_khop=loss,
         s_obs=s_obs,
         partition=partition,
-        scored_ids=node_ids,
         selected_ids=selected_ids,
     )
 

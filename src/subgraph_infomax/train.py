@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import autodiff as ad
@@ -89,6 +88,11 @@ class RunConfig:
             raise ValueError("seeds must be nonempty")
         if self.batch_size < 1 or self.grad_accum < 1:
             raise ValueError("batch_size and grad_accum must be >= 1")
+        if self.batch_size < 2 and self.model.uses_batch_negatives:
+            raise ValueError(
+                f"{self.model.variant} draws negatives from the other batch members; "
+                f"batch_size must be >= 2, got {self.batch_size}"
+            )
         if self.synthetic is not None and self.files is not None:
             raise ValueError("give one dataset source, synthetic or files, not both")
         if self.files is None and self.synthetic is None:
@@ -155,11 +159,6 @@ def train_single_seed(
     config: RunConfig, bundle: DatasetBundle, seed: int
 ) -> tuple[SeedResult, object]:
     """Train one seed; returns its metrics and the best-checkpoint model."""
-    if config.batch_size < 2 and config.model.uses_batch_negatives:
-        raise ValueError(
-            f"{config.model.variant} draws negatives from the other batch members; "
-            f"batch_size must be >= 2, got {config.batch_size}"
-        )
     rng = np.random.default_rng(seed)
     model = build_model(config.model, bundle, rng, embedding_trainable=config.embedding_trainable)
     protocol = config.protocol
@@ -181,7 +180,7 @@ def train_single_seed(
         batches = _batches(len(order), config.batch_size)
         for number, batch in enumerate(batches, 1):
             records = [bundle.records[int(i)] for i in order[batch]]
-            context = model.prepare_batch(records, rng, training=True)
+            context = model.prepare_batch(records, rng)
             objectives = []
             for pos, record in enumerate(records):
                 observed = sample_observed(record, protocol, "train", rng)
@@ -245,13 +244,14 @@ def _checked_adam_step(store, adam: AdamConfig, seed: int, epoch: int) -> bool:
     return True
 
 
-def train(
-    config: RunConfig, bundle: DatasetBundle | None = None, out_dir=None
-) -> MetricsRecord:
+def train(config: RunConfig, bundle: DatasetBundle | None = None, out_dir=None) -> MetricsRecord:
     """Run every seed; divergent seeds are flagged and the rest continue.
 
-    Given ``out_dir``, each seed's kept parameters go to ``params_seed<seed>.npz``.
+    Given ``out_dir``, writes the run directory: each seed's kept parameters
+    to ``params_seed<seed>.npz``, one CSV_COLUMNS row per seed to
+    ``metrics.csv``, and ``manifest.json`` with the mean and std accuracy.
     """
+    started = time.time()
     bundle = bundle if bundle is not None else load_bundle(config)
     results = []
     for seed in config.seeds:
@@ -261,7 +261,13 @@ def train(
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
             model.store.save(out / f"params_seed{seed}.npz")
-    return MetricsRecord(per_seed=results)
+    metrics = MetricsRecord(per_seed=results)
+    if out_dir is not None:
+        rows = [_result_row(config, bundle.name, r.seed, r.test_accuracy) for r in results]
+        write_csv(Path(out_dir) / "metrics.csv", rows)
+        extra = {"mean_accuracy": metrics.mean, "std_accuracy": metrics.std}
+        write_manifest(out_dir, [config], started, extra)
+    return metrics
 
 
 def evaluate(
@@ -328,11 +334,8 @@ def write_csv(path, rows: list[dict], columns=CSV_COLUMNS) -> None:
         writer.writerows(rows)
 
 
-def _summarize(
-    rows: list[dict], cell_keys: tuple[str, ...], out_dir, prefix: str, baseline: str | None = None
-) -> list[dict]:
-    """Mean and std of accuracy per dataset, model and grid cell; writes
-    ``<prefix>_runs.csv`` and ``<prefix>_summary.csv`` when ``out_dir`` is given.
+def _summarize(rows: list[dict], cell_keys: tuple[str, ...], baseline: str | None = None) -> list:
+    """Mean and std of accuracy per dataset, model and grid cell.
 
     Given ``baseline`` (a model name), each summary row also holds
     ``p_vs_baseline``, the Welch p-value of its accuracies against that
@@ -357,11 +360,6 @@ def _summarize(
                 if reference is not None and key[1] != baseline else ""
             )
         summary.append(entry)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / f"{prefix}_runs.csv", rows)
-        write_csv(out / f"{prefix}_summary.csv", summary, columns=summary[0].keys())
     return summary
 
 
@@ -372,10 +370,13 @@ def _check_distinct(name: str, values) -> None:
         raise ValueError(f"{name}: {repeated[0]!r} is repeated")
 
 
-def _grid(cells: list[RunConfig], bundle: DatasetBundle, test_sizes=None) -> list[dict]:
+def _grid(cells, bundle, cell_keys, out_dir, prefix, test_sizes=None, baseline=None) -> list:
     """Train every cell once per seed; one CSV_COLUMNS row per seed and test size
     (default: the trained size).  The trained size reports the seed's test
-    accuracy; every other size is evaluated on its own frozen observations."""
+    accuracy; every other size is evaluated on its own frozen observations.
+    Returns the summary; given ``out_dir``, writes ``<prefix>_runs.csv``,
+    ``<prefix>_summary.csv`` and ``manifest.json``."""
+    started = time.time()
     rows = []
     for cell in cells:
         trained = cell.protocol.n_obs
@@ -387,7 +388,14 @@ def _grid(cells: list[RunConfig], bundle: DatasetBundle, test_sizes=None) -> lis
                     protocol = dataclasses.replace(cell.protocol, n_obs=size)
                     accuracy = evaluate(model, bundle, protocol, "test")
                 rows.append(_result_row(cell, bundle.name, seed, accuracy, n_obs_test=size))
-    return rows
+    summary = _summarize(rows, cell_keys, baseline)
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_csv(out / f"{prefix}_runs.csv", rows)
+        write_csv(out / f"{prefix}_summary.csv", summary, columns=summary[0].keys())
+        write_manifest(out, cells, started)
+    return summary
 
 
 def sweep_observed(
@@ -414,8 +422,8 @@ def sweep_observed(
         dataclasses.replace(config, protocol=dataclasses.replace(config.protocol, n_obs=size))
         for size in sizes
     ]
-    rows = _grid(cells, bundle, test_sizes=sizes)
-    return _summarize(rows, ("n_obs_train", "n_obs_test"), out_dir, "observed_sweep")
+    cell_keys = ("n_obs_train", "n_obs_test")
+    return _grid(cells, bundle, cell_keys, out_dir, "observed_sweep", test_sizes=sizes)
 
 
 def sweep_lambda(
@@ -439,8 +447,7 @@ def sweep_lambda(
         for lam_k in lambda_khop_grid
         for lam_2 in lambda_second_grid
     ]
-    rows = _grid(cells, bundle)
-    return _summarize(rows, ("lambda_khop", "lambda_second"), out_dir, "lambda_sweep")
+    return _grid(cells, bundle, ("lambda_khop", "lambda_second"), out_dir, "lambda_sweep")
 
 
 def compare(
@@ -463,17 +470,27 @@ def compare(
             f"the t-test against baseline needs at least 2 seeds, got {len(config.seeds)}"
         )
     bundle = bundle if bundle is not None else load_bundle(config)
-    rows = _grid(cells, bundle)
-    return _summarize(rows, (), out_dir, "compare", baseline="baseline")
+    return _grid(cells, bundle, (), out_dir, "compare", baseline="baseline")
 
 
-def write_manifest(out_dir, config: RunConfig, started: float, extra: dict | None = None) -> str:
-    """JSON run manifest: config echo, seeds, versions, wall time."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _echo(values: list):
+    """The cells' shared value; dicts merge key by key, and values that differ
+    become the list of the distinct ones in the order the cells first use them."""
+    if all(value == values[0] for value in values):
+        return values[0]
+    if all(isinstance(value, dict) for value in values):
+        return {key: _echo([value[key] for value in values]) for key in values[0]}
+    return [value for i, value in enumerate(values) if value not in values[:i]]
+
+
+def write_manifest(out_dir, cells: list[RunConfig], started: float, extra: dict | None = None):
+    """JSON run manifest in the run directory ``out_dir``: the echo of the
+    trained cells' configs, seeds, versions, wall time."""
+    import scipy  # only the manifest reads it; the package import stays without it
+
     manifest = {
-        "config": asdict(config),
-        "seeds": list(config.seeds),
+        "config": _echo([asdict(cell) for cell in cells]),
+        "seeds": list(cells[0].seeds),
         "versions": {
             "subgraph_infomax": __version__,
             "numpy": np.__version__,
@@ -484,7 +501,5 @@ def write_manifest(out_dir, config: RunConfig, started: float, extra: dict | Non
     }
     if extra:
         manifest.update(extra)
-    path = out / "manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(Path(out_dir) / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, default=str)
-    return str(path)

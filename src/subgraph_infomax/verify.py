@@ -7,6 +7,7 @@ returns a ``CheckResult`` so callers can print one pass/fail line each.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -18,7 +19,9 @@ from .autodiff import Tensor, finite_diff_check
 from .data import ObservationProtocol, SyntheticSpec, generate_synthetic
 from .graph import GlobalGraph, bfs_khop_oracle, induced_partial_subgraph, khop_neighbors
 from .infomax import cgd_random_trials, gd_loss, infonce_loss, khop_loss
+from .layers import GatedAttentionReadout
 from .models import VARIANTS, ModelConfig, build_model
+from .optim import ParameterStore
 from .data import sample_observed
 
 
@@ -92,13 +95,13 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor]
     return checks
 
 
+def _gradient_row(name: str, fn: Callable[[], Tensor], params: list[Tensor]) -> CheckResult:
+    err = finite_diff_check(fn, params)
+    return CheckResult(f"grad/{name}", err, GRADIENT_LIMIT, err < GRADIENT_LIMIT)
+
+
 def gradient_op_report(seed: int = 0) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
-    for name, fn, params in _op_checks(rng):
-        err = finite_diff_check(fn, params)
-        results.append(CheckResult(f"grad/{name}", err, GRADIENT_LIMIT, err < GRADIENT_LIMIT))
-    return results
+    return [_gradient_row(*check) for check in _op_checks(np.random.default_rng(seed))]
 
 
 def _toy_spec(seed: int) -> SyntheticSpec:
@@ -131,8 +134,9 @@ def _toy_model_config(variant: str) -> ModelConfig:
     )
 
 
-def model_gradient_closure(variant: str, seed: int = 0):
-    """A deterministic scalar training objective for one model variant.
+def model_gradient_closure(variant: str, seed: int = 0, **overrides):
+    """A deterministic scalar training objective for one model variant, with
+    ``overrides`` applied to its toy ``ModelConfig``.
 
     Rebuilds the forward graph on every call with a fresh, identically
     seeded rng, so finite differences see a fixed function of the
@@ -140,7 +144,8 @@ def model_gradient_closure(variant: str, seed: int = 0):
     """
     bundle = generate_synthetic(_toy_spec(seed))
     protocol = ObservationProtocol(n_obs=2, train_jitter=False, eval_fixed_seed=seed)
-    model = build_model(_toy_model_config(variant), bundle, np.random.default_rng(seed + 17))
+    config = dataclasses.replace(_toy_model_config(variant), **overrides)
+    model = build_model(config, bundle, np.random.default_rng(seed + 17))
     records = bundle.records[:3]
     sampler = np.random.default_rng(seed + 23)
     partials = [
@@ -150,7 +155,7 @@ def model_gradient_closure(variant: str, seed: int = 0):
 
     def closure() -> Tensor:
         rng = np.random.default_rng(seed + 31)
-        context = model.prepare_batch(records, rng, training=True)
+        context = model.prepare_batch(records, rng)
         out = model.step(
             records[0], partials[0], batch=context.for_target(0), rng=rng, training=True
         )
@@ -160,14 +165,38 @@ def model_gradient_closure(variant: str, seed: int = 0):
 
 
 def gradient_model_report(seed: int = 0) -> list[CheckResult]:
-    results = []
-    for variant in VARIANTS:
-        closure, params = model_gradient_closure(variant, seed)
-        err = finite_diff_check(closure, params)
-        results.append(
-            CheckResult(f"grad/model/{variant}", err, GRADIENT_LIMIT, err < GRADIENT_LIMIT)
+    return [_gradient_row(f"model/{v}", *model_gradient_closure(v, seed)) for v in VARIANTS]
+
+
+# Each non-default option path, on a variant that reads it.
+OPTION_CHECKS = (
+    ("ps-infograph", "bidirectional", True),
+    ("khop+ps-dgi", "premixer", "none"),
+    ("khop+ps-dgi", "use_positional_encoding", True),
+    ("khop", "concat_observed_summary", True),
+    ("khop", "include_observed_in_pool", False),
+)
+
+
+def gradient_option_report(seed: int = 0) -> list[CheckResult]:
+    """One end-to-end check per option path.  The attention pre-mixer is
+    checked on the readout alone: on the toy model its query and key
+    gradients are 1e-8 or smaller, where the relative error's 1e-8 floor reads
+    exact agreement as a large error."""
+    results = [
+        _gradient_row(
+            f"model/{variant}/{option}={value}",
+            *model_gradient_closure(variant, seed, **{option: value}),
         )
-    return results
+        for variant, option, value in OPTION_CHECKS
+    ]
+    rng = np.random.default_rng(seed)
+    store = ParameterStore()
+    readout = GatedAttentionReadout(store, "readout", 8, rng, premixer="attention")
+    h = Tensor(rng.normal(0.0, 1.0, size=(5, 8)), requires_grad=True)
+    weights = Tensor(rng.normal(0.0, 1.0, size=(1, 8)))
+    summary = lambda: ad.sum_all(ad.mul(readout(h), weights))
+    return results + [_gradient_row("readout/premixer=attention", summary, [h, *store.trainable()])]
 
 
 def _random_er_graph(rng: np.random.Generator, max_nodes: int = 200) -> GlobalGraph:
@@ -205,25 +234,24 @@ def cgd_report(trials: int = 1000, seed: int = 0) -> CheckResult:
 
 def loss_value_report() -> list[CheckResult]:
     """Closed-form loss values at degenerate scores."""
-    two_ln2 = gd_loss(np.zeros(3), np.zeros(5)).item()
     k = 7
-    nce = infonce_loss(np.zeros((2, 1)), np.zeros((2, k))).item()
-    balanced = khop_loss(np.zeros(2), np.zeros(2)).item()
+    cases = [
+        ("gd-zero-scores", gd_loss(np.zeros(3), np.zeros(5)), 2 * math.log(2)),
+        ("infonce-uniform", infonce_loss(np.zeros((2, 1)), np.zeros((2, k))), math.log(k + 1)),
+        ("khop-balanced", khop_loss(np.zeros(2), np.zeros(2)), math.log(2)),
+    ]
     return [
-        CheckResult("gd-zero-scores", abs(two_ln2 - 2 * math.log(2)), 1e-9,
-                    abs(two_ln2 - 2 * math.log(2)) < 1e-9),
-        CheckResult("infonce-uniform", abs(nce - math.log(k + 1)), 1e-9,
-                    abs(nce - math.log(k + 1)) < 1e-9),
-        CheckResult("khop-balanced", abs(balanced - math.log(2)), 1e-9,
-                    abs(balanced - math.log(2)) < 1e-9),
+        CheckResult(name, abs(loss.item() - want), 1e-9, abs(loss.item() - want) < 1e-9)
+        for name, loss, want in cases
     ]
 
 
 def run_all(seed: int = 0, cgd_trials: int = 1000, oracle_graphs: int = 100) -> list[CheckResult]:
-    results = []
-    results.extend(loss_value_report())
-    results.extend(gradient_op_report(seed))
-    results.extend(gradient_model_report(seed))
-    results.append(khop_oracle_report(graphs=oracle_graphs, seed=seed))
-    results.append(cgd_report(trials=cgd_trials, seed=seed))
-    return results
+    return [
+        *loss_value_report(),
+        *gradient_op_report(seed),
+        *gradient_model_report(seed),
+        *gradient_option_report(seed),
+        khop_oracle_report(graphs=oracle_graphs, seed=seed),
+        cgd_report(trials=cgd_trials, seed=seed),
+    ]

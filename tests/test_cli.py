@@ -309,23 +309,31 @@ class TestSubcommands:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "variants, seeds, message",
+        "variants, keys, message",
         [
-            ("", "0,1", "^variants must be nonempty$"),
-            ("baseline,nope", "0,1", "^unknown model variant 'nope'"),
-            ("khop,baseline,khop", "0,1", "^variants: 'khop' is repeated$"),
-            ("ps-dgi,baseline", "0", "^the t-test against baseline needs at least 2 seeds, got 1$"),
+            ("", {}, "^variants must be nonempty$"),
+            ("baseline,nope", {}, "^unknown model variant 'nope'"),
+            ("khop,baseline,khop", {}, "^variants: 'khop' is repeated$"),
+            (
+                "ps-dgi,baseline", {"seeds": "0"},
+                "^the t-test against baseline needs at least 2 seeds, got 1$",
+            ),
+            (
+                "baseline,ps-dgi,ps-infograph", {"variant": "baseline", "batch_size": "1"},
+                "^ps-infograph draws negatives from the other batch members; "
+                "batch_size must be >= 2, got 1$",
+            ),
         ],
-        ids=["empty", "unknown", "repeated", "baseline-one-seed"],
+        ids=["empty", "unknown", "repeated", "baseline-one-seed", "batch-negatives-batch-one"],
     )
     def test_compare_rejects_bad_variants_before_training(
-        self, tmp_path, monkeypatch, variants, seeds, message
+        self, tmp_path, monkeypatch, variants, keys, message
     ):
         def no_training(*args, **kwargs):
             raise AssertionError("trained before the variants were checked")
 
         monkeypatch.setattr("subgraph_infomax.train.train_single_seed", no_training)
-        config = write_config(tmp_path, {"seeds": seeds})
+        config = write_config(tmp_path, {"seeds": "0,1", **keys})
         argv = ["compare", "--variants", variants, "--config", str(config)]
         with pytest.raises(ValueError, match=message):
             main(argv + ["--out", str(tmp_path / "out")])
@@ -392,14 +400,19 @@ class TestSubcommands:
             [
                 "sweep-lambda",
                 "--config", str(config),
-                "--grid-khop", "1",
-                "--grid-second", "1,2",
+                "--grid-khop", "3",
+                "--grid-second", "2,0.5",
                 "--out", str(out),
             ]
         )
         assert code == 0
         assert (out / "lambda_sweep_runs.csv").exists()
         assert (out / "lambda_sweep_summary.csv").exists()
+        # The echo holds the lambdas the cells trained, not the config's 1.0.
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        model = manifest["config"]["model"]
+        assert model["lambda_khop"] == 3.0 and model["lambda_second"] == [2.0, 0.5]
+        assert {"grid_khop", "grid_second"}.isdisjoint(manifest)
 
     def test_sweep_observed_writes_csvs(self, tmp_path):
         config = write_config(tmp_path)
@@ -411,6 +424,8 @@ class TestSubcommands:
         with open(out / "observed_sweep_summary.csv", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["protocol"]["n_obs"] == [2, 3] and "sizes" not in manifest
 
     def test_verify_quick_run(self, capsys):
         code = main(["verify", "--cgd-trials", "25", "--oracle-graphs", "4"])

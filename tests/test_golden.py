@@ -215,7 +215,7 @@ def khop_forward_digest(name: str) -> str:
     res = khop_forward(model, record, partial, rng=rng, training=True)
     ad.backward(ad.add(ad.sum_all(res.s_khop), res.loss_khop))
     digest = hashlib.sha256()
-    ids_and_loss = [res.scored_ids, res.selected_ids, res.loss_khop.item().hex()]
+    ids_and_loss = [res.partition.node_ids, res.selected_ids, res.loss_khop.item().hex()]
     digest.update(json.dumps(ids_and_loss).encode())
     digest.update(res.s_khop.values.tobytes())
     for param_name, tensor in model.store.items():
@@ -256,12 +256,12 @@ class _PerPairBatch:
         return dataclasses.replace(self, target_index=index)
 
 
-def _per_pair_prepare_batch(model, records, rng, training):
+def _per_pair_prepare_batch(model, records, rng):
     cfg = model.config
     encoded_full = aug_summaries = None
     if "ps-infograph" in (cfg.first_variant, cfg.second_variant):
         encoded_full = tuple(
-            model.encode_view(SubgraphView.from_record(r), training, rng) for r in records
+            model.encode_view(SubgraphView.from_record(r), True, rng) for r in records
         )
     if cfg.first_variant == "ps-graphcl":
         summaries = []
@@ -269,7 +269,7 @@ def _per_pair_prepare_batch(model, records, rng, training):
             view = SubgraphView.from_record(r)
             for name in GRAPHCL_AUGMENTATIONS:
                 view = augment(name, view, cfg.aug_p, rng)
-            summaries.append(model.readout(model.encode_view(view, training, rng)))
+            summaries.append(model.readout(model.encode_view(view, True, rng)))
         aug_summaries = tuple(summaries)
     return _PerPairBatch(tuple(records), encoded_full, aug_summaries)
 
@@ -305,7 +305,7 @@ def _train_batch(config, per_pair):
         model._mi_loss = types.MethodType(_per_pair_mi_loss, model)
     rng = np.random.default_rng(7)
     records = [bundle.records[i] for i in bundle.indices("train")[:6]]
-    context = model.prepare_batch(records, rng, training=True)
+    context = model.prepare_batch(records, rng)
     objectives = []
     for pos, record in enumerate(records):
         partial = induced_partial_subgraph(

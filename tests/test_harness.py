@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import json
 import math
@@ -59,8 +60,11 @@ def small_config(variant="ps-dgi", epochs=2, seeds=(0,), **model_kwargs):
 
 def test_package_import_leaves_scipy_stats_unloaded(subprocess_env):
     # scipy.stats costs about a second to import; only unpaired_t_test needs it.
+    # scipy itself is read only by write_manifest.
     code = (
-        "import sys, subgraph_infomax, subgraph_infomax.train\n"
+        "import sys, subgraph_infomax\n"
+        "assert 'scipy' not in sys.modules, 'scipy imported'\n"
+        "import subgraph_infomax.train\n"
         "assert 'scipy.stats' not in sys.modules, 'scipy.stats imported'\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True, env=subprocess_env)
@@ -83,7 +87,8 @@ def test_compare_subcommand_smoke(tmp_path):
     assert summary["baseline"]["p_vs_baseline"] == ""
     assert 0.0 <= float(summary["khop+ps-dgi"]["p_vs_baseline"]) <= 1.0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["variants"] == ["baseline", "khop+ps-dgi"]
+    assert manifest["config"]["model"]["variant"] == ["baseline", "khop+ps-dgi"]
+    assert "variants" not in manifest
 
 
 def test_compare_matches_training_each_variant_alone(tmp_path):
@@ -254,9 +259,12 @@ class TestBatching:
 
     @pytest.mark.parametrize("variant", ["ps-infograph", "ps-graphcl", "khop+ps-infograph"])
     def test_batch_size_one_rejected_for_in_batch_negatives(self, variant):
+        with pytest.raises(ValueError, match="batch_size must be >= 2, got 1$"):
+            dataclasses.replace(small_config(variant=variant, epochs=1), batch_size=1)
+        # A config set to batch size 1 after it was built fails on its first batch.
         config = small_config(variant=variant, epochs=1)
         config.batch_size = 1
-        with pytest.raises(ValueError, match="batch_size must be >= 2"):
+        with pytest.raises(ValueError, match="training needs a batch context with at least 2"):
             train_single_seed(config, load_bundle(config), 0)
 
     def test_batch_slices(self):
@@ -432,14 +440,14 @@ class TestSweeps:
             {"dataset": "d", "model": model, "accuracy": accuracy}
             for model, accs in accuracies.items() for accuracy in accs
         ]
-        summary = {entry["model"]: entry for entry in _summarize(rows, (), None, "c", "baseline")}
+        summary = {entry["model"]: entry for entry in _summarize(rows, (), "baseline")}
         assert summary["baseline"]["p_vs_baseline"] == ""
         for model in ("ps-dgi", "khop"):
             expected = unpaired_t_test(accuracies[model], accuracies["baseline"])
             assert summary[model]["p_vs_baseline"] == expected
-        without = _summarize(rows[3:], (), None, "c", "baseline")
+        without = _summarize(rows[3:], (), "baseline")
         assert [entry["p_vs_baseline"] for entry in without] == ["", ""]
-        assert "p_vs_baseline" not in _summarize(rows, (), None, "c")[0]
+        assert "p_vs_baseline" not in _summarize(rows, ())[0]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

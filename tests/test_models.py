@@ -24,6 +24,7 @@ from subgraph_infomax.models import (
     topk_softmax_pool,
 )
 from subgraph_infomax.optim import AdamConfig, ParameterStore, adam_step
+from subgraph_infomax.verify import OPTION_CHECKS, model_gradient_closure
 
 
 TOY_SPEC = SyntheticSpec(
@@ -85,7 +86,7 @@ class TestStepContract:
         bundle, model = make_toy(variant)
         records, partials = step_inputs(bundle)
         rng = np.random.default_rng(2)
-        context = model.prepare_batch(records, rng, training=True)
+        context = model.prepare_batch(records, rng)
         out = model.step(records[0], partials[0], batch=context.for_target(0), rng=rng, training=True)
         cfg = model.config
         if variant == "baseline":
@@ -185,7 +186,7 @@ class TestVariantLossValues:
             model.store[name].values[:] = 0.0
         records, partials = step_inputs(bundle)
         rng = np.random.default_rng(4)
-        context = model.prepare_batch(records[:2], rng, training=True)
+        context = model.prepare_batch(records[:2], rng)
         out = model.step(records[0], partials[0], batch=context.for_target(0), rng=rng, training=True)
         assert out.losses["infomax"] == pytest.approx(math.log(2), abs=1e-12)
 
@@ -197,7 +198,7 @@ class TestVariantLossValues:
         bundle, model = make_toy("ps-infograph")
         records, partials = step_inputs(bundle)
         rng = np.random.default_rng(7)
-        context = model.prepare_batch(records[:2], rng, training=True)
+        context = model.prepare_batch(records[:2], rng)
         out = model.step(
             records[0], partials[0], batch=context.for_target(0),
             rng=np.random.default_rng(7), training=True,
@@ -288,8 +289,8 @@ class TestKhopForward:
         assert res.s_khop.shape == (1, model.config.hidden_dim)
         assert res.loss_khop is not None
         observed = set(partials[0].node_ids)
-        assert set(res.scored_ids) == observed | set(res.partition.neighbors)
-        assert set(res.selected_ids) <= set(res.scored_ids)
+        assert set(res.partition.node_ids) == observed | set(res.partition.neighbors)
+        assert set(res.selected_ids) <= set(res.partition.node_ids)
 
     def test_loss_splits_scored_rows_by_record_membership(self):
         from subgraph_infomax.infomax import khop_loss
@@ -300,11 +301,11 @@ class TestKhopForward:
         record, partial = records[0], partials[0]
         res = khop_forward(model, record, partial, rng=np.random.default_rng(0), training=True)
         # dropout 0, p_d 0 and no cap: the training forward draws nothing.
-        h = encode(model.encoder, model.table, res.scored_ids, res.partition.edges_khop)
+        h = encode(model.encoder, model.table, res.partition.node_ids, res.partition.edges_khop)
         scores = model.discriminator(h, res.s_obs).values[:, 0]
         members = set(record.node_ids)
-        pos = [s for gid, s in zip(res.scored_ids, scores) if gid in members]
-        neg = [s for gid, s in zip(res.scored_ids, scores) if gid not in members]
+        pos = [s for gid, s in zip(res.partition.node_ids, scores) if gid in members]
+        neg = [s for gid, s in zip(res.partition.node_ids, scores) if gid not in members]
         assert len(pos) > len(partial.node_ids) and neg
         assert res.loss_khop.item() == khop_loss(np.array(pos), np.array(neg)).item()
 
@@ -337,15 +338,19 @@ class TestKhopForward:
 class TestGradients:
     @pytest.mark.parametrize("variant", ["ps-dgi", "khop"])
     def test_spot_finite_difference(self, variant):
-        from subgraph_infomax.verify import model_gradient_closure
-
         closure, params = model_gradient_closure(variant, seed=1)
         assert finite_diff_check(closure, params) < 1e-4
 
     def test_two_stage_gradient_on_toy(self):
-        from subgraph_infomax.verify import model_gradient_closure
-
         closure, params = model_gradient_closure("khop+ps-infograph", seed=2)
+        assert finite_diff_check(closure, params) < 1e-4
+
+    @pytest.mark.parametrize(
+        "variant, option, value", OPTION_CHECKS,
+        ids=[f"{variant}-{option}" for variant, option, _ in OPTION_CHECKS],
+    )
+    def test_option_path_gradient_on_toy(self, variant, option, value):
+        closure, params = model_gradient_closure(variant, seed=1, **{option: value})
         assert finite_diff_check(closure, params) < 1e-4
 
 
@@ -369,7 +374,7 @@ class TestTrainingDescent:
             config = AdamConfig(learning_rate=3e-3)
             first = last = None
             for step in range(50):
-                context = model.prepare_batch(records, rng, training=True)
+                context = model.prepare_batch(records, rng)
                 objectives = []
                 for i, (rec, part) in enumerate(zip(records, partials)):
                     out = model.step(rec, part, batch=context.for_target(i), rng=rng, training=True)
