@@ -5,6 +5,11 @@ single-row or single-column matrices.  Operations record a backward closure
 on the output node, and ``backward`` walks the tape in reverse topological
 order, accumulating gradients additively into every node that requires them.
 
+Ops take ``Tensor``s; ``as_tensor`` wraps a value from outside the tape (a
+numpy array or a float) as a constant.  ``sum`` and ``mean`` keep the
+reduced axis: over axis 0 an (n, m) input gives (1, m), over axis 1 it
+gives (n, 1), and over ``None`` (every entry) it gives (1, 1).
+
 A tape is single-threaded.  Independent tapes (one per training run) may be
 used concurrently because nodes share no mutable state across tapes.
 """
@@ -26,20 +31,15 @@ __all__ = [
     "mul",
     "div",
     "scale",
-    "neg",
     "relu",
     "sigmoid",
     "sqrt",
     "log_sigmoid",
     "softmax_rows",
     "logsumexp_rows",
-    "mean_rows",
-    "sum_rows",
-    "row_sums",
-    "sum_all",
-    "mean_all",
-    "concat_cols",
-    "concat_rows",
+    "sum",
+    "mean",
+    "concat",
     "gather_rows",
     "segment_sum",
     "segment_mean",
@@ -144,7 +144,6 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
     out = a.values @ b.values
@@ -157,7 +156,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     _check_broadcast("add", a, b)
     out = a.values + b.values
 
@@ -169,7 +167,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     _check_broadcast("mul", a, b)
     out = a.values * b.values
 
@@ -181,7 +178,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
     _check_broadcast("div", a, b)
     out = a.values / b.values
 
@@ -193,7 +189,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def scale(a: Tensor, alpha: float) -> Tensor:
-    a = as_tensor(a)
     alpha = float(alpha)
     out = a.values * alpha
 
@@ -203,12 +198,7 @@ def scale(a: Tensor, alpha: float) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
 def relu(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     mask = a.values > 0
     out = np.where(mask, a.values, 0.0)
 
@@ -228,7 +218,6 @@ def _sigmoid(x: Array) -> Array:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     out = _sigmoid(a.values)
 
     def bwd(g: Array) -> None:
@@ -238,7 +227,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def sqrt(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     out = np.sqrt(a.values)
 
     def bwd(g: Array) -> None:
@@ -249,7 +237,6 @@ def sqrt(a: Tensor) -> Tensor:
 
 def log_sigmoid(a: Tensor) -> Tensor:
     """log(sigma(x)) = -softplus(-x), stable for large |x|."""
-    a = as_tensor(a)
     out = -np.logaddexp(0.0, -a.values)
 
     def bwd(g: Array) -> None:
@@ -259,7 +246,6 @@ def log_sigmoid(a: Tensor) -> Tensor:
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     shifted = a.values - a.values.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
@@ -273,7 +259,6 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 def logsumexp_rows(a: Tensor) -> Tensor:
     """Row-wise log-sum-exp, shape (n, 1)."""
-    a = as_tensor(a)
     m = a.values.max(axis=1, keepdims=True)
     e = np.exp(a.values - m)
     out = m + np.log(e.sum(axis=1, keepdims=True))
@@ -284,22 +269,9 @@ def logsumexp_rows(a: Tensor) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """Average the rows together, shape (1, m)."""
-    a = as_tensor(a)
-    n = a.shape[0]
-    out = a.values.mean(axis=0, keepdims=True)
-
-    def bwd(g: Array) -> None:
-        _accum(a, np.broadcast_to(g / n, a.shape))
-
-    return _make(out, (a,), bwd)
-
-
-def sum_rows(a: Tensor) -> Tensor:
-    """Add the rows together, shape (1, m)."""
-    a = as_tensor(a)
-    out = a.values.sum(axis=0, keepdims=True)
+def sum(a: Tensor, axis: int | None = None) -> Tensor:
+    """Add over ``axis`` (every entry for ``None``), keeping it as size 1."""
+    out = a.values.sum(axis=axis, keepdims=True)
 
     def bwd(g: Array) -> None:
         _accum(a, np.broadcast_to(g, a.shape))
@@ -307,76 +279,35 @@ def sum_rows(a: Tensor) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def row_sums(a: Tensor) -> Tensor:
-    """Per-row totals, shape (n, 1)."""
-    a = as_tensor(a)
-    out = a.values.sum(axis=1, keepdims=True)
+def mean(a: Tensor, axis: int | None = None) -> Tensor:
+    """Average over ``axis`` (every entry for ``None``), keeping it as size 1."""
+    count = a.values.size if axis is None else a.shape[axis]
+    out = a.values.sum(axis=axis, keepdims=True) / count
 
     def bwd(g: Array) -> None:
-        _accum(a, np.broadcast_to(g, a.shape))
+        _accum(a, np.broadcast_to(g / count, a.shape))
 
     return _make(out, (a,), bwd)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    out = np.array([[a.values.sum()]])
-
-    def bwd(g: Array) -> None:
-        _accum(a, np.broadcast_to(g, a.shape))
-
-    return _make(out, (a,), bwd)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    size = a.values.size
-    out = np.array([[a.values.sum() / size]])
-
-    def bwd(g: Array) -> None:
-        _accum(a, np.broadcast_to(g / size, a.shape))
-
-    return _make(out, (a,), bwd)
-
-
-def concat_cols(*parts: Tensor) -> Tensor:
-    parts = tuple(as_tensor(p) for p in parts)
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.shape[0] != rows:
-            raise ValueError(
-                f"concat_cols: row counts differ: {[p.shape for p in parts]}"
-            )
-    out = np.hstack([p.values for p in parts])
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
+def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+    """Join ``parts`` along ``axis``: 0 stacks rows, 1 stacks columns."""
+    parts = tuple(parts)
+    if len({p.shape[1 - axis] for p in parts}) > 1:
+        raise ValueError(
+            f"concat: shapes differ off axis {axis}: {[p.shape for p in parts]}"
+        )
+    out = np.concatenate([p.values for p in parts], axis=axis)
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
     def bwd(g: Array) -> None:
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[:, lo:hi])
-
-    return _make(out, parts, bwd)
-
-
-def concat_rows(*parts: Tensor) -> Tensor:
-    parts = tuple(as_tensor(p) for p in parts)
-    cols = parts[0].shape[1]
-    for p in parts:
-        if p.shape[1] != cols:
-            raise ValueError(
-                f"concat_rows: column counts differ: {[p.shape for p in parts]}"
-            )
-    out = np.vstack([p.values for p in parts])
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-
-    def bwd(g: Array) -> None:
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[lo:hi, :])
+            _accum(p, g[lo:hi] if axis == 0 else g[:, lo:hi])
 
     return _make(out, parts, bwd)
 
 
 def gather_rows(a: Tensor, indices) -> Tensor:
-    a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64).reshape(-1)
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ValueError(
@@ -407,15 +338,17 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def segment_sum(a: Tensor, segments, num_segments: int) -> Tensor:
-    a = as_tensor(a)
+def _segment_ids(op: str, a: Tensor, segments, num_segments: int) -> Array:
     seg = np.asarray(segments, dtype=np.int64).reshape(-1)
     if seg.size != a.shape[0]:
-        raise ValueError(
-            f"segment_sum: {seg.size} segment ids for {a.shape[0]} rows"
-        )
+        raise ValueError(f"{op}: {seg.size} segment ids for {a.shape[0]} rows")
     if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
-        raise ValueError(f"segment_sum: segment id out of range [0, {num_segments})")
+        raise ValueError(f"{op}: segment id out of range [0, {num_segments})")
+    return seg
+
+
+def segment_sum(a: Tensor, segments, num_segments: int) -> Tensor:
+    seg = _segment_ids("segment_sum", a, segments, num_segments)
     out = _scatter_sum(a.values, seg, num_segments)
 
     def bwd(g: Array) -> None:
@@ -426,14 +359,7 @@ def segment_sum(a: Tensor, segments, num_segments: int) -> Tensor:
 
 def segment_mean(a: Tensor, segments, num_segments: int) -> Tensor:
     """Per-segment row averages; empty segments yield zero rows."""
-    a = as_tensor(a)
-    seg = np.asarray(segments, dtype=np.int64).reshape(-1)
-    if seg.size != a.shape[0]:
-        raise ValueError(
-            f"segment_mean: {seg.size} segment ids for {a.shape[0]} rows"
-        )
-    if seg.size and (seg.min() < 0 or seg.max() >= num_segments):
-        raise ValueError(f"segment_mean: segment id out of range [0, {num_segments})")
+    seg = _segment_ids("segment_mean", a, segments, num_segments)
     counts = np.bincount(seg, minlength=num_segments).astype(np.float64)
     denom = np.maximum(counts, 1.0)[:, None]
     out = _scatter_sum(a.values, seg, num_segments)
@@ -446,7 +372,6 @@ def segment_mean(a: Tensor, segments, num_segments: int) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    a = as_tensor(a)
     out = a.values.T.copy()
 
     def bwd(g: Array) -> None:
@@ -457,7 +382,6 @@ def transpose(a: Tensor) -> Tensor:
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: keep mass by rescaling with 1/(1-p); p=0 is the identity."""
-    a = as_tensor(a)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout: p must be in [0, 1), got {p}")
     if p == 0.0:
@@ -472,7 +396,6 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 
 
 def clip_min(a: Tensor, floor: float) -> Tensor:
-    a = as_tensor(a)
     out = np.maximum(a.values, floor)
     mask = a.values > floor
 

@@ -323,7 +323,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("evaluate", help="evaluate a saved checkpoint")
     _add_config_args(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--stage", default="test", choices=("train", "val", "test"))
+    p.add_argument("--stage", default="test", choices=("val", "test"))
     p.set_defaults(func=cmd_evaluate)
 
     for command, (_, help_text, flags) in GRIDS.items():

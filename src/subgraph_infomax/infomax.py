@@ -35,9 +35,9 @@ def gd_loss(pos_scores, neg_scores) -> Tensor:
     pos, neg = ad.as_tensor(pos_scores), ad.as_tensor(neg_scores)
     if pos.values.size == 0 or neg.values.size == 0:
         raise ValueError("gd_loss needs at least one positive and one negative score")
-    pos_term = ad.mean_all(ad.log_sigmoid(pos))
-    neg_term = ad.mean_all(ad.log_sigmoid(ad.neg(neg)))
-    return ad.neg(ad.add(pos_term, neg_term))
+    pos_term = ad.mean(ad.log_sigmoid(pos))
+    neg_term = ad.mean(ad.log_sigmoid(ad.scale(neg, -1.0)))
+    return ad.scale(ad.add(pos_term, neg_term), -1.0)
 
 
 def infonce_loss(pos_scores, neg_scores_per_pos) -> Tensor:
@@ -59,8 +59,8 @@ def infonce_loss(pos_scores, neg_scores_per_pos) -> Tensor:
         raise ValueError(
             f"negative rows {negs.shape} do not match positives {pos.shape}"
         )
-    lse = ad.logsumexp_rows(ad.concat_cols(pos, negs))
-    return ad.mean_all(ad.add(lse, ad.neg(pos)))
+    lse = ad.logsumexp_rows(ad.concat([pos, negs], 1))
+    return ad.mean(ad.add(lse, ad.scale(pos, -1.0)))
 
 
 def khop_loss(pos_scores, neg_scores) -> Tensor:
@@ -81,9 +81,9 @@ def khop_loss(pos_scores, neg_scores) -> Tensor:
         log.warning("khop_loss computed with an empty %s side", "positive" if n_pos == 0 else "negative")
     terms = []
     if n_pos:
-        terms.append(ad.sum_all(ad.log_sigmoid(pos)))
+        terms.append(ad.sum(ad.log_sigmoid(pos)))
     if n_neg:
-        terms.append(ad.sum_all(ad.log_sigmoid(ad.neg(neg))))
+        terms.append(ad.sum(ad.log_sigmoid(ad.scale(neg, -1.0))))
     total = terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
     return ad.scale(total, -1.0 / (n_pos + n_neg))
 
@@ -106,7 +106,7 @@ def cross_subgraph_negatives(encoded: Sequence[Tensor], target_index: int) -> Te
     if not 0 <= target_index < len(encoded):
         raise ValueError(f"target index {target_index} out of range")
     others = [h for i, h in enumerate(encoded) if i != target_index]
-    return others[0] if len(others) == 1 else ad.concat_rows(*others)
+    return others[0] if len(others) == 1 else ad.concat(others, 0)
 
 
 def _node_drop(view: SubgraphView, p: float, rng: np.random.Generator) -> SubgraphView:

@@ -103,8 +103,8 @@ class SageLayer:
         if self.bidirectional:
             agg_f = _aggregate(h, edges, n, weights)
             agg_r = _aggregate(h, edges[:, ::-1] if edges.size else edges, n, weights)
-            neigh = ad.concat_cols(
-                ad.matmul(agg_f, self.w_fwd), ad.matmul(agg_r, self.w_rev)
+            neigh = ad.concat(
+                [ad.matmul(agg_f, self.w_fwd), ad.matmul(agg_r, self.w_rev)], 1
             )
         else:
             neigh = ad.matmul(_aggregate(h, edges, n, weights), self.w_neigh)
@@ -211,7 +211,7 @@ class MeanMlpReadout:
     def __call__(self, h: Tensor, positions=None) -> Tensor:
         if h.shape[0] < 1:
             raise ValueError("readout requires at least one node row")
-        return ad.mean_rows(self.mlp(h))
+        return ad.mean(self.mlp(h), 0)
 
 
 class _SdpMixer:
@@ -271,7 +271,7 @@ class GatedAttentionReadout:
             h = ad.add(h, Tensor(pe))
         if self.premixer is not None:
             h = self.premixer(h)
-        return ad.sum_rows(ad.mul(ad.sigmoid(self.gate(h)), self.feat(h)))
+        return ad.sum(ad.mul(ad.sigmoid(self.gate(h)), self.feat(h)), 0)
 
 
 class BilinearDiscriminator:
@@ -319,7 +319,7 @@ class CosineDiscriminator:
         """Rows scaled to unit length; the squared norm is floored at 1e-30."""
         if not h.values.any(axis=1).all():
             log.debug("cosine discriminator saw a zero vector; its score is 0 by convention")
-        return ad.div(h, ad.sqrt(ad.clip_min(ad.row_sums(ad.mul(h, h)), 1e-30)))
+        return ad.div(h, ad.sqrt(ad.clip_min(ad.sum(ad.mul(h, h), 1), 1e-30)))
 
     def score(self, u: Tensor, s: Tensor) -> Tensor:
         if u.shape[1] != s.shape[1] or s.shape[0] != 1:

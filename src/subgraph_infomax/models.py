@@ -288,7 +288,7 @@ class _ModelBase:
                     view = augment(name, view, cfg.aug_p, rng)
                 h = self.encode_view(view, True, rng)
                 summaries.append(self.readout(h))
-            aug_summaries = self.mi_discriminator.project(ad.concat_rows(*summaries))
+            aug_summaries = self.mi_discriminator.project(ad.concat(summaries, 0))
         return BatchContext(
             records=records, projected_full=projected_full, aug_summaries=aug_summaries
         )
@@ -308,7 +308,7 @@ class _ModelBase:
             s_obs = khop.s_obs
             summary = khop.s_khop
             if cfg.concat_observed_summary:
-                summary = ad.concat_cols(summary, s_obs)
+                summary = ad.concat([summary, s_obs], 1)
         else:
             s_obs = summary = self.readout(self.encode_view(partial, training, rng))
         logits = self.head(summary)

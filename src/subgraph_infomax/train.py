@@ -13,6 +13,7 @@ import logging
 import math
 import platform
 import time
+import warnings
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -86,6 +87,7 @@ class RunConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        _check_distinct("seeds", self.seeds)
         if self.batch_size < 1 or self.grad_accum < 1:
             raise ValueError("batch_size and grad_accum must be >= 1")
         if self.batch_size < 2 and self.model.uses_batch_negatives:
@@ -307,7 +309,13 @@ def unpaired_t_test(sample_a, sample_b) -> float:
         return 1.0 if a.mean() == b.mean() else 0.0
     import scipy.stats  # about 1 s to import; only this function needs it
 
-    return float(scipy.stats.ttest_ind(a, b, equal_var=False).pvalue)
+    with warnings.catch_warnings():
+        # One zero-variance side trips scipy's cancellation warning, although
+        # the p-value is right.
+        warnings.filterwarnings(
+            "ignore", r"Precision loss occurred in moment calculation", RuntimeWarning
+        )
+        return float(scipy.stats.ttest_ind(a, b, equal_var=False).pvalue)
 
 
 def _result_row(

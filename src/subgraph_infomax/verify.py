@@ -41,7 +41,8 @@ GRADIENT_LIMIT = 1e-4
 
 
 def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
-    """One scalar closure per registered differentiable op, random shapes <= 16x16."""
+    """One scalar closure per public tape op, named after it, plus one per
+    further axis of ``sum``, ``mean`` and ``concat``; random shapes <= 16x16."""
 
     def rand(rows, cols):
         return Tensor(rng.normal(0.0, 1.0, size=(rows, cols)), requires_grad=True)
@@ -63,33 +64,33 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor]
         return ad.dropout(a, 0.3, np.random.default_rng(dropout_seed))
 
     checks = [
-        ("matmul", lambda: ad.sum_all(ad.matmul(a, b)), [a, b]),
-        ("add", lambda: ad.sum_all(ad.add(a, bias)), [a, bias]),
-        ("mul", lambda: ad.sum_all(ad.mul(a, c)), [a, c]),
-        ("div", lambda: ad.sum_all(ad.div(a, pos)), [a, pos]),
-        ("scale", lambda: ad.sum_all(ad.scale(a, 1.7)), [a]),
-        ("neg", lambda: ad.sum_all(ad.mul(ad.neg(a), c)), [a]),
-        ("relu", lambda: ad.sum_all(ad.relu(a)), [a]),
-        ("sigmoid", lambda: ad.sum_all(ad.sigmoid(a)), [a]),
-        ("sqrt", lambda: ad.sum_all(ad.sqrt(pos)), [pos]),
-        ("log_sigmoid", lambda: ad.sum_all(ad.log_sigmoid(a)), [a]),
-        ("softmax_rows", lambda: ad.sum_all(ad.mul(ad.softmax_rows(a), c)), [a]),
-        ("logsumexp_rows", lambda: ad.sum_all(ad.logsumexp_rows(a)), [a]),
-        ("mean_rows", lambda: ad.sum_all(ad.mul(ad.mean_rows(a), bias)), [a]),
-        ("sum_rows", lambda: ad.sum_all(ad.mul(ad.sum_rows(a), bias)), [a]),
-        ("row_sums", lambda: ad.sum_all(ad.mul(ad.row_sums(a), col)), [a]),
-        ("sum_all", lambda: ad.mul(ad.sum_all(a), ad.sum_all(ad.mul(a, c))), [a]),
-        ("mean_all", lambda: ad.mean_all(ad.mul(a, a)), [a]),
-        ("concat_cols", lambda: ad.sum_all(ad.mul(ad.concat_cols(a, c), ad.concat_cols(c, a))), [a, c]),
-        ("concat_rows", lambda: ad.sum_all(ad.mul(ad.concat_rows(a, c), ad.concat_rows(c, a))), [a, c]),
-        ("gather_rows", lambda: ad.sum_all(ad.mul(ad.gather_rows(a, gather_idx), ad.gather_rows(c, gather_idx))), [a]),
-        ("segment_sum", lambda: ad.sum_all(ad.mul(ad.segment_sum(a, seg_ids, 4), ad.segment_sum(c, seg_ids, 4))), [a]),
-        ("segment_mean", lambda: ad.sum_all(ad.mul(ad.segment_mean(a, seg_ids, 4), ad.segment_mean(c, seg_ids, 4))), [a]),
-        ("transpose", lambda: ad.sum_all(ad.matmul(ad.transpose(a), c)), [a, c]),
-        ("clip_min", lambda: ad.sum_all(ad.clip_min(a, 0.25)), [a]),
-        ("dropout", lambda: ad.sum_all(ad.mul(dropped(), c)), [a]),
+        ("matmul", lambda: ad.sum(ad.matmul(a, b)), [a, b]),
+        ("add", lambda: ad.sum(ad.add(a, bias)), [a, bias]),
+        ("mul", lambda: ad.sum(ad.mul(a, c)), [a, c]),
+        ("div", lambda: ad.sum(ad.div(a, pos)), [a, pos]),
+        ("scale", lambda: ad.sum(ad.scale(a, 1.7)), [a]),
+        ("relu", lambda: ad.sum(ad.relu(a)), [a]),
+        ("sigmoid", lambda: ad.sum(ad.sigmoid(a)), [a]),
+        ("sqrt", lambda: ad.sum(ad.sqrt(pos)), [pos]),
+        ("log_sigmoid", lambda: ad.sum(ad.log_sigmoid(a)), [a]),
+        ("softmax_rows", lambda: ad.sum(ad.mul(ad.softmax_rows(a), c)), [a]),
+        ("logsumexp_rows", lambda: ad.sum(ad.logsumexp_rows(a)), [a]),
+        ("sum", lambda: ad.mul(ad.sum(a), ad.sum(ad.mul(a, c))), [a]),
+        ("sum/0", lambda: ad.sum(ad.mul(ad.sum(a, 0), bias)), [a]),
+        ("sum/1", lambda: ad.sum(ad.mul(ad.sum(a, 1), col)), [a]),
+        ("mean", lambda: ad.mean(ad.mul(a, a)), [a]),
+        ("mean/0", lambda: ad.sum(ad.mul(ad.mean(a, 0), bias)), [a]),
+        ("mean/1", lambda: ad.sum(ad.mul(ad.mean(a, 1), col)), [a]),
+        ("concat", lambda: ad.sum(ad.mul(ad.concat([a, c], 1), ad.concat([c, a], 1))), [a, c]),
+        ("concat/0", lambda: ad.sum(ad.mul(ad.concat([a, c], 0), ad.concat([c, a], 0))), [a, c]),
+        ("gather_rows", lambda: ad.sum(ad.mul(ad.gather_rows(a, gather_idx), ad.gather_rows(c, gather_idx))), [a]),
+        ("segment_sum", lambda: ad.sum(ad.mul(ad.segment_sum(a, seg_ids, 4), ad.segment_sum(c, seg_ids, 4))), [a]),
+        ("segment_mean", lambda: ad.sum(ad.mul(ad.segment_mean(a, seg_ids, 4), ad.segment_mean(c, seg_ids, 4))), [a]),
+        ("transpose", lambda: ad.sum(ad.matmul(ad.transpose(a), c)), [a, c]),
+        ("clip_min", lambda: ad.sum(ad.clip_min(a, 0.25)), [a]),
+        ("dropout", lambda: ad.sum(ad.mul(dropped(), c)), [a]),
         ("gd_loss", lambda: gd_loss(col, ad.mul(col, col)), [col]),
-        ("infonce_loss", lambda: infonce_loss(col, ad.concat_cols(col, ad.mul(col, col))), [col]),
+        ("infonce_loss", lambda: infonce_loss(col, ad.concat([col, ad.mul(col, col)], 1)), [col]),
         ("khop_loss", lambda: khop_loss(col, ad.mul(col, col)), [col]),
     ]
     return checks
@@ -195,7 +196,7 @@ def gradient_option_report(seed: int = 0) -> list[CheckResult]:
     readout = GatedAttentionReadout(store, "readout", 8, rng, premixer="attention")
     h = Tensor(rng.normal(0.0, 1.0, size=(5, 8)), requires_grad=True)
     weights = Tensor(rng.normal(0.0, 1.0, size=(1, 8)))
-    summary = lambda: ad.sum_all(ad.mul(readout(h), weights))
+    summary = lambda: ad.sum(ad.mul(readout(h), weights))
     return results + [_gradient_row("readout/premixer=attention", summary, [h, *store.trainable()])]
 
 

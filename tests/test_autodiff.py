@@ -17,7 +17,7 @@ class TestForwardOps:
         x = param([[-1.0, 2.0]])
         y = ad.relu(x)
         assert np.array_equal(y.values, [[0.0, 2.0]])
-        backward(ad.sum_all(y))
+        backward(ad.sum(y))
         assert np.array_equal(x.grad, [[0.0, 1.0]])
 
     def test_softmax_symmetry(self):
@@ -147,13 +147,13 @@ class TestBackward:
         # A fresh gradient is 0.0 + g, as accumulating into zeros gives, so a
         # -0.0 contribution is stored as 0.0.
         x = param([[1.0, 2.0]])
-        backward(ad.sum_all(ad.scale(x, -0.0)))
+        backward(ad.sum(ad.scale(x, -0.0)))
         assert np.array_equal(x.grad, [[0.0, 0.0]])
         assert not np.signbit(x.grad).any()
 
     def test_sum_of_squares(self):
         x = param([[1.0, 2.0]])
-        backward(ad.sum_all(ad.mul(x, x)))
+        backward(ad.sum(ad.mul(x, x)))
         assert np.array_equal(x.grad, [[2.0, 4.0]])
 
     def test_non_scalar_loss_rejected(self):
@@ -165,14 +165,14 @@ class TestBackward:
         x = param([[0.7, -1.3]])
 
         def loss():
-            return ad.add(ad.sum_all(ad.mul(x, x)), ad.sum_all(ad.scale(x, 3.0)))
+            return ad.add(ad.sum(ad.mul(x, x)), ad.sum(ad.scale(x, 3.0)))
 
         assert finite_diff_check(loss, [x]) < 1e-7
 
     def test_grads_accumulate_across_backward_calls(self):
         x = param([[1.0]])
-        backward(ad.sum_all(ad.scale(x, 2.0)))
-        backward(ad.sum_all(ad.scale(x, 2.0)))
+        backward(ad.sum(ad.scale(x, 2.0)))
+        backward(ad.sum(ad.scale(x, 2.0)))
         assert np.array_equal(x.grad, [[4.0]])
 
     def test_tape_determinism(self):
@@ -180,22 +180,96 @@ class TestBackward:
             rng = np.random.default_rng(42)
             x = Tensor(rng.normal(size=(4, 4)))
             y = ad.dropout(ad.softmax_rows(ad.mul(x, x)), 0.3, rng)
-            return ad.sum_all(y).item()
+            return ad.sum(y).item()
 
         assert run() == run()
 
 
+class TestMergedOpsMatchTheOpsTheyReplace:
+    """``sum``, ``mean`` and ``concat`` against the forward formulas and
+    backward rules of ``sum_rows``, ``row_sums``, ``sum_all``, ``mean_rows``,
+    ``mean_all``, ``concat_cols`` and ``concat_rows``, byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=16),
+        cols=st.integers(min_value=1, max_value=16),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_sum_and_mean(self, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-5, 4, size=(rows, cols))
+        old = [
+            ((ad.sum, 0), x.sum(axis=0, keepdims=True), lambda g: g),
+            ((ad.sum, 1), x.sum(axis=1, keepdims=True), lambda g: g),
+            ((ad.sum, None), np.array([[x.sum()]]), lambda g: g),
+            ((ad.mean, 0), x.mean(axis=0, keepdims=True), lambda g: g / rows),
+            ((ad.mean, None), np.array([[x.sum() / x.size]]), lambda g: g / x.size),
+        ]
+        for (op, axis), want, old_rule in old:
+            t = param(x)
+            out = op(t, axis)
+            assert out.shape == want.shape
+            assert out.values.tobytes() == want.tobytes()
+            g = rng.normal(size=want.shape)
+            out._backward(g)
+            assert t.grad.tobytes() == (np.broadcast_to(old_rule(g), x.shape) + 0.0).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+        other=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_concat(self, sizes, other, seed):
+        rng = np.random.default_rng(seed)
+        for axis, stack in ((1, np.hstack), (0, np.vstack)):
+            arrays = [rng.normal(size=(other, k) if axis == 1 else (k, other)) for k in sizes]
+            parts = [param(a) for a in arrays]
+            out = ad.concat(parts, axis)
+            assert out.values.tobytes() == stack(arrays).tobytes()
+            g = rng.normal(size=out.shape)
+            out._backward(g)
+            lo = 0
+            for p, k in zip(parts, sizes):
+                want = g[:, lo:lo + k] if axis == 1 else g[lo:lo + k, :]
+                assert p.grad.tobytes() == (want + 0.0).tobytes()
+                lo += k
+
+    def test_concat_names_the_axis_whose_shapes_differ(self):
+        a, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"concat: shapes differ off axis 1"):
+            ad.concat([a, b], 1)
+        with pytest.raises(ValueError, match=r"concat: shapes differ off axis 0"):
+            ad.concat([a, b], 0)
+
+    @pytest.mark.parametrize("op", [ad.segment_sum, ad.segment_mean])
+    def test_segment_ids_are_checked_under_the_op_name(self, op):
+        x = Tensor(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match=rf"^{op.__name__}: 1 segment ids for 2 rows$"):
+            op(x, [0], 2)
+        with pytest.raises(ValueError, match=rf"^{op.__name__}: segment id out of range \[0, 2\)$"):
+            op(x, [0, 2], 2)
+
+
+# "mean_rows" is ``mean`` over axis 0 and "concat" is ``concat`` over axis 1.
 OP_CASES = {
-    "matmul": lambda a, b: ad.sum_all(ad.matmul(a, ad.transpose(b))),
-    "add_broadcast": lambda a, b: ad.sum_all(ad.mul(ad.add(a, ad.mean_rows(b)), a)),
-    "mul": lambda a, b: ad.sum_all(ad.mul(a, b)),
-    "sigmoid": lambda a, b: ad.sum_all(ad.mul(ad.sigmoid(a), b)),
-    "log_sigmoid": lambda a, b: ad.sum_all(ad.mul(ad.log_sigmoid(a), b)),
-    "softmax": lambda a, b: ad.sum_all(ad.mul(ad.softmax_rows(a), b)),
-    "logsumexp": lambda a, b: ad.sum_all(ad.mul(ad.logsumexp_rows(a), ad.row_sums(b))),
-    "mean_rows": lambda a, b: ad.sum_all(ad.mul(ad.mean_rows(a), ad.mean_rows(b))),
-    "concat": lambda a, b: ad.sum_all(ad.mul(ad.concat_cols(a, b), ad.concat_cols(b, a))),
-    "transpose": lambda a, b: ad.sum_all(ad.matmul(ad.transpose(a), b)),
+    "matmul": lambda a, b: ad.sum(ad.matmul(a, ad.transpose(b))),
+    "add_broadcast": lambda a, b: ad.sum(ad.mul(ad.add(a, ad.mean(b, 0)), a)),
+    "mul": lambda a, b: ad.sum(ad.mul(a, b)),
+    "sigmoid": lambda a, b: ad.sum(ad.mul(ad.sigmoid(a), b)),
+    "log_sigmoid": lambda a, b: ad.sum(ad.mul(ad.log_sigmoid(a), b)),
+    "softmax": lambda a, b: ad.sum(ad.mul(ad.softmax_rows(a), b)),
+    "logsumexp": lambda a, b: ad.sum(ad.mul(ad.logsumexp_rows(a), ad.sum(b, 1))),
+    "mean_rows": lambda a, b: ad.sum(ad.mul(ad.mean(a, 0), ad.mean(b, 0))),
+    "concat": lambda a, b: ad.sum(ad.mul(ad.concat([a, b], 1), ad.concat([b, a], 1))),
+    "concat/0": lambda a, b: ad.sum(ad.mul(ad.concat([a, b], 0), ad.concat([b, a], 0))),
+    "sum": lambda a, b: ad.mul(ad.sum(a), ad.sum(ad.mul(a, b))),
+    "sum/0": lambda a, b: ad.sum(ad.mul(ad.sum(a, 0), ad.sum(b, 0))),
+    "sum/1": lambda a, b: ad.sum(ad.mul(ad.sum(a, 1), ad.sum(b, 1))),
+    "mean": lambda a, b: ad.mean(ad.mul(a, b)),
+    "mean/1": lambda a, b: ad.sum(ad.mul(ad.mean(a, 1), ad.mean(b, 1))),
+    "transpose": lambda a, b: ad.sum(ad.matmul(ad.transpose(a), b)),
 }
 
 
@@ -226,10 +300,10 @@ def test_every_tape_op_has_a_finite_difference_row():
 class TestFiniteDiff:
     def test_quadratic_is_nearly_exact(self):
         x = param([[0.3, -0.8, 1.1]])
-        err = finite_diff_check(lambda: ad.sum_all(ad.mul(x, x)), [x])
+        err = finite_diff_check(lambda: ad.sum(ad.mul(x, x)), [x])
         assert err < 1e-7
 
     def test_relu_off_kink(self):
         x = param([[0.5, -0.5]])  # inputs nudged off zero
-        err = finite_diff_check(lambda: ad.sum_all(ad.relu(x)), [x])
+        err = finite_diff_check(lambda: ad.sum(ad.relu(x)), [x])
         assert err < 1e-7

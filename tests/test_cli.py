@@ -323,8 +323,12 @@ class TestSubcommands:
                 "^ps-infograph draws negatives from the other batch members; "
                 "batch_size must be >= 2, got 1$",
             ),
+            ("baseline,ps-dgi", {"seeds": "0,0"}, "^seeds: 0 is repeated$"),
         ],
-        ids=["empty", "unknown", "repeated", "baseline-one-seed", "batch-negatives-batch-one"],
+        ids=[
+            "empty", "unknown", "repeated", "baseline-one-seed",
+            "batch-negatives-batch-one", "repeated-seeds",
+        ],
     )
     def test_compare_rejects_bad_variants_before_training(
         self, tmp_path, monkeypatch, variants, keys, message
@@ -374,6 +378,20 @@ class TestSubcommands:
         )
         assert code == 0
         assert "test accuracy" in capsys.readouterr().out
+
+    def test_evaluate_offers_no_train_stage(self, tmp_path, monkeypatch, capsys):
+        # Training observations are resampled, never frozen, so there is no
+        # train-stage accuracy to report; argparse refuses before any loading.
+        def no_loading(args):
+            raise AssertionError("evaluate ran with --stage train")
+
+        monkeypatch.setattr("subgraph_infomax.cli.cmd_evaluate", no_loading)
+        config = write_config(tmp_path)
+        argv = ["evaluate", "--config", str(config), "--checkpoint", "missing.npz"]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--stage", "train"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'train'" in capsys.readouterr().err
 
     def test_set_overrides_config(self, tmp_path, capsys):
         config = write_config(tmp_path)

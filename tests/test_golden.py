@@ -213,7 +213,7 @@ def khop_forward_digest(name: str) -> str:
         observed = sample_observed(record, config.protocol, "train", rng)
         partial = induced_partial_subgraph(record, observed)
     res = khop_forward(model, record, partial, rng=rng, training=True)
-    ad.backward(ad.add(ad.sum_all(res.s_khop), res.loss_khop))
+    ad.backward(ad.add(ad.sum(res.s_khop), res.loss_khop))
     digest = hashlib.sha256()
     ids_and_loss = [res.partition.node_ids, res.selected_ids, res.loss_khop.item().hex()]
     digest.update(json.dumps(ids_and_loss).encode())
@@ -235,9 +235,9 @@ def khop_forward_digest(name: str) -> str:
 
 
 def _per_pair_cosine(h, s, temperature):
-    dots = ad.row_sums(ad.mul(h, s))
-    h_norm = ad.sqrt(ad.clip_min(ad.row_sums(ad.mul(h, h)), 1e-30))
-    s_norm = ad.sqrt(ad.clip_min(ad.row_sums(ad.mul(s, s)), 1e-30))
+    dots = ad.sum(ad.mul(h, s), 1)
+    h_norm = ad.sqrt(ad.clip_min(ad.sum(ad.mul(h, h), 1), 1e-30))
+    s_norm = ad.sqrt(ad.clip_min(ad.sum(ad.mul(s, s), 1), 1e-30))
     return ad.scale(ad.div(dots, ad.mul(h_norm, s_norm)), 1.0 / temperature)
 
 
@@ -280,17 +280,17 @@ def _per_pair_mi_loss(model, variant, summary, record, partial, batch, rng, trai
     discriminator = model.discriminator_second if two_stage else model.discriminator
     target = batch.target_index
     if variant == "ps-infograph":
-        h_neg = ad.concat_rows(*[h for i, h in enumerate(batch.encoded_full) if i != target])
+        h_neg = ad.concat([h for i, h in enumerate(batch.encoded_full) if i != target], 0)
         return gd_loss(
             _per_target_bilinear(discriminator, batch.encoded_full[target], summary),
             _per_target_bilinear(discriminator, h_neg, summary),
         )
     tau = model.config.temperature
     pos = _per_pair_cosine(batch.aug_summaries[target], summary, tau)
-    negs = ad.concat_cols(*[
+    negs = ad.concat([
         ad.transpose(_per_pair_cosine(s, summary, tau))
         for i, s in enumerate(batch.aug_summaries) if i != target
-    ])
+    ], 1)
     return infonce_loss(pos, negs)
 
 

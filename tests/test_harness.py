@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +247,12 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="^give one dataset source"):
             RunConfig(files=files, synthetic=SyntheticSpec())
 
+    def test_repeated_seed_rejected(self):
+        # A repeated seed would train twice, overwrite its checkpoint and
+        # count twice in a t-test.
+        with pytest.raises(ValueError, match="^seeds: 0 is repeated$"):
+            RunConfig(seeds=(0, 1, 0))
+
 
 class TestBatching:
     @pytest.mark.parametrize("variant", VARIANTS)
@@ -360,6 +367,17 @@ class TestTTest:
 
     def test_zero_variance_unequal_means(self):
         assert unpaired_t_test([0.2, 0.2], [0.4, 0.4]) == 0.0
+
+    def test_one_zero_variance_side_warns_nothing_and_keeps_the_p_value(self):
+        import scipy.stats
+
+        a, b = [1.0, 1.0], [0.75, 0.5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = scipy.stats.ttest_ind(a, b, equal_var=False).pvalue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert unpaired_t_test(a, b) == want
 
     def test_against_incomplete_beta_oracle(self):
         # Independent recomputation: t and the Welch-Satterthwaite df by hand,

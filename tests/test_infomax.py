@@ -150,7 +150,7 @@ class TestSamplers:
 
     def test_shuffle_gradient_flows_to_source(self):
         h = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        backward(ad.sum_all(shuffle_negatives(h, np.random.default_rng(1))))
+        backward(ad.sum(shuffle_negatives(h, np.random.default_rng(1))))
         assert np.array_equal(h.grad, np.ones((3, 2)))
 
     def test_cross_negatives_two_element_batch(self):

@@ -66,7 +66,7 @@ class TestAdamStep:
 
         first = loss_value()
         for _ in range(2):
-            backward(ad.sum_all(ad.mul(p, p)))
+            backward(ad.sum(ad.mul(p, p)))
             adam_step(store, cfg)
         assert loss_value() < first
 
@@ -79,8 +79,8 @@ class TestAdamStep:
     def test_accumulation_defers_update(self):
         # Two backward passes before one step behave like a summed gradient.
         store, p = make_store([[1.0]])
-        backward(ad.sum_all(ad.scale(p, 1.0)))
-        backward(ad.sum_all(ad.scale(p, 1.0)))
+        backward(ad.sum(ad.scale(p, 1.0)))
+        backward(ad.sum(ad.scale(p, 1.0)))
         assert np.array_equal(p.grad, [[2.0]])
         adam_step(store, AdamConfig())
         assert p.grad is None
