@@ -17,11 +17,11 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .graph import GlobalGraph, SubgraphRecord
+from .graph import GlobalGraph, SubgraphRecord, bernoulli_edges
 
 log = logging.getLogger(__name__)
 
@@ -177,11 +177,9 @@ def check_split_ratios(ratios: Sequence[float]) -> tuple[float, float, float]:
     return ratios
 
 
-def make_splits(
-    records: int | Sequence, ratios: Sequence[float], seed: int
-) -> tuple[str, ...]:
-    """Seeded uniform shuffle followed by a contiguous train/val/test cut."""
-    n = records if isinstance(records, int) else len(records)
+def make_splits(n: int, ratios: Sequence[float], seed: int) -> tuple[str, ...]:
+    """Seeded uniform shuffle of ``n`` record indices followed by a contiguous
+    train/val/test cut."""
     ratios = check_split_ratios(ratios)
     perm = np.random.default_rng(seed).permutation(n)
     cut1 = int(round(ratios[0] * n))
@@ -247,17 +245,9 @@ class SyntheticSpec:
         return max(self.subgraph_size_min, self.n_obs + 2)
 
 
-def _block_edges(spec: SyntheticSpec, communities: np.ndarray, rng) -> list[tuple[int, int]]:
-    n = spec.num_nodes
-    iu, ju = np.triu_indices(n, k=1)
-    same = communities[iu] == communities[ju]
-    prob = np.where(same, spec.p_intra, spec.p_inter)
-    mask = rng.random(iu.size) < prob
-    edges = []
-    for u, v in zip(iu[mask], ju[mask]):
-        edges.append((int(u), int(v)))
-        edges.append((int(v), int(u)))
-    return edges
+def _block_edges(spec: SyntheticSpec, communities: np.ndarray, rng) -> np.ndarray:
+    same = np.equal.outer(communities, communities)
+    return bernoulli_edges(np.where(same, spec.p_intra, spec.p_inter), rng)
 
 
 def _community_walk(
@@ -407,6 +397,8 @@ def load_subgraph_file(path) -> list[tuple[int, list[int]]]:
             raise _parse_error(path, lineno, f"bad record line {line!r}") from None
         if not ids:
             raise _parse_error(path, lineno, "empty node list")
+        if min(ids) < 0:
+            raise _parse_error(path, lineno, "node ids must be nonnegative")
         if len(set(ids)) != len(ids):
             raise _parse_error(path, lineno, "duplicate node ids in record")
         rows.append((label, ids))
@@ -447,6 +439,8 @@ def load_split_file(path, num_records: int) -> tuple[str, ...]:
             raise _parse_error(path, lineno, f"non-integer record index {parts[0]!r}") from None
         if not 0 <= idx < num_records:
             raise _parse_error(path, lineno, f"record index {idx} out of range")
+        if assignment[idx]:
+            raise _parse_error(path, lineno, f"record index {idx} assigned twice")
         assignment[idx] = parts[1]
     if any(not s for s in assignment):
         raise ValueError(f"{path}: split file does not cover every record")

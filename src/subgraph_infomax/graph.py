@@ -3,13 +3,14 @@
 All structures are frozen after construction and safe to share across
 concurrent readers.  Edge storage is directed; undirected inputs are
 symmetrized by the loaders before construction.  Neighborhood queries treat
-edges as traversable in both directions.
+edges as traversable in both directions.  Graphs and records hold global
+node ids; views hold edges as positions into their own ids, relabelled here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,11 +28,11 @@ class GlobalGraph:
     int64 arrays).
     """
 
-    def __init__(self, num_nodes: int, edges: Iterable[EdgePair]):
+    def __init__(self, num_nodes: int, edges: np.ndarray | Sequence[EdgePair]):
         if num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
         n = self.num_nodes = int(num_nodes)
-        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         src, dst = pairs[:, 0], pairs[:, 1]
         bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
         if bad.any():
@@ -73,15 +74,26 @@ class GlobalGraph:
             return self._nbr_indices[:0]
         return self._nbr_indices[self._nbr_indptr[node]:self._nbr_indptr[node + 1]]
 
-    def induced_edges(self, nodes: Iterable[int]) -> tuple[EdgePair, ...]:
-        """Sorted directed global edges with both endpoints in ``nodes``."""
+    def induced_edges(self, nodes: Iterable[int]) -> np.ndarray:
+        """Sorted directed global edges with both endpoints in ``nodes``, as
+        ``(E, 2)`` int64 rows ``(u, v)``."""
         ids = np.unique(np.fromiter(nodes, dtype=np.int64))
         ids = ids[(ids >= 0) & (ids < self.num_nodes)]
         member = np.zeros(self.num_nodes, dtype=bool)
         member[ids] = True
         src, dst = _csr_rows(self._out_indptr, self._out_indices, ids)
         keep = member[dst]
-        return tuple(zip(src[keep].tolist(), dst[keep].tolist()))
+        return np.column_stack([src[keep], dst[keep]])
+
+
+def bernoulli_edges(prob: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A random undirected graph as ``(E, 2)`` rows: each pair ``u < v``, in
+    ``np.triu_indices`` order with one ``rng.random`` draw each, joins with
+    probability ``prob[u, v]`` and gives the rows ``(u, v), (v, u)``."""
+    iu, ju = np.triu_indices(len(prob), k=1)
+    mask = rng.random(iu.size) < prob[iu, ju]
+    u, v = iu[mask], ju[mask]
+    return np.column_stack([u, v, v, u]).reshape(-1, 2)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -118,9 +130,8 @@ class SubgraphRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "node_ids", tuple(sorted(int(n) for n in self.node_ids)))
-        object.__setattr__(
-            self, "edge_pairs", tuple(sorted((int(u), int(v)) for u, v in self.edge_pairs))
-        )
+        pairs = np.asarray(self.edge_pairs, dtype=np.int64).reshape(-1, 2).tolist()
+        object.__setattr__(self, "edge_pairs", tuple(sorted(map(tuple, pairs))))
         if not self.node_ids:
             raise ValueError("a subgraph needs at least one node")
         node_set = set(self.node_ids)
@@ -140,36 +151,57 @@ class SubgraphRecord:
         return len(self.node_ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KhopPartition:
     """k-hop neighbors of an observed set.
 
     ``node_ids`` is the sorted union of the observed ids and ``neighbors``;
-    ``edges_khop`` are the global edges induced on it, after edge dropout.
+    ``edges_khop`` holds the global edges induced on it, after edge dropout,
+    as ``(E, 2)`` positions into ``node_ids``.
     """
 
     node_ids: tuple[int, ...]
     neighbors: tuple[int, ...]
-    edges_khop: tuple[EdgePair, ...]
+    edges_khop: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubgraphView:
     """One view of a subgraph for encoding: the full subgraph, its observed
     part, an augmentation, or a diffusion.
 
-    ``masked`` holds node ids whose feature rows are zeroed; ``edge_weights``,
-    when present, aligns with ``edges`` and drives weighted aggregation.
+    ``edges`` is an ``(E, 2)`` int64 array of (src, dst) positions into
+    ``node_ids``.  ``masked`` holds node ids whose feature rows are zeroed;
+    ``edge_weights``, when present, aligns with ``edges`` and drives weighted
+    aggregation.
     """
 
     node_ids: tuple[int, ...]
-    edges: tuple[EdgePair, ...]
+    edges: np.ndarray
     masked: frozenset[int] = frozenset()
-    edge_weights: tuple[float, ...] | None = None
+    edge_weights: np.ndarray | None = None
 
     @staticmethod
     def from_record(record: SubgraphRecord) -> "SubgraphView":
-        return SubgraphView(record.node_ids, record.edge_pairs)
+        return SubgraphView(record.node_ids, _restrict(record.edge_pairs, record.node_ids))
+
+    def restrict(self, keep: np.ndarray) -> "SubgraphView":
+        """The view on the rows where the boolean ``keep`` holds: those nodes
+        in order, the edges between them, and their masks.  Edge weights are
+        not carried over."""
+        kept = np.flatnonzero(keep).tolist()
+        node_ids = tuple(self.node_ids[i] for i in kept)
+        edges = _restrict(self.edges.tolist(), kept)
+        return SubgraphView(node_ids, edges, self.masked.intersection(node_ids))
+
+
+def _restrict(pairs: Iterable[EdgePair], kept: Sequence[int]) -> np.ndarray:
+    """Positions into ``kept`` of the ``pairs`` with both ends in ``kept``, in
+    input order, as an ``(E, 2)`` int64 array.  One dict and one Python pass:
+    on the few-node views made per record this beats ``np.isin`` or masks."""
+    position = dict(zip(kept, range(len(kept))))
+    flat = [position[w] for u, v in pairs if u in position and v in position for w in (u, v)]
+    return np.array(flat, dtype=np.int64).reshape(-1, 2)
 
 
 def induced_partial_subgraph(subgraph: SubgraphRecord, observed: Iterable[int]) -> SubgraphView:
@@ -181,10 +213,8 @@ def induced_partial_subgraph(subgraph: SubgraphRecord, observed: Iterable[int]) 
     missing = observed_set - set(subgraph.node_ids)
     if missing:
         raise ValueError(f"observed ids not in subgraph: {sorted(missing)}")
-    edges = tuple(
-        (u, v) for u, v in subgraph.edge_pairs if u in observed_set and v in observed_set
-    )
-    return SubgraphView(tuple(sorted(observed_set)), edges)
+    node_ids = tuple(sorted(observed_set))
+    return SubgraphView(node_ids, _restrict(subgraph.edge_pairs, node_ids))
 
 
 def khop_neighbors(
@@ -233,12 +263,11 @@ def khop_neighbors(
         neighbor_ids = np.sort(rng.choice(neighbor_ids, size=cap, replace=False))
 
     node_ids = np.union1d(observed_ids, neighbor_ids)
-    edges = graph.induced_edges(node_ids)
+    edges = np.searchsorted(node_ids, graph.induced_edges(node_ids))
     if p_d > 0.0:
         if rng is None:
             raise ValueError("edge dropout requires an rng")
-        keep = rng.random(len(edges)) >= p_d
-        edges = tuple(e for e, k_ in zip(edges, keep) if k_)
+        edges = edges[rng.random(len(edges)) >= p_d]
     return KhopPartition(
         node_ids=tuple(node_ids.tolist()), neighbors=tuple(neighbor_ids.tolist()), edges_khop=edges
     )

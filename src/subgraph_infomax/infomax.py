@@ -110,39 +110,31 @@ def cross_subgraph_negatives(encoded: Sequence[Tensor], target_index: int) -> Te
 
 
 def _node_drop(view: SubgraphView, p: float, rng: np.random.Generator) -> SubgraphView:
-    ids = np.array(view.node_ids)
-    keep = rng.random(ids.size) >= p
+    keep = rng.random(len(view.node_ids)) >= p
     if not keep.any():
-        keep[rng.integers(ids.size)] = True  # forced retention of one node
-    kept = set(int(n) for n in ids[keep])
-    edges = tuple((u, v) for u, v in view.edges if u in kept and v in kept)
-    return SubgraphView(
-        node_ids=tuple(sorted(kept)),
-        edges=edges,
-        masked=frozenset(n for n in view.masked if n in kept),
-    )
+        keep[rng.integers(keep.size)] = True  # forced retention of one node
+    return view.restrict(keep)
 
 
 def _edge_perturb(view: SubgraphView, p: float, rng: np.random.Generator) -> SubgraphView:
-    edges = list(view.edges)
+    edges = list(map(tuple, view.edges.tolist()))
     keep = rng.random(len(edges)) >= p
     surviving = [e for e, k in zip(edges, keep) if k]
     n_add = int(rng.binomial(len(edges), p)) if edges else 0
-    present = set(surviving)
-    ids = list(view.node_ids)
-    added = 0
-    attempts = 0
-    while added < n_add and attempts < 50 * max(n_add, 1) and len(ids) > 1:
-        u, v = rng.choice(ids, size=2, replace=False)
+    present = set(edges)
+    n = len(view.node_ids)
+    added = attempts = 0
+    while added < n_add and attempts < 50 * max(n_add, 1) and n > 1:
+        u, v = rng.choice(n, size=2, replace=False)
         cand = (int(u), int(v))
-        if cand not in present and cand not in view.edges:
+        if cand not in present:
             present.add(cand)
             surviving.append(cand)
             added += 1
         attempts += 1
     return SubgraphView(
         node_ids=view.node_ids,
-        edges=tuple(sorted(surviving)),
+        edges=np.array(sorted(surviving), dtype=np.int64).reshape(-1, 2),
         masked=view.masked,
     )
 
@@ -168,12 +160,12 @@ def augment(variant: str, view: SubgraphView, p: float, rng: np.random.Generator
 
 class PprDiffusion(NamedTuple):
     matrix: np.ndarray
-    edges: tuple[tuple[int, int], ...]
-    weights: tuple[float, ...]
+    edges: np.ndarray
+    weights: np.ndarray
 
 
 def ppr_diffusion(
-    edges: Sequence[tuple[int, int]],
+    edges: np.ndarray | Sequence[tuple[int, int]],
     n: int,
     alpha: float,
     top_t: int,
@@ -182,8 +174,8 @@ def ppr_diffusion(
 
     Solves ``alpha * (I - (1 - alpha) * D^{-1/2} (A + I) D^{-1/2})^{-1}``
     after symmetrizing the input and forcing self-loops, then keeps the
-    ``top_t`` largest entries per row as weighted edges (source = column,
-    target = row).
+    ``top_t`` largest entries per row as weighted ``(E, 2)`` edges (source =
+    column, target = row), row by row with columns ascending.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -193,38 +185,30 @@ def ppr_diffusion(
         raise ValueError(
             f"{n} nodes exceed the dense solve cap of {PPR_DENSE_CAP}; subsample the input first"
         )
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if bad.any():
+        u, v = pairs[np.argmax(bad)].tolist()
+        raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
     a = np.zeros((n, n))
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for {n} nodes")
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    a[pairs[:, 0], pairs[:, 1]] = a[pairs[:, 1], pairs[:, 0]] = 1.0
     np.fill_diagonal(a, 1.0)
     d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     s = d_inv_sqrt[:, None] * a * d_inv_sqrt[None, :]
     pi = alpha * np.linalg.inv(np.eye(n) - (1.0 - alpha) * s)
 
-    kept_edges: list[tuple[int, int]] = []
-    kept_weights: list[float] = []
     t = min(top_t, n)
-    for i in range(n):
-        cols = np.argpartition(-pi[i], t - 1)[:t]
-        for j in sorted(int(c) for c in cols):
-            kept_edges.append((j, i))
-            kept_weights.append(float(pi[i, j]))
-    return PprDiffusion(matrix=pi, edges=tuple(kept_edges), weights=tuple(kept_weights))
+    cols = np.sort(np.argpartition(-pi, t - 1, axis=1)[:, :t], axis=1)
+    kept = np.column_stack([cols.ravel(), np.repeat(np.arange(n), t)])
+    return PprDiffusion(pi, kept, np.take_along_axis(pi, cols, axis=1).ravel())
 
 
 def ppr_view(view: SubgraphView, alpha: float, top_t: int) -> SubgraphView:
     """The diffusion-graph view of a subgraph: weighted edges from dense PPR."""
-    ids = list(view.node_ids)
-    index = {n: i for i, n in enumerate(ids)}
-    local_edges = [(index[u], index[v]) for u, v in view.edges]
-    diffusion = ppr_diffusion(local_edges, len(ids), alpha, top_t)
-    edges = tuple((ids[u], ids[v]) for u, v in diffusion.edges)
+    diffusion = ppr_diffusion(view.edges, len(view.node_ids), alpha, top_t)
     return SubgraphView(
         node_ids=view.node_ids,
-        edges=edges,
+        edges=diffusion.edges,
         masked=view.masked,
         edge_weights=diffusion.weights,
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import math
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -102,7 +101,7 @@ class SageLayer:
         n = h.shape[0]
         if self.bidirectional:
             agg_f = _aggregate(h, edges, n, weights)
-            agg_r = _aggregate(h, edges[:, ::-1] if edges.size else edges, n, weights)
+            agg_r = _aggregate(h, edges[:, ::-1], n, weights)
             neigh = ad.concat(
                 [ad.matmul(agg_f, self.w_fwd), ad.matmul(agg_r, self.w_rev)], 1
             )
@@ -156,26 +155,20 @@ def encode(
     encoder: SageEncoder,
     table: Tensor,
     node_ids: Sequence[int],
-    edges: Sequence[tuple[int, int]],
+    edges: np.ndarray,
     training: bool = False,
     rng: np.random.Generator | None = None,
     masked: frozenset[int] | set[int] | None = None,
-    edge_weights: Sequence[float] | None = None,
+    edge_weights: np.ndarray | None = None,
 ) -> Tensor:
     """Encode a node set with its edges; rows follow the order of ``node_ids``.
 
     ``table`` is the ``(num_nodes, feature_dim)`` input-feature parameter.
-    Edges are re-indexed locally and must reference only ``node_ids``.
-    ``masked`` node ids get zeroed feature rows before encoding.
+    ``edges`` is an ``(E, 2)`` int64 array of positions into ``node_ids``, as
+    a ``SubgraphView`` holds them; ``gather_rows`` and ``segment_mean``
+    reject a position outside ``node_ids``.  ``masked`` node ids get zeroed
+    feature rows before encoding.
     """
-    position = dict(zip(node_ids, range(len(node_ids))))
-    try:
-        # One dict lookup per endpoint, mapped in C: no Python loop body.
-        flat = map(position.__getitem__, chain.from_iterable(edges))
-        local = np.fromiter(flat, np.int64, 2 * len(edges)).reshape(-1, 2)
-    except KeyError:
-        u, v = next((u, v) for u, v in edges if u not in position or v not in position)
-        raise ValueError(f"edge ({u}, {v}) references a node outside node_ids") from None
     x = ad.gather_rows(table, node_ids)
     if masked:
         keep = np.array([[0.0] if n in masked else [1.0] for n in node_ids])
@@ -187,7 +180,7 @@ def encode(
             raise ValueError(
                 f"edge_weights length {weights.shape} != number of edges {len(edges)}"
             )
-    return encoder(x, local, training=training, rng=rng, weights=weights)
+    return encoder(x, edges, training=training, rng=rng, weights=weights)
 
 
 def sinusoidal_encoding(positions: Sequence[int], dim: int) -> np.ndarray:

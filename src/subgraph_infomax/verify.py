@@ -17,7 +17,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, finite_diff_check
 from .data import ObservationProtocol, SyntheticSpec, generate_synthetic
-from .graph import GlobalGraph, bfs_khop_oracle, induced_partial_subgraph, khop_neighbors
+from .graph import (
+    GlobalGraph, bernoulli_edges, bfs_khop_oracle, induced_partial_subgraph, khop_neighbors,
+)
 from .infomax import cgd_random_trials, gd_loss, infonce_loss, khop_loss
 from .layers import GatedAttentionReadout
 from .models import VARIANTS, ModelConfig, build_model
@@ -203,13 +205,7 @@ def gradient_option_report(seed: int = 0) -> list[CheckResult]:
 def _random_er_graph(rng: np.random.Generator, max_nodes: int = 200) -> GlobalGraph:
     n = int(rng.integers(5, max_nodes + 1))
     density = rng.uniform(0.01, 0.2)
-    iu, ju = np.triu_indices(n, k=1)
-    mask = rng.random(iu.size) < density
-    edges = []
-    for u, v in zip(iu[mask], ju[mask]):
-        edges.append((int(u), int(v)))
-        edges.append((int(v), int(u)))
-    return GlobalGraph(n, edges)
+    return GlobalGraph(n, bernoulli_edges(np.full((n, n), density), rng))
 
 
 def khop_oracle_report(graphs: int = 100, seed: int = 0, max_nodes: int = 200) -> CheckResult:

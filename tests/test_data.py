@@ -254,7 +254,8 @@ class TestFileRoundTrip:
         loaded = load_dataset(paths["edges"], paths["subgraphs"], embeddings=paths["embeddings"])
         for built in (bundle, loaded):
             for record in built.records:
-                assert record.edge_pairs == built.graph.induced_edges(record.node_ids)
+                induced = built.graph.induced_edges(record.node_ids)
+                assert record.edge_pairs == tuple(map(tuple, induced.tolist()))
 
     def test_malformed_edge_line_reports_lineno(self, tmp_path):
         edge_file = tmp_path / "edges.txt"
@@ -269,6 +270,24 @@ class TestFileRoundTrip:
         (tmp_path / "subs.tsv").write_text("0\t0,1\n1\t1,2\n", encoding="utf-8")
         (tmp_path / "splits.tsv").write_text("0\ttrain\none\ttest\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"splits\.tsv:2: non-integer record index 'one'"):
+            load_dataset(
+                tmp_path / "edges.txt", tmp_path / "subs.tsv", split=tmp_path / "splits.tsv"
+            )
+
+    def test_negative_record_node_id_reports_lineno(self, tmp_path):
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n", encoding="utf-8")
+        (tmp_path / "subs.tsv").write_text("# header\n0\t0,1\n1\t1,-2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"subs\.tsv:3: node ids must be nonnegative$"):
+            load_dataset(tmp_path / "edges.txt", tmp_path / "subs.tsv")
+
+    def test_split_index_listed_twice_reports_lineno(self, tmp_path):
+        # The later line used to win silently: ('test', 'val', 'test').
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n2 3\n", encoding="utf-8")
+        (tmp_path / "subs.tsv").write_text("0\t0,1\n1\t1,2\n0\t2,3\n", encoding="utf-8")
+        (tmp_path / "splits.tsv").write_text(
+            "0\ttrain\n1\tval\n2\ttest\n0\ttest\n", encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match=r"splits\.tsv:4: record index 0 assigned twice$"):
             load_dataset(
                 tmp_path / "edges.txt", tmp_path / "subs.tsv", split=tmp_path / "splits.tsv"
             )

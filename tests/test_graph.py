@@ -7,6 +7,7 @@ from subgraph_infomax.graph import (
     KhopPartition,
     SubgraphRecord,
     SubgraphView,
+    bernoulli_edges,
     bfs_khop_oracle,
     induced_partial_subgraph,
     khop_neighbors,
@@ -88,6 +89,28 @@ def reference_induced_edges(graph, nodes):
     return tuple(sorted(found))
 
 
+def relabel(node_ids, edges):
+    """Global-id edge pairs as positions into ``node_ids``, through a dict:
+    the relabel ``encode`` ran on every call before views held positions."""
+    position = {n: i for i, n in enumerate(node_ids)}
+    return np.array([(position[u], position[v]) for u, v in edges], dtype=np.int64).reshape(-1, 2)
+
+
+def assert_positions(view_edges, node_ids, global_edges):
+    """Element for element and in order, as int64 ``(E, 2)`` rows."""
+    assert view_edges.dtype == np.int64 and view_edges.shape == (len(global_edges), 2)
+    assert np.array_equal(view_edges, relabel(node_ids, global_edges))
+
+
+def reference_partial(record, observed):
+    """The global-tuple filter ``induced_partial_subgraph`` ran before."""
+    observed_set = {int(n) for n in observed}
+    edges = tuple(
+        (u, v) for u, v in record.edge_pairs if u in observed_set and v in observed_set
+    )
+    return tuple(sorted(observed_set)), edges
+
+
 def reference_khop_neighbors(graph, observed, k, cap, p_d, rng):
     adjacency = reference_adjacency(graph)
     observed_set = {int(n) for n in observed}
@@ -135,8 +158,9 @@ class TestAgainstReference:
         n = graph.num_nodes
         nodes = data.draw(st.lists(st.integers(min_value=-3, max_value=n + 3), max_size=n + 6))
         got = graph.induced_edges(nodes)
-        assert got == reference_induced_edges(graph, nodes)
-        assert all(type(u) is int and type(v) is int for u, v in got)
+        want = reference_induced_edges(graph, nodes)
+        assert got.dtype == np.int64 and got.shape == (len(want), 2)
+        assert list(map(tuple, got.tolist())) == list(want)
         for node in range(-2, n + 2):
             nbrs = graph.neighbors(node)
             assert nbrs.dtype == np.int64
@@ -160,7 +184,8 @@ class TestAgainstReference:
         rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         fast = khop_neighbors(graph, observed, k, cap=cap, p_d=p_d, rng=rng_fast)
         ref = reference_khop_neighbors(graph, observed, k, cap, p_d, rng_ref)
-        assert fast == ref
+        assert (fast.node_ids, fast.neighbors) == (ref.node_ids, ref.neighbors)
+        assert_positions(fast.edges_khop, ref.node_ids, ref.edges_khop)
         assert all(type(n) is int for n in fast.node_ids + fast.neighbors)
         # Both consumed the same draws.
         assert rng_fast.random() == rng_ref.random()
@@ -183,8 +208,27 @@ class TestGlobalGraph:
 
     def test_induced_edges(self):
         g = path_graph(4)
-        assert g.induced_edges({0, 1}) == ((0, 1), (1, 0))
-        assert g.induced_edges({0, 2}) == ()
+        assert g.induced_edges({0, 1}).tolist() == [[0, 1], [1, 0]]
+        assert g.induced_edges({0, 2}).shape == (0, 2)
+
+
+class TestBernoulliEdges:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**31))
+    def test_matches_the_pairwise_loop(self, n, seed):
+        # Reference: the per-pair Python loop the generators ran before.
+        communities = np.random.default_rng(seed).integers(0, 3, n)
+        prob = np.where(np.equal.outer(communities, communities), 0.3, 0.05)
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        iu, ju = np.triu_indices(n, k=1)
+        mask = rng_ref.random(iu.size) < prob[iu, ju]
+        want = []
+        for u, v in zip(iu[mask], ju[mask]):
+            want += [(int(u), int(v)), (int(v), int(u))]
+        got = bernoulli_edges(prob, rng)
+        assert got.dtype == np.int64 and got.shape == (len(want), 2)
+        assert list(map(tuple, got.tolist())) == want
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestSubgraphRecord:
@@ -205,12 +249,16 @@ class TestInducedPartialSubgraph:
     def test_induced_edge_definition(self):
         record = SubgraphRecord(node_ids=(1, 2, 3), edge_pairs=((1, 2), (2, 3)), label=0)
         partial = induced_partial_subgraph(record, {1, 2})
-        assert partial.edges == ((1, 2),)
+        assert partial.node_ids == (1, 2)
+        assert partial.edges.tolist() == [[0, 1]]
 
     def test_full_observation_is_identity(self):
         record = SubgraphRecord(node_ids=(1, 2, 3), edge_pairs=((1, 2), (2, 3)), label=0)
         partial = induced_partial_subgraph(record, record.node_ids)
-        assert partial == SubgraphView.from_record(record)
+        full = SubgraphView.from_record(record)
+        assert partial.node_ids == full.node_ids == (1, 2, 3)
+        assert np.array_equal(partial.edges, full.edges)
+        assert full.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_path_endpoints_have_no_edges(self):
         # Oracle: enumerate the parent edges (0,1),(1,2),(2,3) plus reverses;
@@ -221,7 +269,7 @@ class TestInducedPartialSubgraph:
             label=0,
         )
         partial = induced_partial_subgraph(record, {0, 3})
-        assert partial.edges == ()
+        assert partial.edges.shape == (0, 2) and partial.edges.dtype == np.int64
 
     def test_empty_observed_rejected(self):
         record = SubgraphRecord(node_ids=(1, 2), edge_pairs=(), label=0)
@@ -237,7 +285,26 @@ class TestInducedPartialSubgraph:
         record = SubgraphRecord(node_ids=(1, 2, 3), edge_pairs=((1, 2), (2, 3)), label=0)
         once = induced_partial_subgraph(record, {1, 2})
         again = induced_partial_subgraph(record, once.node_ids)
-        assert once == again
+        assert once.node_ids == again.node_ids
+        assert np.array_equal(once.edges, again.edges)
+
+    @settings(max_examples=80, deadline=None)
+    @given(any_graphs, st.integers(min_value=0, max_value=2**31))
+    def test_views_are_the_relabelled_global_filter(self, graph, seed):
+        # Differential check against the global-tuple filter plus dict
+        # relabel that views used before they held positions.
+        rng = np.random.default_rng(seed)
+        size = int(rng.integers(1, graph.num_nodes + 1))
+        nodes = rng.choice(graph.num_nodes, size=size, replace=False)
+        record = SubgraphRecord(tuple(nodes.tolist()), graph.induced_edges(nodes), 0)
+        full = SubgraphView.from_record(record)
+        assert full.node_ids == record.node_ids
+        assert_positions(full.edges, record.node_ids, record.edge_pairs)
+        observed = rng.choice(record.node_ids, size=int(rng.integers(1, size + 1)), replace=False)
+        partial = induced_partial_subgraph(record, observed)
+        node_ids, edges = reference_partial(record, observed)
+        assert partial.node_ids == node_ids
+        assert_positions(partial.edges, node_ids, edges)
 
 
 class TestKhopNeighbors:
@@ -262,7 +329,8 @@ class TestKhopNeighbors:
     def test_no_dropout_keeps_exact_induced_edges(self):
         g = star_graph(4)
         part = khop_neighbors(g, {0}, k=1, cap=None, p_d=0.0)
-        assert set(part.edges_khop) == set(g.induced_edges({0, 1, 2, 3, 4}))
+        assert part.node_ids == (0, 1, 2, 3, 4)
+        assert np.array_equal(part.edges_khop, g.induced_edges({0, 1, 2, 3, 4}))
 
     def test_cap_subsamples_with_rng(self):
         g = star_graph(10)

@@ -177,7 +177,92 @@ class TestSamplers:
 def make_view():
     nodes = tuple(range(8))
     edges = [(i, (i + 1) % 8) for i in range(8)] + [(0, 4), (2, 6)]
-    return SubgraphView(node_ids=nodes, edges=tuple(edges))
+    return SubgraphView(node_ids=nodes, edges=np.array(edges, dtype=np.int64))
+
+
+def edge_set(view):
+    return set(map(tuple, view.edges.tolist()))
+
+
+def global_edges(view):
+    """A view's edges as global-id pairs, in row order."""
+    return [(view.node_ids[u], view.node_ids[v]) for u, v in view.edges.tolist()]
+
+
+def relabel(node_ids, edges):
+    position = {n: i for i, n in enumerate(node_ids)}
+    return np.array([(position[u], position[v]) for u, v in edges], dtype=np.int64).reshape(-1, 2)
+
+
+# Reference augmentations and diffusion view: the global-id code they
+# replaced, run on ``(node_ids, global edge tuple, masked)`` triples.
+
+
+def reference_node_drop(ids, edges, masked, p, rng):
+    ids = np.array(ids)
+    keep = rng.random(ids.size) >= p
+    if not keep.any():
+        keep[rng.integers(ids.size)] = True
+    kept = set(int(n) for n in ids[keep])
+    edges = tuple((u, v) for u, v in edges if u in kept and v in kept)
+    return tuple(sorted(kept)), edges, frozenset(n for n in masked if n in kept)
+
+
+def reference_edge_perturb(ids, edges, masked, p, rng):
+    keep = rng.random(len(edges)) >= p
+    surviving = [e for e, k in zip(edges, keep) if k]
+    n_add = int(rng.binomial(len(edges), p)) if edges else 0
+    present = set(surviving)
+    pool = list(ids)
+    added = attempts = 0
+    while added < n_add and attempts < 50 * max(n_add, 1) and len(pool) > 1:
+        u, v = rng.choice(pool, size=2, replace=False)
+        cand = (int(u), int(v))
+        if cand not in present and cand not in edges:
+            present.add(cand)
+            surviving.append(cand)
+            added += 1
+        attempts += 1
+    return ids, tuple(sorted(surviving)), masked
+
+
+def reference_attr_mask(ids, edges, masked, p, rng):
+    flips = rng.random(len(ids)) < p
+    return ids, edges, frozenset(masked) | {n for n, f in zip(ids, flips) if f}
+
+
+def reference_ppr_view(ids, edges, alpha, top_t):
+    index = {n: i for i, n in enumerate(ids)}
+    n = len(ids)
+    a = np.zeros((n, n))
+    for u, v in edges:
+        a[index[u], index[v]] = a[index[v], index[u]] = 1.0
+    np.fill_diagonal(a, 1.0)
+    d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+    s = d_inv_sqrt[:, None] * a * d_inv_sqrt[None, :]
+    pi = alpha * np.linalg.inv(np.eye(n) - (1.0 - alpha) * s)
+    kept, weights = [], []
+    t = min(top_t, n)
+    for i in range(n):
+        for j in sorted(int(c) for c in np.argpartition(-pi[i], t - 1)[:t]):
+            kept.append((ids[j], ids[i]))
+            weights.append(float(pi[i, j]))
+    return tuple(kept), tuple(weights)
+
+
+REFERENCE_AUGMENTATIONS = {
+    "node-drop": reference_node_drop,
+    "edge-perturb": reference_edge_perturb,
+    "attr-mask": reference_attr_mask,
+}
+
+
+def random_view(gen):
+    """Sorted global ids with a random directed edge set and mask."""
+    ids = tuple(sorted(gen.choice(100, size=int(gen.integers(1, 12)), replace=False).tolist()))
+    pairs = [(u, v) for u in ids for v in ids if u != v and gen.random() < 0.3]
+    masked = frozenset(n for n in ids if gen.random() < 0.2)
+    return ids, tuple(pairs), masked
 
 
 class TestAugmentations:
@@ -186,24 +271,23 @@ class TestAugmentations:
         view = make_view()
         out = augment(variant, view, 0.0, np.random.default_rng(0))
         assert out.node_ids == view.node_ids
-        assert set(out.edges) == set(view.edges)
+        assert edge_set(out) == edge_set(view)
         assert out.masked == view.masked
 
     def test_node_drop_forced_retention(self):
         view = make_view()
         out = augment("node-drop", view, 0.999999, np.random.default_rng(0))
-        assert len(out.node_ids) >= 1
-        assert out.edges == () or all(
-            u in out.node_ids and v in out.node_ids for u, v in out.edges
-        )
+        assert len(out.node_ids) == 1
+        assert out.edges.shape == (0, 2)
 
     def test_node_drop_prunes_edges(self):
         view = make_view()
         out = augment("node-drop", view, 0.5, np.random.default_rng(3))
         kept = set(out.node_ids)
         assert kept < set(view.node_ids)
-        for u, v in out.edges:
-            assert u in kept and v in kept
+        assert set(global_edges(out)) == {(u, v) for u, v in global_edges(view) if {u, v} <= kept}
+        assert out.edges.dtype == np.int64
+        assert ((out.edges >= 0) & (out.edges < len(out.node_ids))).all()
 
     def test_edge_perturb_preserves_expected_count(self):
         # Monte-Carlo: removals are balanced by additions in expectation.
@@ -219,8 +303,9 @@ class TestAugmentations:
         view = make_view()
         rng = np.random.default_rng(11)
         out = augment("edge-perturb", view, 0.5, rng)
-        for u, v in out.edges:
-            assert u in view.node_ids and v in view.node_ids
+        assert out.node_ids == view.node_ids
+        assert out.edges.dtype == np.int64
+        assert ((out.edges >= 0) & (out.edges < len(view.node_ids))).all()
 
     def test_attr_mask_marks_nodes(self):
         view = make_view()
@@ -237,6 +322,28 @@ class TestAugmentations:
     def test_probability_outside_unit_interval_rejected(self, p):
         with pytest.raises(ValueError, match="augmentation probability"):
             augment("node-drop", make_view(), p, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("variant", sorted(REFERENCE_AUGMENTATIONS))
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.99])
+    def test_matches_the_global_id_reference(self, variant, p):
+        # Each augmentation, on positions, gives the relabelled output of the
+        # global-id code it replaced, element for element and in order, and
+        # leaves the rng where that code left it.  p = 0.99 exercises
+        # node-drop's forced retention.
+        gen = np.random.default_rng(2024)
+        for seed in range(60):
+            ids, pairs, masked = random_view(gen)
+            view = SubgraphView(ids, relabel(ids, pairs), masked)
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = augment(variant, view, p, rng)
+            want_ids, want_edges, want_masked = REFERENCE_AUGMENTATIONS[variant](
+                ids, pairs, masked, p, rng_ref
+            )
+            assert out.node_ids == want_ids
+            assert out.edges.dtype == np.int64
+            assert np.array_equal(out.edges, relabel(want_ids, want_edges))
+            assert out.masked == want_masked
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestPprDiffusion:
@@ -266,7 +373,7 @@ class TestPprDiffusion:
     def test_top_t_limits_edges_per_row(self):
         view = make_view()
         out = ppr_diffusion(view.edges, n=8, alpha=0.15, top_t=3)
-        targets = [v for _, v in out.edges]
+        targets = out.edges[:, 1].tolist()
         assert all(targets.count(i) == 3 for i in range(8))
 
     def test_dense_cap_enforced(self):
@@ -277,13 +384,28 @@ class TestPprDiffusion:
         with pytest.raises(ValueError):
             ppr_diffusion([(0, 1)], n=2, alpha=1.0, top_t=1)
 
+    def test_out_of_range_edge_named(self):
+        with pytest.raises(ValueError, match=r"^edge \(2, 0\) out of range for 2 nodes$"):
+            ppr_diffusion([(0, 1), (2, 0), (-1, 0)], n=2, alpha=0.2, top_t=1)
+
     def test_view_wrapper_keeps_global_ids(self):
-        view = SubgraphView(node_ids=(5, 9), edges=((5, 9), (9, 5)))
+        view = SubgraphView(node_ids=(5, 9), edges=np.array([[0, 1], [1, 0]]))
         out = ppr_view(view, alpha=0.2, top_t=2)
         assert out.node_ids == (5, 9)
-        assert set(u for u, _ in out.edges) <= {5, 9}
+        assert out.edges.tolist() == [[0, 0], [1, 0], [0, 1], [1, 1]]
         assert out.edge_weights is not None
         assert len(out.edge_weights) == len(out.edges)
+
+    @pytest.mark.parametrize("top_t", [1, 3, 20])
+    def test_view_matches_the_global_id_reference(self, top_t):
+        gen = np.random.default_rng(top_t)
+        for _ in range(40):
+            ids, pairs, masked = random_view(gen)
+            out = ppr_view(SubgraphView(ids, relabel(ids, pairs), masked), 0.15, top_t)
+            want_edges, want_weights = reference_ppr_view(ids, pairs, 0.15, top_t)
+            assert out.node_ids == ids and out.masked == masked
+            assert np.array_equal(out.edges, relabel(ids, want_edges))
+            assert out.edge_weights.tolist() == list(want_weights)
 
 
 class TestCgdBound:

@@ -90,17 +90,22 @@ class TestSageLayer:
 
 class TestEncode:
     def test_rejects_foreign_edge(self):
+        # Edges are positions into node_ids: a negative or too-large source
+        # or target is refused, with or without edge weights.
         store = ParameterStore()
         enc = SageEncoder(store, "e", 2, 2, rng(), dropout=0.0)
         table = store.create("t", (5, 2), rng())
-        with pytest.raises(ValueError, match=r"^edge \(0, 4\) references a node outside node_ids$"):
-            encode(enc, table, [0, 1], [(0, 4)])
-        with pytest.raises(ValueError, match=r"^edge \(2, 1\) references"):
-            encode(enc, table, [1, 3], [(1, 3), (2, 1)])
+        for bad in ([[0, 2]], [[2, 0]], [[0, 1], [-1, 0]], [[1, -1]]):
+            edges = np.array(bad, dtype=np.int64)
+            with pytest.raises(ValueError, match="out of range"):
+                encode(enc, table, [0, 1], edges)
+            with pytest.raises(ValueError):
+                encode(enc, table, [0, 1], edges, edge_weights=np.ones(len(edges)))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_relabel_matches_the_position_lookup(self, seed):
-        # The reference re-indexes each edge through a dict of positions.
+        # Reference: global-id edges re-indexed through a dict of positions,
+        # as encode did before views carried positions.
         gen = np.random.default_rng(seed)
         store = ParameterStore()
         enc = SageEncoder(store, "e", 2, 2, rng(), dropout=0.0)
@@ -112,14 +117,15 @@ class TestEncode:
         position = {int(n): i for i, n in enumerate(ids)}
         local = np.array([[position[u], position[v]] for u, v in edges])
         want = enc(ad.gather_rows(table, ids), local).values
-        assert np.array_equal(encode(enc, table, ids, edges).values, want)
+        assert np.array_equal(encode(enc, table, ids, local).values, want)
 
     def test_row_order_follows_node_ids(self):
         store = ParameterStore()
         enc = SageEncoder(store, "e", 2, 2, rng(), dropout=0.0)
         table = store.create("t", (5, 2), rng())
-        h_a = encode(enc, table, [3, 1], [])
-        h_b = encode(enc, table, [1, 3], [])
+        none = np.empty((0, 2), dtype=np.int64)
+        h_a = encode(enc, table, [3, 1], none)
+        h_b = encode(enc, table, [1, 3], none)
         assert np.allclose(h_a.values[0], h_b.values[1])
 
     def test_two_layer_locality(self):
@@ -128,7 +134,7 @@ class TestEncode:
         store = ParameterStore()
         enc = SageEncoder(store, "e", 2, 4, rng(), dropout=0.0)
         table = store.create("t", (6, 2), rng())
-        path = [(i, i + 1) for i in range(5)] + [(i + 1, i) for i in range(5)]
+        path = np.array([(i, i + 1) for i in range(5)] + [(i + 1, i) for i in range(5)])
         ids = [0, 1, 2, 3, 4, 5]
         before = encode(enc, table, ids, path).values[0].copy()
         table.values[3] += 10.0  # 3 hops from node 0
