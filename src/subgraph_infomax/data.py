@@ -9,6 +9,8 @@ lines starting with '#' are skipped and surrounding whitespace is ignored):
   - embeddings: one row of whitespace-separated reals per node, row index =
     node id;
   - splits: "record_index<TAB>train|val|test" lines.
+The node count is the embedding row count when embeddings are given, and
+otherwise one more than the largest id in the edge list.
 """
 
 from __future__ import annotations
@@ -146,12 +148,13 @@ def validate_bundle(bundle: DatasetBundle) -> None:
     if bundle.embedding_values is not None:
         if bundle.embedding_values.shape[0] != graph.num_nodes:
             raise ValueError("embedding row count differs from the global node count")
-    # One lookup for every record edge; each record's first missing edge.
-    flat = [e for record in bundle.records for e in record.edge_pairs]
-    owner = np.repeat(np.arange(len(bundle.records)), [len(r.edge_pairs) for r in bundle.records])
-    missing: dict[int, tuple[int, int]] = {}
+    # One lookup for every record edge, in global ids; each record's first missing edge.
+    per_record = [np.array(r.node_ids, dtype=np.int64)[r.edges] for r in bundle.records]
+    flat = np.concatenate([np.empty((0, 2), np.int64), *per_record])
+    owner = np.repeat(np.arange(len(bundle.records)), [len(r.edges) for r in bundle.records])
+    missing: dict[int, list[int]] = {}
     for pos in np.flatnonzero(~graph.has_edges(flat)):
-        missing.setdefault(int(owner[pos]), flat[pos])
+        missing.setdefault(int(owner[pos]), flat[pos].tolist())
     for idx, record in enumerate(bundle.records):
         if len(record.node_ids) < 2:
             raise ValueError(f"record {idx} is a single-node subgraph")
@@ -184,15 +187,9 @@ def make_splits(n: int, ratios: Sequence[float], seed: int) -> tuple[str, ...]:
     perm = np.random.default_rng(seed).permutation(n)
     cut1 = int(round(ratios[0] * n))
     cut2 = int(round((ratios[0] + ratios[1]) * n))
-    assignment = [""] * n
-    for pos, idx in enumerate(perm):
-        if pos < cut1:
-            assignment[idx] = "train"
-        elif pos < cut2:
-            assignment[idx] = "val"
-        else:
-            assignment[idx] = "test"
-    return tuple(assignment)
+    assignment = np.empty(n, dtype="<U5")
+    assignment[perm] = np.repeat(STAGES, [cut1, cut2 - cut1, n - cut2])
+    return tuple(assignment.tolist())
 
 
 @dataclass(frozen=True)
@@ -259,32 +256,25 @@ def _community_walk(
     rng,
 ) -> list[int]:
     home_nodes = np.flatnonzero(communities == home)
-    start = int(rng.choice(home_nodes))
-    visited = [start]
-    visited_set = {start}
-    current = start
+    current = int(rng.choice(home_nodes))
+    visited = {current: None}  # an insertion-ordered set: the visit order
     for _ in range(60 * target_size):
         if len(visited) >= target_size:
             break
         nbrs = graph.neighbors(current)
         if leak == 0.0 or rng.random() >= leak:
             nbrs = nbrs[communities[nbrs] == home]
-        if nbrs.size == 0:
-            current = int(rng.choice(home_nodes))  # teleport when stuck
-            if current not in visited_set:
-                visited.append(current)
-                visited_set.add(current)
-            continue
-        current = int(rng.choice(nbrs))
-        if current not in visited_set:
-            visited.append(current)
-            visited_set.add(current)
+        # Teleport within the home community when stuck.
+        current = int(rng.choice(nbrs if nbrs.size else home_nodes))
+        visited[current] = None
     while len(visited) < target_size:  # fill from the home community
-        extra = int(rng.choice(home_nodes))
-        if extra not in visited_set:
-            visited.append(extra)
-            visited_set.add(extra)
-    return visited
+        visited[int(rng.choice(home_nodes))] = None
+    return list(visited)
+
+
+def _record(graph: GlobalGraph, order: list[int], label: int) -> SubgraphRecord:
+    """The record of the nodes visited in ``order``, with their induced edges."""
+    return SubgraphRecord(order, graph.induced_edges(order), label, tuple(order))
 
 
 def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
@@ -306,14 +296,7 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
         counts = np.bincount(communities[visited], minlength=spec.communities)
         top = counts.max()
         label = home if counts[home] == top else int(np.argmax(counts))
-        records.append(
-            SubgraphRecord(
-                node_ids=tuple(sorted(visited)),
-                edge_pairs=graph.induced_edges(visited),
-                label=label,
-                observation_order=tuple(visited),
-            )
-        )
+        records.append(_record(graph, visited, label))
 
     features = np.zeros((spec.num_nodes, spec.feature_dim))
     cols = np.arange(spec.feature_dim)
@@ -384,7 +367,8 @@ def load_edge_file(path, directed: bool = False) -> tuple[int, list[tuple[int, i
     return max_id + 1, edges
 
 
-def load_subgraph_file(path) -> list[tuple[int, list[int]]]:
+def load_subgraph_file(path, num_nodes: int) -> list[tuple[int, list[int]]]:
+    """``(label, ids)`` rows whose ids are nodes of a ``num_nodes``-node graph."""
     rows = []
     for lineno, line in _read_lines(path):
         parts = line.split("\t")
@@ -401,11 +385,17 @@ def load_subgraph_file(path) -> list[tuple[int, list[int]]]:
             raise _parse_error(path, lineno, "node ids must be nonnegative")
         if len(set(ids)) != len(ids):
             raise _parse_error(path, lineno, "duplicate node ids in record")
+        if max(ids) >= num_nodes:
+            raise _parse_error(
+                path, lineno, f"node id {max(ids)} is not a node of the graph ({num_nodes} nodes)"
+            )
         rows.append((label, ids))
     return rows
 
 
 def load_embedding_file(path, num_nodes: int) -> np.ndarray:
+    """Node feature rows: at least ``num_nodes``, the nodes the edge file
+    names; later rows are nodes without edges."""
     rows = []
     for lineno, line in _read_lines(path):
         try:
@@ -420,7 +410,7 @@ def load_embedding_file(path, num_nodes: int) -> np.ndarray:
             )
         rows.append(row)
     values = np.array(rows, dtype=np.float64)
-    if values.shape[0] != num_nodes:
+    if values.shape[0] < num_nodes:
         raise ValueError(
             f"{path}: {values.shape[0]} embedding rows for {num_nodes} nodes"
         )
@@ -457,16 +447,18 @@ def load_dataset(
 ) -> DatasetBundle:
     """Build a bundle from the published file formats.
 
-    ``split`` is either a split-file path or a ``(ratios, seed)`` pair.
-    Single-node subgraphs are excluded with a warning.  When ``expected`` is
-    given, the loader statistics must match it.
+    The graph has one node per embedding row when ``embeddings`` is given,
+    and otherwise the nodes up to the largest id in the edge file; a record
+    id outside them is an error.  ``split`` is either a split-file path or a
+    ``(ratios, seed)`` pair.  Single-node subgraphs are excluded with a
+    warning.  When ``expected`` is given, the loader statistics must match it.
     """
     num_nodes, edges = load_edge_file(edge_file, directed=directed)
-    rows = load_subgraph_file(subgraph_file)
+    embedding_values = load_embedding_file(embeddings, num_nodes) if embeddings else None
+    num_nodes = num_nodes if embedding_values is None else len(embedding_values)
+    rows = load_subgraph_file(subgraph_file, num_nodes)
     if not rows:
         log.warning("%s: empty subgraph file, 0 records loaded", subgraph_file)
-    max_record_id = max((max(ids) for _, ids in rows), default=-1)
-    num_nodes = max(num_nodes, max_record_id + 1)
     graph = GlobalGraph(num_nodes, edges)
 
     labels = sorted({label for label, _ in rows})
@@ -477,14 +469,7 @@ def load_dataset(
         if len(ids) < 2:
             skipped += 1
             continue
-        records.append(
-            SubgraphRecord(
-                node_ids=tuple(sorted(ids)),
-                edge_pairs=graph.induced_edges(ids),
-                label=label_index[label],
-                observation_order=tuple(ids),
-            )
-        )
+        records.append(_record(graph, ids, label_index[label]))
     if skipped:
         log.warning("%s: excluded %d single-node subgraphs", subgraph_file, skipped)
 
@@ -496,9 +481,6 @@ def load_dataset(
         ratios, seed = split
         assignment = make_splits(len(records), ratios, seed=seed)
 
-    embedding_values = (
-        load_embedding_file(embeddings, graph.num_nodes) if embeddings else None
-    )
     bundle = DatasetBundle(
         graph=graph,
         records=tuple(records),

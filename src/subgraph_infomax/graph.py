@@ -4,12 +4,16 @@ All structures are frozen after construction and safe to share across
 concurrent readers.  Edge storage is directed; undirected inputs are
 symmetrized by the loaders before construction.  Neighborhood queries treat
 edges as traversable in both directions.  Graphs and records hold global
-node ids; views hold edges as positions into their own ids, relabelled here.
+node ids; records and views hold edges as positions into their own ids.
+Only this module turns global ids into positions, once per record and once
+per k-hop partition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
+from itertools import accumulate, compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -119,36 +123,46 @@ def _csr_rows(
     return np.repeat(rows, lengths), indices[flat]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubgraphRecord:
-    """One labeled full subgraph of the global graph."""
+    """One labeled full subgraph of the global graph.
+
+    The constructor takes the subgraph's edges as global ``edge_pairs`` and
+    relabels them once: ``edges`` is a sorted ``(E, 2)`` int64 array of
+    positions into the sorted ``node_ids``, the format of every view, and
+    ``view`` is the full subgraph as one.
+    """
 
     node_ids: tuple[int, ...]
-    edge_pairs: tuple[EdgePair, ...]
+    edge_pairs: InitVar[np.ndarray | Sequence[EdgePair]]
     label: int
     observation_order: tuple[int, ...] | None = None
+    edges: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, edge_pairs) -> None:
         object.__setattr__(self, "node_ids", tuple(sorted(int(n) for n in self.node_ids)))
-        pairs = np.asarray(self.edge_pairs, dtype=np.int64).reshape(-1, 2).tolist()
-        object.__setattr__(self, "edge_pairs", tuple(sorted(map(tuple, pairs))))
         if not self.node_ids:
             raise ValueError("a subgraph needs at least one node")
-        node_set = set(self.node_ids)
-        if len(node_set) != len(self.node_ids):
+        if len(set(self.node_ids)) != len(self.node_ids):
             raise ValueError("duplicate node ids in subgraph")
-        for u, v in self.edge_pairs:
-            if u not in node_set or v not in node_set:
-                raise ValueError(f"subgraph edge ({u}, {v}) leaves its node set")
+        ids = np.array(self.node_ids, dtype=np.int64)
+        pairs = np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2)
+        pos = np.minimum(np.searchsorted(ids, pairs), ids.size - 1)
+        outside = (ids[pos] != pairs).any(axis=1)
+        if outside.any():
+            u, v = min(map(tuple, pairs[outside].tolist()))
+            raise ValueError(f"subgraph edge ({u}, {v}) leaves its node set")
+        object.__setattr__(self, "edges", _frozen(pos[np.lexsort(pos.T[::-1])]))
         if self.observation_order is not None:
             order = tuple(int(n) for n in self.observation_order)
             if sorted(order) != list(self.node_ids):
                 raise ValueError("observation_order must be a permutation of node_ids")
             object.__setattr__(self, "observation_order", order)
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.node_ids)
+    @cached_property
+    def view(self) -> SubgraphView:
+        """The full subgraph as a view; it shares ``edges``."""
+        return SubgraphView(self.node_ids, self.edges)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +179,7 @@ class KhopPartition:
     edges_khop: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SubgraphView:
     """One view of a subgraph for encoding: the full subgraph, its observed
     part, an augmentation, or a diffusion.
@@ -181,40 +195,30 @@ class SubgraphView:
     masked: frozenset[int] = frozenset()
     edge_weights: np.ndarray | None = None
 
-    @staticmethod
-    def from_record(record: SubgraphRecord) -> "SubgraphView":
-        return SubgraphView(record.node_ids, _restrict(record.edge_pairs, record.node_ids))
-
-    def restrict(self, keep: np.ndarray) -> "SubgraphView":
-        """The view on the rows where the boolean ``keep`` holds: those nodes
-        in order, the edges between them, and their masks.  Edge weights are
-        not carried over."""
-        kept = np.flatnonzero(keep).tolist()
-        node_ids = tuple(self.node_ids[i] for i in kept)
-        edges = _restrict(self.edges.tolist(), kept)
-        return SubgraphView(node_ids, edges, self.masked.intersection(node_ids))
-
-
-def _restrict(pairs: Iterable[EdgePair], kept: Sequence[int]) -> np.ndarray:
-    """Positions into ``kept`` of the ``pairs`` with both ends in ``kept``, in
-    input order, as an ``(E, 2)`` int64 array.  One dict and one Python pass:
-    on the few-node views made per record this beats ``np.isin`` or masks."""
-    position = dict(zip(kept, range(len(kept))))
-    flat = [position[w] for u, v in pairs if u in position and v in position for w in (u, v)]
-    return np.array(flat, dtype=np.int64).reshape(-1, 2)
+    def restrict(self, keep: Sequence[bool]) -> SubgraphView:
+        """The view on the rows where ``keep`` holds: those nodes in order,
+        the edges between them in order, and their masks.  Edge weights are
+        not carried over.  One Python pass over a list of bools: on the
+        few-node views made per record this beats numpy masks."""
+        rank = list(accumulate(keep, initial=0))  # kept rows before each row
+        ends = iter(self.edges.ravel().tolist())
+        flat = [w for u, v in zip(ends, ends) if keep[u] and keep[v] for w in (rank[u], rank[v])]
+        node_ids = tuple(compress(self.node_ids, keep))
+        masked = self.masked.intersection(node_ids) if self.masked else self.masked
+        return SubgraphView(node_ids, np.array(flat, dtype=np.int64).reshape(-1, 2), masked)
 
 
 def induced_partial_subgraph(subgraph: SubgraphRecord, observed: Iterable[int]) -> SubgraphView:
     """The observed view: sorted observed ids and the parent's edges with both
     endpoints observed."""
-    observed_set = {int(n) for n in observed}
+    observed_set = set(map(int, observed))
     if not observed_set:
         raise ValueError("observed set must be nonempty")
-    missing = observed_set - set(subgraph.node_ids)
-    if missing:
+    keep = list(map(observed_set.__contains__, subgraph.node_ids))
+    if sum(keep) != len(observed_set):
+        missing = observed_set.difference(subgraph.node_ids)
         raise ValueError(f"observed ids not in subgraph: {sorted(missing)}")
-    node_ids = tuple(sorted(observed_set))
-    return SubgraphView(node_ids, _restrict(subgraph.edge_pairs, node_ids))
+    return subgraph.view.restrict(keep)
 
 
 def khop_neighbors(

@@ -113,7 +113,7 @@ def _node_drop(view: SubgraphView, p: float, rng: np.random.Generator) -> Subgra
     keep = rng.random(len(view.node_ids)) >= p
     if not keep.any():
         keep[rng.integers(keep.size)] = True  # forced retention of one node
-    return view.restrict(keep)
+    return view.restrict(keep.tolist())
 
 
 def _edge_perturb(view: SubgraphView, p: float, rng: np.random.Generator) -> SubgraphView:

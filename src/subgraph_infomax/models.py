@@ -275,15 +275,13 @@ class _ModelBase:
         aug_summaries = None
         if "ps-infograph" in (cfg.first_variant, cfg.second_variant):
             projected_full = tuple(
-                self.mi_discriminator.project(
-                    self.encode_view(SubgraphView.from_record(r), True, rng)
-                )
+                self.mi_discriminator.project(self.encode_view(r.view, True, rng))
                 for r in records
             )
         if cfg.first_variant == "ps-graphcl":
             summaries = []
             for r in records:
-                view = SubgraphView.from_record(r)
+                view = r.view
                 for name in GRAPHCL_AUGMENTATIONS:
                     view = augment(name, view, cfg.aug_p, rng)
                 h = self.encode_view(view, True, rng)
@@ -340,7 +338,7 @@ class _ModelBase:
         """One MI term: ``summary`` against the variant's positives and negatives."""
         discriminator = self.mi_discriminator
         if variant == "ps-dgi":
-            h_sub = self.encode_view(SubgraphView.from_record(record), training, rng)
+            h_sub = self.encode_view(record.view, training, rng)
             return gd_loss(
                 discriminator(h_sub, summary),
                 discriminator(shuffle_negatives(h_sub, rng), summary),
@@ -365,7 +363,7 @@ class _ModelBase:
             s_obs_b = self.readout(
                 self.encode_view(obs_diffused, training, rng, encoder=self.encoder_b)
             )
-            full = SubgraphView.from_record(record)
+            full = record.view
             h_a = self.encode_view(full, training, rng)
             h_b = self.encode_view(
                 ppr_view(full, cfg.ppr_alpha, cfg.ppr_top_t), training, rng,

@@ -245,8 +245,61 @@ class TestFileRoundTrip:
         for got, want in zip(loaded.records, bundle.records):
             assert got.node_ids == want.node_ids
             assert got.label == want.label
-            assert got.edge_pairs == want.edge_pairs
+            assert np.array_equal(got.edges, want.edges)
             assert got.observation_order == want.observation_order
+
+    def test_round_trip_keeps_a_last_node_without_edges(self, tmp_path):
+        # The edge file ends before node 59, which has no edge; the node count
+        # comes from the embedding rows.  Before, loading raised "60
+        # embedding rows for 59 nodes".
+        spec = SyntheticSpec(num_nodes=60, p_intra=0.03, p_inter=0.0, num_subgraphs=10, seed=2)
+        bundle = generate_synthetic(spec)
+        assert not bundle.graph.neighbors(59).size
+        paths = save_bundle(bundle, tmp_path)
+        loaded = load_dataset(
+            paths["edges"], paths["subgraphs"], embeddings=paths["embeddings"], split=paths["splits"]
+        )
+        assert loaded.graph.num_nodes == 60
+        assert loaded.graph.edges == bundle.graph.edges
+        assert np.array_equal(loaded.embedding_values, bundle.embedding_values)
+        for got, want in zip(loaded.records, bundle.records):
+            assert got.node_ids == want.node_ids
+            assert np.array_equal(got.edges, want.edges)
+
+    def test_record_id_outside_the_edge_file_reports_lineno(self, tmp_path):
+        # Before, the graph grew to the largest record id: 3,000,001 nodes.
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n", encoding="utf-8")
+        (tmp_path / "subs.tsv").write_text("0\t0,1\n0\t1,3000000\n", encoding="utf-8")
+        with pytest.raises(
+            ValueError, match=r"subs\.tsv:2: node id 3000000 is not a node of the graph \(3 nodes\)$"
+        ):
+            load_dataset(tmp_path / "edges.txt", tmp_path / "subs.tsv")
+
+    def test_embedding_rows_set_the_node_count(self, tmp_path):
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n", encoding="utf-8")
+        (tmp_path / "subs.tsv").write_text("0\t0,1\n1\t2,3\n0\t3,4\n", encoding="utf-8")
+        (tmp_path / "emb.txt").write_text("0\n1\n2\n3\n", encoding="utf-8")
+        with pytest.raises(
+            ValueError, match=r"subs\.tsv:3: node id 4 is not a node of the graph \(4 nodes\)$"
+        ):
+            load_dataset(
+                tmp_path / "edges.txt", tmp_path / "subs.tsv", embeddings=tmp_path / "emb.txt"
+            )
+        (tmp_path / "subs.tsv").write_text("0\t0,1\n1\t2,3\n", encoding="utf-8")
+        bundle = load_dataset(
+            tmp_path / "edges.txt", tmp_path / "subs.tsv", embeddings=tmp_path / "emb.txt"
+        )
+        assert bundle.graph.num_nodes == 4
+        assert bundle.records[1].edges.shape == (0, 2)
+
+    def test_too_few_embedding_rows_for_the_edge_file(self, tmp_path):
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n", encoding="utf-8")
+        (tmp_path / "subs.tsv").write_text("0\t0,1\n", encoding="utf-8")
+        (tmp_path / "emb.txt").write_text("0\n1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"emb\.txt: 2 embedding rows for 3 nodes$"):
+            load_dataset(
+                tmp_path / "edges.txt", tmp_path / "subs.tsv", embeddings=tmp_path / "emb.txt"
+            )
 
     def test_record_edges_are_the_global_induced_edges(self, tmp_path):
         bundle = generate_synthetic(SyntheticSpec(num_nodes=70, num_subgraphs=12, seed=9))
@@ -255,7 +308,7 @@ class TestFileRoundTrip:
         for built in (bundle, loaded):
             for record in built.records:
                 induced = built.graph.induced_edges(record.node_ids)
-                assert record.edge_pairs == tuple(map(tuple, induced.tolist()))
+                assert np.array_equal(np.array(record.node_ids)[record.edges], induced)
 
     def test_malformed_edge_line_reports_lineno(self, tmp_path):
         edge_file = tmp_path / "edges.txt"
@@ -320,7 +373,7 @@ class TestFileRoundTrip:
         assert load_embedding_file(emb, 2).tolist() == [[0.1, 0.2], [0.3, 0.4]]
         subs = tmp_path / "subs.tsv"
         subs.write_text("  # label<TAB>ids\n 1\t0,1\t\n\n", encoding="utf-8")
-        assert load_subgraph_file(subs) == [(1, [0, 1])]
+        assert load_subgraph_file(subs, 2) == [(1, [0, 1])]
 
     def test_single_node_subgraphs_excluded(self, tmp_path, caplog):
         (tmp_path / "edges.txt").write_text("0 1\n1 2\n", encoding="utf-8")
@@ -377,7 +430,7 @@ READER_PINS = {
         (3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)]),
     ),
     "subgraphs": (
-        load_subgraph_file,
+        lambda path: load_subgraph_file(path, 3),
         ["1\t0,1,2", "0\t2,0"],
         [(1, [0, 1, 2]), (0, [2, 0])],
     ),

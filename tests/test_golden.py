@@ -20,7 +20,7 @@ import pytest
 
 from subgraph_infomax import autodiff as ad
 from subgraph_infomax.data import ObservationProtocol, SyntheticSpec, sample_observed
-from subgraph_infomax.graph import SubgraphRecord, SubgraphView, induced_partial_subgraph
+from subgraph_infomax.graph import SubgraphRecord, induced_partial_subgraph
 from subgraph_infomax.infomax import augment, gd_loss, infonce_loss
 from subgraph_infomax.models import (
     GRAPHCL_AUGMENTATIONS,
@@ -207,7 +207,7 @@ def khop_forward_digest(name: str) -> str:
     rng = np.random.default_rng(1)
     if whole_graph:
         record = SubgraphRecord(tuple(range(bundle.graph.num_nodes)), bundle.graph.edges, 0)
-        partial = SubgraphView.from_record(record)
+        partial = record.view
     else:
         record = bundle.records[0]
         observed = sample_observed(record, config.protocol, "train", rng)
@@ -261,12 +261,12 @@ def _per_pair_prepare_batch(model, records, rng):
     encoded_full = aug_summaries = None
     if "ps-infograph" in (cfg.first_variant, cfg.second_variant):
         encoded_full = tuple(
-            model.encode_view(SubgraphView.from_record(r), True, rng) for r in records
+            model.encode_view(r.view, True, rng) for r in records
         )
     if cfg.first_variant == "ps-graphcl":
         summaries = []
         for r in records:
-            view = SubgraphView.from_record(r)
+            view = r.view
             for name in GRAPHCL_AUGMENTATIONS:
                 view = augment(name, view, cfg.aug_p, rng)
             summaries.append(model.readout(model.encode_view(view, True, rng)))

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subgraph_infomax.data import SyntheticSpec, generate_synthetic, load_dataset, save_bundle
 from subgraph_infomax.graph import (
     GlobalGraph,
     KhopPartition,
     SubgraphRecord,
-    SubgraphView,
     bernoulli_edges,
     bfs_khop_oracle,
     induced_partial_subgraph,
@@ -102,13 +102,36 @@ def assert_positions(view_edges, node_ids, global_edges):
     assert np.array_equal(view_edges, relabel(node_ids, global_edges))
 
 
-def reference_partial(record, observed):
-    """The global-tuple filter ``induced_partial_subgraph`` ran before."""
+def reference_record_edges(pairs):
+    """The global-id tuples a record stored before it kept positions: its
+    input pairs, sorted, duplicates kept."""
+    return tuple(sorted(map(tuple, np.asarray(pairs, dtype=np.int64).reshape(-1, 2).tolist())))
+
+
+def reference_partial(record_edges, observed):
+    """The global-tuple filter ``induced_partial_subgraph`` ran before, over
+    a record's ``reference_record_edges``."""
     observed_set = {int(n) for n in observed}
     edges = tuple(
-        (u, v) for u, v in record.edge_pairs if u in observed_set and v in observed_set
+        (u, v) for u, v in record_edges if u in observed_set and v in observed_set
     )
     return tuple(sorted(observed_set)), edges
+
+
+def assert_record_matches_reference(record, pairs, rng, trials=3):
+    """``record.view`` and ``induced_partial_subgraph`` against the global
+    filter and dict relabel, for the record built from global ``pairs``."""
+    record_edges = reference_record_edges(pairs)
+    full = record.view
+    assert full.node_ids == record.node_ids and full.edges is record.edges
+    assert_positions(full.edges, record.node_ids, record_edges)
+    for _ in range(trials):
+        size = int(rng.integers(1, len(record.node_ids) + 1))
+        observed = rng.choice(record.node_ids, size=size, replace=False).tolist()
+        partial = induced_partial_subgraph(record, observed)
+        node_ids, edges = reference_partial(record_edges, observed)
+        assert partial.node_ids == node_ids
+        assert_positions(partial.edges, node_ids, edges)
 
 
 def reference_khop_neighbors(graph, observed, k, cap, p_d, rng):
@@ -237,8 +260,20 @@ class TestSubgraphRecord:
         assert r.node_ids == (1, 2, 3)
 
     def test_rejects_edge_outside_nodes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^subgraph edge \(1, 3\) leaves its node set$"):
             SubgraphRecord(node_ids=(1, 2), edge_pairs=((1, 3),), label=0)
+        # The first offending edge in sorted order is named.
+        with pytest.raises(ValueError, match=r"^subgraph edge \(0, 2\) leaves its node set$"):
+            SubgraphRecord(node_ids=(1, 2), edge_pairs=((2, 1), (5, 1), (0, 2)), label=0)
+
+    def test_edges_are_sorted_positions_of_the_input_pairs(self):
+        record = SubgraphRecord(
+            node_ids=(30, 10, 20), edge_pairs=((30, 10), (10, 20), (30, 10)), label=0
+        )
+        assert record.edges.dtype == np.int64
+        assert record.edges.tolist() == [[0, 1], [2, 0], [2, 0]]
+        assert not record.edges.flags.writeable
+        assert record.view.node_ids == (10, 20, 30) and record.view.edges is record.edges
 
     def test_rejects_bad_observation_order(self):
         with pytest.raises(ValueError):
@@ -255,7 +290,7 @@ class TestInducedPartialSubgraph:
     def test_full_observation_is_identity(self):
         record = SubgraphRecord(node_ids=(1, 2, 3), edge_pairs=((1, 2), (2, 3)), label=0)
         partial = induced_partial_subgraph(record, record.node_ids)
-        full = SubgraphView.from_record(record)
+        full = record.view
         assert partial.node_ids == full.node_ids == (1, 2, 3)
         assert np.array_equal(partial.edges, full.edges)
         assert full.edges.tolist() == [[0, 1], [1, 2]]
@@ -296,15 +331,42 @@ class TestInducedPartialSubgraph:
         rng = np.random.default_rng(seed)
         size = int(rng.integers(1, graph.num_nodes + 1))
         nodes = rng.choice(graph.num_nodes, size=size, replace=False)
-        record = SubgraphRecord(tuple(nodes.tolist()), graph.induced_edges(nodes), 0)
-        full = SubgraphView.from_record(record)
-        assert full.node_ids == record.node_ids
-        assert_positions(full.edges, record.node_ids, record.edge_pairs)
-        observed = rng.choice(record.node_ids, size=int(rng.integers(1, size + 1)), replace=False)
-        partial = induced_partial_subgraph(record, observed)
-        node_ids, edges = reference_partial(record, observed)
-        assert partial.node_ids == node_ids
-        assert_positions(partial.edges, node_ids, edges)
+        induced = graph.induced_edges(nodes)
+        record = SubgraphRecord(tuple(nodes.tolist()), induced, 0)
+        assert_record_matches_reference(record, induced, rng, trials=1)
+
+
+class TestRecordEdgesAgainstGlobalTuples:
+    """Records relabel their edges once, when they are made.  Before, they
+    held sorted global-id tuples, and every full and observed view filtered
+    and relabelled those; both views must equal that path element for
+    element and in order."""
+
+    def test_synthetic_records(self):
+        bundle = generate_synthetic(SyntheticSpec())
+        rng = np.random.default_rng(0)
+        for record in bundle.records:
+            pairs = bundle.graph.induced_edges(record.observation_order)
+            assert_record_matches_reference(record, pairs, rng)
+
+    def test_file_loaded_records(self, tmp_path):
+        paths = save_bundle(generate_synthetic(SyntheticSpec(num_subgraphs=40, seed=3)), tmp_path)
+        bundle = load_dataset(paths["edges"], paths["subgraphs"], embeddings=paths["embeddings"])
+        rng = np.random.default_rng(1)
+        for record in bundle.records:
+            pairs = bundle.graph.induced_edges(record.observation_order)
+            assert_record_matches_reference(record, pairs, rng)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.integers(min_value=0, max_value=2**31))
+    def test_hand_built_records_with_unsorted_pairs(self, data, seed):
+        ids = st.integers(min_value=0, max_value=10**6)
+        nodes = data.draw(st.lists(ids, min_size=1, max_size=12, unique=True))
+        member = st.sampled_from(nodes)
+        pairs = data.draw(st.lists(st.tuples(member, member), max_size=40))
+        record = SubgraphRecord(nodes, pairs, 0)
+        assert record.node_ids == tuple(sorted(nodes))
+        assert_record_matches_reference(record, pairs, np.random.default_rng(seed))
 
 
 class TestKhopNeighbors:

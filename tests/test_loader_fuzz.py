@@ -17,7 +17,7 @@ from subgraph_infomax.data import (
 
 READERS = {
     "edges": load_edge_file,
-    "subgraphs": load_subgraph_file,
+    "subgraphs": lambda path: load_subgraph_file(path, 5),
     "embeddings": lambda path: load_embedding_file(path, 2),
     "splits": lambda path: load_split_file(path, 2),
     "config": parse_kv_file,

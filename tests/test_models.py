@@ -61,12 +61,6 @@ def make_toy(variant, seed=0, **overrides):
     return bundle, model
 
 
-def local_edges(record):
-    """The record's global edge pairs as positions into its node ids."""
-    position = {n: i for i, n in enumerate(record.node_ids)}
-    return np.array([(position[u], position[v]) for u, v in record.edge_pairs]).reshape(-1, 2)
-
-
 def step_inputs(bundle, seed=0, n_obs=2):
     protocol = ObservationProtocol(n_obs=n_obs, train_jitter=False)
     rng = np.random.default_rng(seed)
@@ -211,8 +205,8 @@ class TestVariantLossValues:
         )
 
         rng2 = np.random.default_rng(7)
-        h_own = encode(model.encoder, model.table, records[0].node_ids, local_edges(records[0]))
-        h_other = encode(model.encoder, model.table, records[1].node_ids, local_edges(records[1]))
+        h_own = encode(model.encoder, model.table, records[0].node_ids, records[0].edges)
+        h_other = encode(model.encoder, model.table, records[1].node_ids, records[1].edges)
         h_obs = encode(model.encoder, model.table, partials[0].node_ids, partials[0].edges)
         s_obs = model.readout(h_obs)
         li = gd_loss(model.discriminator(h_own, s_obs), model.discriminator(h_other, s_obs))
@@ -234,7 +228,7 @@ class TestVariantLossValues:
         rng = np.random.default_rng(11)
         h_obs = encode(model.encoder, model.table, partials[0].node_ids, partials[0].edges)
         s_obs = model.readout(h_obs)
-        h_sub = encode(model.encoder, model.table, records[0].node_ids, local_edges(records[0]))
+        h_sub = encode(model.encoder, model.table, records[0].node_ids, records[0].edges)
         li = gd_loss(
             model.discriminator(h_sub, s_obs),
             model.discriminator(shuffle_negatives(h_sub, rng), s_obs),
