@@ -10,12 +10,20 @@ numpy array or a float) as a constant.  ``sum`` and ``mean`` keep the
 reduced axis: over axis 0 an (n, m) input gives (1, m), over axis 1 it
 gives (n, 1), and over ``None`` (every entry) it gives (1, 1).
 
+Inside a ``with no_grad():`` scope every op returns a constant: its output
+records no parents and keeps no backward closure, whatever its inputs
+require, so no tape is built.  Evaluation runs under it.  The scope
+touches no tensor: parameters keep their ``requires_grad`` and ``grad``.
+
 A tape is single-threaded.  Independent tapes (one per training run) may be
-used concurrently because nodes share no mutable state across tapes.
+used concurrently because nodes share no mutable state across tapes; the
+no-grad flag is held per thread, so a scope in one thread leaves another
+thread's tape recording.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -96,8 +104,28 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class _GradMode(threading.local):
+    enabled = True
+
+
+_grad_mode = _GradMode()
+
+
+class no_grad:
+    """Scope in which ops record no tape (see the module docstring); scopes
+    nest, and leaving one, also by an exception, restores the thread's
+    previous mode."""
+
+    def __enter__(self) -> None:
+        self._previous = _grad_mode.enabled
+        _grad_mode.enabled = False
+
+    def __exit__(self, *exc) -> None:
+        _grad_mode.enabled = self._previous
+
+
 def _make(values: Array, parents: tuple[Tensor, ...], backward_rule) -> Tensor:
-    if any(p.requires_grad for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad for p in parents):
         return Tensor(values, requires_grad=True, parents=parents, backward_rule=backward_rule)
     return Tensor(values)
 
@@ -137,6 +165,8 @@ def _unbroadcast(g: Array, shape: tuple[int, int]) -> Array:
 
 
 def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape == b.shape:
+        return
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:

@@ -23,7 +23,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import GlobalGraph, SubgraphRecord, bernoulli_edges
+from .graph import (
+    GlobalGraph,
+    SubgraphRecord,
+    SubgraphView,
+    bernoulli_edges,
+    induced_partial_subgraph,
+)
 
 log = logging.getLogger(__name__)
 
@@ -96,6 +102,13 @@ def sample_observed(
     return tuple(sorted(record.node_ids[i] for i in picked))
 
 
+def _frozen_key(protocol: ObservationProtocol, stage: str) -> tuple:
+    """What a frozen observed set depends on besides its record."""
+    if stage == "train":
+        raise ValueError("training observations are resampled, not frozen")
+    return (protocol.n_obs, protocol.ordered, protocol.eval_fixed_seed, stage)
+
+
 @dataclass
 class DatasetBundle:
     """A global graph plus its labeled subgraphs, splits, and features."""
@@ -115,13 +128,22 @@ class DatasetBundle:
 
     def frozen_eval(self, protocol: ObservationProtocol, stage: str) -> dict[int, tuple[int, ...]]:
         """Frozen observed sets for every record of an eval stage."""
-        if stage == "train":
-            raise ValueError("training observations are resampled, not frozen")
-        key = (protocol.n_obs, protocol.ordered, protocol.eval_fixed_seed, stage)
+        key = _frozen_key(protocol, stage)
         if key not in self._frozen_cache:
             self._frozen_cache[key] = {
                 i: sample_observed(self.records[i], protocol, stage)
                 for i in self.indices(stage)
+            }
+        return self._frozen_cache[key]
+
+    def frozen_views(self, protocol: ObservationProtocol, stage: str) -> dict[int, SubgraphView]:
+        """The observed view of every record of an eval stage: the induced
+        partial subgraph of its ``frozen_eval`` set, built once per bundle."""
+        key = (*_frozen_key(protocol, stage), "views")
+        if key not in self._frozen_cache:
+            self._frozen_cache[key] = {
+                i: induced_partial_subgraph(self.records[i], observed)
+                for i, observed in self.frozen_eval(protocol, stage).items()
             }
         return self._frozen_cache[key]
 
@@ -459,6 +481,8 @@ def load_dataset(
     rows = load_subgraph_file(subgraph_file, num_nodes)
     if not rows:
         log.warning("%s: empty subgraph file, 0 records loaded", subgraph_file)
+    if num_nodes < 1:
+        raise ValueError(f"{edge_file}: no nodes: no edges and no embedding rows")
     graph = GlobalGraph(num_nodes, edges)
 
     labels = sorted({label for label, _ in rows})

@@ -53,6 +53,10 @@ VARIANTS = (
 )
 GRAPHCL_AUGMENTATIONS = ("node-drop", "edge-perturb", "attr-mask")
 BATCH_NEGATIVE_VARIANTS = ("ps-infograph", "ps-graphcl")
+# Bytes of k-hop partitions a model keeps for inference; past it, partitions
+# are recomputed per call.  At the paper's degrees (hundreds) one partition
+# can hold a megabyte or more of edges.
+PARTITION_CACHE_BYTES = 256 << 20
 
 
 @dataclass
@@ -201,6 +205,12 @@ class _ModelBase:
         self.config = config
         self.graph = bundle.graph
         self.store = ParameterStore()
+        # Values that no parameter changes, built on first use: the k-hop
+        # partition of an observed set in inference (``khop_forward``) and
+        # the diffusion of a record's full view (``full_diffusion``).
+        self._partitions: dict[tuple[int, ...], KhopPartition] = {}
+        self._partition_bytes = 0
+        self._diffusions: dict[SubgraphRecord, SubgraphView] = {}
         self.table = self.store.create(
             "embedding", (bundle.graph.num_nodes, feature_dim), rng,
             values=bundle.embedding_values, trainable=embedding_trainable,
@@ -262,6 +272,16 @@ class _ModelBase:
             masked=view.masked or None,
             edge_weights=view.edge_weights,
         )
+
+    def full_diffusion(self, record: SubgraphRecord) -> SubgraphView:
+        """``ppr_view`` of the record's full view; it depends only on the
+        record and the config's ``(ppr_alpha, ppr_top_t)``, so it is built
+        once per record."""
+        view = self._diffusions.get(record)
+        if view is None:
+            cfg = self.config
+            view = self._diffusions[record] = ppr_view(record.view, cfg.ppr_alpha, cfg.ppr_top_t)
+        return view
 
     def prepare_batch(
         self, records: Sequence[SubgraphRecord], rng: np.random.Generator | None
@@ -357,18 +377,15 @@ class _ModelBase:
             )
 
         if variant == "ps-mvgrl":
-            # Two views, each summary against the other view's nodes.
+            # Two views, each summary against the other view's nodes.  The
+            # observed set is resampled every step, so its diffusion is too.
             cfg = self.config
             obs_diffused = ppr_view(partial, cfg.ppr_alpha, cfg.ppr_top_t)
             s_obs_b = self.readout(
                 self.encode_view(obs_diffused, training, rng, encoder=self.encoder_b)
             )
-            full = record.view
-            h_a = self.encode_view(full, training, rng)
-            h_b = self.encode_view(
-                ppr_view(full, cfg.ppr_alpha, cfg.ppr_top_t), training, rng,
-                encoder=self.encoder_b,
-            )
+            h_a = self.encode_view(record.view, training, rng)
+            h_b = self.encode_view(self.full_diffusion(record), training, rng, encoder=self.encoder_b)
             loss_a = gd_loss(
                 discriminator(h_a, s_obs_b),
                 discriminator(shuffle_negatives(h_a, rng), s_obs_b),
@@ -423,6 +440,12 @@ def topk_softmax_pool(
     return pooled, tuple(int(ids[i]) for i in selected)
 
 
+def _partition_bytes(partition: KhopPartition) -> int:
+    """Memory a partition holds: its edge array, plus about 36 bytes per id
+    in its tuples (a pointer and an int object)."""
+    return partition.edges_khop.nbytes + 36 * (len(partition.node_ids) + len(partition.neighbors))
+
+
 def khop_forward(
     model: "_ModelBase",
     record: SubgraphRecord,
@@ -438,14 +461,26 @@ def khop_forward(
     belongs to the full subgraph are positives, all others negatives.
     """
     cfg = model.config
-    partition = khop_neighbors(
-        model.graph,
-        partial.node_ids,
-        cfg.k,
-        cap=cfg.neighbor_cap,
-        p_d=cfg.p_d if training else 0.0,
-        rng=rng,
-    )
+    partition = None if training else model._partitions.get(partial.node_ids)
+    if partition is None:
+        partition = khop_neighbors(
+            model.graph,
+            partial.node_ids,
+            cfg.k,
+            cap=cfg.neighbor_cap,
+            p_d=cfg.p_d if training else 0.0,
+            rng=rng,
+        )
+        # In inference (``p_d`` 0) a partition whose cap did not bind drew
+        # nothing from ``rng``: the observed ids fix it, so it is kept while
+        # the byte budget lasts.  A capped one is drawn again from each
+        # call's rng.
+        cap = cfg.neighbor_cap
+        if not training and (cap is None or len(partition.neighbors) < cap):
+            size = _partition_bytes(partition)
+            if model._partition_bytes + size <= PARTITION_CACHE_BYTES:
+                model._partitions[partial.node_ids] = partition
+                model._partition_bytes += size
     h_obs = model.encode_view(partial, training, rng)
     positions = observation_positions(record, partial, cfg.use_positional_encoding)
     s_obs = model.readout(h_obs, positions)

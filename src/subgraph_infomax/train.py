@@ -278,20 +278,24 @@ def evaluate(
     protocol: ObservationProtocol,
     stage: str,
 ) -> float:
-    """Accuracy over a stage's frozen partial observations; deterministic."""
+    """Accuracy over a stage's frozen partial observations; deterministic.
+
+    The observed views come from the bundle's frozen cache, and the steps
+    run under ``no_grad``, so no tape is built.
+    """
     indices = bundle.indices(stage)
     if not indices:
         raise ValueError(f"stage {stage!r} has no records")
-    frozen = bundle.frozen_eval(protocol, stage)
+    views = bundle.frozen_views(protocol, stage)
     correct = 0
-    for idx in indices:
-        record = bundle.records[idx]
-        partial = induced_partial_subgraph(record, frozen[idx])
-        # Fresh per-record rng: only consumed if neighborhood capping binds.
-        rng = np.random.default_rng([protocol.eval_fixed_seed, 104729, idx])
-        out = model.step(record, partial, rng=rng, training=False)
-        if int(np.argmax(out.logits)) == record.label:
-            correct += 1
+    with ad.no_grad():
+        for idx in indices:
+            record = bundle.records[idx]
+            # Fresh per-record rng: only consumed if neighborhood capping binds.
+            rng = np.random.default_rng([protocol.eval_fixed_seed, 104729, idx])
+            out = model.step(record, views[idx], rng=rng, training=False)
+            if int(np.argmax(out.logits)) == record.label:
+                correct += 1
     return correct / len(indices)
 
 

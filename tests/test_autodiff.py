@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -45,6 +46,20 @@ class TestForwardOps:
     def test_shape_mismatch_reports_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+
+    @pytest.mark.parametrize("op", ["add", "mul", "div"])
+    def test_incompatible_broadcast_reports_both_shapes(self, op):
+        a, b = Tensor(np.ones((2, 3))), Tensor(np.ones((3, 2)))
+        with pytest.raises(ValueError) as info:
+            getattr(ad, op)(a, b)
+        assert str(info.value) == f"{op}: incompatible shapes (2, 3) and (3, 2)"
+
+    @pytest.mark.parametrize("shapes", [((2, 3), (2, 3)), ((2, 3), (1, 3)), ((2, 1), (1, 3))])
+    def test_compatible_shapes_broadcast(self, shapes):
+        a, b = (Tensor(np.full(shape, 2.0)) for shape in shapes)
+        out = ad.mul(a, b)
+        assert out.shape == np.broadcast_shapes(*shapes)
+        assert (out.values == 4.0).all()
 
     def test_dropout_p0_is_identity(self):
         x = param(np.array([[1.5, -2.5, 0.0]]))
@@ -183,6 +198,53 @@ class TestBackward:
             return ad.sum(y).item()
 
         assert run() == run()
+
+
+class TestNoGrad:
+    def test_ops_record_no_tape(self):
+        x = param([[1.0, -2.0]])
+        with ad.no_grad():
+            y = ad.sum(ad.relu(ad.mul(x, x)))
+        assert y.values[0, 0] == 5.0
+        assert not y.requires_grad and y._parents == () and y._backward is None
+        assert x.requires_grad and x.grad is None
+
+    def test_scopes_nest_and_restore_on_exception(self):
+        x = param([[1.0]])
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                with ad.no_grad():
+                    pass
+                assert not ad.scale(x, 2.0).requires_grad
+                raise RuntimeError("inside the scope")
+        y = ad.scale(x, 2.0)
+        assert y.requires_grad and y._parents == (x,)
+        backward(ad.sum(y))
+        assert np.array_equal(x.grad, [[2.0]])
+
+    def test_scope_in_one_thread_leaves_another_recording(self):
+        entered, done = threading.Event(), threading.Event()
+
+        def hold_scope():
+            with ad.no_grad():
+                entered.set()
+                done.wait(10)
+
+        worker = threading.Thread(target=hold_scope)
+        worker.start()
+        try:
+            assert entered.wait(10)
+            x = param([[3.0]])
+            y = ad.scale(x, 2.0)
+            assert y.requires_grad and y._parents == (x,)
+        finally:
+            done.set()
+            worker.join()
+
+    def test_scope_is_not_a_tape_op(self):
+        # ``__all__`` lists the tape ops; a span tracer wraps each of them.
+        assert isinstance(ad.no_grad, type)
+        assert "no_grad" not in ad.__all__
 
 
 class TestMergedOpsMatchTheOpsTheyReplace:

@@ -301,6 +301,17 @@ class TestFileRoundTrip:
                 tmp_path / "edges.txt", tmp_path / "subs.tsv", embeddings=tmp_path / "emb.txt"
             )
 
+    def test_empty_dataset_reports_the_edge_file(self, tmp_path):
+        # Before, the graph constructor raised "num_nodes must be >= 1, got 0",
+        # which names no file.
+        (tmp_path / "edges.txt").write_text("# no edges\n", encoding="utf-8")
+        (tmp_path / "subs.tsv").write_text("", encoding="utf-8")
+        edge_file = str(tmp_path / "edges.txt")
+        with pytest.raises(ValueError) as info:
+            load_dataset(edge_file, tmp_path / "subs.tsv")
+        assert str(info.value).startswith(f"{edge_file}: ")
+        assert "no edges and no embedding rows" in str(info.value)
+
     def test_record_edges_are_the_global_induced_edges(self, tmp_path):
         bundle = generate_synthetic(SyntheticSpec(num_nodes=70, num_subgraphs=12, seed=9))
         paths = save_bundle(bundle, tmp_path)
