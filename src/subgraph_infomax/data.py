@@ -25,17 +25,23 @@ import numpy as np
 
 from .graph import (
     GlobalGraph,
+    KhopPartition,
     SubgraphRecord,
     SubgraphView,
     bernoulli_edges,
     induced_partial_subgraph,
+    khop_neighbors,
 )
+from .infomax import ppr_view
 
 log = logging.getLogger(__name__)
 
 STAGES = ("train", "val", "test")
 _STAGE_CODE = {"val": 1, "test": 2}
 DEFAULT_SPLIT_RATIOS = (0.7, 0.15, 0.15)
+# Bytes of eval k-hop partitions a bundle keeps (``frozen_partition``).  At
+# the paper's degrees (hundreds) one partition can hold a megabyte of edges.
+PARTITION_CACHE_BYTES = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,9 @@ def _frozen_key(protocol: ObservationProtocol, stage: str) -> tuple:
 
 @dataclass
 class DatasetBundle:
-    """A global graph plus its labeled subgraphs, splits, and features."""
+    """A global graph plus its labeled subgraphs, splits, and features.  Its
+    frozen cache keeps each value that the data and a config fix, for every
+    model and seed that shares the bundle."""
 
     graph: GlobalGraph
     records: tuple[SubgraphRecord, ...]
@@ -119,7 +127,8 @@ class DatasetBundle:
     splits: tuple[str, ...]
     embedding_values: np.ndarray | None = None
     name: str = "dataset"
-    _frozen_cache: dict = field(default_factory=dict, repr=False)
+    _frozen_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _partition_bytes: int = field(default=0, init=False, repr=False)
 
     def indices(self, stage: str) -> list[int]:
         if stage not in STAGES:
@@ -146,6 +155,33 @@ class DatasetBundle:
                 for i, observed in self.frozen_eval(protocol, stage).items()
             }
         return self._frozen_cache[key]
+
+    def frozen_partition(
+        self, protocol: ObservationProtocol, stage: str, idx: int, k: int, cap: int | None
+    ) -> KhopPartition:
+        """The k-hop partition, without edge dropout, of record ``idx``'s
+        ``frozen_eval`` set; a binding cap draws from the record's own seed.
+        It is kept while ``PARTITION_CACHE_BYTES`` last, else drawn again."""
+        kept = self._frozen_cache.setdefault((*_frozen_key(protocol, stage), k, cap), {})
+        partition = kept.get(idx)
+        if partition is None:
+            rng = np.random.default_rng([protocol.eval_fixed_seed, 104729, idx])
+            observed = self.frozen_eval(protocol, stage)[idx]
+            partition = khop_neighbors(self.graph, observed, k, cap=cap, rng=rng)
+            # Its edge array plus about 36 bytes (pointer and int) per tuple id.
+            ids = len(partition.node_ids) + len(partition.neighbors)
+            size = partition.edges_khop.nbytes + 36 * ids
+            if self._partition_bytes + size <= PARTITION_CACHE_BYTES:
+                kept[idx] = partition
+                self._partition_bytes += size
+        return partition
+
+    def diffusion(self, record: SubgraphRecord, alpha: float, top_t: int) -> SubgraphView:
+        """``ppr_view`` of the record's full view, built once per ``(alpha, top_t)``."""
+        views = self._frozen_cache.setdefault(("diffusion", alpha, top_t), {})
+        if record not in views:
+            views[record] = ppr_view(record.view, alpha, top_t)
+        return views[record]
 
     @property
     def feature_dim(self) -> int | None:
@@ -473,7 +509,9 @@ def load_dataset(
     and otherwise the nodes up to the largest id in the edge file; a record
     id outside them is an error.  ``split`` is either a split-file path or a
     ``(ratios, seed)`` pair.  Single-node subgraphs are excluded with a
-    warning.  When ``expected`` is given, the loader statistics must match it.
+    warning; the classes are the distinct labels of the kept records, in
+    sorted order.  When ``expected`` is given, the loader statistics must
+    match it.
     """
     num_nodes, edges = load_edge_file(edge_file, directed=directed)
     embedding_values = load_embedding_file(embeddings, num_nodes) if embeddings else None
@@ -485,17 +523,12 @@ def load_dataset(
         raise ValueError(f"{edge_file}: no nodes: no edges and no embedding rows")
     graph = GlobalGraph(num_nodes, edges)
 
-    labels = sorted({label for label, _ in rows})
+    kept = [(label, ids) for label, ids in rows if len(ids) >= 2]
+    if len(kept) < len(rows):
+        log.warning("%s: excluded %d single-node subgraphs", subgraph_file, len(rows) - len(kept))
+    labels = sorted({label for label, _ in kept})
     label_index = {lab: i for i, lab in enumerate(labels)}
-    records = []
-    skipped = 0
-    for label, ids in rows:
-        if len(ids) < 2:
-            skipped += 1
-            continue
-        records.append(_record(graph, ids, label_index[label]))
-    if skipped:
-        log.warning("%s: excluded %d single-node subgraphs", subgraph_file, skipped)
+    records = [_record(graph, ids, label_index[label]) for label, ids in kept]
 
     if split is None:
         assignment = make_splits(len(records), DEFAULT_SPLIT_RATIOS, seed=0)
@@ -508,7 +541,7 @@ def load_dataset(
     bundle = DatasetBundle(
         graph=graph,
         records=tuple(records),
-        num_classes=len(labels) if labels else 0,
+        num_classes=len(labels),
         splits=assignment,
         embedding_values=embedding_values,
         name=Path(str(subgraph_file)).stem,

@@ -53,10 +53,6 @@ VARIANTS = (
 )
 GRAPHCL_AUGMENTATIONS = ("node-drop", "edge-perturb", "attr-mask")
 BATCH_NEGATIVE_VARIANTS = ("ps-infograph", "ps-graphcl")
-# Bytes of k-hop partitions a model keeps for inference; past it, partitions
-# are recomputed per call.  At the paper's degrees (hundreds) one partition
-# can hold a megabyte or more of edges.
-PARTITION_CACHE_BYTES = 256 << 20
 
 
 @dataclass
@@ -190,6 +186,10 @@ class _ModelBase:
     ``ce + lambda * term``, in order: khop, then infomax or second.  The
     two-stage ``second`` term is the ps-dgi or ps-infograph term scored
     against the reconstructed summary with its own bilinear matrix.
+
+    A model holds only its config, its bundle and its parameters: values
+    that the data and the config fix (eval partitions, full-view
+    diffusions) live in the bundle's frozen cache.
     """
 
     def __init__(
@@ -203,14 +203,8 @@ class _ModelBase:
         if feature_dim is None:
             raise ValueError("the bundle carries no node features or embedding table")
         self.config = config
-        self.graph = bundle.graph
+        self.bundle = bundle
         self.store = ParameterStore()
-        # Values that no parameter changes, built on first use: the k-hop
-        # partition of an observed set in inference (``khop_forward``) and
-        # the diffusion of a record's full view (``full_diffusion``).
-        self._partitions: dict[tuple[int, ...], KhopPartition] = {}
-        self._partition_bytes = 0
-        self._diffusions: dict[SubgraphRecord, SubgraphView] = {}
         self.table = self.store.create(
             "embedding", (bundle.graph.num_nodes, feature_dim), rng,
             values=bundle.embedding_values, trainable=embedding_trainable,
@@ -273,16 +267,6 @@ class _ModelBase:
             edge_weights=view.edge_weights,
         )
 
-    def full_diffusion(self, record: SubgraphRecord) -> SubgraphView:
-        """``ppr_view`` of the record's full view; it depends only on the
-        record and the config's ``(ppr_alpha, ppr_top_t)``, so it is built
-        once per record."""
-        view = self._diffusions.get(record)
-        if view is None:
-            cfg = self.config
-            view = self._diffusions[record] = ppr_view(record.view, cfg.ppr_alpha, cfg.ppr_top_t)
-        return view
-
     def prepare_batch(
         self, records: Sequence[SubgraphRecord], rng: np.random.Generator | None
     ) -> BatchContext:
@@ -318,11 +302,12 @@ class _ModelBase:
         batch: BatchContext | None = None,
         rng: np.random.Generator | None = None,
         training: bool = False,
+        partition: KhopPartition | None = None,
     ) -> StepOutput:
         cfg = self.config
         khop = None
         if cfg.first_variant == "khop":
-            khop = khop_forward(self, record, partial, rng=rng, training=training)
+            khop = khop_forward(self, record, partial, rng, training, partition)
             s_obs = khop.s_obs
             summary = khop.s_khop
             if cfg.concat_observed_summary:
@@ -385,7 +370,8 @@ class _ModelBase:
                 self.encode_view(obs_diffused, training, rng, encoder=self.encoder_b)
             )
             h_a = self.encode_view(record.view, training, rng)
-            h_b = self.encode_view(self.full_diffusion(record), training, rng, encoder=self.encoder_b)
+            diffused = self.bundle.diffusion(record, cfg.ppr_alpha, cfg.ppr_top_t)
+            h_b = self.encode_view(diffused, training, rng, encoder=self.encoder_b)
             loss_a = gd_loss(
                 discriminator(h_a, s_obs_b),
                 discriminator(shuffle_negatives(h_a, rng), s_obs_b),
@@ -440,47 +426,29 @@ def topk_softmax_pool(
     return pooled, tuple(int(ids[i]) for i in selected)
 
 
-def _partition_bytes(partition: KhopPartition) -> int:
-    """Memory a partition holds: its edge array, plus about 36 bytes per id
-    in its tuples (a pointer and an int object)."""
-    return partition.edges_khop.nbytes + 36 * (len(partition.node_ids) + len(partition.neighbors))
-
-
 def khop_forward(
     model: "_ModelBase",
     record: SubgraphRecord,
     partial: SubgraphView,
     rng: np.random.Generator | None = None,
     training: bool = False,
+    partition: KhopPartition | None = None,
 ) -> KhopResult:
     """Score the k-hop neighborhood against the observed summary and pool it.
 
-    The pooled summary is a softmax-weighted average of the top-scoring
-    rows (ties broken by lower node id), passed through a two-layer MLP.
-    In training the membership loss is also returned: scored rows whose id
-    belongs to the full subgraph are positives, all others negatives.
+    The neighbourhood is ``partition`` (``evaluate`` passes the bundle's
+    frozen one), or else is drawn from ``rng``.  The pooled summary is a
+    softmax-weighted average of the top-scoring rows (ties broken by lower
+    node id), passed through a two-layer MLP.  In training the membership
+    loss is also returned: scored rows whose id belongs to the full
+    subgraph are positives, all others negatives.
     """
     cfg = model.config
-    partition = None if training else model._partitions.get(partial.node_ids)
     if partition is None:
+        p_d = cfg.p_d if training else 0.0
         partition = khop_neighbors(
-            model.graph,
-            partial.node_ids,
-            cfg.k,
-            cap=cfg.neighbor_cap,
-            p_d=cfg.p_d if training else 0.0,
-            rng=rng,
+            model.bundle.graph, partial.node_ids, cfg.k, cap=cfg.neighbor_cap, p_d=p_d, rng=rng
         )
-        # In inference (``p_d`` 0) a partition whose cap did not bind drew
-        # nothing from ``rng``: the observed ids fix it, so it is kept while
-        # the byte budget lasts.  A capped one is drawn again from each
-        # call's rng.
-        cap = cfg.neighbor_cap
-        if not training and (cap is None or len(partition.neighbors) < cap):
-            size = _partition_bytes(partition)
-            if model._partition_bytes + size <= PARTITION_CACHE_BYTES:
-                model._partitions[partial.node_ids] = partition
-                model._partition_bytes += size
     h_obs = model.encode_view(partial, training, rng)
     positions = observation_positions(record, partial, cfg.use_positional_encoding)
     s_obs = model.readout(h_obs, positions)

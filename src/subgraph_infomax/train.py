@@ -129,10 +129,6 @@ class MetricsRecord:
     def std(self) -> float:
         return float(np.std(self.accuracies))
 
-    @property
-    def any_diverged(self) -> bool:
-        return any(s.diverged for s in self.per_seed)
-
 
 def load_bundle(config: RunConfig) -> DatasetBundle:
     if config.files is not None:
@@ -280,20 +276,23 @@ def evaluate(
 ) -> float:
     """Accuracy over a stage's frozen partial observations; deterministic.
 
-    The observed views come from the bundle's frozen cache, and the steps
+    The observed views, and a k-hop model's partitions, come from the
+    bundle's frozen cache, so a step draws nothing from an rng; the steps
     run under ``no_grad``, so no tape is built.
     """
     indices = bundle.indices(stage)
     if not indices:
         raise ValueError(f"stage {stage!r} has no records")
     views = bundle.frozen_views(protocol, stage)
+    cfg = model.config
     correct = 0
     with ad.no_grad():
         for idx in indices:
             record = bundle.records[idx]
-            # Fresh per-record rng: only consumed if neighborhood capping binds.
-            rng = np.random.default_rng([protocol.eval_fixed_seed, 104729, idx])
-            out = model.step(record, views[idx], rng=rng, training=False)
+            partition = None
+            if cfg.first_variant == "khop":
+                partition = bundle.frozen_partition(protocol, stage, idx, cfg.k, cfg.neighbor_cap)
+            out = model.step(record, views[idx], partition=partition)
             if int(np.argmax(out.logits)) == record.label:
                 correct += 1
     return correct / len(indices)

@@ -1,11 +1,11 @@
 """Values computed once instead of per call, checked against the path they replace.
 
-``evaluate`` reads each record's observed view from the bundle's frozen
-cache, reuses the model's k-hop partition of an observed set when the
-neighbour cap did not bind, and runs its steps under ``no_grad``.  The old
-path, kept inline here as the reference, built a fresh partial view and a
-fresh partition per record on the full tape.  ps-mvgrl diffuses each
-record's full view once.
+``evaluate`` reads each record's observed view and, for a k-hop model, its
+k-hop partition from the bundle's frozen cache, hands ``model.step`` no
+rng, and runs its steps under ``no_grad``.  The old path, kept inline here
+as the reference, built a fresh partial view and a fresh partition per
+record, drawn from the record's own rng, on the full tape.  ps-mvgrl reads
+each record's full-view diffusion from the same cache.
 """
 
 import dataclasses
@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from subgraph_infomax import autodiff as ad
-from subgraph_infomax import models
+from subgraph_infomax import data, models
 from subgraph_infomax.data import ObservationProtocol, generate_synthetic, sample_observed
 from subgraph_infomax.graph import induced_partial_subgraph, khop_neighbors
 from subgraph_infomax.infomax import ppr_view
 from subgraph_infomax.models import VARIANTS, build_model
-from subgraph_infomax.train import evaluate
+from subgraph_infomax.train import RunConfig, evaluate, train
 from subgraph_infomax.verify import OPTION_CHECKS, _toy_model_config, _toy_spec
 
 STAGES = ("val", "test")
@@ -39,34 +39,32 @@ def case_id(case):
     return "/".join([variant, *(f"{k}={v}" for k, v in overrides.items())])
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def bundle():
+    """A fresh bundle per test, so each starts with a cold cache."""
     bundle = generate_synthetic(SPEC)
     assert all(bundle.indices(stage) for stage in STAGES)
     return bundle
 
 
-def make_model(bundle, variant, **overrides):
+def make_model(bundle, variant, seed=5, **overrides):
     config = dataclasses.replace(_toy_model_config(variant), dropout=0.2, **overrides)
-    return build_model(config, bundle, np.random.default_rng(5))
+    return build_model(config, bundle, np.random.default_rng(seed))
 
 
-def forget_partitions(model):
-    model._partitions.clear()
-    model._partition_bytes = 0
+def record_rng(idx):
+    """The rng the old path gave record ``idx``'s eval step."""
+    return np.random.default_rng([PROTOCOL.eval_fixed_seed, 104729, idx])
 
 
 def reference_logits(model, bundle, stage):
-    """The old evaluation path: a fresh partial view and a fresh k-hop
-    partition per record, on the full tape."""
+    """The old evaluation path: a fresh partial view and, inside ``step``, a
+    fresh k-hop partition drawn from the record's rng, on the full tape."""
     logits = {}
     for idx in bundle.indices(stage):
         record = bundle.records[idx]
         partial = induced_partial_subgraph(record, sample_observed(record, PROTOCOL, stage))
-        forget_partitions(model)
-        rng = np.random.default_rng([PROTOCOL.eval_fixed_seed, 104729, idx])
-        logits[idx] = model.step(record, partial, rng=rng, training=False).logits
-    forget_partitions(model)
+        logits[idx] = model.step(record, partial, rng=record_rng(idx), training=False).logits
     return logits
 
 
@@ -76,11 +74,13 @@ def accuracy(bundle, logits):
 
 
 def recorded_evaluate(model, bundle, stage):
-    """``evaluate``'s accuracy plus the logits of each of its steps, in order."""
-    logits = []
+    """``evaluate``'s accuracy plus the logits of each of its steps, in order.
+    Every step must be handed no rng."""
+    logits, rngs = [], []
     step = model.step
 
     def recording_step(record, partial, **kwargs):
+        rngs.append(kwargs.get("rng"))
         out = step(record, partial, **kwargs)
         logits.append(out.logits)
         return out
@@ -90,6 +90,8 @@ def recorded_evaluate(model, bundle, stage):
         acc = evaluate(model, bundle, PROTOCOL, stage)
     finally:
         del model.step
+    assert len(rngs) == len(bundle.indices(stage))
+    assert all(rng is None for rng in rngs)
     return acc, dict(zip(bundle.indices(stage), logits))
 
 
@@ -99,16 +101,49 @@ def assert_same_logits(got, want):
         assert got[idx].tobytes() == want[idx].tobytes(), idx
 
 
-def assert_two_passes_match_the_reference(model, bundle, stage):
-    """A cold and a warm ``evaluate`` pass against the old path: bit-equal
+def count_khop_calls(monkeypatch, modules=(data, models)):
+    """Record every ``khop_neighbors`` call made from ``modules``: by
+    default both the bundle's and a model's."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return khop_neighbors(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, "khop_neighbors", counting)
+    return calls
+
+
+def assert_passes_match_the_reference(model, bundle, stage):
+    """A first and a second ``evaluate`` pass against the old path: bit-equal
     logits per record and equal accuracies."""
     first_acc, first = recorded_evaluate(model, bundle, stage)
     second_acc, second = recorded_evaluate(model, bundle, stage)
-    assert_caches_are_fresh(model, bundle)
     want = reference_logits(model, bundle, stage)
     assert_same_logits(first, want)
     assert_same_logits(second, want)
     assert first_acc == second_acc == accuracy(bundle, want)
+
+
+def assert_cold_warm_and_second_model_match(bundle, monkeypatch, variant, **overrides):
+    """Cold and warm passes of one model, then a second model on the same
+    bundle: each matches its own reference, and the second model's passes
+    draw no k-hop partition."""
+    model = make_model(bundle, variant, **overrides)
+    for stage in STAGES:
+        assert_passes_match_the_reference(model, bundle, stage)
+    second = make_model(bundle, variant, seed=6, **overrides)
+    calls = count_khop_calls(monkeypatch)
+    passes = {stage: recorded_evaluate(second, bundle, stage) for stage in STAGES}
+    assert calls == []
+    monkeypatch.undo()
+    for stage, (acc, logits) in passes.items():
+        want = reference_logits(second, bundle, stage)
+        assert_same_logits(logits, want)
+        assert acc == accuracy(bundle, want)
+    assert_caches_are_fresh(bundle)
+    return model
 
 
 def assert_views_equal(got, want):
@@ -122,22 +157,40 @@ def assert_views_equal(got, want):
         assert got.edge_weights.tobytes() == want.edge_weights.tobytes()
 
 
-def assert_caches_are_fresh(model, bundle):
-    """Every cached view and partition equals a fresh computation."""
+def kept_partitions(bundle, stage, k, cap):
+    """The partitions the bundle keeps for one stage, ``k`` and cap."""
+    key = (PROTOCOL.n_obs, PROTOCOL.ordered, PROTOCOL.eval_fixed_seed, stage, k, cap)
+    return bundle._frozen_cache.get(key, {})
+
+
+def assert_partitions_equal(got, want):
+    assert got.node_ids == want.node_ids
+    assert got.neighbors == want.neighbors
+    assert got.edges_khop.dtype == want.edges_khop.dtype
+    assert np.array_equal(got.edges_khop, want.edges_khop)
+
+
+def assert_caches_are_fresh(bundle):
+    """Every cached view equals a fresh computation, and every kept
+    partition equals a fresh draw from its record's seed."""
     for stage in STAGES:
         observed = bundle.frozen_eval(PROTOCOL, stage)
         views = bundle.frozen_views(PROTOCOL, stage)
         assert views.keys() == observed.keys()
         for idx, ids in observed.items():
             assert_views_equal(views[idx], induced_partial_subgraph(bundle.records[idx], ids))
-    cfg = model.config
-    for ids, partition in model._partitions.items():
-        # No rng: a cached partition is one the cap did not bind.
-        fresh = khop_neighbors(model.graph, ids, cfg.k, cap=cfg.neighbor_cap)
-        assert partition.node_ids == fresh.node_ids
-        assert partition.neighbors == fresh.neighbors
-        assert partition.edges_khop.dtype == fresh.edges_khop.dtype
-        assert np.array_equal(partition.edges_khop, fresh.edges_khop)
+    for key, kept in bundle._frozen_cache.items():
+        if len(key) != 6:
+            continue
+        *_, stage, k, cap = key
+        observed = bundle.frozen_eval(PROTOCOL, stage)
+        for idx, partition in kept.items():
+            fresh = khop_neighbors(bundle.graph, observed[idx], k, cap=cap, rng=record_rng(idx))
+            assert_partitions_equal(partition, fresh)
+
+
+def partition_bytes(partition):
+    return partition.edges_khop.nbytes + 36 * (len(partition.node_ids) + len(partition.neighbors))
 
 
 def train_step_grads(model, bundle):
@@ -174,15 +227,16 @@ def assert_grad_mode_restored(model):
 
 class TestEvaluateAgainstTheOldPath:
     @pytest.mark.parametrize("case", CASES, ids=case_id)
-    def test_logits_accuracy_and_caches(self, bundle, case):
+    def test_logits_accuracy_and_caches(self, bundle, monkeypatch, case):
         variant, overrides = case
-        model = make_model(bundle, variant, **overrides)
+        model = assert_cold_warm_and_second_model_match(bundle, monkeypatch, variant, **overrides)
+        cfg = model.config
         for stage in STAGES:
-            assert_two_passes_match_the_reference(model, bundle, stage)
-        if model.config.first_variant == "khop":
-            # The default cap binds on no toy record, so every partition was kept.
-            evaluate(model, bundle, PROTOCOL, "test")
-            assert set(model._partitions) == set(bundle.frozen_eval(PROTOCOL, "test").values())
+            kept = kept_partitions(bundle, stage, cfg.k, cfg.neighbor_cap)
+            # The default cap binds on no toy record, and the budget holds
+            # every partition.
+            want = bundle.indices(stage) if cfg.first_variant == "khop" else []
+            assert sorted(kept) == want
 
     @pytest.mark.parametrize("case", CASES, ids=case_id)
     def test_builds_no_tape_and_leaves_parameters_alone(self, bundle, case, monkeypatch):
@@ -226,46 +280,79 @@ class TestEvaluateAgainstTheOldPath:
         assert parameter_state(model) == before
         assert_grad_mode_restored(model)
 
-    def test_a_binding_cap_keeps_only_uncapped_partitions(self, bundle):
+    def test_a_binding_cap_keeps_partitions_drawn_once(self, bundle, monkeypatch):
         # A cap between the smallest and largest uncapped neighbourhoods:
-        # records above it are drawn from their rng each time, the rest are
-        # kept.
+        # records above it draw their neighbours from their own seed, once,
+        # and those partitions are kept as well.
         sizes = {}
         for stage in STAGES:
-            for ids in bundle.frozen_eval(PROTOCOL, stage).values():
-                sizes[ids] = len(khop_neighbors(bundle.graph, ids, 1, cap=None).neighbors)
+            for idx, ids in bundle.frozen_eval(PROTOCOL, stage).items():
+                sizes[stage, idx] = len(khop_neighbors(bundle.graph, ids, 1, cap=None).neighbors)
         cap = sorted(sizes.values())[len(sizes) // 2]
         assert min(sizes.values()) < cap < max(sizes.values())
-        model = make_model(bundle, "khop", neighbor_cap=cap)
+        assert_cold_warm_and_second_model_match(bundle, monkeypatch, "khop", neighbor_cap=cap)
         for stage in STAGES:
-            assert_two_passes_match_the_reference(model, bundle, stage)
-        for stage in STAGES:
-            evaluate(model, bundle, PROTOCOL, stage)
-        # A neighbourhood of exactly ``cap`` may have been cut down to it.
-        assert set(model._partitions) == {ids for ids, size in sizes.items() if size < cap}
+            kept = kept_partitions(bundle, stage, 1, cap)
+            assert sorted(kept) == bundle.indices(stage)
+            for idx, partition in kept.items():
+                assert len(partition.neighbors) == min(cap, sizes[stage, idx])
 
-    def test_the_byte_budget_bounds_the_partition_cache(self, bundle, monkeypatch):
-        model = make_model(bundle, "khop")
-        observed = list(bundle.frozen_eval(PROTOCOL, "test").values())
-        budget = sum(
-            models._partition_bytes(khop_neighbors(bundle.graph, ids, 1, cap=None))
-            for ids in observed[:2]
+    def test_seeds_of_a_run_share_the_eval_partitions(self, bundle, monkeypatch):
+        config = RunConfig(
+            model=_toy_model_config("khop"), protocol=PROTOCOL, synthetic=SPEC,
+            epochs=2, batch_size=4, seeds=(0, 1),
         )
-        monkeypatch.setattr(models, "PARTITION_CACHE_BYTES", budget)
-        evaluate(model, bundle, PROTOCOL, "test")
-        assert list(model._partitions) == observed[:2]
-        assert model._partition_bytes == budget
-        assert_two_passes_match_the_reference(model, bundle, "test")
+        # Only evaluation reaches ``data.khop_neighbors``; training draws
+        # its partitions in the model.
+        calls = count_khop_calls(monkeypatch, modules=(data,))
+        train(config, bundle=bundle)
+        assert len(calls) == sum(len(bundle.indices(stage)) for stage in STAGES)
+
+    def test_the_byte_budget_bounds_the_bundle_cache(self, bundle, monkeypatch):
+        observed = bundle.frozen_eval(PROTOCOL, "test")
+        first_two = bundle.indices("test")[:2]
+        budget = sum(
+            partition_bytes(khop_neighbors(bundle.graph, observed[idx], 1, cap=None))
+            for idx in first_two
+        )
+        monkeypatch.setattr(data, "PARTITION_CACHE_BYTES", budget)
+        model = make_model(bundle, "khop")
+        assert_passes_match_the_reference(model, bundle, "test")
+        assert sorted(kept_partitions(bundle, "test", 1, model.config.neighbor_cap)) == first_two
+        assert bundle._partition_bytes == budget
+        # A second model, and another stage, find the budget spent.
+        other = make_model(bundle, "khop+ps-dgi", seed=6)
+        for stage in STAGES:
+            assert_passes_match_the_reference(other, bundle, stage)
+        assert kept_partitions(bundle, "val", 1, model.config.neighbor_cap) == {}
+        assert bundle._partition_bytes == budget
+        assert_caches_are_fresh(bundle)
 
 
 class TestFullDiffusionCache:
-    def test_cached_view_equals_a_fresh_diffusion(self, bundle):
-        model = make_model(bundle, "ps-mvgrl")
-        train_step_grads(model, bundle)
+    def test_models_on_one_bundle_share_each_diffusion(self, bundle, monkeypatch):
+        got, diffused = [], []
+        diffusion = bundle.diffusion
+
+        def recording_diffusion(record, alpha, top_t):
+            view = diffusion(record, alpha, top_t)
+            got.append((record, view))
+            return view
+
+        def counting_ppr_view(view, alpha, top_t):
+            diffused.append(view)
+            return ppr_view(view, alpha, top_t)
+
+        monkeypatch.setattr(bundle, "diffusion", recording_diffusion)
+        monkeypatch.setattr(data, "ppr_view", counting_ppr_view)
+        first, second = (make_model(bundle, "ps-mvgrl", seed=seed) for seed in (5, 6))
+        train_step_grads(first, bundle)
+        train_step_grads(second, bundle)
         trained = [bundle.records[i] for i in bundle.indices("train")[:3]]
-        assert set(model._diffusions) == set(trained)
-        cfg = model.config
-        for record in trained:
-            cached = model.full_diffusion(record)
-            assert cached is model._diffusions[record]
-            assert_views_equal(cached, ppr_view(record.view, cfg.ppr_alpha, cfg.ppr_top_t))
+        # Each model diffuses each trained record once per step.
+        assert [record for record, _ in got] == trained + trained
+        assert len(diffused) == len(trained)
+        cfg = first.config
+        for record, view in got:
+            assert view is got[trained.index(record)][1]
+            assert_views_equal(view, ppr_view(record.view, cfg.ppr_alpha, cfg.ppr_top_t))

@@ -394,6 +394,30 @@ class TestFileRoundTrip:
         assert len(bundle.records) == 1
         assert any("single-node" in r.message for r in caplog.records)
 
+    def test_classes_come_from_the_kept_records(self, tmp_path):
+        # Label 7 is carried only by the excluded single-node record; it used
+        # to count as a second class that no record has.
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n2 3\n", encoding="utf-8")
+        (tmp_path / "subs.tsv").write_text("0\t0,1\n0\t1,2\n7\t3\n", encoding="utf-8")
+        bundle = load_dataset(tmp_path / "edges.txt", tmp_path / "subs.tsv")
+        assert bundle.num_classes == 1
+        assert [r.label for r in bundle.records] == [0, 0]
+
+    def test_round_trip_keeps_classes_past_an_excluded_record(self, tmp_path):
+        # Label 3 is carried only by a single-node record.  Before, it took
+        # class 0, so 5 and 9 loaded as classes 1 and 2 of 3, and the saved
+        # bundle reloaded as 2 classes with its labels renumbered to 0 and 1.
+        (tmp_path / "edges.txt").write_text("0 1\n1 2\n", encoding="utf-8")
+        (tmp_path / "subs.tsv").write_text("5\t0,1\n3\t2\n9\t1,2\n", encoding="utf-8")
+        bundle = load_dataset(tmp_path / "edges.txt", tmp_path / "subs.tsv")
+        assert bundle.num_classes == 2
+        assert [r.label for r in bundle.records] == [0, 1]
+        paths = save_bundle(bundle, tmp_path / "saved")
+        loaded = load_dataset(paths["edges"], paths["subgraphs"], split=paths["splits"])
+        assert loaded.num_classes == bundle.num_classes
+        assert [r.label for r in loaded.records] == [r.label for r in bundle.records]
+        assert loaded.splits == bundle.splits
+
     def test_empty_subgraph_file_warns(self, tmp_path, caplog):
         (tmp_path / "edges.txt").write_text("0 1\n", encoding="utf-8")
         (tmp_path / "subs.tsv").write_text("", encoding="utf-8")

@@ -1,18 +1,26 @@
 """Arbitrary line bytes into every text-file reader: each call either loads
 or raises a ValueError that starts with the path, and an error about one
-line names that line's number."""
+line names that line's number.  Then the same contract for ``load_dataset``
+over a saved bundle with one or two of its files damaged."""
 
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from subgraph_infomax.cli import parse_kv_file
 from subgraph_infomax.data import (
+    SyntheticSpec,
+    generate_synthetic,
+    load_dataset,
     load_edge_file,
     load_embedding_file,
     load_split_file,
     load_subgraph_file,
+    save_bundle,
+    validate_bundle,
 )
 
 READERS = {
@@ -64,3 +72,74 @@ def test_reader_loads_or_raises_a_located_error(tmp_path, kind, data):
                 read(path)
             except ValueError as earlier:
                 assert _located_line(path, str(earlier)) is None, str(earlier)
+
+
+# A bundle of 16 nodes and 6 records, small enough that a damaged file
+# often still loads.
+TINY = SyntheticSpec(
+    num_nodes=16, num_subgraphs=6, subgraph_size_min=3, subgraph_size_max=4,
+    n_obs=1, feature_dim=2, seed=4,
+)
+# A line naming an id one past what the other files hold: an edge to node
+# 16, a record with node 16, a split for record 6, a 17th embedding row.
+PAST = {
+    "edges": b"3 16\n",
+    "subgraphs": b"0\t2,16\n",
+    "splits": b"6\ttrain\n",
+    "embeddings": b"0.5 0.5\n",
+}
+MUTATIONS = ("empty", "truncate", "duplicate", "drop_last", "past", "non_utf8")
+
+
+def mutate(kind: str, data: bytes, mutation: str, where: int) -> bytes:
+    lines = data.splitlines(keepends=True)
+    if mutation == "empty":
+        return b""
+    if mutation == "truncate":
+        return data[: where % (len(data) + 1)]
+    if mutation == "duplicate" and lines:
+        i = where % len(lines)
+        return b"".join(lines[: i + 1] + lines[i:])
+    if mutation == "drop_last":  # for embeddings, a missing last node
+        return b"".join(lines[:-1])
+    if mutation == "past":
+        return data + PAST[kind]
+    if mutation == "non_utf8":
+        at = where % (len(data) + 1)
+        return data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def saved_tiny(tmp_path_factory):
+    paths = save_bundle(generate_synthetic(TINY), tmp_path_factory.mktemp("tiny"))
+    return {kind: Path(path).read_bytes() for kind, path in paths.items()}
+
+
+damage = st.tuples(
+    st.sampled_from(sorted(PAST)), st.sampled_from(MUTATIONS), st.integers(0, 10**6)
+)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(damages=st.lists(damage, min_size=1, max_size=2))
+def test_load_dataset_loads_a_valid_bundle_or_names_a_file(tmp_path, saved_tiny, damages):
+    files = dict(saved_tiny)
+    for kind, mutation, where in damages:
+        files[kind] = mutate(kind, files[kind], mutation, where)
+    out = Path(tempfile.mkdtemp(dir=tmp_path))
+    paths = {kind: out / f"{kind}.txt" for kind in files}
+    for kind, path in paths.items():
+        path.write_bytes(files[kind])
+    try:
+        bundle = load_dataset(
+            paths["edges"], paths["subgraphs"],
+            embeddings=paths["embeddings"], split=paths["splits"],
+        )
+    except ValueError as err:
+        message = str(err)
+        assert any(
+            re.match(rf"{re.escape(str(path))}(:\d+)?: ", message) for path in paths.values()
+        ), message
+    else:
+        validate_bundle(bundle)
