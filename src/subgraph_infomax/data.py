@@ -62,6 +62,8 @@ class ObservationProtocol:
     def __post_init__(self) -> None:
         if self.n_obs < 1:
             raise ValueError(f"n_obs must be >= 1, got {self.n_obs}")
+        if self.eval_fixed_seed < 0:
+            raise ValueError(f"eval_fixed_seed must be >= 0, got {self.eval_fixed_seed}")
 
 
 def _frozen_rng(protocol: ObservationProtocol, stage: str, record: SubgraphRecord):
@@ -293,6 +295,8 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if not self.feature_noise >= 0.0:
             raise ValueError(f"feature_noise must be >= 0, got {self.feature_noise}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         check_split_ratios(self.split_ratios)
 
     @property

@@ -1,9 +1,10 @@
 """Model variants: assembly of encoder, readout, discriminator, samplers, losses.
 
-Five single-stage variants plus the two-stage composition.  Every step
-produces class logits from the observed portion of a subgraph; in training
-it additionally produces the variant's MI loss(es) and the cross-entropy,
-combined as ``graph + sum_i lambda_i * term_i``.
+A variant is an optional k-hop reconstruction stage (``ModelConfig.khop``)
+plus an optional MI term (``ModelConfig.term``: ps-dgi, ps-infograph,
+ps-mvgrl or ps-graphcl) scored against the summary.  Every step produces
+class logits from the observed portion of a subgraph; in training it adds
+each stage's loss to the cross-entropy as ``graph + sum_i lambda_i * term_i``.
 """
 
 from __future__ import annotations
@@ -108,21 +109,20 @@ class ModelConfig:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
 
     @property
+    def khop(self) -> bool:
+        """Whether the first stage is the k-hop reconstruction."""
+        return self.variant.startswith("khop")
+
+    @property
+    def term(self) -> str | None:
+        """The MI term scored against the summary: a single-stage variant's
+        own, or a two-stage variant's second; ``None`` for baseline and khop."""
+        term = self.variant.rpartition("+")[2]
+        return None if term in ("baseline", "khop") else term
+
+    @property
     def is_two_stage(self) -> bool:
-        return "+" in self.variant
-
-    @property
-    def first_variant(self) -> str:
-        return self.variant.split("+", 1)[0] if self.is_two_stage else self.variant
-
-    @property
-    def second_variant(self) -> str | None:
-        return self.variant.split("+", 1)[1] if self.is_two_stage else None
-
-    @property
-    def uses_batch_negatives(self) -> bool:
-        """Whether an MI term draws its negatives from the other batch members."""
-        return not {self.first_variant, self.second_variant}.isdisjoint(BATCH_NEGATIVE_VARIANTS)
+        return self.khop and self.term is not None
 
 
 @dataclass
@@ -180,12 +180,13 @@ def observation_positions(
 class _ModelBase:
     """The one implementation of every variant.
 
-    A step encodes the observed portion into ``s_obs`` (through the k-hop
-    reconstruction when the first stage is ``khop``), predicts from it, and
-    in training adds each MI term of the variant to the cross-entropy as
-    ``ce + lambda * term``, in order: khop, then infomax or second.  The
-    two-stage ``second`` term is the ps-dgi or ps-infograph term scored
-    against the reconstructed summary with its own bilinear matrix.
+    A step encodes the observed portion into ``s_obs``, and with a k-hop
+    stage reconstructs the full-subgraph summary from it; it predicts from
+    that summary.  In training it adds each loss to the cross-entropy as
+    ``ce + lambda * loss``: the k-hop membership loss, then the config's
+    ``term`` once, scored against the reconstructed summary as ``second``
+    (with its own bilinear matrix) after a k-hop stage, else against
+    ``s_obs`` as ``infomax``.
 
     A model holds only its config, its bundle and its parameters: values
     that the data and the config fix (eval partitions, full-view
@@ -216,38 +217,33 @@ class _ModelBase:
         # Each parameter draws its initial values from ``rng`` as it is
         # created, so this creation order fixes every initial value.
         dim = config.hidden_dim
-        first = config.first_variant
         if config.is_two_stage:
             premixer = None if config.premixer == "none" else config.premixer
             self.readout = GatedAttentionReadout(self.store, "readout", dim, rng, premixer=premixer)
         else:
             self.readout = MeanMlpReadout(self.store, "readout", dim, rng)
-        if first == "baseline":
+        if not config.khop and config.term is None:
             self.discriminator = None
-        elif first == "ps-graphcl":
+        elif config.term == "ps-graphcl":
             self.discriminator = CosineDiscriminator(config.temperature)
         else:
             self.discriminator = BilinearDiscriminator(self.store, "discriminator", dim, rng)
+        # The discriminator of the MI term: the second stage's in a two-stage
+        # model.  ``prepare_batch`` projects through it and ``step`` scores with it.
+        self.mi_discriminator = self.discriminator
         if config.is_two_stage:
-            self.discriminator_second = BilinearDiscriminator(
+            self.mi_discriminator = self.discriminator_second = BilinearDiscriminator(
                 self.store, "discriminator_second", dim, rng
             )
-        if first == "ps-mvgrl":
+        if config.term == "ps-mvgrl":
             self.encoder_b = SageEncoder(
                 self.store, "encoder_b", feature_dim, dim, rng,
                 bidirectional=config.bidirectional, dropout=config.dropout,
             )
-        if first == "khop":
+        if config.khop:
             self.pool_mlp = Mlp(self.store, "pool_mlp", dim, dim, dim, rng)
-        head_in = 2 * dim if first == "khop" and config.concat_observed_summary else dim
+        head_in = 2 * dim if config.khop and config.concat_observed_summary else dim
         self.head = PredictionHead(self.store, "head", head_in, bundle.num_classes, rng)
-
-    @property
-    def mi_discriminator(self):
-        """The discriminator of the model's MI term: the second stage's in a
-        two-stage model.  ``prepare_batch`` projects through it and ``step``
-        scores with it, so both read this one choice."""
-        return self.discriminator_second if self.config.is_two_stage else self.discriminator
 
     def encode_view(
         self,
@@ -275,14 +271,13 @@ class _ModelBase:
         the batch scores against it directly."""
         cfg = self.config
         records = tuple(records)
-        projected_full = None
-        aug_summaries = None
-        if "ps-infograph" in (cfg.first_variant, cfg.second_variant):
+        projected_full = aug_summaries = None
+        if cfg.term == "ps-infograph":
             projected_full = tuple(
                 self.mi_discriminator.project(self.encode_view(r.view, True, rng))
                 for r in records
             )
-        if cfg.first_variant == "ps-graphcl":
+        elif cfg.term == "ps-graphcl":
             summaries = []
             for r in records:
                 view = r.view
@@ -306,7 +301,7 @@ class _ModelBase:
     ) -> StepOutput:
         cfg = self.config
         khop = None
-        if cfg.first_variant == "khop":
+        if cfg.khop:
             khop = khop_forward(self, record, partial, rng, training, partition)
             s_obs = khop.s_obs
             summary = khop.s_khop
@@ -322,14 +317,13 @@ class _ModelBase:
         terms: dict[str, tuple[Tensor, float]] = {}
         if khop is not None:
             terms["khop"] = (khop.loss_khop, cfg.lambda_khop)
-        if cfg.is_two_stage:
-            loss = self._mi_loss(
-                cfg.second_variant, khop.s_khop, record, partial, batch, rng, training
+        if cfg.term is not None:
+            name, summary, weight = (
+                ("second", khop.s_khop, cfg.lambda_second) if cfg.khop
+                else ("infomax", s_obs, cfg.lambda_single)
             )
-            terms["second"] = (loss, cfg.lambda_second)
-        elif cfg.variant not in ("baseline", "khop"):
-            loss = self._mi_loss(cfg.variant, s_obs, record, partial, batch, rng, training)
-            terms["infomax"] = (loss, cfg.lambda_single)
+            loss = self._mi_loss(summary, record, partial, batch, rng, training)
+            terms[name] = (loss, weight)
         objective = ce
         for loss, weight in terms.values():
             objective = ad.add(objective, ad.scale(loss, weight))
@@ -339,32 +333,30 @@ class _ModelBase:
             losses={"graph": ce.item(), **{name: loss.item() for name, (loss, _) in terms.items()}},
         )
 
-    def _mi_loss(self, variant, summary, record, partial, batch, rng, training) -> Tensor:
-        """One MI term: ``summary`` against the variant's positives and negatives."""
+    def _mi_loss(self, summary, record, partial, batch, rng, training) -> Tensor:
+        """The MI term: ``summary`` against the term's positives and negatives."""
+        cfg = self.config
+        term = cfg.term
+        if term in BATCH_NEGATIVE_VARIANTS and (batch is None or len(batch.records) < 2):
+            raise ValueError(f"{term} training needs a batch context with at least 2 records")
         discriminator = self.mi_discriminator
-        if variant == "ps-dgi":
+        if term == "ps-dgi":
             h_sub = self.encode_view(record.view, training, rng)
             return gd_loss(
                 discriminator(h_sub, summary),
                 discriminator(shuffle_negatives(h_sub, rng), summary),
             )
 
-        if variant == "ps-infograph":
-            if batch is None or batch.projected_full is None or len(batch.records) < 2:
-                raise ValueError(
-                    "ps-infograph training needs a batch context with at least "
-                    "2 encoded subgraphs"
-                )
+        if term == "ps-infograph":
             projected, target = batch.projected_full, batch.target_index
             return gd_loss(
                 discriminator.score(projected[target], summary),
                 discriminator.score(cross_subgraph_negatives(projected, target), summary),
             )
 
-        if variant == "ps-mvgrl":
+        if term == "ps-mvgrl":
             # Two views, each summary against the other view's nodes.  The
             # observed set is resampled every step, so its diffusion is too.
-            cfg = self.config
             obs_diffused = ppr_view(partial, cfg.ppr_alpha, cfg.ppr_top_t)
             s_obs_b = self.readout(
                 self.encode_view(obs_diffused, training, rng, encoder=self.encoder_b)
@@ -385,11 +377,6 @@ class _ModelBase:
         # ps-graphcl: the summary against the augmented full-subgraph summary,
         # negatives are the other in-batch augmented summaries.  One product
         # scores the summary against every augmented summary of the batch.
-        if batch is None or batch.aug_summaries is None or len(batch.records) < 2:
-            raise ValueError(
-                "ps-graphcl training needs a batch context with at least "
-                "2 augmented summaries"
-            )
         scores = discriminator.score(batch.aug_summaries, summary)
         others = [i for i in range(len(batch.records)) if i != batch.target_index]
         pos = ad.gather_rows(scores, [batch.target_index])
@@ -480,8 +467,8 @@ def khop_forward(
     )
 
 
-# Two sibling classes over the one implementation; each only checks which
-# variant family it accepts.  They stay siblings so that wrapping ``step`` on
+# Two sibling classes over the one implementation; each only checks, through
+# ``is_two_stage``, which variant family it accepts.  They stay siblings so that wrapping ``step`` on
 # each class (as perfbench/tracer.py does) wraps the shared function once.
 
 

@@ -33,7 +33,7 @@ from .data import (
     sample_observed,
 )
 from .graph import induced_partial_subgraph
-from .models import ModelConfig, build_model
+from .models import BATCH_NEGATIVE_VARIANTS, ModelConfig, build_model
 from .optim import AdamConfig, adam_step
 
 log = logging.getLogger(__name__)
@@ -64,6 +64,8 @@ class DatasetFiles:
 
     def __post_init__(self) -> None:
         check_split_ratios(self.split_ratios)
+        if self.split_seed < 0:
+            raise ValueError(f"split_seed must be >= 0, got {self.split_seed}")
 
 
 @dataclass
@@ -88,9 +90,11 @@ class RunConfig:
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         _check_distinct("seeds", self.seeds)
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {min(self.seeds)}")
         if self.batch_size < 1 or self.grad_accum < 1:
             raise ValueError("batch_size and grad_accum must be >= 1")
-        if self.batch_size < 2 and self.model.uses_batch_negatives:
+        if self.batch_size < 2 and self.model.term in BATCH_NEGATIVE_VARIANTS:
             raise ValueError(
                 f"{self.model.variant} draws negatives from the other batch members; "
                 f"batch_size must be >= 2, got {self.batch_size}"
@@ -290,7 +294,7 @@ def evaluate(
         for idx in indices:
             record = bundle.records[idx]
             partition = None
-            if cfg.first_variant == "khop":
+            if cfg.khop:
                 partition = bundle.frozen_partition(protocol, stage, idx, cfg.k, cfg.neighbor_cap)
             out = model.step(record, views[idx], partition=partition)
             if int(np.argmax(out.logits)) == record.label:

@@ -235,7 +235,7 @@ class TestEvaluateAgainstTheOldPath:
             kept = kept_partitions(bundle, stage, cfg.k, cfg.neighbor_cap)
             # The default cap binds on no toy record, and the budget holds
             # every partition.
-            want = bundle.indices(stage) if cfg.first_variant == "khop" else []
+            want = bundle.indices(stage) if cfg.khop else []
             assert sorted(kept) == want
 
     @pytest.mark.parametrize("case", CASES, ids=case_id)

@@ -163,6 +163,26 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "mapping, message",
         [
+            ({"eval_seed": "-1"}, "eval_fixed_seed must be >= 0, got -1"),
+            ({"seeds": "-1"}, "seeds must be >= 0, got -1"),
+            ({"seeds": "0,-2,3"}, "seeds must be >= 0, got -2"),
+            ({"synthetic_seed": "-3"}, "seed must be >= 0, got -3"),
+            ({**FILES, "split_seed": "-1"}, "split_seed must be >= 0, got -1"),
+        ],
+        ids=["eval-seed", "seeds", "seeds-entry", "synthetic-seed", "split-seed"],
+    )
+    def test_negative_seed_rejected_before_any_work(self, mapping, message):
+        # numpy rejects a negative seed only when an rng is made from it,
+        # which for eval_seed is after the first training epoch.
+        with pytest.raises(ValueError) as err:
+            build_run_config(mapping)
+        assert str(err.value) == message
+        zeros = {key: "0" for key in mapping}
+        build_run_config({**mapping, **zeros})
+
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [
             (
                 {"subgraph_file": "s.tsv", "embedding_file": "x.txt", "split_file": "t.tsv"},
                 "a file dataset needs edge_file$",

@@ -259,11 +259,11 @@ class _PerPairBatch:
 def _per_pair_prepare_batch(model, records, rng):
     cfg = model.config
     encoded_full = aug_summaries = None
-    if "ps-infograph" in (cfg.first_variant, cfg.second_variant):
+    if cfg.term == "ps-infograph":
         encoded_full = tuple(
             model.encode_view(r.view, True, rng) for r in records
         )
-    if cfg.first_variant == "ps-graphcl":
+    if cfg.term == "ps-graphcl":
         summaries = []
         for r in records:
             view = r.view
@@ -274,7 +274,8 @@ def _per_pair_prepare_batch(model, records, rng):
     return _PerPairBatch(tuple(records), encoded_full, aug_summaries)
 
 
-def _per_pair_mi_loss(model, variant, summary, record, partial, batch, rng, training):
+def _per_pair_mi_loss(model, summary, record, partial, batch, rng, training):
+    variant = model.config.term
     # The per-pair path took the second stage's W in a two-stage model.
     two_stage = model.config.is_two_stage
     discriminator = model.discriminator_second if two_stage else model.discriminator

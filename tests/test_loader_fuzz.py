@@ -1,15 +1,20 @@
 """Arbitrary line bytes into every text-file reader: each call either loads
 or raises a ValueError that starts with the path, and an error about one
 line names that line's number.  Then the same contract for ``load_dataset``
-over a saved bundle with one or two of its files damaged."""
+over a saved bundle with one or two of its files damaged, and through the
+``train`` command."""
 
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import subgraph_infomax
 from subgraph_infomax.cli import parse_kv_file
 from subgraph_infomax.data import (
     SyntheticSpec,
@@ -116,6 +121,19 @@ def saved_tiny(tmp_path_factory):
     return {kind: Path(path).read_bytes() for kind, path in paths.items()}
 
 
+def _write_bundle(out: Path, files: dict) -> dict:
+    paths = {kind: out / f"{kind}.txt" for kind in files}
+    for kind, path in paths.items():
+        path.write_bytes(files[kind])
+    return paths
+
+
+def _load(paths: dict):
+    return load_dataset(
+        paths["edges"], paths["subgraphs"], embeddings=paths["embeddings"], split=paths["splits"]
+    )
+
+
 damage = st.tuples(
     st.sampled_from(sorted(PAST)), st.sampled_from(MUTATIONS), st.integers(0, 10**6)
 )
@@ -127,15 +145,9 @@ def test_load_dataset_loads_a_valid_bundle_or_names_a_file(tmp_path, saved_tiny,
     files = dict(saved_tiny)
     for kind, mutation, where in damages:
         files[kind] = mutate(kind, files[kind], mutation, where)
-    out = Path(tempfile.mkdtemp(dir=tmp_path))
-    paths = {kind: out / f"{kind}.txt" for kind in files}
-    for kind, path in paths.items():
-        path.write_bytes(files[kind])
+    paths = _write_bundle(Path(tempfile.mkdtemp(dir=tmp_path)), files)
     try:
-        bundle = load_dataset(
-            paths["edges"], paths["subgraphs"],
-            embeddings=paths["embeddings"], split=paths["splits"],
-        )
+        bundle = _load(paths)
     except ValueError as err:
         message = str(err)
         assert any(
@@ -143,3 +155,36 @@ def test_load_dataset_loads_a_valid_bundle_or_names_a_file(tmp_path, saved_tiny,
         ), message
     else:
         validate_bundle(bundle)
+
+
+@pytest.mark.parametrize("kind", sorted(PAST))
+def test_train_command_exits_with_the_located_error(tmp_path, saved_tiny, kind):
+    # Each mutation that fails in-process must fail the same way from the
+    # command line: a nonzero exit whose last stderr line is the ValueError
+    # naming one of the bundle's files.
+    env = {**os.environ, "PYTHONPATH": str(Path(subgraph_infomax.__file__).parents[1])}
+    raised = 0
+    for mutation in MUTATIONS:
+        out = tmp_path / mutation
+        out.mkdir()
+        paths = _write_bundle(out, {**saved_tiny, kind: mutate(kind, saved_tiny[kind], mutation, 7)})
+        try:
+            _load(paths)
+        except ValueError as err:
+            message = str(err)
+        else:
+            continue
+        raised += 1
+        assert any(message.startswith(str(path)) for path in paths.values()), message
+        argv = [
+            sys.executable, "-m", "subgraph_infomax", "train",
+            "--set", f"edge_file={paths['edges']}",
+            "--set", f"subgraph_file={paths['subgraphs']}",
+            "--set", f"embedding_file={paths['embeddings']}",
+            "--set", f"split_file={paths['splits']}",
+            "--set", "epochs=1", "--set", "seeds=0", "--out", str(tmp_path / f"{mutation}-run"),
+        ]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode != 0, mutation
+        assert proc.stderr.splitlines()[-1] == f"ValueError: {message}", (mutation, proc.stderr)
+    assert raised
