@@ -109,6 +109,7 @@ class _GradMode(threading.local):
 
 
 _grad_mode = _GradMode()
+_new_tensor = object.__new__
 
 
 class no_grad:
@@ -125,9 +126,22 @@ class no_grad:
 
 
 def _make(values: Array, parents: tuple[Tensor, ...], backward_rule) -> Tensor:
-    if _grad_mode.enabled and any(p.requires_grad for p in parents):
-        return Tensor(values, requires_grad=True, parents=parents, backward_rule=backward_rule)
-    return Tensor(values)
+    """An op's output node.  Every op computes a float64 matrix, so the node
+    is built without ``Tensor.__init__``'s conversion and shape checks."""
+    node = _new_tensor(Tensor)
+    node.values = values
+    node.grad = None
+    if _grad_mode.enabled:
+        for p in parents:
+            if p.requires_grad:
+                node.requires_grad = True
+                node._parents = parents
+                node._backward = backward_rule
+                return node
+    node.requires_grad = False
+    node._parents = ()
+    node._backward = None
+    return node
 
 
 def _accum(t: Tensor, g) -> None:

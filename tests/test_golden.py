@@ -103,6 +103,8 @@ GOLDEN = {
 # block after it: with 17 records in batches of 6 (3 batches), accumulation 2
 # steps once in the loop and once in the tail, accumulation 4 only in the
 # tail.  They and ``concat-summary`` were re-recorded with the variants above.
+# ``frozen-table`` trains no embedding row, so no gradient reaches the first
+# layer's input; it was recorded before the fused layer ops.
 EXTRA_GOLDEN = {
     "khop/pool-neighbors-only": (
         "khop", {"include_observed_in_pool": False}, {}, "cce4b8fa12a84a25",
@@ -120,6 +122,9 @@ EXTRA_GOLDEN = {
     ),
     "ps-infograph/grad-accum-2": ("ps-infograph", {}, {"grad_accum": 2}, "66d9a2ca4bb61111"),
     "ps-infograph/grad-accum-4": ("ps-infograph", {}, {"grad_accum": 4}, "289af73caf8e3ebe"),
+    "khop+ps-infograph/frozen-table": (
+        "khop+ps-infograph", {}, {"embedding_trainable": False}, "3a21318524159ec1",
+    ),
 }
 
 
