@@ -23,18 +23,22 @@ thread's tape recording.
 
 from __future__ import annotations
 
+import builtins
 import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 Array = np.ndarray
+_EPS = float(np.finfo(np.float64).eps)
 
 __all__ = [
     "Tensor",
     "as_tensor",
     "backward",
     "matmul",
+    "affine",
+    "sage_combine",
     "add",
     "mul",
     "div",
@@ -193,10 +197,93 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.values @ b.values
 
     def bwd(g: Array) -> None:
-        _accum(a, g @ b.values.T)
-        _accum(b, a.values.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.values.T)
+        if b.requires_grad:
+            _accum(b, a.values.T @ g)
 
     return _make(out, (a, b), bwd)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for a ``(1, out)`` bias row: one node, the same bytes
+    as ``add(matmul(x, w), b)``."""
+    if x.shape[1] != w.shape[0] or b.shape != (1, w.shape[1]):
+        raise ValueError(f"affine: incompatible shapes {x.shape} @ {w.shape} + {b.shape}")
+    out = x.values @ w.values
+    out += b.values
+
+    def bwd(g: Array) -> None:
+        if x.requires_grad:
+            _accum(x, g @ w.values.T)
+        if w.requires_grad:
+            _accum(w, x.values.T @ g)
+        _accum(b, _unbroadcast(g, b.shape))
+
+    return _make(out, (x, w, b), bwd)
+
+
+def sage_combine(
+    h: Tensor,
+    w_self: Tensor,
+    parts: Sequence[tuple[Tensor, Tensor]],
+    w_skip: Tensor | None,
+) -> Tensor:
+    """One SAGE layer after its aggregation:
+    ``relu(h W_self + [agg_1 W_1 | agg_2 W_2 | ...]) + skip``.
+
+    ``parts`` pairs each neighbour aggregate with its weight; their outputs
+    fill the columns left to right.  The skip is ``h W_skip``, or ``h``
+    itself when ``w_skip`` is None.  The forward bytes equal those of the
+    composed ``matmul``, ``concat``, ``add`` and ``relu``.  The backward
+    adds into ``h`` as the composed ops did with an identity skip (skip,
+    then self term, then the aggregation's gather, whose backward runs
+    later).  A projected skip's term comes right after the self term; the
+    composed ops added it after the gather's, an order no single node can
+    keep, so the sum of the three can differ in its last bits.
+    """
+    width = builtins.sum(w.shape[1] for _, w in parts)
+    if width != w_self.shape[1]:
+        raise ValueError(f"sage_combine: parts fill {width} of {w_self.shape[1]} columns")
+    out = h.values @ w_self.values
+    if len(parts) == 1:
+        agg, w = parts[0]
+        out += agg.values @ w.values
+    else:
+        lo = 0
+        for agg, w in parts:
+            hi = lo + w.shape[1]
+            out[:, lo:hi] += agg.values @ w.values
+            lo = hi
+    mask = out > 0
+    out = np.where(mask, out, 0.0)
+    out += h.values if w_skip is None else h.values @ w_skip.values
+
+    def bwd(g: Array) -> None:
+        if w_skip is None:
+            _accum(h, g)
+        g_pre = g * mask
+        if h.requires_grad:
+            _accum(h, g_pre @ w_self.values.T)
+        if w_self.requires_grad:
+            _accum(w_self, h.values.T @ g_pre)
+        lo = 0
+        for agg, w in parts:
+            hi = lo + w.shape[1]
+            g_part = g_pre if len(parts) == 1 else g_pre[:, lo:hi]
+            if agg.requires_grad:
+                _accum(agg, g_part @ w.values.T)
+            if w.requires_grad:
+                _accum(w, agg.values.T @ g_part)
+            lo = hi
+        if w_skip is not None:
+            if h.requires_grad:
+                _accum(h, g @ w_skip.values.T)
+            if w_skip.requires_grad:
+                _accum(w_skip, h.values.T @ g)
+
+    parents = (h, w_self, *(t for part in parts for t in part))
+    return _make(out, parents if w_skip is None else (*parents, w_skip), bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -484,7 +571,12 @@ def finite_diff_check(
     ``scalar_fn`` must be deterministic (dropout disabled, any rng re-seeded
     inside the closure).  Returns the worst relative error over all
     coordinates of ``params``:
-    ``|analytic - numeric| / max(1e-8, |analytic| + |numeric|)``.
+    ``max(0, |analytic - numeric| - u |f| / epsilon) / max(1e-8, |analytic| + |numeric|)``.
+    The subtracted term is the rounding of the two loss values ``f`` as the
+    difference quotient magnifies it (``u`` is the float64 machine epsilon,
+    2**-52: twice the unit roundoff, as ``f`` is itself many roundings), so
+    a coordinate whose gradient is near 0 does not read agreement to the
+    last bits of ``f`` as a large relative error.
     """
     params = list(params)
     for p in params:
@@ -510,7 +602,8 @@ def finite_diff_check(
             f_minus = scalar_fn().item()
             flat[i] = orig
             numeric = (f_plus - f_minus) / (2.0 * epsilon)
+            rounding = _EPS * max(abs(f_plus), abs(f_minus)) / epsilon
             a = gflat[i]
-            err = abs(a - numeric) / max(1e-8, abs(a) + abs(numeric))
+            err = max(0.0, abs(a - numeric) - rounding) / max(1e-8, abs(a) + abs(numeric))
             worst = max(worst, err)
     return worst

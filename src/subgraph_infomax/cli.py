@@ -143,6 +143,19 @@ def _collect(mapping: dict[str, str], dc_cls) -> dict:
     return out
 
 
+def _build(dc_cls, mapping: dict[str, str]):
+    """``dc_cls`` from the keys of ``mapping``; a range error that starts
+    with a renamed field's name starts with its key instead."""
+    try:
+        return dc_cls(**_collect(mapping, dc_cls))
+    except ValueError as exc:
+        field, space, rest = str(exc).partition(" ")
+        key = _RENAMED.get(dc_cls, {}).get(field)
+        if key is None:
+            raise
+        raise ValueError(f"{key}{space}{rest}") from None
+
+
 def _parse_list(key: str, raw: str, item_type) -> tuple:
     """A comma-separated value of ``key``; empty items are skipped, floats must be finite."""
     try:
@@ -155,9 +168,9 @@ def _parse_list(key: str, raw: str, item_type) -> tuple:
 
 def build_run_config(mapping: dict[str, str]) -> RunConfig:
     _check_keys(mapping)
-    model = ModelConfig(**_collect(mapping, ModelConfig))
-    protocol = ObservationProtocol(**_collect(mapping, ObservationProtocol))
-    adam = AdamConfig(**_collect(mapping, AdamConfig))
+    model = _build(ModelConfig, mapping)
+    protocol = _build(ObservationProtocol, mapping)
+    adam = _build(AdamConfig, mapping)
     run_kwargs = _collect(mapping, RunConfig)
 
     # Any file dataset key selects a file dataset; without them the dataset is synthetic.
@@ -178,14 +191,11 @@ def build_run_config(mapping: dict[str, str]) -> RunConfig:
             raise ValueError(
                 f"split_file fixes the splits; {', '.join(split_keys)} would be ignored"
             )
-        expected = _collect(mapping, ExpectedStats)
-        files = DatasetFiles(
-            **_collect(mapping, DatasetFiles),
-            expected=ExpectedStats(**expected) if expected else None,
-        )
+        expected = _build(ExpectedStats, mapping) if _keys_for(mapping, ExpectedStats) else None
+        files = DatasetFiles(**_collect(mapping, DatasetFiles), expected=expected)
     return RunConfig(
         model=model, protocol=protocol, adam=adam, files=files,
-        synthetic=None if files else SyntheticSpec(**_collect(mapping, SyntheticSpec)),
+        synthetic=None if files else _build(SyntheticSpec, mapping),
         **run_kwargs,
     )
 
@@ -225,8 +235,7 @@ def cmd_generate(args) -> int:
             f"generate makes a synthetic bundle; it takes no file dataset keys "
             f"({', '.join(file_keys)})"
         )
-    spec = SyntheticSpec(**_collect(mapping, SyntheticSpec))
-    bundle = generate_synthetic(spec)
+    bundle = generate_synthetic(_build(SyntheticSpec, mapping))
     out = _out_dir(args, "synthetic")
     paths = save_bundle(bundle, out)
     for kind, path in paths.items():

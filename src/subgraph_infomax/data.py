@@ -277,18 +277,29 @@ class SyntheticSpec:
     seed: int = 19
 
     def __post_init__(self) -> None:
+        # Each message starts with its field's name, which the config
+        # loader swaps for the config key.
         if self.communities < 2:
-            raise ValueError("need at least 2 communities")
+            raise ValueError(f"communities must be >= 2, got {self.communities}")
         if self.num_nodes < 2 * self.communities:
-            raise ValueError("too few nodes for the community count")
+            raise ValueError(
+                f"num_nodes must be >= 2 per community ({2 * self.communities}), "
+                f"got {self.num_nodes}"
+            )
         if self.subgraph_size_max > self.num_nodes:
-            raise ValueError("subgraph size exceeds the global node count")
+            raise ValueError(
+                f"subgraph_size_max must be <= the node count ({self.num_nodes}), "
+                f"got {self.subgraph_size_max}"
+            )
         if self.subgraph_size_min < 2:
-            raise ValueError("subgraphs must have at least 2 nodes")
+            raise ValueError(f"subgraph_size_min must be >= 2, got {self.subgraph_size_min}")
         if self.feature_dim < self.communities:
-            raise ValueError("feature_dim must be >= the community count")
+            raise ValueError(
+                f"feature_dim must be >= the community count ({self.communities}), "
+                f"got {self.feature_dim}"
+            )
         if not 0.0 <= self.community_leak < 1.0:
-            raise ValueError("community_leak must be in [0, 1)")
+            raise ValueError(f"community_leak must be in [0, 1), got {self.community_leak}")
         # Written so that NaN fails each check.
         for name in ("p_intra", "p_inter"):
             if not 0.0 <= getattr(self, name) <= 1.0:

@@ -26,12 +26,10 @@ STAGES = ("val", "test")
 # The toy spec of the gradient checks, with enough records for val and test.
 SPEC = dataclasses.replace(_toy_spec(0), num_subgraphs=24)
 PROTOCOL = ObservationProtocol(n_obs=2, train_jitter=False, eval_fixed_seed=0)
-# Every variant, then every option row of ``verify.gradient_option_report``;
-# its attention pre-mixer row checks the readout alone, so here it runs on a
-# two-stage model.
+# Every variant, then every option row of ``verify.gradient_option_report``.
 CASES = [(variant, {}) for variant in VARIANTS] + [
     (variant, {option: value}) for variant, option, value in OPTION_CHECKS
-] + [("khop+ps-dgi", {"premixer": "attention"})]
+]
 
 
 def case_id(case):

@@ -163,10 +163,10 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "mapping, message",
         [
-            ({"eval_seed": "-1"}, "eval_fixed_seed must be >= 0, got -1"),
+            ({"eval_seed": "-1"}, "eval_seed must be >= 0, got -1"),
             ({"seeds": "-1"}, "seeds must be >= 0, got -1"),
             ({"seeds": "0,-2,3"}, "seeds must be >= 0, got -2"),
-            ({"synthetic_seed": "-3"}, "seed must be >= 0, got -3"),
+            ({"synthetic_seed": "-3"}, "synthetic_seed must be >= 0, got -3"),
             ({**FILES, "split_seed": "-1"}, "split_seed must be >= 0, got -1"),
         ],
         ids=["eval-seed", "seeds", "seeds-entry", "synthetic-seed", "split-seed"],
@@ -179,6 +179,26 @@ class TestConfigParsing:
         assert str(err.value) == message
         zeros = {key: "0" for key in mapping}
         build_run_config({**mapping, **zeros})
+
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("synthetic_communities", "1", "must be >= 2, got 1"),
+            ("synthetic_nodes", "3", "must be >= 2 per community (4), got 3"),
+            ("synthetic_size_max", "400", "must be <= the node count (300), got 400"),
+            ("synthetic_size_min", "1", "must be >= 2, got 1"),
+            ("synthetic_feature_dim", "1", "must be >= the community count (2), got 1"),
+            ("synthetic_leak", "1", "must be in [0, 1), got 1.0"),
+            ("synthetic_p_intra", "1.5", "must be in [0, 1], got 1.5"),
+            ("synthetic_p_inter", "-0.2", "must be in [0, 1], got -0.2"),
+            ("synthetic_noise", "-1", "must be >= 0, got -1.0"),
+            ("synthetic_seed", "-3", "must be >= 0, got -3"),
+        ],
+    )
+    def test_synthetic_range_error_names_its_key(self, key, raw, message):
+        with pytest.raises(ValueError) as err:
+            build_run_config({key: raw})
+        assert str(err.value) == f"{key} {message}"
 
     @pytest.mark.parametrize(
         "mapping, message",

@@ -84,15 +84,24 @@ def env_note() -> str:
 # that train them) were re-recorded when in-batch negatives came to be scored
 # once per batch; ``test_batched_negatives_match_the_per_pair_oracle`` checks
 # that change against the per-pair formulation.
+#
+# The digests that train the embedding table were re-recorded when the SAGE
+# layer became one ``sage_combine`` node: the first layer's input gradient
+# now adds the projected skip's term before the neighbour gather's, where the
+# composed ops added it after, so the table's gradient moves in its last bits.
+# ps-mvgrl's gradient moves too, but its trained bytes and losses do not.
+# Forward values, the second layer's identity-skip order and every ``affine``
+# are unchanged (the fused ops are checked against the composed ones in
+# ``tests/test_autodiff.py``).
 GOLDEN = {
-    "baseline": "64cced3b10fe7ffa",
-    "ps-dgi": "11cad7e04af0e14f",
-    "ps-infograph": "d23925b2194e3553",
+    "baseline": "773e1a2bb236c769",
+    "ps-dgi": "d420dc2ad241dddb",
+    "ps-infograph": "c9b35f801ef02373",
     "ps-mvgrl": "5e85bd47ca4e3171",
-    "ps-graphcl": "0af90ff6334024a9",
-    "khop": "07e36d6a2d6829ef",
-    "khop+ps-dgi": "a9ea24bc8697fc5e",
-    "khop+ps-infograph": "07477b4f890bb13c",
+    "ps-graphcl": "71e780f978109728",
+    "khop": "1f47f7a72b6e7948",
+    "khop+ps-dgi": "1280685b359c7514",
+    "khop+ps-infograph": "9f57b21734bc604f",
 }
 
 # Options no variant default turns on: name -> (variant, model overrides,
@@ -107,21 +116,21 @@ GOLDEN = {
 # layer's input; it was recorded before the fused layer ops.
 EXTRA_GOLDEN = {
     "khop/pool-neighbors-only": (
-        "khop", {"include_observed_in_pool": False}, {}, "cce4b8fa12a84a25",
+        "khop", {"include_observed_in_pool": False}, {}, "bacfd8ed5822cc6c",
     ),
     "khop+ps-infograph/concat-summary": (
-        "khop+ps-infograph", {"concat_observed_summary": True}, {}, "506eaba9ecbcd04d",
+        "khop+ps-infograph", {"concat_observed_summary": True}, {}, "e32bcc0fd352ba28",
     ),
     "khop+ps-dgi/positional-ordered": (
         "khop+ps-dgi", {"use_positional_encoding": True},
-        {"protocol": ObservationProtocol(n_obs=3, ordered=True)}, "557cf97421cd6dbf",
+        {"protocol": ObservationProtocol(n_obs=3, ordered=True)}, "803dde587510eb6f",
     ),
     "khop+ps-dgi/attention-bidirectional": (
         "khop+ps-dgi", {"premixer": "attention", "bidirectional": True}, {},
-        "6a019689b9238e4b",
+        "5b686a362a868854",
     ),
-    "ps-infograph/grad-accum-2": ("ps-infograph", {}, {"grad_accum": 2}, "66d9a2ca4bb61111"),
-    "ps-infograph/grad-accum-4": ("ps-infograph", {}, {"grad_accum": 4}, "289af73caf8e3ebe"),
+    "ps-infograph/grad-accum-2": ("ps-infograph", {}, {"grad_accum": 2}, "4c1f5981a12e19af"),
+    "ps-infograph/grad-accum-4": ("ps-infograph", {}, {"grad_accum": 4}, "f29df029c59ff282"),
     "khop+ps-infograph/frozen-table": (
         "khop+ps-infograph", {}, {"embedding_trainable": False}, "3a21318524159ec1",
     ),
@@ -191,11 +200,12 @@ def sweep_digest(out_dir) -> str:
 # (include_observed_in_pool, observe the whole graph, digest).  Observing
 # every node leaves no neighbours, so the neighbours-only pool falls back to
 # all scored rows.  Recorded before the forward took its scored ids from
-# ``KhopPartition.node_ids`` and stopped gathering rows by identity.
+# ``KhopPartition.node_ids`` and stopped gathering rows by identity, and
+# re-recorded with the training digests for ``sage_combine``.
 KHOP_GOLDEN = {
-    "default-pool": (True, False, "3ba3287e3f366f1a"),
-    "neighbors-only-pool": (False, False, "f17443ab741b4fd9"),
-    "no-neighbors-fallback": (False, True, "44371959dd8880c8"),
+    "default-pool": (True, False, "9669d402bb7dafca"),
+    "neighbors-only-pool": (False, False, "dd06e0c9f507ff79"),
+    "no-neighbors-fallback": (False, True, "ccca0c07fafe4aad"),
 }
 
 

@@ -88,6 +88,36 @@ class TestSageLayer:
         assert out.shape == (2, 4)
 
 
+def tape_nodes(out: Tensor) -> int:
+    """Nodes with a backward rule that ``out`` reaches, itself included."""
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestNodeBudget:
+    """Tape nodes per layer call: each is Python bookkeeping on every step."""
+
+    def test_training_encode_is_eight_nodes(self):
+        # Table gather, then per layer the neighbour gather, its segment
+        # mean and one sage_combine, with dropout in between.
+        store = ParameterStore()
+        enc = SageEncoder(store, "e", 3, 4, rng(), dropout=0.5)
+        table = store.create("t", (6, 3), rng())
+        edges = np.array([[0, 1], [1, 2], [2, 0]])
+        out = encode(enc, table, [5, 0, 3], edges, training=True, rng=rng())
+        assert tape_nodes(out) == 8
+
+    def test_mlp_is_three_nodes(self):
+        store = ParameterStore()
+        mlp = MeanMlpReadout(store, "r", 4, rng()).mlp
+        assert tape_nodes(mlp(Tensor(np.ones((3, 4)), requires_grad=True))) == 3
+
+
 class TestEncode:
     def test_rejects_foreign_edge(self):
         # Edges are positions into node_ids: a negative or too-large source

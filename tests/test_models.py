@@ -365,25 +365,23 @@ class TestGradients:
 
     @pytest.mark.parametrize(
         "variant, option, value", OPTION_CHECKS,
-        ids=[f"{variant}-{option}" for variant, option, _ in OPTION_CHECKS],
+        ids=[f"{variant}-{option}={value}" for variant, option, value in OPTION_CHECKS],
     )
     def test_option_path_gradient_on_toy(self, variant, option, value):
         closure, params = model_gradient_closure(variant, seed=1, **{option: value})
         assert finite_diff_check(closure, params) < 1e-4
 
-    # Every variant under any mix of its options.  The attention pre-mixer is
-    # left to the readout-only check of ``verify.gradient_option_report``.
-    # All 510 distinct configs on toy seeds 0-2 read below 7.4e-5.  On seed 3,
-    # 9 of 170 two-stage configs have a coordinate whose gradient is below
-    # 1e-7, where analytic and numeric agree to about 2e-11 but the 1e-8
-    # floor of ``finite_diff_check`` reads up to 1.9e-3.
+    # Every variant under any mix of its options.  All 820 distinct configs
+    # on toy seeds 0-3 read at most 3.1e-9 once ``finite_diff_check``
+    # discounted the loss's rounding; before, the attention pre-mixer and 9
+    # two-stage configs on seed 3 read up to 3.3e-3 at gradients below 1e-7.
     @settings(max_examples=15, deadline=None)
     @given(
         variant=st.sampled_from(VARIANTS),
-        seed=st.integers(0, 2),
+        seed=st.integers(0, 3),
         overrides=st.fixed_dictionaries({
             "bidirectional": st.booleans(),
-            "premixer": st.sampled_from(["mlp", "none"]),
+            "premixer": st.sampled_from(["mlp", "none", "attention"]),
             "use_positional_encoding": st.booleans(),
             "concat_observed_summary": st.booleans(),
             "include_observed_in_pool": st.booleans(),
