@@ -6,15 +6,15 @@ symmetrized by the loaders before construction.  Neighborhood queries treat
 edges as traversable in both directions.  Graphs and records hold global
 node ids; records and views hold edges as positions into their own ids.
 Only this module turns global ids into positions, once per record and once
-per k-hop partition.
+per k-hop partition, and offsets positions when views join one union.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import accumulate, compress
-from typing import Iterable, Sequence
+from itertools import accumulate, chain, compress
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -206,6 +206,60 @@ class SubgraphView:
         node_ids = tuple(compress(self.node_ids, keep))
         masked = self.masked.intersection(node_ids) if self.masked else self.masked
         return SubgraphView(node_ids, np.array(flat, dtype=np.int64).reshape(-1, 2), masked)
+
+
+class ViewUnion(NamedTuple):
+    """Several views as one graph, so one encode covers them all (as PyG
+    batches graphs).
+
+    ``node_ids`` concatenates the views' ids; an id may repeat across views.
+    ``edges`` holds each view's edges plus the number of rows before the
+    view.  ``segments`` gives each row the index of its view, and ``sizes``
+    each view's row count.  ``masked`` is one flag per row (``None`` when no
+    row is masked), and ``edge_weights`` the views' weights, concatenated.
+    """
+
+    node_ids: np.ndarray
+    edges: np.ndarray
+    segments: np.ndarray
+    sizes: list[int]
+    masked: np.ndarray | None = None
+    edge_weights: np.ndarray | None = None
+
+    @property
+    def count(self) -> int:
+        return len(self.sizes)
+
+
+def disjoint_union(views: Sequence[SubgraphView]) -> ViewUnion:
+    """The views as one ``ViewUnion``, rows in view order.  Every view needs
+    a node, and edge weights on every view or on none."""
+    if not views:
+        raise ValueError("a union needs at least one view")
+    sizes = [len(v.node_ids) for v in views]
+    if not min(sizes):
+        raise ValueError(f"view {sizes.index(0)} of the union has no node")
+    total = sum(sizes)
+    node_ids = np.fromiter(chain.from_iterable(v.node_ids for v in views), np.int64, total)
+    if len(views) == 1:
+        # One view, as in the per-record k-hop stage: no offsets to add.
+        edges, segments = views[0].edges, np.zeros(total, dtype=np.int64)
+    else:
+        starts = np.cumsum(sizes) - sizes
+        offsets = np.repeat(starts, [len(v.edges) for v in views])
+        edges = np.concatenate([v.edges for v in views]).reshape(-1, 2) + offsets[:, None]
+        segments = np.repeat(np.arange(len(views)), sizes)
+    masked = None
+    if any(v.masked for v in views):
+        flags = (n in v.masked for v in views for n in v.node_ids)
+        masked = np.fromiter(flags, bool, total)
+    weighted = [v.edge_weights is not None for v in views]
+    weights = None
+    if all(weighted):
+        weights = np.concatenate([v.edge_weights for v in views])
+    elif any(weighted):
+        raise ValueError("a union needs edge weights on every view or on none")
+    return ViewUnion(node_ids, edges, segments, sizes, masked, weights)
 
 
 def induced_partial_subgraph(subgraph: SubgraphRecord, observed: Iterable[int]) -> SubgraphView:

@@ -25,26 +25,45 @@ log = logging.getLogger(__name__)
 PPR_DENSE_CAP = 2000
 
 
-def gd_loss(pos_scores, neg_scores) -> Tensor:
+def gd_loss(pos_scores, neg_scores, pos_mask=None, neg_mask=None) -> Tensor:
     """Binary joint-vs-marginal discrimination loss.
 
     ``-mean(log sigmoid(pos)) - mean(log(1 - sigmoid(neg)))`` with the stable
     identity ``log(1 - sigmoid(x)) = log sigmoid(-x)``.  All scores equal to 0
     give exactly 2 ln 2.
+
+    Without masks the means run over every score, giving one ``(1, 1)``
+    loss.  With boolean ``(N, B)`` masks the scores broadcast to that shape
+    and each column is one segment: its means run over the entries its mask
+    column selects, giving one loss per segment, ``(B, 1)``.
     """
     pos, neg = ad.as_tensor(pos_scores), ad.as_tensor(neg_scores)
-    if pos.values.size == 0 or neg.values.size == 0:
-        raise ValueError("gd_loss needs at least one positive and one negative score")
-    pos_term = ad.mean(ad.log_sigmoid(pos))
-    neg_term = ad.mean(ad.log_sigmoid(ad.scale(neg, -1.0)))
-    return ad.scale(ad.add(pos_term, neg_term), -1.0)
+    if pos_mask is None:
+        if pos.values.size == 0 or neg.values.size == 0:
+            raise ValueError("gd_loss needs at least one positive and one negative score")
+        pos_term = ad.mean(ad.log_sigmoid(pos))
+        neg_term = ad.mean(ad.log_sigmoid(ad.scale(neg, -1.0)))
+        return ad.scale(ad.add(pos_term, neg_term), -1.0)
+    pos_term = _segment_means(ad.log_sigmoid(pos), pos_mask)
+    neg_term = _segment_means(ad.log_sigmoid(ad.scale(neg, -1.0)), neg_mask)
+    return ad.transpose(ad.scale(ad.add(pos_term, neg_term), -1.0))
 
 
-def infonce_loss(pos_scores, neg_scores_per_pos) -> Tensor:
+def _segment_means(values: Tensor, mask: np.ndarray) -> Tensor:
+    """``(1, B)``: per column of ``mask``, the mean of the entries it selects."""
+    counts = mask.sum(axis=0, keepdims=True)
+    if not counts.all():
+        raise ValueError("gd_loss needs at least one positive and one negative score per segment")
+    return ad.div(ad.sum(ad.mul(values, Tensor(mask.astype(np.float64))), 0), Tensor(counts))
+
+
+def infonce_loss(pos_scores, neg_scores_per_pos, per_row: bool = False) -> Tensor:
     """Contrastive loss of one positive against its row of negatives.
 
     ``-mean_i [pos_i - log(exp(pos_i) + sum_j exp(neg_ij))]``, log-sum-exp
-    stabilized.  Scores are expected to be already temperature-scaled.
+    stabilized.  Scores are expected to be already temperature-scaled.  A
+    negative of ``-inf`` takes no part.  With ``per_row`` the loss of each
+    row is returned, ``(n, 1)``, instead of their mean.
     """
     pos = ad.as_tensor(pos_scores)
     negs = ad.as_tensor(neg_scores_per_pos)
@@ -60,7 +79,8 @@ def infonce_loss(pos_scores, neg_scores_per_pos) -> Tensor:
             f"negative rows {negs.shape} do not match positives {pos.shape}"
         )
     lse = ad.logsumexp_rows(ad.concat([pos, negs], 1))
-    return ad.mean(ad.add(lse, ad.scale(pos, -1.0)))
+    rows = ad.add(lse, ad.scale(pos, -1.0))
+    return rows if per_row else ad.mean(rows)
 
 
 def khop_loss(pos_scores, neg_scores) -> Tensor:
@@ -88,25 +108,32 @@ def khop_loss(pos_scores, neg_scores) -> Tensor:
     return ad.scale(total, -1.0 / (n_pos + n_neg))
 
 
-def shuffle_negatives(h: Tensor, rng: np.random.Generator) -> Tensor:
-    """Row-wise shuffle corruption; a single row is returned unchanged."""
-    h = ad.as_tensor(h)
-    n = h.shape[0]
-    if n == 1:
-        return h
-    return ad.gather_rows(h, rng.permutation(n))
+def shuffle_negatives(
+    tensors: Sequence[Tensor], sizes: Sequence[int], rng: np.random.Generator
+) -> list[Tensor]:
+    """Row-wise shuffle corruption within segments: each tensor's rows
+    permuted inside every run of ``sizes`` rows, so a row stays in its
+    record.  Segment by segment, one ``rng.permutation`` per tensor, as
+    each record drew them in turn; a one-row segment draws nothing."""
+    bounds = np.cumsum(sizes)
+    rows = [[] for _ in tensors]
+    for lo, hi in zip(bounds - sizes, bounds):
+        for index in rows:
+            index.append(lo + rng.permutation(hi - lo))
+    return [ad.gather_rows(t, np.concatenate(index)) for t, index in zip(tensors, rows)]
 
 
-def cross_subgraph_negatives(encoded: Sequence[Tensor], target_index: int) -> Tensor:
-    """Stack the node rows of every non-target batch member."""
-    if len(encoded) < 2:
+def cross_subgraph_negatives(segments: np.ndarray, count: int) -> np.ndarray:
+    """The ``(N, count)`` negative mask of a union's rows: row ``r`` is a
+    negative for every batch member but its own, ``segments[r]``."""
+    if count < 2:
         raise ValueError(
             "cross-subgraph negatives need a batch of at least 2 subgraphs"
         )
-    if not 0 <= target_index < len(encoded):
-        raise ValueError(f"target index {target_index} out of range")
-    others = [h for i, h in enumerate(encoded) if i != target_index]
-    return others[0] if len(others) == 1 else ad.concat(others, 0)
+    segments = np.asarray(segments, dtype=np.int64)
+    if segments.size and (segments.min() < 0 or segments.max() >= count):
+        raise ValueError(f"segment id out of range [0, {count})")
+    return segments[:, None] != np.arange(count)
 
 
 def _node_drop(view: SubgraphView, p: float, rng: np.random.Generator) -> SubgraphView:

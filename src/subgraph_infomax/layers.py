@@ -167,21 +167,24 @@ def encode(
     edges: np.ndarray,
     training: bool = False,
     rng: np.random.Generator | None = None,
-    masked: frozenset[int] | set[int] | None = None,
+    masked: np.ndarray | None = None,
     edge_weights: np.ndarray | None = None,
 ) -> Tensor:
     """Encode a node set with its edges; rows follow the order of ``node_ids``.
 
     ``table`` is the ``(num_nodes, feature_dim)`` input-feature parameter.
     ``edges`` is an ``(E, 2)`` int64 array of positions into ``node_ids``, as
-    a ``SubgraphView`` holds them; ``gather_rows`` and ``segment_mean``
-    reject a position outside ``node_ids``.  ``masked`` node ids get zeroed
-    feature rows before encoding.
+    a ``SubgraphView`` or a ``ViewUnion`` holds them; ``gather_rows`` and
+    ``segment_mean`` reject a position outside ``node_ids``.  ``masked`` is
+    one flag per row: a flagged row's features are zeroed before encoding.
+    It is per row, not per id, because an id can repeat in a union.
     """
     x = ad.gather_rows(table, node_ids)
-    if masked:
-        keep = np.array([[0.0] if n in masked else [1.0] for n in node_ids])
-        x = ad.mul(x, Tensor(keep))
+    if masked is not None:
+        if masked.shape != (len(node_ids),):
+            raise ValueError(f"{masked.shape} mask flags for {len(node_ids)} rows")
+        if masked.any():
+            x = ad.mul(x, Tensor((~masked).astype(np.float64)[:, None]))
     weights = None
     if edge_weights is not None:
         weights = np.asarray(edge_weights, dtype=np.float64)
@@ -203,17 +206,29 @@ def sinusoidal_encoding(positions: Sequence[int], dim: int) -> np.ndarray:
     return rows
 
 
+def _segments(h: Tensor, union) -> tuple[np.ndarray, int]:
+    """Segment ids and count of ``h``'s rows: ``union``'s, or one segment."""
+    if h.shape[0] < 1:
+        raise ValueError("readout requires at least one node row")
+    if union is None:
+        return np.zeros(h.shape[0], dtype=np.int64), 1
+    return union.segments, union.count
+
+
 class MeanMlpReadout:
     """Permutation-invariant summary: mean pooling after a two-layer MLP.
-    ``positions`` is ignored, so ``khop_forward`` calls either readout alike."""
+
+    Given a ``ViewUnion``, one summary row per view (a segment mean); else
+    one row for all of ``h``.  ``positions`` is ignored, so ``khop_forward``
+    calls either readout alike.
+    """
 
     def __init__(self, store: ParameterStore, name: str, dim: int, rng: np.random.Generator):
         self.mlp = Mlp(store, name, dim, dim, dim, rng)
 
-    def __call__(self, h: Tensor, positions=None) -> Tensor:
-        if h.shape[0] < 1:
-            raise ValueError("readout requires at least one node row")
-        return ad.mean(self.mlp(h), 0)
+    def __call__(self, h: Tensor, union=None, positions=None) -> Tensor:
+        segments, count = _segments(h, union)
+        return ad.segment_mean(self.mlp(h), segments, count)
 
 
 class _SdpMixer:
@@ -225,12 +240,16 @@ class _SdpMixer:
         self.w_k = store.create(f"{name}.w_k", (dim, dim), rng)
         self.w_v = store.create(f"{name}.w_v", (dim, dim), rng)
 
-    def __call__(self, h: Tensor) -> Tensor:
+    def __call__(self, h: Tensor, segments: np.ndarray) -> Tensor:
+        """Rows attend only to rows of their own segment."""
         q = ad.matmul(h, self.w_q)
         k = ad.matmul(h, self.w_k)
         v = ad.matmul(h, self.w_v)
-        attn = ad.softmax_rows(ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(self.dim)))
-        return ad.matmul(attn, v)
+        logits = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(self.dim))
+        if segments.any():
+            apart = segments[:, None] != segments[None, :]
+            logits = ad.add(logits, Tensor(np.where(apart, -np.inf, 0.0)))
+        return ad.matmul(ad.softmax_rows(logits), v)
 
 
 class GatedAttentionReadout:
@@ -238,7 +257,9 @@ class GatedAttentionReadout:
 
     ``s = sum_i sigmoid(gate(h_i)) * feat(h_i)`` after an optional sinusoidal
     positional encoding (order-aware) and a pre-mixer ("mlp", "attention", or
-    None).  Without positions the result is permutation invariant.
+    None).  Without positions the result is permutation invariant.  Given a
+    ``ViewUnion``, one summary row per view (a segment sum, with attention
+    kept inside each view); else one row for all of ``h``.
     """
 
     def __init__(
@@ -261,9 +282,8 @@ class GatedAttentionReadout:
         self.gate = Mlp(store, f"{name}.gate", dim, dim, dim, rng)
         self.feat = Mlp(store, f"{name}.feat", dim, dim, dim, rng)
 
-    def __call__(self, h: Tensor, positions: Sequence[int] | None = None) -> Tensor:
-        if h.shape[0] < 1:
-            raise ValueError("readout requires at least one node row")
+    def __call__(self, h: Tensor, union=None, positions: Sequence[int] | None = None) -> Tensor:
+        segments, count = _segments(h, union)
         if positions is not None:
             if len(positions) != h.shape[0]:
                 raise ValueError(
@@ -271,17 +291,20 @@ class GatedAttentionReadout:
                 )
             pe = sinusoidal_encoding(positions, self.dim)
             h = ad.add(h, Tensor(pe))
-        if self.premixer is not None:
+        if isinstance(self.premixer, _SdpMixer):
+            h = self.premixer(h, segments)
+        elif self.premixer is not None:
             h = self.premixer(h)
-        return ad.sum(ad.mul(ad.sigmoid(self.gate(h)), self.feat(h)), 0)
+        return ad.segment_sum(ad.mul(ad.sigmoid(self.gate(h)), self.feat(h)), segments, count)
 
 
 class BilinearDiscriminator:
     """Pairing score h^T W s, linear in each argument.
 
     ``project(h)`` is ``h W``; ``score(p, s)`` scores projected rows against
-    one summary.  Projecting once and scoring many summaries against it gives
-    the same products as calling the discriminator on each pair.
+    each summary row of ``s``, one column per summary.  Projecting once and
+    scoring many summaries against it gives the same products as calling
+    the discriminator on each pair.
     """
 
     def __init__(self, store: ParameterStore, name: str, dim: int, rng: np.random.Generator):
@@ -294,7 +317,7 @@ class BilinearDiscriminator:
         return ad.matmul(h, self.w)
 
     def score(self, p: Tensor, s: Tensor) -> Tensor:
-        if s.shape != (1, self.dim):
+        if s.shape[1] != self.dim:
             raise ValueError(f"discriminator width mismatch: s {s.shape}, dim {self.dim}")
         return ad.matmul(p, ad.transpose(s))
 
@@ -307,8 +330,8 @@ class CosineDiscriminator:
     zero vectors score exactly 0.
 
     ``project(h)`` gives the unit rows, so a batch of candidates is
-    normalised once and ``score`` scores all of it against a summary with
-    one product.
+    normalised once and ``score`` scores all of it against every summary row
+    with one product, one column per summary.
     """
 
     def __init__(self, temperature: float):
@@ -324,7 +347,7 @@ class CosineDiscriminator:
         return ad.div(h, ad.sqrt(ad.clip_min(ad.sum(ad.mul(h, h), 1), 1e-30)))
 
     def score(self, u: Tensor, s: Tensor) -> Tensor:
-        if u.shape[1] != s.shape[1] or s.shape[0] != 1:
+        if u.shape[1] != s.shape[1]:
             raise ValueError(f"cosine width mismatch: h {u.shape}, s {s.shape}")
         product = ad.matmul(u, ad.transpose(self.project(s)))
         return ad.scale(product, 1.0 / self.temperature)
@@ -351,10 +374,17 @@ class PredictionHead:
         return ad.affine(s, self.w, self.b)
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Softmax cross-entropy of a (1, C) logit row against an integer label."""
-    if not 0 <= label < logits.shape[1]:
-        raise ValueError(f"label {label} out of range for {logits.shape[1]} classes")
-    lse = ad.logsumexp_rows(logits)
-    picked = ad.gather_rows(ad.transpose(logits), [label])
-    return ad.add(lse, ad.scale(picked, -1.0))
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Softmax cross-entropy of each row of ``(B, C)`` logits against its
+    integer label (one label per row); one loss per row, ``(B, 1)``."""
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    rows, classes = logits.shape
+    if labels.size != rows:
+        raise ValueError(f"{labels.size} labels for {rows} logit rows")
+    bad = labels[(labels < 0) | (labels >= classes)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} out of range for {classes} classes")
+    picks = np.zeros(logits.shape)
+    picks[np.arange(rows), labels] = 1.0
+    picked = ad.sum(ad.mul(logits, Tensor(picks)), 1)
+    return ad.add(ad.logsumexp_rows(logits), ad.scale(picked, -1.0))

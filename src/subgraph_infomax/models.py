@@ -2,14 +2,21 @@
 
 A variant is an optional k-hop reconstruction stage (``ModelConfig.khop``)
 plus an optional MI term (``ModelConfig.term``: ps-dgi, ps-infograph,
-ps-mvgrl or ps-graphcl) scored against the summary.  Every step produces
-class logits from the observed portion of a subgraph; in training it adds
-each stage's loss to the cross-entropy as ``graph + sum_i lambda_i * term_i``.
+ps-mvgrl or ps-graphcl) scored against the summary.  A step is one forward
+over a batch: it produces class logits from the observed portion of each
+subgraph; in training it adds each stage's loss to each record's
+cross-entropy as ``graph + sum_i lambda_i * term_i`` and averages over the
+batch.  Each view set of a batch (observed, full, diffused, augmented) is
+encoded once, as a disjoint union; only the k-hop stage runs per record.
+
+A training step draws from its rng in a fixed order, which
+``_ModelBase.step`` states in full: ``prepare_batch`` (augmentations, then
+the batch encodes), the observed stage (record by record with a k-hop
+stage), ps-mvgrl's observed diffusions, then the shuffled negatives.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -24,6 +31,8 @@ from .graph import (
     KhopPartition,
     SubgraphRecord,
     SubgraphView,
+    ViewUnion,
+    disjoint_union,
     khop_neighbors,
 )
 from .infomax import (
@@ -127,36 +136,38 @@ class ModelConfig:
 
 @dataclass
 class StepOutput:
-    """Result of one model step.
+    """Result of one model step over a batch of B records.
 
-    In inference mode only ``logits`` is set.  In training, ``objective`` is
-    the differentiable total and ``losses`` holds the float value of each
-    term: ``graph`` (the cross-entropy), then ``khop``, then ``infomax`` or
-    ``second``.  ``objective`` is ``graph`` plus each later term times its
-    lambda, composed left to right in that order.
+    ``logits`` is ``(B, C)``.  In inference mode only ``logits`` is set.  In
+    training, ``objective`` is the differentiable batch objective, the mean
+    of the per-record objectives, and ``losses`` holds each term's
+    per-record values, ``(B,)`` arrays: ``graph`` (the cross-entropy), then
+    ``khop``, then ``infomax`` or ``second``.  A record's objective is
+    ``graph`` plus each later term times its lambda, composed left to right
+    in that order.
     """
 
     logits: np.ndarray
     objective: Tensor | None = None
-    losses: dict[str, float] = field(default_factory=dict)
+    losses: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 @dataclass
 class BatchContext:
-    """In-batch material for cross-subgraph negative sampling.
+    """What a training batch scores its summaries against, each view set
+    encoded once as a union.
 
-    ``projected_full`` holds each record's full-subgraph encoding projected
-    through the bilinear matrix of the ps-infograph term; ``aug_summaries``
-    holds the augmented summaries of all records as one matrix of unit rows.
+    ``full`` is the union of the records' full views and ``h_full`` its
+    encoding (ps-dgi, ps-infograph, ps-mvgrl); ``h_diffused`` encodes the
+    union of their diffusions with the second encoder (ps-mvgrl; it has
+    ``full``'s segments); ``aug_summaries`` holds one summary row per
+    record's augmented view (ps-graphcl).
     """
 
-    records: tuple[SubgraphRecord, ...]
-    target_index: int = 0
-    projected_full: tuple[Tensor, ...] | None = None
+    full: ViewUnion | None = None
+    h_full: Tensor | None = None
+    h_diffused: Tensor | None = None
     aug_summaries: Tensor | None = None
-
-    def for_target(self, index: int) -> "BatchContext":
-        return dataclasses.replace(self, target_index=index)
 
 
 class KhopResult(NamedTuple):
@@ -180,13 +191,13 @@ def observation_positions(
 class _ModelBase:
     """The one implementation of every variant.
 
-    A step encodes the observed portion into ``s_obs``, and with a k-hop
-    stage reconstructs the full-subgraph summary from it; it predicts from
-    that summary.  In training it adds each loss to the cross-entropy as
-    ``ce + lambda * loss``: the k-hop membership loss, then the config's
-    ``term`` once, scored against the reconstructed summary as ``second``
-    (with its own bilinear matrix) after a k-hop stage, else against
-    ``s_obs`` as ``infomax``.
+    A step encodes each record's observed view into a summary row
+    ``s_obs``, and with a k-hop stage reconstructs the full-subgraph summary
+    from it; it predicts from that summary.  In training it adds each loss
+    to each record's cross-entropy as ``ce + lambda * loss``: the k-hop
+    membership loss, then the config's ``term`` once, scored against the
+    reconstructed summary as ``second`` (with its own bilinear matrix) after
+    a k-hop stage, else against ``s_obs`` as ``infomax``.
 
     A model holds only its config, its bundle and its parameters: values
     that the data and the config fix (eval partitions, full-view
@@ -229,7 +240,7 @@ class _ModelBase:
         else:
             self.discriminator = BilinearDiscriminator(self.store, "discriminator", dim, rng)
         # The discriminator of the MI term: the second stage's in a two-stage
-        # model.  ``prepare_batch`` projects through it and ``step`` scores with it.
+        # model.
         self.mi_discriminator = self.discriminator
         if config.is_two_stage:
             self.mi_discriminator = self.discriminator_second = BilinearDiscriminator(
@@ -245,143 +256,159 @@ class _ModelBase:
         head_in = 2 * dim if config.khop and config.concat_observed_summary else dim
         self.head = PredictionHead(self.store, "head", head_in, bundle.num_classes, rng)
 
-    def encode_view(
+    def encode_views(
         self,
-        view: SubgraphView,
+        views: Sequence[SubgraphView],
         training: bool,
         rng: np.random.Generator | None,
         encoder: SageEncoder | None = None,
-    ) -> Tensor:
-        return encode(
+    ) -> tuple[ViewUnion, Tensor]:
+        """The views' disjoint union and its encoding, one row per union row."""
+        union = disjoint_union(views)
+        h = encode(
             encoder or self.encoder,
             self.table,
-            view.node_ids,
-            view.edges,
+            union.node_ids,
+            union.edges,
             training=training,
             rng=rng,
-            masked=view.masked or None,
-            edge_weights=view.edge_weights,
+            masked=union.masked,
+            edge_weights=union.edge_weights,
         )
+        return union, h
 
     def prepare_batch(
         self, records: Sequence[SubgraphRecord], rng: np.random.Generator | None
     ) -> BatchContext:
-        """Encode a training batch's per-batch material once, in training mode,
-        and project it through the term's discriminator, so every target in
-        the batch scores against it directly."""
+        """Encode, in training mode, what the batch's MI term scores its
+        summaries against: each view set once, as a disjoint union."""
         cfg = self.config
-        records = tuple(records)
-        projected_full = aug_summaries = None
-        if cfg.term == "ps-infograph":
-            projected_full = tuple(
-                self.mi_discriminator.project(self.encode_view(r.view, True, rng))
-                for r in records
-            )
+        context = BatchContext()
+        if cfg.term in ("ps-dgi", "ps-infograph", "ps-mvgrl"):
+            context.full, context.h_full = self.encode_views([r.view for r in records], True, rng)
+        if cfg.term == "ps-mvgrl":
+            diffused = [self.bundle.diffusion(r, cfg.ppr_alpha, cfg.ppr_top_t) for r in records]
+            _, context.h_diffused = self.encode_views(diffused, True, rng, encoder=self.encoder_b)
         elif cfg.term == "ps-graphcl":
-            summaries = []
+            views = []
             for r in records:
                 view = r.view
                 for name in GRAPHCL_AUGMENTATIONS:
                     view = augment(name, view, cfg.aug_p, rng)
-                h = self.encode_view(view, True, rng)
-                summaries.append(self.readout(h))
-            aug_summaries = self.mi_discriminator.project(ad.concat(summaries, 0))
-        return BatchContext(
-            records=records, projected_full=projected_full, aug_summaries=aug_summaries
-        )
+                views.append(view)
+            union, h = self.encode_views(views, True, rng)
+            context.aug_summaries = self.readout(h, union)
+        return context
 
     def step(
         self,
-        record: SubgraphRecord,
-        partial: SubgraphView,
-        batch: BatchContext | None = None,
+        records: Sequence[SubgraphRecord],
+        views: Sequence[SubgraphView],
         rng: np.random.Generator | None = None,
         training: bool = False,
-        partition: KhopPartition | None = None,
+        partitions: Sequence[KhopPartition] | None = None,
     ) -> StepOutput:
+        """One forward over a batch: ``views[i]`` is the observed view of
+        ``records[i]``.
+
+        The observed views are encoded as one union and read out per view;
+        with a k-hop stage, ``khop_forward`` runs once per record instead
+        (with ``partitions[i]`` when given, else drawing one).  The head,
+        the cross-entropy and the MI term then run once over the batch.
+
+        In training the rng is drawn in this order:
+
+        1. ``prepare_batch``: ps-graphcl's augmentations, record by record
+           (node drop, edge perturbation, attribute mask); then the dropout
+           of its encodes: the full views' union (ps-dgi, ps-infograph,
+           ps-mvgrl), then the diffusions' union (ps-mvgrl) or the
+           augmented views' (ps-graphcl);
+        2. the observed stage: the observed union's dropout, or, with a
+           k-hop stage, each record's ``khop_forward`` in turn (its
+           partition, then the dropout of its two encodes);
+        3. ps-mvgrl's observed-diffusion union's dropout;
+        4. the shuffled negatives (ps-dgi, ps-mvgrl), record by record: one
+           permutation of the record's rows, and for ps-mvgrl a second one,
+           of its diffusion's rows.
+        """
         cfg = self.config
-        khop = None
+        if len(records) != len(views) or not records:
+            raise ValueError(f"a step needs one view per record, got {len(records)} and {len(views)}")
+        if training and cfg.term in BATCH_NEGATIVE_VARIANTS and len(records) < 2:
+            raise ValueError(f"{cfg.term} training needs a batch of at least 2 records")
+        context = self.prepare_batch(records, rng) if training else None
+        terms: dict[str, tuple[Tensor, float]] = {}
         if cfg.khop:
-            khop = khop_forward(self, record, partial, rng, training, partition)
-            s_obs = khop.s_obs
-            summary = khop.s_khop
+            stages = [
+                khop_forward(self, record, view, rng, training,
+                             None if partitions is None else partitions[i])
+                for i, (record, view) in enumerate(zip(records, views))
+            ]
+            s_mi = summary = ad.concat([k.s_khop for k in stages], 0)
             if cfg.concat_observed_summary:
-                summary = ad.concat([summary, s_obs], 1)
+                summary = ad.concat([summary, ad.concat([k.s_obs for k in stages], 0)], 1)
+            if training:
+                terms["khop"] = (ad.concat([k.loss_khop for k in stages], 0), cfg.lambda_khop)
         else:
-            s_obs = summary = self.readout(self.encode_view(partial, training, rng))
+            observed, h_obs = self.encode_views(views, training, rng)
+            s_mi = summary = self.readout(h_obs, observed)
         logits = self.head(summary)
         if not training:
-            return StepOutput(logits=logits.values[0].copy())
+            return StepOutput(logits=logits.values)
 
-        ce = cross_entropy(logits, record.label)
-        terms: dict[str, tuple[Tensor, float]] = {}
-        if khop is not None:
-            terms["khop"] = (khop.loss_khop, cfg.lambda_khop)
+        ce = cross_entropy(logits, [r.label for r in records])
         if cfg.term is not None:
-            name, summary, weight = (
-                ("second", khop.s_khop, cfg.lambda_second) if cfg.khop
-                else ("infomax", s_obs, cfg.lambda_single)
-            )
-            loss = self._mi_loss(summary, record, partial, batch, rng, training)
-            terms[name] = (loss, weight)
+            name, weight = ("second", cfg.lambda_second) if cfg.khop else ("infomax", cfg.lambda_single)
+            terms[name] = (self._mi_loss(s_mi, views, context, rng), weight)
         objective = ce
         for loss, weight in terms.values():
             objective = ad.add(objective, ad.scale(loss, weight))
         return StepOutput(
-            logits=logits.values[0].copy(),
-            objective=objective,
-            losses={"graph": ce.item(), **{name: loss.item() for name, (loss, _) in terms.items()}},
+            logits=logits.values,
+            objective=ad.mean(objective),
+            losses={
+                "graph": ce.values[:, 0].copy(),
+                **{name: loss.values[:, 0].copy() for name, (loss, _) in terms.items()},
+            },
         )
 
-    def _mi_loss(self, summary, record, partial, batch, rng, training) -> Tensor:
-        """The MI term: ``summary`` against the term's positives and negatives."""
+    def _mi_loss(self, summary, views, context, rng) -> Tensor:
+        """The MI term, one loss per record, ``(B, 1)``: row ``i`` of
+        ``summary`` against record ``i``'s positives and negatives."""
         cfg = self.config
-        term = cfg.term
-        if term in BATCH_NEGATIVE_VARIANTS and (batch is None or len(batch.records) < 2):
-            raise ValueError(f"{term} training needs a batch context with at least 2 records")
         discriminator = self.mi_discriminator
-        if term == "ps-dgi":
-            h_sub = self.encode_view(record.view, training, rng)
-            return gd_loss(
-                discriminator(h_sub, summary),
-                discriminator(shuffle_negatives(h_sub, rng), summary),
-            )
+        if cfg.term == "ps-graphcl":
+            # Row i scores summary i against every augmented summary: its
+            # own is the positive, the others (the diagonal masked out) are
+            # the negatives.
+            scores = discriminator(summary, context.aug_summaries)
+            own = np.eye(scores.shape[0])
+            pos = ad.sum(ad.mul(scores, Tensor(own)), 1)
+            negs = ad.add(scores, Tensor(np.where(own > 0, -np.inf, 0.0)))
+            return infonce_loss(pos, negs, per_row=True)
 
-        if term == "ps-infograph":
-            projected, target = batch.projected_full, batch.target_index
-            return gd_loss(
-                discriminator.score(projected[target], summary),
-                discriminator.score(cross_subgraph_negatives(projected, target), summary),
-            )
-
-        if term == "ps-mvgrl":
+        # Every full-view row against every summary, one column per record;
+        # a record's positives are its own rows.
+        full = context.full
+        own = full.segments[:, None] == np.arange(full.count)
+        if cfg.term == "ps-mvgrl":
             # Two views, each summary against the other view's nodes.  The
-            # observed set is resampled every step, so its diffusion is too.
-            obs_diffused = ppr_view(partial, cfg.ppr_alpha, cfg.ppr_top_t)
-            s_obs_b = self.readout(
-                self.encode_view(obs_diffused, training, rng, encoder=self.encoder_b)
-            )
-            h_a = self.encode_view(record.view, training, rng)
-            diffused = self.bundle.diffusion(record, cfg.ppr_alpha, cfg.ppr_top_t)
-            h_b = self.encode_view(diffused, training, rng, encoder=self.encoder_b)
-            loss_a = gd_loss(
-                discriminator(h_a, s_obs_b),
-                discriminator(shuffle_negatives(h_a, rng), s_obs_b),
-            )
-            loss_b = gd_loss(
-                discriminator(h_b, summary),
-                discriminator(shuffle_negatives(h_b, rng), summary),
-            )
-            return ad.scale(ad.add(loss_a, loss_b), 0.5)
+            # observed sets are resampled every step, so their diffusions are too.
+            diffused = [ppr_view(view, cfg.ppr_alpha, cfg.ppr_top_t) for view in views]
+            obs_diffused, h = self.encode_views(diffused, True, rng, encoder=self.encoder_b)
+            scores_a = discriminator(context.h_full, self.readout(h, obs_diffused))
+            scores_b = discriminator(context.h_diffused, summary)
+            shuffled_a, shuffled_b = shuffle_negatives([scores_a, scores_b], full.sizes, rng)
+            loss_a = gd_loss(scores_a, shuffled_a, own, own)
+            return ad.scale(ad.add(loss_a, gd_loss(scores_b, shuffled_b, own, own)), 0.5)
 
-        # ps-graphcl: the summary against the augmented full-subgraph summary,
-        # negatives are the other in-batch augmented summaries.  One product
-        # scores the summary against every augmented summary of the batch.
-        scores = discriminator.score(batch.aug_summaries, summary)
-        others = [i for i in range(len(batch.records)) if i != batch.target_index]
-        pos = ad.gather_rows(scores, [batch.target_index])
-        negs = ad.transpose(ad.gather_rows(scores, others))
-        return infonce_loss(pos, negs)
+        scores = discriminator(context.h_full, summary)
+        if cfg.term == "ps-infograph":
+            # The negatives are every other record's rows.
+            return gd_loss(scores, scores, own, cross_subgraph_negatives(full.segments, full.count))
+        # ps-dgi: the negatives are the record's own rows, shuffled.
+        (shuffled,) = shuffle_negatives([scores], full.sizes, rng)
+        return gd_loss(scores, shuffled, own, own)
 
 
 def topk_softmax_pool(
@@ -436,12 +463,12 @@ def khop_forward(
         partition = khop_neighbors(
             model.bundle.graph, partial.node_ids, cfg.k, cap=cfg.neighbor_cap, p_d=p_d, rng=rng
         )
-    h_obs = model.encode_view(partial, training, rng)
+    observed, h_obs = model.encode_views([partial], training, rng)
     positions = observation_positions(record, partial, cfg.use_positional_encoding)
-    s_obs = model.readout(h_obs, positions)
+    s_obs = model.readout(h_obs, observed, positions)
 
     node_ids = partition.node_ids
-    h_khop = model.encode_view(SubgraphView(node_ids, partition.edges_khop), training, rng)
+    _, h_khop = model.encode_views([SubgraphView(node_ids, partition.edges_khop)], training, rng)
     scores = model.discriminator(h_khop, s_obs)
 
     pool = (scores, h_khop, node_ids)

@@ -182,23 +182,15 @@ def train_single_seed(
         batches = _batches(len(order), config.batch_size)
         for number, batch in enumerate(batches, 1):
             records = [bundle.records[int(i)] for i in order[batch]]
-            context = model.prepare_batch(records, rng)
-            objectives = []
-            for pos, record in enumerate(records):
-                observed = sample_observed(record, protocol, "train", rng)
-                partial = induced_partial_subgraph(record, observed)
-                out = model.step(
-                    record, partial, batch=context.for_target(pos),
-                    rng=rng, training=True,
-                )
-                objectives.append(out.objective)
-                for key, value in out.losses.items():
-                    epoch_sums[key] = epoch_sums.get(key, 0.0) + value
-                epoch_count += 1
-            batch_obj = objectives[0]
-            for extra in objectives[1:]:
-                batch_obj = ad.add(batch_obj, extra)
-            batch_obj = ad.scale(batch_obj, 1.0 / (len(objectives) * config.grad_accum))
+            views = [
+                induced_partial_subgraph(record, sample_observed(record, protocol, "train", rng))
+                for record in records
+            ]
+            out = model.step(records, views, rng=rng, training=True)
+            for key, values in out.losses.items():
+                epoch_sums[key] = epoch_sums.get(key, 0.0) + float(values.sum())
+            epoch_count += len(records)
+            batch_obj = ad.scale(out.objective, 1.0 / config.grad_accum)
             if not math.isfinite(batch_obj.item()):
                 log.error("seed %d diverged at epoch %d; aborting this seed", seed, epoch)
                 diverged = True
@@ -281,25 +273,25 @@ def evaluate(
     """Accuracy over a stage's frozen partial observations; deterministic.
 
     The observed views, and a k-hop model's partitions, come from the
-    bundle's frozen cache, so a step draws nothing from an rng; the steps
-    run under ``no_grad``, so no tape is built.
+    bundle's frozen cache, so the step draws nothing from an rng; one step
+    covers the whole stage, under ``no_grad``, so no tape is built.
     """
     indices = bundle.indices(stage)
     if not indices:
         raise ValueError(f"stage {stage!r} has no records")
     views = bundle.frozen_views(protocol, stage)
     cfg = model.config
-    correct = 0
+    records = [bundle.records[idx] for idx in indices]
+    partitions = None
+    if cfg.khop:
+        partitions = [
+            bundle.frozen_partition(protocol, stage, idx, cfg.k, cfg.neighbor_cap)
+            for idx in indices
+        ]
     with ad.no_grad():
-        for idx in indices:
-            record = bundle.records[idx]
-            partition = None
-            if cfg.khop:
-                partition = bundle.frozen_partition(protocol, stage, idx, cfg.k, cfg.neighbor_cap)
-            out = model.step(record, views[idx], partition=partition)
-            if int(np.argmax(out.logits)) == record.label:
-                correct += 1
-    return correct / len(indices)
+        logits = model.step(records, [views[idx] for idx in indices], partitions=partitions).logits
+    labels = np.array([record.label for record in records])
+    return int(np.count_nonzero(np.argmax(logits, axis=1) == labels)) / len(indices)
 
 
 def unpaired_t_test(sample_a, sample_b) -> float:

@@ -42,8 +42,9 @@ GRADIENT_LIMIT = 1e-4
 
 def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
     """One scalar closure per public tape op, named after it, plus one per
-    further axis of ``sum``, ``mean`` and ``concat`` and a one-part,
-    identity-skip ``sage_combine``; random shapes <= 16x16."""
+    further axis of ``sum``, ``mean`` and ``concat``, a one-part,
+    identity-skip ``sage_combine``, and the per-segment and per-row forms of
+    ``gd_loss`` and ``infonce_loss``; random shapes <= 16x16."""
 
     def rand(rows, cols):
         return Tensor(rng.normal(0.0, 1.0, size=(rows, cols)), requires_grad=True)
@@ -65,6 +66,11 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor]
     w_sq, w_nb = rand(m, m), rand(m, m)
     bias_k = rand(1, k)
     out_k = Tensor(rng.normal(0.0, 1.0, size=(n, k)))
+    # gd_loss masks: every column selects at least one positive and one
+    # negative; ``out_m`` weighs the per-column losses.
+    pos_mask = rng.random((n, m)) < 0.5
+    pos_mask[0], pos_mask[1] = True, False
+    out_m = Tensor(rng.normal(0.0, 1.0, size=(m, 1)))
 
     def dropped():
         # Re-seeded on every call so each finite-difference probe sees one mask.
@@ -108,7 +114,9 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor]
         ("clip_min", lambda: ad.sum(ad.clip_min(a, 0.25)), [a]),
         ("dropout", lambda: ad.sum(ad.mul(dropped(), c)), [a]),
         ("gd_loss", lambda: gd_loss(col, ad.mul(col, col)), [col]),
+        ("gd_loss/masks", lambda: ad.sum(ad.mul(gd_loss(a, ad.mul(a, c), pos_mask, ~pos_mask), out_m)), [a, c]),
         ("infonce_loss", lambda: infonce_loss(col, ad.concat([col, ad.mul(col, col)], 1)), [col]),
+        ("infonce_loss/rows", lambda: ad.sum(ad.mul(infonce_loss(col, a, per_row=True), col)), [col, a]),
         ("khop_loss", lambda: khop_loss(col, ad.mul(col, col)), [col]),
     ]
     return checks
@@ -155,7 +163,8 @@ def _toy_model_config(variant: str) -> ModelConfig:
 
 def model_gradient_closure(variant: str, seed: int = 0, **overrides):
     """A deterministic scalar training objective for one model variant, with
-    ``overrides`` applied to its toy ``ModelConfig``.
+    ``overrides`` applied to its toy ``ModelConfig``: the batch objective of
+    one step over 3 toy records.
 
     Rebuilds the forward graph on every call with a fresh, identically
     seeded rng, so finite differences see a fixed function of the
@@ -174,11 +183,7 @@ def model_gradient_closure(variant: str, seed: int = 0, **overrides):
 
     def closure() -> Tensor:
         rng = np.random.default_rng(seed + 31)
-        context = model.prepare_batch(records, rng)
-        out = model.step(
-            records[0], partials[0], batch=context.for_target(0), rng=rng, training=True
-        )
-        return out.objective
+        return model.step(records, partials, rng=rng, training=True).objective
 
     return closure, model.store.trainable()
 

@@ -470,3 +470,23 @@ class TestFiniteDiff:
         x = param([[0.5, -0.5]])  # inputs nudged off zero
         err = finite_diff_check(lambda: ad.sum(ad.relu(x)), [x])
         assert err < 1e-7
+
+    def test_relu_within_a_step_of_its_kink(self):
+        # 3e-6 from the kink: the central difference at 1e-5 straddles it
+        # and reads (1.3e-5 - 0) / 2e-5 against a gradient of 1; the
+        # smaller steps do not straddle it.
+        x = param([[3e-6, -0.5]])
+        assert finite_diff_check(lambda: ad.sum(ad.relu(x)), [x]) < 1e-7
+
+    def test_a_wrong_backward_reads_at_every_step(self):
+        # A backward off by 1e-3 relative is not taken for a kink.
+        x = param([[0.3, -0.8, 1.1]])
+
+        def scaled_square(a):
+            def bwd(g):
+                ad._accum(a, 1.001 * 2.0 * a.values * g)
+
+            return ad._make(a.values * a.values, (a,), bwd)
+
+        err = finite_diff_check(lambda: ad.sum(scaled_square(x)), [x])
+        assert err == pytest.approx(0.0005, rel=1e-3)

@@ -270,7 +270,7 @@ class TestBatching:
         # A config set to batch size 1 after it was built fails on its first batch.
         config = small_config(variant=variant, epochs=1)
         config.batch_size = 1
-        with pytest.raises(ValueError, match="training needs a batch context with at least 2"):
+        with pytest.raises(ValueError, match="training needs a batch of at least 2 records"):
             train_single_seed(config, load_bundle(config), 0)
 
     def test_batch_slices(self):
@@ -288,18 +288,21 @@ def test_train_submodule_is_not_shadowed():
 
 
 class _StubModel:
-    """Deterministic pseudo-random logits from a generator seeded by the
+    """Deterministic pseudo-random logits from a generator seeded by each
     record's node ids; ``evaluate`` hands a step no rng."""
 
     def __init__(self, num_classes):
         self.num_classes = num_classes
         self.config = ModelConfig(variant="baseline")
 
-    def step(self, record, partial, batch=None, rng=None, training=False, partition=None):
+    def logits(self, record):
+        return np.random.default_rng(record.node_ids).normal(size=self.num_classes)
+
+    def step(self, records, views, rng=None, training=False, partitions=None):
         from subgraph_infomax.models import StepOutput
 
-        rng = np.random.default_rng(record.node_ids)
-        return StepOutput(logits=rng.normal(size=self.num_classes))
+        assert rng is None and not training
+        return StepOutput(logits=np.stack([self.logits(record) for record in records]))
 
 
 class TestEvaluate:
@@ -312,12 +315,10 @@ class TestEvaluate:
                 super().__init__(bundle.num_classes)
                 self.bundle = bundle
 
-            def step(self, record, partial, batch=None, rng=None, training=False, partition=None):
-                from subgraph_infomax.models import StepOutput
-
+            def logits(self, record):
                 logits = np.zeros(self.num_classes)
                 logits[record.label] = 1.0
-                return StepOutput(logits=logits)
+                return logits
 
         assert evaluate(Oracle(bundle), bundle, config.protocol, "test") == 1.0
 

@@ -132,46 +132,101 @@ class TestKhopLoss:
 
 
 class TestSamplers:
-    def test_shuffle_single_row_is_identity(self):
-        h = Tensor([[1.0, 2.0]])
-        assert shuffle_negatives(h, np.random.default_rng(0)) is h
+    def test_shuffle_keeps_one_row_segments(self):
+        h = Tensor([[1.0, 2.0], [3.0, 4.0]])
+        (out,) = shuffle_negatives([h], [1, 1], np.random.default_rng(0))
+        assert np.array_equal(out.values, h.values)
 
-    def test_shuffle_preserves_row_multiset(self):
+    def test_shuffle_keeps_each_row_in_its_segment(self):
         rng = np.random.default_rng(0)
-        h = Tensor(np.arange(12.0).reshape(4, 3))
-        shuffled = shuffle_negatives(h, rng)
-        assert sorted(map(tuple, shuffled.values)) == sorted(map(tuple, h.values))
+        sizes = [2, 3, 4]
+        h = Tensor(np.arange(27.0).reshape(9, 3))
+        (shuffled,) = shuffle_negatives([h], sizes, rng)
+        bounds = np.cumsum([0] + sizes)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            got = sorted(map(tuple, shuffled.values[lo:hi]))
+            assert got == sorted(map(tuple, h.values[lo:hi]))
 
-    def test_shuffle_reproducible_under_seed(self):
-        h = Tensor(np.arange(20.0).reshape(5, 4))
-        a = shuffle_negatives(h, np.random.default_rng(42)).values
-        b = shuffle_negatives(h, np.random.default_rng(42)).values
-        assert np.array_equal(a, b)
+    def test_shuffle_draws_per_segment_then_per_tensor(self):
+        # The per-record order: each record's permutations in turn.
+        sizes = [3, 1, 4]
+        a, b = (Tensor(np.arange(8.0)[:, None] + k) for k in (0.0, 100.0))
+        got_a, got_b = shuffle_negatives([a, b], sizes, np.random.default_rng(42))
+        gen = np.random.default_rng(42)
+        want_a, want_b = [], []
+        for lo, n in zip([0, 3, 4], sizes):
+            want_a.extend(lo + gen.permutation(n))
+            want_b.extend(lo + gen.permutation(n))
+        assert np.array_equal(got_a.values[:, 0], a.values[want_a, 0])
+        assert np.array_equal(got_b.values[:, 0], b.values[want_b, 0])
 
     def test_shuffle_gradient_flows_to_source(self):
         h = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-        backward(ad.sum(shuffle_negatives(h, np.random.default_rng(1))))
+        (out,) = shuffle_negatives([h], [3], np.random.default_rng(1))
+        backward(ad.sum(out))
         assert np.array_equal(h.grad, np.ones((3, 2)))
 
-    def test_cross_negatives_two_element_batch(self):
-        a, b = Tensor(np.ones((2, 3))), Tensor(np.full((4, 3), 2.0))
-        out = cross_subgraph_negatives([a, b], target_index=0)
-        assert np.array_equal(out.values, b.values)
-
-    def test_cross_negatives_middle_target(self):
-        parts = [Tensor(np.full((i + 1, 2), float(i))) for i in range(3)]
-        out = cross_subgraph_negatives(parts, target_index=1)
-        assert out.shape[0] == 1 + 3
-        assert set(out.values[:, 0]) == {0.0, 2.0}
-
-    def test_cross_negatives_counts(self):
-        parts = [Tensor(np.zeros((n, 2))) for n in (2, 3, 4)]
-        out = cross_subgraph_negatives(parts, target_index=2)
-        assert out.shape[0] == 2 + 3
+    def test_cross_negatives_mark_every_other_member(self):
+        mask = cross_subgraph_negatives(np.array([0, 0, 1, 2, 2, 2]), 3)
+        assert mask.shape == (6, 3) and mask.dtype == bool
+        assert mask.tolist() == [
+            [False, True, True], [False, True, True], [True, False, True],
+            [True, True, False], [True, True, False], [True, True, False],
+        ]
+        assert mask.sum(axis=0).tolist() == [4, 5, 3]
 
     def test_cross_negatives_batch_of_one_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            cross_subgraph_negatives([Tensor(np.zeros((2, 2)))], 0)
+            cross_subgraph_negatives(np.zeros(2, dtype=np.int64), 1)
+        with pytest.raises(ValueError, match="out of range"):
+            cross_subgraph_negatives(np.array([0, 2]), 2)
+
+
+class TestPerSegmentLosses:
+    def test_gd_loss_column_is_the_loss_of_its_selected_scores(self):
+        gen = np.random.default_rng(3)
+        pos, neg = gen.normal(size=(7, 3)), gen.normal(size=(7, 3))
+        pos_mask = gen.random((7, 3)) < 0.5
+        pos_mask[0], pos_mask[1] = True, False
+        neg_mask = ~pos_mask
+        got = gd_loss(pos, neg, pos_mask, neg_mask)
+        assert got.shape == (3, 1)
+        for b in range(3):
+            want = gd_loss(pos[pos_mask[:, b], b], neg[neg_mask[:, b], b]).item()
+            assert got.values[b, 0] == pytest.approx(want, rel=1e-14)
+
+    def test_gd_loss_column_broadcasts_against_the_masks(self):
+        # One score per row, shared by every segment that selects the row.
+        scores = np.array([[1.0], [-2.0], [0.5]])
+        own = np.array([[True, False], [True, False], [False, True]])
+        got = gd_loss(scores, -scores, own, own).values[:, 0]
+        assert got[0] == pytest.approx(gd_loss(scores[:2], -scores[:2]).item(), rel=1e-14)
+        assert got[1] == pytest.approx(gd_loss(scores[2:], -scores[2:]).item(), rel=1e-14)
+
+    def test_gd_loss_needs_both_sides_in_every_segment(self):
+        own = np.array([[True, False], [True, False]])
+        with pytest.raises(ValueError, match="per segment"):
+            gd_loss(np.zeros((2, 2)), np.zeros((2, 2)), own, ~own)
+
+    def test_infonce_per_row_is_each_rows_loss(self):
+        gen = np.random.default_rng(4)
+        pos, negs = gen.normal(size=(4, 1)), gen.normal(size=(4, 3))
+        rows = infonce_loss(pos, negs, per_row=True)
+        assert rows.shape == (4, 1)
+        for i in range(4):
+            want = infonce_loss(pos[i : i + 1], negs[i : i + 1]).item()
+            assert rows.values[i, 0] == pytest.approx(want, rel=1e-14)
+        assert infonce_loss(pos, negs).item() == pytest.approx(rows.values.mean(), rel=1e-14)
+
+    def test_infonce_negative_of_minus_inf_takes_no_part(self):
+        negs = Tensor(np.array([[0.0, 1.0]]), requires_grad=True)
+        masked = ad.concat([ad.gather_rows(ad.transpose(negs), [0]), Tensor([[-np.inf]]),
+                            ad.gather_rows(ad.transpose(negs), [1])], 0)
+        got = infonce_loss([[0.5]], ad.transpose(masked), per_row=True)
+        want = infonce_loss([[0.5]], [[0.0, 1.0]]).item()
+        assert got.item() == pytest.approx(want, rel=1e-15)
+        backward(got)
+        assert np.isfinite(negs.grad).all()
 
 
 def make_view():

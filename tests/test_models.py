@@ -78,17 +78,32 @@ class TestStepContract:
     def test_inference_mode_has_logits_only(self, variant):
         bundle, model = make_toy(variant)
         records, partials = step_inputs(bundle)
-        out = model.step(records[0], partials[0], rng=np.random.default_rng(1), training=False)
-        assert out.logits.shape == (bundle.num_classes,)
+        out = model.step(records, partials, rng=np.random.default_rng(1), training=False)
+        assert out.logits.shape == (len(records), bundle.num_classes)
         assert out.objective is None and out.losses == {}
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_batch_logits_are_the_one_record_logits(self, variant):
+        bundle, model = make_toy(variant)
+        records, partials = step_inputs(bundle)
+        batch = model.step(records, partials).logits
+        for i, (record, partial) in enumerate(zip(records, partials)):
+            alone = model.step([record], [partial]).logits
+            np.testing.assert_allclose(batch[i : i + 1], alone, rtol=1e-12, atol=1e-14)
+
+    def test_step_needs_one_view_per_record(self):
+        bundle, model = make_toy("baseline")
+        records, partials = step_inputs(bundle)
+        with pytest.raises(ValueError, match="one view per record, got 3 and 2"):
+            model.step(records, partials[:2])
+        with pytest.raises(ValueError, match="one view per record, got 0 and 0"):
+            model.step([], [])
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_total_recomposes_bit_exactly(self, variant):
         bundle, model = make_toy(variant)
         records, partials = step_inputs(bundle)
-        rng = np.random.default_rng(2)
-        context = model.prepare_batch(records, rng)
-        out = model.step(records[0], partials[0], batch=context.for_target(0), rng=rng, training=True)
+        out = model.step(records, partials, rng=np.random.default_rng(2), training=True)
         cfg = model.config
         if variant == "baseline":
             names = ["graph"]
@@ -99,25 +114,26 @@ class TestStepContract:
         else:
             names = ["graph", "infomax"]
         assert list(out.losses) == names
+        assert all(values.shape == (len(records),) for values in out.losses.values())
         weights = {"khop": cfg.lambda_khop, "second": cfg.lambda_second, "infomax": cfg.lambda_single}
         expected = out.losses["graph"]
         for name in names[1:]:
             expected = expected + weights[name] * out.losses[name]
-        assert out.objective.item() == expected
+        assert out.objective.item() == expected.sum() / len(records)
 
     def test_lambda_zero_total_equals_graph_loss(self):
         bundle, model = make_toy("ps-dgi", lambda_single=0.0)
         records, partials = step_inputs(bundle)
         rng = np.random.default_rng(3)
-        out = model.step(records[0], partials[0], rng=rng, training=True)
-        assert out.objective.item() == out.losses["graph"]
+        out = model.step(records, partials, rng=rng, training=True)
+        assert out.objective.item() == out.losses["graph"].sum() / len(records)
 
     def test_two_stage_lambda_zero(self):
         bundle, model = make_toy("khop+ps-dgi", lambda_khop=0.0, lambda_second=0.0)
         records, partials = step_inputs(bundle)
         rng = np.random.default_rng(3)
-        out = model.step(records[0], partials[0], rng=rng, training=True)
-        assert out.objective.item() == out.losses["graph"]
+        out = model.step(records, partials, rng=rng, training=True)
+        assert out.objective.item() == out.losses["graph"].sum() / len(records)
 
     def test_invalid_second_stage_rejected(self):
         with pytest.raises(ValueError, match="ps-dgi"):
@@ -181,11 +197,14 @@ class TestStepContract:
         with pytest.raises(ValueError, match="composed variant"):
             TwoStageModel(toy_config("khop"), *args)
 
-    def test_infograph_requires_batch(self):
-        bundle, model = make_toy("ps-infograph")
+    @pytest.mark.parametrize("variant", ["ps-infograph", "ps-graphcl", "khop+ps-infograph"])
+    def test_in_batch_negatives_need_two_records(self, variant):
+        bundle, model = make_toy(variant)
         records, partials = step_inputs(bundle)
-        with pytest.raises(ValueError, match="batch"):
-            model.step(records[0], partials[0], rng=np.random.default_rng(0), training=True)
+        with pytest.raises(ValueError, match="training needs a batch of at least 2 records"):
+            model.step(records[:1], partials[:1], rng=np.random.default_rng(0), training=True)
+        # Inference needs no negatives.
+        assert model.step(records[:1], partials[:1]).logits.shape == (1, bundle.num_classes)
 
 
 class TestVariantLossValues:
@@ -193,8 +212,8 @@ class TestVariantLossValues:
         bundle, model = make_toy("ps-dgi")
         model.discriminator.w.values[:] = 0.0
         records, partials = step_inputs(bundle)
-        out = model.step(records[0], partials[0], rng=np.random.default_rng(1), training=True)
-        assert out.losses["infomax"] == pytest.approx(2 * math.log(2), abs=1e-12)
+        out = model.step(records, partials, rng=np.random.default_rng(1), training=True)
+        assert out.losses["infomax"] == pytest.approx([2 * math.log(2)] * 3, abs=1e-12)
 
     def test_graphcl_batch_of_two_equal_scores(self):
         # Zeroed parameters make every summary the zero vector, whose cosine
@@ -204,56 +223,55 @@ class TestVariantLossValues:
             model.store[name].values[:] = 0.0
         records, partials = step_inputs(bundle)
         rng = np.random.default_rng(4)
-        context = model.prepare_batch(records[:2], rng)
-        out = model.step(records[0], partials[0], batch=context.for_target(0), rng=rng, training=True)
-        assert out.losses["infomax"] == pytest.approx(math.log(2), abs=1e-12)
+        out = model.step(records[:2], partials[:2], rng=rng, training=True)
+        assert out.losses["infomax"] == pytest.approx([math.log(2)] * 2, abs=1e-12)
 
     def test_infograph_matches_scripted_composition(self):
-        # Independent end-to-end script of encode -> readout -> scores -> loss.
+        # Independent end-to-end script of encode -> readout -> scores -> loss,
+        # record by record.
         from subgraph_infomax.infomax import gd_loss
         from subgraph_infomax.layers import encode
 
         bundle, model = make_toy("ps-infograph")
         records, partials = step_inputs(bundle)
-        rng = np.random.default_rng(7)
-        context = model.prepare_batch(records[:2], rng)
-        out = model.step(
-            records[0], partials[0], batch=context.for_target(0),
-            rng=np.random.default_rng(7), training=True,
-        )
+        out = model.step(records[:2], partials[:2], rng=np.random.default_rng(7), training=True)
 
-        rng2 = np.random.default_rng(7)
-        h_own = encode(model.encoder, model.table, records[0].node_ids, records[0].edges)
-        h_other = encode(model.encoder, model.table, records[1].node_ids, records[1].edges)
-        h_obs = encode(model.encoder, model.table, partials[0].node_ids, partials[0].edges)
-        s_obs = model.readout(h_obs)
-        li = gd_loss(model.discriminator(h_own, s_obs), model.discriminator(h_other, s_obs))
-        from subgraph_infomax.layers import cross_entropy
-
-        logits = model.head(s_obs)
-        ce = cross_entropy(logits, records[0].label)
-        assert out.losses["infomax"] == pytest.approx(li.item(), abs=1e-12)
-        assert out.objective.item() == pytest.approx(ce.item() + li.item(), abs=1e-12)
+        h_full = [encode(model.encoder, model.table, r.node_ids, r.edges) for r in records[:2]]
+        for target in (0, 1):
+            h_obs = encode(model.encoder, model.table, partials[target].node_ids, partials[target].edges)
+            s_obs = ad.mean(model.readout.mlp(h_obs), 0)
+            li = gd_loss(
+                model.discriminator(h_full[target], s_obs),
+                model.discriminator(h_full[1 - target], s_obs),
+            ).item()
+            logits = model.head(s_obs).values[0]
+            ce = np.log(np.exp(logits).sum()) - logits[records[target].label]
+            assert out.losses["infomax"][target] == pytest.approx(li, abs=1e-12)
+            assert out.losses["graph"][target] == pytest.approx(ce, abs=1e-12)
+        want = (out.losses["graph"] + out.losses["infomax"]).mean()
+        assert out.objective.item() == pytest.approx(want, abs=1e-12)
 
     def test_dgi_matches_scripted_composition(self):
-        from subgraph_infomax.infomax import gd_loss, shuffle_negatives
-        from subgraph_infomax.layers import cross_entropy, encode
+        from subgraph_infomax.infomax import gd_loss
+        from subgraph_infomax.layers import encode
 
         bundle, model = make_toy("ps-dgi")
         records, partials = step_inputs(bundle)
-        out = model.step(records[0], partials[0], rng=np.random.default_rng(11), training=True)
+        out = model.step(records, partials, rng=np.random.default_rng(11), training=True)
 
+        # The negatives shuffle each record's rows with one permutation per
+        # record, drawn in record order.
         rng = np.random.default_rng(11)
-        h_obs = encode(model.encoder, model.table, partials[0].node_ids, partials[0].edges)
-        s_obs = model.readout(h_obs)
-        h_sub = encode(model.encoder, model.table, records[0].node_ids, records[0].edges)
-        li = gd_loss(
-            model.discriminator(h_sub, s_obs),
-            model.discriminator(shuffle_negatives(h_sub, rng), s_obs),
-        )
-        logits = model.head(s_obs)
-        ce = cross_entropy(logits, records[0].label)
-        assert out.objective.item() == pytest.approx(ce.item() + li.item(), abs=1e-12)
+        for record, partial, li in zip(records, partials, out.losses["infomax"]):
+            h_obs = encode(model.encoder, model.table, partial.node_ids, partial.edges)
+            s_obs = ad.mean(model.readout.mlp(h_obs), 0)
+            h_sub = encode(model.encoder, model.table, record.node_ids, record.edges)
+            perm = rng.permutation(len(record.node_ids))
+            want = gd_loss(
+                model.discriminator(h_sub, s_obs),
+                model.discriminator(ad.gather_rows(h_sub, perm), s_obs),
+            ).item()
+            assert li == pytest.approx(want, abs=1e-12)
 
 
 class TestTopkPooling:
@@ -336,8 +354,8 @@ class TestKhopForward:
     def test_eval_forward_is_deterministic(self):
         bundle, model = make_toy("khop")
         records, partials = step_inputs(bundle)
-        a = model.step(records[0], partials[0], training=False).logits
-        b = model.step(records[0], partials[0], training=False).logits
+        a = model.step(records, partials, training=False).logits
+        b = model.step(records, partials, training=False).logits
         assert np.array_equal(a, b)
 
     def test_saturating_scores_drive_khop_loss_to_zero(self):
@@ -413,15 +431,7 @@ class TestTrainingDescent:
             config = AdamConfig(learning_rate=3e-3)
             first = last = None
             for step in range(50):
-                context = model.prepare_batch(records, rng)
-                objectives = []
-                for i, (rec, part) in enumerate(zip(records, partials)):
-                    out = model.step(rec, part, batch=context.for_target(i), rng=rng, training=True)
-                    objectives.append(out.objective)
-                total = objectives[0]
-                for other in objectives[1:]:
-                    total = ad.add(total, other)
-                total = ad.scale(total, 1.0 / len(objectives))
+                total = model.step(records, partials, rng=rng, training=True).objective
                 value = total.item()
                 if first is None:
                     first = value
