@@ -33,7 +33,7 @@ Array = np.ndarray
 _EPS = float(np.finfo(np.float64).eps)
 # ``finite_diff_check`` measures a coordinate that reads above this again
 # with smaller steps.
-KINK_RETRY = 1e-6
+_KINK_RETRY = 1e-6
 
 __all__ = [
     "Tensor",
@@ -583,9 +583,8 @@ def finite_diff_check(
 
     A ReLU (or clip) input within ``epsilon`` of its kink makes the central
     difference straddle the kink, where the function has no derivative.  So
-    a coordinate that reads more than ``KINK_RETRY`` is measured again with
-    steps ``epsilon / 10`` and ``epsilon / 100``, and its smallest error
-    counts.  A wrong backward rule reads about the same error at every step.
+    a coordinate that reads more than 1e-6 is measured again with steps
+    ``epsilon / 10`` and ``epsilon / 100``, and its smallest error counts.  A wrong backward rule reads about the same error at every step.
     """
     params = list(params)
     for p in params:
@@ -617,7 +616,7 @@ def finite_diff_check(
         for i in range(flat.size):
             err = error(flat, i, gflat[i], epsilon)
             for step in (epsilon / 10, epsilon / 100):
-                if err <= KINK_RETRY:
+                if err <= _KINK_RETRY:
                     break
                 err = min(err, error(flat, i, gflat[i], step))
             worst = max(worst, err)
