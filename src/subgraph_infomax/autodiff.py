@@ -584,7 +584,13 @@ def finite_diff_check(
     A ReLU (or clip) input within ``epsilon`` of its kink makes the central
     difference straddle the kink, where the function has no derivative.  So
     a coordinate that reads more than 1e-6 is measured again with steps
-    ``epsilon / 10`` and ``epsilon / 100``, and its smallest error counts.  A wrong backward rule reads about the same error at every step.
+    ``epsilon / 10`` and ``epsilon / 100``.  The ``epsilon / 10`` reading
+    counts only if it looks like a kink: the ``epsilon`` difference
+    disagrees with the ``epsilon / 10`` one beyond the latter's rounding,
+    while the ``epsilon / 10`` and ``epsilon / 100`` differences agree
+    within the ``epsilon / 100`` rounding.  Otherwise the ``epsilon``
+    reading stands, so a smaller step's larger rounding allowance never
+    hides a wrong backward on a coordinate with a small gradient.
     """
     params = list(params)
     for p in params:
@@ -598,7 +604,7 @@ def finite_diff_check(
     for p in params:
         p.grad = None
 
-    def error(flat, i, a, step):
+    def central(flat, i, step):
         orig = flat[i]
         flat[i] = orig + step
         f_plus = scalar_fn().item()
@@ -606,7 +612,9 @@ def finite_diff_check(
         f_minus = scalar_fn().item()
         flat[i] = orig
         numeric = (f_plus - f_minus) / (2.0 * step)
-        rounding = _EPS * max(abs(f_plus), abs(f_minus)) / step
+        return numeric, _EPS * max(abs(f_plus), abs(f_minus)) / step
+
+    def error(a, numeric, rounding):
         return max(0.0, abs(a - numeric) - rounding) / max(1e-8, abs(a) + abs(numeric))
 
     worst = 0.0
@@ -614,10 +622,15 @@ def finite_diff_check(
         flat = p.values.reshape(-1)
         gflat = ga.reshape(-1)
         for i in range(flat.size):
-            err = error(flat, i, gflat[i], epsilon)
-            for step in (epsilon / 10, epsilon / 100):
-                if err <= _KINK_RETRY:
-                    break
-                err = min(err, error(flat, i, gflat[i], step))
+            numeric, rounding = central(flat, i, epsilon)
+            err = error(gflat[i], numeric, rounding)
+            if err > _KINK_RETRY:
+                tenth, tenth_rounding = central(flat, i, epsilon / 10)
+                hundredth, hundredth_rounding = central(flat, i, epsilon / 100)
+                if (
+                    abs(numeric - tenth) > tenth_rounding
+                    and abs(tenth - hundredth) <= hundredth_rounding
+                ):
+                    err = error(gflat[i], tenth, tenth_rounding)
             worst = max(worst, err)
     return worst

@@ -38,32 +38,31 @@ def gd_loss(pos_scores, neg_scores, pos_mask=None, neg_mask=None) -> Tensor:
     column selects, giving one loss per segment, ``(B, 1)``.
     """
     pos, neg = ad.as_tensor(pos_scores), ad.as_tensor(neg_scores)
-    if pos_mask is None:
-        if pos.values.size == 0 or neg.values.size == 0:
-            raise ValueError("gd_loss needs at least one positive and one negative score")
-        pos_term = ad.mean(ad.log_sigmoid(pos))
-        neg_term = ad.mean(ad.log_sigmoid(ad.scale(neg, -1.0)))
-        return ad.scale(ad.add(pos_term, neg_term), -1.0)
     pos_term = _segment_means(ad.log_sigmoid(pos), pos_mask)
     neg_term = _segment_means(ad.log_sigmoid(ad.scale(neg, -1.0)), neg_mask)
     return ad.transpose(ad.scale(ad.add(pos_term, neg_term), -1.0))
 
 
-def _segment_means(values: Tensor, mask: np.ndarray) -> Tensor:
-    """``(1, B)``: per column of ``mask``, the mean of the entries it selects."""
+def _segment_means(values: Tensor, mask: np.ndarray | None) -> Tensor:
+    """``(1, B)``: per column of ``mask``, the mean of the entries it selects;
+    ``(1, 1)``, the mean of every entry, with no mask."""
+    if mask is None:
+        if values.values.size == 0:
+            raise ValueError("gd_loss needs at least one positive and one negative score")
+        return ad.mean(values)
     counts = mask.sum(axis=0, keepdims=True)
     if not counts.all():
         raise ValueError("gd_loss needs at least one positive and one negative score per segment")
     return ad.div(ad.sum(ad.mul(values, Tensor(mask.astype(np.float64))), 0), Tensor(counts))
 
 
-def infonce_loss(pos_scores, neg_scores_per_pos, per_row: bool = False) -> Tensor:
-    """Contrastive loss of one positive against its row of negatives.
+def infonce_loss(pos_scores, neg_scores_per_pos) -> Tensor:
+    """Contrastive loss of each positive against its row of negatives.
 
-    ``-mean_i [pos_i - log(exp(pos_i) + sum_j exp(neg_ij))]``, log-sum-exp
-    stabilized.  Scores are expected to be already temperature-scaled.  A
-    negative of ``-inf`` takes no part.  With ``per_row`` the loss of each
-    row is returned, ``(n, 1)``, instead of their mean.
+    ``pos_i - log(exp(pos_i) + sum_j exp(neg_ij))``, negated and
+    log-sum-exp stabilized, one row per positive: ``(n, 1)``; ``ad.mean``
+    of it is the usual batch loss.  Scores are expected to be already
+    temperature-scaled.  A negative of ``-inf`` takes no part.
     """
     pos = ad.as_tensor(pos_scores)
     negs = ad.as_tensor(neg_scores_per_pos)
@@ -79,8 +78,7 @@ def infonce_loss(pos_scores, neg_scores_per_pos, per_row: bool = False) -> Tenso
             f"negative rows {negs.shape} do not match positives {pos.shape}"
         )
     lse = ad.logsumexp_rows(ad.concat([pos, negs], 1))
-    rows = ad.add(lse, ad.scale(pos, -1.0))
-    return rows if per_row else ad.mean(rows)
+    return ad.add(lse, ad.scale(pos, -1.0))
 
 
 def khop_loss(pos_scores, neg_scores) -> Tensor:

@@ -32,7 +32,11 @@ log = logging.getLogger(__name__)
 
 
 class Mlp:
-    """Two fully connected layers with a ReLU in between."""
+    """Two fully connected layers with a ReLU in between.
+
+    Each row is mapped on its own, so ``segments`` is ignored: it lets an
+    ``Mlp`` stand as a readout's premixer, which is called with them.
+    """
 
     def __init__(
         self,
@@ -48,7 +52,7 @@ class Mlp:
         self.w2 = store.create(f"{name}.w2", (hidden_dim, out_dim), rng)
         self.b2 = store.create(f"{name}.b2", (1, out_dim), rng, fan_in=hidden_dim)
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, segments: np.ndarray | None = None) -> Tensor:
         return ad.affine(ad.relu(ad.affine(x, self.w1, self.b1)), self.w2, self.b2)
 
 
@@ -291,10 +295,8 @@ class GatedAttentionReadout:
                 )
             pe = sinusoidal_encoding(positions, self.dim)
             h = ad.add(h, Tensor(pe))
-        if isinstance(self.premixer, _SdpMixer):
+        if self.premixer is not None:
             h = self.premixer(h, segments)
-        elif self.premixer is not None:
-            h = self.premixer(h)
         return ad.segment_sum(ad.mul(ad.sigmoid(self.gate(h)), self.feat(h)), segments, count)
 
 

@@ -385,7 +385,7 @@ class _ModelBase:
             own = np.eye(scores.shape[0])
             pos = ad.sum(ad.mul(scores, Tensor(own)), 1)
             negs = ad.add(scores, Tensor(np.where(own > 0, -np.inf, 0.0)))
-            return infonce_loss(pos, negs, per_row=True)
+            return infonce_loss(pos, negs)
 
         # Every full-view row against every summary, one column per record;
         # a record's positives are its own rows.

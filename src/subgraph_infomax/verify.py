@@ -115,8 +115,8 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor]
         ("dropout", lambda: ad.sum(ad.mul(dropped(), c)), [a]),
         ("gd_loss", lambda: gd_loss(col, ad.mul(col, col)), [col]),
         ("gd_loss/masks", lambda: ad.sum(ad.mul(gd_loss(a, ad.mul(a, c), pos_mask, ~pos_mask), out_m)), [a, c]),
-        ("infonce_loss", lambda: infonce_loss(col, ad.concat([col, ad.mul(col, col)], 1)), [col]),
-        ("infonce_loss/rows", lambda: ad.sum(ad.mul(infonce_loss(col, a, per_row=True), col)), [col, a]),
+        ("infonce_loss", lambda: ad.mean(infonce_loss(col, ad.concat([col, ad.mul(col, col)], 1))), [col]),
+        ("infonce_loss/rows", lambda: ad.sum(ad.mul(infonce_loss(col, a), col)), [col, a]),
         ("khop_loss", lambda: khop_loss(col, ad.mul(col, col)), [col]),
     ]
     return checks
@@ -246,7 +246,7 @@ def loss_value_report() -> list[CheckResult]:
     k = 7
     cases = [
         ("gd-zero-scores", gd_loss(np.zeros(3), np.zeros(5)), 2 * math.log(2)),
-        ("infonce-uniform", infonce_loss(np.zeros((2, 1)), np.zeros((2, k))), math.log(k + 1)),
+        ("infonce-uniform", ad.mean(infonce_loss(np.zeros((2, 1)), np.zeros((2, k)))), math.log(k + 1)),
         ("khop-balanced", khop_loss(np.zeros(2), np.zeros(2)), math.log(2)),
     ]
     return [

@@ -74,7 +74,7 @@ def test_criterion_02_analytic_loss_values():
     gd = gd_loss(np.zeros(3), np.zeros(4)).item()
     errors = [abs(gd - 2 * math.log(2))]
     for k in (1, 3, 10):
-        nce = infonce_loss(np.zeros((2, 1)), np.zeros((2, k))).item()
+        nce = ad.mean(infonce_loss(np.zeros((2, 1)), np.zeros((2, k)))).item()
         errors.append(abs(nce - math.log(k + 1)))
     balanced = khop_loss(np.zeros(5), np.zeros(5)).item()
     errors.append(abs(balanced - math.log(2)))

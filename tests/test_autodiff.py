@@ -490,3 +490,20 @@ class TestFiniteDiff:
 
         err = finite_diff_check(lambda: ad.sum(scaled_square(x)), [x])
         assert err == pytest.approx(0.0005, rel=1e-3)
+
+    def test_a_wrong_backward_on_a_small_gradient_is_not_taken_for_a_kink(self):
+        # Gradient 1e-6 on a loss near 1, backward off by 1e-3 relative: the
+        # error (1e-9) lies below the rounding allowance at epsilon / 100
+        # (2.2e-9), but the differences at every step agree, so the epsilon
+        # reading stands.
+        x = param([[0.3]])
+
+        def tiny_slope(a):
+            def bwd(g):
+                ad._accum(a, 1.001 * 1e-6 * g)
+
+            return ad._make(1e-6 * a.values, (a,), bwd)
+
+        one = Tensor(np.ones((1, 1)))
+        err = finite_diff_check(lambda: ad.add(one, ad.sum(tiny_slope(x))), [x])
+        assert err == pytest.approx(0.0005, rel=0.1)

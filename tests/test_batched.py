@@ -245,7 +245,7 @@ def oracle_mi_loss(model, summary, target, records, partial, batch, rng):
     negs = ad.concat([
         per_pair_cosine(s, summary, tau) for i, s in enumerate(batch) if i != target
     ], 1)
-    return infonce_loss(pos, negs)
+    return ad.mean(infonce_loss(pos, negs))
 
 
 def oracle_step(model, records, partials, rng):
