@@ -1,7 +1,8 @@
 """Observation protocols, dataset bundles, file loaders, and the synthetic benchmark.
 
-File formats (line-oriented, UTF-8, LF; in every format blank lines and
-lines starting with '#' are skipped and surrounding whitespace is ignored):
+File formats (line-oriented UTF-8; a line ends at LF, CR or CRLF, as text
+mode splits lines; in every format blank lines and lines starting with '#'
+are skipped and surrounding whitespace is ignored):
   - edge list: one whitespace-separated "src dst" pair per line, consecutive
     integer node ids from 0;
   - subgraphs: one record per line, "label<TAB>id,id,id,..." with ids in
@@ -11,12 +12,21 @@ lines starting with '#' are skipped and surrounding whitespace is ignored):
   - splits: "record_index<TAB>train|val|test" lines.
 The node count is the embedding row count when embeddings are given, and
 otherwise one more than the largest id in the edge list.
+
+Edge and embedding files are parsed by ``np.loadtxt``, so its grammar holds
+there: a '#' anywhere starts a comment to the end of the line; any Unicode
+whitespace separates fields (as for ``str.split``); numbers are ASCII
+decimals with an optional sign, ids within int64 ("+1" reads 1; "1_0",
+"0x1" and non-ASCII digits do not parse, though Python's ``int`` and
+``float`` take the first and last).  Subgraph and split files are read a
+line at a time with Python's ``int``.
 """
 
 from __future__ import annotations
 
 import logging
-import math
+import re
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -420,24 +430,108 @@ def _read_lines(path):
                 yield lineno, line
 
 
-def load_edge_file(path, directed: bool = False) -> tuple[int, list[tuple[int, int]]]:
-    edges = []
-    max_id = -1
-    for lineno, line in _read_lines(path):
-        parts = line.split()
-        if len(parts) != 2:
-            raise _parse_error(path, lineno, f"expected 'src dst', got {line!r}")
+# Lines that one ``np.loadtxt`` call takes at a time when a file is read by
+# blocks of lines.
+_BLOCK_LINES = 4096
+# numpy 2.4's ``loadtxt`` crashes the process, in about half of the runs, on
+# some code points far above the BMP (U+D0000, U+100000) in a file's first
+# row.  No code point above the BMP is whitespace, '#' or part of a number,
+# so each is parsed as U+FFFD, with the same outcome.
+_ASTRAL = re.compile("[\U00010000-\U0010ffff]")
+
+
+def _loadtxt(source, dtype) -> np.ndarray:
+    """``source``, an ASCII file's path or a list of lines, as an ``(R, C)``
+    array: one row per line of whitespace-separated ``dtype`` values, ``#``
+    starting a comment, lines left empty skipped.  No rows give shape
+    ``(0, 1)``."""
+    if isinstance(source, list):
+        source = [_ASTRAL.sub("\ufffd", line) for line in source]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(source, dtype=dtype, comments="#", ndmin=2, encoding="utf-8")
+
+
+def _is_ascii(path) -> bool:
+    with open(path, "rb") as fh:
+        return all(chunk.isascii() for chunk in iter(lambda: fh.read(1 << 20), b""))
+
+
+def _read_table(path, dtype, problem) -> np.ndarray:
+    """A numeric table file as one array.  ``problem(rows, line, width)``
+    names the first check that ``rows`` fail (``None`` when they did not
+    parse), given the first row's ``width``; ``line``, the text when ``rows``
+    are one line's, only words the message.  An ASCII file is parsed by one
+    ``np.loadtxt`` pass and checked on the whole array; a file that is not
+    ASCII or fails is read again by ``_read_table_by_blocks``."""
+    if _is_ascii(path):
         try:
-            u, v = int(parts[0]), int(parts[1])
+            rows = _loadtxt(path, dtype)
         except ValueError:
-            raise _parse_error(path, lineno, f"non-integer node id in {line!r}") from None
-        if u < 0 or v < 0:
-            raise _parse_error(path, lineno, "node ids must be nonnegative")
-        edges.append((u, v))
-        if not directed:
-            edges.append((v, u))
-        max_id = max(max_id, u, v)
-    return max_id + 1, edges
+            rows = None
+        if rows is not None and problem(rows, None, rows.shape[1]) is None:
+            return rows
+    return _read_table_by_blocks(path, dtype, problem)
+
+
+def _read_table_by_blocks(path, dtype, problem) -> np.ndarray:
+    """``_read_table``'s array, parsed and checked a block of lines at a
+    time, and a block that fails line by line, so that the error names the
+    first line that fails.  Lines break where text mode breaks them, at LF,
+    CR and CRLF."""
+    lines = Path(path).read_bytes().splitlines()
+    width = None
+    kept = []
+    for start in range(0, len(lines), _BLOCK_LINES):
+        block = lines[start:start + _BLOCK_LINES]
+        try:
+            rows = _loadtxt([raw.decode("utf-8") for raw in block], dtype)
+        except ValueError:  # a UnicodeDecodeError too
+            rows = None
+        else:
+            width = width or (rows.shape[1] if len(rows) else None)
+            if problem(rows, None, width) is None:
+                kept.append(rows)
+                continue
+        for lineno, raw in enumerate(block, start=start + 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise _parse_error(path, lineno, "not UTF-8 text") from None
+            try:
+                rows = _loadtxt([line], dtype)
+            except ValueError:
+                rows = None
+            else:
+                if not len(rows):
+                    continue
+                width = width or rows.shape[1]
+            message = problem(rows, line.strip(), width)
+            if message is not None:
+                raise _parse_error(path, lineno, message)
+            kept.append(rows)
+    kept = [rows for rows in kept if len(rows)]
+    return np.concatenate(kept) if kept else np.empty((0, 1), dtype=dtype)
+
+
+def _edge_problem(rows, line, width) -> str | None:
+    if rows is None:
+        return f"non-integer node id in {line!r}"
+    if len(rows) and rows.shape[1] != 2:
+        return f"expected 'src dst', got {line!r}"
+    if (rows < 0).any():
+        return "node ids must be nonnegative"
+    return None
+
+
+def load_edge_file(path, directed: bool = False) -> tuple[int, np.ndarray]:
+    """``(num_nodes, pairs)``: one more than the largest id, and the
+    ``(E, 2)`` int64 ``src dst`` rows in file order, each followed by its
+    reverse unless ``directed``."""
+    pairs = _read_table(path, np.int64, _edge_problem).reshape(-1, 2)
+    if not directed:
+        pairs = np.hstack([pairs, pairs[:, ::-1]]).reshape(-1, 2)
+    return (int(pairs.max()) + 1 if pairs.size else 0), pairs
 
 
 def load_subgraph_file(path, num_nodes: int) -> list[tuple[int, list[int]]]:
@@ -466,23 +560,20 @@ def load_subgraph_file(path, num_nodes: int) -> list[tuple[int, list[int]]]:
     return rows
 
 
+def _embedding_problem(rows, line, width) -> str | None:
+    if rows is None:
+        return "non-numeric embedding entry"
+    if not np.isfinite(rows).all():
+        return "non-finite embedding entry"
+    if len(rows) and rows.shape[1] != width:
+        return f"{rows.shape[1]} embedding values, expected {width}"
+    return None
+
+
 def load_embedding_file(path, num_nodes: int) -> np.ndarray:
     """Node feature rows: at least ``num_nodes``, the nodes the edge file
     names; later rows are nodes without edges."""
-    rows = []
-    for lineno, line in _read_lines(path):
-        try:
-            row = [float(tok) for tok in line.split()]
-        except ValueError:
-            raise _parse_error(path, lineno, "non-numeric embedding entry") from None
-        if not all(map(math.isfinite, row)):
-            raise _parse_error(path, lineno, "non-finite embedding entry")
-        if rows and len(row) != len(rows[0]):
-            raise _parse_error(
-                path, lineno, f"{len(row)} embedding values, expected {len(rows[0])}"
-            )
-        rows.append(row)
-    values = np.array(rows, dtype=np.float64)
+    values = _read_table(path, np.float64, _embedding_problem)
     if values.shape[0] < num_nodes:
         raise ValueError(
             f"{path}: {values.shape[0]} embedding rows for {num_nodes} nodes"
@@ -588,9 +679,7 @@ def save_bundle(bundle: DatasetBundle, out_dir) -> dict[str, str]:
         "subgraphs": out / "subgraphs.tsv",
         "splits": out / "splits.tsv",
     }
-    with open(paths["edges"], "w", encoding="utf-8") as fh:
-        for u, v in bundle.graph.edges:
-            fh.write(f"{u} {v}\n")
+    np.savetxt(paths["edges"], bundle.graph.pairs(), fmt="%d")
     with open(paths["subgraphs"], "w", encoding="utf-8") as fh:
         for record in bundle.records:
             order = record.observation_order or record.node_ids

@@ -1,12 +1,21 @@
+import importlib.util
+import math
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subgraph_infomax import data as data_module
 from subgraph_infomax.data import (
     DatasetBundle,
     ExpectedStats,
     ObservationProtocol,
     SyntheticSpec,
+    _read_lines,
     generate_synthetic,
     load_dataset,
     load_edge_file,
@@ -457,12 +466,13 @@ class TestFileRoundTrip:
 
 
 # The loaded output of three readers, recorded before the readers shared one
-# line filter; blank lines and unindented '#' lines must not change it.
+# line filter; blank lines and unindented '#' lines must not change it.  The
+# edge reader returns an array, compared as its ``tolist()``.
 READER_PINS = {
     "edges": (
-        load_edge_file,
+        lambda path: (lambda n, pairs: (n, pairs.tolist()))(*load_edge_file(path)),
         ["0 1", "1 2", "2 0"],
-        (3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)]),
+        (3, [[0, 1], [1, 0], [1, 2], [2, 1], [2, 0], [0, 2]]),
     ),
     "subgraphs": (
         lambda path: load_subgraph_file(path, 3),
@@ -486,3 +496,211 @@ def test_reader_output_is_pinned(tmp_path, kind, commented):
     path = tmp_path / f"{kind}.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert read(path) == want
+
+
+# The edge and embedding readers parse a whole file with one ``np.loadtxt``
+# call.  The per-line readers they replaced stay here as the reference.
+
+
+def per_line_edge_file(path, directed=False):
+    edges = []
+    max_id = -1
+    for lineno, line in _read_lines(path):
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 'src dst', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-integer node id in {line!r}") from None
+        if u < 0 or v < 0:
+            raise ValueError(f"{path}:{lineno}: node ids must be nonnegative")
+        edges.append((u, v))
+        if not directed:
+            edges.append((v, u))
+        max_id = max(max_id, u, v)
+    return max_id + 1, edges
+
+
+def per_line_embedding_file(path, num_nodes):
+    rows = []
+    for lineno, line in _read_lines(path):
+        try:
+            row = [float(tok) for tok in line.split()]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: non-numeric embedding entry") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}:{lineno}: non-finite embedding entry")
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"{path}:{lineno}: {len(row)} embedding values, expected {len(rows[0])}")
+        rows.append(row)
+    values = np.array(rows, dtype=np.float64)
+    if values.shape[0] < num_nodes:
+        raise ValueError(f"{path}: {values.shape[0]} embedding rows for {num_nodes} nodes")
+    return values
+
+
+def _khop_input(out_dir):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "khop_input.py"
+    spec = importlib.util.spec_from_file_location("khop_input", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    paths = module.write_khop_input(1, out_dir)["paths"]
+    return {kind: paths[name] for kind, name in (
+        ("edges", "edges.txt"), ("subgraphs", "subgraphs.tsv"),
+        ("embeddings", "embeddings.txt"), ("splits", "splits.tsv"),
+    )}
+
+
+@pytest.fixture(scope="module", params=["synthetic", "khop-input"])
+def dataset_files(request, tmp_path_factory):
+    out = tmp_path_factory.mktemp(request.param)
+    if request.param == "khop-input":
+        return _khop_input(out)
+    return save_bundle(generate_synthetic(SyntheticSpec()), out)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_readers_match_the_per_line_readers(dataset_files, directed):
+    num_nodes, pairs = load_edge_file(dataset_files["edges"], directed=directed)
+    want_nodes, want_pairs = per_line_edge_file(dataset_files["edges"], directed=directed)
+    assert num_nodes == want_nodes
+    assert pairs.dtype == np.int64 and pairs.shape == (len(want_pairs), 2)
+    assert pairs.tolist() == [list(pair) for pair in want_pairs]
+    values = load_embedding_file(dataset_files["embeddings"], num_nodes)
+    want = per_line_embedding_file(dataset_files["embeddings"], num_nodes)
+    assert values.dtype == want.dtype and values.shape == want.shape
+    assert values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_edge_reader_matches_on_the_commented_pin_file(tmp_path, directed):
+    _, lines, _ = READER_PINS["edges"]
+    lines = ["# header", "", lines[0], "#", "", *lines[1:], "# trailer", ""]
+    path = tmp_path / "edges.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    num_nodes, pairs = load_edge_file(path, directed=directed)
+    want_nodes, want_pairs = per_line_edge_file(path, directed=directed)
+    assert (num_nodes, pairs.tolist()) == (want_nodes, [list(pair) for pair in want_pairs])
+
+
+def test_load_dataset_matches_the_per_line_readers(dataset_files, monkeypatch):
+    def load():
+        return load_dataset(
+            dataset_files["edges"], dataset_files["subgraphs"],
+            embeddings=dataset_files["embeddings"], split=dataset_files["splits"],
+        )
+
+    got = load()
+    monkeypatch.setattr(data_module, "load_edge_file", per_line_edge_file)
+    monkeypatch.setattr(data_module, "load_embedding_file", per_line_embedding_file)
+    want = load()
+    for name in ("_codes", "_out_indptr", "_out_indices", "_nbr_indptr", "_nbr_indices"):
+        a, b = getattr(got.graph, name), getattr(want.graph, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.embedding_values.tobytes() == want.embedding_values.tobytes()
+    assert got.splits == want.splits and got.num_classes == want.num_classes
+    assert len(got.records) == len(want.records)
+    for a, b in zip(got.records, want.records):
+        assert (a.node_ids, a.label, a.observation_order) == (b.node_ids, b.label, b.observation_order)
+        assert a.edges.tobytes() == b.edges.tobytes()
+
+
+def test_edge_reader_memory_stays_near_its_output(tmp_path):
+    # A paper-scale edge file must load in bounded memory.  The per-line
+    # reader peaked at 5.7x the bytes of the pairs it returned.
+    path = tmp_path / "edges.txt"
+    np.savetxt(path, np.random.default_rng(0).integers(0, 14587, (100_000, 2)), fmt="%d")
+    tracemalloc.start()
+    try:
+        _, pairs = load_edge_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * np.asarray(pairs, dtype=np.int64).nbytes
+
+
+class TestTableGrammar:
+    """What the edge and embedding readers accept beyond the per-line
+    readers they replaced, and what they no longer accept; each choice is
+    numpy's."""
+
+    def read(self, tmp_path, text, reader):
+        path = tmp_path / "table.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return reader(path)
+
+    def test_trailing_comments_are_cut(self, tmp_path):
+        _, pairs = self.read(tmp_path, "0 1 # first\n1 2#second\n", load_edge_file)
+        assert pairs.tolist() == [[0, 1], [1, 0], [1, 2], [2, 1]]
+        values = self.read(tmp_path, "0.5 1 # row 0\n", lambda p: load_embedding_file(p, 1))
+        assert values.tolist() == [[0.5, 1.0]]
+
+    def test_lines_break_at_lf_cr_and_crlf(self, tmp_path):
+        _, pairs = self.read(tmp_path, "0 1\r1 2\r\n2 3\n3 4", load_edge_file)
+        assert pairs[::2].tolist() == [[0, 1], [1, 2], [2, 3], [3, 4]]
+
+    @pytest.mark.parametrize("space", ["\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"])
+    def test_unicode_whitespace_separates_fields(self, tmp_path, space):
+        # Whitespace to str.split too; none of these ends a line.
+        _, pairs = self.read(tmp_path, f"0{space}1\n{space}+1 2{space}\n", load_edge_file)
+        assert pairs[::2].tolist() == [[0, 1], [1, 2]]
+
+    @pytest.mark.parametrize("token", ["1_0", "\uff11", "0x1", "1.0", "1e3", "99999999999999999999"])
+    def test_ids_are_plain_ascii_int64_decimals(self, tmp_path, token):
+        # int() accepts the first two (and an id past int64).
+        with pytest.raises(ValueError, match=rf"table\.txt:2: non-integer node id in '{token} 2'$"):
+            self.read(tmp_path, f"0 1\n{token} 2\n", load_edge_file)
+
+    @pytest.mark.parametrize("token", ["1_0", "\uff11", "0x1"])
+    def test_embedding_entries_are_ascii_decimals(self, tmp_path, token):
+        # float() accepts the first two.
+        with pytest.raises(ValueError, match=r"table\.txt:2: non-numeric embedding entry$"):
+            self.read(tmp_path, f"0.5\n{token}\n", lambda p: load_embedding_file(p, 2))
+
+    @pytest.mark.parametrize("token", ["Infinity", "-inf", "nan", "1e999"])
+    def test_non_finite_spellings_are_rejected(self, tmp_path, token):
+        with pytest.raises(ValueError, match=r"table\.txt:3: non-finite embedding entry$"):
+            self.read(tmp_path, f"0.5\n+1.5\n{token}\n", lambda p: load_embedding_file(p, 3))
+
+    def test_code_points_above_the_bmp_fail_as_a_located_error(self, tmp_path, subprocess_env):
+        # numpy's loadtxt crashed the process at random on such a first row;
+        # a child process reads the file 20 times with each reader.
+        path, line = tmp_path / "table.txt", "1\U00100000 2"
+        path.write_text(line + "\n", encoding="utf-8")
+        script = (
+            "import sys\n"
+            "from subgraph_infomax.data import load_edge_file, load_embedding_file\n"
+            "for read in (load_edge_file, lambda p: load_embedding_file(p, 1)):\n"
+            "    for _ in range(20):\n"
+            "        try:\n"
+            "            read(sys.argv[1])\n"
+            "        except ValueError as err:\n"
+            "            message = str(err)\n"
+            "    print(message)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(path)],
+            capture_output=True, text=True, env=subprocess_env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"{path}:1: non-integer node id in {line!r}",
+            f"{path}:1: non-numeric embedding entry",
+        ]
+
+    def test_a_bad_line_past_the_first_block_is_named(self, tmp_path):
+        lines = ["0 1"] * 10_000
+        lines[9_000] = "0 1 2"
+        lines[9_500] = "0 -1"
+        with pytest.raises(ValueError, match=r"table\.txt:9001: expected 'src dst', got '0 1 2'$"):
+            self.read(tmp_path, "\n".join(lines), load_edge_file)
+
+
+def test_save_bundle_writes_the_per_pair_edge_bytes(tmp_path):
+    bundle = generate_synthetic(SyntheticSpec())
+    edgeless = DatasetBundle(GlobalGraph(3, []), (), 1, ())
+    for name, built in (("synthetic", bundle), ("edgeless", edgeless)):
+        path = save_bundle(built, tmp_path / name)["edges"]
+        want = "".join(f"{u} {v}\n" for u, v in built.graph.edges).encode("utf-8")
+        assert Path(path).read_bytes() == want, name

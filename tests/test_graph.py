@@ -225,6 +225,31 @@ class TestGlobalGraph:
         with pytest.raises(ValueError, match=r"^edge \(-1, 7\) out of range for 3 nodes$"):
             GlobalGraph(3, [(0, 4), (-1, 7)])
 
+    def test_out_of_range_message_is_the_same_for_an_array(self):
+        with pytest.raises(ValueError, match=r"^edge \(0, 3\) out of range for 3 nodes$"):
+            GlobalGraph(3, np.array([(5, 0), (1, 2), (0, 3)]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=30), st.integers(0, 120), st.integers(0, 2**31))
+    def test_arrays_match_the_unique_construction(self, n, count, seed):
+        # Random pairs, so duplicates and self-loops; count 0 is a graph
+        # without edges.  The construction deduped with np.unique.
+        pairs = np.random.default_rng(seed).integers(0, n, size=(count, 2))
+        graph = GlobalGraph(n, pairs)
+        src, dst = pairs[:, 0], pairs[:, 1]
+        codes = np.unique(src * n + dst)
+        both = np.unique(np.concatenate([src * n + dst, dst * n + src]))
+        want = []
+        for kept in (codes, both):
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(kept // n, minlength=n), out=indptr[1:])
+            want += [indptr, kept % n]
+        got = [graph._out_indptr, graph._out_indices, graph._nbr_indptr, graph._nbr_indices]
+        for a, b in zip([graph._codes, *got], [codes, *want]):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+        assert graph.pairs().tolist() == [[int(c // n), int(c % n)] for c in codes]
+
     def test_deduplicates_directed_edges(self):
         g = GlobalGraph(3, [(0, 1), (0, 1), (1, 0)])
         assert g.edges == ((0, 1), (1, 0))

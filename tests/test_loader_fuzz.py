@@ -11,10 +11,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import subgraph_infomax
+from subgraph_infomax import data as data_module
 from subgraph_infomax.cli import parse_kv_file
 from subgraph_infomax.data import (
     SyntheticSpec,
@@ -36,10 +38,13 @@ READERS = {
     "config": parse_kv_file,
 }
 
-# Fragments that reach past the first parse of each format.
+# Fragments that reach past the first parse of each format, and (from "+1"
+# on) fragments where numpy's number grammar and Python's differ: the edge
+# and embedding readers parse with numpy, the others with Python.
 TOKENS = [
     b"0", b"1", b"7", b"-2", b"1.5", b"nan", b"inf", b"1e999", b"x", b"train", b"test",
     b"#", b"=", b",", b"\t", b" ", b"\r", b"\xff", b"\xc3\xa9", b"\xed\xa0\x80", b"\x00",
+    b"+1", b"1_0", b"\xef\xbc\x91", b"\xc2\xa0", b"\x0c", b"Infinity", b"0x1",
 ]
 line_bytes = st.one_of(
     st.binary(max_size=24),
@@ -77,6 +82,33 @@ def test_reader_loads_or_raises_a_located_error(tmp_path, kind, data):
                 read(path)
             except ValueError as earlier:
                 assert _located_line(path, str(earlier)) is None, str(earlier)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=file_bytes.filter(bytes.isascii), block_lines=st.sampled_from([1, 2, 4096]))
+def test_bulk_parse_and_block_reader_agree(tmp_path, monkeypatch, data, block_lines):
+    # One grammar: an ASCII file that one loadtxt pass parses and checks
+    # gives the same array when read a block of lines at a time, and a file
+    # that fails it fails the block reader too.
+    monkeypatch.setattr(data_module, "_BLOCK_LINES", block_lines)
+    path = tmp_path / "table.txt"
+    path.write_bytes(data)
+    for dtype, problem in (
+        (np.int64, data_module._edge_problem), (np.float64, data_module._embedding_problem)
+    ):
+        try:
+            bulk = data_module._loadtxt(path, dtype)
+        except ValueError:
+            bulk = None
+        if bulk is not None and problem(bulk, None, bulk.shape[1]) is not None:
+            bulk = None
+        try:
+            blocks = data_module._read_table_by_blocks(path, dtype, problem)
+        except ValueError:
+            assert bulk is None
+        else:
+            assert bulk is not None
+            assert bulk.shape == blocks.shape and bulk.tobytes() == blocks.tobytes()
 
 
 # A bundle of 16 nodes and 6 records, small enough that a damaged file
