@@ -1,10 +1,12 @@
 """The batched forward against the per-record path it replaced.
 
 A step encodes each view set of a batch once, as a disjoint union, and runs
-readouts, the head, the cross-entropy and the MI terms as segment ops and
-single products.  The per-record path, kept inline here as the oracle, ran
-one forward per record: it encoded each view alone, read each out alone,
-and scored each record's summary against its own positives and negatives.
+readouts, the head, the cross-entropy, the k-hop stage's scores and
+membership loss and the MI terms as segment ops and single products; only
+the k-hop top-k pool runs per record.  The per-record path, kept inline
+here as the oracle, ran one forward per record: it encoded each view alone,
+read each out alone, and scored each record's summary against its own
+positives and negatives.
 """
 
 import dataclasses
@@ -16,7 +18,8 @@ import pytest
 from subgraph_infomax import autodiff as ad
 from subgraph_infomax.autodiff import Tensor
 from subgraph_infomax.data import ObservationProtocol, generate_synthetic, sample_observed
-from subgraph_infomax.graph import SubgraphView, disjoint_union, induced_partial_subgraph
+from subgraph_infomax import models
+from subgraph_infomax.graph import SubgraphView, disjoint_union, induced_partial_subgraph, khop_neighbors
 from subgraph_infomax.infomax import augment, gd_loss, infonce_loss, ppr_view
 from subgraph_infomax.layers import (
     GatedAttentionReadout,
@@ -32,6 +35,7 @@ from subgraph_infomax.models import (
     VARIANTS,
     build_model,
     khop_forward,
+    topk_softmax_pool,
 )
 from subgraph_infomax.optim import ParameterStore
 from subgraph_infomax.verify import OPTION_CHECKS, _toy_model_config, _toy_spec
@@ -248,9 +252,49 @@ def oracle_mi_loss(model, summary, target, records, partial, batch, rng):
     return ad.mean(infonce_loss(pos, negs))
 
 
-def oracle_step(model, records, partials, rng):
+def oracle_khop_loss(pos, neg):
+    """The membership loss of one record: the joint mean over both sides."""
+    terms = [ad.sum(ad.log_sigmoid(pos))] if pos is not None else []
+    if neg is not None:
+        terms.append(ad.sum(ad.log_sigmoid(ad.scale(neg, -1.0))))
+    total = terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
+    n = sum(t.shape[0] for t in (pos, neg) if t is not None)
+    return ad.scale(total, -1.0 / n)
+
+
+def oracle_khop_stage(model, record, partial, rng):
+    """One record's k-hop stage: its partition, its two encodes, its scores,
+    its pool and its membership loss; ``(s_khop, s_obs, loss, selected_ids)``."""
+    cfg = model.config
+    partition = khop_neighbors(
+        model.bundle.graph, partial.node_ids, cfg.k, cap=cfg.neighbor_cap, p_d=cfg.p_d, rng=rng
+    )
+    positions = None
+    if cfg.use_positional_encoding and record.observation_order is not None:
+        rank = {n: i for i, n in enumerate(record.observation_order)}
+        positions = [rank[n] for n in partial.node_ids]
+    s_obs = per_view_readout(model.readout, oracle_encode(model, partial, rng), positions)
+    node_ids = partition.node_ids
+    h_khop = oracle_encode(model, SubgraphView(node_ids, partition.edges_khop), rng)
+    scores = model.discriminator(h_khop, s_obs)
+    pool = (scores, h_khop, node_ids)
+    if not cfg.include_observed_in_pool and partition.neighbors:
+        rows = np.flatnonzero(np.isin(node_ids, partition.neighbors))
+        pool = (ad.gather_rows(scores, rows), ad.gather_rows(h_khop, rows), partition.neighbors)
+    s_khop, selected_ids = topk_softmax_pool(*pool, cfg.pool_ratio, model.pool_mlp)
+    member = np.isin(node_ids, record.node_ids)
+    pos_rows, neg_rows = np.flatnonzero(member), np.flatnonzero(~member)
+    loss = oracle_khop_loss(
+        ad.gather_rows(scores, pos_rows) if pos_rows.size else None,
+        ad.gather_rows(scores, neg_rows) if neg_rows.size else None,
+    )
+    return s_khop, s_obs, loss, selected_ids
+
+
+def oracle_step(model, records, partials, rng, selected=None):
     """The per-record path: batch material first, then one forward per
-    record; the mean of the per-record objectives."""
+    record; the mean of the per-record objectives.  Each record's pooled ids
+    are appended to ``selected``."""
     cfg = model.config
     batch = None
     if cfg.term == "ps-infograph":
@@ -265,15 +309,16 @@ def oracle_step(model, records, partials, rng):
     objectives = []
     for target, (record, partial) in enumerate(zip(records, partials)):
         if cfg.khop:
-            stage = khop_forward(model, record, partial, rng, training=True)
-            s_mi = summary = stage.s_khop
+            s_khop, s_obs, loss_khop, selected_ids = oracle_khop_stage(model, record, partial, rng)
+            selected.append(selected_ids)
+            s_mi = summary = s_khop
             if cfg.concat_observed_summary:
-                summary = ad.concat([summary, stage.s_obs], 1)
+                summary = ad.concat([summary, s_obs], 1)
         else:
             s_mi = summary = per_view_readout(model.readout, oracle_encode(model, partial, rng))
         objective = oracle_cross_entropy(model.head(summary), record.label)
         if cfg.khop:
-            objective = ad.add(objective, ad.scale(stage.loss_khop, cfg.lambda_khop))
+            objective = ad.add(objective, ad.scale(loss_khop, cfg.lambda_khop))
         if cfg.term is not None:
             weight = cfg.lambda_second if cfg.khop else cfg.lambda_single
             loss = oracle_mi_loss(model, s_mi, target, records, partial, batch, rng)
@@ -285,8 +330,14 @@ def oracle_step(model, records, partials, rng):
     return ad.scale(total, 1.0 / len(objectives))
 
 
+# Past ``OPTION_CHECKS``: two hops, and a neighbour cap of 2 that binds on
+# the toy records' k-hop sets, so each partition draws from the rng.
 CASES = [(variant, {}) for variant in VARIANTS] + [
     (variant, {option: value}) for variant, option, value in OPTION_CHECKS
+] + [
+    ("khop", {"k": 2}),
+    ("khop", {"neighbor_cap": 2}),
+    ("khop+ps-infograph", {"neighbor_cap": 2}),
 ]
 
 
@@ -295,23 +346,32 @@ def case_id(case):
     return "/".join([variant, *(f"{k}={v}" for k, v in overrides.items())])
 
 
-def run(model, records, partials, batched):
-    """Objective, every parameter gradient and the rng state after one step."""
+def run(model, records, partials, batched, monkeypatch):
+    """Objective, every parameter gradient, the rng state after one step and
+    each record's pooled ids."""
     for _, p in model.store.items():
         p.grad = None
     gen = rng(31)
+    selected = []
     if batched:
-        objective = model.step(records, partials, rng=gen, training=True).objective
+        def recording_khop_forward(*args, **kwargs):
+            result = khop_forward(*args, **kwargs)
+            selected.append(result.selected_ids)
+            return result
+
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "khop_forward", recording_khop_forward)
+            objective = model.step(records, partials, rng=gen, training=True).objective
     else:
-        objective = oracle_step(model, records, partials, gen)
+        objective = oracle_step(model, records, partials, gen, selected)
     ad.backward(objective)
     grads = {name: p.grad for name, p in model.store.items()}
-    return objective.item(), grads, gen.bit_generator.state
+    return objective.item(), grads, gen.bit_generator.state, selected
 
 
 @pytest.mark.parametrize("size", [3, 1])
 @pytest.mark.parametrize("case", CASES, ids=case_id)
-def test_batched_step_matches_the_per_record_path(case, size):
+def test_batched_step_matches_the_per_record_path(case, size, monkeypatch):
     variant, overrides = case
     config = dataclasses.replace(_toy_model_config(variant), **overrides)
     assert config.dropout == 0.0 and config.p_d == 0.0
@@ -325,8 +385,10 @@ def test_batched_step_matches_the_per_record_path(case, size):
     partials = [
         induced_partial_subgraph(r, sample_observed(r, protocol, "train", sampler)) for r in records
     ]
-    objective, grads, state = run(model, records, partials, batched=True)
-    want, want_grads, want_state = run(model, records, partials, batched=False)
+    objective, grads, state, selected = run(model, records, partials, True, monkeypatch)
+    want, want_grads, want_state, want_selected = run(model, records, partials, False, monkeypatch)
+    if "neighbor_cap" in overrides:
+        assert state != rng(31).bit_generator.state, "the cap must bind"
     assert objective == pytest.approx(want, rel=1e-10, abs=0)
     assert grads.keys() == want_grads.keys()
     for name, grad in grads.items():
@@ -335,3 +397,4 @@ def test_batched_step_matches_the_per_record_path(case, size):
         if grad is not None:
             assert np.max(np.abs(grad - oracle)) <= 1e-10 * np.max(np.abs(oracle)), name
     assert state == want_state
+    assert selected == want_selected and len(selected) == (size if config.khop else 0)
