@@ -540,7 +540,14 @@ def clip_min(a: Tensor, floor: float) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of everything reachable from a scalar loss."""
+    """Add the gradient of a scalar loss into every leaf it reaches.
+
+    A node with a backward rule releases its ``grad`` once the rule has
+    passed it on, so a pass holds at most the gradients still in flight,
+    and a second pass over the same tape adds exactly its own gradient
+    into the leaves again.  Leaves (parameters and other inputs) keep and
+    accumulate theirs.
+    """
     if loss.shape != (1, 1):
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     order: list[Tensor] = []
@@ -562,6 +569,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def finite_diff_check(

@@ -19,7 +19,8 @@ whitespace separates fields (as for ``str.split``); numbers are ASCII
 decimals with an optional sign, ids within int64 ("+1" reads 1; "1_0",
 "0x1" and non-ASCII digits do not parse, though Python's ``int`` and
 ``float`` take the first and last).  Subgraph and split files are read a
-line at a time with Python's ``int``.
+line at a time, and their labels, node ids and record indices follow the
+same integer grammar (``_parse_int``).
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ DEFAULT_SPLIT_RATIOS = (0.7, 0.15, 0.15)
 # Bytes of eval k-hop partitions a bundle keeps (``frozen_partition``).  At
 # the paper's degrees (hundreds) one partition can hold a megabyte of edges.
 PARTITION_CACHE_BYTES = 256 << 20
+# Edges one k-hop union encodes at most (``models._ModelBase.khop_stage``):
+# each of its layers gathers an ``(E, width)`` message array, 32 MB at this
+# budget and width 64.  ``evaluate`` passes a whole stage; at the paper's
+# degrees (hundreds) one stage's k-hop views can hold millions of edges.
+KHOP_UNION_EDGES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -414,6 +420,18 @@ def _parse_error(path, lineno: int, message: str) -> ValueError:
     return ValueError(f"{path}:{lineno}: {message}")
 
 
+def _parse_int(token: str) -> int:
+    """``token``, surrounding whitespace ignored, as ``np.loadtxt`` reads an
+    int64 (the edge reader's grammar): ASCII digits with an optional sign.
+    A ValueError otherwise, also for the underscores and non-ASCII digits
+    that Python's ``int`` takes."""
+    text = token.strip()
+    value = int(text)
+    if not text.isascii() or "_" in text or not -(1 << 63) <= value < 1 << 63:
+        raise ValueError(f"not an int64 integer: {token!r}")
+    return value
+
+
 def _read_lines(path):
     """Yield ``(lineno, line)`` for each content line of a UTF-8 text file:
     stripped, and neither blank nor a ``#`` comment.  A line that is not
@@ -542,8 +560,8 @@ def load_subgraph_file(path, num_nodes: int) -> list[tuple[int, list[int]]]:
         if len(parts) != 2:
             raise _parse_error(path, lineno, "expected 'label<TAB>id,id,...'")
         try:
-            label = int(parts[0])
-            ids = [int(tok) for tok in parts[1].split(",") if tok]
+            label = _parse_int(parts[0])
+            ids = [_parse_int(tok) for tok in parts[1].split(",") if tok]
         except ValueError:
             raise _parse_error(path, lineno, f"bad record line {line!r}") from None
         if not ids:
@@ -588,7 +606,7 @@ def load_split_file(path, num_records: int) -> tuple[str, ...]:
         if len(parts) != 2 or parts[1] not in STAGES:
             raise _parse_error(path, lineno, "expected 'index<TAB>train|val|test'")
         try:
-            idx = int(parts[0])
+            idx = _parse_int(parts[0])
         except ValueError:
             raise _parse_error(path, lineno, f"non-integer record index {parts[0]!r}") from None
         if not 0 <= idx < num_records:

@@ -255,11 +255,8 @@ def disjoint_union(views: Sequence[SubgraphView]) -> ViewUnion:
     total = sum(sizes)
     node_ids = np.fromiter(chain.from_iterable(v.node_ids for v in views), np.int64, total)
     if len(views) == 1:
-        # One view, as in the per-record k-hop stage: no offsets to add, so
-        # the edges are not copied.  Copying and offsetting a k-hop view's
-        # thousands of edges cost khop-5k about a tenth of its evaluation
-        # throughput (4 paired runs, 1 BLAS thread, Xeon host: 746 against
-        # 836 records/s).
+        # One view (a batch of one record, or a k-hop view over the union
+        # edge budget): no offsets to add, so the edges are not copied.
         edges, segments = views[0].edges, np.zeros(total, dtype=np.int64)
     else:
         starts = np.cumsum(sizes) - sizes

@@ -81,29 +81,33 @@ def infonce_loss(pos_scores, neg_scores_per_pos) -> Tensor:
     return ad.add(lse, ad.scale(pos, -1.0))
 
 
-def khop_loss(pos_scores, neg_scores) -> Tensor:
-    """Neighborhood-membership loss: one joint mean over all score terms.
+def khop_loss(scores, member, segments=None, count: int = 1) -> Tensor:
+    """Neighborhood-membership loss, one per segment: ``(count, 1)``.
 
-    Unlike ``gd_loss`` (two per-side means), this normalizes positives and
-    negatives together by the total term count.  With balanced all-zero sides
-    it equals ln 2.  One empty side is tolerated with a warning; both empty is
-    an error.
+    ``scores`` is ``(N, 1)``; row ``r`` is a positive when ``member[r]``
+    and a negative otherwise, and belongs to segment ``segments[r]`` (all to
+    segment 0 by default).  A segment's loss is one joint mean over its
+    rows of ``-log sigmoid(score)`` for positives and ``-log sigmoid(-score)``
+    for negatives: unlike ``gd_loss`` (two per-side means), it normalizes
+    both sides together by the segment's row count.  All-zero scores give
+    ln 2 per segment.  A segment with one empty side is tolerated with a
+    warning; a segment without rows is an error.
     """
-    pos = ad.as_tensor(pos_scores) if pos_scores is not None else None
-    neg = ad.as_tensor(neg_scores) if neg_scores is not None else None
-    n_pos = 0 if pos is None else pos.values.size
-    n_neg = 0 if neg is None else neg.values.size
-    if n_pos == 0 and n_neg == 0:
-        raise ValueError("khop_loss needs at least one score on one side")
-    if n_pos == 0 or n_neg == 0:
-        log.warning("khop_loss computed with an empty %s side", "positive" if n_pos == 0 else "negative")
-    terms = []
-    if n_pos:
-        terms.append(ad.sum(ad.log_sigmoid(pos)))
-    if n_neg:
-        terms.append(ad.sum(ad.log_sigmoid(ad.scale(neg, -1.0))))
-    total = terms[0] if len(terms) == 1 else ad.add(terms[0], terms[1])
-    return ad.scale(total, -1.0 / (n_pos + n_neg))
+    scores = ad.as_tensor(scores)
+    member = np.asarray(member, dtype=bool).reshape(-1)
+    if scores.shape != (member.size, 1):
+        raise ValueError(f"khop_loss: scores {scores.shape} for {member.size} membership flags")
+    seg = np.zeros(member.size, dtype=np.int64) if segments is None else segments
+    sign = np.where(member, 1.0, -1.0)[:, None]
+    loss = ad.scale(ad.segment_mean(ad.log_sigmoid(ad.mul(scores, Tensor(sign))), seg, count), -1.0)
+    rows = np.bincount(seg, minlength=count)
+    positives = np.bincount(seg, weights=member, minlength=count)
+    if not rows.all():
+        raise ValueError("khop_loss needs at least one score in every segment")
+    for i in np.flatnonzero((positives == 0) | (positives == rows)):
+        side = "positive" if positives[i] == 0 else "negative"
+        log.warning("khop_loss computed with an empty %s side (segment %d)", side, i)
+    return loss
 
 
 def shuffle_negatives(

@@ -223,8 +223,8 @@ class MeanMlpReadout:
     """Permutation-invariant summary: mean pooling after a two-layer MLP.
 
     Given a ``ViewUnion``, one summary row per view (a segment mean); else
-    one row for all of ``h``.  ``positions`` is ignored, so ``khop_forward``
-    calls either readout alike.
+    one row for all of ``h``.  ``positions`` is ignored, so the k-hop stage
+    (``_ModelBase.khop_stage``) calls either readout alike.
     """
 
     def __init__(self, store: ParameterStore, name: str, dim: int, rng: np.random.Generator):

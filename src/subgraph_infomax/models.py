@@ -6,13 +6,15 @@ ps-mvgrl or ps-graphcl) scored against the summary.  A step is one forward
 over a batch: it produces class logits from the observed portion of each
 subgraph; in training it adds each stage's loss to each record's
 cross-entropy as ``graph + sum_i lambda_i * term_i`` and averages over the
-batch.  Each view set of a batch (observed, full, diffused, augmented) is
-encoded once, as a disjoint union; only the k-hop stage runs per record.
+batch.  Each view set of a batch (observed, full, diffused, augmented,
+k-hop) is encoded once, as a disjoint union; the k-hop stage scores its
+rows with one product and takes its membership loss per segment, and only
+its top-k pool (``khop_forward``) runs per record.
 
 A training step draws from its rng in a fixed order, which
 ``_ModelBase.step`` states in full: ``prepare_batch`` (augmentations, then
-the batch encodes), the observed stage (record by record with a k-hop
-stage), ps-mvgrl's observed diffusions, then the shuffled negatives.
+the batch encodes), the k-hop partitions, the observed union, the k-hop
+union, ps-mvgrl's observed diffusions, then the shuffled negatives.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import data
 from .autodiff import Tensor
 from .data import DatasetBundle
 from .graph import (
@@ -171,21 +174,58 @@ class BatchContext:
 
 
 class KhopResult(NamedTuple):
+    """One record's pool: its pooled summary row and the ids it pooled."""
+
     s_khop: Tensor
-    loss_khop: Tensor | None
-    s_obs: Tensor
-    partition: KhopPartition
     selected_ids: tuple[int, ...]
 
 
+class KhopStage(NamedTuple):
+    """The k-hop stage of a batch of B records.
+
+    ``s_khop`` and ``s_obs`` are ``(B, d)``: each record's pooled summary
+    and its observed summary.  ``loss`` is the membership loss per record,
+    ``(B, 1)``, in training and ``None`` in inference.  ``partitions[i]``
+    is record ``i``'s k-hop neighbourhood and ``selected_ids[i]`` the ids
+    its pool kept.
+    """
+
+    s_khop: Tensor
+    s_obs: Tensor
+    loss: Tensor | None
+    partitions: list[KhopPartition]
+    selected_ids: list[tuple[int, ...]]
+
+
 def observation_positions(
-    record: SubgraphRecord, partial: SubgraphView, enabled: bool
+    records: Sequence[SubgraphRecord], views: Sequence[SubgraphView], enabled: bool
 ) -> list[int] | None:
-    """Positional-encoding ranks for the observed rows (sorted-id order)."""
-    if not enabled or record.observation_order is None:
+    """Positional-encoding ranks of a batch's observed rows, view after view
+    (each in sorted-id order); ``None`` when disabled or when no record has
+    an observation order."""
+    ordered = [r.observation_order is not None for r in records]
+    if not enabled or not any(ordered):
         return None
-    rank = {n: i for i, n in enumerate(record.observation_order)}
-    return [rank[n] for n in partial.node_ids]
+    if not all(ordered):
+        raise ValueError("positional encoding needs an observation order on every record or on none")
+    positions = []
+    for record, view in zip(records, views):
+        rank = {n: i for i, n in enumerate(record.observation_order)}
+        positions.extend(rank[n] for n in view.node_ids)
+    return positions
+
+
+def _union_chunks(edge_counts: Sequence[int], budget: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` runs of consecutive views whose edges total at most
+    ``budget``; a view over it forms a run of its own."""
+    bounds, total = [0], 0
+    for i, count in enumerate(edge_counts):
+        if total + count > budget and i > bounds[-1]:
+            bounds.append(i)
+            total = 0
+        total += count
+    bounds.append(len(edge_counts))
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 class _ModelBase:
@@ -312,9 +352,10 @@ class _ModelBase:
         ``records[i]``.
 
         The observed views are encoded as one union and read out per view;
-        with a k-hop stage, ``khop_forward`` runs once per record instead
-        (with ``partitions[i]`` when given, else drawing one).  The head,
-        the cross-entropy and the MI term then run once over the batch.
+        with a k-hop stage, ``khop_stage`` reconstructs each record's
+        summary from its k-hop neighbourhood (``partitions[i]`` when given,
+        else drawn).  The head, the cross-entropy and the MI term then run
+        once over the batch.
 
         In training the rng is drawn in this order:
 
@@ -323,11 +364,12 @@ class _ModelBase:
            of its encodes: the full views' union (ps-dgi, ps-infograph,
            ps-mvgrl), then the diffusions' union (ps-mvgrl) or the
            augmented views' (ps-graphcl);
-        2. the observed stage: the observed union's dropout, or, with a
-           k-hop stage, each record's ``khop_forward`` in turn (its
-           partition, then the dropout of its two encodes);
-        3. ps-mvgrl's observed-diffusion union's dropout;
-        4. the shuffled negatives (ps-dgi, ps-mvgrl), record by record: one
+        2. with a k-hop stage, each record's partition in turn (its cap
+           subsample, then its edge dropout);
+        3. the observed union's dropout;
+        4. with a k-hop stage, the dropout of the k-hop unions, in order;
+        5. ps-mvgrl's observed-diffusion union's dropout;
+        6. the shuffled negatives (ps-dgi, ps-mvgrl), record by record: one
            permutation of the record's rows, and for ps-mvgrl a second one,
            of its diffusion's rows.
         """
@@ -339,16 +381,12 @@ class _ModelBase:
         context = self.prepare_batch(records, rng) if training else None
         terms: dict[str, tuple[Tensor, float]] = {}
         if cfg.khop:
-            stages = [
-                khop_forward(self, record, view, rng, training,
-                             None if partitions is None else partitions[i])
-                for i, (record, view) in enumerate(zip(records, views))
-            ]
-            s_mi = summary = ad.concat([k.s_khop for k in stages], 0)
+            stage = self.khop_stage(records, views, rng, training, partitions)
+            s_mi = summary = stage.s_khop
             if cfg.concat_observed_summary:
-                summary = ad.concat([summary, ad.concat([k.s_obs for k in stages], 0)], 1)
+                summary = ad.concat([summary, stage.s_obs], 1)
             if training:
-                terms["khop"] = (ad.concat([k.loss_khop for k in stages], 0), cfg.lambda_khop)
+                terms["khop"] = (stage.loss, cfg.lambda_khop)
         else:
             observed, h_obs = self.encode_views(views, training, rng)
             s_mi = summary = self.readout(h_obs, observed)
@@ -370,6 +408,76 @@ class _ModelBase:
                 "graph": ce.values[:, 0].copy(),
                 **{name: loss.values[:, 0].copy() for name, (loss, _) in terms.items()},
             },
+        )
+
+    def khop_stage(
+        self,
+        records: Sequence[SubgraphRecord],
+        views: Sequence[SubgraphView],
+        rng: np.random.Generator | None = None,
+        training: bool = False,
+        partitions: Sequence[KhopPartition] | None = None,
+    ) -> KhopStage:
+        """Reconstruct each record's full-subgraph summary from the k-hop
+        neighbourhood of its observed view ``views[i]``.
+
+        The neighbourhood is ``partitions[i]`` (``evaluate`` passes the
+        bundle's frozen ones), or else is drawn from ``rng``.  The observed
+        views are encoded as one union and read out per view, positions
+        concatenated; the k-hop views are encoded in unions of at most
+        ``data.KHOP_UNION_EDGES`` edges (one union unless the batch is
+        larger).  Each k-hop row is scored against its own record's
+        summary, and ``khop_forward`` pools each record's rows.  In
+        training the membership loss is also returned: scored rows whose id
+        belongs to the record's full subgraph are positives, all others
+        negatives, one joint mean per record.
+        """
+        cfg = self.config
+        if partitions is None:
+            p_d = cfg.p_d if training else 0.0
+            partitions = [
+                khop_neighbors(self.bundle.graph, view.node_ids, cfg.k,
+                               cap=cfg.neighbor_cap, p_d=p_d, rng=rng)
+                for view in views
+            ]
+        observed, h_obs = self.encode_views(views, training, rng)
+        positions = observation_positions(records, views, cfg.use_positional_encoding)
+        s_obs = self.readout(h_obs, observed, positions)
+
+        khop_views = [SubgraphView(p.node_ids, p.edges_khop) for p in partitions]
+        chunks = _union_chunks([len(p.edges_khop) for p in partitions], data.KHOP_UNION_EDGES)
+        h_parts, score_parts = [], []
+        for lo, hi in chunks:
+            union, h = self.encode_views(khop_views[lo:hi], training, rng)
+            s = s_obs if len(chunks) == 1 else ad.gather_rows(s_obs, np.arange(lo, hi))
+            # Every row against every summary of its union; a row's score is
+            # its own record's column.
+            own = (union.segments[:, None] == np.arange(hi - lo)).astype(np.float64)
+            score_parts.append(ad.sum(ad.mul(self.discriminator(h, s), Tensor(own)), 1))
+            h_parts.append(h)
+        h_khop, scores = h_parts[0], score_parts[0]
+        if len(chunks) > 1:
+            h_khop, scores = ad.concat(h_parts, 0), ad.concat(score_parts, 0)
+
+        sizes = np.array([len(p.node_ids) for p in partitions])
+        starts = np.cumsum(sizes) - sizes
+        pools = [
+            khop_forward(self, record, partition, scores, h_khop, start)
+            for record, partition, start in zip(records, partitions, starts)
+        ]
+        loss = None
+        if training:
+            member = np.concatenate([
+                np.isin(p.node_ids, record.node_ids) for record, p in zip(records, partitions)
+            ])
+            segments = np.repeat(np.arange(len(records)), sizes)
+            loss = khop_loss(scores, member, segments, len(records))
+        return KhopStage(
+            s_khop=ad.concat([pool.s_khop for pool in pools], 0),
+            s_obs=s_obs,
+            loss=loss,
+            partitions=list(partitions),
+            selected_ids=[pool.selected_ids for pool in pools],
         )
 
     def _mi_loss(self, summary, views, context, rng) -> Tensor:
@@ -417,81 +525,63 @@ def topk_softmax_pool(
     node_ids,
     pool_ratio: float,
     mlp,
+    rows=None,
 ) -> tuple[Tensor, tuple[int, ...]]:
     """Softmax-weighted pooling over the top-scoring rows.
 
-    Keeps ``ceil(pool_ratio * n)`` rows (at least one), ranked by score with
-    ties broken by lower node id, and returns
+    ``rows`` are the rows of ``scores`` (``(N, 1)``) and ``h`` that
+    ``node_ids`` label, in order; by default all of them.  Keeps
+    ``ceil(pool_ratio * n)`` of those ``n`` rows (at least one), ranked by
+    score with ties broken by lower node id, and returns
     ``softmax(scores[idx]) @ mlp(h[idx])`` plus the selected ids.
     """
     if not 0.0 < pool_ratio <= 1.0:
         raise ValueError(f"pool_ratio must be in (0, 1], got {pool_ratio}")
     ids = np.asarray(node_ids, dtype=np.int64)
     n = ids.size
-    if scores.shape != (n, 1) or h.shape[0] != n:
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    if scores.shape[1] != 1 or h.shape[0] != scores.shape[0] or rows.shape != (n,):
         raise ValueError(
-            f"pooling shapes disagree: scores {scores.shape}, h {h.shape}, {n} ids"
+            f"pooling shapes disagree: scores {scores.shape}, h {h.shape}, {n} ids, {rows.size} rows"
         )
     count = min(n, max(1, math.ceil(pool_ratio * n)))
-    order = np.lexsort((ids, -scores.values[:, 0]))
+    order = np.lexsort((ids, -scores.values[rows, 0]))
     selected = np.sort(order[:count])
-    weights = ad.softmax_rows(ad.transpose(ad.gather_rows(scores, selected)))
-    pooled = ad.matmul(weights, mlp(ad.gather_rows(h, selected)))
+    picked = rows[selected]
+    weights = ad.softmax_rows(ad.transpose(ad.gather_rows(scores, picked)))
+    pooled = ad.matmul(weights, mlp(ad.gather_rows(h, picked)))
     return pooled, tuple(int(ids[i]) for i in selected)
 
 
 def khop_forward(
     model: "_ModelBase",
     record: SubgraphRecord,
-    partial: SubgraphView,
-    rng: np.random.Generator | None = None,
-    training: bool = False,
-    partition: KhopPartition | None = None,
+    partition: KhopPartition,
+    scores: Tensor,
+    h_khop: Tensor,
+    start: int,
 ) -> KhopResult:
-    """Score the k-hop neighborhood against the observed summary and pool it.
+    """Pool one record's k-hop rows of its batch's scores and encodings.
 
-    The neighbourhood is ``partition`` (``evaluate`` passes the bundle's
-    frozen one), or else is drawn from ``rng``.  The pooled summary is a
+    ``scores`` (``(N, 1)``) and ``h_khop`` hold the whole batch's k-hop
+    rows; ``record``'s are the ``len(partition.node_ids)`` rows from
+    ``start``, one per id of ``partition``.  The pooled summary is a
     softmax-weighted average of the top-scoring rows (ties broken by lower
-    node id), passed through a two-layer MLP.  In training the membership
-    loss is also returned: scored rows whose id belongs to the full
-    subgraph are positives, all others negatives.
+    node id), passed through a two-layer MLP.  Without
+    ``include_observed_in_pool`` only the neighbours' rows compete, unless
+    there are none.  ``record`` is the record the pool summarises;
+    ``perfbench``'s tracer reads it to count the pooled ids that lie in it.
     """
     cfg = model.config
-    if partition is None:
-        p_d = cfg.p_d if training else 0.0
-        partition = khop_neighbors(
-            model.bundle.graph, partial.node_ids, cfg.k, cap=cfg.neighbor_cap, p_d=p_d, rng=rng
-        )
-    observed, h_obs = model.encode_views([partial], training, rng)
-    positions = observation_positions(record, partial, cfg.use_positional_encoding)
-    s_obs = model.readout(h_obs, observed, positions)
-
     node_ids = partition.node_ids
-    _, h_khop = model.encode_views([SubgraphView(node_ids, partition.edges_khop)], training, rng)
-    scores = model.discriminator(h_khop, s_obs)
-
-    pool = (scores, h_khop, node_ids)
+    rows = np.arange(start, start + len(node_ids))
     if not cfg.include_observed_in_pool and partition.neighbors:
-        # Without neighbours the pool keeps every row.
-        rows = np.flatnonzero(np.isin(node_ids, partition.neighbors))
-        pool = (ad.gather_rows(scores, rows), ad.gather_rows(h_khop, rows), partition.neighbors)
-    pooled, selected_ids = topk_softmax_pool(*pool, cfg.pool_ratio, model.pool_mlp)
-
-    loss = None
-    if training:
-        member = np.isin(node_ids, record.node_ids)
-        pos_rows, neg_rows = np.flatnonzero(member), np.flatnonzero(~member)
-        pos = ad.gather_rows(scores, pos_rows) if pos_rows.size else None
-        neg = ad.gather_rows(scores, neg_rows) if neg_rows.size else None
-        loss = khop_loss(pos, neg)
-    return KhopResult(
-        s_khop=pooled,
-        loss_khop=loss,
-        s_obs=s_obs,
-        partition=partition,
-        selected_ids=selected_ids,
+        rows = rows[np.isin(node_ids, partition.neighbors)]
+        node_ids = partition.neighbors
+    pooled, selected_ids = topk_softmax_pool(
+        scores, h_khop, node_ids, cfg.pool_ratio, model.pool_mlp, rows=rows
     )
+    return KhopResult(s_khop=pooled, selected_ids=selected_ids)
 
 
 # Two sibling classes over the one implementation; each only checks, through

@@ -134,7 +134,8 @@ class ParameterStore:
 
 
 def adam_step(store: ParameterStore, config: AdamConfig) -> None:
-    """Bias-corrected Adam update on every parameter with a gradient; grads cleared."""
+    """Bias-corrected Adam update on every parameter with a gradient; grads
+    cleared (each gradient array is overwritten as scratch space first)."""
     for name, p in store.items():
         if not p.requires_grad:
             continue
@@ -146,9 +147,24 @@ def adam_step(store: ParameterStore, config: AdamConfig) -> None:
             g = g + config.weight_decay * p.values
         slot = store._slots[name]
         slot.step += 1
-        slot.m = config.beta1 * slot.m + (1.0 - config.beta1) * g
-        slot.v = config.beta2 * slot.v + (1.0 - config.beta2) * (g * g)
-        m_hat = slot.m / (1.0 - config.beta1**slot.step)
-        v_hat = slot.v / (1.0 - config.beta2**slot.step)
-        p.values -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+        # In place, in the operation order of
+        #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * (g * g)
+        #   p -= lr * (m / (1 - b1**t)) / (sqrt(v / (1 - b2**t)) + eps)
+        # so the bytes match that formula's.  The gradient, cleared after
+        # the step, is the scratch space with one temporary.
+        m, v = slot.m, slot.v
+        buf = np.multiply(g, g)
+        np.multiply(buf, 1.0 - config.beta2, out=buf)
+        np.multiply(v, config.beta2, out=v)
+        np.add(v, buf, out=v)
+        np.multiply(g, 1.0 - config.beta1, out=g)
+        np.multiply(m, config.beta1, out=m)
+        np.add(m, g, out=m)
+        np.divide(v, 1.0 - config.beta2**slot.step, out=buf)
+        np.sqrt(buf, out=buf)
+        np.add(buf, config.epsilon, out=buf)
+        np.divide(m, 1.0 - config.beta1**slot.step, out=g)
+        np.multiply(g, config.learning_rate, out=g)
+        np.divide(g, buf, out=g)
+        np.subtract(p.values, g, out=p.values)
         p.grad = None

@@ -44,7 +44,7 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor]
     """One scalar closure per public tape op, named after it, plus one per
     further axis of ``sum``, ``mean`` and ``concat``, a one-part,
     identity-skip ``sage_combine``, and the per-segment and per-row forms of
-    ``gd_loss`` and ``infonce_loss``; random shapes <= 16x16."""
+    ``gd_loss``, ``infonce_loss`` and ``khop_loss``; random shapes <= 16x16."""
 
     def rand(rows, cols):
         return Tensor(rng.normal(0.0, 1.0, size=(rows, cols)), requires_grad=True)
@@ -71,10 +71,17 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor]
     pos_mask = rng.random((n, m)) < 0.5
     pos_mask[0], pos_mask[1] = True, False
     out_m = Tensor(rng.normal(0.0, 1.0, size=(m, 1)))
+    # khop_loss scores ``col`` as positives and its square as negatives; per
+    # segment, the rows alternate between two segments, each with both sides.
+    khop_member = np.arange(2 * n) < n
+    khop_seg = np.arange(2 * n) % 2
 
     def dropped():
         # Re-seeded on every call so each finite-difference probe sees one mask.
         return ad.dropout(a, 0.3, np.random.default_rng(dropout_seed))
+
+    def khop_scores():
+        return ad.concat([col, ad.mul(col, col)], 0)
 
     checks = [
         ("matmul", lambda: ad.sum(ad.matmul(a, b)), [a, b]),
@@ -117,7 +124,12 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor]
         ("gd_loss/masks", lambda: ad.sum(ad.mul(gd_loss(a, ad.mul(a, c), pos_mask, ~pos_mask), out_m)), [a, c]),
         ("infonce_loss", lambda: ad.mean(infonce_loss(col, ad.concat([col, ad.mul(col, col)], 1))), [col]),
         ("infonce_loss/rows", lambda: ad.sum(ad.mul(infonce_loss(col, a), col)), [col, a]),
-        ("khop_loss", lambda: khop_loss(col, ad.mul(col, col)), [col]),
+        ("khop_loss", lambda: khop_loss(khop_scores(), khop_member), [col]),
+        (
+            "khop_loss/segments",
+            lambda: ad.sum(ad.mul(khop_loss(khop_scores(), khop_member, khop_seg, 2), Tensor([[1.0], [-0.5]]))),
+            [col],
+        ),
     ]
     return checks
 
@@ -247,7 +259,7 @@ def loss_value_report() -> list[CheckResult]:
     cases = [
         ("gd-zero-scores", gd_loss(np.zeros(3), np.zeros(5)), 2 * math.log(2)),
         ("infonce-uniform", ad.mean(infonce_loss(np.zeros((2, 1)), np.zeros((2, k)))), math.log(k + 1)),
-        ("khop-balanced", khop_loss(np.zeros(2), np.zeros(2)), math.log(2)),
+        ("khop-balanced", khop_loss(np.zeros((4, 1)), [True, True, False, False]), math.log(2)),
     ]
     return [
         CheckResult(name, abs(loss.item() - want), 1e-9, abs(loss.item() - want) < 1e-9)

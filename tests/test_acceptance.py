@@ -76,7 +76,7 @@ def test_criterion_02_analytic_loss_values():
     for k in (1, 3, 10):
         nce = ad.mean(infonce_loss(np.zeros((2, 1)), np.zeros((2, k)))).item()
         errors.append(abs(nce - math.log(k + 1)))
-    balanced = khop_loss(np.zeros(5), np.zeros(5)).item()
+    balanced = khop_loss(np.zeros((10, 1)), np.arange(10) < 5).item()
     errors.append(abs(balanced - math.log(2)))
     ok = max(errors) < 1e-9
     report(2, "analytic-loss-values", ok, f"max deviation {max(errors):.2e}")

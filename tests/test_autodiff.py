@@ -190,6 +190,23 @@ class TestBackward:
         backward(ad.sum(ad.scale(x, 2.0)))
         assert np.array_equal(x.grad, [[4.0]])
 
+    def test_a_second_backward_over_one_tape_adds_its_gradient_once(self):
+        # d sum(2x) / dx = 2 per pass; kept intermediate gradients made the
+        # second pass add 4.
+        x = param([[1.0, 3.0]])
+        loss = ad.sum(ad.scale(x, 2.0))
+        backward(loss)
+        backward(loss)
+        assert np.array_equal(x.grad, [[4.0, 4.0]])
+
+    def test_intermediate_gradients_are_released(self):
+        x = param([[1.0, 3.0]])
+        y = ad.mul(x, x)
+        loss = ad.sum(y)
+        backward(loss)
+        assert y.grad is None and loss.grad is None
+        assert np.array_equal(x.grad, [[2.0, 6.0]])
+
     def test_tape_determinism(self):
         def run():
             rng = np.random.default_rng(42)

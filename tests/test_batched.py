@@ -11,13 +11,15 @@ positives and negatives.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from subgraph_infomax import autodiff as ad
 from subgraph_infomax.autodiff import Tensor
-from subgraph_infomax.data import ObservationProtocol, generate_synthetic, sample_observed
+from subgraph_infomax import data
+from subgraph_infomax.data import ObservationProtocol, SyntheticSpec, generate_synthetic, sample_observed
 from subgraph_infomax import models
 from subgraph_infomax.graph import SubgraphView, disjoint_union, induced_partial_subgraph, khop_neighbors
 from subgraph_infomax.infomax import augment, gd_loss, infonce_loss, ppr_view
@@ -38,6 +40,7 @@ from subgraph_infomax.models import (
     topk_softmax_pool,
 )
 from subgraph_infomax.optim import ParameterStore
+from subgraph_infomax.train import evaluate
 from subgraph_infomax.verify import OPTION_CHECKS, _toy_model_config, _toy_spec
 
 
@@ -291,7 +294,7 @@ def oracle_khop_stage(model, record, partial, rng):
     return s_khop, s_obs, loss, selected_ids
 
 
-def oracle_step(model, records, partials, rng, selected=None):
+def oracle_step(model, records, partials, rng, selected):
     """The per-record path: batch material first, then one forward per
     record; the mean of the per-record objectives.  Each record's pooled ids
     are appended to ``selected``."""
@@ -398,3 +401,62 @@ def test_batched_step_matches_the_per_record_path(case, size, monkeypatch):
             assert np.max(np.abs(grad - oracle)) <= 1e-10 * np.max(np.abs(oracle)), name
     assert state == want_state
     assert selected == want_selected and len(selected) == (size if config.khop else 0)
+
+
+# -- k-hop unions over the edge budget --------------------------------------
+
+
+@pytest.fixture(scope="module")
+def dense_stage():
+    """A khop model and one test stage whose k-hop views hold thousands of
+    edges each: ``(model, bundle, protocol, edges in the stage)``."""
+    spec = SyntheticSpec(num_nodes=240, p_intra=0.25, p_inter=0.05, num_subgraphs=80,
+                         feature_dim=4, seed=3)
+    bundle = generate_synthetic(spec)
+    config = dataclasses.replace(_toy_model_config("khop"), hidden_dim=32, neighbor_cap=None)
+    model = build_model(config, bundle, rng(0))
+    protocol = ObservationProtocol(n_obs=4)
+    evaluate(model, bundle, protocol, "test")  # freezes the views and partitions
+    edges = sum(
+        len(bundle.frozen_partition(protocol, "test", idx, config.k, None).edges_khop)
+        for idx in bundle.indices("test")
+    )
+    return model, bundle, protocol, edges
+
+
+def stage_logits(model, bundle, protocol):
+    indices = bundle.indices("test")
+    views = bundle.frozen_views(protocol, "test")
+    cfg = model.config
+    partitions = [bundle.frozen_partition(protocol, "test", i, cfg.k, cfg.neighbor_cap) for i in indices]
+    with ad.no_grad():
+        return model.step([bundle.records[i] for i in indices], [views[i] for i in indices],
+                          partitions=partitions).logits
+
+
+def test_a_stage_over_the_edge_budget_gives_the_logits_of_one_union(dense_stage, monkeypatch):
+    model, bundle, protocol, edges = dense_stage
+    assert edges > 4 * 4096
+    one_union = stage_logits(model, bundle, protocol)
+    monkeypatch.setattr(data, "KHOP_UNION_EDGES", 4096)
+    chunked = stage_logits(model, bundle, protocol)
+    np.testing.assert_allclose(chunked, one_union, rtol=1e-12, atol=1e-12)
+
+
+def test_evaluate_holds_one_budget_of_messages_at_a_time(dense_stage, monkeypatch):
+    # One union over the stage gathers an (E, 32) message array; unions of at
+    # most E / 8 edges keep the peak below the bytes of that one array.
+    model, bundle, protocol, edges = dense_stage
+    one_union_messages = edges * model.config.hidden_dim * 8
+
+    def peak():
+        tracemalloc.start()
+        try:
+            evaluate(model, bundle, protocol, "test")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak() > one_union_messages
+    monkeypatch.setattr(data, "KHOP_UNION_EDGES", edges // 8)
+    assert peak() < one_union_messages / 2

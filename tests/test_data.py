@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -352,6 +353,37 @@ class TestFileRoundTrip:
         (tmp_path / "subs.tsv").write_text("# header\n0\t0,1\n1\t1,-2\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"subs\.tsv:3: node ids must be nonnegative$"):
             load_dataset(tmp_path / "edges.txt", tmp_path / "subs.tsv")
+
+    # Each token is an id the edge reader refuses; Python's ``int`` took
+    # every one ("1_0,２" loaded as [10, 2]).
+    @pytest.mark.parametrize("token", ["1_0", "\uff12", "\u0661", "0x1", "1.0", "9223372036854775808"])
+    def test_subgraph_ids_follow_the_edge_id_grammar(self, tmp_path, token):
+        edge_file = tmp_path / "edges.txt"
+        edge_file.write_text(f"0 {token}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"edges\.txt:1: non-integer node id"):
+            load_edge_file(edge_file)
+        path = tmp_path / "subs.tsv"
+        path.write_text(f"0\t1,2\n0\t1,{token}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"subs\.tsv:2: bad record line"):
+            load_subgraph_file(path, 20)
+        path.write_text(f"0\t1,2\n{token}\t1,2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"subs\.tsv:2: bad record line"):
+            load_subgraph_file(path, 20)
+
+    @pytest.mark.parametrize("token", ["1_0", "\uff11", "+0x1"])
+    def test_split_indices_follow_the_edge_id_grammar(self, tmp_path, token):
+        path = tmp_path / "splits.tsv"
+        path.write_text(f"0\ttrain\n{token}\ttest\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"splits\.tsv:2: non-integer record index '{re.escape(token)}'"):
+            load_split_file(path, 2)
+
+    def test_ids_the_edge_reader_takes_load_everywhere(self, tmp_path):
+        # A sign, leading zeros and surrounding whitespace, as np.loadtxt reads them.
+        path = tmp_path / "subs.tsv"
+        path.write_text("+1\t-0, 007 ,+2\n", encoding="utf-8")
+        assert load_subgraph_file(path, 8) == [(1, [0, 7, 2])]
+        path.write_text("+1\ttrain\n 00\ttest\n", encoding="utf-8")
+        assert load_split_file(path, 2) == ("test", "train")
 
     def test_split_index_listed_twice_reports_lineno(self, tmp_path):
         # The later line used to win silently: ('test', 'val', 'test').

@@ -18,11 +18,7 @@ import pytest
 from subgraph_infomax import autodiff as ad
 from subgraph_infomax.data import ObservationProtocol, SyntheticSpec, sample_observed
 from subgraph_infomax.graph import SubgraphRecord, induced_partial_subgraph
-from subgraph_infomax.models import (
-    ModelConfig,
-    build_model,
-    khop_forward,
-)
+from subgraph_infomax.models import ModelConfig, build_model
 from subgraph_infomax.optim import AdamConfig
 from subgraph_infomax.train import (
     RunConfig,
@@ -81,17 +77,20 @@ def env_note() -> str:
 # draws in the order the ``models`` docstring states, and each view set is
 # encoded once as a disjoint union, so both the random numbers and the
 # rounding moved.  ``tests/test_batched.py`` checks the batched step against
-# the per-record path at dropout 0, within 1e-10.  The k-hop stage still
-# runs per record: ``KHOP_GOLDEN`` and ``SWEEP_GOLDEN`` hold.
+# the per-record path at dropout 0, within 1e-10.  The k-hop digests were
+# re-recorded again when the k-hop stage became one forward over its batch:
+# the partitions are drawn before the observed and k-hop unions' dropout,
+# and the scores and membership loss are batch products and segment means.
+# ``KHOP_GOLDEN`` (one record, so one segment) and ``SWEEP_GOLDEN`` held.
 GOLDEN = {
     "baseline": "f33a3c6f014d8ee8",
     "ps-dgi": "d8bad49164bd7ddd",
     "ps-infograph": "d9a7d188154cd650",
     "ps-mvgrl": "cc34d9cc657df09d",
     "ps-graphcl": "16fffd9c7d97931e",
-    "khop": "b6bd0df4cc32f65b",
-    "khop+ps-dgi": "7a0126842b5a2d24",
-    "khop+ps-infograph": "7e913969ceee0f04",
+    "khop": "dd5b8b740e82cfb3",
+    "khop+ps-dgi": "576a3eeeafb848da",
+    "khop+ps-infograph": "477e27f8892af00d",
 }
 
 # Options no variant default turns on: name -> (variant, model overrides,
@@ -99,26 +98,26 @@ GOLDEN = {
 # gradient accumulation 2 steps Adam after batches 2 and 3, and accumulation
 # 4 only after batch 3.  ``frozen-table`` trains no embedding row, so no
 # gradient reaches the first layer's input.  All were re-recorded with the
-# training digests above.
+# training digests above, and the k-hop ones with the k-hop stage.
 EXTRA_GOLDEN = {
     "khop/pool-neighbors-only": (
-        "khop", {"include_observed_in_pool": False}, {}, "4adf8895e79ef610",
+        "khop", {"include_observed_in_pool": False}, {}, "2c13ee0ba260a9e5",
     ),
     "khop+ps-infograph/concat-summary": (
-        "khop+ps-infograph", {"concat_observed_summary": True}, {}, "57d183b143441f63",
+        "khop+ps-infograph", {"concat_observed_summary": True}, {}, "47d5250993e6168b",
     ),
     "khop+ps-dgi/positional-ordered": (
         "khop+ps-dgi", {"use_positional_encoding": True},
-        {"protocol": ObservationProtocol(n_obs=3, ordered=True)}, "87f4e88a682ef579",
+        {"protocol": ObservationProtocol(n_obs=3, ordered=True)}, "a8e78fa2d24f8c81",
     ),
     "khop+ps-dgi/attention-bidirectional": (
         "khop+ps-dgi", {"premixer": "attention", "bidirectional": True}, {},
-        "c7634cc09ba491a1",
+        "54380aba363df07f",
     ),
     "ps-infograph/grad-accum-2": ("ps-infograph", {}, {"grad_accum": 2}, "4364797735241c1a"),
     "ps-infograph/grad-accum-4": ("ps-infograph", {}, {"grad_accum": 4}, "4a9dad392f056374"),
     "khop+ps-infograph/frozen-table": (
-        "khop+ps-infograph", {}, {"embedding_trainable": False}, "0d383b43c70beb33",
+        "khop+ps-infograph", {}, {"embedding_trainable": False}, "d2e5325c073199a4",
     ),
 }
 
@@ -182,12 +181,13 @@ def sweep_digest(out_dir) -> str:
     return digest.hexdigest()[:16]
 
 
-# One training-mode ``khop_forward`` on the golden spec: name ->
+# One training-mode k-hop stage of one record on the golden spec: name ->
 # (include_observed_in_pool, observe the whole graph, digest).  Observing
 # every node leaves no neighbours, so the neighbours-only pool falls back to
 # all scored rows.  Recorded before the forward took its scored ids from
 # ``KhopPartition.node_ids`` and stopped gathering rows by identity, and
-# re-recorded with the training digests for ``sage_combine``.
+# re-recorded with the training digests for ``sage_combine``.  They held
+# when the stage became one forward over its batch.
 KHOP_GOLDEN = {
     "default-pool": (True, False, "9669d402bb7dafca"),
     "neighbors-only-pool": (False, False, "dd06e0c9f507ff79"),
@@ -195,7 +195,7 @@ KHOP_GOLDEN = {
 }
 
 
-def khop_forward_digest(name: str) -> str:
+def khop_stage_digest(name: str) -> str:
     """Digest of scored and selected ids, the pooled summary's bytes, the
     membership loss and every parameter gradient after ``backward``."""
     include_observed, whole_graph, _ = KHOP_GOLDEN[name]
@@ -213,12 +213,12 @@ def khop_forward_digest(name: str) -> str:
         record = bundle.records[0]
         observed = sample_observed(record, config.protocol, "train", rng)
         partial = induced_partial_subgraph(record, observed)
-    res = khop_forward(model, record, partial, rng=rng, training=True)
-    ad.backward(ad.add(ad.sum(res.s_khop), res.loss_khop))
+    stage = model.khop_stage([record], [partial], rng=rng, training=True)
+    ad.backward(ad.add(ad.sum(stage.s_khop), stage.loss))
     digest = hashlib.sha256()
-    ids_and_loss = [res.partition.node_ids, res.selected_ids, res.loss_khop.item().hex()]
+    ids_and_loss = [stage.partitions[0].node_ids, stage.selected_ids[0], stage.loss.item().hex()]
     digest.update(json.dumps(ids_and_loss).encode())
-    digest.update(res.s_khop.values.tobytes())
+    digest.update(stage.s_khop.values.tobytes())
     for param_name, tensor in model.store.items():
         if tensor.grad is not None:
             digest.update(param_name.encode())
@@ -228,7 +228,7 @@ def khop_forward_digest(name: str) -> str:
 
 @pytest.mark.parametrize("name", sorted(KHOP_GOLDEN))
 def test_khop_forward_digest_is_unchanged(name):
-    assert khop_forward_digest(name) == KHOP_GOLDEN[name][-1], env_note()
+    assert khop_stage_digest(name) == KHOP_GOLDEN[name][-1], env_note()
 
 
 @pytest.mark.parametrize("variant", sorted(GOLDEN))
@@ -252,6 +252,6 @@ if __name__ == "__main__":
     for name in EXTRA_GOLDEN:
         print(f'    "{name}": "{config_digest(extra_config(name))}",')
     for name in KHOP_GOLDEN:
-        print(f'    "{name}": "{khop_forward_digest(name)}",')
+        print(f'    "{name}": "{khop_stage_digest(name)}",')
     with tempfile.TemporaryDirectory() as tmp:
         print(f'SWEEP_GOLDEN = "{sweep_digest(Path(tmp))}"')

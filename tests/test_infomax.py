@@ -84,14 +84,21 @@ class TestInfonceLoss:
         assert hi < lo
 
 
+def two_sided(pos, neg):
+    """``khop_loss``'s arguments for one segment of positives then negatives."""
+    pos, neg = np.asarray(pos, dtype=np.float64), np.asarray(neg, dtype=np.float64)
+    member = np.r_[np.ones(pos.size, bool), np.zeros(neg.size, bool)]
+    return np.concatenate([pos, neg])[:, None], member
+
+
 class TestKhopLoss:
     def test_balanced_zeros(self):
-        assert khop_loss(np.zeros(2), np.zeros(2)).item() == pytest.approx(
+        assert khop_loss(*two_sided(np.zeros(2), np.zeros(2))).item() == pytest.approx(
             math.log(2), abs=1e-12
         )
 
     def test_saturated_positives_with_no_negatives(self):
-        loss = khop_loss(np.full(3, 1e3), None).item()
+        loss = khop_loss(*two_sided(np.full(3, 1e3), [])).item()
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_balanced_sides_are_half_the_two_sided_loss(self):
@@ -99,18 +106,50 @@ class TestKhopLoss:
         # the per-side-mean loss.
         rng = np.random.default_rng(1)
         pos, neg = rng.normal(size=6), rng.normal(size=6)
-        assert khop_loss(pos, neg).item() == pytest.approx(
+        assert khop_loss(*two_sided(pos, neg)).item() == pytest.approx(
             gd_loss(pos, neg).item() / 2.0, abs=1e-12
         )
 
+    def test_all_zero_scores_give_ln2_per_segment(self):
+        # Segments of 1, 3 and 2 rows, interleaved, with every mix of sides.
+        segments = np.array([1, 0, 2, 1, 1, 2])
+        member = np.array([True, False, True, False, True, True])
+        loss = khop_loss(np.zeros((6, 1)), member, segments, 3)
+        assert loss.shape == (3, 1)
+        np.testing.assert_allclose(loss.values, math.log(2), rtol=0, atol=1e-15)
+
+    def test_each_segment_is_its_own_joint_mean(self):
+        rng = np.random.default_rng(4)
+        scores = rng.normal(size=(7, 1))
+        member = np.array([True, False, False, True, True, False, True])
+        segments = np.array([0, 1, 0, 1, 1, 0, 1])
+        got = khop_loss(scores, member, segments, 2).values[:, 0]
+        for i in range(2):
+            rows = segments == i
+            want = khop_loss(scores[rows], member[rows]).item()
+            assert got[i] == pytest.approx(want, rel=1e-15, abs=0)
+
     def test_both_sides_empty_rejected(self):
-        with pytest.raises(ValueError):
-            khop_loss(None, None)
+        # Segment 1 has no row, so neither side.
+        with pytest.raises(ValueError, match="at least one score in every segment"):
+            khop_loss(np.zeros((2, 1)), [True, False], [0, 0], 2)
+
+    def test_scores_and_flags_must_agree(self):
+        with pytest.raises(ValueError, match="3 membership flags"):
+            khop_loss(np.zeros((2, 1)), [True, False, True])
 
     def test_one_empty_side_warns(self, caplog):
         with caplog.at_level("WARNING"):
-            khop_loss(np.zeros(2), None)
+            khop_loss(*two_sided(np.zeros(2), []))
         assert any("empty" in r.message for r in caplog.records)
+
+    def test_a_one_sided_segment_warns_and_names_itself(self, caplog):
+        # Segment 1 holds only negatives; segment 0 has both sides.
+        with caplog.at_level("WARNING"):
+            loss = khop_loss(np.zeros((4, 1)), [True, False, False, False], [0, 0, 1, 1], 2)
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages == ["khop_loss computed with an empty positive side (segment 1)"]
+        np.testing.assert_allclose(loss.values, math.log(2), rtol=0, atol=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(-15, 15), min_size=1, max_size=8),
@@ -127,7 +166,7 @@ class TestKhopLoss:
             for x in neg:
                 total += mpmath.log(1 - mpmath.mpf(1) / (1 + mpmath.e**(-mpmath.mpf(x))))
             want = float(-total / (len(pos) + len(neg)))
-        got = khop_loss(np.array(pos), np.array(neg)).item()
+        got = khop_loss(*two_sided(pos, neg)).item()
         assert got == pytest.approx(want, abs=1e-12)
 
 

@@ -40,7 +40,8 @@ READERS = {
 
 # Fragments that reach past the first parse of each format, and (from "+1"
 # on) fragments where numpy's number grammar and Python's differ: the edge
-# and embedding readers parse with numpy, the others with Python.
+# and embedding readers parse with numpy, the subgraph and split readers
+# read integers by the same grammar, and the config reader uses Python.
 TOKENS = [
     b"0", b"1", b"7", b"-2", b"1.5", b"nan", b"inf", b"1e999", b"x", b"train", b"test",
     b"#", b"=", b",", b"\t", b" ", b"\r", b"\xff", b"\xc3\xa9", b"\xed\xa0\x80", b"\x00",

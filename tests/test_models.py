@@ -13,13 +13,14 @@ from subgraph_infomax.data import (
     generate_synthetic,
     sample_observed,
 )
-from subgraph_infomax.graph import induced_partial_subgraph
+from subgraph_infomax.graph import SubgraphRecord, induced_partial_subgraph
 from subgraph_infomax.layers import Mlp
 from subgraph_infomax.models import (
     VARIANTS,
     ModelConfig,
     PsiModel,
     TwoStageModel,
+    _union_chunks,
     build_model,
     khop_forward,
     topk_softmax_pool,
@@ -321,12 +322,13 @@ class TestKhopForward:
     def test_result_fields_and_partition(self):
         bundle, model = make_toy("khop")
         records, partials = step_inputs(bundle)
-        res = khop_forward(model, records[0], partials[0], rng=np.random.default_rng(0), training=True)
-        assert res.s_khop.shape == (1, model.config.hidden_dim)
-        assert res.loss_khop is not None
-        observed = set(partials[0].node_ids)
-        assert set(res.partition.node_ids) == observed | set(res.partition.neighbors)
-        assert set(res.selected_ids) <= set(res.partition.node_ids)
+        stage = model.khop_stage(records, partials, rng=np.random.default_rng(0), training=True)
+        assert stage.s_khop.shape == stage.s_obs.shape == (3, model.config.hidden_dim)
+        assert stage.loss.shape == (3, 1)
+        for partial, partition, selected in zip(partials, stage.partitions, stage.selected_ids):
+            observed = set(partial.node_ids)
+            assert set(partition.node_ids) == observed | set(partition.neighbors)
+            assert set(selected) <= set(partition.node_ids)
 
     def test_loss_splits_scored_rows_by_record_membership(self):
         from subgraph_infomax.infomax import khop_loss
@@ -334,22 +336,53 @@ class TestKhopForward:
 
         bundle, model = make_toy("khop")
         records, partials = step_inputs(bundle)
-        record, partial = records[0], partials[0]
-        res = khop_forward(model, record, partial, rng=np.random.default_rng(0), training=True)
+        stage = model.khop_stage(records, partials, rng=np.random.default_rng(0), training=True)
         # dropout 0, p_d 0 and no cap: the training forward draws nothing.
-        h = encode(model.encoder, model.table, res.partition.node_ids, res.partition.edges_khop)
-        scores = model.discriminator(h, res.s_obs).values[:, 0]
-        members = set(record.node_ids)
-        pos = [s for gid, s in zip(res.partition.node_ids, scores) if gid in members]
-        neg = [s for gid, s in zip(res.partition.node_ids, scores) if gid not in members]
-        assert len(pos) > len(partial.node_ids) and neg
-        assert res.loss_khop.item() == khop_loss(np.array(pos), np.array(neg)).item()
+        for i, (record, partial, partition) in enumerate(zip(records, partials, stage.partitions)):
+            h = encode(model.encoder, model.table, partition.node_ids, partition.edges_khop)
+            s_obs = ad.gather_rows(stage.s_obs, [i])
+            scores = model.discriminator(h, s_obs)
+            member = np.isin(partition.node_ids, record.node_ids)
+            assert member.sum() > len(partial.node_ids) and not member.all()
+            want = khop_loss(scores, member).item()
+            assert stage.loss.values[i, 0] == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_the_pool_reads_its_records_rows_of_the_batch(self):
+        bundle, model = make_toy("khop")
+        records, partials = step_inputs(bundle)
+        stage = model.khop_stage(records, partials, rng=np.random.default_rng(0), training=True)
+        gen = np.random.default_rng(5)
+        sizes = [len(p.node_ids) for p in stage.partitions]
+        scores = Tensor(gen.normal(size=(sum(sizes), 1)))
+        h = Tensor(gen.normal(size=(sum(sizes), model.config.hidden_dim)))
+        start = sizes[0]
+        got = khop_forward(model, records[1], stage.partitions[1], scores, h, start)
+        rows = np.arange(start, start + sizes[1])
+        want = topk_softmax_pool(
+            ad.gather_rows(scores, rows), ad.gather_rows(h, rows),
+            stage.partitions[1].node_ids, model.config.pool_ratio, model.pool_mlp,
+        )
+        assert got.selected_ids == want[1]
+        np.testing.assert_array_equal(got.s_khop.values, want[0].values)
 
     def test_inference_has_no_loss(self):
         bundle, model = make_toy("khop")
         records, partials = step_inputs(bundle)
-        res = khop_forward(model, records[0], partials[0], training=False)
-        assert res.loss_khop is None
+        assert model.khop_stage(records, partials, training=False).loss is None
+
+    def test_unions_split_at_the_edge_budget(self):
+        # The fourth view is over the budget alone, so it forms its own union.
+        assert _union_chunks([3, 4, 2, 12, 0, 5], 9) == [(0, 3), (3, 4), (4, 6)]
+        assert _union_chunks([3, 4, 2], 9) == [(0, 3)]
+        assert _union_chunks([10], 9) == [(0, 1)]
+
+    def test_positions_need_an_order_on_every_record_or_none(self):
+        bundle, model = make_toy("khop+ps-dgi", use_positional_encoding=True)
+        records, partials = step_inputs(bundle)
+        unordered = SubgraphRecord(records[1].node_ids, np.array(records[1].node_ids)[records[1].edges],
+                                   records[1].label)
+        with pytest.raises(ValueError, match="observation order on every record or on none"):
+            model.step([records[0], unordered], partials[:2], training=False)
 
     def test_eval_forward_is_deterministic(self):
         bundle, model = make_toy("khop")
@@ -364,7 +397,7 @@ class TestKhopForward:
         # Monotone saturation schedule with all-positive membership.
         previous = None
         for scale in (0.0, 1.0, 4.0, 16.0, 64.0):
-            loss = khop_loss(np.full(5, scale), None).item()
+            loss = khop_loss(np.full((5, 1), scale), np.ones(5, dtype=bool)).item()
             if previous is not None:
                 assert loss <= previous + 1e-15
             previous = loss

@@ -85,6 +85,26 @@ class TestAdamStep:
         adam_step(store, AdamConfig())
         assert p.grad is None
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_steps_equal_the_allocating_formula_byte_for_byte(self, weight_decay):
+        cfg = AdamConfig(learning_rate=3e-3, weight_decay=weight_decay)
+        rng = np.random.default_rng(9)
+        store, p = make_store(rng.normal(size=(50, 16)))
+        values, m, v = p.values.copy(), np.zeros((50, 16)), np.zeros((50, 16))
+        for step in range(1, 4):
+            grad = rng.normal(size=(50, 16))
+            p.grad = grad.copy()
+            adam_step(store, cfg)
+            g = grad + weight_decay * values if weight_decay else grad
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+            m_hat = m / (1.0 - cfg.beta1**step)
+            v_hat = v / (1.0 - cfg.beta2**step)
+            values = values - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            assert p.values.tobytes() == values.tobytes()
+        slot = store._slots["p"]
+        assert slot.m.tobytes() == m.tobytes() and slot.v.tobytes() == v.tobytes()
+
 
 class TestParameterStore:
     def test_duplicate_name_rejected(self):
