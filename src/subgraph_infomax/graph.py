@@ -254,15 +254,10 @@ def disjoint_union(views: Sequence[SubgraphView]) -> ViewUnion:
         raise ValueError(f"view {sizes.index(0)} of the union has no node")
     total = sum(sizes)
     node_ids = np.fromiter(chain.from_iterable(v.node_ids for v in views), np.int64, total)
-    if len(views) == 1:
-        # One view (a batch of one record, or a k-hop view over the union
-        # edge budget): no offsets to add, so the edges are not copied.
-        edges, segments = views[0].edges, np.zeros(total, dtype=np.int64)
-    else:
-        starts = np.cumsum(sizes) - sizes
-        offsets = np.repeat(starts, [len(v.edges) for v in views])
-        edges = np.concatenate([v.edges for v in views]).reshape(-1, 2) + offsets[:, None]
-        segments = np.repeat(np.arange(len(views)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    offsets = np.repeat(starts, [len(v.edges) for v in views])
+    edges = np.concatenate([v.edges for v in views]).reshape(-1, 2) + offsets[:, None]
+    segments = np.repeat(np.arange(len(views)), sizes)
     masked = None
     if any(v.masked for v in views):
         flags = (n in v.masked for v in views for n in v.node_ids)

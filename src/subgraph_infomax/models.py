@@ -7,9 +7,9 @@ over a batch: it produces class logits from the observed portion of each
 subgraph; in training it adds each stage's loss to each record's
 cross-entropy as ``graph + sum_i lambda_i * term_i`` and averages over the
 batch.  Each view set of a batch (observed, full, diffused, augmented,
-k-hop) is encoded once, as a disjoint union; the k-hop stage scores its
-rows with one product and takes its membership loss per segment, and only
-its top-k pool (``khop_forward``) runs per record.
+k-hop) is encoded once, as a disjoint union; the k-hop stage scores each
+row against its own record's summary and takes its membership loss per
+segment, and only its top-k pool (``khop_forward``) runs per record.
 
 A training step draws from its rng in a fixed order, which
 ``_ModelBase.step`` states in full: ``prepare_batch`` (augmentations, then
@@ -449,11 +449,9 @@ class _ModelBase:
         h_parts, score_parts = [], []
         for lo, hi in chunks:
             union, h = self.encode_views(khop_views[lo:hi], training, rng)
-            s = s_obs if len(chunks) == 1 else ad.gather_rows(s_obs, np.arange(lo, hi))
-            # Every row against every summary of its union; a row's score is
-            # its own record's column.
-            own = (union.segments[:, None] == np.arange(hi - lo)).astype(np.float64)
-            score_parts.append(ad.sum(ad.mul(self.discriminator(h, s), Tensor(own)), 1))
+            # Each row against its own record's summary only: h_j W s_i.
+            s = ad.gather_rows(s_obs, union.segments + lo)
+            score_parts.append(ad.sum(ad.mul(self.discriminator.project(h), s), 1))
             h_parts.append(h)
         h_khop, scores = h_parts[0], score_parts[0]
         if len(chunks) > 1:
@@ -525,12 +523,12 @@ def topk_softmax_pool(
     node_ids,
     pool_ratio: float,
     mlp,
-    rows=None,
+    rows,
 ) -> tuple[Tensor, tuple[int, ...]]:
     """Softmax-weighted pooling over the top-scoring rows.
 
     ``rows`` are the rows of ``scores`` (``(N, 1)``) and ``h`` that
-    ``node_ids`` label, in order; by default all of them.  Keeps
+    ``node_ids`` label, in order.  Keeps
     ``ceil(pool_ratio * n)`` of those ``n`` rows (at least one), ranked by
     score with ties broken by lower node id, and returns
     ``softmax(scores[idx]) @ mlp(h[idx])`` plus the selected ids.
@@ -539,7 +537,7 @@ def topk_softmax_pool(
         raise ValueError(f"pool_ratio must be in (0, 1], got {pool_ratio}")
     ids = np.asarray(node_ids, dtype=np.int64)
     n = ids.size
-    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
     if scores.shape[1] != 1 or h.shape[0] != scores.shape[0] or rows.shape != (n,):
         raise ValueError(
             f"pooling shapes disagree: scores {scores.shape}, h {h.shape}, {n} ids, {rows.size} rows"

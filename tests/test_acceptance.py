@@ -113,14 +113,14 @@ def test_criterion_05_pooling_example_and_ties():
 
     scores = Tensor(np.array([[2.0], [1.0], [0.0], [-1.0]]))
     h = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [9.0, 9.0], [9.0, 9.0]]))
-    pooled, ids = topk_softmax_pool(scores, h, [0, 1, 2, 3], 0.5, mlp)
+    pooled, ids = topk_softmax_pool(scores, h, [0, 1, 2, 3], 0.5, mlp, np.arange(4))
     hand = np.array([0.73106, 0.26894])
     value_ok = np.allclose(pooled.values[0], hand, atol=1e-5)
 
     tie_scores = Tensor(np.zeros((4, 1)))
     tie_h = Tensor(np.zeros((4, 2)))
     picks = {
-        topk_softmax_pool(tie_scores, tie_h, [7, 3, 9, 5], 0.5, mlp)[1]
+        topk_softmax_pool(tie_scores, tie_h, [7, 3, 9, 5], 0.5, mlp, np.arange(4))[1]
         for _ in range(5)
     }
     tie_ok = picks == {(3, 5)}

@@ -284,7 +284,7 @@ def oracle_khop_stage(model, record, partial, rng):
     if not cfg.include_observed_in_pool and partition.neighbors:
         rows = np.flatnonzero(np.isin(node_ids, partition.neighbors))
         pool = (ad.gather_rows(scores, rows), ad.gather_rows(h_khop, rows), partition.neighbors)
-    s_khop, selected_ids = topk_softmax_pool(*pool, cfg.pool_ratio, model.pool_mlp)
+    s_khop, selected_ids = topk_softmax_pool(*pool, cfg.pool_ratio, model.pool_mlp, np.arange(len(pool[2])))
     member = np.isin(node_ids, record.node_ids)
     pos_rows, neg_rows = np.flatnonzero(member), np.flatnonzero(~member)
     loss = oracle_khop_loss(
@@ -460,3 +460,24 @@ def test_evaluate_holds_one_budget_of_messages_at_a_time(dense_stage, monkeypatc
     assert peak() > one_union_messages
     monkeypatch.setattr(data, "KHOP_UNION_EDGES", edges // 8)
     assert peak() < one_union_messages / 2
+
+
+def test_scores_of_many_small_views_grow_with_rows_not_rows_times_views():
+    # Each k-hop row is scored against its own record's summary only, so a
+    # union of B small views holds O(N * d) scores, not an (N, B) product.
+    bundle = generate_synthetic(_toy_spec(0))
+    model = build_model(_toy_model_config("khop"), bundle, rng(0))
+    record = bundle.records[0]
+    partial = induced_partial_subgraph(record, record.node_ids[:2])
+    partition = khop_neighbors(bundle.graph, partial.node_ids, 1, cap=None)
+    count = 400
+    rows = count * len(partition.node_ids)
+    assert count * len(partition.edges_khop) <= data.KHOP_UNION_EDGES
+    tracemalloc.start()
+    try:
+        with ad.no_grad():
+            model.khop_stage([record] * count, [partial] * count, partitions=[partition] * count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows * count * 8 / 4

@@ -80,17 +80,18 @@ def env_note() -> str:
 # the per-record path at dropout 0, within 1e-10.  The k-hop digests were
 # re-recorded again when the k-hop stage became one forward over its batch:
 # the partitions are drawn before the observed and k-hop unions' dropout,
-# and the scores and membership loss are batch products and segment means.
-# ``KHOP_GOLDEN`` (one record, so one segment) and ``SWEEP_GOLDEN`` held.
+# each k-hop row's score is a row product with its own record's summary
+# (``sum(h W * s, 1)``, not a matrix product), and the membership loss is a
+# segment mean.  ``SWEEP_GOLDEN`` held.
 GOLDEN = {
     "baseline": "f33a3c6f014d8ee8",
     "ps-dgi": "d8bad49164bd7ddd",
     "ps-infograph": "d9a7d188154cd650",
     "ps-mvgrl": "cc34d9cc657df09d",
     "ps-graphcl": "16fffd9c7d97931e",
-    "khop": "dd5b8b740e82cfb3",
-    "khop+ps-dgi": "576a3eeeafb848da",
-    "khop+ps-infograph": "477e27f8892af00d",
+    "khop": "057ab25c837d2301",
+    "khop+ps-dgi": "372a39b05f0dedc8",
+    "khop+ps-infograph": "e46a617c312c8ece",
 }
 
 # Options no variant default turns on: name -> (variant, model overrides,
@@ -101,23 +102,23 @@ GOLDEN = {
 # training digests above, and the k-hop ones with the k-hop stage.
 EXTRA_GOLDEN = {
     "khop/pool-neighbors-only": (
-        "khop", {"include_observed_in_pool": False}, {}, "2c13ee0ba260a9e5",
+        "khop", {"include_observed_in_pool": False}, {}, "69905f200201d171",
     ),
     "khop+ps-infograph/concat-summary": (
-        "khop+ps-infograph", {"concat_observed_summary": True}, {}, "47d5250993e6168b",
+        "khop+ps-infograph", {"concat_observed_summary": True}, {}, "f2d6cbc83bfbffb4",
     ),
     "khop+ps-dgi/positional-ordered": (
         "khop+ps-dgi", {"use_positional_encoding": True},
-        {"protocol": ObservationProtocol(n_obs=3, ordered=True)}, "a8e78fa2d24f8c81",
+        {"protocol": ObservationProtocol(n_obs=3, ordered=True)}, "124fce7e64914aca",
     ),
     "khop+ps-dgi/attention-bidirectional": (
         "khop+ps-dgi", {"premixer": "attention", "bidirectional": True}, {},
-        "54380aba363df07f",
+        "86a4a6fcc2251d05",
     ),
     "ps-infograph/grad-accum-2": ("ps-infograph", {}, {"grad_accum": 2}, "4364797735241c1a"),
     "ps-infograph/grad-accum-4": ("ps-infograph", {}, {"grad_accum": 4}, "4a9dad392f056374"),
     "khop+ps-infograph/frozen-table": (
-        "khop+ps-infograph", {}, {"embedding_trainable": False}, "d2e5325c073199a4",
+        "khop+ps-infograph", {}, {"embedding_trainable": False}, "3d457f3e73a8df5d",
     ),
 }
 
@@ -186,12 +187,13 @@ def sweep_digest(out_dir) -> str:
 # every node leaves no neighbours, so the neighbours-only pool falls back to
 # all scored rows.  Recorded before the forward took its scored ids from
 # ``KhopPartition.node_ids`` and stopped gathering rows by identity, and
-# re-recorded with the training digests for ``sage_combine``.  They held
-# when the stage became one forward over its batch.
+# re-recorded with the training digests for ``sage_combine``, and again
+# when the stage became one forward over its batch, for the row-product
+# score.
 KHOP_GOLDEN = {
-    "default-pool": (True, False, "9669d402bb7dafca"),
-    "neighbors-only-pool": (False, False, "dd06e0c9f507ff79"),
-    "no-neighbors-fallback": (False, True, "ccca0c07fafe4aad"),
+    "default-pool": (True, False, "a45f6bf2fbd1a726"),
+    "neighbors-only-pool": (False, False, "44037cf66548b1d4"),
+    "no-neighbors-fallback": (False, True, "19863bf560a5a5c1"),
 }
 
 
