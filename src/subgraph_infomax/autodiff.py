@@ -249,15 +249,11 @@ def sage_combine(
     if width != w_self.shape[1]:
         raise ValueError(f"sage_combine: parts fill {width} of {w_self.shape[1]} columns")
     out = h.values @ w_self.values
-    if len(parts) == 1:
-        agg, w = parts[0]
-        out += agg.values @ w.values
-    else:
-        lo = 0
-        for agg, w in parts:
-            hi = lo + w.shape[1]
-            out[:, lo:hi] += agg.values @ w.values
-            lo = hi
+    lo = 0
+    for agg, w in parts:
+        hi = lo + w.shape[1]
+        out[:, lo:hi] += agg.values @ w.values
+        lo = hi
     mask = out > 0
     out = np.where(mask, out, 0.0)
     out += h.values if w_skip is None else h.values @ w_skip.values
@@ -273,7 +269,7 @@ def sage_combine(
         lo = 0
         for agg, w in parts:
             hi = lo + w.shape[1]
-            g_part = g_pre if len(parts) == 1 else g_pre[:, lo:hi]
+            g_part = g_pre[:, lo:hi]
             if agg.requires_grad:
                 _accum(agg, g_part @ w.values.T)
             if w.requires_grad:

@@ -26,6 +26,7 @@ same integer grammar (``_parse_int``).
 from __future__ import annotations
 
 import logging
+import math
 import re
 import warnings
 from dataclasses import dataclass, field
@@ -53,11 +54,6 @@ DEFAULT_SPLIT_RATIOS = (0.7, 0.15, 0.15)
 # Bytes of eval k-hop partitions a bundle keeps (``frozen_partition``).  At
 # the paper's degrees (hundreds) one partition can hold a megabyte of edges.
 PARTITION_CACHE_BYTES = 256 << 20
-# Edges one k-hop union encodes at most (``models._ModelBase.khop_stage``):
-# each of its layers gathers an ``(E, width)`` message array, 32 MB at this
-# budget and width 64.  ``evaluate`` passes a whole stage; at the paper's
-# degrees (hundreds) one stage's k-hop views can hold millions of edges.
-KHOP_UNION_EDGES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -188,7 +184,7 @@ class DatasetBundle:
             partition = khop_neighbors(self.graph, observed, k, cap=cap, rng=rng)
             # Its edge array plus about 36 bytes (pointer and int) per tuple id.
             ids = len(partition.node_ids) + len(partition.neighbors)
-            size = partition.edges_khop.nbytes + 36 * ids
+            size = partition.edges.nbytes + 36 * ids
             if self._partition_bytes + size <= PARTITION_CACHE_BYTES:
                 kept[idx] = partition
                 self._partition_bytes += size
@@ -320,8 +316,8 @@ class SyntheticSpec:
         for name in ("p_intra", "p_inter"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
-        if not self.feature_noise >= 0.0:
-            raise ValueError(f"feature_noise must be >= 0, got {self.feature_noise}")
+        if not (math.isfinite(self.feature_noise) and self.feature_noise >= 0.0):
+            raise ValueError(f"feature_noise must be finite and >= 0, got {self.feature_noise}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         check_split_ratios(self.split_ratios)

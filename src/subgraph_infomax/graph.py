@@ -53,12 +53,6 @@ class GlobalGraph:
         return np.column_stack(np.divmod(self._codes, self.num_nodes))
 
     @property
-    def edges(self) -> tuple[EdgePair, ...]:
-        """Sorted directed edge pairs as Python ints, built on each use."""
-        src, dst = self.pairs().T.tolist()
-        return tuple(zip(src, dst))
-
-    @property
     def num_edges(self) -> int:
         return int(self._codes.size)
 
@@ -178,24 +172,11 @@ class SubgraphRecord:
         return SubgraphView(self.node_ids, self.edges)
 
 
-@dataclass(frozen=True, eq=False)
-class KhopPartition:
-    """k-hop neighbors of an observed set.
-
-    ``node_ids`` is the sorted union of the observed ids and ``neighbors``;
-    ``edges_khop`` holds the global edges induced on it, after edge dropout,
-    as ``(E, 2)`` positions into ``node_ids``.
-    """
-
-    node_ids: tuple[int, ...]
-    neighbors: tuple[int, ...]
-    edges_khop: np.ndarray
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class SubgraphView:
     """One view of a subgraph for encoding: the full subgraph, its observed
-    part, an augmentation, or a diffusion.
+    part, an augmentation, a diffusion, or a k-hop neighbourhood
+    (``KhopPartition``).
 
     ``edges`` is an ``(E, 2)`` int64 array of (src, dst) positions into
     ``node_ids``.  ``masked`` holds node ids whose feature rows are zeroed;
@@ -219,6 +200,19 @@ class SubgraphView:
         node_ids = tuple(compress(self.node_ids, keep))
         masked = self.masked.intersection(node_ids) if self.masked else self.masked
         return SubgraphView(node_ids, np.array(flat, dtype=np.int64).reshape(-1, 2), masked)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class KhopPartition(SubgraphView):
+    """The k-hop neighbourhood of an observed set, as the view the k-hop
+    stage encodes.
+
+    ``node_ids`` is the sorted union of the observed ids and ``neighbors``;
+    ``edges`` holds the global edges induced on it, after edge dropout, as
+    ``(E, 2)`` positions into ``node_ids``.
+    """
+
+    neighbors: tuple[int, ...] = ()
 
 
 class ViewUnion(NamedTuple):
@@ -335,9 +329,7 @@ def khop_neighbors(
         if rng is None:
             raise ValueError("edge dropout requires an rng")
         edges = edges[rng.random(len(edges)) >= p_d]
-    return KhopPartition(
-        node_ids=tuple(node_ids.tolist()), neighbors=tuple(neighbor_ids.tolist()), edges_khop=edges
-    )
+    return KhopPartition(tuple(node_ids.tolist()), edges, neighbors=tuple(neighbor_ids.tolist()))
 
 
 def bfs_khop_oracle(graph: GlobalGraph, observed: Iterable[int], k: int) -> frozenset[int]:
@@ -351,7 +343,7 @@ def bfs_khop_oracle(graph: GlobalGraph, observed: Iterable[int], k: int) -> froz
     frontier = set(observed_set)
     for _ in range(k):
         nxt: set[int] = set()
-        for u, v in graph.edges:
+        for u, v in graph.pairs().tolist():
             if u in frontier and v not in dist:
                 nxt.add(v)
             if v in frontier and u not in dist:

@@ -67,10 +67,7 @@ def infonce_loss(pos_scores, neg_scores_per_pos) -> Tensor:
     pos = ad.as_tensor(pos_scores)
     negs = ad.as_tensor(neg_scores_per_pos)
     if pos.shape[1] != 1:
-        if pos.shape[0] == 1:
-            pos = ad.transpose(pos)
-        else:
-            raise ValueError(f"positive scores must be a vector, got {pos.shape}")
+        raise ValueError(f"positive scores must be a column (n, 1), got {pos.shape}")
     if negs.values.size == 0:
         raise ValueError("infonce_loss needs at least one negative per positive")
     if negs.shape[0] != pos.shape[0]:

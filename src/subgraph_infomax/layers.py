@@ -301,12 +301,11 @@ class GatedAttentionReadout:
 
 
 class BilinearDiscriminator:
-    """Pairing score h^T W s, linear in each argument.
+    """Pairing score h^T W s, linear in each argument: ``(h, s)`` gives one
+    row per row of ``h`` and one column per summary row of ``s``.
 
-    ``project(h)`` is ``h W``; ``score(p, s)`` scores projected rows against
-    each summary row of ``s``, one column per summary.  Projecting once and
-    scoring many summaries against it gives the same products as calling
-    the discriminator on each pair.
+    ``project(h)`` is ``h W``; scoring each row against one summary of its
+    own is ``sum(project(h) * s, 1)``.
     """
 
     def __init__(self, store: ParameterStore, name: str, dim: int, rng: np.random.Generator):
@@ -318,23 +317,15 @@ class BilinearDiscriminator:
             raise ValueError(f"discriminator width mismatch: h {h.shape}, dim {self.dim}")
         return ad.matmul(h, self.w)
 
-    def score(self, p: Tensor, s: Tensor) -> Tensor:
+    def __call__(self, h: Tensor, s: Tensor) -> Tensor:
         if s.shape[1] != self.dim:
             raise ValueError(f"discriminator width mismatch: s {s.shape}, dim {self.dim}")
-        return ad.matmul(p, ad.transpose(s))
-
-    def __call__(self, h: Tensor, s: Tensor) -> Tensor:
-        return self.score(self.project(h), s)
+        return ad.matmul(self.project(h), ad.transpose(s))
 
 
 class CosineDiscriminator:
-    """Temperature-scaled cosine similarity ``unit(h) @ unit(s)^T / tau``;
-    zero vectors score exactly 0.
-
-    ``project(h)`` gives the unit rows, so a batch of candidates is
-    normalised once and ``score`` scores all of it against every summary row
-    with one product, one column per summary.
-    """
+    """Temperature-scaled cosine similarity ``unit(h) @ unit(s)^T / tau``,
+    one column per summary row of ``s``; zero vectors score exactly 0."""
 
     def __init__(self, temperature: float):
         if temperature <= 0:
@@ -348,14 +339,11 @@ class CosineDiscriminator:
             log.debug("cosine discriminator saw a zero vector; its score is 0 by convention")
         return ad.div(h, ad.sqrt(ad.clip_min(ad.sum(ad.mul(h, h), 1), 1e-30)))
 
-    def score(self, u: Tensor, s: Tensor) -> Tensor:
-        if u.shape[1] != s.shape[1]:
-            raise ValueError(f"cosine width mismatch: h {u.shape}, s {s.shape}")
-        product = ad.matmul(u, ad.transpose(self.project(s)))
-        return ad.scale(product, 1.0 / self.temperature)
-
     def __call__(self, h: Tensor, s: Tensor) -> Tensor:
-        return self.score(self.project(h), s)
+        if h.shape[1] != s.shape[1]:
+            raise ValueError(f"cosine width mismatch: h {h.shape}, s {s.shape}")
+        product = ad.matmul(self.project(h), ad.transpose(self.project(s)))
+        return ad.scale(product, 1.0 / self.temperature)
 
 
 class PredictionHead:

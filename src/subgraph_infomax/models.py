@@ -26,7 +26,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import data
 from .autodiff import Tensor
 from .data import DatasetBundle
 from .graph import (
@@ -66,6 +65,11 @@ VARIANTS = (
 )
 GRAPHCL_AUGMENTATIONS = ("node-drop", "edge-perturb", "attr-mask")
 BATCH_NEGATIVE_VARIANTS = ("ps-infograph", "ps-graphcl")
+# Edges one k-hop union encodes at most (``_ModelBase.khop_stage``): each of
+# its layers gathers an ``(E, width)`` message array, 32 MB at this budget
+# and width 64.  ``evaluate`` passes a whole stage; at the paper's degrees
+# (hundreds) one stage's k-hop views can hold millions of edges.
+KHOP_UNION_EDGES = 1 << 16
 
 
 @dataclass
@@ -99,7 +103,7 @@ class ModelConfig:
             )
         if self.premixer not in ("mlp", "attention", "none"):
             raise ValueError(f"premixer must be mlp, attention or none, got {self.premixer!r}")
-        # Every check is written so that NaN fails it.
+        # Every check is written so that NaN fails it; unbounded floats must be finite.
         for name in ("k", "hidden_dim", "ppr_top_t"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -108,8 +112,9 @@ class ModelConfig:
         if self.neighbor_cap is not None and not self.neighbor_cap >= 1:
             raise ValueError(f"neighbor_cap must be >= 1 or none, got {self.neighbor_cap}")
         for name in ("lambda_single", "lambda_khop", "lambda_second"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         for name in ("p_d", "dropout", "aug_p"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
@@ -117,8 +122,8 @@ class ModelConfig:
             raise ValueError(f"pool_ratio must be in (0, 1], got {self.pool_ratio}")
         if not 0.0 < self.ppr_alpha < 1.0:
             raise ValueError(f"ppr_alpha must be in (0, 1), got {self.ppr_alpha}")
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
 
     @property
     def khop(self) -> bool:
@@ -273,19 +278,17 @@ class _ModelBase:
             self.readout = GatedAttentionReadout(self.store, "readout", dim, rng, premixer=premixer)
         else:
             self.readout = MeanMlpReadout(self.store, "readout", dim, rng)
-        if not config.khop and config.term is None:
-            self.discriminator = None
-        elif config.term == "ps-graphcl":
-            self.discriminator = CosineDiscriminator(config.temperature)
-        else:
-            self.discriminator = BilinearDiscriminator(self.store, "discriminator", dim, rng)
-        # The discriminator of the MI term: the second stage's in a two-stage
-        # model.
-        self.mi_discriminator = self.discriminator
-        if config.is_two_stage:
-            self.mi_discriminator = self.discriminator_second = BilinearDiscriminator(
-                self.store, "discriminator_second", dim, rng
-            )
+        # The k-hop scorer owns the parameter ``discriminator``; the MI term's
+        # discriminator takes it when there is no k-hop stage, and is
+        # ``discriminator_second`` after one.
+        self.khop_discriminator = self.mi_discriminator = None
+        if config.khop:
+            self.khop_discriminator = BilinearDiscriminator(self.store, "discriminator", dim, rng)
+        if config.term == "ps-graphcl":
+            self.mi_discriminator = CosineDiscriminator(config.temperature)
+        elif config.term is not None:
+            name = "discriminator_second" if config.khop else "discriminator"
+            self.mi_discriminator = BilinearDiscriminator(self.store, name, dim, rng)
         if config.term == "ps-mvgrl":
             self.encoder_b = SageEncoder(
                 self.store, "encoder_b", feature_dim, dim, rng,
@@ -425,7 +428,7 @@ class _ModelBase:
         bundle's frozen ones), or else is drawn from ``rng``.  The observed
         views are encoded as one union and read out per view, positions
         concatenated; the k-hop views are encoded in unions of at most
-        ``data.KHOP_UNION_EDGES`` edges (one union unless the batch is
+        ``KHOP_UNION_EDGES`` edges (one union unless the batch is
         larger).  Each k-hop row is scored against its own record's
         summary, and ``khop_forward`` pools each record's rows.  In
         training the membership loss is also returned: scored rows whose id
@@ -444,14 +447,13 @@ class _ModelBase:
         positions = observation_positions(records, views, cfg.use_positional_encoding)
         s_obs = self.readout(h_obs, observed, positions)
 
-        khop_views = [SubgraphView(p.node_ids, p.edges_khop) for p in partitions]
-        chunks = _union_chunks([len(p.edges_khop) for p in partitions], data.KHOP_UNION_EDGES)
+        chunks = _union_chunks([len(p.edges) for p in partitions], KHOP_UNION_EDGES)
         h_parts, score_parts = [], []
         for lo, hi in chunks:
-            union, h = self.encode_views(khop_views[lo:hi], training, rng)
+            union, h = self.encode_views(partitions[lo:hi], training, rng)
             # Each row against its own record's summary only: h_j W s_i.
             s = ad.gather_rows(s_obs, union.segments + lo)
-            score_parts.append(ad.sum(ad.mul(self.discriminator.project(h), s), 1))
+            score_parts.append(ad.sum(ad.mul(self.khop_discriminator.project(h), s), 1))
             h_parts.append(h)
         h_khop, scores = h_parts[0], score_parts[0]
         if len(chunks) > 1:
@@ -582,32 +584,18 @@ def khop_forward(
     return KhopResult(s_khop=pooled, selected_ids=selected_ids)
 
 
-# Two sibling classes over the one implementation; each only checks, through
-# ``is_two_stage``, which variant family it accepts.  They stay siblings so that wrapping ``step`` on
-# each class (as perfbench/tracer.py does) wraps the shared function once.
+# Two names for the one implementation, which builds and runs every variant;
+# ``build_model`` picks by ``is_two_stage``.  They stay siblings so that
+# wrapping ``step`` on each class (as perfbench/tracer.py does) wraps the
+# shared function once.
 
 
 class PsiModel(_ModelBase):
     """A single-stage variant; ``baseline`` trains with cross-entropy only."""
 
-    def __init__(self, config: ModelConfig, *args, **kwargs):
-        if config.is_two_stage:
-            raise ValueError("use TwoStageModel for composed variants")
-        super().__init__(config, *args, **kwargs)
-
 
 class TwoStageModel(_ModelBase):
-    """k-hop reconstruction composed with a second discrimination stage.
-
-    The reconstructed summary both feeds the prediction head and acts as the
-    summary the second stage discriminates against.  The encoder is shared
-    across stages; each stage has its own bilinear matrix.
-    """
-
-    def __init__(self, config: ModelConfig, *args, **kwargs):
-        if not config.is_two_stage:
-            raise ValueError("TwoStageModel requires a composed variant like 'khop+ps-dgi'")
-        super().__init__(config, *args, **kwargs)
+    """k-hop reconstruction composed with a second discrimination stage."""
 
 
 def build_model(

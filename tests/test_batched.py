@@ -18,7 +18,6 @@ import pytest
 
 from subgraph_infomax import autodiff as ad
 from subgraph_infomax.autodiff import Tensor
-from subgraph_infomax import data
 from subgraph_infomax.data import ObservationProtocol, SyntheticSpec, generate_synthetic, sample_observed
 from subgraph_infomax import models
 from subgraph_infomax.graph import SubgraphView, disjoint_union, induced_partial_subgraph, khop_neighbors
@@ -278,8 +277,8 @@ def oracle_khop_stage(model, record, partial, rng):
         positions = [rank[n] for n in partial.node_ids]
     s_obs = per_view_readout(model.readout, oracle_encode(model, partial, rng), positions)
     node_ids = partition.node_ids
-    h_khop = oracle_encode(model, SubgraphView(node_ids, partition.edges_khop), rng)
-    scores = model.discriminator(h_khop, s_obs)
+    h_khop = oracle_encode(model, partition, rng)
+    scores = model.khop_discriminator(h_khop, s_obs)
     pool = (scores, h_khop, node_ids)
     if not cfg.include_observed_in_pool and partition.neighbors:
         rows = np.flatnonzero(np.isin(node_ids, partition.neighbors))
@@ -418,7 +417,7 @@ def dense_stage():
     protocol = ObservationProtocol(n_obs=4)
     evaluate(model, bundle, protocol, "test")  # freezes the views and partitions
     edges = sum(
-        len(bundle.frozen_partition(protocol, "test", idx, config.k, None).edges_khop)
+        len(bundle.frozen_partition(protocol, "test", idx, config.k, None).edges)
         for idx in bundle.indices("test")
     )
     return model, bundle, protocol, edges
@@ -438,7 +437,7 @@ def test_a_stage_over_the_edge_budget_gives_the_logits_of_one_union(dense_stage,
     model, bundle, protocol, edges = dense_stage
     assert edges > 4 * 4096
     one_union = stage_logits(model, bundle, protocol)
-    monkeypatch.setattr(data, "KHOP_UNION_EDGES", 4096)
+    monkeypatch.setattr(models, "KHOP_UNION_EDGES", 4096)
     chunked = stage_logits(model, bundle, protocol)
     np.testing.assert_allclose(chunked, one_union, rtol=1e-12, atol=1e-12)
 
@@ -458,7 +457,7 @@ def test_evaluate_holds_one_budget_of_messages_at_a_time(dense_stage, monkeypatc
             tracemalloc.stop()
 
     assert peak() > one_union_messages
-    monkeypatch.setattr(data, "KHOP_UNION_EDGES", edges // 8)
+    monkeypatch.setattr(models, "KHOP_UNION_EDGES", edges // 8)
     assert peak() < one_union_messages / 2
 
 
@@ -472,7 +471,7 @@ def test_scores_of_many_small_views_grow_with_rows_not_rows_times_views():
     partition = khop_neighbors(bundle.graph, partial.node_ids, 1, cap=None)
     count = 400
     rows = count * len(partition.node_ids)
-    assert count * len(partition.edges_khop) <= data.KHOP_UNION_EDGES
+    assert count * len(partition.edges) <= models.KHOP_UNION_EDGES
     tracemalloc.start()
     try:
         with ad.no_grad():

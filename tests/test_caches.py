@@ -168,8 +168,8 @@ def kept_partitions(bundle, stage, k, cap):
 def assert_partitions_equal(got, want):
     assert got.node_ids == want.node_ids
     assert got.neighbors == want.neighbors
-    assert got.edges_khop.dtype == want.edges_khop.dtype
-    assert np.array_equal(got.edges_khop, want.edges_khop)
+    assert got.edges.dtype == want.edges.dtype
+    assert np.array_equal(got.edges, want.edges)
 
 
 def assert_caches_are_fresh(bundle):
@@ -192,7 +192,7 @@ def assert_caches_are_fresh(bundle):
 
 
 def partition_bytes(partition):
-    return partition.edges_khop.nbytes + 36 * (len(partition.node_ids) + len(partition.neighbors))
+    return partition.edges.nbytes + 36 * (len(partition.node_ids) + len(partition.neighbors))
 
 
 def train_step_grads(model, bundle):

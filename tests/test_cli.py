@@ -191,7 +191,7 @@ class TestConfigParsing:
             ("synthetic_leak", "1", "must be in [0, 1), got 1.0"),
             ("synthetic_p_intra", "1.5", "must be in [0, 1], got 1.5"),
             ("synthetic_p_inter", "-0.2", "must be in [0, 1], got -0.2"),
-            ("synthetic_noise", "-1", "must be >= 0, got -1.0"),
+            ("synthetic_noise", "-1", "must be finite and >= 0, got -1.0"),
             ("synthetic_seed", "-3", "must be >= 0, got -3"),
         ],
     )

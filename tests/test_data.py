@@ -133,7 +133,7 @@ class TestSynthetic:
         spec = SyntheticSpec(num_nodes=80, num_subgraphs=20, seed=11)
         a = generate_synthetic(spec)
         b = generate_synthetic(spec)
-        assert a.graph.edges == b.graph.edges
+        assert np.array_equal(a.graph.pairs(), b.graph.pairs())
         assert all(
             ra.node_ids == rb.node_ids and ra.label == rb.label
             for ra, rb in zip(a.records, b.records)
@@ -179,8 +179,9 @@ class TestSynthetic:
             ("p_intra", 1.5, "p_intra must be in [0, 1], got 1.5"),
             ("p_intra", float("nan"), "p_intra must be in [0, 1], got nan"),
             ("p_inter", -0.2, "p_inter must be in [0, 1], got -0.2"),
-            ("feature_noise", -1.0, "feature_noise must be >= 0, got -1.0"),
-            ("feature_noise", float("nan"), "feature_noise must be >= 0, got nan"),
+            ("feature_noise", -1.0, "feature_noise must be finite and >= 0, got -1.0"),
+            ("feature_noise", float("nan"), "feature_noise must be finite and >= 0, got nan"),
+            ("feature_noise", math.inf, "feature_noise must be finite and >= 0, got inf"),
             ("split_ratios", (0.5, 0.5), "split_ratios: need 3 ratios (train, val, test), got 2"),
         ],
     )
@@ -249,7 +250,7 @@ class TestFileRoundTrip:
             split=paths["splits"],
         )
         assert loaded.graph.num_nodes == bundle.graph.num_nodes
-        assert loaded.graph.edges == bundle.graph.edges
+        assert np.array_equal(loaded.graph.pairs(), bundle.graph.pairs())
         assert loaded.splits == bundle.splits
         assert np.array_equal(loaded.embedding_values, bundle.embedding_values)
         for got, want in zip(loaded.records, bundle.records):
@@ -270,7 +271,7 @@ class TestFileRoundTrip:
             paths["edges"], paths["subgraphs"], embeddings=paths["embeddings"], split=paths["splits"]
         )
         assert loaded.graph.num_nodes == 60
-        assert loaded.graph.edges == bundle.graph.edges
+        assert np.array_equal(loaded.graph.pairs(), bundle.graph.pairs())
         assert np.array_equal(loaded.embedding_values, bundle.embedding_values)
         for got, want in zip(loaded.records, bundle.records):
             assert got.node_ids == want.node_ids
@@ -492,9 +493,9 @@ class TestFileRoundTrip:
         (tmp_path / "edges.txt").write_text("0 1\n", encoding="utf-8")
         (tmp_path / "subs.tsv").write_text("0\t0,1\n", encoding="utf-8")
         bundle = load_dataset(tmp_path / "edges.txt", tmp_path / "subs.tsv")
-        assert bundle.graph.edges == ((0, 1), (1, 0))
+        assert bundle.graph.pairs().tolist() == [[0, 1], [1, 0]]
         directed = load_dataset(tmp_path / "edges.txt", tmp_path / "subs.tsv", directed=True)
-        assert directed.graph.edges == ((0, 1),)
+        assert directed.graph.pairs().tolist() == [[0, 1]]
 
 
 # The loaded output of three readers, recorded before the readers shared one
@@ -734,5 +735,5 @@ def test_save_bundle_writes_the_per_pair_edge_bytes(tmp_path):
     edgeless = DatasetBundle(GlobalGraph(3, []), (), 1, ())
     for name, built in (("synthetic", bundle), ("edgeless", edgeless)):
         path = save_bundle(built, tmp_path / name)["edges"]
-        want = "".join(f"{u} {v}\n" for u, v in built.graph.edges).encode("utf-8")
+        want = "".join(f"{u} {v}\n" for u, v in built.graph.pairs().tolist()).encode("utf-8")
         assert Path(path).read_bytes() == want, name

@@ -209,7 +209,7 @@ def khop_stage_digest(name: str) -> str:
     model = build_model(model_config, bundle, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     if whole_graph:
-        record = SubgraphRecord(tuple(range(bundle.graph.num_nodes)), bundle.graph.edges, 0)
+        record = SubgraphRecord(tuple(range(bundle.graph.num_nodes)), bundle.graph.pairs(), 0)
         partial = record.view
     else:
         record = bundle.records[0]

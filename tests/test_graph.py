@@ -7,8 +7,10 @@ from subgraph_infomax.graph import (
     GlobalGraph,
     KhopPartition,
     SubgraphRecord,
+    SubgraphView,
     bernoulli_edges,
     bfs_khop_oracle,
+    disjoint_union,
     induced_partial_subgraph,
     khop_neighbors,
 )
@@ -53,7 +55,7 @@ def directed_graphs(draw):
     extra = draw(st.integers(min_value=0, max_value=4))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31)))
     keep = rng.random(base.num_edges) < 0.7
-    edges = [e for e, kept in zip(base.edges, keep) if kept]
+    edges = [e for e, kept in zip(base.pairs().tolist(), keep) if kept]
     return GlobalGraph(base.num_nodes + extra, edges + edges[:3])
 
 
@@ -66,7 +68,7 @@ any_graphs = st.one_of(er_graphs(), directed_graphs())
 
 def reference_adjacency(graph):
     lists = {}
-    for u, v in graph.edges:
+    for u, v in graph.pairs().tolist():
         lists.setdefault(u, set()).add(v)
         lists.setdefault(v, set()).add(u)
     return {node: np.fromiter(sorted(nbrs), dtype=np.int64) for node, nbrs in lists.items()}
@@ -78,7 +80,7 @@ def reference_neighbors(graph, node):
 
 def reference_induced_edges(graph, nodes):
     adjacency = reference_adjacency(graph)
-    edge_set = frozenset(graph.edges)
+    edge_set = frozenset(map(tuple, graph.pairs().tolist()))
     node_set = set(int(n) for n in nodes)
     found = []
     for u in node_set:
@@ -161,7 +163,7 @@ def reference_khop_neighbors(graph, observed, k, cap, p_d, rng):
     if p_d > 0.0:
         keep = rng.random(len(edges)) >= p_d
         edges = [e for e, k_ in zip(edges, keep) if k_]
-    return KhopPartition(node_ids, neighbors, tuple(edges))
+    return KhopPartition(node_ids, tuple(edges), neighbors=neighbors)
 
 
 class TestAgainstReference:
@@ -171,9 +173,9 @@ class TestAgainstReference:
         pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
         raw = data.draw(st.lists(pair, max_size=80))
         graph = GlobalGraph(n, raw)
-        assert graph.edges == tuple(sorted(set(raw)))
+        assert graph.pairs().dtype == np.int64
+        assert list(map(tuple, graph.pairs().tolist())) == sorted(set(raw))
         assert graph.num_edges == len(set(raw))
-        assert all(type(u) is int and type(v) is int for u, v in graph.edges)
 
     @settings(max_examples=80, deadline=None)
     @given(any_graphs, st.data())
@@ -188,7 +190,7 @@ class TestAgainstReference:
             nbrs = graph.neighbors(node)
             assert nbrs.dtype == np.int64
             assert np.array_equal(nbrs, reference_neighbors(graph, node))
-        edge_set = frozenset(graph.edges)
+        edge_set = frozenset(map(tuple, graph.pairs().tolist()))
         pairs = [(u, v) for u in range(-1, n + 1) for v in range(-1, n + 1)]
         assert graph.has_edges(pairs).tolist() == [p in edge_set for p in pairs]
 
@@ -208,7 +210,7 @@ class TestAgainstReference:
         fast = khop_neighbors(graph, observed, k, cap=cap, p_d=p_d, rng=rng_fast)
         ref = reference_khop_neighbors(graph, observed, k, cap, p_d, rng_ref)
         assert (fast.node_ids, fast.neighbors) == (ref.node_ids, ref.neighbors)
-        assert_positions(fast.edges_khop, ref.node_ids, ref.edges_khop)
+        assert_positions(fast.edges, ref.node_ids, ref.edges)
         assert all(type(n) is int for n in fast.node_ids + fast.neighbors)
         # Both consumed the same draws.
         assert rng_fast.random() == rng_ref.random()
@@ -252,7 +254,7 @@ class TestGlobalGraph:
 
     def test_deduplicates_directed_edges(self):
         g = GlobalGraph(3, [(0, 1), (0, 1), (1, 0)])
-        assert g.edges == ((0, 1), (1, 0))
+        assert g.pairs().tolist() == [[0, 1], [1, 0]]
 
     def test_induced_edges(self):
         g = path_graph(4)
@@ -413,11 +415,22 @@ class TestKhopNeighbors:
         with pytest.raises(ValueError):
             khop_neighbors(path_graph(3), {0}, k=1, cap=0)
 
+    def test_partition_is_the_view_the_stage_encodes(self):
+        # The k-hop stage encodes partitions as they are; their union equals
+        # the union of plain views of the same ids and edges.
+        g = star_graph(6)
+        parts = [khop_neighbors(g, observed, k=1, cap=None) for observed in ({0}, {1, 2}, {3})]
+        assert all(isinstance(p, SubgraphView) for p in parts)
+        got = disjoint_union(parts)
+        want = disjoint_union([SubgraphView(p.node_ids, p.edges) for p in parts])
+        for name, value in want._asdict().items():
+            assert np.array_equal(getattr(got, name), value), name
+
     def test_no_dropout_keeps_exact_induced_edges(self):
         g = star_graph(4)
         part = khop_neighbors(g, {0}, k=1, cap=None, p_d=0.0)
         assert part.node_ids == (0, 1, 2, 3, 4)
-        assert np.array_equal(part.edges_khop, g.induced_edges({0, 1, 2, 3, 4}))
+        assert np.array_equal(part.edges, g.induced_edges({0, 1, 2, 3, 4}))
 
     def test_cap_subsamples_with_rng(self):
         g = star_graph(10)

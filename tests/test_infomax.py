@@ -73,6 +73,10 @@ class TestInfonceLoss:
         with pytest.raises(ValueError):
             infonce_loss(np.zeros((2, 1)), np.zeros((2, 0)))
 
+    def test_row_of_positives_rejected(self):
+        with pytest.raises(ValueError, match=r"^positive scores must be a column \(n, 1\), got \(1, 3\)$"):
+            infonce_loss(np.zeros((1, 3)), np.zeros((3, 2)))
+
     def test_strictly_decreasing_in_positive_score(self):
         rng = np.random.default_rng(0)
         negs = rng.normal(size=(3, 4))

@@ -44,6 +44,25 @@ TOY_SPEC = SyntheticSpec(
     seed=5,
 )
 
+_ENCODER = ["layer1.w_self", "layer1.w_neigh", "layer1.w_skip", "layer2.w_self", "layer2.w_neigh"]
+_MLP = ["w1", "b1", "w2", "b2"]
+_BASE = ["embedding", *(f"encoder.{p}" for p in _ENCODER)]
+_MEAN_READOUT = [f"readout.{p}" for p in _MLP]
+_GATED_READOUT = [f"readout.{part}.{p}" for part in ("premixer", "gate", "feat") for p in _MLP]
+_POOL = [f"pool_mlp.{p}" for p in _MLP]
+_HEAD = ["head.w", "head.b"]
+PARAMETER_NAMES = {
+    "baseline": [*_BASE, *_MEAN_READOUT, *_HEAD],
+    "ps-dgi": [*_BASE, *_MEAN_READOUT, "discriminator", *_HEAD],
+    "ps-infograph": [*_BASE, *_MEAN_READOUT, "discriminator", *_HEAD],
+    "ps-mvgrl": [*_BASE, *_MEAN_READOUT, "discriminator", *(f"encoder_b.{p}" for p in _ENCODER), *_HEAD],
+    "ps-graphcl": [*_BASE, *_MEAN_READOUT, *_HEAD],
+    "khop": [*_BASE, *_MEAN_READOUT, "discriminator", *_POOL, *_HEAD],
+    "khop+ps-dgi": [*_BASE, *_GATED_READOUT, "discriminator", "discriminator_second", *_POOL, *_HEAD],
+    "khop+ps-infograph": [*_BASE, *_GATED_READOUT, "discriminator", "discriminator_second", *_POOL, *_HEAD],
+}
+
+
 def toy_config(variant, **overrides):
     base = dict(
         variant=variant,
@@ -166,8 +185,8 @@ class TestStepContract:
 
     def test_negative_weight_rejected(self):
         for name in ("lambda_single", "lambda_khop", "lambda_second"):
-            for value in (-0.5, float("nan")):
-                with pytest.raises(ValueError, match=name):
+            for value in (-0.5, float("nan"), math.inf):
+                with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0"):
                     ModelConfig(**{name: value})
 
     @pytest.mark.parametrize(
@@ -177,7 +196,7 @@ class TestStepContract:
             ("aug_p", 2.0), ("aug_p", 1.0), ("aug_p", float("nan")),
             ("p_d", float("nan")),
             ("hidden_dim", 0), ("hidden_dim", 7), ("k", 0), ("ppr_top_t", 0), ("neighbor_cap", 0),
-            ("temperature", 0.0), ("temperature", float("nan")),
+            ("temperature", 0.0), ("temperature", float("nan")), ("temperature", math.inf),
             ("ppr_alpha", 1.5), ("ppr_alpha", 0.0), ("ppr_alpha", float("nan")),
             ("pool_ratio", 0.0), ("pool_ratio", float("nan")),
         ],
@@ -190,13 +209,13 @@ class TestStepContract:
     def test_odd_hidden_dim_is_accepted_without_bidirectional(self):
         assert ModelConfig(hidden_dim=7).hidden_dim == 7
 
-    def test_model_classes_check_their_variant_family(self):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_parameter_names_in_creation_order(self, variant):
+        # Checkpoints store parameters by name, so these lists are the format.
         bundle = generate_synthetic(TOY_SPEC)
-        args = (bundle, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="TwoStageModel"):
-            PsiModel(toy_config("khop+ps-dgi"), *args)
-        with pytest.raises(ValueError, match="composed variant"):
-            TwoStageModel(toy_config("khop"), *args)
+        model = build_model(ModelConfig(variant=variant), bundle, np.random.default_rng(0))
+        assert [name for name, _ in model.store.items()] == PARAMETER_NAMES[variant]
+        assert type(model) is (TwoStageModel if model.config.is_two_stage else PsiModel)
 
     @pytest.mark.parametrize("variant", ["ps-infograph", "ps-graphcl", "khop+ps-infograph"])
     def test_in_batch_negatives_need_two_records(self, variant):
@@ -211,7 +230,7 @@ class TestStepContract:
 class TestVariantLossValues:
     def test_dgi_with_zero_discriminator(self):
         bundle, model = make_toy("ps-dgi")
-        model.discriminator.w.values[:] = 0.0
+        model.mi_discriminator.w.values[:] = 0.0
         records, partials = step_inputs(bundle)
         out = model.step(records, partials, rng=np.random.default_rng(1), training=True)
         assert out.losses["infomax"] == pytest.approx([2 * math.log(2)] * 3, abs=1e-12)
@@ -220,8 +239,8 @@ class TestVariantLossValues:
         # Zeroed parameters make every summary the zero vector, whose cosine
         # score is 0 by convention: one positive, one negative, equal scores.
         bundle, model = make_toy("ps-graphcl")
-        for name in model.store.names():
-            model.store[name].values[:] = 0.0
+        for _, param in model.store.items():
+            param.values[:] = 0.0
         records, partials = step_inputs(bundle)
         rng = np.random.default_rng(4)
         out = model.step(records[:2], partials[:2], rng=rng, training=True)
@@ -242,8 +261,8 @@ class TestVariantLossValues:
             h_obs = encode(model.encoder, model.table, partials[target].node_ids, partials[target].edges)
             s_obs = ad.mean(model.readout.mlp(h_obs), 0)
             li = gd_loss(
-                model.discriminator(h_full[target], s_obs),
-                model.discriminator(h_full[1 - target], s_obs),
+                model.mi_discriminator(h_full[target], s_obs),
+                model.mi_discriminator(h_full[1 - target], s_obs),
             ).item()
             logits = model.head(s_obs).values[0]
             ce = np.log(np.exp(logits).sum()) - logits[records[target].label]
@@ -269,8 +288,8 @@ class TestVariantLossValues:
             h_sub = encode(model.encoder, model.table, record.node_ids, record.edges)
             perm = rng.permutation(len(record.node_ids))
             want = gd_loss(
-                model.discriminator(h_sub, s_obs),
-                model.discriminator(ad.gather_rows(h_sub, perm), s_obs),
+                model.mi_discriminator(h_sub, s_obs),
+                model.mi_discriminator(ad.gather_rows(h_sub, perm), s_obs),
             ).item()
             assert li == pytest.approx(want, abs=1e-12)
 
@@ -339,9 +358,9 @@ class TestKhopForward:
         stage = model.khop_stage(records, partials, rng=np.random.default_rng(0), training=True)
         # dropout 0, p_d 0 and no cap: the training forward draws nothing.
         for i, (record, partial, partition) in enumerate(zip(records, partials, stage.partitions)):
-            h = encode(model.encoder, model.table, partition.node_ids, partition.edges_khop)
+            h = encode(model.encoder, model.table, partition.node_ids, partition.edges)
             s_obs = ad.gather_rows(stage.s_obs, [i])
-            scores = model.discriminator(h, s_obs)
+            scores = model.khop_discriminator(h, s_obs)
             member = np.isin(partition.node_ids, record.node_ids)
             assert member.sum() > len(partial.node_ids) and not member.all()
             want = khop_loss(scores, member).item()

@@ -31,9 +31,14 @@ class TestAdamConfig:
         {"epsilon": float("nan")},
         {"weight_decay": -5.0},
         {"weight_decay": float("nan")},
+        # epsilon=inf would make every update 0: a run that trains without moving.
+        {"learning_rate": float("inf")},
+        {"epsilon": float("inf")},
+        {"weight_decay": float("inf")},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
             AdamConfig(**kwargs)
 
 
@@ -119,7 +124,7 @@ class TestParameterStore:
         message = r"^parameter 'x': values of shape .*, expected \(20, 2\)$"
         with pytest.raises(ValueError, match=message):
             store.create("x", (20, 2), values=values)
-        assert store.names() == []
+        assert not store.items()
 
     def test_fan_in_bound(self):
         store = ParameterStore()
@@ -153,7 +158,7 @@ class TestParameterStore:
         fresh.create("a", (3, 4), values=np.zeros((3, 4)))
         fresh.create("b", (1, 7), values=np.zeros((1, 7)), trainable=False)
         fresh.load(path)
-        for name in store.names():
+        for name, _ in store.items():
             assert fresh[name].values.tobytes() == store[name].values.tobytes()
             assert fresh[name].requires_grad == store[name].requires_grad
 
