@@ -5,8 +5,8 @@ single-row or single-column matrices.  Operations record a backward closure
 on the output node, and ``backward`` walks the tape in reverse topological
 order, accumulating gradients additively into every node that requires them.
 
-Ops take ``Tensor``s; ``as_tensor`` wraps a value from outside the tape (a
-numpy array or a float) as a constant.  ``sum`` and ``mean`` keep the
+Ops take ``Tensor``s, and ``Tensor(values, requires_grad)`` is the one way
+onto the tape for a numpy array or a float.  ``sum`` and ``mean`` keep the
 reduced axis: over axis 0 an (n, m) input gives (1, m), over axis 1 it
 gives (n, 1), and over ``None`` (every entry) it gives (1, 1).
 
@@ -37,7 +37,6 @@ _KINK_RETRY = 1e-6
 
 __all__ = [
     "Tensor",
-    "as_tensor",
     "backward",
     "matmul",
     "affine",
@@ -81,18 +80,12 @@ class Tensor:
 
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(
-        self,
-        values,
-        requires_grad: bool = False,
-        parents: tuple["Tensor", ...] = (),
-        backward_rule: Callable[[Array], None] | None = None,
-    ):
+    def __init__(self, values, requires_grad: bool = False):
         self.values = _as_matrix(values)
         self.grad: Array | None = None
         self.requires_grad = requires_grad
-        self._parents = parents
-        self._backward = backward_rule
+        self._parents = ()
+        self._backward = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -105,10 +98,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-
-def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 class _GradMode(threading.local):

@@ -63,9 +63,9 @@ _RENAMED = {
         "num_nodes": "synthetic_nodes", "communities": "synthetic_communities",
         "p_intra": "synthetic_p_intra", "p_inter": "synthetic_p_inter",
         "num_subgraphs": "synthetic_subgraphs", "subgraph_size_min": "synthetic_size_min",
-        "subgraph_size_max": "synthetic_size_max", "n_obs": "synthetic_n_obs",
-        "feature_dim": "synthetic_feature_dim", "feature_noise": "synthetic_noise",
-        "community_leak": "synthetic_leak", "seed": "synthetic_seed",
+        "subgraph_size_max": "synthetic_size_max", "feature_dim": "synthetic_feature_dim",
+        "feature_noise": "synthetic_noise", "community_leak": "synthetic_leak",
+        "seed": "synthetic_seed",
     },
     ExpectedStats: {
         "num_subgraphs": "expected_subgraphs", "num_classes": "expected_classes",

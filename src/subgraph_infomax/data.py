@@ -98,13 +98,12 @@ def sample_observed(
     if protocol.ordered and record.observation_order is None:
         raise ValueError("ordered protocol requires records with an observation order")
 
-    if stage == "train":
-        if protocol.train_jitter:
-            if rng is None:
-                raise ValueError("training-stage sampling requires an rng")
-            size = int(rng.integers(protocol.n_obs - 2, protocol.n_obs + 3))
-        else:
-            size = protocol.n_obs
+    # A training draw needs an rng unless it is an ordered prefix of fixed size.
+    if stage == "train" and rng is None and (protocol.train_jitter or not protocol.ordered):
+        raise ValueError("training-stage sampling requires an rng")
+
+    if stage == "train" and protocol.train_jitter:
+        size = int(rng.integers(protocol.n_obs - 2, protocol.n_obs + 3))
     else:
         size = protocol.n_obs
     size = max(1, min(size, len(record.node_ids)))
@@ -112,8 +111,6 @@ def sample_observed(
     if protocol.ordered:
         return tuple(record.observation_order[:size])
     if stage == "train":
-        if rng is None:
-            raise ValueError("training-stage sampling requires an rng")
         picked = rng.choice(len(record.node_ids), size=size, replace=False)
     else:
         picked = _frozen_rng(protocol, stage, record).choice(
@@ -149,24 +146,17 @@ class DatasetBundle:
             raise ValueError(f"unknown stage: {stage!r}")
         return [i for i, s in enumerate(self.splits) if s == stage]
 
-    def frozen_eval(self, protocol: ObservationProtocol, stage: str) -> dict[int, tuple[int, ...]]:
-        """Frozen observed sets for every record of an eval stage."""
+    def frozen_views(self, protocol: ObservationProtocol, stage: str) -> dict[int, SubgraphView]:
+        """The frozen observation of every record of an eval stage: the
+        induced partial subgraph of its ``sample_observed`` set, drawn and
+        built once per bundle.  A view's ``node_ids`` are the observed ids."""
         key = _frozen_key(protocol, stage)
         if key not in self._frozen_cache:
             self._frozen_cache[key] = {
-                i: sample_observed(self.records[i], protocol, stage)
+                i: induced_partial_subgraph(
+                    self.records[i], sample_observed(self.records[i], protocol, stage)
+                )
                 for i in self.indices(stage)
-            }
-        return self._frozen_cache[key]
-
-    def frozen_views(self, protocol: ObservationProtocol, stage: str) -> dict[int, SubgraphView]:
-        """The observed view of every record of an eval stage: the induced
-        partial subgraph of its ``frozen_eval`` set, built once per bundle."""
-        key = (*_frozen_key(protocol, stage), "views")
-        if key not in self._frozen_cache:
-            self._frozen_cache[key] = {
-                i: induced_partial_subgraph(self.records[i], observed)
-                for i, observed in self.frozen_eval(protocol, stage).items()
             }
         return self._frozen_cache[key]
 
@@ -174,13 +164,13 @@ class DatasetBundle:
         self, protocol: ObservationProtocol, stage: str, idx: int, k: int, cap: int | None
     ) -> KhopPartition:
         """The k-hop partition, without edge dropout, of record ``idx``'s
-        ``frozen_eval`` set; a binding cap draws from the record's own seed.
-        It is kept while ``PARTITION_CACHE_BYTES`` last, else drawn again."""
+        frozen view; a binding cap draws from the record's own seed.  It is
+        kept while ``PARTITION_CACHE_BYTES`` last, else drawn again."""
         kept = self._frozen_cache.setdefault((*_frozen_key(protocol, stage), k, cap), {})
         partition = kept.get(idx)
         if partition is None:
             rng = np.random.default_rng([protocol.eval_fixed_seed, 104729, idx])
-            observed = self.frozen_eval(protocol, stage)[idx]
+            observed = self.frozen_views(protocol, stage)[idx].node_ids
             partition = khop_neighbors(self.graph, observed, k, cap=cap, rng=rng)
             # Its edge array plus about 36 bytes (pointer and int) per tuple id.
             ids = len(partition.node_ids) + len(partition.neighbors)
@@ -270,8 +260,8 @@ class SyntheticSpec:
 
     Labels are the majority hidden community of each subgraph's nodes (the
     walk's home community breaks ties); node features are a tiled community
-    indicator plus Gaussian noise.  Subgraph sizes are forced to at least
-    ``n_obs + 2``.
+    indicator plus Gaussian noise.  Each subgraph's size is drawn uniformly
+    from ``[subgraph_size_min, subgraph_size_max]``.
     """
 
     num_nodes: int = 300
@@ -281,7 +271,6 @@ class SyntheticSpec:
     num_subgraphs: int = 100
     subgraph_size_min: int = 6
     subgraph_size_max: int = 10
-    n_obs: int = 4
     feature_dim: int = 8
     feature_noise: float = 0.8
     community_leak: float = 0.1
@@ -305,6 +294,11 @@ class SyntheticSpec:
             )
         if self.subgraph_size_min < 2:
             raise ValueError(f"subgraph_size_min must be >= 2, got {self.subgraph_size_min}")
+        if self.subgraph_size_min > self.subgraph_size_max:
+            raise ValueError(
+                f"subgraph_size_min must be <= the maximum size ({self.subgraph_size_max}), "
+                f"got {self.subgraph_size_min}"
+            )
         if self.feature_dim < self.communities:
             raise ValueError(
                 f"feature_dim must be >= the community count ({self.communities}), "
@@ -321,10 +315,6 @@ class SyntheticSpec:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         check_split_ratios(self.split_ratios)
-
-    @property
-    def effective_size_min(self) -> int:
-        return max(self.subgraph_size_min, self.n_obs + 2)
 
 
 def _block_edges(spec: SyntheticSpec, communities: np.ndarray, rng) -> np.ndarray:
@@ -352,8 +342,11 @@ def _community_walk(
         # Teleport within the home community when stuck.
         current = int(rng.choice(nbrs if nbrs.size else home_nodes))
         visited[current] = None
-    while len(visited) < target_size:  # fill from the home community
-        visited[int(rng.choice(home_nodes))] = None
+    unvisited = set(home_nodes.tolist()).difference(visited)
+    while len(visited) < target_size:  # fill from home, then from the graph once home is visited
+        node = int(rng.choice(home_nodes)) if unvisited else int(rng.integers(communities.size))
+        visited[node] = None
+        unvisited.discard(node)
     return list(visited)
 
 
@@ -371,12 +364,10 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
     communities = np.repeat(np.arange(spec.communities), sizes)
     graph = GlobalGraph(spec.num_nodes, _block_edges(spec, communities, rng))
 
-    size_lo = spec.effective_size_min
-    size_hi = max(spec.subgraph_size_max, size_lo)
     records = []
     for m in range(spec.num_subgraphs):
         home = m % spec.communities
-        target = int(rng.integers(size_lo, size_hi + 1))
+        target = int(rng.integers(spec.subgraph_size_min, spec.subgraph_size_max + 1))
         visited = _community_walk(graph, communities, home, target, spec.community_leak, rng)
         counts = np.bincount(communities[visited], minlength=spec.communities)
         top = counts.max()

@@ -25,7 +25,7 @@ log = logging.getLogger(__name__)
 PPR_DENSE_CAP = 2000
 
 
-def gd_loss(pos_scores, neg_scores, pos_mask=None, neg_mask=None) -> Tensor:
+def gd_loss(pos: Tensor, neg: Tensor, pos_mask=None, neg_mask=None) -> Tensor:
     """Binary joint-vs-marginal discrimination loss.
 
     ``-mean(log sigmoid(pos)) - mean(log(1 - sigmoid(neg)))`` with the stable
@@ -37,7 +37,6 @@ def gd_loss(pos_scores, neg_scores, pos_mask=None, neg_mask=None) -> Tensor:
     and each column is one segment: its means run over the entries its mask
     column selects, giving one loss per segment, ``(B, 1)``.
     """
-    pos, neg = ad.as_tensor(pos_scores), ad.as_tensor(neg_scores)
     pos_term = _segment_means(ad.log_sigmoid(pos), pos_mask)
     neg_term = _segment_means(ad.log_sigmoid(ad.scale(neg, -1.0)), neg_mask)
     return ad.transpose(ad.scale(ad.add(pos_term, neg_term), -1.0))
@@ -56,7 +55,7 @@ def _segment_means(values: Tensor, mask: np.ndarray | None) -> Tensor:
     return ad.div(ad.sum(ad.mul(values, Tensor(mask.astype(np.float64))), 0), Tensor(counts))
 
 
-def infonce_loss(pos_scores, neg_scores_per_pos) -> Tensor:
+def infonce_loss(pos: Tensor, negs: Tensor) -> Tensor:
     """Contrastive loss of each positive against its row of negatives.
 
     ``pos_i - log(exp(pos_i) + sum_j exp(neg_ij))``, negated and
@@ -64,8 +63,6 @@ def infonce_loss(pos_scores, neg_scores_per_pos) -> Tensor:
     of it is the usual batch loss.  Scores are expected to be already
     temperature-scaled.  A negative of ``-inf`` takes no part.
     """
-    pos = ad.as_tensor(pos_scores)
-    negs = ad.as_tensor(neg_scores_per_pos)
     if pos.shape[1] != 1:
         raise ValueError(f"positive scores must be a column (n, 1), got {pos.shape}")
     if negs.values.size == 0:
@@ -78,7 +75,7 @@ def infonce_loss(pos_scores, neg_scores_per_pos) -> Tensor:
     return ad.add(lse, ad.scale(pos, -1.0))
 
 
-def khop_loss(scores, member, segments=None, count: int = 1) -> Tensor:
+def khop_loss(scores: Tensor, member, segments=None, count: int = 1) -> Tensor:
     """Neighborhood-membership loss, one per segment: ``(count, 1)``.
 
     ``scores`` is ``(N, 1)``; row ``r`` is a positive when ``member[r]``
@@ -90,7 +87,6 @@ def khop_loss(scores, member, segments=None, count: int = 1) -> Tensor:
     ln 2 per segment.  A segment with one empty side is tolerated with a
     warning; a segment without rows is an error.
     """
-    scores = ad.as_tensor(scores)
     member = np.asarray(member, dtype=bool).reshape(-1)
     if scores.shape != (member.size, 1):
         raise ValueError(f"khop_loss: scores {scores.shape} for {member.size} membership flags")

@@ -80,9 +80,6 @@ class ParameterStore:
         self._slots[name] = _AdamSlot(shape)
         return tensor
 
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
     def items(self):
         return self._params.items()
 

@@ -152,7 +152,6 @@ def _toy_spec(seed: int) -> SyntheticSpec:
         num_subgraphs=4,
         subgraph_size_min=4,
         subgraph_size_max=5,
-        n_obs=2,
         feature_dim=3,
         feature_noise=0.2,
         community_leak=0.2,
@@ -257,9 +256,9 @@ def loss_value_report() -> list[CheckResult]:
     """Closed-form loss values at degenerate scores."""
     k = 7
     cases = [
-        ("gd-zero-scores", gd_loss(np.zeros(3), np.zeros(5)), 2 * math.log(2)),
-        ("infonce-uniform", ad.mean(infonce_loss(np.zeros((2, 1)), np.zeros((2, k)))), math.log(k + 1)),
-        ("khop-balanced", khop_loss(np.zeros((4, 1)), [True, True, False, False]), math.log(2)),
+        ("gd-zero-scores", gd_loss(Tensor(np.zeros(3)), Tensor(np.zeros(5))), 2 * math.log(2)),
+        ("infonce-uniform", ad.mean(infonce_loss(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, k))))), math.log(k + 1)),
+        ("khop-balanced", khop_loss(Tensor(np.zeros((4, 1))), [True, True, False, False]), math.log(2)),
     ]
     return [
         CheckResult(name, abs(loss.item() - want), 1e-9, abs(loss.item() - want) < 1e-9)

@@ -71,12 +71,12 @@ def test_criterion_01_gradient_oracle():
 
 
 def test_criterion_02_analytic_loss_values():
-    gd = gd_loss(np.zeros(3), np.zeros(4)).item()
+    gd = gd_loss(Tensor(np.zeros(3)), Tensor(np.zeros(4))).item()
     errors = [abs(gd - 2 * math.log(2))]
     for k in (1, 3, 10):
-        nce = ad.mean(infonce_loss(np.zeros((2, 1)), np.zeros((2, k)))).item()
+        nce = ad.mean(infonce_loss(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, k))))).item()
         errors.append(abs(nce - math.log(k + 1)))
-    balanced = khop_loss(np.zeros((10, 1)), np.arange(10) < 5).item()
+    balanced = khop_loss(Tensor(np.zeros((10, 1))), np.arange(10) < 5).item()
     errors.append(abs(balanced - math.log(2)))
     ok = max(errors) < 1e-9
     report(2, "analytic-loss-values", ok, f"max deviation {max(errors):.2e}")
@@ -136,7 +136,8 @@ def _frozen_sets_fingerprint(env):
         "from subgraph_infomax.data import ObservationProtocol, SyntheticSpec, generate_synthetic\n"
         "bundle = generate_synthetic(SyntheticSpec())\n"
         "protocol = ObservationProtocol(n_obs=4)\n"
-        "out = {stage: {str(i): list(ids) for i, ids in bundle.frozen_eval(protocol, stage).items()}\n"
+        "out = {stage: {str(i): list(view.node_ids)\n"
+        "               for i, view in bundle.frozen_views(protocol, stage).items()}\n"
         "       for stage in ('val', 'test')}\n"
         "print(json.dumps(out, sort_keys=True))\n"
     )
@@ -153,7 +154,8 @@ def test_criterion_06_protocol_invariants(subprocess_env):
     for _ in range(3):
         bundle = generate_synthetic(SyntheticSpec())
         in_process.append(
-            {stage: bundle.frozen_eval(protocol, stage) for stage in ("val", "test")}
+            {stage: {i: view.node_ids for i, view in bundle.frozen_views(protocol, stage).items()}
+             for stage in ("val", "test")}
         )
     frozen_ok = in_process[0] == in_process[1] == in_process[2]
     process_ok = (
@@ -305,7 +307,6 @@ SMOKE_SPEC = SyntheticSpec(
     num_subgraphs=20,
     subgraph_size_min=5,
     subgraph_size_max=8,
-    n_obs=3,
     feature_dim=4,
     feature_noise=0.4,
     seed=13,

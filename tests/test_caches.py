@@ -176,18 +176,20 @@ def assert_caches_are_fresh(bundle):
     """Every cached view equals a fresh computation, and every kept
     partition equals a fresh draw from its record's seed."""
     for stage in STAGES:
-        observed = bundle.frozen_eval(PROTOCOL, stage)
         views = bundle.frozen_views(PROTOCOL, stage)
-        assert views.keys() == observed.keys()
-        for idx, ids in observed.items():
-            assert_views_equal(views[idx], induced_partial_subgraph(bundle.records[idx], ids))
+        assert sorted(views) == bundle.indices(stage)
+        for idx, view in views.items():
+            record = bundle.records[idx]
+            fresh = induced_partial_subgraph(record, sample_observed(record, PROTOCOL, stage))
+            assert_views_equal(view, fresh)
     for key, kept in bundle._frozen_cache.items():
         if len(key) != 6:
             continue
         *_, stage, k, cap = key
-        observed = bundle.frozen_eval(PROTOCOL, stage)
+        views = bundle.frozen_views(PROTOCOL, stage)
         for idx, partition in kept.items():
-            fresh = khop_neighbors(bundle.graph, observed[idx], k, cap=cap, rng=record_rng(idx))
+            observed = views[idx].node_ids
+            fresh = khop_neighbors(bundle.graph, observed, k, cap=cap, rng=record_rng(idx))
             assert_partitions_equal(partition, fresh)
 
 
@@ -285,8 +287,9 @@ class TestEvaluateAgainstTheOldPath:
         # and those partitions are kept as well.
         sizes = {}
         for stage in STAGES:
-            for idx, ids in bundle.frozen_eval(PROTOCOL, stage).items():
-                sizes[stage, idx] = len(khop_neighbors(bundle.graph, ids, 1, cap=None).neighbors)
+            for idx, view in bundle.frozen_views(PROTOCOL, stage).items():
+                partition = khop_neighbors(bundle.graph, view.node_ids, 1, cap=None)
+                sizes[stage, idx] = len(partition.neighbors)
         cap = sorted(sizes.values())[len(sizes) // 2]
         assert min(sizes.values()) < cap < max(sizes.values())
         assert_cold_warm_and_second_model_match(bundle, monkeypatch, "khop", neighbor_cap=cap)
@@ -308,10 +311,10 @@ class TestEvaluateAgainstTheOldPath:
         assert len(calls) == sum(len(bundle.indices(stage)) for stage in STAGES)
 
     def test_the_byte_budget_bounds_the_bundle_cache(self, bundle, monkeypatch):
-        observed = bundle.frozen_eval(PROTOCOL, "test")
+        views = bundle.frozen_views(PROTOCOL, "test")
         first_two = bundle.indices("test")[:2]
         budget = sum(
-            partition_bytes(khop_neighbors(bundle.graph, observed[idx], 1, cap=None))
+            partition_bytes(khop_neighbors(bundle.graph, views[idx].node_ids, 1, cap=None))
             for idx in first_two
         )
         monkeypatch.setattr(data, "PARTITION_CACHE_BYTES", budget)

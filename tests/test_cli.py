@@ -89,7 +89,7 @@ class TestConfigParsing:
         assert {key for key, (cls, _) in KEYS.items() if cls is RunConfig} == {
             "epochs", "batch_size", "grad_accum", "seeds", "embedding_trainable",
         }
-        assert sum(key.startswith("synthetic_") for key in KEYS) == 12
+        assert sum(key.startswith("synthetic_") for key in KEYS) == 11
         assert {key for key in KEYS if key.startswith("expected_")} == {
             "expected_subgraphs", "expected_classes", "expected_global_nodes",
         }
@@ -277,6 +277,21 @@ class TestSubcommands:
         config = write_config(tmp_path, {"lamda": "5"})
         with pytest.raises(ValueError, match="lamda"):
             main(argv + ["--config", str(config), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
+
+    def test_the_spec_has_no_observed_size(self, tmp_path):
+        # A record's size is set by synthetic_size_min and synthetic_size_max alone.
+        argv = ["generate", "--set", "synthetic_n_obs=2", "--out", str(tmp_path / "out")]
+        with pytest.raises(ValueError, match="^unknown config keys: synthetic_n_obs$"):
+            main(argv)
+        assert not (tmp_path / "out").exists()
+
+    def test_a_minimum_size_above_the_maximum_is_rejected(self, tmp_path):
+        argv = ["generate", "--set", "synthetic_size_min=9", "--set", "synthetic_size_max=7",
+                "--out", str(tmp_path / "out")]
+        with pytest.raises(ValueError) as err:
+            main(argv)
+        assert str(err.value) == "synthetic_size_min must be <= the maximum size (7), got 9"
         assert not (tmp_path / "out").exists()
 
     def test_out_dir_is_not_a_config_key(self, tmp_path):

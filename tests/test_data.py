@@ -101,10 +101,15 @@ class TestSampleObserved:
         protocol = ObservationProtocol(n_obs=10, train_jitter=False)
         assert len(sample_observed(small, protocol, "val")) == 3
 
-    def test_train_requires_rng(self):
-        protocol = ObservationProtocol(n_obs=2)
-        with pytest.raises(ValueError):
-            sample_observed(big_record(), protocol, "train")
+    @pytest.mark.parametrize("ordered, jitter", [(False, True), (False, False), (True, True)])
+    def test_train_requires_rng(self, ordered, jitter):
+        protocol = ObservationProtocol(n_obs=2, ordered=ordered, train_jitter=jitter)
+        with pytest.raises(ValueError, match="^training-stage sampling requires an rng$"):
+            sample_observed(ordered_record(), protocol, "train")
+
+    def test_ordered_fixed_size_train_draw_needs_no_rng(self):
+        protocol = ObservationProtocol(n_obs=2, ordered=True, train_jitter=False)
+        assert sample_observed(ordered_record(), protocol, "train") == (4, 2)
 
 
 class TestMakeSplits:
@@ -145,11 +150,32 @@ class TestSynthetic:
         bundle = generate_synthetic(SyntheticSpec(num_nodes=120, num_subgraphs=30, seed=2))
         validate_bundle(bundle)
 
-    def test_sizes_respect_observation_floor(self):
-        spec = SyntheticSpec(num_nodes=100, num_subgraphs=15, n_obs=6,
-                             subgraph_size_min=4, subgraph_size_max=12, seed=3)
-        bundle = generate_synthetic(spec)
-        assert all(len(r.node_ids) >= spec.n_obs + 2 for r in bundle.records)
+    def test_sizes_lie_within_the_spec_bounds(self):
+        spec = SyntheticSpec(num_nodes=100, num_subgraphs=30,
+                             subgraph_size_min=4, subgraph_size_max=7, seed=3)
+        sizes = {len(r.node_ids) for r in generate_synthetic(spec).records}
+        assert sizes == {4, 5, 6, 7}
+
+    def test_a_record_larger_than_its_community_fills_from_the_graph(self, subprocess_env):
+        # With no leak a walk stays home; a 12-node record of a 10-node
+        # community takes its last nodes from the other community.
+        code = (
+            "from subgraph_infomax.data import SyntheticSpec, generate_synthetic\n"
+            "spec = SyntheticSpec(num_nodes=20, communities=2, subgraph_size_min=12,\n"
+            "                     subgraph_size_max=12, community_leak=0.0, num_subgraphs=4)\n"
+            "print(sorted({len(r.node_ids) for r in generate_synthetic(spec).records}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=subprocess_env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[12]"
+
+    def test_minimum_size_above_the_maximum_rejected(self):
+        with pytest.raises(ValueError) as err:
+            SyntheticSpec(subgraph_size_min=9, subgraph_size_max=7)
+        assert str(err.value) == "subgraph_size_min must be <= the maximum size (7), got 9"
 
     def test_noise_free_features_reveal_community(self):
         # With zero noise and zero leak, every node of a subgraph carries its
@@ -196,17 +222,18 @@ class TestSynthetic:
 
 
 class TestBundle:
-    def test_frozen_eval_consistent_across_instances(self):
+    def test_frozen_views_consistent_across_instances(self):
         spec = SyntheticSpec(num_nodes=90, num_subgraphs=16, seed=8)
         protocol = ObservationProtocol(n_obs=3)
-        a = generate_synthetic(spec).frozen_eval(protocol, "test")
-        b = generate_synthetic(spec).frozen_eval(protocol, "test")
-        assert a == b
+        a, b = (generate_synthetic(spec).frozen_views(protocol, "test") for _ in range(2))
+        assert a.keys() == b.keys()
+        assert all(a[i].node_ids == b[i].node_ids for i in a)
+        assert all(np.array_equal(a[i].edges, b[i].edges) for i in a)
 
-    def test_frozen_eval_rejects_train(self):
+    def test_frozen_views_reject_train(self):
         bundle = generate_synthetic(SyntheticSpec(num_nodes=90, num_subgraphs=16, seed=8))
         with pytest.raises(ValueError):
-            bundle.frozen_eval(ObservationProtocol(), "train")
+            bundle.frozen_views(ObservationProtocol(), "train")
 
     def test_majority_class_rate(self):
         graph = GlobalGraph(4, [(0, 1), (1, 0)])

@@ -36,7 +36,6 @@ SPEC = SyntheticSpec(
     num_subgraphs=24,
     subgraph_size_min=5,
     subgraph_size_max=8,
-    n_obs=3,
     feature_dim=4,
     feature_noise=0.4,
     seed=13,

@@ -40,7 +40,6 @@ SMALL_SPEC = SyntheticSpec(
     num_subgraphs=24,
     subgraph_size_min=5,
     subgraph_size_max=8,
-    n_obs=3,
     feature_dim=4,
     feature_noise=0.4,
     seed=13,
@@ -200,7 +199,7 @@ class TestTrain:
 
         def poisoned_backward(loss):
             real_backward(loss)
-            models[-1].store["head.w"].grad[0, 0] = np.nan
+            dict(models[-1].store.items())["head.w"].grad[0, 0] = np.nan
 
         monkeypatch.setattr(train_module, "build_model", build)
         monkeypatch.setattr(ad, "backward", poisoned_backward)

@@ -27,21 +27,21 @@ def sigmoid(x):
 
 class TestGdLoss:
     def test_all_zero_scores(self):
-        assert gd_loss(np.zeros(4), np.zeros(4)).item() == pytest.approx(
+        assert gd_loss(Tensor(np.zeros(4)), Tensor(np.zeros(4))).item() == pytest.approx(
             2 * math.log(2), abs=1e-12
         )
 
     def test_saturation_limit(self):
-        assert gd_loss([1e3], [-1e3]).item() == pytest.approx(0.0, abs=1e-12)
+        assert gd_loss(Tensor([1e3]), Tensor([-1e3])).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_one_vs_minus_one(self):
         # -ln s(1) - ln(1 - s(-1)) = 2 softplus(-1), computed directly.
         want = 2 * math.log(1 + math.exp(-1))
-        assert gd_loss([1.0], [-1.0]).item() == pytest.approx(want, abs=1e-12)
+        assert gd_loss(Tensor([1.0]), Tensor([-1.0])).item() == pytest.approx(want, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            gd_loss([], [0.0])
+            gd_loss(Tensor([]), Tensor([0.0]))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(-20, 20), min_size=1, max_size=8),
@@ -49,42 +49,42 @@ class TestGdLoss:
            st.integers(0, 2**31))
     def test_invariant_under_reordering(self, pos, neg, seed):
         rng = np.random.default_rng(seed)
-        ref = gd_loss(np.array(pos), np.array(neg)).item()
-        got = gd_loss(rng.permutation(pos), rng.permutation(neg)).item()
+        ref = gd_loss(Tensor(pos), Tensor(neg)).item()
+        got = gd_loss(Tensor(rng.permutation(pos)), Tensor(rng.permutation(neg))).item()
         assert got == pytest.approx(ref, abs=1e-12)
 
 
 class TestInfonceLoss:
     def test_uniform_scores_give_log_k_plus_one(self):
         for k in (1, 2, 5, 9):
-            loss = ad.mean(infonce_loss(np.zeros((3, 1)), np.zeros((3, k)))).item()
+            loss = ad.mean(infonce_loss(Tensor(np.zeros((3, 1))), Tensor(np.zeros((3, k))))).item()
             assert loss == pytest.approx(math.log(k + 1), abs=1e-12)
 
     def test_dominant_positive_saturates_to_zero(self):
-        loss = ad.mean(infonce_loss(np.full((2, 1), 60.0), np.zeros((2, 4)))).item()
+        loss = ad.mean(infonce_loss(Tensor(np.full((2, 1), 60.0)), Tensor(np.zeros((2, 4))))).item()
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_direct_log_sum_exp(self):
-        assert infonce_loss([[0.0]], [[0.0, 0.0]]).item() == pytest.approx(
+        assert infonce_loss(Tensor([[0.0]]), Tensor([[0.0, 0.0]])).item() == pytest.approx(
             math.log(3), abs=1e-12
         )
 
     def test_empty_negatives_rejected(self):
         with pytest.raises(ValueError):
-            infonce_loss(np.zeros((2, 1)), np.zeros((2, 0)))
+            infonce_loss(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 0))))
 
     def test_row_of_positives_rejected(self):
         with pytest.raises(ValueError, match=r"^positive scores must be a column \(n, 1\), got \(1, 3\)$"):
-            infonce_loss(np.zeros((1, 3)), np.zeros((3, 2)))
+            infonce_loss(Tensor(np.zeros((1, 3))), Tensor(np.zeros((3, 2))))
 
     def test_strictly_decreasing_in_positive_score(self):
         rng = np.random.default_rng(0)
-        negs = rng.normal(size=(3, 4))
+        negs = Tensor(rng.normal(size=(3, 4)))
         base = np.zeros((3, 1))
-        lo = ad.mean(infonce_loss(base, negs)).item()
+        lo = ad.mean(infonce_loss(Tensor(base), negs)).item()
         bumped = base.copy()
         bumped[1, 0] += 0.3
-        hi = ad.mean(infonce_loss(bumped, negs)).item()
+        hi = ad.mean(infonce_loss(Tensor(bumped), negs)).item()
         assert hi < lo
 
 
@@ -92,7 +92,7 @@ def two_sided(pos, neg):
     """``khop_loss``'s arguments for one segment of positives then negatives."""
     pos, neg = np.asarray(pos, dtype=np.float64), np.asarray(neg, dtype=np.float64)
     member = np.r_[np.ones(pos.size, bool), np.zeros(neg.size, bool)]
-    return np.concatenate([pos, neg])[:, None], member
+    return Tensor(np.concatenate([pos, neg])[:, None]), member
 
 
 class TestKhopLoss:
@@ -111,14 +111,14 @@ class TestKhopLoss:
         rng = np.random.default_rng(1)
         pos, neg = rng.normal(size=6), rng.normal(size=6)
         assert khop_loss(*two_sided(pos, neg)).item() == pytest.approx(
-            gd_loss(pos, neg).item() / 2.0, abs=1e-12
+            gd_loss(Tensor(pos), Tensor(neg)).item() / 2.0, abs=1e-12
         )
 
     def test_all_zero_scores_give_ln2_per_segment(self):
         # Segments of 1, 3 and 2 rows, interleaved, with every mix of sides.
         segments = np.array([1, 0, 2, 1, 1, 2])
         member = np.array([True, False, True, False, True, True])
-        loss = khop_loss(np.zeros((6, 1)), member, segments, 3)
+        loss = khop_loss(Tensor(np.zeros((6, 1))), member, segments, 3)
         assert loss.shape == (3, 1)
         np.testing.assert_allclose(loss.values, math.log(2), rtol=0, atol=1e-15)
 
@@ -127,20 +127,20 @@ class TestKhopLoss:
         scores = rng.normal(size=(7, 1))
         member = np.array([True, False, False, True, True, False, True])
         segments = np.array([0, 1, 0, 1, 1, 0, 1])
-        got = khop_loss(scores, member, segments, 2).values[:, 0]
+        got = khop_loss(Tensor(scores), member, segments, 2).values[:, 0]
         for i in range(2):
             rows = segments == i
-            want = khop_loss(scores[rows], member[rows]).item()
+            want = khop_loss(Tensor(scores[rows]), member[rows]).item()
             assert got[i] == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_both_sides_empty_rejected(self):
         # Segment 1 has no row, so neither side.
         with pytest.raises(ValueError, match="at least one score in every segment"):
-            khop_loss(np.zeros((2, 1)), [True, False], [0, 0], 2)
+            khop_loss(Tensor(np.zeros((2, 1))), [True, False], [0, 0], 2)
 
     def test_scores_and_flags_must_agree(self):
         with pytest.raises(ValueError, match="3 membership flags"):
-            khop_loss(np.zeros((2, 1)), [True, False, True])
+            khop_loss(Tensor(np.zeros((2, 1))), [True, False, True])
 
     def test_one_empty_side_warns(self, caplog):
         with caplog.at_level("WARNING"):
@@ -150,7 +150,9 @@ class TestKhopLoss:
     def test_a_one_sided_segment_warns_and_names_itself(self, caplog):
         # Segment 1 holds only negatives; segment 0 has both sides.
         with caplog.at_level("WARNING"):
-            loss = khop_loss(np.zeros((4, 1)), [True, False, False, False], [0, 0, 1, 1], 2)
+            loss = khop_loss(
+                Tensor(np.zeros((4, 1))), [True, False, False, False], [0, 0, 1, 1], 2
+            )
         messages = [r.getMessage() for r in caplog.records]
         assert messages == ["khop_loss computed with an empty positive side (segment 1)"]
         np.testing.assert_allclose(loss.values, math.log(2), rtol=0, atol=1e-15)
@@ -232,41 +234,46 @@ class TestPerSegmentLosses:
         pos_mask = gen.random((7, 3)) < 0.5
         pos_mask[0], pos_mask[1] = True, False
         neg_mask = ~pos_mask
-        got = gd_loss(pos, neg, pos_mask, neg_mask)
+        got = gd_loss(Tensor(pos), Tensor(neg), pos_mask, neg_mask)
         assert got.shape == (3, 1)
         for b in range(3):
-            want = gd_loss(pos[pos_mask[:, b], b], neg[neg_mask[:, b], b]).item()
+            want = gd_loss(Tensor(pos[pos_mask[:, b], b]), Tensor(neg[neg_mask[:, b], b])).item()
             assert got.values[b, 0] == pytest.approx(want, rel=1e-14)
 
     def test_gd_loss_column_broadcasts_against_the_masks(self):
         # One score per row, shared by every segment that selects the row.
         scores = np.array([[1.0], [-2.0], [0.5]])
         own = np.array([[True, False], [True, False], [False, True]])
-        got = gd_loss(scores, -scores, own, own).values[:, 0]
-        assert got[0] == pytest.approx(gd_loss(scores[:2], -scores[:2]).item(), rel=1e-14)
-        assert got[1] == pytest.approx(gd_loss(scores[2:], -scores[2:]).item(), rel=1e-14)
+
+        def loss(rows, *masks):
+            return gd_loss(Tensor(scores[rows]), Tensor(-scores[rows]), *masks)
+
+        got = loss(slice(None), own, own).values[:, 0]
+        assert got[0] == pytest.approx(loss(slice(0, 2)).item(), rel=1e-14)
+        assert got[1] == pytest.approx(loss(slice(2, 3)).item(), rel=1e-14)
 
     def test_gd_loss_needs_both_sides_in_every_segment(self):
         own = np.array([[True, False], [True, False]])
         with pytest.raises(ValueError, match="per segment"):
-            gd_loss(np.zeros((2, 2)), np.zeros((2, 2)), own, ~own)
+            gd_loss(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))), own, ~own)
 
     def test_infonce_per_row_is_each_rows_loss(self):
         gen = np.random.default_rng(4)
         pos, negs = gen.normal(size=(4, 1)), gen.normal(size=(4, 3))
-        rows = infonce_loss(pos, negs)
+        rows = infonce_loss(Tensor(pos), Tensor(negs))
         assert rows.shape == (4, 1)
         for i in range(4):
-            want = infonce_loss(pos[i : i + 1], negs[i : i + 1]).item()
+            want = infonce_loss(Tensor(pos[i : i + 1]), Tensor(negs[i : i + 1])).item()
             assert rows.values[i, 0] == pytest.approx(want, rel=1e-14)
-        assert ad.mean(infonce_loss(pos, negs)).item() == pytest.approx(rows.values.mean(), rel=1e-14)
+        mean = ad.mean(infonce_loss(Tensor(pos), Tensor(negs))).item()
+        assert mean == pytest.approx(rows.values.mean(), rel=1e-14)
 
     def test_infonce_negative_of_minus_inf_takes_no_part(self):
         negs = Tensor(np.array([[0.0, 1.0]]), requires_grad=True)
         masked = ad.concat([ad.gather_rows(ad.transpose(negs), [0]), Tensor([[-np.inf]]),
                             ad.gather_rows(ad.transpose(negs), [1])], 0)
-        got = infonce_loss([[0.5]], ad.transpose(masked))
-        want = infonce_loss([[0.5]], [[0.0, 1.0]]).item()
+        got = infonce_loss(Tensor([[0.5]]), ad.transpose(masked))
+        want = infonce_loss(Tensor([[0.5]]), Tensor([[0.0, 1.0]])).item()
         assert got.item() == pytest.approx(want, rel=1e-15)
         backward(got)
         assert np.isfinite(negs.grad).all()

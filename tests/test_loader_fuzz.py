@@ -116,7 +116,7 @@ def test_bulk_parse_and_block_reader_agree(tmp_path, monkeypatch, data, block_li
 # often still loads.
 TINY = SyntheticSpec(
     num_nodes=16, num_subgraphs=6, subgraph_size_min=3, subgraph_size_max=4,
-    n_obs=1, feature_dim=2, seed=4,
+    feature_dim=2, seed=4,
 )
 # A line naming an id one past what the other files hold: an edge to node
 # 16, a record with node 16, a split for record 6, a 17th embedding row.

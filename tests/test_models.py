@@ -37,7 +37,6 @@ TOY_SPEC = SyntheticSpec(
     num_subgraphs=6,
     subgraph_size_min=4,
     subgraph_size_max=5,
-    n_obs=2,
     feature_dim=3,
     feature_noise=0.3,
     community_leak=0.2,
@@ -416,7 +415,7 @@ class TestKhopForward:
         # Monotone saturation schedule with all-positive membership.
         previous = None
         for scale in (0.0, 1.0, 4.0, 16.0, 64.0):
-            loss = khop_loss(np.full((5, 1), scale), np.ones(5, dtype=bool)).item()
+            loss = khop_loss(Tensor(np.full((5, 1), scale)), np.ones(5, dtype=bool)).item()
             if previous is not None:
                 assert loss <= previous + 1e-15
             previous = loss

@@ -158,9 +158,11 @@ class TestParameterStore:
         fresh.create("a", (3, 4), values=np.zeros((3, 4)))
         fresh.create("b", (1, 7), values=np.zeros((1, 7)), trainable=False)
         fresh.load(path)
-        for name, _ in store.items():
-            assert fresh[name].values.tobytes() == store[name].values.tobytes()
-            assert fresh[name].requires_grad == store[name].requires_grad
+        loaded = dict(fresh.items())
+        assert loaded.keys() == {"a", "b"}
+        for name, tensor in store.items():
+            assert loaded[name].values.tobytes() == tensor.values.tobytes()
+            assert loaded[name].requires_grad == tensor.requires_grad
 
     def test_checkpoint_with_other_names_is_rejected(self, tmp_path):
         store = ParameterStore()
