@@ -20,7 +20,6 @@ from .data import (
     make_splits,
     sample_observed,
     save_bundle,
-    validate_bundle,
 )
 from .graph import (
     GlobalGraph,

@@ -199,36 +199,6 @@ class DatasetBundle:
         return counts.max() / len(labels)
 
 
-def validate_bundle(bundle: DatasetBundle) -> None:
-    """Check every structural invariant; raises ValueError on the first failure."""
-    graph = bundle.graph
-    if len(bundle.splits) != len(bundle.records):
-        raise ValueError("split assignment length differs from the record count")
-    for stage in bundle.splits:
-        if stage not in STAGES:
-            raise ValueError(f"invalid split label: {stage!r}")
-    if bundle.embedding_values is not None:
-        if bundle.embedding_values.shape[0] != graph.num_nodes:
-            raise ValueError("embedding row count differs from the global node count")
-    # One lookup for every record edge, in global ids; each record's first missing edge.
-    per_record = [np.array(r.node_ids, dtype=np.int64)[r.edges] for r in bundle.records]
-    flat = np.concatenate([np.empty((0, 2), np.int64), *per_record])
-    owner = np.repeat(np.arange(len(bundle.records)), [len(r.edges) for r in bundle.records])
-    missing: dict[int, list[int]] = {}
-    for pos in np.flatnonzero(~graph.has_edges(flat)):
-        missing.setdefault(int(owner[pos]), flat[pos].tolist())
-    for idx, record in enumerate(bundle.records):
-        if len(record.node_ids) < 2:
-            raise ValueError(f"record {idx} is a single-node subgraph")
-        if record.node_ids[-1] >= graph.num_nodes or record.node_ids[0] < 0:
-            raise ValueError(f"record {idx} references nodes outside the global graph")
-        if idx in missing:
-            u, v = missing[idx]
-            raise ValueError(f"record {idx} edge ({u}, {v}) is not a global edge")
-        if not 0 <= record.label < bundle.num_classes:
-            raise ValueError(f"record {idx} label {record.label} out of range")
-
-
 def check_split_ratios(ratios: Sequence[float]) -> tuple[float, float, float]:
     """``ratios`` as three floats in [0, 1] summing to 1 (NaN fails), or a
     ValueError naming ``split_ratios``."""
@@ -287,6 +257,8 @@ class SyntheticSpec:
                 f"num_nodes must be >= 2 per community ({2 * self.communities}), "
                 f"got {self.num_nodes}"
             )
+        if self.num_subgraphs < 1:
+            raise ValueError(f"num_subgraphs must be >= 1, got {self.num_subgraphs}")
         if self.subgraph_size_max > self.num_nodes:
             raise ValueError(
                 f"subgraph_size_max must be <= the node count ({self.num_nodes}), "
@@ -382,7 +354,7 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
         features += spec.feature_noise * rng.standard_normal(features.shape)
 
     splits = make_splits(len(records), spec.split_ratios, seed=spec.seed)
-    bundle = DatasetBundle(
+    return DatasetBundle(
         graph=graph,
         records=tuple(records),
         num_classes=spec.communities,
@@ -390,8 +362,6 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
         embedding_values=features,
         name=f"synthetic-{spec.seed}",
     )
-    validate_bundle(bundle)
-    return bundle
 
 
 @dataclass(frozen=True)
@@ -610,7 +580,7 @@ def load_dataset(
     edge_file,
     subgraph_file,
     embeddings=None,
-    split=None,
+    split=(DEFAULT_SPLIT_RATIOS, 0),
     directed: bool = False,
     expected: ExpectedStats | None = None,
 ) -> DatasetBundle:
@@ -619,10 +589,10 @@ def load_dataset(
     The graph has one node per embedding row when ``embeddings`` is given,
     and otherwise the nodes up to the largest id in the edge file; a record
     id outside them is an error.  ``split`` is either a split-file path or a
-    ``(ratios, seed)`` pair.  Single-node subgraphs are excluded with a
-    warning; the classes are the distinct labels of the kept records, in
-    sorted order.  When ``expected`` is given, the loader statistics must
-    match it.
+    ``(ratios, seed)`` pair, by default ``DEFAULT_SPLIT_RATIOS`` cut with
+    seed 0.  Single-node subgraphs are excluded with a warning; the classes
+    are the distinct labels of the kept records, in sorted order.  When
+    ``expected`` is given, the loader statistics must match it.
     """
     num_nodes, edges = load_edge_file(edge_file, directed=directed)
     embedding_values = load_embedding_file(embeddings, num_nodes) if embeddings else None
@@ -641,9 +611,7 @@ def load_dataset(
     label_index = {lab: i for i, lab in enumerate(labels)}
     records = [_record(graph, ids, label_index[label]) for label, ids in kept]
 
-    if split is None:
-        assignment = make_splits(len(records), DEFAULT_SPLIT_RATIOS, seed=0)
-    elif isinstance(split, (str, Path)):
+    if isinstance(split, (str, Path)):
         assignment = load_split_file(split, len(records))
     else:
         ratios, seed = split
@@ -659,8 +627,6 @@ def load_dataset(
     )
     if expected is not None:
         _check_stats(bundle, expected)
-    if records:
-        validate_bundle(bundle)
     return bundle
 
 

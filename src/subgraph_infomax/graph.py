@@ -56,17 +56,6 @@ class GlobalGraph:
     def num_edges(self) -> int:
         return int(self._codes.size)
 
-    def has_edges(self, pairs) -> np.ndarray:
-        """Boolean mask over the rows ``(u, v)`` of ``pairs``: is it a directed edge."""
-        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        n = self.num_nodes
-        u, v = pairs[:, 0], pairs[:, 1]
-        codes = np.where((u >= 0) & (u < n) & (v >= 0) & (v < n), u * n + v, -1)
-        pos = np.searchsorted(self._codes, codes)
-        found = pos < self._codes.size
-        found[found] = self._codes[pos[found]] == codes[found]
-        return found
-
     def neighbors(self, node: int) -> np.ndarray:
         """Sorted ids adjacent to ``node`` in either direction."""
         if not 0 <= node < self.num_nodes:

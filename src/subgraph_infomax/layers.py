@@ -261,7 +261,7 @@ class GatedAttentionReadout:
 
     ``s = sum_i sigmoid(gate(h_i)) * feat(h_i)`` after an optional sinusoidal
     positional encoding (order-aware) and a pre-mixer ("mlp", "attention", or
-    None).  Without positions the result is permutation invariant.  Given a
+    "none").  Without positions the result is permutation invariant.  Given a
     ``ViewUnion``, one summary row per view (a segment sum, with attention
     kept inside each view); else one row for all of ``h``.
     """
@@ -272,14 +272,14 @@ class GatedAttentionReadout:
         name: str,
         dim: int,
         rng: np.random.Generator,
-        premixer: str | None = "mlp",
+        premixer: str = "mlp",
     ):
         self.dim = dim
         if premixer == "mlp":
             self.premixer = Mlp(store, f"{name}.premixer", dim, dim, dim, rng)
         elif premixer == "attention":
             self.premixer = _SdpMixer(store, f"{name}.premixer", dim, rng)
-        elif premixer is None:
+        elif premixer == "none":
             self.premixer = None
         else:
             raise ValueError(f"unknown premixer: {premixer!r}")

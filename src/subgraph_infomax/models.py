@@ -274,8 +274,7 @@ class _ModelBase:
         # created, so this creation order fixes every initial value.
         dim = config.hidden_dim
         if config.is_two_stage:
-            premixer = None if config.premixer == "none" else config.premixer
-            self.readout = GatedAttentionReadout(self.store, "readout", dim, rng, premixer=premixer)
+            self.readout = GatedAttentionReadout(self.store, "readout", dim, rng, config.premixer)
         else:
             self.readout = MeanMlpReadout(self.store, "readout", dim, rng)
         # The k-hop scorer owns the parameter ``discriminator``; the MI term's

@@ -46,7 +46,7 @@ class _AdamSlot:
 
 
 class ParameterStore:
-    """Registry of named parameter tensors plus per-parameter Adam state."""
+    """Registry of named parameter tensors plus Adam state for each trainable one."""
 
     def __init__(self) -> None:
         self._params: dict[str, Tensor] = {}
@@ -77,7 +77,8 @@ class ParameterStore:
             )
         tensor = Tensor(arr, requires_grad=trainable)
         self._params[name] = tensor
-        self._slots[name] = _AdamSlot(shape)
+        if trainable:
+            self._slots[name] = _AdamSlot(shape)
         return tensor
 
     def items(self):

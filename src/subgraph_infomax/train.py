@@ -23,6 +23,7 @@ from . import __version__
 from . import autodiff as ad
 from .data import (
     DEFAULT_SPLIT_RATIOS,
+    STAGES,
     DatasetBundle,
     ExpectedStats,
     ObservationProtocol,
@@ -161,12 +162,13 @@ def train_single_seed(
     config: RunConfig, bundle: DatasetBundle, seed: int
 ) -> tuple[SeedResult, object]:
     """Train one seed; returns its metrics and the best-checkpoint model."""
+    for stage in STAGES:  # val and test too: ``evaluate`` would raise only after training
+        if not bundle.indices(stage):
+            raise ValueError(f"the {stage} split is empty")
     rng = np.random.default_rng(seed)
     model = build_model(config.model, bundle, rng, embedding_trainable=config.embedding_trainable)
     protocol = config.protocol
     train_indices = bundle.indices("train")
-    if not train_indices:
-        raise ValueError("the training split is empty")
 
     best_val = -1.0
     best_epoch = -1

@@ -178,7 +178,7 @@ def test_union_readout_equals_the_per_view_readouts(kind):
     if kind == "mean":
         readout = MeanMlpReadout(store, "r", 4, gen)
     else:
-        readout = GatedAttentionReadout(store, "r", 4, gen, premixer=None if kind == "none" else kind)
+        readout = GatedAttentionReadout(store, "r", 4, gen, premixer=kind)
     union = disjoint_union([view([1, 2, 3]), view([4]), view([2, 5])])
     h = Tensor(gen.normal(size=(6, 4)), requires_grad=True)
     got = readout(h, union)

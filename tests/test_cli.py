@@ -193,6 +193,7 @@ class TestConfigParsing:
             ("synthetic_p_inter", "-0.2", "must be in [0, 1], got -0.2"),
             ("synthetic_noise", "-1", "must be finite and >= 0, got -1.0"),
             ("synthetic_seed", "-3", "must be >= 0, got -3"),
+            ("synthetic_subgraphs", "-3", "must be >= 1, got -3"),
         ],
     )
     def test_synthetic_range_error_names_its_key(self, key, raw, message):

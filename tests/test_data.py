@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import math
 import re
@@ -26,9 +27,13 @@ from subgraph_infomax.data import (
     make_splits,
     sample_observed,
     save_bundle,
-    validate_bundle,
 )
 from subgraph_infomax.graph import GlobalGraph, SubgraphRecord
+
+from bundle_invariants import bundle_problem
+
+
+GOOD = SubgraphRecord(node_ids=(0, 1), edge_pairs=((0, 1), (1, 0)), label=0)
 
 
 def ordered_record():
@@ -148,7 +153,7 @@ class TestSynthetic:
 
     def test_bundle_passes_validator(self):
         bundle = generate_synthetic(SyntheticSpec(num_nodes=120, num_subgraphs=30, seed=2))
-        validate_bundle(bundle)
+        assert bundle_problem(bundle) is None
 
     def test_sizes_lie_within_the_spec_bounds(self):
         spec = SyntheticSpec(num_nodes=100, num_subgraphs=30,
@@ -209,6 +214,8 @@ class TestSynthetic:
             ("feature_noise", float("nan"), "feature_noise must be finite and >= 0, got nan"),
             ("feature_noise", math.inf, "feature_noise must be finite and >= 0, got inf"),
             ("split_ratios", (0.5, 0.5), "split_ratios: need 3 ratios (train, val, test), got 2"),
+            ("num_subgraphs", -3, "num_subgraphs must be >= 1, got -3"),
+            ("num_subgraphs", 0, "num_subgraphs must be >= 1, got 0"),
         ],
     )
     def test_out_of_range_field_rejected(self, field, value, message):
@@ -244,25 +251,32 @@ class TestBundle:
         bundle = DatasetBundle(graph, records, 2, ("test", "test", "test"))
         assert bundle.majority_class_rate("test") == pytest.approx(2 / 3)
 
-    def test_validator_rejects_foreign_edge(self):
-        graph = GlobalGraph(4, [(0, 1), (1, 0)])
-        record = SubgraphRecord(node_ids=(2, 3), edge_pairs=((2, 3),), label=0)
-        bundle = DatasetBundle(graph, (record,), 1, ("train",))
-        with pytest.raises(ValueError, match="not a global edge"):
-            validate_bundle(bundle)
-
-    def test_validator_reports_the_first_failure_in_record_order(self):
-        # All record edges are looked up at once; the error must still name
-        # the first failing record, and its first missing edge.
-        graph = GlobalGraph(5, [(0, 1), (1, 0), (3, 4)])
-        good = SubgraphRecord(node_ids=(0, 1), edge_pairs=((0, 1), (1, 0)), label=0)
-        bad_edges = SubgraphRecord(node_ids=(2, 3, 4), edge_pairs=((3, 4), (2, 3), (4, 3)), label=0)
-        bad_label = SubgraphRecord(node_ids=(0, 1), edge_pairs=(), label=5)
-        splits = ("train",) * 3
-        with pytest.raises(ValueError, match=r"^record 1 edge \(2, 3\) is not a global edge$"):
-            validate_bundle(DatasetBundle(graph, (good, bad_edges, bad_label), 1, splits))
-        with pytest.raises(ValueError, match=r"^record 1 label 5 out of range$"):
-            validate_bundle(DatasetBundle(graph, (good, bad_label, bad_edges), 1, splits))
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"splits": ("train",) * 3}, "split assignment length differs from the record count"),
+            ({"splits": ("train", "dev")}, "invalid split label: 'dev'"),
+            (
+                {"embedding_values": np.zeros((3, 2))},
+                "embedding row count differs from the global node count",
+            ),
+            ({"records": (GOOD, SubgraphRecord((2,), (), 0))}, "record 1 is a single-node subgraph"),
+            (
+                {"records": (GOOD, SubgraphRecord((3, 4), (), 0))},
+                "record 1 references nodes outside the global graph",
+            ),
+            (
+                {"records": (GOOD, SubgraphRecord((2, 3), ((2, 3),), 0))},
+                "record 1 edge (2, 3) is not a global edge",
+            ),
+            ({"records": (GOOD, SubgraphRecord((0, 1), (), 1))}, "record 1 label 1 out of range"),
+        ],
+    )
+    def test_the_invariant_oracle_rejects_a_bad_bundle(self, changes, message):
+        # The oracle that the tests apply to built bundles names each broken invariant.
+        bundle = DatasetBundle(GlobalGraph(4, [(0, 1), (1, 0), (1, 2)]), (GOOD, GOOD), 1, ("train", "test"))
+        assert bundle_problem(bundle) is None
+        assert bundle_problem(dataclasses.replace(bundle, **changes)) == message
 
 
 class TestFileRoundTrip:

@@ -212,6 +212,28 @@ class TestTrain:
         assert adam_calls == []
         assert "non-finite gradient for head.w;" in caplog.text
 
+    @pytest.mark.parametrize("ratios, stage", [((0.85, 0.15, 0.0), "test"), ((0.85, 0.0, 0.15), "val")])
+    def test_an_empty_eval_split_is_refused_before_the_first_step(self, monkeypatch, ratios, stage):
+        # An empty val or test split is an error before any training, not
+        # after every epoch of it.
+        import subgraph_infomax.train as train_module
+
+        steps = []
+        real_build = train_module.build_model
+
+        def build(*args, **kwargs):
+            model = real_build(*args, **kwargs)
+            real_step = model.step
+            model.step = lambda *a, **k: steps.append(1) or real_step(*a, **k)
+            return model
+
+        monkeypatch.setattr(train_module, "build_model", build)
+        spec = dataclasses.replace(SMALL_SPEC, split_ratios=ratios)
+        config = dataclasses.replace(small_config(epochs=2), synthetic=spec)
+        with pytest.raises(ValueError, match=f"^the {stage} split is empty$"):
+            train_single_seed(config, load_bundle(config), 0)
+        assert steps == []
+
     def test_two_stage_ordered_with_positional_encoding(self):
         config = small_config(
             variant="khop+ps-dgi", epochs=1,

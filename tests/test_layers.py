@@ -207,14 +207,14 @@ class TestReadouts:
         # gate == 0 makes every sigmoid weight 0.5; with an identity feature
         # network, rows [2,0] and [0,2] pool to [1,1].
         store = ParameterStore()
-        readout = GatedAttentionReadout(store, "r", 2, rng(), premixer=None)
+        readout = GatedAttentionReadout(store, "r", 2, rng(), premixer="none")
         for p in (readout.gate.w1, readout.gate.b1, readout.gate.w2, readout.gate.b2):
             p.values[:] = 0.0
         make_identity_mlp(readout.feat, 2)
         s = readout(Tensor([[2.0, 0.0], [0.0, 2.0]]))
         assert np.allclose(s.values, [[1.0, 1.0]])
 
-    @pytest.mark.parametrize("premixer", [None, "mlp", "attention"])
+    @pytest.mark.parametrize("premixer", ["none", "mlp", "attention"])
     def test_attention_permutation_invariant_without_positions(self, premixer):
         store = ParameterStore()
         readout = GatedAttentionReadout(store, "r", 4, rng(), premixer=premixer)

@@ -27,8 +27,9 @@ from subgraph_infomax.data import (
     load_split_file,
     load_subgraph_file,
     save_bundle,
-    validate_bundle,
 )
+
+from bundle_invariants import bundle_problem
 
 READERS = {
     "edges": load_edge_file,
@@ -187,7 +188,7 @@ def test_load_dataset_loads_a_valid_bundle_or_names_a_file(tmp_path, saved_tiny,
             re.match(rf"{re.escape(str(path))}(:\d+)?: ", message) for path in paths.values()
         ), message
     else:
-        validate_bundle(bundle)
+        assert bundle_problem(bundle) is None
 
 
 @pytest.mark.parametrize("kind", sorted(PAST))

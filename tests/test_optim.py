@@ -6,6 +6,8 @@ import pytest
 
 from subgraph_infomax import autodiff as ad
 from subgraph_infomax.autodiff import Tensor, backward
+from subgraph_infomax.data import SyntheticSpec, generate_synthetic
+from subgraph_infomax.models import ModelConfig, build_model
 from subgraph_infomax.optim import AdamConfig, ParameterStore, adam_step
 
 
@@ -137,6 +139,13 @@ class TestParameterStore:
         store.create("frozen", (1, 1), values=[[1.0]], trainable=False)
         store.create("free", (1, 1), values=[[1.0]])
         assert len(store.trainable()) == 1
+
+    def test_a_frozen_table_holds_no_adam_state(self):
+        # Adam never steps a frozen parameter, so it gets no m and v arrays.
+        bundle = generate_synthetic(SyntheticSpec(num_nodes=40, num_subgraphs=6))
+        model = build_model(ModelConfig(), bundle, np.random.default_rng(0), embedding_trainable=False)
+        assert "embedding" not in model.store._slots
+        assert model.store._slots.keys() == {n for n, t in model.store.items() if t.requires_grad}
 
     def test_snapshot_roundtrip(self):
         store, p = make_store([[1.0, 2.0]])
