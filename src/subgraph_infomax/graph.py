@@ -65,13 +65,22 @@ class GlobalGraph:
     def induced_edges(self, nodes: Iterable[int]) -> np.ndarray:
         """Sorted directed global edges with both endpoints in ``nodes``, as
         ``(E, 2)`` int64 rows ``(u, v)``."""
-        ids = np.unique(np.fromiter(nodes, dtype=np.int64))
-        ids = ids[(ids >= 0) & (ids < self.num_nodes)]
+        ids = np.fromiter(nodes, dtype=np.int64)
         member = np.zeros(self.num_nodes, dtype=bool)
-        member[ids] = True
-        src, dst = _csr_rows(self._out_indptr, self._out_indices, ids)
+        member[ids[(ids >= 0) & (ids < self.num_nodes)]] = True
+        ids = np.flatnonzero(member)
+        return ids[self._induced_positions(ids, member)]
+
+    def _induced_positions(self, ids: np.ndarray, member: np.ndarray) -> np.ndarray:
+        """The directed edges among the sorted unique ``ids``, whose mask over
+        the nodes is ``member``, as sorted ``(E, 2)`` int64 positions into
+        ``ids``: a position map, not a search, relabels them."""
+        lengths, dst = _csr_rows(self._out_indptr, self._out_indices, ids)
         keep = member[dst]
-        return np.column_stack([src[keep], dst[keep]])
+        pos = np.empty(self.num_nodes, dtype=np.int64)
+        pos[ids] = np.arange(ids.size)
+        src = np.repeat(np.arange(ids.size), lengths)
+        return np.column_stack([src[keep], pos[dst[keep]]])
 
 
 def bernoulli_edges(prob: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -111,12 +120,12 @@ def _csr(codes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _csr_rows(
     indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated CSR rows: (row id per entry, entry), in row order."""
+    """Concatenated CSR rows: (length of each row, entries in row order)."""
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
     offsets = np.cumsum(lengths) - lengths
     flat = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
-    return np.repeat(rows, lengths), indices[flat]
+    return lengths, indices[flat]
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,7 +291,7 @@ def khop_neighbors(
     subsampled to ``cap``; ``cap=None`` means unlimited.  Each induced edge is
     dropped independently with probability ``p_d``.
     """
-    observed_ids = np.unique(np.fromiter(observed, dtype=np.int64))
+    observed_ids = np.fromiter(observed, dtype=np.int64)
     if not observed_ids.size:
         raise ValueError("observed set must be nonempty")
     if k < 1:
@@ -293,15 +302,17 @@ def khop_neighbors(
         raise ValueError(f"cap must be >= 1 or None, got {cap}")
     stray = observed_ids[(observed_ids < 0) | (observed_ids >= graph.num_nodes)]
     if stray.size:
-        raise ValueError(f"observed id {stray[0]} out of range")
+        raise ValueError(f"observed id {stray.min()} out of range")
 
+    # The BFS lives in one mask over the nodes: each hop gathers the
+    # frontier's neighbour rows and keeps the unvisited entries, deduplicated
+    # by a sort (np.unique would hash).
     visited = np.zeros(graph.num_nodes, dtype=bool)
     visited[observed_ids] = True
     frontier = observed_ids
     for _ in range(k):
         _, reached = _csr_rows(graph._nbr_indptr, graph._nbr_indices, frontier)
-        frontier = np.unique(reached)
-        frontier = frontier[~visited[frontier]]
+        frontier = _sorted_unique(reached[~visited[reached]])
         if not frontier.size:
             break
         visited[frontier] = True
@@ -311,9 +322,11 @@ def khop_neighbors(
         if rng is None:
             raise ValueError("cap subsampling requires an rng")
         neighbor_ids = np.sort(rng.choice(neighbor_ids, size=cap, replace=False))
-
-    node_ids = np.union1d(observed_ids, neighbor_ids)
-    edges = np.searchsorted(node_ids, graph.induced_edges(node_ids))
+        visited[:] = False
+        visited[neighbor_ids] = True
+    visited[observed_ids] = True
+    node_ids = np.flatnonzero(visited)
+    edges = graph._induced_positions(node_ids, visited)
     if p_d > 0.0:
         if rng is None:
             raise ValueError("edge dropout requires an rng")

@@ -447,13 +447,14 @@ class _ModelBase:
         s_obs = self.readout(h_obs, observed, positions)
 
         chunks = _union_chunks([len(p.edges) for p in partitions], KHOP_UNION_EDGES)
-        h_parts, score_parts = [], []
+        h_parts, score_parts, khop_ids = [], [], []
         for lo, hi in chunks:
             union, h = self.encode_views(partitions[lo:hi], training, rng)
             # Each row against its own record's summary only: h_j W s_i.
             s = ad.gather_rows(s_obs, union.segments + lo)
             score_parts.append(ad.sum(ad.mul(self.khop_discriminator.project(h), s), 1))
             h_parts.append(h)
+            khop_ids.append(union.node_ids)
         h_khop, scores = h_parts[0], score_parts[0]
         if len(chunks) > 1:
             h_khop, scores = ad.concat(h_parts, 0), ad.concat(score_parts, 0)
@@ -466,10 +467,13 @@ class _ModelBase:
         ]
         loss = None
         if training:
-            member = np.concatenate([
-                np.isin(p.node_ids, record.node_ids) for record, p in zip(records, partitions)
-            ])
+            # A k-hop row is a member when its id is in its own record: one
+            # flag row per record over the nodes, read once for every row.
+            flags = np.zeros((len(records), self.bundle.graph.num_nodes), dtype=bool)
+            for row, record in zip(flags, records):
+                row[list(record.node_ids)] = True
             segments = np.repeat(np.arange(len(records)), sizes)
+            member = flags[segments, np.concatenate(khop_ids)]
             loss = khop_loss(scores, member, segments, len(records))
         return KhopStage(
             s_khop=ad.concat([pool.s_khop for pool in pools], 0),

@@ -21,6 +21,45 @@ class TestForwardOps:
         backward(ad.sum(y))
         assert np.array_equal(x.grad, [[0.0, 1.0]])
 
+    # NaN of both signs, +-inf, +-0.0 and +-5e-324, then random values.
+    SPECIAL = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324]
+
+    def test_relu_is_the_where_select_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        x = param(np.concatenate([self.SPECIAL, rng.normal(size=24)]).reshape(4, 8))
+        y = ad.relu(x)
+        assert y.values.tobytes() == np.where(x.values > 0, x.values, 0.0).tobytes()
+        backward(ad.sum(y))
+        assert np.array_equal(x.grad, (x.values > 0) * 1.0)
+        assert x.grad[0, [0, 1, 5]].tolist() == [0.0, 0.0, 0.0]  # NaN, -NaN, -0.0
+        # fmax keeps a -0.0 input's sign in some SIMD lanes or tail loops and
+        # not in others, so -0.0 fills inputs of every length up to 17.  A
+        # -0.0 skip on top would keep that sign through the add.
+        for size in range(1, 18):
+            z = np.full((1, size), -0.0)
+            out = ad.add(ad.relu(Tensor(z)), Tensor(z))
+            assert out.values.tobytes() == (np.where(z > 0, z, 0.0) + z).tobytes()
+
+    def test_sage_combine_relu_is_the_where_select_bit_for_bit(self):
+        """One part and an identity skip: the output is the select on the
+        pre-activation plus ``h``, byte for byte, with a -0.0 skip row."""
+        rng = np.random.default_rng(8)
+        h = rng.normal(size=(6, 8))
+        h[0] = self.SPECIAL
+        h[1] = -0.0
+        h[2, :4] = [0.0, -0.0, 5e-324, -5e-324]
+        w_self, w_agg = rng.normal(size=(8, 8)), rng.normal(size=(8, 8))
+        agg = param(rng.normal(size=(6, 8)))
+        out = ad.sage_combine(Tensor(h), Tensor(w_self), [(agg, Tensor(w_agg))], None)
+        pre = h @ w_self
+        pre[:, 0:8] += agg.values @ w_agg
+        assert np.isnan(pre[0]).all()
+        assert out.values.tobytes() == (np.where(pre > 0, pre, 0.0) + h).tobytes()
+        with np.errstate(invalid="ignore"):  # row 0 of the output is NaN
+            backward(ad.sum(out))
+        assert np.array_equal(agg.grad, (pre > 0) @ w_agg.T)
+        assert not agg.grad[0].any()  # a NaN pre-activation passes no gradient
+
     def test_softmax_symmetry(self):
         y = ad.softmax_rows(Tensor([[0.0, 0.0]]))
         assert np.allclose(y.values, [[0.5, 0.5]])

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,8 +66,11 @@ any_graphs = st.one_of(er_graphs(), directed_graphs())
 
 # Reference implementations: the dict-of-sets adjacency and set-based BFS
 # that the CSR graph core replaced.  The CSR queries must equal them exactly.
+# The tables are kept for the last graph asked, which the benchmark-scale
+# test queries 40 times.
 
 
+@lru_cache(maxsize=1)
 def reference_adjacency(graph):
     lists = {}
     for u, v in graph.pairs().tolist():
@@ -78,9 +83,14 @@ def reference_neighbors(graph, node):
     return reference_adjacency(graph).get(node, np.empty(0, dtype=np.int64))
 
 
+@lru_cache(maxsize=1)
+def reference_edge_set(graph):
+    return frozenset(map(tuple, graph.pairs().tolist()))
+
+
 def reference_induced_edges(graph, nodes):
     adjacency = reference_adjacency(graph)
-    edge_set = frozenset(map(tuple, graph.pairs().tolist()))
+    edge_set = reference_edge_set(graph)
     node_set = set(int(n) for n in nodes)
     found = []
     for u in node_set:
@@ -211,6 +221,32 @@ class TestAgainstReference:
         assert all(type(n) is int for n in fast.node_ids + fast.neighbors)
         # Both consumed the same draws.
         assert rng_fast.random() == rng_ref.random()
+
+    def test_khop_matches_reference_at_benchmark_scale(self):
+        """khop-5k's shape, far past the drawn graphs' 44 nodes: 5,000
+        nodes in 4 communities, mean degree about 40, 80% of edges inside a
+        community.  Each of 40 observed sets runs under one of the eight
+        (k, cap, p_d) settings, so each setting sees five."""
+        rng = np.random.default_rng(26)
+        n, communities, pairs = 5000, 4, 100_000
+        u = rng.integers(0, n, pairs)
+        block = n // communities
+        inside = rng.random(pairs) < 0.8
+        v = np.where(inside, u // block * block + rng.integers(0, block, pairs), rng.integers(0, n, pairs))
+        keep = u != v
+        graph = GlobalGraph(n, np.column_stack([np.r_[u[keep], v[keep]], np.r_[v[keep], u[keep]]]))
+        assert 38 < graph.num_edges / n < 42
+        settings_ = [(k, cap, p_d) for k in (1, 2) for cap in (None, 50) for p_d in (0.0, 0.3)]
+        for trial in range(40):
+            k, cap, p_d = settings_[trial % len(settings_)]
+            observed = rng.choice(n, size=int(rng.integers(2, 7)), replace=False).tolist()
+            rng_fast, rng_ref = np.random.default_rng(trial), np.random.default_rng(trial)
+            fast = khop_neighbors(graph, observed, k, cap=cap, p_d=p_d, rng=rng_fast)
+            ref = reference_khop_neighbors(graph, observed, k, cap, p_d, rng_ref)
+            assert (fast.node_ids, fast.neighbors) == (ref.node_ids, ref.neighbors)
+            assert fast.edges.flags.c_contiguous
+            assert_positions(fast.edges, ref.node_ids, ref.edges)
+            assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestGlobalGraph:
