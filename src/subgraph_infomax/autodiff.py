@@ -57,6 +57,7 @@ __all__ = [
     "gather_rows",
     "segment_sum",
     "segment_mean",
+    "neighbor_mean",
     "transpose",
     "dropout",
     "clip_min",
@@ -229,10 +230,10 @@ def sage_combine(
     itself when ``w_skip`` is None.  The forward bytes equal those of the
     composed ``matmul``, ``concat``, ``add`` and ``relu``.  The backward
     adds into ``h`` as the composed ops did with an identity skip (skip,
-    then self term, then the aggregation's gather, whose backward runs
-    later).  A projected skip's term comes right after the self term; the
-    composed ops added it after the gather's, an order no single node can
-    keep, so the sum of the three can differ in its last bits.
+    then self term, then the aggregation, whose backward runs later).  A
+    projected skip's term comes right after the self term; the composed ops
+    added it after the aggregation's, an order no single node can keep, so
+    the sum of the three can differ in its last bits.
     """
     width = builtins.sum(w.shape[1] for _, w in parts)
     if width != w_self.shape[1]:
@@ -290,8 +291,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.values * b.values
 
     def bwd(g: Array) -> None:
-        _accum(a, _unbroadcast(g * b.values, a.shape))
-        _accum(b, _unbroadcast(g * a.values, b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.values, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.values, b.shape))
 
     return _make(out, (a, b), bwd)
 
@@ -301,8 +304,10 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out = a.values / b.values
 
     def bwd(g: Array) -> None:
-        _accum(a, _unbroadcast(g / b.values, a.shape))
-        _accum(b, _unbroadcast(-g * a.values / (b.values * b.values), b.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g / b.values, a.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(-g * a.values / (b.values * b.values), b.shape))
 
     return _make(out, (a, b), bwd)
 
@@ -498,6 +503,59 @@ def segment_mean(a: Tensor, segments, num_segments: int) -> Tensor:
         _accum(a, (g / denom)[seg])
 
     return _make(out, (a,), bwd)
+
+
+def neighbor_mean(h: Tensor, edges, num_nodes: int, weights=None) -> Tensor:
+    """Row ``v`` averages the rows ``h[u]`` over the edges ``(u, v)``:
+    ``segment_mean(gather_rows(h, src), dst, num_nodes)``, or with
+    ``weights`` each edge's row scaled by its weight over ``v``'s total
+    (a total below 1e-12 counts as 1e-12), summed per ``v``.
+
+    One node with the composition's bytes.  It keeps the edge ids and the
+    per-row divisor (or per-edge coefficient), never an ``E``-row message
+    array or its gradient.  The composition only differs by turning a -0.0
+    in the message gradient into +0.0, which ``_scatter_sum``'s sums from
+    +0.0 cannot tell apart.  An empty edge set gives a zero aggregate that
+    sends no gradient.
+    """
+    edges = np.asarray(edges, dtype=np.int64)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError(f"neighbor_mean: edges must be (E, 2), got shape {edges.shape}")
+    src, dst = edges[:, 0], edges[:, 1]
+    for ids, bound, role in ((src, h.shape[0], "source"), (dst, num_nodes, "target")):
+        if ids.size and (ids.min() < 0 or ids.max() >= bound):
+            raise ValueError(
+                f"neighbor_mean: {role} position out of range for {bound} rows: "
+                f"[{ids.min()}, {ids.max()}]"
+            )
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (len(edges),):
+            raise ValueError(f"neighbor_mean: {weights.shape} weights for {len(edges)} edges")
+    if not len(edges):
+        return Tensor(np.zeros((num_nodes, h.shape[1])))
+    if weights is None:
+        counts = np.bincount(dst, minlength=num_nodes).astype(np.float64)
+        denom = np.maximum(counts, 1.0)[:, None]
+        out = _scatter_sum(h.values[src], dst, num_nodes)
+        out /= denom
+
+        def edge_grad(g: Array) -> Array:
+            return (g / denom)[dst]
+    else:
+        totals = np.bincount(dst, weights=weights, minlength=num_nodes)
+        coeff = (weights / np.maximum(totals[dst], 1e-12))[:, None]
+        messages = h.values[src]
+        messages *= coeff
+        out = _scatter_sum(messages, dst, num_nodes)
+
+        def edge_grad(g: Array) -> Array:
+            return g[dst] * coeff
+
+    def bwd(g: Array) -> None:
+        _accum(h, _scatter_sum(edge_grad(g), src, h.shape[0]))
+
+    return _make(out, (h,), bwd)
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -3,17 +3,19 @@
 The encoder is a two-layer mean-aggregating message passer with skip
 connections: the first layer projects the input width to the hidden width
 (skip via a linear projection of the input), the second uses an identity
-skip.  Message passing is expressed with gather + segment-mean over a local
-edge index, so isolated nodes receive a zero neighbor aggregate.
+skip.  Message passing is ``autodiff.neighbor_mean`` over a local edge
+index, so isolated nodes receive a zero neighbor aggregate.  It is one tape
+node that keeps the edge ids but no ``E``-row message array, so a training
+tape holds nothing the size of the edge set.
 
-The dense part of each layer is one fused tape op, so a call costs one
+The dense part of each layer is one fused tape op too, so a call costs one
 node's bookkeeping rather than one per matmul, add and relu:
 ``autodiff.sage_combine`` is a SAGE layer after its aggregation (the self
 and neighbour projections, their sum, the ReLU and the skip), and
 ``autodiff.affine`` is ``x @ w + b`` for each layer of an ``Mlp`` and the
-``PredictionHead``.  A training ``encode`` is then 8 nodes (the table
-gather; per layer the neighbour gather, its segment mean and
-``sage_combine``; dropout between the layers), and an ``Mlp`` is 3.
+``PredictionHead``.  A training ``encode`` is then 6 nodes (the table
+gather; per layer ``neighbor_mean`` and ``sage_combine``; dropout between
+the layers), and an ``Mlp`` is 3.
 """
 
 from __future__ import annotations
@@ -54,24 +56,6 @@ class Mlp:
 
     def __call__(self, x: Tensor, segments: np.ndarray | None = None) -> Tensor:
         return ad.affine(ad.relu(ad.affine(x, self.w1, self.b1)), self.w2, self.b2)
-
-
-def _aggregate(
-    h: Tensor,
-    edges: np.ndarray,
-    num_nodes: int,
-    weights: np.ndarray | None = None,
-) -> Tensor:
-    """Mean (or weighted mean) of in-neighbor rows per node; zeros when none."""
-    if edges.size == 0:
-        return Tensor(np.zeros((num_nodes, h.shape[1])))
-    src, dst = edges[:, 0], edges[:, 1]
-    messages = ad.gather_rows(h, src)
-    if weights is None:
-        return ad.segment_mean(messages, dst, num_nodes)
-    totals = np.bincount(dst, weights=weights, minlength=num_nodes)
-    coeff = (weights / np.maximum(totals[dst], 1e-12))[:, None]
-    return ad.segment_sum(ad.mul(messages, Tensor(coeff)), dst, num_nodes)
 
 
 class SageLayer:
@@ -117,11 +101,11 @@ class SageLayer:
         n = h.shape[0]
         if self.bidirectional:
             parts = (
-                (_aggregate(h, edges, n, weights), self.w_fwd),
-                (_aggregate(h, edges[:, ::-1], n, weights), self.w_rev),
+                (ad.neighbor_mean(h, edges, n, weights), self.w_fwd),
+                (ad.neighbor_mean(h, edges[:, ::-1], n, weights), self.w_rev),
             )
         else:
-            parts = ((_aggregate(h, edges, n, weights), self.w_neigh),)
+            parts = ((ad.neighbor_mean(h, edges, n, weights), self.w_neigh),)
         return ad.sage_combine(h, self.w_self, parts, self.w_skip)
 
 
@@ -178,8 +162,8 @@ def encode(
 
     ``table`` is the ``(num_nodes, feature_dim)`` input-feature parameter.
     ``edges`` is an ``(E, 2)`` int64 array of positions into ``node_ids``, as
-    a ``SubgraphView`` or a ``ViewUnion`` holds them; ``gather_rows`` and
-    ``segment_mean`` reject a position outside ``node_ids``.  ``masked`` is
+    a ``SubgraphView`` or a ``ViewUnion`` holds them; ``neighbor_mean``
+    rejects a position outside ``node_ids``.  ``masked`` is
     one flag per row: a flagged row's features are zeroed before encoding.
     It is per row, not per id, because an id can repeat in a union.
     """
@@ -189,14 +173,7 @@ def encode(
             raise ValueError(f"{masked.shape} mask flags for {len(node_ids)} rows")
         if masked.any():
             x = ad.mul(x, Tensor((~masked).astype(np.float64)[:, None]))
-    weights = None
-    if edge_weights is not None:
-        weights = np.asarray(edge_weights, dtype=np.float64)
-        if weights.shape != (len(edges),):
-            raise ValueError(
-                f"edge_weights length {weights.shape} != number of edges {len(edges)}"
-            )
-    return encoder(x, edges, training=training, rng=rng, weights=weights)
+    return encoder(x, edges, training=training, rng=rng, weights=edge_weights)
 
 
 def sinusoidal_encoding(positions: Sequence[int], dim: int) -> np.ndarray:

@@ -43,7 +43,8 @@ GRADIENT_LIMIT = 1e-4
 def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor], list[Tensor]]]:
     """One scalar closure per public tape op, named after it, plus one per
     further axis of ``sum``, ``mean`` and ``concat``, a one-part,
-    identity-skip ``sage_combine``, and the per-segment and per-row forms of
+    identity-skip ``sage_combine``, the weighted and the reversed-edge
+    ``neighbor_mean``, and the per-segment and per-row forms of
     ``gd_loss``, ``infonce_loss`` and ``khop_loss``; random shapes <= 16x16."""
 
     def rand(rows, cols):
@@ -59,6 +60,9 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor]
     col = rand(n, 1)
     seg_ids = rng.integers(0, 4, size=n)
     gather_idx = rng.integers(0, n, size=n + 2)
+    # neighbor_mean: more edges than rows (so duplicates), positive weights.
+    nbr_edges = rng.integers(0, n, size=(2 * n, 2))
+    nbr_weights = rng.uniform(0.5, 1.5, size=2 * n)
     dropout_seed = int(rng.integers(2**31))
     # sage_combine: two neighbour parts filling k columns with a projected
     # skip, and one square part with an identity skip.
@@ -117,6 +121,13 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor]
         ("gather_rows", lambda: ad.sum(ad.mul(ad.gather_rows(a, gather_idx), ad.gather_rows(c, gather_idx))), [a]),
         ("segment_sum", lambda: ad.sum(ad.mul(ad.segment_sum(a, seg_ids, 4), ad.segment_sum(c, seg_ids, 4))), [a]),
         ("segment_mean", lambda: ad.sum(ad.mul(ad.segment_mean(a, seg_ids, 4), ad.segment_mean(c, seg_ids, 4))), [a]),
+        ("neighbor_mean", lambda: ad.sum(ad.mul(ad.neighbor_mean(a, nbr_edges, n), c)), [a]),
+        (
+            "neighbor_mean/weighted",
+            lambda: ad.sum(ad.mul(ad.neighbor_mean(a, nbr_edges, n, nbr_weights), c)),
+            [a],
+        ),
+        ("neighbor_mean/reversed", lambda: ad.sum(ad.mul(ad.neighbor_mean(a, nbr_edges[:, ::-1], n), c)), [a]),
         ("transpose", lambda: ad.sum(ad.matmul(ad.transpose(a), c)), [a, c]),
         ("clip_min", lambda: ad.sum(ad.clip_min(a, 0.25)), [a]),
         ("dropout", lambda: ad.sum(ad.mul(dropped(), c)), [a]),

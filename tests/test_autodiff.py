@@ -238,6 +238,22 @@ class TestBackward:
         backward(loss)
         assert np.array_equal(x.grad, [[4.0, 4.0]])
 
+    def test_mul_and_div_skip_the_gradient_of_a_constant(self):
+        # The constant's product (g * a, or -g * a / c^2) would overflow; the
+        # operand that needs a gradient gets the right one all the same.
+        g = np.array([[1e200, -1e200]])
+        a_values, c_values = [[1e200, 2.0]], np.array([[3.0, 0.5]])
+        for build, want in (
+            (lambda a, c: ad.mul(a, c), g * c_values),
+            (lambda a, c: ad.mul(c, a), c_values * g),
+            (lambda a, c: ad.div(a, c), g / c_values),
+        ):
+            a = param(a_values)
+            out = build(a, Tensor(c_values))
+            with np.errstate(over="raise"):
+                out._backward(g)
+            assert a.grad.tobytes() == (want + 0.0).tobytes()
+
     def test_intermediate_gradients_are_released(self):
         x = param([[1.0, 3.0]])
         y = ad.mul(x, x)
@@ -458,6 +474,91 @@ class TestMergedOpsMatchTheOpsTheyReplace:
         parts = [(x, Tensor(np.zeros((3, 3))))]
         with pytest.raises(ValueError, match=r"^sage_combine: parts fill 6 of 4 columns$"):
             ad.sage_combine(x, w, parts * 2, None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(min_value=1, max_value=8),
+        cols=st.integers(min_value=1, max_value=5),
+        num_edges=st.integers(min_value=1, max_value=24),
+        isolated=st.integers(min_value=0, max_value=3),
+        weighted=st.booleans(),
+        reverse=st.booleans(),
+        seeded=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    @example(rows=1, cols=2, num_edges=3, isolated=0, weighted=False, reverse=False, seeded=False, seed=0)
+    @example(rows=4, cols=3, num_edges=9, isolated=2, weighted=True, reverse=True, seeded=True, seed=1)
+    def test_neighbor_mean(self, rows, cols, num_edges, isolated, weighted, reverse, seeded, seed):
+        """Against ``gather_rows`` + ``segment_mean`` (weighted: + ``mul`` +
+        ``segment_sum``), byte for byte, on duplicate edges and self-loops,
+        rows no edge reaches, the reversed (strided) edge view, -0.0 weights,
+        weights that are all zero or cancel to 0.0 at a target, and an
+        upstream gradient with -0.0."""
+        rng = np.random.default_rng(seed)
+        n = rows + isolated  # the last ``isolated`` rows are in no edge
+        edges = rng.integers(0, rows, size=(num_edges, 2))
+        if reverse:
+            edges = edges[:, ::-1]
+        src, dst = edges[:, 0], edges[:, 1]
+        weights = None
+        if weighted:
+            weights = rng.normal(size=num_edges)
+            weights[rng.random(num_edges) < 0.2] = -0.0
+            weights[dst == dst[0]] = 0.0
+            # Non-zero weights that cancel: w, -w, w, -w, ... (0.0 last if odd).
+            cancel = np.flatnonzero(dst == dst[-1]) if dst[-1] != dst[0] else []
+            for i, e in enumerate(cancel):
+                weights[e] = 0.0 if i == len(cancel) - 1 and i % 2 == 0 else (-1.0) ** i * 0.7
+        h_values = rng.normal(size=(n, cols))
+        h_values[rng.random((n, cols)) < 0.2] = -0.0
+        g = rng.normal(size=(n, cols))
+        g[rng.random((n, cols)) < 0.3] = -0.0
+        g[dst[0]] = -0.0
+        start = rng.normal(size=(n, cols)) if seeded else None
+
+        def run(aggregate):
+            h = param(h_values)
+            h.grad = None if start is None else start.copy()
+            node = out = aggregate(h)
+            grad = g
+            while node is not h:  # the composition is a chain of nodes down to h
+                node._backward(grad)
+                node = node._parents[0]
+                grad = node.grad
+            return out.values, h.grad
+
+        def composed(h):
+            messages = ad.gather_rows(h, src)
+            if weights is None:
+                return ad.segment_mean(messages, dst, n)
+            totals = np.bincount(dst, weights=weights, minlength=n)
+            coeff = (weights / np.maximum(totals[dst], 1e-12))[:, None]
+            return ad.segment_sum(ad.mul(messages, Tensor(coeff)), dst, n)
+
+        want_out, want_grad = run(composed)
+        got_out, got_grad = run(lambda h: ad.neighbor_mean(h, edges, n, weights))
+        assert got_out.tobytes() == want_out.tobytes()
+        assert got_grad.tobytes() == want_grad.tobytes()
+
+    def test_neighbor_mean_on_no_edge_is_a_zero_constant(self):
+        h = param(np.ones((3, 2)))
+        for weights in (None, np.empty(0)):
+            out = ad.neighbor_mean(h, np.empty((0, 2), dtype=np.int64), 3, weights)
+            assert out.values.tobytes() == np.zeros((3, 2)).tobytes()
+            assert not out.requires_grad and out._backward is None
+
+    def test_neighbor_mean_names_a_bad_position_or_weight_count(self):
+        h = Tensor(np.zeros((3, 2)))
+        for bad, role in (([[0, 3]], "target"), ([[3, 0]], "source"), ([[0, 1], [-1, 0]], "source"),
+                          ([[1, -1]], "target")):
+            with pytest.raises(ValueError, match=rf"^neighbor_mean: {role} position out of range for 3 rows"):
+                ad.neighbor_mean(h, np.array(bad), 3)
+            with pytest.raises(ValueError, match=r"^neighbor_mean: .* out of range"):
+                ad.neighbor_mean(h, np.array(bad), 3, np.ones(len(bad)))
+        with pytest.raises(ValueError, match=r"^neighbor_mean: \(1,\) weights for 2 edges$"):
+            ad.neighbor_mean(h, np.array([[0, 1], [1, 2]]), 3, [1.0])
+        with pytest.raises(ValueError, match=r"^neighbor_mean: edges must be \(E, 2\)"):
+            ad.neighbor_mean(h, np.array([0, 1]), 3)
 
     @pytest.mark.parametrize("op", [ad.segment_sum, ad.segment_mean])
     def test_segment_ids_are_checked_under_the_op_name(self, op):

@@ -3,6 +3,7 @@ import pytest
 
 from subgraph_infomax import autodiff as ad
 from subgraph_infomax.autodiff import Tensor
+from subgraph_infomax.graph import SubgraphView, disjoint_union
 from subgraph_infomax.layers import (
     BilinearDiscriminator,
     CosineDiscriminator,
@@ -102,15 +103,43 @@ def tape_nodes(out: Tensor) -> int:
 class TestNodeBudget:
     """Tape nodes per layer call: each is Python bookkeeping on every step."""
 
-    def test_training_encode_is_eight_nodes(self):
-        # Table gather, then per layer the neighbour gather, its segment
-        # mean and one sage_combine, with dropout in between.
+    def test_training_encode_is_six_nodes(self):
+        # Table gather, then per layer one neighbor_mean and one
+        # sage_combine, with dropout in between.
         store = ParameterStore()
         enc = SageEncoder(store, "e", 3, 4, rng(), dropout=0.5)
         table = store.create("t", (6, 3), rng())
         edges = np.array([[0, 1], [1, 2], [2, 0]])
         out = encode(enc, table, [5, 0, 3], edges, training=True, rng=rng())
-        assert tape_nodes(out) == 8
+        assert tape_nodes(out) == 6
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_training_tape_keeps_no_edge_sized_array(self, bidirectional, weighted):
+        # Two views with more edges than rows in their union (duplicates and
+        # self-loops included): no node the encode reaches holds E rows.
+        gen = np.random.default_rng(3)
+        views = [
+            SubgraphView(tuple(ids), gen.integers(0, len(ids), size=(num_edges, 2)),
+                         edge_weights=gen.random(num_edges) if weighted else None)
+            for ids, num_edges in (([0, 2, 4], 11), ([1, 2, 3, 5], 13))
+        ]
+        union = disjoint_union(views)
+        num_edges = len(union.edges)
+        assert num_edges > len(union.node_ids)
+        store = ParameterStore()
+        enc = SageEncoder(store, "e", 3, 4, rng(), bidirectional=bidirectional, dropout=0.5)
+        table = store.create("t", (6, 3), rng())
+        out = encode(enc, table, union.node_ids, union.edges, training=True, rng=rng(),
+                     edge_weights=union.edge_weights)
+        seen, stack = set(), [out]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                assert node.values.shape[0] != num_edges
+                stack.extend(node._parents)
+        assert len(seen) > 6
 
     def test_mlp_is_three_nodes(self):
         store = ParameterStore()
