@@ -24,6 +24,7 @@ thread's tape recording.
 from __future__ import annotations
 
 import builtins
+import copy
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -505,55 +506,167 @@ def segment_mean(a: Tensor, segments, num_segments: int) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def neighbor_mean(h: Tensor, edges, num_nodes: int, weights=None) -> Tensor:
-    """Row ``v`` averages the rows ``h[u]`` over the edges ``(u, v)``:
-    ``segment_mean(gather_rows(h, src), dst, num_nodes)``, or with
-    ``weights`` each edge's row scaled by its weight over ``v``'s total
-    (a total below 1e-12 counts as 1e-12), summed per ``v``.
+# A plan side sums by rounds from this many edges, and only with at least
+# this many rows per round on average; below either it calls
+# ``_scatter_sum``.  Timed on a 2-vCPU Intel Xeon (numpy 2.4, 1 thread,
+# medians of 40 calls): a round costs a flat 1.5-2 us, so a 20,000-edge star
+# (one row, one entry per round) takes 36 ms by rounds against 4 ms by
+# bincount at width 32.  At 8,192 edges the two break even near 24 rows per
+# round at width 32 and below 16 at width 64.  On random unions of mean
+# degree 5, a training step's four aggregations (widths 32 and 64) with the
+# plan take 0.21 ms by rounds against 0.19 ms by bincount at 256 edges,
+# 0.29 against 0.60 at 512 and 3.8 against 11.4 at 11,000.
+_ROUND_MIN_EDGES = 1 << 9
+_ROUND_MIN_ROWS = 1 << 5
 
-    One node with the composition's bytes.  It keeps the edge ids and the
-    per-row divisor (or per-edge coefficient), never an ``E``-row message
-    array or its gradient.  The composition only differs by turning a -0.0
-    in the message gradient into +0.0, which ``_scatter_sum``'s sums from
+
+class _Side:
+    """One direction of an edge set: row ``keys[e]`` sums row ``other[e]``
+    of a value matrix over the edges ``e``, in edge order.
+
+    Large enough (``_ROUND_MIN_EDGES`` and ``_ROUND_MIN_ROWS``), it sums
+    by rounds over a jagged-diagonal layout (Saad 1989), built on first
+    use: the rows in order of descending entry count, and round ``k``
+    holding the ``k``-th entry, in edge order, of every row with more than
+    ``k``.  Those rows come first in that order, so a round adds into a
+    prefix of the rows.  Each row adds its entries in edge order starting
+    from 0.0, the float additions ``_scatter_sum`` makes, so the bytes are
+    the same; and no round holds more than one value row per output row.
+    """
+
+    def __init__(self, keys: Array, other: Array, n: int):
+        self.keys, self.other, self.n = keys, other, n
+        self.counts = np.bincount(keys, minlength=n)
+        e = len(keys)
+        self.by_rounds = e > 0 and e >= _ROUND_MIN_EDGES and e >= _ROUND_MIN_ROWS * self.counts.max()
+        self._layout = None
+
+    def _build(self) -> tuple[Array, list[int], Array, Array]:
+        keys, counts, n, e = self.keys, self.counts, self.n, len(self.keys)
+        # Sorting the unique codes key * E + edge orders the edges by key,
+        # then by edge; the code mod E reads each edge id back.
+        by_key = np.sort(keys * e + np.arange(e)) % e
+        sorted_keys = keys[by_key]
+        rank = np.arange(e) - (np.cumsum(counts) - counts)[sorted_keys]
+        rows = np.sort(-counts * n + np.arange(n)) % n
+        position = np.empty(n, dtype=np.int64)
+        position[rows] = np.arange(n)
+        # Round k holds every row with more than k entries.
+        widths = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
+        bounds = np.zeros(widths.size + 1, dtype=np.int64)
+        np.cumsum(widths, out=bounds[1:])
+        perm = np.empty(e, dtype=np.int64)
+        perm[bounds[rank] + position[sorted_keys]] = by_key
+        return rows[: widths[0]], bounds.tolist(), self.other[perm], perm
+
+    def sum(self, values: Array, coeff: Array | None = None) -> Array:
+        """``n`` rows: row ``i`` sums ``values[other[e]]`` (times
+        ``coeff[e]``) over the edges ``e`` with ``keys[e] == i``."""
+        if self.by_rounds:
+            if self._layout is None:
+                self._layout = self._build()
+            rows, bounds, gather, perm = self._layout
+            scale = None if coeff is None else coeff[perm][:, None]
+            acc = values[gather[: bounds[1]]]
+            if scale is not None:
+                acc *= scale[: bounds[1]]
+            acc += 0.0  # the sum starts from +0.0, as in ``_scatter_sum``
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                part = values[gather[lo:hi]]
+                if scale is not None:
+                    part *= scale[lo:hi]
+                acc[: hi - lo] += part
+            # Where two NaNs meet, numpy's vector loop keeps the first and
+            # its remainder loop the second, and ``np.bincount`` the first:
+            # a NaN sum is made again by ``_scatter_sum`` for its sign.
+            if not np.isnan(acc.max()):
+                out = np.zeros((self.n, values.shape[1]))
+                out[rows] = acc
+                return out
+        messages = values[self.other]
+        if coeff is not None:
+            messages *= coeff[:, None]
+        return _scatter_sum(messages, self.keys, self.n)
+
+
+class _AggregationPlan:
+    """The edges ``(u, v)`` over ``num_rows`` rows for ``neighbor_mean``,
+    checked once, with the per-row divisor or (with ``weights``) each
+    edge's weight over its target's total, a total below 1e-12 counting as
+    1e-12.
+
+    One plan serves every aggregation over its edges, forward and backward.
+    The forward sums by target, the backward by source; each direction's
+    layout is built the first time it is used, so an evaluation under
+    ``no_grad`` never builds the backward's.  ``reversed()`` swaps the two
+    directions and keeps its own divisor or coefficients.  Not a tape op:
+    it holds no tensor.
+    """
+
+    def __init__(self, edges, num_rows: int, weights=None):
+        edges = np.asarray(edges, dtype=np.int64)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"neighbor_mean: edges must be (E, 2), got shape {edges.shape}")
+        src, dst = edges[:, 0], edges[:, 1]
+        for ids, role in ((src, "source"), (dst, "target")):
+            if ids.size and (ids.min() < 0 or ids.max() >= num_rows):
+                raise ValueError(
+                    f"neighbor_mean: {role} position out of range for {num_rows} rows: "
+                    f"[{ids.min()}, {ids.max()}]"
+                )
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.shape != (len(edges),):
+                raise ValueError(f"neighbor_mean: {weights.shape} weights for {len(edges)} edges")
+        self.num_edges, self.num_rows, self.weights = len(edges), num_rows, weights
+        self.forward, self.backward = _Side(dst, src, num_rows), _Side(src, dst, num_rows)
+        self._reversed = None
+        self._divide()
+
+    def _divide(self) -> None:
+        dst = self.forward.keys
+        self.denom = self.coeff = None
+        if self.weights is None:
+            self.denom = np.maximum(self.forward.counts, 1).astype(np.float64)[:, None]
+        else:
+            totals = np.bincount(dst, weights=self.weights, minlength=self.num_rows)
+            self.coeff = self.weights / np.maximum(totals[dst], 1e-12)
+
+    def reversed(self) -> _AggregationPlan:
+        """The plan over the edges ``(v, u)``, built once; it shares both
+        directions' layouts with this plan."""
+        if self._reversed is None:
+            flipped = copy.copy(self)
+            flipped.forward, flipped.backward = self.backward, self.forward
+            flipped._reversed = self
+            flipped._divide()
+            self._reversed = flipped
+        return self._reversed
+
+
+def neighbor_mean(h: Tensor, plan: _AggregationPlan) -> Tensor:
+    """Row ``v`` averages the rows ``h[u]`` over the plan's edges ``(u, v)``:
+    ``segment_mean(gather_rows(h, src), dst, num_rows)``, or with weights
+    each edge's row times its coefficient, summed per ``v``.
+
+    One node with the composition's bytes.  It keeps the plan, never an
+    ``E``-row message array or its gradient.  The composition only differs
+    by turning a -0.0 in the message gradient into +0.0, which sums from
     +0.0 cannot tell apart.  An empty edge set gives a zero aggregate that
     sends no gradient.
     """
-    edges = np.asarray(edges, dtype=np.int64)
-    if edges.ndim != 2 or edges.shape[1] != 2:
-        raise ValueError(f"neighbor_mean: edges must be (E, 2), got shape {edges.shape}")
-    src, dst = edges[:, 0], edges[:, 1]
-    for ids, bound, role in ((src, h.shape[0], "source"), (dst, num_nodes, "target")):
-        if ids.size and (ids.min() < 0 or ids.max() >= bound):
-            raise ValueError(
-                f"neighbor_mean: {role} position out of range for {bound} rows: "
-                f"[{ids.min()}, {ids.max()}]"
-            )
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (len(edges),):
-            raise ValueError(f"neighbor_mean: {weights.shape} weights for {len(edges)} edges")
-    if not len(edges):
-        return Tensor(np.zeros((num_nodes, h.shape[1])))
-    if weights is None:
-        counts = np.bincount(dst, minlength=num_nodes).astype(np.float64)
-        denom = np.maximum(counts, 1.0)[:, None]
-        out = _scatter_sum(h.values[src], dst, num_nodes)
-        out /= denom
-
-        def edge_grad(g: Array) -> Array:
-            return (g / denom)[dst]
-    else:
-        totals = np.bincount(dst, weights=weights, minlength=num_nodes)
-        coeff = (weights / np.maximum(totals[dst], 1e-12))[:, None]
-        messages = h.values[src]
-        messages *= coeff
-        out = _scatter_sum(messages, dst, num_nodes)
-
-        def edge_grad(g: Array) -> Array:
-            return g[dst] * coeff
+    if h.shape[0] != plan.num_rows:
+        raise ValueError(f"neighbor_mean: {h.shape[0]} rows for a plan over {plan.num_rows}")
+    if not plan.num_edges:
+        return Tensor(np.zeros(h.shape))
+    out = plan.forward.sum(h.values, plan.coeff)
+    if plan.coeff is None:
+        out /= plan.denom
 
     def bwd(g: Array) -> None:
-        _accum(h, _scatter_sum(edge_grad(g), src, h.shape[0]))
+        if plan.coeff is None:
+            g = g / plan.denom
+        _accum(h, plan.backward.sum(g, plan.coeff))
 
     return _make(out, (h,), bwd)
 

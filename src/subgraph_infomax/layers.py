@@ -4,9 +4,13 @@ The encoder is a two-layer mean-aggregating message passer with skip
 connections: the first layer projects the input width to the hidden width
 (skip via a linear projection of the input), the second uses an identity
 skip.  Message passing is ``autodiff.neighbor_mean`` over a local edge
-index, so isolated nodes receive a zero neighbor aggregate.  It is one tape
-node that keeps the edge ids but no ``E``-row message array, so a training
-tape holds nothing the size of the edge set.
+index, so isolated nodes receive a zero neighbor aggregate.  An encode
+checks its edges once, into one aggregation plan that both layers share,
+forward and backward (a bidirectional layer also its reversed plan): the
+plan keeps the divisor (or the edge coefficients) and, for large edge sets,
+the index layout the aggregation sums by.  Each aggregation is one tape
+node that keeps the plan but no ``E``-row message array, so a training
+tape holds nothing the size of the edge set but the plan's index arrays.
 
 The dense part of each layer is one fused tape op too, so a call costs one
 node's bookkeeping rather than one per matmul, add and relu:
@@ -92,25 +96,20 @@ class SageLayer:
                 raise ValueError("identity skip requires in_dim == out_dim")
             self.w_skip = None
 
-    def __call__(
-        self,
-        h: Tensor,
-        edges: np.ndarray,
-        weights: np.ndarray | None = None,
-    ) -> Tensor:
-        n = h.shape[0]
+    def __call__(self, h: Tensor, plan: ad._AggregationPlan) -> Tensor:
         if self.bidirectional:
             parts = (
-                (ad.neighbor_mean(h, edges, n, weights), self.w_fwd),
-                (ad.neighbor_mean(h, edges[:, ::-1], n, weights), self.w_rev),
+                (ad.neighbor_mean(h, plan), self.w_fwd),
+                (ad.neighbor_mean(h, plan.reversed()), self.w_rev),
             )
         else:
-            parts = ((ad.neighbor_mean(h, edges, n, weights), self.w_neigh),)
+            parts = ((ad.neighbor_mean(h, plan), self.w_neigh),)
         return ad.sage_combine(h, self.w_self, parts, self.w_skip)
 
 
 class SageEncoder:
-    """Two mean-aggregation layers with skips; dropout between layers in training."""
+    """Two mean-aggregation layers with skips; dropout between layers in
+    training.  Both layers aggregate over one plan of the edges."""
 
     def __init__(
         self,
@@ -140,12 +139,13 @@ class SageEncoder:
         rng: np.random.Generator | None = None,
         weights: np.ndarray | None = None,
     ) -> Tensor:
-        h = self.layer1(x, edges, weights)
+        plan = ad._AggregationPlan(edges, x.shape[0], weights)
+        h = self.layer1(x, plan)
         if training and self.dropout > 0.0:
             if rng is None:
                 raise ValueError("training with dropout requires an rng")
             h = ad.dropout(h, self.dropout, rng)
-        return self.layer2(h, edges, weights)
+        return self.layer2(h, plan)
 
 
 def encode(

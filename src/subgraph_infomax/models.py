@@ -65,10 +65,13 @@ VARIANTS = (
 )
 GRAPHCL_AUGMENTATIONS = ("node-drop", "edge-perturb", "attr-mask")
 BATCH_NEGATIVE_VARIANTS = ("ps-infograph", "ps-graphcl")
-# Edges one k-hop union encodes at most (``_ModelBase.khop_stage``): each of
-# its layers gathers an ``(E, width)`` message array, 32 MB at this budget
-# and width 64.  ``evaluate`` passes a whole stage; at the paper's degrees
-# (hundreds) one stage's k-hop views can hold millions of edges.
+# Edges one k-hop union encodes at most (``_ModelBase.khop_stage``).  A
+# union's aggregation plan holds index arrays of one entry per edge, 16
+# bytes an edge for each direction it sums by rounds, beside the union's
+# own 16-byte edges; a union that sums by ``_scatter_sum`` instead (a small
+# one, or a star) gathers an ``(E, width)`` message array, 32 MB at this
+# budget and width 64.  ``evaluate`` passes a whole stage; at the paper's
+# degrees (hundreds) one stage's k-hop views can hold millions of edges.
 KHOP_UNION_EDGES = 1 << 16
 
 

@@ -44,8 +44,10 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor]
     """One scalar closure per public tape op, named after it, plus one per
     further axis of ``sum``, ``mean`` and ``concat``, a one-part,
     identity-skip ``sage_combine``, the weighted and the reversed-edge
-    ``neighbor_mean``, and the per-segment and per-row forms of
-    ``gd_loss``, ``infonce_loss`` and ``khop_loss``; random shapes <= 16x16."""
+    ``neighbor_mean``, the three again large enough to sum by rounds, and
+    the per-segment and per-row forms of
+    ``gd_loss``, ``infonce_loss`` and ``khop_loss``; random parameter shapes
+    <= 16x16."""
 
     def rand(rows, cols):
         return Tensor(rng.normal(0.0, 1.0, size=(rows, cols)), requires_grad=True)
@@ -63,6 +65,8 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor]
     # neighbor_mean: more edges than rows (so duplicates), positive weights.
     nbr_edges = rng.integers(0, n, size=(2 * n, 2))
     nbr_weights = rng.uniform(0.5, 1.5, size=2 * n)
+    nbr_plan = ad._AggregationPlan(nbr_edges, n)
+    nbr_weighted = ad._AggregationPlan(nbr_edges, n, nbr_weights)
     dropout_seed = int(rng.integers(2**31))
     # sage_combine: two neighbour parts filling k columns with a projected
     # skip, and one square part with an identity skip.
@@ -79,10 +83,21 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor]
     # segment, the rows alternate between two segments, each with both sides.
     khop_member = np.arange(2 * n) < n
     khop_seg = np.arange(2 * n) % 2
+    # neighbor_mean by rounds: 4,096 edges over 256 rows read from ``a``,
+    # above the rounds' edge cutoff, with about 16 entries per row (so over
+    # 100 rows per round) in both directions.
+    wide_rows = rng.integers(0, n, size=256)
+    wide_edges = rng.integers(0, 256, size=(4096, 2))
+    wide_plan = ad._AggregationPlan(wide_edges, 256)
+    wide_weighted = ad._AggregationPlan(wide_edges, 256, rng.uniform(0.5, 1.5, size=4096))
+    wide_c = Tensor(rng.normal(0.0, 1.0, size=(256, m)))
 
     def dropped():
         # Re-seeded on every call so each finite-difference probe sees one mask.
         return ad.dropout(a, 0.3, np.random.default_rng(dropout_seed))
+
+    def wide(plan):
+        return ad.sum(ad.mul(ad.neighbor_mean(ad.gather_rows(a, wide_rows), plan), wide_c))
 
     def khop_scores():
         return ad.concat([col, ad.mul(col, col)], 0)
@@ -121,13 +136,12 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor]
         ("gather_rows", lambda: ad.sum(ad.mul(ad.gather_rows(a, gather_idx), ad.gather_rows(c, gather_idx))), [a]),
         ("segment_sum", lambda: ad.sum(ad.mul(ad.segment_sum(a, seg_ids, 4), ad.segment_sum(c, seg_ids, 4))), [a]),
         ("segment_mean", lambda: ad.sum(ad.mul(ad.segment_mean(a, seg_ids, 4), ad.segment_mean(c, seg_ids, 4))), [a]),
-        ("neighbor_mean", lambda: ad.sum(ad.mul(ad.neighbor_mean(a, nbr_edges, n), c)), [a]),
-        (
-            "neighbor_mean/weighted",
-            lambda: ad.sum(ad.mul(ad.neighbor_mean(a, nbr_edges, n, nbr_weights), c)),
-            [a],
-        ),
-        ("neighbor_mean/reversed", lambda: ad.sum(ad.mul(ad.neighbor_mean(a, nbr_edges[:, ::-1], n), c)), [a]),
+        ("neighbor_mean", lambda: ad.sum(ad.mul(ad.neighbor_mean(a, nbr_plan), c)), [a]),
+        ("neighbor_mean/weighted", lambda: ad.sum(ad.mul(ad.neighbor_mean(a, nbr_weighted), c)), [a]),
+        ("neighbor_mean/reversed", lambda: ad.sum(ad.mul(ad.neighbor_mean(a, nbr_plan.reversed()), c)), [a]),
+        ("neighbor_mean/rounds", lambda: wide(wide_plan), [a]),
+        ("neighbor_mean/rounds/weighted", lambda: wide(wide_weighted), [a]),
+        ("neighbor_mean/rounds/reversed", lambda: wide(wide_weighted.reversed()), [a]),
         ("transpose", lambda: ad.sum(ad.matmul(ad.transpose(a), c)), [a, c]),
         ("clip_min", lambda: ad.sum(ad.clip_min(a, 0.25)), [a]),
         ("dropout", lambda: ad.sum(ad.mul(dropped(), c)), [a]),

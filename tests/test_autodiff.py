@@ -1,5 +1,6 @@
 import math
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -475,54 +476,101 @@ class TestMergedOpsMatchTheOpsTheyReplace:
         with pytest.raises(ValueError, match=r"^sage_combine: parts fill 6 of 4 columns$"):
             ad.sage_combine(x, w, parts * 2, None)
 
+    @pytest.mark.parametrize("kernel", ["scatter", "rounds"])
     @settings(max_examples=200, deadline=None)
     @given(
         rows=st.integers(min_value=1, max_value=8),
         cols=st.integers(min_value=1, max_value=5),
         num_edges=st.integers(min_value=1, max_value=24),
+        shape=st.sampled_from(["random", "star", "chain"]),
         isolated=st.integers(min_value=0, max_value=3),
         weighted=st.booleans(),
-        reverse=st.booleans(),
+        direction=st.sampled_from(["forward", "strided", "reversed"]),
         seeded=st.booleans(),
+        special=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    @example(rows=1, cols=2, num_edges=3, isolated=0, weighted=False, reverse=False, seeded=False, seed=0)
-    @example(rows=4, cols=3, num_edges=9, isolated=2, weighted=True, reverse=True, seeded=True, seed=1)
-    def test_neighbor_mean(self, rows, cols, num_edges, isolated, weighted, reverse, seeded, seed):
+    @example(rows=1, cols=2, num_edges=3, shape="random", isolated=0, weighted=False,
+             direction="forward", seeded=False, special=False, seed=0)
+    @example(rows=4, cols=3, num_edges=9, shape="random", isolated=2, weighted=True,
+             direction="strided", seeded=True, special=False, seed=1)
+    @example(rows=3, cols=2, num_edges=0, shape="random", isolated=1, weighted=True,
+             direction="forward", seeded=True, special=False, seed=2)
+    @example(rows=1, cols=3, num_edges=7, shape="star", isolated=0, weighted=False,
+             direction="reversed", seeded=False, special=True, seed=3)
+    @example(rows=6, cols=2, num_edges=24, shape="star", isolated=1, weighted=True,
+             direction="forward", seeded=False, special=False, seed=4)
+    @example(rows=6, cols=2, num_edges=24, shape="star", isolated=0, weighted=False,
+             direction="reversed", seeded=True, special=False, seed=5)
+    @example(rows=8, cols=3, num_edges=1, shape="chain", isolated=2, weighted=True,
+             direction="reversed", seeded=False, special=False, seed=6)
+    @example(rows=8, cols=4, num_edges=1, shape="chain", isolated=0, weighted=False,
+             direction="strided", seeded=True, special=False, seed=7)
+    @example(rows=5, cols=4, num_edges=20, shape="random", isolated=1, weighted=False,
+             direction="forward", seeded=False, special=True, seed=8)
+    @example(rows=5, cols=4, num_edges=20, shape="random", isolated=1, weighted=True,
+             direction="reversed", seeded=True, special=True, seed=9)
+    # +NaN and -NaN meet in a row, where numpy's vector add and its
+    # remainder loop keep different operands.
+    @example(rows=3, cols=4, num_edges=18, shape="random", isolated=3, weighted=True,
+             direction="strided", seeded=False, special=True, seed=0)
+    def test_neighbor_mean(self, kernel, rows, cols, num_edges, shape, isolated, weighted,
+                           direction, seeded, special, seed):
         """Against ``gather_rows`` + ``segment_mean`` (weighted: + ``mul`` +
-        ``segment_sum``), byte for byte, on duplicate edges and self-loops,
-        rows no edge reaches, the reversed (strided) edge view, -0.0 weights,
-        weights that are all zero or cancel to 0.0 at a target, and an
-        upstream gradient with -0.0."""
+        ``segment_sum``), byte for byte, under each kernel (the size rule
+        forced either way): on duplicate edges and self-loops, a star (one
+        row takes every edge) and a chain (every row one edge), rows no edge
+        reaches, the strided edge view and the reversed plan, -0.0 weights,
+        weights that are all zero or cancel to 0.0 at a target, inputs and
+        upstream gradients holding -0.0, NaN or +-inf, and no edge at all."""
         rng = np.random.default_rng(seed)
         n = rows + isolated  # the last ``isolated`` rows are in no edge
-        edges = rng.integers(0, rows, size=(num_edges, 2))
-        if reverse:
+        if shape == "star":
+            edges = np.stack([rng.integers(0, rows, size=num_edges), np.zeros(num_edges, np.int64)], 1)
+        elif shape == "chain":
+            edges = np.stack([np.arange(rows - 1), np.arange(1, rows)], 1)
+        else:
+            edges = rng.integers(0, rows, size=(num_edges, 2))
+        if direction == "strided":
             edges = edges[:, ::-1]
-        src, dst = edges[:, 0], edges[:, 1]
+        # The composition runs over the edges the plan aggregates.
+        flipped = edges[:, ::-1] if direction == "reversed" else edges
+        src, dst = flipped[:, 0], flipped[:, 1]
         weights = None
         if weighted:
-            weights = rng.normal(size=num_edges)
-            weights[rng.random(num_edges) < 0.2] = -0.0
-            weights[dst == dst[0]] = 0.0
-            # Non-zero weights that cancel: w, -w, w, -w, ... (0.0 last if odd).
-            cancel = np.flatnonzero(dst == dst[-1]) if dst[-1] != dst[0] else []
-            for i, e in enumerate(cancel):
-                weights[e] = 0.0 if i == len(cancel) - 1 and i % 2 == 0 else (-1.0) ** i * 0.7
+            weights = rng.normal(size=len(edges))
+            weights[rng.random(len(edges)) < 0.2] = -0.0
+            if len(edges):
+                weights[dst == dst[0]] = 0.0
+                # Non-zero weights that cancel: w, -w, w, -w, ... (0.0 last if odd).
+                cancel = np.flatnonzero(dst == dst[-1]) if dst[-1] != dst[0] else []
+                for i, e in enumerate(cancel):
+                    weights[e] = 0.0 if i == len(cancel) - 1 and i % 2 == 0 else (-1.0) ** i * 0.7
         h_values = rng.normal(size=(n, cols))
         h_values[rng.random((n, cols)) < 0.2] = -0.0
         g = rng.normal(size=(n, cols))
         g[rng.random((n, cols)) < 0.3] = -0.0
-        g[dst[0]] = -0.0
+        if len(edges):
+            g[dst[0]] = -0.0
+        if special:
+            for values in (h_values, g):
+                picks = rng.random(values.shape) < 0.3
+                values[picks] = rng.choice([np.nan, -np.nan, np.inf, -np.inf, -0.0], size=picks.sum())
         start = rng.normal(size=(n, cols)) if seeded else None
+        floor = {"scatter": 1 << 62, "rounds": 0}[kernel]
+        with mock.patch.multiple(ad, _ROUND_MIN_EDGES=floor, _ROUND_MIN_ROWS=0):
+            plan = ad._AggregationPlan(edges, n, weights)
+        if direction == "reversed":
+            plan = plan.reversed()
+        assert plan.forward.by_rounds == plan.backward.by_rounds == (kernel == "rounds" and len(edges) > 0)
 
         def run(aggregate):
             h = param(h_values)
             h.grad = None if start is None else start.copy()
             node = out = aggregate(h)
             grad = g
-            while node is not h:  # the composition is a chain of nodes down to h
-                node._backward(grad)
+            while node is not h and node._backward is not None:
+                node._backward(grad)  # the composition is a chain of nodes down to h
                 node = node._parents[0]
                 grad = node.grad
             return out.values, h.grad
@@ -535,30 +583,57 @@ class TestMergedOpsMatchTheOpsTheyReplace:
             coeff = (weights / np.maximum(totals[dst], 1e-12))[:, None]
             return ad.segment_sum(ad.mul(messages, Tensor(coeff)), dst, n)
 
-        want_out, want_grad = run(composed)
-        got_out, got_grad = run(lambda h: ad.neighbor_mean(h, edges, n, weights))
+        with np.errstate(invalid="ignore"):  # inf - inf and inf * 0.0 make NaN
+            want_out, want_grad = run(composed)
+            got_out, got_grad = run(lambda h: ad.neighbor_mean(h, plan))
         assert got_out.tobytes() == want_out.tobytes()
+        if not len(edges):  # no gradient at all, where the composition adds zeros
+            assert (got_grad is None) if start is None else got_grad.tobytes() == start.tobytes()
+            assert not np.any(want_grad - (0.0 if start is None else start))
+            return
         assert got_grad.tobytes() == want_grad.tobytes()
 
     def test_neighbor_mean_on_no_edge_is_a_zero_constant(self):
         h = param(np.ones((3, 2)))
         for weights in (None, np.empty(0)):
-            out = ad.neighbor_mean(h, np.empty((0, 2), dtype=np.int64), 3, weights)
+            out = ad.neighbor_mean(h, ad._AggregationPlan(np.empty((0, 2), dtype=np.int64), 3, weights))
             assert out.values.tobytes() == np.zeros((3, 2)).tobytes()
             assert not out.requires_grad and out._backward is None
 
     def test_neighbor_mean_names_a_bad_position_or_weight_count(self):
-        h = Tensor(np.zeros((3, 2)))
         for bad, role in (([[0, 3]], "target"), ([[3, 0]], "source"), ([[0, 1], [-1, 0]], "source"),
                           ([[1, -1]], "target")):
             with pytest.raises(ValueError, match=rf"^neighbor_mean: {role} position out of range for 3 rows"):
-                ad.neighbor_mean(h, np.array(bad), 3)
+                ad._AggregationPlan(np.array(bad), 3)
             with pytest.raises(ValueError, match=r"^neighbor_mean: .* out of range"):
-                ad.neighbor_mean(h, np.array(bad), 3, np.ones(len(bad)))
+                ad._AggregationPlan(np.array(bad), 3, np.ones(len(bad)))
         with pytest.raises(ValueError, match=r"^neighbor_mean: \(1,\) weights for 2 edges$"):
-            ad.neighbor_mean(h, np.array([[0, 1], [1, 2]]), 3, [1.0])
+            ad._AggregationPlan(np.array([[0, 1], [1, 2]]), 3, [1.0])
         with pytest.raises(ValueError, match=r"^neighbor_mean: edges must be \(E, 2\)"):
-            ad.neighbor_mean(h, np.array([0, 1]), 3)
+            ad._AggregationPlan(np.array([0, 1]), 3)
+        with pytest.raises(ValueError, match=r"^neighbor_mean: 2 rows for a plan over 3$"):
+            ad.neighbor_mean(Tensor(np.zeros((2, 2))), ad._AggregationPlan(np.array([[0, 1]]), 3))
+
+    def test_the_size_rule_sends_stars_and_small_unions_to_scatter_sum(self):
+        # A 20,000-edge star: one round per edge into the hub, so its sums
+        # by target take the scatter; by source it is one round of 20,000
+        # rows.  A 40-edge union is below the edge cutoff both ways.
+        star = np.stack([np.arange(1, 20_001), np.zeros(20_000, np.int64)], 1)
+        plan = ad._AggregationPlan(star, 20_001)
+        assert not plan.forward.by_rounds and plan.backward.by_rounds
+        assert not plan.reversed().backward.by_rounds
+        rng = np.random.default_rng(0)
+        small = ad._AggregationPlan(rng.integers(0, 60, size=(40, 2)), 60)
+        assert not small.forward.by_rounds and not small.backward.by_rounds
+        # A k-hop union shaped like khop-5k's: about 11,000 edges over 2,400
+        # rows, symmetric, mean degree near 5 with some rows of degree 60.
+        pairs = rng.integers(0, 2_400, size=(5_200, 2))
+        hubs = np.stack([np.repeat(np.arange(5), 60), rng.integers(0, 2_400, size=300)], 1)
+        half = np.concatenate([pairs, hubs])
+        union = np.concatenate([half, half[:, ::-1]])
+        assert 10_000 < len(union) < 12_000
+        plan = ad._AggregationPlan(union, 2_400)
+        assert plan.forward.by_rounds and plan.backward.by_rounds
 
     @pytest.mark.parametrize("op", [ad.segment_sum, ad.segment_mean])
     def test_segment_ids_are_checked_under_the_op_name(self, op):

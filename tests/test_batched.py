@@ -443,10 +443,11 @@ def test_a_stage_over_the_edge_budget_gives_the_logits_of_one_union(dense_stage,
 
 
 def test_evaluate_holds_one_budget_of_messages_at_a_time(dense_stage, monkeypatch):
-    # One union over the stage gathers an (E, 32) message array; unions of at
-    # most E / 8 edges keep the peak below the bytes of that one array.
+    # One union over the stage holds its (E, 2) edges and its aggregation
+    # plan's two (E,) index arrays at once, 32 bytes an edge; unions of at
+    # most E / 8 edges cut the peak by more than half of that.
     model, bundle, protocol, edges = dense_stage
-    one_union_messages = edges * model.config.hidden_dim * 8
+    one_union_indices = edges * 4 * 8
 
     def peak():
         tracemalloc.start()
@@ -456,9 +457,10 @@ def test_evaluate_holds_one_budget_of_messages_at_a_time(dense_stage, monkeypatc
         finally:
             tracemalloc.stop()
 
-    assert peak() > one_union_messages
+    one_union = peak()
+    assert one_union > one_union_indices
     monkeypatch.setattr(models, "KHOP_UNION_EDGES", edges // 8)
-    assert peak() < one_union_messages / 2
+    assert peak() < one_union - one_union_indices / 2
 
 
 def test_scores_of_many_small_views_grow_with_rows_not_rows_times_views():

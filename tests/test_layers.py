@@ -41,7 +41,7 @@ class TestSageLayer:
         layer.w_skip.values[:] = 0.0
         h = Tensor([[1.0], [3.0], [5.0]])
         edges = np.array([[1, 0], [2, 0]])
-        out = layer(h, edges)
+        out = layer(h, ad._AggregationPlan(edges, 3))
         assert out.values[0, 0] == pytest.approx(5.0)
 
     def test_zero_weights_give_zero_output(self):
@@ -58,7 +58,7 @@ class TestSageLayer:
         layer.w_self.values[:] = 1.0
         layer.w_neigh.values[:] = 1.0
         layer.w_skip.values[:] = 0.0
-        out = layer(Tensor([[2.0]]), np.empty((0, 2), dtype=np.int64))
+        out = layer(Tensor([[2.0]]), ad._AggregationPlan(np.empty((0, 2), dtype=np.int64), 1))
         assert out.values[0, 0] == pytest.approx(2.0)
 
     def test_matches_dense_message_passing_oracle(self):
@@ -68,7 +68,7 @@ class TestSageLayer:
         layer = SageLayer(store, "l", 3, 3, r, project_skip=True)
         x = r.normal(size=(4, 3))
         edges = np.array([[0, 1], [2, 1], [3, 2], [1, 0]])
-        got = layer(Tensor(x), edges).values
+        got = layer(Tensor(x), ad._AggregationPlan(edges, 4)).values
 
         w_self = layer.w_self.values
         w_neigh = layer.w_neigh.values
@@ -85,7 +85,7 @@ class TestSageLayer:
         layer = SageLayer(store, "l", 2, 4, rng(), bidirectional=True, project_skip=True)
         assert layer.w_fwd.values.shape == (2, 2)
         assert layer.w_rev.values.shape == (2, 2)
-        out = layer(Tensor(np.ones((2, 2))), np.array([[0, 1]]))
+        out = layer(Tensor(np.ones((2, 2))), ad._AggregationPlan(np.array([[0, 1]]), 2))
         assert out.shape == (2, 4)
 
 
