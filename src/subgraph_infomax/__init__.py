@@ -37,7 +37,6 @@ from .infomax import (
     gd_loss,
     infonce_loss,
     khop_loss,
-    ppr_diffusion,
     shuffle_negatives,
     verify_cgd_bound,
 )

@@ -24,7 +24,6 @@ thread's tape recording.
 from __future__ import annotations
 
 import builtins
-import copy
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -598,9 +597,9 @@ class _AggregationPlan:
     One plan serves every aggregation over its edges, forward and backward.
     The forward sums by target, the backward by source; each direction's
     layout is built the first time it is used, so an evaluation under
-    ``no_grad`` never builds the backward's.  ``reversed()`` swaps the two
-    directions and keeps its own divisor or coefficients.  Not a tape op:
-    it holds no tensor.
+    ``no_grad`` never builds the backward's.  The reverse aggregation is a
+    plan of its own, over ``edges[:, ::-1]``.  Not a tape op: it holds no
+    tensor.
     """
 
     def __init__(self, edges, num_rows: int, weights=None):
@@ -614,34 +613,17 @@ class _AggregationPlan:
                     f"neighbor_mean: {role} position out of range for {num_rows} rows: "
                     f"[{ids.min()}, {ids.max()}]"
                 )
-        if weights is not None:
+        self.num_edges, self.num_rows = len(edges), num_rows
+        self.forward, self.backward = _Side(dst, src, num_rows), _Side(src, dst, num_rows)
+        self.denom = self.coeff = None
+        if weights is None:
+            self.denom = np.maximum(self.forward.counts, 1).astype(np.float64)[:, None]
+        else:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != (len(edges),):
                 raise ValueError(f"neighbor_mean: {weights.shape} weights for {len(edges)} edges")
-        self.num_edges, self.num_rows, self.weights = len(edges), num_rows, weights
-        self.forward, self.backward = _Side(dst, src, num_rows), _Side(src, dst, num_rows)
-        self._reversed = None
-        self._divide()
-
-    def _divide(self) -> None:
-        dst = self.forward.keys
-        self.denom = self.coeff = None
-        if self.weights is None:
-            self.denom = np.maximum(self.forward.counts, 1).astype(np.float64)[:, None]
-        else:
-            totals = np.bincount(dst, weights=self.weights, minlength=self.num_rows)
-            self.coeff = self.weights / np.maximum(totals[dst], 1e-12)
-
-    def reversed(self) -> _AggregationPlan:
-        """The plan over the edges ``(v, u)``, built once; it shares both
-        directions' layouts with this plan."""
-        if self._reversed is None:
-            flipped = copy.copy(self)
-            flipped.forward, flipped.backward = self.backward, self.forward
-            flipped._reversed = self
-            flipped._divide()
-            self._reversed = flipped
-        return self._reversed
+            totals = np.bincount(dst, weights=weights, minlength=num_rows)
+            self.coeff = weights / np.maximum(totals[dst], 1e-12)
 
 
 def neighbor_mean(h: Tensor, plan: _AggregationPlan) -> Tensor:

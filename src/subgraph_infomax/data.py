@@ -346,10 +346,8 @@ def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
         label = home if counts[home] == top else int(np.argmax(counts))
         records.append(_record(graph, visited, label))
 
-    features = np.zeros((spec.num_nodes, spec.feature_dim))
     cols = np.arange(spec.feature_dim)
-    for node in range(spec.num_nodes):
-        features[node, cols % spec.communities == communities[node]] = 1.0
+    features = (cols[None, :] % spec.communities == communities[:, None]).astype(np.float64)
     if spec.feature_noise > 0:
         features += spec.feature_noise * rng.standard_normal(features.shape)
 

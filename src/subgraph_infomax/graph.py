@@ -59,7 +59,7 @@ class GlobalGraph:
     def neighbors(self, node: int) -> np.ndarray:
         """Sorted ids adjacent to ``node`` in either direction."""
         if not 0 <= node < self.num_nodes:
-            return self._nbr_indices[:0]
+            raise ValueError(f"node {node} out of range for {self.num_nodes} nodes")
         return self._nbr_indices[self._nbr_indptr[node]:self._nbr_indptr[node + 1]]
 
     def induced_edges(self, nodes: Iterable[int]) -> np.ndarray:

@@ -180,25 +180,16 @@ def augment(variant: str, view: SubgraphView, p: float, rng: np.random.Generator
     return _AUGMENTATIONS[variant](view, p, rng)
 
 
-class PprDiffusion(NamedTuple):
-    matrix: np.ndarray
-    edges: np.ndarray
-    weights: np.ndarray
-
-
-def ppr_diffusion(
-    edges: np.ndarray | Sequence[tuple[int, int]],
-    n: int,
-    alpha: float,
-    top_t: int,
-) -> PprDiffusion:
-    """Dense personalized-PageRank propagation over local node ids 0..n-1.
+def ppr_view(view: SubgraphView, alpha: float, top_t: int) -> SubgraphView:
+    """The diffusion-graph view of a subgraph: weighted edges from dense
+    personalized-PageRank propagation over its ``n`` nodes.
 
     Solves ``alpha * (I - (1 - alpha) * D^{-1/2} (A + I) D^{-1/2})^{-1}``
-    after symmetrizing the input and forcing self-loops, then keeps the
-    ``top_t`` largest entries per row as weighted ``(E, 2)`` edges (source =
-    column, target = row), row by row with columns ascending.
+    after symmetrizing the view's edges and forcing self-loops, then keeps
+    the ``top_t`` largest entries per row as weighted ``(E, 2)`` edges
+    (source = column, target = row), row by row with columns ascending.
     """
+    n = len(view.node_ids)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if top_t < 1:
@@ -207,7 +198,7 @@ def ppr_diffusion(
         raise ValueError(
             f"{n} nodes exceed the dense solve cap of {PPR_DENSE_CAP}; subsample the input first"
         )
-    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(view.edges, dtype=np.int64).reshape(-1, 2)
     bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
     if bad.any():
         u, v = pairs[np.argmax(bad)].tolist()
@@ -221,18 +212,11 @@ def ppr_diffusion(
 
     t = min(top_t, n)
     cols = np.sort(np.argpartition(-pi, t - 1, axis=1)[:, :t], axis=1)
-    kept = np.column_stack([cols.ravel(), np.repeat(np.arange(n), t)])
-    return PprDiffusion(pi, kept, np.take_along_axis(pi, cols, axis=1).ravel())
-
-
-def ppr_view(view: SubgraphView, alpha: float, top_t: int) -> SubgraphView:
-    """The diffusion-graph view of a subgraph: weighted edges from dense PPR."""
-    diffusion = ppr_diffusion(view.edges, len(view.node_ids), alpha, top_t)
     return SubgraphView(
         node_ids=view.node_ids,
-        edges=diffusion.edges,
+        edges=np.column_stack([cols.ravel(), np.repeat(np.arange(n), t)]),
         masked=view.masked,
-        edge_weights=diffusion.weights,
+        edge_weights=np.take_along_axis(pi, cols, axis=1).ravel(),
     )
 
 

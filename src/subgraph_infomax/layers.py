@@ -6,11 +6,12 @@ connections: the first layer projects the input width to the hidden width
 skip.  Message passing is ``autodiff.neighbor_mean`` over a local edge
 index, so isolated nodes receive a zero neighbor aggregate.  An encode
 checks its edges once, into one aggregation plan that both layers share,
-forward and backward (a bidirectional layer also its reversed plan): the
-plan keeps the divisor (or the edge coefficients) and, for large edge sets,
-the index layout the aggregation sums by.  Each aggregation is one tape
-node that keeps the plan but no ``E``-row message array, so a training
-tape holds nothing the size of the edge set but the plan's index arrays.
+forward and backward (a bidirectional encode also builds the plan over the
+reversed edges, shared the same way): the plan keeps the divisor (or the
+edge coefficients) and, for large edge sets, the index layout the
+aggregation sums by.  Each aggregation is one tape node that keeps the plan
+but no ``E``-row message array, so a training tape holds nothing the size
+of the edge set but the plan's index arrays.
 
 The dense part of each layer is one fused tape op too, so a call costs one
 node's bookkeeping rather than one per matmul, add and relu:
@@ -67,6 +68,7 @@ class SageLayer:
 
     Bidirectional, the neighbour term is ``[fwd W_fwd | rev W_rev]``: the
     mean over in-neighbours and over out-neighbours, half the width each.
+    One plan per term: the edges' and, bidirectional, the reversed edges'.
     """
 
     def __init__(
@@ -96,20 +98,16 @@ class SageLayer:
                 raise ValueError("identity skip requires in_dim == out_dim")
             self.w_skip = None
 
-    def __call__(self, h: Tensor, plan: ad._AggregationPlan) -> Tensor:
-        if self.bidirectional:
-            parts = (
-                (ad.neighbor_mean(h, plan), self.w_fwd),
-                (ad.neighbor_mean(h, plan.reversed()), self.w_rev),
-            )
-        else:
-            parts = ((ad.neighbor_mean(h, plan), self.w_neigh),)
+    def __call__(self, h: Tensor, *plans: ad._AggregationPlan) -> Tensor:
+        projections = (self.w_fwd, self.w_rev) if self.bidirectional else (self.w_neigh,)
+        parts = [(ad.neighbor_mean(h, plan), w) for plan, w in zip(plans, projections, strict=True)]
         return ad.sage_combine(h, self.w_self, parts, self.w_skip)
 
 
 class SageEncoder:
     """Two mean-aggregation layers with skips; dropout between layers in
-    training.  Both layers aggregate over one plan of the edges."""
+    training.  Both layers aggregate over one plan of the edges (and, when
+    bidirectional, one plan of the reversed edges)."""
 
     def __init__(
         self,
@@ -139,13 +137,15 @@ class SageEncoder:
         rng: np.random.Generator | None = None,
         weights: np.ndarray | None = None,
     ) -> Tensor:
-        plan = ad._AggregationPlan(edges, x.shape[0], weights)
-        h = self.layer1(x, plan)
+        plans = [ad._AggregationPlan(edges, x.shape[0], weights)]
+        if self.layer1.bidirectional:
+            plans.append(ad._AggregationPlan(np.asarray(edges)[:, ::-1], x.shape[0], weights))
+        h = self.layer1(x, *plans)
         if training and self.dropout > 0.0:
             if rng is None:
                 raise ValueError("training with dropout requires an rng")
             h = ad.dropout(h, self.dropout, rng)
-        return self.layer2(h, plan)
+        return self.layer2(h, *plans)
 
 
 def encode(
@@ -187,29 +187,19 @@ def sinusoidal_encoding(positions: Sequence[int], dim: int) -> np.ndarray:
     return rows
 
 
-def _segments(h: Tensor, union) -> tuple[np.ndarray, int]:
-    """Segment ids and count of ``h``'s rows: ``union``'s, or one segment."""
-    if h.shape[0] < 1:
-        raise ValueError("readout requires at least one node row")
-    if union is None:
-        return np.zeros(h.shape[0], dtype=np.int64), 1
-    return union.segments, union.count
-
-
 class MeanMlpReadout:
     """Permutation-invariant summary: mean pooling after a two-layer MLP.
 
-    Given a ``ViewUnion``, one summary row per view (a segment mean); else
-    one row for all of ``h``.  ``positions`` is ignored, so the k-hop stage
+    One summary row per view of the ``ViewUnion`` whose rows ``h`` holds (a
+    segment mean).  ``positions`` is ignored, so the k-hop stage
     (``_ModelBase.khop_stage``) calls either readout alike.
     """
 
     def __init__(self, store: ParameterStore, name: str, dim: int, rng: np.random.Generator):
         self.mlp = Mlp(store, name, dim, dim, dim, rng)
 
-    def __call__(self, h: Tensor, union=None, positions=None) -> Tensor:
-        segments, count = _segments(h, union)
-        return ad.segment_mean(self.mlp(h), segments, count)
+    def __call__(self, h: Tensor, union, positions=None) -> Tensor:
+        return ad.segment_mean(self.mlp(h), union.segments, union.count)
 
 
 class _SdpMixer:
@@ -238,9 +228,9 @@ class GatedAttentionReadout:
 
     ``s = sum_i sigmoid(gate(h_i)) * feat(h_i)`` after an optional sinusoidal
     positional encoding (order-aware) and a pre-mixer ("mlp", "attention", or
-    "none").  Without positions the result is permutation invariant.  Given a
-    ``ViewUnion``, one summary row per view (a segment sum, with attention
-    kept inside each view); else one row for all of ``h``.
+    "none").  Without positions the result is permutation invariant.  One
+    summary row per view of the ``ViewUnion`` whose rows ``h`` holds (a
+    segment sum, with attention kept inside each view).
     """
 
     def __init__(
@@ -263,8 +253,7 @@ class GatedAttentionReadout:
         self.gate = Mlp(store, f"{name}.gate", dim, dim, dim, rng)
         self.feat = Mlp(store, f"{name}.feat", dim, dim, dim, rng)
 
-    def __call__(self, h: Tensor, union=None, positions: Sequence[int] | None = None) -> Tensor:
-        segments, count = _segments(h, union)
+    def __call__(self, h: Tensor, union, positions: Sequence[int] | None = None) -> Tensor:
         if positions is not None:
             if len(positions) != h.shape[0]:
                 raise ValueError(
@@ -273,8 +262,8 @@ class GatedAttentionReadout:
             pe = sinusoidal_encoding(positions, self.dim)
             h = ad.add(h, Tensor(pe))
         if self.premixer is not None:
-            h = self.premixer(h, segments)
-        return ad.segment_sum(ad.mul(ad.sigmoid(self.gate(h)), self.feat(h)), segments, count)
+            h = self.premixer(h, union.segments)
+        return ad.segment_sum(ad.mul(ad.sigmoid(self.gate(h)), self.feat(h)), union.segments, union.count)
 
 
 class BilinearDiscriminator:

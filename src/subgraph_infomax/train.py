@@ -442,11 +442,24 @@ def sweep_lambda(
     out_dir=None,
     bundle: DatasetBundle | None = None,
 ) -> list[dict]:
-    """Grid over the k-hop and second-stage loss weights."""
+    """Grid over the k-hop and second-stage loss weights.  Only a k-hop
+    variant reads ``lambda_khop`` and only a two-stage one ``lambda_second``;
+    a grid of more than one value over a lambda the variant does not read is
+    rejected before any training."""
     if not lambda_khop_grid or not lambda_second_grid:
         raise ValueError("both lambda grids must be nonempty")
     _check_distinct("lambda_khop_grid", lambda_khop_grid)
     _check_distinct("lambda_second_grid", lambda_second_grid)
+    model = config.model
+    for name, grid, needs, reads in (
+        ("lambda_khop", lambda_khop_grid, "a k-hop variant", model.khop),
+        ("lambda_second", lambda_second_grid, "a two-stage variant", model.is_two_stage),
+    ):
+        if len(grid) > 1 and not reads:
+            raise ValueError(
+                f"{name}_grid {list(grid)}: variant {model.variant!r} does not read {name} "
+                f"({needs} does), so every cell would train the same model"
+            )
     bundle = bundle if bundle is not None else load_bundle(config)
     cells = [
         dataclasses.replace(

@@ -27,7 +27,7 @@ from subgraph_infomax.data import (
     load_dataset,
     sample_observed,
 )
-from subgraph_infomax.graph import SubgraphRecord
+from subgraph_infomax.graph import SubgraphRecord, SubgraphView, disjoint_union
 from subgraph_infomax.infomax import cgd_random_trials, gd_loss, infonce_loss, khop_loss
 from subgraph_infomax.layers import (
     BilinearDiscriminator,
@@ -249,11 +249,12 @@ def test_criterion_08_invariance_and_linearity():
     attn_readout = GatedAttentionReadout(store, "attn", 6, np.random.default_rng(2), premixer="mlp")
     h = rng.normal(size=(9, 6))
     perm = rng.permutation(9)
+    view = disjoint_union([SubgraphView(tuple(range(9)), np.empty((0, 2), dtype=np.int64))])
     mean_drift = np.abs(
-        mean_readout(Tensor(h)).values - mean_readout(Tensor(h[perm])).values
+        mean_readout(Tensor(h), view).values - mean_readout(Tensor(h[perm]), view).values
     ).max()
     attn_drift = np.abs(
-        attn_readout(Tensor(h)).values - attn_readout(Tensor(h[perm])).values
+        attn_readout(Tensor(h), view).values - attn_readout(Tensor(h[perm]), view).values
     ).max()
 
     disc = BilinearDiscriminator(store, "disc", 6, np.random.default_rng(3))

@@ -364,6 +364,18 @@ class TestSubcommands:
             main(argv + ["--out", str(tmp_path / "out")])
         assert not (tmp_path / "out").exists()
 
+    def test_sweep_lambda_default_grids_need_a_two_stage_variant(self, tmp_path):
+        # On the default ps-infograph, the default 3 x 3 grid would train
+        # nine cells of one model.
+        argv = ["sweep-lambda", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out")]
+        with pytest.raises(ValueError) as err:
+            main(argv)
+        assert str(err.value) == (
+            "lambda_khop_grid [1.0, 2.0, 3.0]: variant 'ps-infograph' does not read lambda_khop "
+            "(a k-hop variant does), so every cell would train the same model"
+        )
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "variants, keys, message",
         [

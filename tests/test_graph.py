@@ -196,10 +196,14 @@ class TestAgainstReference:
         want = reference_induced_edges(graph, nodes)
         assert got.dtype == np.int64 and got.shape == (len(want), 2)
         assert list(map(tuple, got.tolist())) == list(want)
-        for node in range(-2, n + 2):
+        for node in range(n):
             nbrs = graph.neighbors(node)
             assert nbrs.dtype == np.int64
             assert np.array_equal(nbrs, reference_neighbors(graph, node))
+        # A bad id fails; it does not read as an isolated node.
+        for node in (-2, -1, n, n + 1):
+            with pytest.raises(ValueError, match=f"^node {node} out of range for {n} nodes$"):
+                graph.neighbors(node)
 
     @settings(max_examples=80, deadline=None)
     @given(

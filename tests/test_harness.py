@@ -475,6 +475,28 @@ class TestSweeps:
             sweep(small_config(), tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "variant, khop_grid, second_grid, message",
+        [
+            ("ps-dgi", [1.0], [1.0, 3.0],
+             r"^lambda_second_grid \[1\.0, 3\.0\]: variant 'ps-dgi' does not read lambda_second "
+             r"\(a two-stage variant does\)"),
+            ("khop", [1.0, 3.0], [1.0, 3.0],
+             r"^lambda_second_grid \[1\.0, 3\.0\]: variant 'khop' does not read lambda_second"),
+        ],
+        ids=["ps-dgi", "khop"],
+    )
+    def test_grid_over_an_unread_lambda_rejected_before_training(
+        self, tmp_path, monkeypatch, variant, khop_grid, second_grid, message
+    ):
+        import subgraph_infomax.train as train_module
+
+        monkeypatch.setattr(train_module, "train_single_seed", None)  # no cell may train
+        config = small_config(variant=variant, pool_ratio=0.5)
+        with pytest.raises(ValueError, match=message):
+            sweep_lambda(config, khop_grid, second_grid, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_summary_tests_each_model_against_baseline(self):
         accuracies = {"baseline": [0.5, 0.6, 0.7], "ps-dgi": [0.8, 0.9, 0.85], "khop": [0.6, 0.6, 0.7]}
         rows = [

@@ -14,7 +14,6 @@ from subgraph_infomax.infomax import (
     gd_loss,
     infonce_loss,
     khop_loss,
-    ppr_diffusion,
     ppr_view,
     shuffle_negatives,
     verify_cgd_bound,
@@ -451,47 +450,51 @@ class TestAugmentations:
             assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
+def ppr_matrix(edges, n, alpha):
+    """The whole diffusion matrix: with ``top_t = n``, ``ppr_view`` keeps
+    every entry, row by row with columns ascending."""
+    view = SubgraphView(tuple(range(n)), np.array(edges, dtype=np.int64).reshape(-1, 2))
+    return ppr_view(view, alpha, top_t=n).edge_weights.reshape(n, n)
+
+
 class TestPprDiffusion:
     def test_single_node_with_self_loop(self):
-        out = ppr_diffusion([(0, 0)], n=1, alpha=0.2, top_t=1)
-        assert np.allclose(out.matrix, [[1.0]])
+        assert np.allclose(ppr_matrix([(0, 0)], n=1, alpha=0.2), [[1.0]])
 
     def test_rows_sum_to_one_on_regular_graphs(self):
         # The symmetric normalization is row-stochastic exactly when degrees
         # are uniform; an 8-cycle (degree 2 + self-loop) is such a graph.
         edges = [(i, (i + 1) % 8) for i in range(8)]
-        out = ppr_diffusion(edges, n=8, alpha=0.15, top_t=8)
-        assert np.allclose(out.matrix.sum(axis=1), 1.0, atol=1e-9)
+        matrix = ppr_matrix(edges, n=8, alpha=0.15)
+        assert np.allclose(matrix.sum(axis=1), 1.0, atol=1e-9)
 
     def test_rows_near_one_on_irregular_graphs(self):
-        view = make_view()
-        out = ppr_diffusion(view.edges, n=8, alpha=0.15, top_t=8)
-        sums = out.matrix.sum(axis=1)
-        assert np.all(out.matrix >= -1e-12)
+        matrix = ppr_matrix(make_view().edges, n=8, alpha=0.15)
+        sums = matrix.sum(axis=1)
+        assert np.all(matrix >= -1e-12)
         assert np.all(sums > 0.5) and np.all(sums < 1.5)
 
     def test_alpha_near_one_approaches_identity(self):
-        view = make_view()
-        out = ppr_diffusion(view.edges, n=8, alpha=0.999999, top_t=8)
-        assert np.allclose(out.matrix, np.eye(8), atol=1e-4)
+        matrix = ppr_matrix(make_view().edges, n=8, alpha=0.999999)
+        assert np.allclose(matrix, np.eye(8), atol=1e-4)
 
     def test_top_t_limits_edges_per_row(self):
-        view = make_view()
-        out = ppr_diffusion(view.edges, n=8, alpha=0.15, top_t=3)
+        out = ppr_view(make_view(), alpha=0.15, top_t=3)
         targets = out.edges[:, 1].tolist()
         assert all(targets.count(i) == 3 for i in range(8))
 
     def test_dense_cap_enforced(self):
+        view = SubgraphView(tuple(range(3000)), np.empty((0, 2), dtype=np.int64))
         with pytest.raises(ValueError, match="subsample"):
-            ppr_diffusion([], n=3000, alpha=0.15, top_t=4)
+            ppr_view(view, alpha=0.15, top_t=4)
 
     def test_alpha_range_validated(self):
         with pytest.raises(ValueError):
-            ppr_diffusion([(0, 1)], n=2, alpha=1.0, top_t=1)
+            ppr_view(SubgraphView((0, 1), np.array([[0, 1]])), alpha=1.0, top_t=1)
 
     def test_out_of_range_edge_named(self):
         with pytest.raises(ValueError, match=r"^edge \(2, 0\) out of range for 2 nodes$"):
-            ppr_diffusion([(0, 1), (2, 0), (-1, 0)], n=2, alpha=0.2, top_t=1)
+            ppr_view(SubgraphView((0, 1), np.array([[0, 1], [2, 0], [-1, 0]])), alpha=0.2, top_t=1)
 
     def test_view_wrapper_keeps_global_ids(self):
         view = SubgraphView(node_ids=(5, 9), edges=np.array([[0, 1], [1, 0]]))

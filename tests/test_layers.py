@@ -23,6 +23,11 @@ def rng():
     return np.random.default_rng(0)
 
 
+def one_view(rows):
+    """The union of one edgeless view of ``rows`` nodes: every row in segment 0."""
+    return disjoint_union([SubgraphView(tuple(range(rows)), np.empty((0, 2), dtype=np.int64))])
+
+
 def make_identity_mlp(mlp, dim):
     mlp.w1.values[:] = np.eye(dim)
     mlp.b1.values[:] = 0.0
@@ -85,7 +90,12 @@ class TestSageLayer:
         layer = SageLayer(store, "l", 2, 4, rng(), bidirectional=True, project_skip=True)
         assert layer.w_fwd.values.shape == (2, 2)
         assert layer.w_rev.values.shape == (2, 2)
-        out = layer(Tensor(np.ones((2, 2))), ad._AggregationPlan(np.array([[0, 1]]), 2))
+        edges = np.array([[0, 1]])
+        out = layer(
+            Tensor(np.ones((2, 2))),
+            ad._AggregationPlan(edges, 2),
+            ad._AggregationPlan(edges[:, ::-1], 2),
+        )
         assert out.shape == (2, 4)
 
 
@@ -209,27 +219,21 @@ class TestReadouts:
         store = ParameterStore()
         readout = MeanMlpReadout(store, "r", 2, rng())
         make_identity_mlp(readout.mlp, 2)
-        s = readout(Tensor([[1.0, 0.0], [0.0, 1.0]]))
+        s = readout(Tensor([[1.0, 0.0], [0.0, 1.0]]), one_view(2))
         assert np.allclose(s.values, [[0.5, 0.5]])
 
     def test_single_row_is_mlp_of_row(self):
         store = ParameterStore()
         readout = MeanMlpReadout(store, "r", 3, rng())
         row = Tensor([[0.3, -0.2, 0.9]])
-        assert np.allclose(readout(row).values, readout.mlp(row).values)
-
-    def test_empty_input_rejected(self):
-        store = ParameterStore()
-        readout = MeanMlpReadout(store, "r", 2, rng())
-        with pytest.raises(ValueError):
-            readout(Tensor(np.zeros((0, 2))))
+        assert np.allclose(readout(row, one_view(1)).values, readout.mlp(row).values)
 
     def test_mean_mlp_permutation_invariant(self):
         store = ParameterStore()
         readout = MeanMlpReadout(store, "r", 4, rng())
         h = np.random.default_rng(2).normal(size=(6, 4))
-        s1 = readout(Tensor(h)).values
-        s2 = readout(Tensor(h[::-1].copy())).values
+        s1 = readout(Tensor(h), one_view(6)).values
+        s2 = readout(Tensor(h[::-1].copy()), one_view(6)).values
         assert np.allclose(s1, s2, atol=1e-12)
 
     def test_gated_attention_constant_gate(self):
@@ -240,7 +244,7 @@ class TestReadouts:
         for p in (readout.gate.w1, readout.gate.b1, readout.gate.w2, readout.gate.b2):
             p.values[:] = 0.0
         make_identity_mlp(readout.feat, 2)
-        s = readout(Tensor([[2.0, 0.0], [0.0, 2.0]]))
+        s = readout(Tensor([[2.0, 0.0], [0.0, 2.0]]), one_view(2))
         assert np.allclose(s.values, [[1.0, 1.0]])
 
     @pytest.mark.parametrize("premixer", ["none", "mlp", "attention"])
@@ -248,16 +252,16 @@ class TestReadouts:
         store = ParameterStore()
         readout = GatedAttentionReadout(store, "r", 4, rng(), premixer=premixer)
         h = np.random.default_rng(3).normal(size=(5, 4))
-        s1 = readout(Tensor(h)).values
-        s2 = readout(Tensor(h[::-1].copy())).values
+        s1 = readout(Tensor(h), one_view(5)).values
+        s2 = readout(Tensor(h[::-1].copy()), one_view(5)).values
         assert np.allclose(s1, s2, atol=1e-12)
 
     def test_positions_break_symmetry(self):
         store = ParameterStore()
         readout = GatedAttentionReadout(store, "r", 4, rng(), premixer="mlp")
         h = np.random.default_rng(4).normal(size=(3, 4))
-        s1 = readout(Tensor(h), positions=[0, 1, 2]).values
-        s2 = readout(Tensor(h), positions=[2, 1, 0]).values
+        s1 = readout(Tensor(h), one_view(3), positions=[0, 1, 2]).values
+        s2 = readout(Tensor(h), one_view(3), positions=[2, 1, 0]).values
         assert not np.allclose(s1, s2)
 
     def test_sinusoid_rows_depend_on_position(self):
