@@ -64,10 +64,13 @@ class GlobalGraph:
 
     def induced_edges(self, nodes: Iterable[int]) -> np.ndarray:
         """Sorted directed global edges with both endpoints in ``nodes``, as
-        ``(E, 2)`` int64 rows ``(u, v)``."""
+        ``(E, 2)`` int64 rows ``(u, v)``.  An id outside ``0..n-1`` fails."""
         ids = np.fromiter(nodes, dtype=np.int64)
+        bad = (ids < 0) | (ids >= self.num_nodes)
+        if bad.any():
+            raise ValueError(f"node {ids[np.argmax(bad)]} out of range for {self.num_nodes} nodes")
         member = np.zeros(self.num_nodes, dtype=bool)
-        member[ids[(ids >= 0) & (ids < self.num_nodes)]] = True
+        member[ids] = True
         ids = np.flatnonzero(member)
         return ids[self._induced_positions(ids, member)]
 
@@ -173,31 +176,27 @@ class SubgraphRecord:
 @dataclass(frozen=True, eq=False, slots=True)
 class SubgraphView:
     """One view of a subgraph for encoding: the full subgraph, its observed
-    part, an augmentation, a diffusion, or a k-hop neighbourhood
-    (``KhopPartition``).
+    part, a diffusion, or a k-hop neighbourhood (``KhopPartition``).
 
     ``edges`` is an ``(E, 2)`` int64 array of (src, dst) positions into
-    ``node_ids``.  ``masked`` holds node ids whose feature rows are zeroed;
-    ``edge_weights``, when present, aligns with ``edges`` and drives weighted
-    aggregation.
+    ``node_ids``.  ``edge_weights``, when present, aligns with ``edges`` and
+    drives weighted aggregation.
     """
 
     node_ids: tuple[int, ...]
     edges: np.ndarray
-    masked: frozenset[int] = frozenset()
     edge_weights: np.ndarray | None = None
 
     def restrict(self, keep: Sequence[bool]) -> SubgraphView:
-        """The view on the rows where ``keep`` holds: those nodes in order,
-        the edges between them in order, and their masks.  Edge weights are
-        not carried over.  One Python pass over a list of bools: on the
-        few-node views made per record this beats numpy masks."""
+        """The view on the rows where ``keep`` holds: those nodes in order
+        and the edges between them in order.  Edge weights are not carried
+        over.  One Python pass over a list of bools: on the few-node views
+        made per record this beats numpy masks."""
         rank = list(accumulate(keep, initial=0))  # kept rows before each row
         ends = iter(self.edges.ravel().tolist())
         flat = [w for u, v in zip(ends, ends) if keep[u] and keep[v] for w in (rank[u], rank[v])]
-        node_ids = tuple(compress(self.node_ids, keep))
-        masked = self.masked.intersection(node_ids) if self.masked else self.masked
-        return SubgraphView(node_ids, np.array(flat, dtype=np.int64).reshape(-1, 2), masked)
+        edges = np.array(flat, dtype=np.int64).reshape(-1, 2)
+        return SubgraphView(tuple(compress(self.node_ids, keep)), edges)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -220,8 +219,10 @@ class ViewUnion(NamedTuple):
     ``node_ids`` concatenates the views' ids; an id may repeat across views.
     ``edges`` holds each view's edges plus the number of rows before the
     view.  ``segments`` gives each row the index of its view, and ``sizes``
-    each view's row count.  ``masked`` is one flag per row (``None`` when no
-    row is masked), and ``edge_weights`` the views' weights, concatenated.
+    each view's row count.  ``masked`` is one flag per row whose feature
+    row is zeroed (``None`` when no row is), set by attribute masking
+    (``infomax.augment``), and ``edge_weights`` the views' weights,
+    concatenated.
     """
 
     node_ids: np.ndarray
@@ -250,17 +251,13 @@ def disjoint_union(views: Sequence[SubgraphView]) -> ViewUnion:
     offsets = np.repeat(starts, [len(v.edges) for v in views])
     edges = np.concatenate([v.edges for v in views]).reshape(-1, 2) + offsets[:, None]
     segments = np.repeat(np.arange(len(views)), sizes)
-    masked = None
-    if any(v.masked for v in views):
-        flags = (n in v.masked for v in views for n in v.node_ids)
-        masked = np.fromiter(flags, bool, total)
     weighted = [v.edge_weights is not None for v in views]
     weights = None
     if all(weighted):
         weights = np.concatenate([v.edge_weights for v in views])
     elif any(weighted):
         raise ValueError("a union needs edge weights on every view or on none")
-    return ViewUnion(node_ids, edges, segments, sizes, masked, weights)
+    return ViewUnion(node_ids, edges, segments, sizes, edge_weights=weights)
 
 
 def induced_partial_subgraph(subgraph: SubgraphRecord, observed: Iterable[int]) -> SubgraphView:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import SubgraphView
+from .graph import SubgraphView, ViewUnion, _sorted_unique
 
 log = logging.getLogger(__name__)
 
@@ -131,53 +131,92 @@ def cross_subgraph_negatives(segments: np.ndarray, count: int) -> np.ndarray:
     return segments[:, None] != np.arange(count)
 
 
-def _node_drop(view: SubgraphView, p: float, rng: np.random.Generator) -> SubgraphView:
-    keep = rng.random(len(view.node_ids)) >= p
-    if not keep.any():
-        keep[rng.integers(keep.size)] = True  # forced retention of one node
-    return view.restrict(keep.tolist())
-
-
-def _edge_perturb(view: SubgraphView, p: float, rng: np.random.Generator) -> SubgraphView:
-    edges = list(map(tuple, view.edges.tolist()))
-    keep = rng.random(len(edges)) >= p
-    surviving = [e for e, k in zip(edges, keep) if k]
-    n_add = int(rng.binomial(len(edges), p)) if edges else 0
-    present = set(edges)
-    n = len(view.node_ids)
-    added = attempts = 0
-    while added < n_add and attempts < 50 * max(n_add, 1) and n > 1:
-        u, v = rng.choice(n, size=2, replace=False)
-        cand = (int(u), int(v))
-        if cand not in present:
-            present.add(cand)
-            surviving.append(cand)
-            added += 1
-        attempts += 1
-    return SubgraphView(
-        node_ids=view.node_ids,
-        edges=np.array(sorted(surviving), dtype=np.int64).reshape(-1, 2),
-        masked=view.masked,
+def _node_drop(union: ViewUnion, p: float, rng: np.random.Generator) -> ViewUnion:
+    keep = rng.random(len(union.node_ids)) >= p
+    sizes = np.asarray(union.sizes)
+    empty = np.flatnonzero(np.bincount(union.segments[keep], minlength=union.count) == 0)
+    if empty.size:  # forced retention of one row in each emptied segment
+        keep[(np.cumsum(sizes) - sizes)[empty] + rng.integers(0, sizes[empty])] = True
+    rank = np.cumsum(keep) - keep  # kept rows before each row
+    segments = union.segments[keep]
+    return ViewUnion(
+        node_ids=union.node_ids[keep],
+        edges=rank[union.edges[keep[union.edges].all(axis=1)]],
+        segments=segments,
+        sizes=np.bincount(segments, minlength=union.count).tolist(),
+        masked=None if union.masked is None else union.masked[keep],
     )
 
 
-def _attr_mask(view: SubgraphView, p: float, rng: np.random.Generator) -> SubgraphView:
-    flips = rng.random(len(view.node_ids)) < p
-    masked = set(view.masked)
-    masked.update(n for n, f in zip(view.node_ids, flips) if f)
-    return SubgraphView(view.node_ids, view.edges, frozenset(masked))
+def _edge_perturb(union: ViewUnion, p: float, rng: np.random.Generator) -> ViewUnion:
+    """Drop each edge with probability ``p``, then add to each segment a
+    ``Binomial(its edges, p)`` count of directed pairs ``u != v`` absent from
+    its edges before the drop: its first fresh candidates in draw order,
+    under a cap of ``50 * max(count, 1)`` candidate draws."""
+    n = len(union.node_ids)
+    sizes = np.asarray(union.sizes)
+    starts = np.cumsum(sizes) - sizes
+    codes = union.edges[:, 0] * n + union.edges[:, 1]
+    kept = codes[rng.random(codes.size) >= p]
+    want = rng.binomial(np.bincount(union.segments[union.edges[:, 0]], minlength=union.count), p)
+    want[sizes < 2] = 0
+    taken = _sorted_unique(codes)
+    src, dst = np.divmod(taken, n)
+    off_diagonal = np.bincount(union.segments[src[src != dst]], minlength=union.count)
+    free = sizes * (sizes - 1) - off_diagonal  # absent pairs left in each segment
+    draws = 50 * np.maximum(want, 1)  # candidate draws left
+    added = [kept]
+    while True:
+        seg = np.flatnonzero((want > 0) & (draws > 0) & (free > 0))
+        if not seg.size:
+            break
+        # About twice the draws the acceptance rate needs, so most segments
+        # finish in one round.
+        pairs = sizes[seg] * (sizes[seg] - 1)
+        count = np.minimum(draws[seg], -(-2 * want[seg] * pairs // free[seg]))
+        block = np.repeat(np.arange(seg.size), count)
+        m = sizes[seg][block]
+        u, v = np.divmod(rng.integers(0, m * (m - 1)), m - 1)
+        v += v >= u
+        base = starts[seg][block]
+        cand = (base + u) * n + base + v
+        # Fresh: not taken, and the first of its repeats in this round.
+        order = np.argsort(cand, kind="stable")
+        fresh = np.ones(cand.size, dtype=bool)
+        fresh[order[1:][cand[order[1:]] == cand[order[:-1]]]] = False
+        fresh &= taken[np.minimum(np.searchsorted(taken, cand), taken.size - 1)] != cand
+        # Each segment keeps its first ``want`` fresh candidates.  One that
+        # keeps fewer has spent every draw of the round; one that keeps
+        # ``want`` is done, so its unused draws need no count.
+        rank = np.cumsum(fresh)
+        rank -= np.concatenate([[0], rank])[np.cumsum(count) - count][block]
+        accept = fresh & (rank <= want[seg][block])
+        gained = np.bincount(block[accept], minlength=seg.size)
+        want[seg] -= gained
+        free[seg] -= gained
+        draws[seg] -= count
+        added.append(cand[accept])
+        taken = np.sort(np.concatenate([taken, cand[accept]]))
+    all_codes = np.sort(np.concatenate(added))
+    return union._replace(edges=np.column_stack(np.divmod(all_codes, n)), edge_weights=None)
+
+
+def _attr_mask(union: ViewUnion, p: float, rng: np.random.Generator) -> ViewUnion:
+    flags = rng.random(len(union.node_ids)) < p
+    return union._replace(masked=flags if union.masked is None else union.masked | flags)
 
 
 _AUGMENTATIONS = {"node-drop": _node_drop, "edge-perturb": _edge_perturb, "attr-mask": _attr_mask}
 
 
-def augment(variant: str, view: SubgraphView, p: float, rng: np.random.Generator) -> SubgraphView:
-    """Apply the named augmentation with probability ``p``; the result is a valid view."""
+def augment(variant: str, union: ViewUnion, p: float, rng: np.random.Generator) -> ViewUnion:
+    """Apply the named augmentation with probability ``p`` to every view of
+    the union at once; each segment of the result is a valid view."""
     if variant not in _AUGMENTATIONS:
         raise ValueError(f"unknown augmentation: {variant!r}")
     if not 0.0 <= p < 1.0:
         raise ValueError(f"augmentation probability must be in [0, 1), got {p}")
-    return _AUGMENTATIONS[variant](view, p, rng)
+    return _AUGMENTATIONS[variant](union, p, rng)
 
 
 def ppr_view(view: SubgraphView, alpha: float, top_t: int) -> SubgraphView:
@@ -215,7 +254,6 @@ def ppr_view(view: SubgraphView, alpha: float, top_t: int) -> SubgraphView:
     return SubgraphView(
         node_ids=view.node_ids,
         edges=np.column_stack([cols.ravel(), np.repeat(np.arange(n), t)]),
-        masked=view.masked,
         edge_weights=np.take_along_axis(pi, cols, axis=1).ravel(),
     )
 

@@ -310,7 +310,17 @@ class _ModelBase:
     ) -> tuple[ViewUnion, Tensor]:
         """The views' disjoint union and its encoding, one row per union row."""
         union = disjoint_union(views)
-        h = encode(
+        return union, self.encode_union(union, training, rng, encoder)
+
+    def encode_union(
+        self,
+        union: ViewUnion,
+        training: bool,
+        rng: np.random.Generator | None,
+        encoder: SageEncoder | None = None,
+    ) -> Tensor:
+        """The union's encoding, one row per union row."""
+        return encode(
             encoder or self.encoder,
             self.table,
             union.node_ids,
@@ -320,7 +330,6 @@ class _ModelBase:
             masked=union.masked,
             edge_weights=union.edge_weights,
         )
-        return union, h
 
     def prepare_batch(
         self, records: Sequence[SubgraphRecord], rng: np.random.Generator | None
@@ -335,14 +344,10 @@ class _ModelBase:
             diffused = [self.bundle.diffusion(r, cfg.ppr_alpha, cfg.ppr_top_t) for r in records]
             _, context.h_diffused = self.encode_views(diffused, True, rng, encoder=self.encoder_b)
         elif cfg.term == "ps-graphcl":
-            views = []
-            for r in records:
-                view = r.view
-                for name in GRAPHCL_AUGMENTATIONS:
-                    view = augment(name, view, cfg.aug_p, rng)
-                views.append(view)
-            union, h = self.encode_views(views, True, rng)
-            context.aug_summaries = self.readout(h, union)
+            union = disjoint_union([r.view for r in records])
+            for name in GRAPHCL_AUGMENTATIONS:
+                union = augment(name, union, cfg.aug_p, rng)
+            context.aug_summaries = self.readout(self.encode_union(union, True, rng), union)
         return context
 
     def step(
@@ -364,8 +369,9 @@ class _ModelBase:
 
         In training the rng is drawn in this order:
 
-        1. ``prepare_batch``: ps-graphcl's augmentations, record by record
-           (node drop, edge perturbation, attribute mask); then the dropout
+        1. ``prepare_batch``: ps-graphcl's augmentations, the batch's
+           node-drop, edge-perturbation and attribute-mask draws over the
+           union of its full views; then the dropout
            of its encodes: the full views' union (ps-dgi, ps-infograph,
            ps-mvgrl), then the diffusions' union (ps-mvgrl) or the
            augmented views' (ps-graphcl);

@@ -47,13 +47,26 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def view(ids, edges=(), masked=(), weights=None):
+def view(ids, edges=(), weights=None):
     return SubgraphView(
         tuple(ids),
         np.array(edges, dtype=np.int64).reshape(-1, 2),
-        frozenset(masked),
         None if weights is None else np.asarray(weights, dtype=np.float64),
     )
+
+
+def segment_views(union):
+    """The union's segments as views, each with its rows' mask flags (or
+    ``None``): the per-record inputs a union stands for."""
+    starts = np.cumsum(union.sizes) - union.sizes
+    edge_segments = union.segments[union.edges[:, 0]]
+    views = []
+    for s, (lo, size) in enumerate(zip(starts.tolist(), union.sizes)):
+        inside = edge_segments == s
+        weights = None if union.edge_weights is None else union.edge_weights[inside]
+        v = SubgraphView(tuple(union.node_ids[lo:lo + size].tolist()), union.edges[inside] - lo, weights)
+        views.append((v, None if union.masked is None else union.masked[lo:lo + size]))
+    return views
 
 
 # -- the union --------------------------------------------------------------
@@ -93,9 +106,9 @@ class TestDisjointUnion:
             disjoint_union([view([1]), view([])])
 
     def test_a_repeated_id_is_masked_only_in_the_view_that_masks_it(self):
-        # Node 7 is in both views; only the first masks it.
-        union = disjoint_union([view([7, 8], masked=[7]), view([5, 7])])
-        assert union.masked.tolist() == [True, False, False, False]
+        # Node 7 is in both views; only the first view's row is flagged.
+        union = disjoint_union([view([7, 8]), view([5, 7])])
+        union = union._replace(masked=np.array([True, False, False, False]))
         store = ParameterStore()
         enc = SageEncoder(store, "e", 3, 4, rng(), dropout=0.0)
         table = store.create("t", (10, 3), rng(1))
@@ -118,10 +131,10 @@ class TestDisjointUnion:
             encode(enc, table, [0, 1], np.empty((0, 2), dtype=np.int64), masked=np.array([True]))
 
 
-def per_view_encodes(enc, table, views):
+def per_view_encodes(enc, table, views, masked):
+    """Each view encoded alone, its rows' mask flags cut from the union's."""
     rows = []
-    for v in views:
-        masked = np.array([n in v.masked for n in v.node_ids]) if v.masked else None
+    for v, masked in zip(views, np.split(masked, np.cumsum([len(v.node_ids) for v in views])[:-1])):
         rows.append(encode(enc, table, v.node_ids, v.edges, masked=masked, edge_weights=v.edge_weights).values)
     return np.concatenate(rows)
 
@@ -133,9 +146,8 @@ def random_views(gen, count, weighted=False, num_nodes=12):
         ids = sorted(gen.choice(num_nodes, size=n, replace=False).tolist())
         e = int(gen.integers(0, 2 * n))
         edges = gen.integers(0, n, size=(e, 2))
-        masked = [i for i in ids if gen.random() < 0.3]
         weights = gen.random(e) + 0.1 if weighted else None
-        views.append(view(ids, edges, masked, weights))
+        views.append(view(ids, edges, weights))
     return views
 
 
@@ -149,9 +161,10 @@ def test_union_encode_equals_the_per_view_encodes(seed, weighted, bidirectional)
     table = store.create("t", (12, 3), gen)
     views = random_views(gen, int(gen.integers(1, 6)), weighted)
     union = disjoint_union(views)
+    union = union._replace(masked=gen.random(len(union.node_ids)) < 0.3)
     got = encode(enc, table, union.node_ids, union.edges, masked=union.masked,
                  edge_weights=union.edge_weights).values
-    want = per_view_encodes(enc, table, views)
+    want = per_view_encodes(enc, table, views, union.masked)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -195,8 +208,7 @@ def test_union_readout_equals_the_per_view_readouts(kind):
 # -- the per-record oracle --------------------------------------------------
 
 
-def oracle_encode(model, v, rng, encoder=None):
-    masked = np.array([n in v.masked for n in v.node_ids]) if v.masked else None
+def oracle_encode(model, v, rng, encoder=None, masked=None):
     return encode(encoder or model.encoder, model.table, v.node_ids, v.edges, training=True,
                   rng=rng, masked=masked, edge_weights=v.edge_weights)
 
@@ -302,12 +314,14 @@ def oracle_step(model, records, partials, rng, selected):
     if cfg.term == "ps-infograph":
         batch = [oracle_encode(model, r.view, rng) for r in records]
     elif cfg.term == "ps-graphcl":
-        batch = []
-        for r in records:
-            v = r.view
-            for name in GRAPHCL_AUGMENTATIONS:
-                v = augment(name, v, cfg.aug_p, rng)
-            batch.append(per_view_readout(model.readout, oracle_encode(model, v, rng)))
+        # The augmented views are the union's, split per segment.
+        union = disjoint_union([r.view for r in records])
+        for name in GRAPHCL_AUGMENTATIONS:
+            union = augment(name, union, cfg.aug_p, rng)
+        batch = [
+            per_view_readout(model.readout, oracle_encode(model, v, rng, masked=masked))
+            for v, masked in segment_views(union)
+        ]
     objectives = []
     for target, (record, partial) in enumerate(zip(records, partials)):
         if cfg.khop:
@@ -332,14 +346,16 @@ def oracle_step(model, records, partials, rng, selected):
     return ad.scale(total, 1.0 / len(objectives))
 
 
-# Past ``OPTION_CHECKS``: two hops, and a neighbour cap of 2 that binds on
-# the toy records' k-hop sets, so each partition draws from the rng.
+# Past ``OPTION_CHECKS``: two hops, a neighbour cap of 2 that binds on the
+# toy records' k-hop sets, so each partition draws from the rng, and an
+# augmentation probability at which node drop empties most augmented views.
 CASES = [(variant, {}) for variant in VARIANTS] + [
     (variant, {option: value}) for variant, option, value in OPTION_CHECKS
 ] + [
     ("khop", {"k": 2}),
     ("khop", {"neighbor_cap": 2}),
     ("khop+ps-infograph", {"neighbor_cap": 2}),
+    ("ps-graphcl", {"aug_p": 0.9}),
 ]
 
 

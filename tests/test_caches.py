@@ -152,7 +152,6 @@ def assert_views_equal(got, want):
     assert got.node_ids == want.node_ids
     assert got.edges.dtype == want.edges.dtype
     assert np.array_equal(got.edges, want.edges)
-    assert got.masked == want.masked
     if want.edge_weights is None:
         assert got.edge_weights is None
     else:

@@ -191,7 +191,7 @@ class TestAgainstReference:
     @given(any_graphs, st.data())
     def test_queries_match_reference(self, graph, data):
         n = graph.num_nodes
-        nodes = data.draw(st.lists(st.integers(min_value=-3, max_value=n + 3), max_size=n + 6))
+        nodes = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=n + 6))
         got = graph.induced_edges(nodes)
         want = reference_induced_edges(graph, nodes)
         assert got.dtype == np.int64 and got.shape == (len(want), 2)
@@ -200,10 +200,13 @@ class TestAgainstReference:
             nbrs = graph.neighbors(node)
             assert nbrs.dtype == np.int64
             assert np.array_equal(nbrs, reference_neighbors(graph, node))
-        # A bad id fails; it does not read as an isolated node.
+        # A bad id fails; it does not read as an isolated node, nor drop out
+        # of an induced set.
         for node in (-2, -1, n, n + 1):
             with pytest.raises(ValueError, match=f"^node {node} out of range for {n} nodes$"):
                 graph.neighbors(node)
+            with pytest.raises(ValueError, match=f"^node {node} out of range for {n} nodes$"):
+                graph.induced_edges([*nodes, node, -5])
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -297,6 +300,12 @@ class TestGlobalGraph:
         g = path_graph(4)
         assert g.induced_edges({0, 1}).tolist() == [[0, 1], [1, 0]]
         assert g.induced_edges({0, 2}).shape == (0, 2)
+
+    @pytest.mark.parametrize("bad", [-1, 4, 10])
+    def test_induced_edges_rejects_an_out_of_range_id(self, bad):
+        # The first bad id is named; it is not dropped from the set.
+        with pytest.raises(ValueError, match=f"^node {bad} out of range for 4 nodes$"):
+            path_graph(4).induced_edges([0, 1, bad, 12])
 
 
 class TestBernoulliEdges:

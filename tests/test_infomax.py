@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from subgraph_infomax import autodiff as ad
 from subgraph_infomax.autodiff import Tensor, backward
-from subgraph_infomax.graph import SubgraphView
+from subgraph_infomax.graph import SubgraphView, disjoint_union
 from subgraph_infomax.infomax import (
     augment,
     cgd_random_trials,
@@ -284,55 +284,9 @@ def make_view():
     return SubgraphView(node_ids=nodes, edges=np.array(edges, dtype=np.int64))
 
 
-def edge_set(view):
-    return set(map(tuple, view.edges.tolist()))
-
-
-def global_edges(view):
-    """A view's edges as global-id pairs, in row order."""
-    return [(view.node_ids[u], view.node_ids[v]) for u, v in view.edges.tolist()]
-
-
 def relabel(node_ids, edges):
     position = {n: i for i, n in enumerate(node_ids)}
     return np.array([(position[u], position[v]) for u, v in edges], dtype=np.int64).reshape(-1, 2)
-
-
-# Reference augmentations and diffusion view: the global-id code they
-# replaced, run on ``(node_ids, global edge tuple, masked)`` triples.
-
-
-def reference_node_drop(ids, edges, masked, p, rng):
-    ids = np.array(ids)
-    keep = rng.random(ids.size) >= p
-    if not keep.any():
-        keep[rng.integers(ids.size)] = True
-    kept = set(int(n) for n in ids[keep])
-    edges = tuple((u, v) for u, v in edges if u in kept and v in kept)
-    return tuple(sorted(kept)), edges, frozenset(n for n in masked if n in kept)
-
-
-def reference_edge_perturb(ids, edges, masked, p, rng):
-    keep = rng.random(len(edges)) >= p
-    surviving = [e for e, k in zip(edges, keep) if k]
-    n_add = int(rng.binomial(len(edges), p)) if edges else 0
-    present = set(surviving)
-    pool = list(ids)
-    added = attempts = 0
-    while added < n_add and attempts < 50 * max(n_add, 1) and len(pool) > 1:
-        u, v = rng.choice(pool, size=2, replace=False)
-        cand = (int(u), int(v))
-        if cand not in present and cand not in edges:
-            present.add(cand)
-            surviving.append(cand)
-            added += 1
-        attempts += 1
-    return ids, tuple(sorted(surviving)), masked
-
-
-def reference_attr_mask(ids, edges, masked, p, rng):
-    flips = rng.random(len(ids)) < p
-    return ids, edges, frozenset(masked) | {n for n, f in zip(ids, flips) if f}
 
 
 def reference_ppr_view(ids, edges, alpha, top_t):
@@ -354,100 +308,265 @@ def reference_ppr_view(ids, edges, alpha, top_t):
     return tuple(kept), tuple(weights)
 
 
-REFERENCE_AUGMENTATIONS = {
-    "node-drop": reference_node_drop,
-    "edge-perturb": reference_edge_perturb,
-    "attr-mask": reference_attr_mask,
-}
-
-
 def random_view(gen):
-    """Sorted global ids with a random directed edge set and mask."""
+    """Sorted global ids with a random directed edge set."""
     ids = tuple(sorted(gen.choice(100, size=int(gen.integers(1, 12)), replace=False).tolist()))
     pairs = [(u, v) for u in ids for v in ids if u != v and gen.random() < 0.3]
-    masked = frozenset(n for n in ids if gen.random() < 0.2)
-    return ids, tuple(pairs), masked
+    return ids, tuple(pairs)
+
+
+# -- augmentations of a union -----------------------------------------------
+
+
+def random_union(gen):
+    """A union of 1-9 views with sorted edges: 1-row views, edgeless views,
+    complete views (every ordered pair ``u != v``) and random ones, an id
+    repeating across views, and mask flags on some unions."""
+    views = []
+    for _ in range(int(gen.integers(1, 10))):
+        m = int(gen.integers(1, 8))
+        ids = tuple(sorted(gen.choice(20, size=m, replace=False).tolist()))
+        density = gen.choice([0.0, 1.0, gen.random()])
+        pairs = [(u, v) for u in range(m) for v in range(m) if u != v and gen.random() < density]
+        views.append(SubgraphView(ids, np.array(pairs, dtype=np.int64).reshape(-1, 2)))
+    union = disjoint_union(views)
+    if gen.random() < 0.5:
+        union = union._replace(masked=gen.random(len(union.node_ids)) < 0.3)
+    return union
+
+
+class RecordingRng:
+    """A generator that records, in call order, each array its ``random``
+    calls return and each ``(trials, draw)`` of its ``binomial`` calls."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.random_draws, self.binomial_draws = [], []
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def random(self, *args, **kwargs):
+        draw = self.rng.random(*args, **kwargs)
+        self.random_draws.append(draw.copy())
+        return draw
+
+    def binomial(self, trials, p):
+        draw = self.rng.binomial(trials, p)
+        self.binomial_draws.append((np.copy(trials), draw.copy()))
+        return draw
+
+
+def flags(union):
+    return np.zeros(len(union.node_ids), dtype=bool) if union.masked is None else union.masked
+
+
+def edge_codes(union):
+    return union.edges[:, 0] * len(union.node_ids) + union.edges[:, 1]
+
+
+def assert_valid(union):
+    """Every segment a valid view: rows in segment order with ``sizes``
+    matching, and sorted unique edges inside their segment, no self-loop."""
+    n = len(union.node_ids)
+    assert union.node_ids.shape == union.segments.shape == (n,)
+    assert np.all(np.diff(union.segments) >= 0)
+    assert union.sizes == np.bincount(union.segments, minlength=union.count).tolist()
+    assert min(union.sizes) >= 1
+    assert union.edges.dtype == np.int64 and union.edges.shape[1] == 2
+    assert ((union.edges >= 0) & (union.edges < n)).all()
+    u, v = union.edges.T
+    assert (u != v).all()
+    assert (union.segments[u] == union.segments[v]).all()
+    assert np.all(np.diff(edge_codes(union)) > 0)  # sorted, no duplicate
+    assert flags(union).shape == (n,)
+
+
+def assert_within_binomial(successes, trials, q):
+    mean = trials * q
+    assert abs(successes - mean) <= 5 * math.sqrt(trials * q * (1 - q)) + 1, (successes, mean)
+
+
+def input_rows(union, out):
+    """The row of ``union`` each row of ``out`` came from, matched by
+    segment and id (ids do not repeat inside a view)."""
+    index = {key: r for r, key in enumerate(zip(union.segments.tolist(), union.node_ids.tolist()))}
+    return np.array([index[key] for key in zip(out.segments.tolist(), out.node_ids.tolist())],
+                    dtype=np.int64)
+
+
+def segment_edges(union):
+    """Each edge as ``(segment, source id, target id)``."""
+    u, v = union.edges.T
+    return set(zip(union.segments[u].tolist(), union.node_ids[u].tolist(), union.node_ids[v].tolist()))
 
 
 class TestAugmentations:
     @pytest.mark.parametrize("variant", ["node-drop", "edge-perturb", "attr-mask"])
     def test_p_zero_is_identity(self, variant):
-        view = make_view()
-        out = augment(variant, view, 0.0, np.random.default_rng(0))
-        assert out.node_ids == view.node_ids
-        assert edge_set(out) == edge_set(view)
-        assert out.masked == view.masked
+        gen = np.random.default_rng(5)
+        for seed in range(50):
+            union = random_union(gen)
+            out = augment(variant, union, 0.0, np.random.default_rng(seed))
+            assert np.array_equal(out.node_ids, union.node_ids)
+            assert np.array_equal(out.edges, union.edges)
+            assert np.array_equal(out.segments, union.segments) and out.sizes == union.sizes
+            assert np.array_equal(flags(out), flags(union))
+
+    @pytest.mark.parametrize("variant", ["node-drop", "edge-perturb", "attr-mask"])
+    def test_equal_seeds_give_equal_unions(self, variant):
+        gen = np.random.default_rng(8)
+        for seed in range(20):
+            union = random_union(gen)
+            first, second = (augment(variant, union, 0.5, np.random.default_rng(seed)) for _ in "ab")
+            assert np.array_equal(first.node_ids, second.node_ids)
+            assert np.array_equal(first.edges, second.edges)
+            assert first.sizes == second.sizes
+            assert np.array_equal(flags(first), flags(second))
+
+    @pytest.mark.parametrize("p", [0.3, 0.8])
+    def test_node_drop_contract(self, p):
+        # One row mask over the union drops each row with probability p;
+        # a segment the mask empties keeps exactly one of its rows; the
+        # result keeps the kept rows' order, edges and mask flags.  The kept
+        # row count of a segment of m rows is X + [X = 0], X ~ Bin(m, 1 - p).
+        gen = np.random.default_rng(11)
+        kept = mean = variance = 0.0
+        for seed in range(250):
+            union = random_union(gen)
+            rng = RecordingRng(seed)
+            out = augment("node-drop", union, p, rng)
+            assert_valid(out)
+            (draw,) = rng.random_draws
+            mask = draw >= p
+            rows = input_rows(union, out)
+            assert np.all(np.diff(rows) > 0)
+            keep = np.zeros(len(union.node_ids), dtype=bool)
+            keep[rows] = True
+            for s in range(union.count):
+                seg = union.segments == s
+                if mask[seg].any():
+                    assert np.array_equal(keep[seg], mask[seg])
+                else:
+                    assert keep[seg].sum() == 1
+            kept_ids = set(zip(union.segments[keep].tolist(), union.node_ids[keep].tolist()))
+            assert segment_edges(out) == {
+                (s, u, v) for s, u, v in segment_edges(union) if {(s, u), (s, v)} <= kept_ids
+            }
+            assert (out.masked is None) == (union.masked is None)
+            assert np.array_equal(flags(out), flags(union)[rows])
+            kept += len(out.node_ids)
+            for m in union.sizes:
+                expect = m * (1 - p) + p**m
+                mean += expect
+                variance += m * (1 - p) * p + (m * (1 - p)) ** 2 + p**m - expect**2
+        assert abs(kept - mean) <= 5 * math.sqrt(variance)
 
     def test_node_drop_forced_retention(self):
-        view = make_view()
-        out = augment("node-drop", view, 0.999999, np.random.default_rng(0))
-        assert len(out.node_ids) == 1
+        union = random_union(np.random.default_rng(4))
+        out = augment("node-drop", union, 0.999999, np.random.default_rng(0))
+        assert out.sizes == [1] * union.count
         assert out.edges.shape == (0, 2)
 
-    def test_node_drop_prunes_edges(self):
-        view = make_view()
-        out = augment("node-drop", view, 0.5, np.random.default_rng(3))
-        kept = set(out.node_ids)
-        assert kept < set(view.node_ids)
-        assert set(global_edges(out)) == {(u, v) for u, v in global_edges(view) if {u, v} <= kept}
-        assert out.edges.dtype == np.int64
-        assert ((out.edges >= 0) & (out.edges < len(out.node_ids))).all()
+    @pytest.mark.parametrize("p", [0.3, 0.9])
+    def test_edge_perturb_contract(self, p):
+        # One drop mask over the union's edges; each segment then adds its
+        # Bin(its edges, p) draw of fresh pairs: none pre-existing, repeated,
+        # self-looped or outside the segment.  It adds fewer only when it runs
+        # out of absent pairs (a complete segment adds none) or when its cap
+        # of 50 draws per pair may bind: then the last pair it needs is
+        # found by a draw with probability below 0.3.
+        gen = np.random.default_rng(12)
+        kept = trials = exact = 0
+        for seed in range(250):
+            union = random_union(gen)
+            rng = RecordingRng(seed)
+            out = augment("edge-perturb", union, p, rng)
+            assert_valid(out)
+            assert np.array_equal(out.node_ids, union.node_ids)
+            assert np.array_equal(out.segments, union.segments) and out.sizes == union.sizes
+            assert np.array_equal(flags(out), flags(union))
+            (drop,), ((trials_in, want),) = rng.random_draws[:1], rng.binomial_draws
+            codes, got = edge_codes(union), set(edge_codes(out).tolist())
+            assert got & set(codes.tolist()) == set(codes[drop >= p].tolist())
+            added = np.array(sorted(got - set(codes.tolist())), dtype=np.int64)
+            per_segment = np.bincount(union.segments[added // len(union.node_ids)],
+                                      minlength=union.count)
+            edges_in = np.bincount(union.segments[union.edges[:, 0]], minlength=union.count)
+            sizes = np.array(union.sizes)
+            assert np.array_equal(trials_in, edges_in)
+            for s in range(union.count):
+                pairs = sizes[s] * (sizes[s] - 1)
+                free = pairs - edges_in[s]
+                target = min(want[s], free)
+                assert per_segment[s] <= target
+                if (free - target + 1) / max(pairs, 1) >= 0.3:
+                    assert per_segment[s] == target
+                    exact += want[s] > 0
+            kept += len(got) - added.size
+            trials += codes.size
+        assert_within_binomial(kept, trials, 1 - p)
+        assert exact > 100
 
-    def test_edge_perturb_preserves_expected_count(self):
-        # Monte-Carlo: removals are balanced by additions in expectation.
-        view = make_view()  # 10 edges
-        rng = np.random.default_rng(7)
-        counts = [
-            len(augment("edge-perturb", view, 0.3, rng).edges)
-            for _ in range(1000)
-        ]
-        assert abs(np.mean(counts) - len(view.edges)) < 2.0
+    def test_edge_perturb_draws_absent_pairs_uniformly_under_the_cap(self):
+        # View 0 has 4 rows and 7 of their 12 ordered pairs; view 1 has 8
+        # rows and every ordered pair but (7, 0).  A segment that draws k
+        # pairs to add makes up to 50 k candidate draws, so view 1 finds its
+        # one absent pair with probability 1 - (55/56)^(50 k); view 0 adds
+        # one of its 5 absent pairs uniformly when it draws k = 1.
+        small = [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0), (1, 2)]
+        large = [(u, v) for u in range(8) for v in range(8) if u != v and (u, v) != (7, 0)]
+        views = [SubgraphView(tuple(range(4)), np.array(small)),
+                 SubgraphView(tuple(range(10, 18)), np.array(large))]
+        union = disjoint_union(views)
+        absent = sorted({(u, v) for u in range(4) for v in range(4) if u != v} - set(small))
+        found = mean = variance = single = 0
+        picks = dict.fromkeys(absent, 0)
+        for seed in range(600):
+            rng = RecordingRng(seed)
+            out = augment("edge-perturb", union, 0.15, rng)
+            ((_, want),) = rng.binomial_draws
+            edges = set(map(tuple, out.edges.tolist()))
+            if want[1]:
+                q = 1 - (55 / 56) ** (50 * want[1])
+                found += (11, 4) in edges  # union rows of ids 17 and 10
+                mean += q
+                variance += q * (1 - q)
+            if want[0] == 1:
+                (pick,) = [e for e in absent if e in edges]
+                picks[pick] += 1
+                single += 1
+        assert abs(found - mean) <= 5 * math.sqrt(variance)
+        assert single > 100
+        for count in picks.values():
+            assert_within_binomial(count, single, 1 / len(absent))
 
-    def test_edge_perturb_adds_only_within_node_set(self):
-        view = make_view()
-        rng = np.random.default_rng(11)
-        out = augment("edge-perturb", view, 0.5, rng)
-        assert out.node_ids == view.node_ids
-        assert out.edges.dtype == np.int64
-        assert ((out.edges >= 0) & (out.edges < len(view.node_ids))).all()
-
-    def test_attr_mask_marks_nodes(self):
-        view = make_view()
-        out = augment("attr-mask", view, 0.5, np.random.default_rng(2))
-        assert out.masked <= set(view.node_ids)
-        assert out.node_ids == view.node_ids
-        assert len(out.masked) > 0
+    def test_attr_mask_contract(self):
+        # One flag per row, OR-ed into the union's flags: each unmasked row
+        # is masked with probability p; rows, edges and old flags stay.
+        gen = np.random.default_rng(13)
+        p = 0.4
+        masked = trials = 0
+        for seed in range(200):
+            union = random_union(gen)
+            out = augment("attr-mask", union, p, np.random.default_rng(seed))
+            assert np.array_equal(out.node_ids, union.node_ids)
+            assert np.array_equal(out.edges, union.edges)
+            assert out.masked.dtype == bool and out.masked.shape == (len(union.node_ids),)
+            before = flags(union)
+            assert out.masked[before].all()
+            masked += out.masked[~before].sum()
+            trials += (~before).sum()
+        assert_within_binomial(masked, trials, p)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown augmentation: 'edge-add'"):
-            augment("edge-add", make_view(), 0.1, np.random.default_rng(0))
+            augment("edge-add", random_union(np.random.default_rng(0)), 0.1, np.random.default_rng(0))
 
     @pytest.mark.parametrize("p", [-0.1, 1.0, float("nan")])
     def test_probability_outside_unit_interval_rejected(self, p):
         with pytest.raises(ValueError, match="augmentation probability"):
-            augment("node-drop", make_view(), p, np.random.default_rng(0))
-
-    @pytest.mark.parametrize("variant", sorted(REFERENCE_AUGMENTATIONS))
-    @pytest.mark.parametrize("p", [0.1, 0.5, 0.99])
-    def test_matches_the_global_id_reference(self, variant, p):
-        # Each augmentation, on positions, gives the relabelled output of the
-        # global-id code it replaced, element for element and in order, and
-        # leaves the rng where that code left it.  p = 0.99 exercises
-        # node-drop's forced retention.
-        gen = np.random.default_rng(2024)
-        for seed in range(60):
-            ids, pairs, masked = random_view(gen)
-            view = SubgraphView(ids, relabel(ids, pairs), masked)
-            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            out = augment(variant, view, p, rng)
-            want_ids, want_edges, want_masked = REFERENCE_AUGMENTATIONS[variant](
-                ids, pairs, masked, p, rng_ref
-            )
-            assert out.node_ids == want_ids
-            assert out.edges.dtype == np.int64
-            assert np.array_equal(out.edges, relabel(want_ids, want_edges))
-            assert out.masked == want_masked
-            assert rng.bit_generator.state == rng_ref.bit_generator.state
+            augment("node-drop", random_union(np.random.default_rng(0)), p, np.random.default_rng(0))
 
 
 def ppr_matrix(edges, n, alpha):
@@ -508,10 +627,10 @@ class TestPprDiffusion:
     def test_view_matches_the_global_id_reference(self, top_t):
         gen = np.random.default_rng(top_t)
         for _ in range(40):
-            ids, pairs, masked = random_view(gen)
-            out = ppr_view(SubgraphView(ids, relabel(ids, pairs), masked), 0.15, top_t)
+            ids, pairs = random_view(gen)
+            out = ppr_view(SubgraphView(ids, relabel(ids, pairs)), 0.15, top_t)
             want_edges, want_weights = reference_ppr_view(ids, pairs, 0.15, top_t)
-            assert out.node_ids == ids and out.masked == masked
+            assert out.node_ids == ids
             assert np.array_equal(out.edges, relabel(ids, want_edges))
             assert out.edge_weights.tolist() == list(want_weights)
 
