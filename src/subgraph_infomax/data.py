@@ -40,6 +40,7 @@ from .graph import (
     KhopPartition,
     SubgraphRecord,
     SubgraphView,
+    _frozen,
     bernoulli_edges,
     induced_partial_subgraph,
     khop_neighbors,
@@ -91,8 +92,9 @@ def sample_observed(
     protocol: ObservationProtocol,
     stage: str,
     rng: np.random.Generator | None = None,
-) -> tuple[int, ...]:
-    """Draw the observed node ids for one record at the given stage."""
+) -> np.ndarray:
+    """Draw the observed node ids for one record at the given stage: sorted,
+    or an ordered protocol's prefix of the record's observation order."""
     if stage not in STAGES:
         raise ValueError(f"unknown stage: {stage!r}")
     if protocol.ordered and record.observation_order is None:
@@ -109,14 +111,11 @@ def sample_observed(
     size = max(1, min(size, len(record.node_ids)))
 
     if protocol.ordered:
-        return tuple(record.observation_order[:size])
-    if stage == "train":
-        picked = rng.choice(len(record.node_ids), size=size, replace=False)
-    else:
-        picked = _frozen_rng(protocol, stage, record).choice(
-            len(record.node_ids), size=size, replace=False
-        )
-    return tuple(sorted(record.node_ids[i] for i in picked))
+        return record.observation_order[:size]
+    gen = rng if stage == "train" else _frozen_rng(protocol, stage, record)
+    picked = gen.choice(len(record.node_ids), size=size, replace=False)
+    picked.sort()  # the ids are sorted, so their positions sort them
+    return _frozen(record.node_ids[picked])
 
 
 def _frozen_key(protocol: ObservationProtocol, stage: str) -> tuple:
@@ -172,9 +171,7 @@ class DatasetBundle:
             rng = np.random.default_rng([protocol.eval_fixed_seed, 104729, idx])
             observed = self.frozen_views(protocol, stage)[idx].node_ids
             partition = khop_neighbors(self.graph, observed, k, cap=cap, rng=rng)
-            # Its edge array plus about 36 bytes (pointer and int) per tuple id.
-            ids = len(partition.node_ids) + len(partition.neighbors)
-            size = partition.edges.nbytes + 36 * ids
+            size = partition.edges.nbytes + partition.node_ids.nbytes + partition.neighbors.nbytes
             if self._partition_bytes + size <= PARTITION_CACHE_BYTES:
                 kept[idx] = partition
                 self._partition_bytes += size
@@ -324,7 +321,7 @@ def _community_walk(
 
 def _record(graph: GlobalGraph, order: list[int], label: int) -> SubgraphRecord:
     """The record of the nodes visited in ``order``, with their induced edges."""
-    return SubgraphRecord(order, graph.induced_edges(order), label, tuple(order))
+    return SubgraphRecord(order, graph.induced_edges(order), label, order)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> DatasetBundle:
@@ -519,8 +516,8 @@ def load_subgraph_file(path, num_nodes: int) -> list[tuple[int, list[int]]]:
             ids = [_parse_int(tok) for tok in parts[1].split(",") if tok]
         except ValueError:
             raise _parse_error(path, lineno, f"bad record line {line!r}") from None
-        if not ids:
-            raise _parse_error(path, lineno, "empty node list")
+        if len(ids) <= parts[1].count(","):
+            raise _parse_error(path, lineno, "empty node id" if ids else "empty node list")
         if min(ids) < 0:
             raise _parse_error(path, lineno, "node ids must be nonnegative")
         if len(set(ids)) != len(ids):
@@ -651,7 +648,7 @@ def save_bundle(bundle: DatasetBundle, out_dir) -> dict[str, str]:
     np.savetxt(paths["edges"], bundle.graph.pairs(), fmt="%d")
     with open(paths["subgraphs"], "w", encoding="utf-8") as fh:
         for record in bundle.records:
-            order = record.observation_order or record.node_ids
+            order = record.node_ids if record.observation_order is None else record.observation_order
             fh.write(f"{record.label}\t{','.join(str(n) for n in order)}\n")
     with open(paths["splits"], "w", encoding="utf-8") as fh:
         for idx, stage in enumerate(bundle.splits):

@@ -4,16 +4,17 @@ All structures are frozen after construction and safe to share across
 concurrent readers.  Edge storage is directed; undirected inputs are
 symmetrized by the loaders before construction.  Neighborhood queries treat
 edges as traversable in both directions.  Graphs and records hold global
-node ids; records and views hold edges as positions into their own ids.
-Only this module turns global ids into positions, once per record and once
-per k-hop partition, and offsets positions when views join one union.
+node ids, one format from record to union: read-only int64 arrays.  Records
+and views hold edges as positions into their own ids.  Only this module
+turns global ids into positions, once per record and once per k-hop
+partition, and offsets positions when views join one union.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -138,22 +139,22 @@ class SubgraphRecord:
     The constructor takes the subgraph's edges as global ``edge_pairs`` and
     relabels them once: ``edges`` is a sorted ``(E, 2)`` int64 array of
     positions into the sorted ``node_ids``, the format of every view, and
-    ``view`` is the full subgraph as one.
+    ``view`` is the full subgraph as one.  Its ids are read-only copies.
     """
 
-    node_ids: tuple[int, ...]
+    node_ids: np.ndarray
     edge_pairs: InitVar[np.ndarray | Sequence[EdgePair]]
     label: int
-    observation_order: tuple[int, ...] | None = None
+    observation_order: np.ndarray | None = None
     edges: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, edge_pairs) -> None:
-        object.__setattr__(self, "node_ids", tuple(sorted(int(n) for n in self.node_ids)))
-        if not self.node_ids:
+        ids = np.sort(np.asarray(self.node_ids, dtype=np.int64).ravel())
+        if not ids.size:
             raise ValueError("a subgraph needs at least one node")
-        if len(set(self.node_ids)) != len(self.node_ids):
+        if (ids[1:] == ids[:-1]).any():
             raise ValueError("duplicate node ids in subgraph")
-        ids = np.array(self.node_ids, dtype=np.int64)
+        object.__setattr__(self, "node_ids", _frozen(ids))
         pairs = np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2)
         pos = np.minimum(np.searchsorted(ids, pairs), ids.size - 1)
         outside = (ids[pos] != pairs).any(axis=1)
@@ -162,10 +163,10 @@ class SubgraphRecord:
             raise ValueError(f"subgraph edge ({u}, {v}) leaves its node set")
         object.__setattr__(self, "edges", _frozen(pos[np.lexsort(pos.T[::-1])]))
         if self.observation_order is not None:
-            order = tuple(int(n) for n in self.observation_order)
-            if sorted(order) != list(self.node_ids):
+            order = np.array(self.observation_order, dtype=np.int64).ravel()
+            if not np.array_equal(np.sort(order), ids):
                 raise ValueError("observation_order must be a permutation of node_ids")
-            object.__setattr__(self, "observation_order", order)
+            object.__setattr__(self, "observation_order", _frozen(order))
 
     @cached_property
     def view(self) -> SubgraphView:
@@ -178,25 +179,25 @@ class SubgraphView:
     """One view of a subgraph for encoding: the full subgraph, its observed
     part, a diffusion, or a k-hop neighbourhood (``KhopPartition``).
 
-    ``edges`` is an ``(E, 2)`` int64 array of (src, dst) positions into
-    ``node_ids``.  ``edge_weights``, when present, aligns with ``edges`` and
-    drives weighted aggregation.
+    ``node_ids`` is a read-only int64 array and ``edges`` an ``(E, 2)``
+    int64 array of (src, dst) positions into it.  ``edge_weights``, when
+    present, aligns with ``edges`` and drives weighted aggregation.
     """
 
-    node_ids: tuple[int, ...]
+    node_ids: np.ndarray
     edges: np.ndarray
     edge_weights: np.ndarray | None = None
 
     def restrict(self, keep: Sequence[bool]) -> SubgraphView:
         """The view on the rows where ``keep`` holds: those nodes in order
         and the edges between them in order.  Edge weights are not carried
-        over.  One Python pass over a list of bools: on the few-node views
-        made per record this beats numpy masks."""
+        over.  One Python pass over a list of bools cuts the edges: on the
+        few-node views made per record this beats numpy masks."""
         rank = list(accumulate(keep, initial=0))  # kept rows before each row
         ends = iter(self.edges.ravel().tolist())
         flat = [w for u, v in zip(ends, ends) if keep[u] and keep[v] for w in (rank[u], rank[v])]
         edges = np.array(flat, dtype=np.int64).reshape(-1, 2)
-        return SubgraphView(tuple(compress(self.node_ids, keep)), edges)
+        return SubgraphView(_frozen(self.node_ids[np.array(keep, dtype=bool)]), edges)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -204,12 +205,12 @@ class KhopPartition(SubgraphView):
     """The k-hop neighbourhood of an observed set, as the view the k-hop
     stage encodes.
 
-    ``node_ids`` is the sorted union of the observed ids and ``neighbors``;
-    ``edges`` holds the global edges induced on it, after edge dropout, as
-    ``(E, 2)`` positions into ``node_ids``.
+    ``node_ids`` is the sorted union of the observed ids and ``neighbors``,
+    both read-only int64 arrays; ``edges`` holds the global edges induced
+    on it, after edge dropout, as ``(E, 2)`` positions into ``node_ids``.
     """
 
-    neighbors: tuple[int, ...] = ()
+    neighbors: np.ndarray = field(kw_only=True)
 
 
 class ViewUnion(NamedTuple):
@@ -245,8 +246,7 @@ def disjoint_union(views: Sequence[SubgraphView]) -> ViewUnion:
     sizes = [len(v.node_ids) for v in views]
     if not min(sizes):
         raise ValueError(f"view {sizes.index(0)} of the union has no node")
-    total = sum(sizes)
-    node_ids = np.fromiter(chain.from_iterable(v.node_ids for v in views), np.int64, total)
+    node_ids = np.concatenate([v.node_ids for v in views])
     starts = np.cumsum(sizes) - sizes
     offsets = np.repeat(starts, [len(v.edges) for v in views])
     edges = np.concatenate([v.edges for v in views]).reshape(-1, 2) + offsets[:, None]
@@ -260,15 +260,17 @@ def disjoint_union(views: Sequence[SubgraphView]) -> ViewUnion:
     return ViewUnion(node_ids, edges, segments, sizes, edge_weights=weights)
 
 
-def induced_partial_subgraph(subgraph: SubgraphRecord, observed: Iterable[int]) -> SubgraphView:
+def induced_partial_subgraph(
+    subgraph: SubgraphRecord, observed: np.ndarray | Iterable[int]
+) -> SubgraphView:
     """The observed view: sorted observed ids and the parent's edges with both
     endpoints observed."""
-    observed_set = set(map(int, observed))
+    observed_set = set(observed.tolist() if isinstance(observed, np.ndarray) else map(int, observed))
     if not observed_set:
         raise ValueError("observed set must be nonempty")
-    keep = list(map(observed_set.__contains__, subgraph.node_ids))
+    keep = list(map(observed_set.__contains__, subgraph.node_ids.tolist()))
     if sum(keep) != len(observed_set):
-        missing = observed_set.difference(subgraph.node_ids)
+        missing = observed_set.difference(subgraph.node_ids.tolist())
         raise ValueError(f"observed ids not in subgraph: {sorted(missing)}")
     return subgraph.view.restrict(keep)
 
@@ -328,7 +330,7 @@ def khop_neighbors(
         if rng is None:
             raise ValueError("edge dropout requires an rng")
         edges = edges[rng.random(len(edges)) >= p_d]
-    return KhopPartition(tuple(node_ids.tolist()), edges, neighbors=tuple(neighbor_ids.tolist()))
+    return KhopPartition(_frozen(node_ids), edges, neighbors=_frozen(neighbor_ids))
 
 
 def bfs_khop_oracle(graph: GlobalGraph, observed: Iterable[int], k: int) -> frozenset[int]:

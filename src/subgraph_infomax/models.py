@@ -34,6 +34,7 @@ from .graph import (
     SubgraphRecord,
     SubgraphView,
     ViewUnion,
+    _frozen,
     disjoint_union,
     khop_neighbors,
 )
@@ -185,7 +186,7 @@ class KhopResult(NamedTuple):
     """One record's pool: its pooled summary row and the ids it pooled."""
 
     s_khop: Tensor
-    selected_ids: tuple[int, ...]
+    selected_ids: np.ndarray
 
 
 class KhopStage(NamedTuple):
@@ -195,14 +196,14 @@ class KhopStage(NamedTuple):
     and its observed summary.  ``loss`` is the membership loss per record,
     ``(B, 1)``, in training and ``None`` in inference.  ``partitions[i]``
     is record ``i``'s k-hop neighbourhood and ``selected_ids[i]`` the ids
-    its pool kept.
+    its pool kept, a read-only int64 array.
     """
 
     s_khop: Tensor
     s_obs: Tensor
     loss: Tensor | None
     partitions: list[KhopPartition]
-    selected_ids: list[tuple[int, ...]]
+    selected_ids: list[np.ndarray]
 
 
 def observation_positions(
@@ -480,7 +481,7 @@ class _ModelBase:
             # flag row per record over the nodes, read once for every row.
             flags = np.zeros((len(records), self.bundle.graph.num_nodes), dtype=bool)
             for row, record in zip(flags, records):
-                row[list(record.node_ids)] = True
+                row[record.node_ids] = True
             segments = np.repeat(np.arange(len(records)), sizes)
             member = flags[segments, np.concatenate(khop_ids)]
             loss = khop_loss(scores, member, segments, len(records))
@@ -534,35 +535,34 @@ class _ModelBase:
 def topk_softmax_pool(
     scores: Tensor,
     h: Tensor,
-    node_ids,
+    node_ids: np.ndarray,
     pool_ratio: float,
     mlp,
     rows,
-) -> tuple[Tensor, tuple[int, ...]]:
+) -> tuple[Tensor, np.ndarray]:
     """Softmax-weighted pooling over the top-scoring rows.
 
     ``rows`` are the rows of ``scores`` (``(N, 1)``) and ``h`` that
-    ``node_ids`` label, in order.  Keeps
+    ``node_ids``, an int64 array, label in order.  Keeps
     ``ceil(pool_ratio * n)`` of those ``n`` rows (at least one), ranked by
     score with ties broken by lower node id, and returns
-    ``softmax(scores[idx]) @ mlp(h[idx])`` plus the selected ids.
+    ``softmax(scores[idx]) @ mlp(h[idx])`` plus the selected ids, read-only.
     """
     if not 0.0 < pool_ratio <= 1.0:
         raise ValueError(f"pool_ratio must be in (0, 1], got {pool_ratio}")
-    ids = np.asarray(node_ids, dtype=np.int64)
-    n = ids.size
+    n = node_ids.size
     rows = np.asarray(rows, dtype=np.int64)
     if scores.shape[1] != 1 or h.shape[0] != scores.shape[0] or rows.shape != (n,):
         raise ValueError(
             f"pooling shapes disagree: scores {scores.shape}, h {h.shape}, {n} ids, {rows.size} rows"
         )
     count = min(n, max(1, math.ceil(pool_ratio * n)))
-    order = np.lexsort((ids, -scores.values[rows, 0]))
+    order = np.lexsort((node_ids, -scores.values[rows, 0]))
     selected = np.sort(order[:count])
     picked = rows[selected]
     weights = ad.softmax_rows(ad.transpose(ad.gather_rows(scores, picked)))
     pooled = ad.matmul(weights, mlp(ad.gather_rows(h, picked)))
-    return pooled, tuple(int(ids[i]) for i in selected)
+    return pooled, _frozen(node_ids[selected])
 
 
 def khop_forward(
@@ -587,7 +587,7 @@ def khop_forward(
     cfg = model.config
     node_ids = partition.node_ids
     rows = np.arange(start, start + len(node_ids))
-    if not cfg.include_observed_in_pool and partition.neighbors:
+    if not cfg.include_observed_in_pool and partition.neighbors.size:
         rows = rows[np.isin(node_ids, partition.neighbors)]
         node_ids = partition.neighbors
     pooled, selected_ids = topk_softmax_pool(

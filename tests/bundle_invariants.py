@@ -25,8 +25,9 @@ def bundle_problem(bundle) -> str | None:
             return f"record {idx} is a single-node subgraph"
         if not all(0 <= node < graph.num_nodes for node in record.node_ids):
             return f"record {idx} references nodes outside the global graph"
+        ids = record.node_ids.tolist()
         for u, v in record.edges.tolist():
-            pair = (record.node_ids[u], record.node_ids[v])
+            pair = (ids[u], ids[v])
             if pair not in edges:
                 return f"record {idx} edge {pair} is not a global edge"
         if not 0 <= record.label < bundle.num_classes:

@@ -113,14 +113,15 @@ def test_criterion_05_pooling_example_and_ties():
 
     scores = Tensor(np.array([[2.0], [1.0], [0.0], [-1.0]]))
     h = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [9.0, 9.0], [9.0, 9.0]]))
-    pooled, ids = topk_softmax_pool(scores, h, [0, 1, 2, 3], 0.5, mlp, np.arange(4))
+    pooled, ids = topk_softmax_pool(scores, h, np.arange(4), 0.5, mlp, np.arange(4))
     hand = np.array([0.73106, 0.26894])
     value_ok = np.allclose(pooled.values[0], hand, atol=1e-5)
 
     tie_scores = Tensor(np.zeros((4, 1)))
     tie_h = Tensor(np.zeros((4, 2)))
+    tie_ids = np.array([7, 3, 9, 5])
     picks = {
-        topk_softmax_pool(tie_scores, tie_h, [7, 3, 9, 5], 0.5, mlp, np.arange(4))[1]
+        tuple(topk_softmax_pool(tie_scores, tie_h, tie_ids, 0.5, mlp, np.arange(4))[1].tolist())
         for _ in range(5)
     }
     tie_ok = picks == {(3, 5)}
@@ -136,7 +137,7 @@ def _frozen_sets_fingerprint(env):
         "from subgraph_infomax.data import ObservationProtocol, SyntheticSpec, generate_synthetic\n"
         "bundle = generate_synthetic(SyntheticSpec())\n"
         "protocol = ObservationProtocol(n_obs=4)\n"
-        "out = {stage: {str(i): list(view.node_ids)\n"
+        "out = {stage: {str(i): view.node_ids.tolist()\n"
         "               for i, view in bundle.frozen_views(protocol, stage).items()}\n"
         "       for stage in ('val', 'test')}\n"
         "print(json.dumps(out, sort_keys=True))\n"
@@ -154,7 +155,7 @@ def test_criterion_06_protocol_invariants(subprocess_env):
     for _ in range(3):
         bundle = generate_synthetic(SyntheticSpec())
         in_process.append(
-            {stage: {i: view.node_ids for i, view in bundle.frozen_views(protocol, stage).items()}
+            {stage: {i: view.node_ids.tolist() for i, view in bundle.frozen_views(protocol, stage).items()}
              for stage in ("val", "test")}
         )
     frozen_ok = in_process[0] == in_process[1] == in_process[2]
@@ -168,8 +169,10 @@ def test_criterion_06_protocol_invariants(subprocess_env):
     )
     ordered = ObservationProtocol(n_obs=7, ordered=True, train_jitter=False)
     prefix_ok = all(
-        sample_observed(record, ObservationProtocol(n_obs=k, ordered=True, train_jitter=False), "val")
-        == record.observation_order[:k]
+        np.array_equal(
+            sample_observed(record, ObservationProtocol(n_obs=k, ordered=True, train_jitter=False), "val"),
+            record.observation_order[:k],
+        )
         for k in range(1, 12)
     )
 

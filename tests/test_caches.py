@@ -13,6 +13,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from id_arrays import assert_ids
 
 from subgraph_infomax import autodiff as ad
 from subgraph_infomax import data, models
@@ -149,7 +150,7 @@ def assert_cold_warm_and_second_model_match(bundle, monkeypatch, variant, **over
 
 
 def assert_views_equal(got, want):
-    assert got.node_ids == want.node_ids
+    assert_ids(got.node_ids, want.node_ids)
     assert got.edges.dtype == want.edges.dtype
     assert np.array_equal(got.edges, want.edges)
     if want.edge_weights is None:
@@ -165,8 +166,8 @@ def kept_partitions(bundle, stage, k, cap):
 
 
 def assert_partitions_equal(got, want):
-    assert got.node_ids == want.node_ids
-    assert got.neighbors == want.neighbors
+    assert_ids(got.node_ids, want.node_ids)
+    assert_ids(got.neighbors, want.neighbors)
     assert got.edges.dtype == want.edges.dtype
     assert np.array_equal(got.edges, want.edges)
 
@@ -193,7 +194,8 @@ def assert_caches_are_fresh(bundle):
 
 
 def partition_bytes(partition):
-    return partition.edges.nbytes + 36 * (len(partition.node_ids) + len(partition.neighbors))
+    """The bytes of a partition's three arrays: edges, ids and neighbours."""
+    return partition.edges.nbytes + partition.node_ids.nbytes + partition.neighbors.nbytes
 
 
 def train_step_grads(model, bundle):
@@ -328,6 +330,22 @@ class TestEvaluateAgainstTheOldPath:
         assert kept_partitions(bundle, "val", 1, model.config.neighbor_cap) == {}
         assert bundle._partition_bytes == budget
         assert_caches_are_fresh(bundle)
+
+    def test_the_cache_counts_the_exact_bytes_it_keeps(self, bundle, monkeypatch):
+        # Each partition counts the bytes of its arrays.  Before, each id
+        # counted a guessed 36 bytes (a tuple's pointer and int), more than
+        # its 8, so a budget of one partition's bytes kept none.
+        views = bundle.frozen_views(PROTOCOL, "test")
+        first = bundle.indices("test")[0]
+        budget = partition_bytes(khop_neighbors(bundle.graph, views[first].node_ids, 1, cap=None))
+        monkeypatch.setattr(data, "PARTITION_CACHE_BYTES", budget)
+        model = make_model(bundle, "khop")
+        evaluate(model, bundle, PROTOCOL, "test")
+        kept = kept_partitions(bundle, "test", 1, model.config.neighbor_cap)
+        assert list(kept) == [first]
+        assert bundle._partition_bytes == budget == sum(
+            p.edges.nbytes + p.node_ids.nbytes + p.neighbors.nbytes for p in kept.values()
+        )
 
 
 class TestFullDiffusionCache:

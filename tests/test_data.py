@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from id_arrays import assert_ids
 
 from subgraph_infomax import data as data_module
 from subgraph_infomax.data import (
@@ -53,14 +54,14 @@ class TestSampleObserved:
     def test_ordered_prefix(self):
         protocol = ObservationProtocol(n_obs=3, ordered=True, train_jitter=False)
         got = sample_observed(ordered_record(), protocol, "train", np.random.default_rng(0))
-        assert got == (4, 2, 5)
+        assert_ids(got, (4, 2, 5))
 
     def test_ordered_always_prefix_property(self):
         record = ordered_record()
         for n_obs in range(1, 6):
             protocol = ObservationProtocol(n_obs=n_obs, ordered=True, train_jitter=False)
             got = sample_observed(record, protocol, "val")
-            assert got == record.observation_order[:n_obs]
+            assert_ids(got, record.observation_order[:n_obs])
 
     def test_ordered_without_order_rejected(self):
         protocol = ObservationProtocol(n_obs=2, ordered=True)
@@ -72,18 +73,20 @@ class TestSampleObserved:
         record = big_record()
         first = sample_observed(record, protocol, "val")
         second = sample_observed(record, protocol, "val")
-        assert first == second
+        assert_ids(second, first)
 
     def test_val_and_test_sets_differ_in_general(self):
         protocol = ObservationProtocol(n_obs=6)
         record = big_record()
-        assert sample_observed(record, protocol, "val") != sample_observed(record, protocol, "test")
+        assert not np.array_equal(
+            sample_observed(record, protocol, "val"), sample_observed(record, protocol, "test")
+        )
 
     def test_eval_seed_changes_frozen_sets(self):
         record = big_record()
         a = sample_observed(record, ObservationProtocol(n_obs=5, eval_fixed_seed=1), "test")
         b = sample_observed(record, ObservationProtocol(n_obs=5, eval_fixed_seed=2), "test")
-        assert a != b
+        assert not np.array_equal(a, b)
 
     def test_train_jitter_covers_all_five_sizes(self):
         protocol = ObservationProtocol(n_obs=8, train_jitter=True)
@@ -98,7 +101,7 @@ class TestSampleObserved:
         protocol = ObservationProtocol(n_obs=4, train_jitter=False)
         record = big_record()
         rng = np.random.default_rng(0)
-        seen = {sample_observed(record, protocol, "train", rng) for _ in range(100)}
+        seen = {sample_observed(record, protocol, "train", rng).tobytes() for _ in range(100)}
         assert len(seen) >= 2
 
     def test_sizes_clamped_to_subgraph(self):
@@ -114,7 +117,7 @@ class TestSampleObserved:
 
     def test_ordered_fixed_size_train_draw_needs_no_rng(self):
         protocol = ObservationProtocol(n_obs=2, ordered=True, train_jitter=False)
-        assert sample_observed(ordered_record(), protocol, "train") == (4, 2)
+        assert_ids(sample_observed(ordered_record(), protocol, "train"), (4, 2))
 
 
 class TestMakeSplits:
@@ -145,7 +148,7 @@ class TestSynthetic:
         b = generate_synthetic(spec)
         assert np.array_equal(a.graph.pairs(), b.graph.pairs())
         assert all(
-            ra.node_ids == rb.node_ids and ra.label == rb.label
+            np.array_equal(ra.node_ids, rb.node_ids) and ra.label == rb.label
             for ra, rb in zip(a.records, b.records)
         )
         assert np.array_equal(a.embedding_values, b.embedding_values)
@@ -234,7 +237,8 @@ class TestBundle:
         protocol = ObservationProtocol(n_obs=3)
         a, b = (generate_synthetic(spec).frozen_views(protocol, "test") for _ in range(2))
         assert a.keys() == b.keys()
-        assert all(a[i].node_ids == b[i].node_ids for i in a)
+        for i in a:
+            assert_ids(b[i].node_ids, a[i].node_ids)
         assert all(np.array_equal(a[i].edges, b[i].edges) for i in a)
 
     def test_frozen_views_reject_train(self):
@@ -295,10 +299,10 @@ class TestFileRoundTrip:
         assert loaded.splits == bundle.splits
         assert np.array_equal(loaded.embedding_values, bundle.embedding_values)
         for got, want in zip(loaded.records, bundle.records):
-            assert got.node_ids == want.node_ids
+            assert_ids(got.node_ids, want.node_ids)
             assert got.label == want.label
             assert np.array_equal(got.edges, want.edges)
-            assert got.observation_order == want.observation_order
+            assert_ids(got.observation_order, want.observation_order)
 
     def test_round_trip_keeps_a_last_node_without_edges(self, tmp_path):
         # The edge file ends before node 59, which has no edge; the node count
@@ -315,8 +319,28 @@ class TestFileRoundTrip:
         assert np.array_equal(loaded.graph.pairs(), bundle.graph.pairs())
         assert np.array_equal(loaded.embedding_values, bundle.embedding_values)
         for got, want in zip(loaded.records, bundle.records):
-            assert got.node_ids == want.node_ids
+            assert_ids(got.node_ids, want.node_ids)
             assert np.array_equal(got.edges, want.edges)
+
+    def test_round_trip_of_records_without_an_observation_order(self, tmp_path):
+        # Such a record is written as its sorted ids, and loads back with
+        # them as its observation order.
+        graph = GlobalGraph(5, [(0, 1), (1, 0), (3, 4), (4, 3)])
+        records = (
+            SubgraphRecord((4, 3), ((3, 4), (4, 3)), 0),
+            SubgraphRecord((2, 1, 0), ((0, 1), (1, 0)), 1),
+        )
+        bundle = DatasetBundle(graph, records, 2, ("train", "test"))
+        paths = save_bundle(bundle, tmp_path)
+        assert Path(paths["subgraphs"]).read_text(encoding="utf-8") == "0\t3,4\n1\t0,1,2\n"
+        loaded = load_dataset(paths["edges"], paths["subgraphs"], split=paths["splits"])
+        assert loaded.splits == bundle.splits
+        for got, want in zip(loaded.records, records):
+            assert want.observation_order is None
+            assert_ids(got.node_ids, want.node_ids)
+            assert_ids(got.observation_order, want.node_ids)
+            assert got.label == want.label
+            assert got.edges.tobytes() == want.edges.tobytes()
 
     def test_record_id_outside_the_edge_file_reports_lineno(self, tmp_path):
         # Before, the graph grew to the largest record id: 3,000,001 nodes.
@@ -426,6 +450,15 @@ class TestFileRoundTrip:
         assert load_subgraph_file(path, 8) == [(1, [0, 7, 2])]
         path.write_text("+1\ttrain\n 00\ttest\n", encoding="utf-8")
         assert load_split_file(path, 2) == ("test", "train")
+
+    # An empty id was dropped without a word: "0<TAB>1,,2" loaded as
+    # (0, [1, 2]) and "1<TAB>3,4," as (1, [3, 4]).
+    @pytest.mark.parametrize("ids", ["1,,2", "3,4,", ",3"])
+    def test_an_empty_node_id_reports_lineno(self, tmp_path, ids):
+        path = tmp_path / "subs.tsv"
+        path.write_text(f"0\t1,2\n1\t{ids}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"subs\.tsv:2: empty node id$"):
+            load_subgraph_file(path, 8)
 
     def test_split_index_listed_twice_reports_lineno(self, tmp_path):
         # The later line used to win silently: ('test', 'val', 'test').
@@ -676,7 +709,9 @@ def test_load_dataset_matches_the_per_line_readers(dataset_files, monkeypatch):
     assert got.splits == want.splits and got.num_classes == want.num_classes
     assert len(got.records) == len(want.records)
     for a, b in zip(got.records, want.records):
-        assert (a.node_ids, a.label, a.observation_order) == (b.node_ids, b.label, b.observation_order)
+        assert_ids(a.node_ids, b.node_ids)
+        assert_ids(a.observation_order, b.observation_order)
+        assert a.label == b.label
         assert a.edges.tobytes() == b.edges.tobytes()
 
 

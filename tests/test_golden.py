@@ -257,7 +257,9 @@ def khop_stage_digest(name: str) -> str:
     stage = model.khop_stage([record], [partial], rng=rng, training=True)
     ad.backward(ad.add(ad.sum(stage.s_khop), stage.loss))
     digest = hashlib.sha256()
-    ids_and_loss = [stage.partitions[0].node_ids, stage.selected_ids[0], stage.loss.item().hex()]
+    ids_and_loss = [
+        stage.partitions[0].node_ids.tolist(), stage.selected_ids[0].tolist(), stage.loss.item().hex()
+    ]
     digest.update(json.dumps(ids_and_loss).encode())
     digest.update(stage.s_khop.values.tobytes())
     for param_name, tensor in model.store.items():
