@@ -40,8 +40,8 @@ from .graph import (
     KhopPartition,
     SubgraphRecord,
     SubgraphView,
-    _frozen,
     bernoulli_edges,
+    id_array,
     induced_partial_subgraph,
     khop_neighbors,
 )
@@ -82,9 +82,8 @@ class ObservationProtocol:
 def _frozen_rng(protocol: ObservationProtocol, stage: str, record: SubgraphRecord):
     # Content-derived seeding keeps the eval sets identical across epochs,
     # processes, and model variants.
-    entropy = [protocol.eval_fixed_seed, _STAGE_CODE[stage], len(record.node_ids)]
-    entropy.extend(record.node_ids)
-    return np.random.default_rng(entropy)
+    ids = record.node_ids.tolist()
+    return np.random.default_rng([protocol.eval_fixed_seed, _STAGE_CODE[stage], len(ids), *ids])
 
 
 def sample_observed(
@@ -115,7 +114,7 @@ def sample_observed(
     gen = rng if stage == "train" else _frozen_rng(protocol, stage, record)
     picked = gen.choice(len(record.node_ids), size=size, replace=False)
     picked.sort()  # the ids are sorted, so their positions sort them
-    return _frozen(record.node_ids[picked])
+    return id_array(record.node_ids[picked])
 
 
 def _frozen_key(protocol: ObservationProtocol, stage: str) -> tuple:

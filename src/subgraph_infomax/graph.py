@@ -98,8 +98,13 @@ def bernoulli_edges(prob: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+    arr.setflags(write=False)  # 0.2 us; arr.flags.writeable = False takes 0.5 (Xeon, numpy 2.4)
     return arr
+
+
+def id_array(ids) -> np.ndarray:
+    """``ids`` as the one node-id format, a read-only int64 array (in place)."""
+    return _frozen(np.asarray(ids, dtype=np.int64))
 
 
 def _sorted_unique(codes: np.ndarray) -> np.ndarray:
@@ -179,14 +184,21 @@ class SubgraphView:
     """One view of a subgraph for encoding: the full subgraph, its observed
     part, a diffusion, or a k-hop neighbourhood (``KhopPartition``).
 
-    ``node_ids`` is a read-only int64 array and ``edges`` an ``(E, 2)``
-    int64 array of (src, dst) positions into it.  ``edge_weights``, when
-    present, aligns with ``edges`` and drives weighted aggregation.
+    ``node_ids`` is an int64 array and ``edges`` an ``(E, 2)`` int64 array
+    of (src, dst) positions into it.  ``edge_weights``, when present, aligns
+    with ``edges`` and drives weighted aggregation.  The bundle's frozen
+    cache shares views, so the constructor makes all three read-only.
     """
 
     node_ids: np.ndarray
     edges: np.ndarray
     edge_weights: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "node_ids", id_array(self.node_ids))
+        _frozen(self.edges)
+        if self.edge_weights is not None:
+            _frozen(self.edge_weights)
 
     def restrict(self, keep: Sequence[bool]) -> SubgraphView:
         """The view on the rows where ``keep`` holds: those nodes in order
@@ -197,7 +209,7 @@ class SubgraphView:
         ends = iter(self.edges.ravel().tolist())
         flat = [w for u, v in zip(ends, ends) if keep[u] and keep[v] for w in (rank[u], rank[v])]
         edges = np.array(flat, dtype=np.int64).reshape(-1, 2)
-        return SubgraphView(_frozen(self.node_ids[np.array(keep, dtype=bool)]), edges)
+        return SubgraphView(self.node_ids[np.array(keep, dtype=bool)], edges)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -260,12 +272,10 @@ def disjoint_union(views: Sequence[SubgraphView]) -> ViewUnion:
     return ViewUnion(node_ids, edges, segments, sizes, edge_weights=weights)
 
 
-def induced_partial_subgraph(
-    subgraph: SubgraphRecord, observed: np.ndarray | Iterable[int]
-) -> SubgraphView:
-    """The observed view: sorted observed ids and the parent's edges with both
-    endpoints observed."""
-    observed_set = set(observed.tolist() if isinstance(observed, np.ndarray) else map(int, observed))
+def induced_partial_subgraph(subgraph: SubgraphRecord, observed: np.ndarray) -> SubgraphView:
+    """The observed view of the int64 id array ``observed``: sorted observed
+    ids and the parent's edges with both endpoints observed."""
+    observed_set = set(observed.tolist())
     if not observed_set:
         raise ValueError("observed set must be nonempty")
     keep = list(map(observed_set.__contains__, subgraph.node_ids.tolist()))
@@ -277,20 +287,20 @@ def induced_partial_subgraph(
 
 def khop_neighbors(
     graph: GlobalGraph,
-    observed: Iterable[int],
+    observed: np.ndarray,
     k: int,
     cap: int | None = DEFAULT_NEIGHBOR_CAP,
     p_d: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> KhopPartition:
-    """Sample the k-hop neighborhood of an observed node set.
+    """Sample the k-hop neighborhood of an observed id array.
 
     Neighbors are the BFS frontier union at distances 1..k, excluding the
     observed nodes.  If ``cap`` is exceeded, neighbors are uniformly
     subsampled to ``cap``; ``cap=None`` means unlimited.  Each induced edge is
     dropped independently with probability ``p_d``.
     """
-    observed_ids = np.fromiter(observed, dtype=np.int64)
+    observed_ids = np.asarray(observed, dtype=np.int64)
     if not observed_ids.size:
         raise ValueError("observed set must be nonempty")
     if k < 1:
@@ -330,7 +340,7 @@ def khop_neighbors(
         if rng is None:
             raise ValueError("edge dropout requires an rng")
         edges = edges[rng.random(len(edges)) >= p_d]
-    return KhopPartition(_frozen(node_ids), edges, neighbors=_frozen(neighbor_ids))
+    return KhopPartition(node_ids, edges, neighbors=_frozen(neighbor_ids))
 
 
 def bfs_khop_oracle(graph: GlobalGraph, observed: Iterable[int], k: int) -> frozenset[int]:
@@ -340,18 +350,16 @@ def bfs_khop_oracle(graph: GlobalGraph, observed: Iterable[int], k: int) -> froz
     ``khop_neighbors``; used to validate it.
     """
     observed_set = frozenset(int(n) for n in observed)
-    dist = {n: 0 for n in observed_set}
-    frontier = set(observed_set)
+    seen, frontier = set(observed_set), set(observed_set)
     for _ in range(k):
         nxt: set[int] = set()
         for u, v in graph.pairs().tolist():
-            if u in frontier and v not in dist:
+            if u in frontier and v not in seen:
                 nxt.add(v)
-            if v in frontier and u not in dist:
+            if v in frontier and u not in seen:
                 nxt.add(u)
         if not nxt:
             break
-        for node in nxt:
-            dist[node] = 1
+        seen |= nxt
         frontier = nxt
-    return frozenset(dist) - observed_set
+    return frozenset(seen) - observed_set

@@ -11,7 +11,6 @@ positive score grows.
 from __future__ import annotations
 
 import logging
-import math
 from typing import NamedTuple, Sequence
 
 import numpy as np

@@ -34,8 +34,8 @@ from .graph import (
     SubgraphRecord,
     SubgraphView,
     ViewUnion,
-    _frozen,
     disjoint_union,
+    id_array,
     khop_neighbors,
 )
 from .infomax import (
@@ -217,11 +217,8 @@ def observation_positions(
         return None
     if not all(ordered):
         raise ValueError("positional encoding needs an observation order on every record or on none")
-    positions = []
-    for record, view in zip(records, views):
-        rank = {n: i for i, n in enumerate(record.observation_order)}
-        positions.extend(rank[n] for n in view.node_ids)
-    return positions
+    ranks = [{n: i for i, n in enumerate(r.observation_order.tolist())} for r in records]
+    return [rank[n] for rank, view in zip(ranks, views) for n in view.node_ids.tolist()]
 
 
 def _union_chunks(edge_counts: Sequence[int], budget: int) -> list[tuple[int, int]]:
@@ -457,14 +454,13 @@ class _ModelBase:
         s_obs = self.readout(h_obs, observed, positions)
 
         chunks = _union_chunks([len(p.edges) for p in partitions], KHOP_UNION_EDGES)
-        h_parts, score_parts, khop_ids = [], [], []
+        h_parts, score_parts = [], []
         for lo, hi in chunks:
             union, h = self.encode_views(partitions[lo:hi], training, rng)
             # Each row against its own record's summary only: h_j W s_i.
             s = ad.gather_rows(s_obs, union.segments + lo)
             score_parts.append(ad.sum(ad.mul(self.khop_discriminator.project(h), s), 1))
             h_parts.append(h)
-            khop_ids.append(union.node_ids)
         h_khop, scores = h_parts[0], score_parts[0]
         if len(chunks) > 1:
             h_khop, scores = ad.concat(h_parts, 0), ad.concat(score_parts, 0)
@@ -483,7 +479,7 @@ class _ModelBase:
             for row, record in zip(flags, records):
                 row[record.node_ids] = True
             segments = np.repeat(np.arange(len(records)), sizes)
-            member = flags[segments, np.concatenate(khop_ids)]
+            member = flags[segments, np.concatenate([p.node_ids for p in partitions])]
             loss = khop_loss(scores, member, segments, len(records))
         return KhopStage(
             s_khop=ad.concat([pool.s_khop for pool in pools], 0),
@@ -538,12 +534,12 @@ def topk_softmax_pool(
     node_ids: np.ndarray,
     pool_ratio: float,
     mlp,
-    rows,
+    rows: np.ndarray,
 ) -> tuple[Tensor, np.ndarray]:
     """Softmax-weighted pooling over the top-scoring rows.
 
     ``rows`` are the rows of ``scores`` (``(N, 1)``) and ``h`` that
-    ``node_ids``, an int64 array, label in order.  Keeps
+    ``node_ids`` label in order, both int64 arrays.  Keeps
     ``ceil(pool_ratio * n)`` of those ``n`` rows (at least one), ranked by
     score with ties broken by lower node id, and returns
     ``softmax(scores[idx]) @ mlp(h[idx])`` plus the selected ids, read-only.
@@ -551,7 +547,6 @@ def topk_softmax_pool(
     if not 0.0 < pool_ratio <= 1.0:
         raise ValueError(f"pool_ratio must be in (0, 1], got {pool_ratio}")
     n = node_ids.size
-    rows = np.asarray(rows, dtype=np.int64)
     if scores.shape[1] != 1 or h.shape[0] != scores.shape[0] or rows.shape != (n,):
         raise ValueError(
             f"pooling shapes disagree: scores {scores.shape}, h {h.shape}, {n} ids, {rows.size} rows"
@@ -562,7 +557,7 @@ def topk_softmax_pool(
     picked = rows[selected]
     weights = ad.softmax_rows(ad.transpose(ad.gather_rows(scores, picked)))
     pooled = ad.matmul(weights, mlp(ad.gather_rows(h, picked)))
-    return pooled, _frozen(node_ids[selected])
+    return pooled, id_array(node_ids[selected])
 
 
 def khop_forward(

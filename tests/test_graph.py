@@ -1,4 +1,5 @@
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from id_arrays import assert_ids
 from subgraph_infomax.data import SyntheticSpec, generate_synthetic, load_dataset, save_bundle
 from subgraph_infomax.graph import (
     GlobalGraph,
-    KhopPartition,
     SubgraphRecord,
     SubgraphView,
     bernoulli_edges,
@@ -140,9 +140,9 @@ def assert_record_matches_reference(record, pairs, rng, trials=3):
     assert_positions(full.edges, record.node_ids, record_edges)
     for _ in range(trials):
         size = int(rng.integers(1, len(record.node_ids) + 1))
-        observed = rng.choice(record.node_ids, size=size, replace=False).tolist()
+        observed = rng.choice(record.node_ids, size=size, replace=False)
         partial = induced_partial_subgraph(record, observed)
-        node_ids, edges = reference_partial(record_edges, observed)
+        node_ids, edges = reference_partial(record_edges, observed.tolist())
         assert_ids(partial.node_ids, node_ids)
         assert_positions(partial.edges, node_ids, edges)
 
@@ -174,7 +174,7 @@ def reference_khop_neighbors(graph, observed, k, cap, p_d, rng):
     if p_d > 0.0:
         keep = rng.random(len(edges)) >= p_d
         edges = [e for e, k_ in zip(edges, keep) if k_]
-    return KhopPartition(node_ids, tuple(edges), neighbors=neighbors)
+    return SimpleNamespace(node_ids=node_ids, edges=tuple(edges), neighbors=neighbors)
 
 
 class TestAgainstReference:
@@ -220,7 +220,7 @@ class TestAgainstReference:
     )
     def test_khop_matches_reference(self, graph, k, cap, p_d, seed, data):
         ids = st.integers(min_value=0, max_value=graph.num_nodes - 1)
-        observed = data.draw(st.sets(ids, min_size=1, max_size=5))
+        observed = np.array(sorted(data.draw(st.sets(ids, min_size=1, max_size=5))))
         rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         fast = khop_neighbors(graph, observed, k, cap=cap, p_d=p_d, rng=rng_fast)
         ref = reference_khop_neighbors(graph, observed, k, cap, p_d, rng_ref)
@@ -359,7 +359,7 @@ class TestSubgraphRecord:
 class TestInducedPartialSubgraph:
     def test_induced_edge_definition(self):
         record = SubgraphRecord(node_ids=(1, 2, 3), edge_pairs=((1, 2), (2, 3)), label=0)
-        partial = induced_partial_subgraph(record, {1, 2})
+        partial = induced_partial_subgraph(record, np.array([1, 2]))
         assert_ids(partial.node_ids, (1, 2))
         assert partial.edges.tolist() == [[0, 1]]
 
@@ -380,22 +380,22 @@ class TestInducedPartialSubgraph:
             edge_pairs=((0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)),
             label=0,
         )
-        partial = induced_partial_subgraph(record, {0, 3})
+        partial = induced_partial_subgraph(record, np.array([0, 3]))
         assert partial.edges.shape == (0, 2) and partial.edges.dtype == np.int64
 
     def test_empty_observed_rejected(self):
         record = SubgraphRecord(node_ids=(1, 2), edge_pairs=(), label=0)
         with pytest.raises(ValueError):
-            induced_partial_subgraph(record, set())
+            induced_partial_subgraph(record, np.array([], dtype=np.int64))
 
     def test_foreign_id_rejected(self):
         record = SubgraphRecord(node_ids=(1, 2), edge_pairs=(), label=0)
         with pytest.raises(ValueError):
-            induced_partial_subgraph(record, {1, 9})
+            induced_partial_subgraph(record, np.array([1, 9]))
 
     def test_idempotent(self):
         record = SubgraphRecord(node_ids=(1, 2, 3), edge_pairs=((1, 2), (2, 3)), label=0)
-        once = induced_partial_subgraph(record, {1, 2})
+        once = induced_partial_subgraph(record, np.array([1, 2]))
         again = induced_partial_subgraph(record, once.node_ids)
         assert_ids(again.node_ids, once.node_ids)
         assert np.array_equal(once.edges, again.edges)
@@ -449,27 +449,27 @@ class TestRecordEdgesAgainstGlobalTuples:
 class TestKhopNeighbors:
     def test_star_one_hop(self):
         g = star_graph(4)
-        part = khop_neighbors(g, {0}, k=1, cap=None, p_d=0.0)
+        part = khop_neighbors(g, [0], k=1, cap=None, p_d=0.0)
         assert set(part.neighbors) == {1, 2, 3, 4}
 
     def test_path_one_hop(self):
         g = path_graph(5)
-        part = khop_neighbors(g, {2}, k=1, cap=None, p_d=0.0)
+        part = khop_neighbors(g, [2], k=1, cap=None, p_d=0.0)
         assert set(part.neighbors) == {1, 3}
 
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError):
-            khop_neighbors(path_graph(3), {0}, k=0)
+            khop_neighbors(path_graph(3), [0], k=0)
 
     def test_cap_zero_rejected(self):
         with pytest.raises(ValueError):
-            khop_neighbors(path_graph(3), {0}, k=1, cap=0)
+            khop_neighbors(path_graph(3), [0], k=1, cap=0)
 
     def test_partition_is_the_view_the_stage_encodes(self):
         # The k-hop stage encodes partitions as they are; their union equals
         # the union of plain views of the same ids and edges.
         g = star_graph(6)
-        parts = [khop_neighbors(g, observed, k=1, cap=None) for observed in ({0}, {1, 2}, {3})]
+        parts = [khop_neighbors(g, observed, k=1, cap=None) for observed in ([0], [1, 2], [3])]
         assert all(isinstance(p, SubgraphView) for p in parts)
         got = disjoint_union(parts)
         want = disjoint_union([SubgraphView(p.node_ids, p.edges) for p in parts])
@@ -478,14 +478,14 @@ class TestKhopNeighbors:
 
     def test_no_dropout_keeps_exact_induced_edges(self):
         g = star_graph(4)
-        part = khop_neighbors(g, {0}, k=1, cap=None, p_d=0.0)
+        part = khop_neighbors(g, [0], k=1, cap=None, p_d=0.0)
         assert_ids(part.node_ids, (0, 1, 2, 3, 4))
         assert np.array_equal(part.edges, g.induced_edges({0, 1, 2, 3, 4}))
 
     def test_cap_subsamples_with_rng(self):
         g = star_graph(10)
         rng = np.random.default_rng(0)
-        part = khop_neighbors(g, {0}, k=1, cap=3, p_d=0.0, rng=rng)
+        part = khop_neighbors(g, [0], k=1, cap=3, p_d=0.0, rng=rng)
         assert len(part.neighbors) == 3
         assert set(part.neighbors) <= set(range(1, 11))
         assert_ids(part.node_ids, (0, *part.neighbors))

@@ -5,8 +5,9 @@ tuples of Python ints.  The tuple-era ``sample_observed``,
 ``induced_partial_subgraph`` and ``khop_neighbors`` are kept here as
 oracles: the array path gives the same ids, the same edge bytes and the
 same rng state after every call.  The contract tests check that every id
-array is int64 and refuses writes, so no caller can corrupt a record or a
-view that the bundle's frozen cache shares across models and seeds.
+array is int64 and refuses writes, and so do the edges and edge weights of
+every view, so no caller can corrupt a record or a view that the bundle's
+frozen cache shares across models and seeds.
 """
 
 from itertools import accumulate, compress
@@ -23,11 +24,13 @@ from subgraph_infomax.data import (
 )
 from subgraph_infomax.graph import (
     SubgraphRecord,
+    SubgraphView,
     _csr_rows,
     _sorted_unique,
     induced_partial_subgraph,
     khop_neighbors,
 )
+from subgraph_infomax.infomax import ppr_view
 from subgraph_infomax.models import ModelConfig, build_model
 
 # -- the tuple-era oracles --------------------------------------------------
@@ -188,27 +191,51 @@ def assert_frozen(ids):
     assert_ids(ids, before)
 
 
+def assert_view_frozen(view):
+    """The view's ids, edges and edge weights all refuse a write."""
+    assert_frozen(view.node_ids)
+    for arr in (view.edges, view.edge_weights):
+        if arr is not None:
+            before = arr.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+            assert np.array_equal(arr, before)
+
+
 def test_every_id_array_is_read_only(bundle):
     record = bundle.records[0]
     assert_frozen(record.node_ids)
     assert_frozen(record.observation_order)
-    assert_frozen(record.view.node_ids)
+    assert_view_frozen(record.view)
     gen = np.random.default_rng(0)
     for ordered in (False, True):
         protocol = ObservationProtocol(n_obs=3, ordered=ordered)
         for stage in ("train", "val"):
             observed = sample_observed(record, protocol, stage, gen)
             assert_frozen(observed)
-            assert_frozen(induced_partial_subgraph(record, observed).node_ids)
+            assert_view_frozen(induced_partial_subgraph(record, observed))
     protocol = ObservationProtocol(n_obs=3)
     for idx, view in bundle.frozen_views(protocol, "test").items():
-        assert_frozen(view.node_ids)
+        assert_view_frozen(view)
         partition = bundle.frozen_partition(protocol, "test", idx, 1, 3)
-        assert_frozen(partition.node_ids)
+        assert_view_frozen(partition)
         assert_frozen(partition.neighbors)
+        assert_view_frozen(bundle.diffusion(bundle.records[idx], 0.15, 4))
     partition = khop_neighbors(bundle.graph, record.node_ids[:2], 2, cap=3, p_d=0.3, rng=gen)
-    assert_frozen(partition.node_ids)
+    assert_view_frozen(partition)
     assert_frozen(partition.neighbors)
+
+
+def test_a_view_holds_its_arrays_read_only():
+    """Ids given in another form become an int64 array; the arrays given
+    are made read-only in place."""
+    edges = np.array([[0, 1], [1, 0]], dtype=np.int64)
+    view = SubgraphView((5, 9), edges)
+    assert_ids(view.node_ids, (5, 9))
+    assert view.edges is edges and not edges.flags.writeable
+    diffused = ppr_view(view, alpha=0.2, top_t=2)
+    assert diffused.node_ids is view.node_ids
+    assert_view_frozen(diffused)
 
 
 def test_pooled_ids_are_read_only(bundle):
