@@ -50,6 +50,7 @@ __all__ = [
     "sqrt",
     "log_sigmoid",
     "softmax_rows",
+    "segment_softmax",
     "logsumexp_rows",
     "sum",
     "mean",
@@ -386,6 +387,24 @@ def softmax_rows(a: Tensor) -> Tensor:
 
     def bwd(g: Array) -> None:
         inner = (g * out).sum(axis=1, keepdims=True)
+        _accum(a, out * (g - inner))
+
+    return _make(out, (a,), bwd)
+
+
+def segment_softmax(a: Tensor, segments, num_segments: int) -> Tensor:
+    """Softmax of each column over the rows of each segment: entry ``(r, c)``
+    is ``exp(a[r, c])`` over the sum of ``exp`` down column ``c`` of row
+    ``r``'s segment, each segment shifted by its own maximum.  The rows of
+    one segment need not be adjacent; an empty segment has no row."""
+    seg = _segment_ids("segment_softmax", a, segments, num_segments)
+    top = np.full((num_segments, a.shape[1]), -np.inf)
+    np.maximum.at(top, seg, a.values)
+    e = np.exp(a.values - top[seg])
+    out = e / _scatter_sum(e, seg, num_segments)[seg]
+
+    def bwd(g: Array) -> None:
+        inner = _scatter_sum(g * out, seg, num_segments)[seg]
         _accum(a, out * (g - inner))
 
     return _make(out, (a,), bwd)

@@ -268,25 +268,35 @@ class GatedAttentionReadout:
 
 class BilinearDiscriminator:
     """Pairing score h^T W s, linear in each argument: ``(h, s)`` gives one
-    row per row of ``h`` and one column per summary row of ``s``.
-
-    ``project(h)`` is ``h W``; scoring each row against one summary of its
-    own is ``sum(project(h) * s, 1)``.
+    row per row of ``h`` and one column per summary row of ``s``, and
+    ``own(h, s, segments)`` scores each row of ``h`` against its own
+    summary row only.
     """
 
     def __init__(self, store: ParameterStore, name: str, dim: int, rng: np.random.Generator):
         self.dim = dim
         self.w = store.create(name, (dim, dim), rng)
 
-    def project(self, h: Tensor) -> Tensor:
-        if h.shape[1] != self.dim:
-            raise ValueError(f"discriminator width mismatch: h {h.shape}, dim {self.dim}")
-        return ad.matmul(h, self.w)
+    def _check(self, h: Tensor, s: Tensor) -> None:
+        if h.shape[1] != self.dim or s.shape[1] != self.dim:
+            raise ValueError(f"discriminator width mismatch: h {h.shape}, s {s.shape}, dim {self.dim}")
 
     def __call__(self, h: Tensor, s: Tensor) -> Tensor:
-        if s.shape[1] != self.dim:
-            raise ValueError(f"discriminator width mismatch: s {s.shape}, dim {self.dim}")
-        return ad.matmul(self.project(h), ad.transpose(s))
+        self._check(h, s)
+        return ad.matmul(ad.matmul(h, self.w), ad.transpose(s))
+
+    def own(self, h: Tensor, s: Tensor, segments: np.ndarray) -> Tensor:
+        """Row ``j`` of ``h`` against summary row ``segments[j]`` of ``s``
+        only, ``(N, 1)``.  One ``(N, V)`` block ``h (W s^T)`` scores every
+        row against every summary, ``N d V`` multiplies where projecting
+        ``h W`` first would take ``N d d``; a constant one-hot mask and a
+        row sum keep each row's own column.  The block has one column per
+        summary, so keep ``V`` (the rows of ``s``) small."""
+        self._check(h, s)
+        block = ad.matmul(h, ad.matmul(self.w, ad.transpose(s)))
+        mask = np.zeros(block.shape)
+        mask[np.arange(block.shape[0]), segments] = 1.0
+        return ad.sum(ad.mul(block, Tensor(mask)), 1)
 
 
 class CosineDiscriminator:

@@ -7,9 +7,11 @@ over a batch: it produces class logits from the observed portion of each
 subgraph; in training it adds each stage's loss to each record's
 cross-entropy as ``graph + sum_i lambda_i * term_i`` and averages over the
 batch.  Each view set of a batch (observed, full, diffused, augmented,
-k-hop) is encoded once, as a disjoint union; the k-hop stage scores each
-row against its own record's summary and takes its membership loss per
-segment, and only its top-k pool (``khop_forward``) runs per record.
+k-hop) is encoded once, as a disjoint union.  The k-hop stage scores each
+k-hop union with one product against its records' summaries, takes its
+membership loss per segment and pools every record's top-k rows with one
+segment softmax (``topk_softmax_pool``); only the top-k pick
+(``khop_forward``, no tape op) runs per record.
 
 A training step draws from its rng in a fixed order, which
 ``_ModelBase.step`` states in full: ``prepare_batch`` (augmentations, then
@@ -182,10 +184,11 @@ class BatchContext:
     aug_summaries: Tensor | None = None
 
 
-class KhopResult(NamedTuple):
-    """One record's pool: its pooled summary row and the ids it pooled."""
+class KhopPick(NamedTuple):
+    """One record's top-k pick: the rows of its batch's k-hop scores and
+    encodings that it pools, and their node ids, read-only."""
 
-    s_khop: Tensor
+    rows: np.ndarray
     selected_ids: np.ndarray
 
 
@@ -221,12 +224,15 @@ def observation_positions(
     return [rank[n] for rank, view in zip(ranks, views) for n in view.node_ids.tolist()]
 
 
-def _union_chunks(edge_counts: Sequence[int], budget: int) -> list[tuple[int, int]]:
-    """``(lo, hi)`` runs of consecutive views whose edges total at most
-    ``budget``; a view over it forms a run of its own."""
+def _union_chunks(
+    edge_counts: Sequence[int], budget: int, max_views: int
+) -> list[tuple[int, int]]:
+    """``(lo, hi)`` runs of at most ``max_views`` consecutive views whose
+    edges total at most ``budget``; a view over the budget forms a run of
+    its own."""
     bounds, total = [0], 0
     for i, count in enumerate(edge_counts):
-        if total + count > budget and i > bounds[-1]:
+        if i > bounds[-1] and (total + count > budget or i - bounds[-1] == max_views):
             bounds.append(i)
             total = 0
         total += count
@@ -431,12 +437,16 @@ class _ModelBase:
         neighbourhood of its observed view ``views[i]``.
 
         The neighbourhood is ``partitions[i]`` (``evaluate`` passes the
-        bundle's frozen ones), or else is drawn from ``rng``.  The observed
-        views are encoded as one union and read out per view, positions
-        concatenated; the k-hop views are encoded in unions of at most
-        ``KHOP_UNION_EDGES`` edges (one union unless the batch is
-        larger).  Each k-hop row is scored against its own record's
-        summary, and ``khop_forward`` pools each record's rows.  In
+        bundle's frozen ones), or else is drawn from ``rng``; given
+        partitions must be one per view, each holding its view's ids.  The
+        observed views are encoded as one union and read out per view,
+        positions concatenated; the k-hop views are encoded in unions of at
+        most ``KHOP_UNION_EDGES`` edges and ``hidden_dim`` views (one union
+        unless the batch is larger).  Each union scores its rows with one
+        product against its records' summaries, each row keeping its own
+        record's column (``BilinearDiscriminator.own``).
+        ``khop_forward`` picks each record's top-k rows, and
+        ``topk_softmax_pool`` pools every record's picks at once.  In
         training the membership loss is also returned: scored rows whose id
         belongs to the record's full subgraph are positives, all others
         negatives, one joint mean per record.
@@ -449,17 +459,18 @@ class _ModelBase:
                                cap=cfg.neighbor_cap, p_d=p_d, rng=rng)
                 for view in views
             ]
+        else:
+            _check_partitions(views, partitions)
         observed, h_obs = self.encode_views(views, training, rng)
         positions = observation_positions(records, views, cfg.use_positional_encoding)
         s_obs = self.readout(h_obs, observed, positions)
 
-        chunks = _union_chunks([len(p.edges) for p in partitions], KHOP_UNION_EDGES)
+        chunks = _union_chunks([len(p.edges) for p in partitions], KHOP_UNION_EDGES, cfg.hidden_dim)
         h_parts, score_parts = [], []
         for lo, hi in chunks:
             union, h = self.encode_views(partitions[lo:hi], training, rng)
-            # Each row against its own record's summary only: h_j W s_i.
-            s = ad.gather_rows(s_obs, union.segments + lo)
-            score_parts.append(ad.sum(ad.mul(self.khop_discriminator.project(h), s), 1))
+            s = s_obs if len(chunks) == 1 else ad.gather_rows(s_obs, np.arange(lo, hi))
+            score_parts.append(self.khop_discriminator.own(h, s, union.segments))
             h_parts.append(h)
         h_khop, scores = h_parts[0], score_parts[0]
         if len(chunks) > 1:
@@ -467,10 +478,11 @@ class _ModelBase:
 
         sizes = np.array([len(p.node_ids) for p in partitions])
         starts = np.cumsum(sizes) - sizes
-        pools = [
-            khop_forward(self, record, partition, scores, h_khop, start)
+        picks = [
+            khop_forward(self, record, partition, scores, start)
             for record, partition, start in zip(records, partitions, starts)
         ]
+        s_khop = topk_softmax_pool(scores, h_khop, [pick.rows for pick in picks], self.pool_mlp)
         loss = None
         if training:
             # A k-hop row is a member when its id is in its own record: one
@@ -482,11 +494,11 @@ class _ModelBase:
             member = flags[segments, np.concatenate([p.node_ids for p in partitions])]
             loss = khop_loss(scores, member, segments, len(records))
         return KhopStage(
-            s_khop=ad.concat([pool.s_khop for pool in pools], 0),
+            s_khop=s_khop,
             s_obs=s_obs,
             loss=loss,
             partitions=list(partitions),
-            selected_ids=[pool.selected_ids for pool in pools],
+            selected_ids=[pick.selected_ids for pick in picks],
         )
 
     def _mi_loss(self, summary, views, context, rng) -> Tensor:
@@ -528,36 +540,19 @@ class _ModelBase:
         return gd_loss(scores, shuffled, own, own)
 
 
-def topk_softmax_pool(
-    scores: Tensor,
-    h: Tensor,
-    node_ids: np.ndarray,
-    pool_ratio: float,
-    mlp,
-    rows: np.ndarray,
-) -> tuple[Tensor, np.ndarray]:
-    """Softmax-weighted pooling over the top-scoring rows.
-
-    ``rows`` are the rows of ``scores`` (``(N, 1)``) and ``h`` that
-    ``node_ids`` label in order, both int64 arrays.  Keeps
-    ``ceil(pool_ratio * n)`` of those ``n`` rows (at least one), ranked by
-    score with ties broken by lower node id, and returns
-    ``softmax(scores[idx]) @ mlp(h[idx])`` plus the selected ids, read-only.
-    """
-    if not 0.0 < pool_ratio <= 1.0:
-        raise ValueError(f"pool_ratio must be in (0, 1], got {pool_ratio}")
-    n = node_ids.size
-    if scores.shape[1] != 1 or h.shape[0] != scores.shape[0] or rows.shape != (n,):
-        raise ValueError(
-            f"pooling shapes disagree: scores {scores.shape}, h {h.shape}, {n} ids, {rows.size} rows"
-        )
-    count = min(n, max(1, math.ceil(pool_ratio * n)))
-    order = np.lexsort((node_ids, -scores.values[rows, 0]))
-    selected = np.sort(order[:count])
-    picked = rows[selected]
-    weights = ad.softmax_rows(ad.transpose(ad.gather_rows(scores, picked)))
-    pooled = ad.matmul(weights, mlp(ad.gather_rows(h, picked)))
-    return pooled, id_array(node_ids[selected])
+def _check_partitions(views: Sequence[SubgraphView], partitions: Sequence[KhopPartition]) -> None:
+    """Refuse given partitions that are not one per view, each holding its
+    view's observed ids (``KhopPartition.node_ids`` is sorted)."""
+    if len(partitions) != len(views):
+        raise ValueError(f"khop_stage: {len(partitions)} partitions for {len(views)} views")
+    for i, (view, partition) in enumerate(zip(views, partitions)):
+        # An id is held when its left and right insertion points differ.
+        ids, observed = partition.node_ids, view.node_ids
+        missing = observed[np.searchsorted(ids, observed, "right") == np.searchsorted(ids, observed)]
+        if missing.size:
+            raise ValueError(
+                f"khop_stage: partition {i} lacks observed id {missing[0]} of its view"
+            )
 
 
 def khop_forward(
@@ -565,19 +560,18 @@ def khop_forward(
     record: SubgraphRecord,
     partition: KhopPartition,
     scores: Tensor,
-    h_khop: Tensor,
     start: int,
-) -> KhopResult:
-    """Pool one record's k-hop rows of its batch's scores and encodings.
+) -> KhopPick:
+    """Pick the rows one record pools from its batch's k-hop scores; no
+    tape op.
 
-    ``scores`` (``(N, 1)``) and ``h_khop`` hold the whole batch's k-hop
-    rows; ``record``'s are the ``len(partition.node_ids)`` rows from
-    ``start``, one per id of ``partition``.  The pooled summary is a
-    softmax-weighted average of the top-scoring rows (ties broken by lower
-    node id), passed through a two-layer MLP.  Without
-    ``include_observed_in_pool`` only the neighbours' rows compete, unless
-    there are none.  ``record`` is the record the pool summarises;
-    ``perfbench``'s tracer reads it to count the pooled ids that lie in it.
+    ``scores`` (``(N, 1)``) holds the whole batch's k-hop rows; ``record``'s
+    are the ``len(partition.node_ids)`` rows from ``start``, one per id of
+    ``partition``.  Keeps ``ceil(pool_ratio * n)`` of its ``n`` candidate
+    rows (at least one), ranked by score with ties broken by lower node id.
+    Without ``include_observed_in_pool`` only the neighbours' rows compete,
+    unless there are none.  ``record`` is the record the pool summarises;
+    ``perfbench``'s tracer reads it to count the picked ids that lie in it.
     """
     cfg = model.config
     node_ids = partition.node_ids
@@ -585,10 +579,31 @@ def khop_forward(
     if not cfg.include_observed_in_pool and partition.neighbors.size:
         rows = rows[np.isin(node_ids, partition.neighbors)]
         node_ids = partition.neighbors
-    pooled, selected_ids = topk_softmax_pool(
-        scores, h_khop, node_ids, cfg.pool_ratio, model.pool_mlp, rows=rows
-    )
-    return KhopResult(s_khop=pooled, selected_ids=selected_ids)
+    count = min(node_ids.size, max(1, math.ceil(cfg.pool_ratio * node_ids.size)))
+    order = np.lexsort((node_ids, -scores.values[rows, 0]))
+    selected = np.sort(order[:count])
+    return KhopPick(rows=rows[selected], selected_ids=id_array(node_ids[selected]))
+
+
+def topk_softmax_pool(scores: Tensor, h: Tensor, picks: Sequence[np.ndarray], mlp) -> Tensor:
+    """Softmax-weighted pools of picked rows, one per pick: ``(B, d)``.
+
+    ``picks[i]`` holds the rows of ``scores`` (``(N, 1)``) and ``h`` that
+    record ``i`` pools, at least one (``khop_forward``).  Row ``i`` is
+    ``softmax(scores[picks[i]])^T mlp(h[picks[i]])``, computed for every
+    record at once: one gather of the picked scores and one of the picked
+    rows, one segment softmax, one pass of ``mlp`` and one segment sum.
+    """
+    sizes = [len(rows) for rows in picks]
+    if scores.shape[1] != 1 or h.shape[0] != scores.shape[0] or not all(sizes):
+        raise ValueError(
+            f"pooling shapes disagree: scores {scores.shape}, h {h.shape}, picks of {sizes} rows"
+        )
+    rows = np.concatenate(picks)
+    segments = np.repeat(np.arange(len(picks)), sizes)
+    weights = ad.segment_softmax(ad.gather_rows(scores, rows), segments, len(picks))
+    features = mlp(ad.gather_rows(h, rows))
+    return ad.segment_sum(ad.mul(features, weights), segments, len(picks))
 
 
 # Two names for the one implementation, which builds and runs every variant;

@@ -127,6 +127,7 @@ def _op_checks(rng: np.random.Generator) -> list[tuple[str, Callable[[], Tensor]
         ("sqrt", lambda: ad.sum(ad.sqrt(pos)), [pos]),
         ("log_sigmoid", lambda: ad.sum(ad.log_sigmoid(a)), [a]),
         ("softmax_rows", lambda: ad.sum(ad.mul(ad.softmax_rows(a), c)), [a]),
+        ("segment_softmax", lambda: ad.sum(ad.mul(ad.segment_softmax(a, seg_ids, 4), c)), [a]),
         ("logsumexp_rows", lambda: ad.sum(ad.logsumexp_rows(a)), [a]),
         ("sum", lambda: ad.mul(ad.sum(a), ad.sum(ad.mul(a, c))), [a]),
         ("sum/0", lambda: ad.sum(ad.mul(ad.sum(a, 0), bias)), [a]),

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from subgraph_infomax.data import (
     load_dataset,
     sample_observed,
 )
-from subgraph_infomax.graph import SubgraphRecord, SubgraphView, disjoint_union
+from subgraph_infomax.graph import KhopPartition, SubgraphRecord, SubgraphView, disjoint_union
 from subgraph_infomax.infomax import cgd_random_trials, gd_loss, infonce_loss, khop_loss
 from subgraph_infomax.layers import (
     BilinearDiscriminator,
@@ -35,7 +36,7 @@ from subgraph_infomax.layers import (
     MeanMlpReadout,
     Mlp,
 )
-from subgraph_infomax.models import ModelConfig, topk_softmax_pool
+from subgraph_infomax.models import ModelConfig, khop_forward, topk_softmax_pool
 from subgraph_infomax.optim import AdamConfig, ParameterStore
 from subgraph_infomax.train import (
     CSV_COLUMNS,
@@ -111,19 +112,23 @@ def test_criterion_05_pooling_example_and_ties():
     mlp.w2.values[:] = np.eye(2)
     mlp.b2.values[:] = 0.0
 
+    # ``khop_forward`` picks a record's rows; it reads only the pool settings
+    # of the model and the ids of the partition.
+    model = SimpleNamespace(config=ModelConfig(variant="khop", pool_ratio=0.5))
+
+    def pick(scores, ids):
+        ids = np.asarray(ids, dtype=np.int64)
+        partition = KhopPartition(ids, np.empty((0, 2), dtype=np.int64), neighbors=ids)
+        return khop_forward(model, None, partition, scores, 0)
+
     scores = Tensor(np.array([[2.0], [1.0], [0.0], [-1.0]]))
     h = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [9.0, 9.0], [9.0, 9.0]]))
-    pooled, ids = topk_softmax_pool(scores, h, np.arange(4), 0.5, mlp, np.arange(4))
+    pooled = topk_softmax_pool(scores, h, [pick(scores, np.arange(4)).rows], mlp)
     hand = np.array([0.73106, 0.26894])
     value_ok = np.allclose(pooled.values[0], hand, atol=1e-5)
 
     tie_scores = Tensor(np.zeros((4, 1)))
-    tie_h = Tensor(np.zeros((4, 2)))
-    tie_ids = np.array([7, 3, 9, 5])
-    picks = {
-        tuple(topk_softmax_pool(tie_scores, tie_h, tie_ids, 0.5, mlp, np.arange(4))[1].tolist())
-        for _ in range(5)
-    }
+    picks = {tuple(pick(tie_scores, [7, 3, 9, 5]).selected_ids.tolist()) for _ in range(5)}
     tie_ok = picks == {(3, 5)}
     ok = value_ok and tie_ok
     report(5, "pooling-example-and-ties", ok,

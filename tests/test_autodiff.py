@@ -71,6 +71,19 @@ class TestForwardOps:
         assert np.all(y.values >= 0)
         assert np.allclose(y.values.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_segment_softmax_is_a_softmax_per_segment_and_column(self):
+        # Segment 1's rows are not adjacent; segment 2 has none.  A shift
+        # far beyond exp's range leaves each segment's weights alone.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(5, 2)) * 30
+        x[3] += 1e4
+        seg = np.array([1, 0, 1, 0, 1])
+        y = ad.segment_softmax(Tensor(x), seg, 3).values
+        for s in (0, 1):
+            rows = seg == s
+            want = ad.softmax_rows(Tensor(x[rows].T)).values.T
+            np.testing.assert_allclose(y[rows], want, rtol=1e-15, atol=0)
+
     def test_matmul_against_triple_loop(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(2, 3))
@@ -634,7 +647,7 @@ class TestMergedOpsMatchTheOpsTheyReplace:
         plan = ad._AggregationPlan(union, 2_400)
         assert plan.forward.by_rounds and plan.backward.by_rounds
 
-    @pytest.mark.parametrize("op", [ad.segment_sum, ad.segment_mean])
+    @pytest.mark.parametrize("op", [ad.segment_sum, ad.segment_mean, ad.segment_softmax])
     def test_segment_ids_are_checked_under_the_op_name(self, op):
         x = Tensor(np.zeros((2, 3)))
         with pytest.raises(ValueError, match=rf"^{op.__name__}: 1 segment ids for 2 rows$"):
@@ -651,6 +664,9 @@ OP_CASES = {
     "sigmoid": lambda a, b: ad.sum(ad.mul(ad.sigmoid(a), b)),
     "log_sigmoid": lambda a, b: ad.sum(ad.mul(ad.log_sigmoid(a), b)),
     "softmax": lambda a, b: ad.sum(ad.mul(ad.softmax_rows(a), b)),
+    "segment_softmax": lambda a, b: ad.sum(
+        ad.mul(ad.segment_softmax(a, np.arange(a.shape[0]) % 3, 3), b)
+    ),
     "logsumexp": lambda a, b: ad.sum(ad.mul(ad.logsumexp_rows(a), ad.sum(b, 1))),
     "mean_rows": lambda a, b: ad.sum(ad.mul(ad.mean(a, 0), ad.mean(b, 0))),
     "concat": lambda a, b: ad.sum(ad.mul(ad.concat([a, b], 1), ad.concat([b, a], 1))),

@@ -1,12 +1,12 @@
 """The batched forward against the per-record path it replaced.
 
 A step encodes each view set of a batch once, as a disjoint union, and runs
-readouts, the head, the cross-entropy, the k-hop stage's scores and
-membership loss and the MI terms as segment ops and single products; only
-the k-hop top-k pool runs per record.  The per-record path, kept inline
-here as the oracle, ran one forward per record: it encoded each view alone,
-read each out alone, and scored each record's summary against its own
-positives and negatives.
+readouts, the head, the cross-entropy, the k-hop stage's scores,
+membership loss and pool, and the MI terms as segment ops and single
+products; only the k-hop top-k pick runs per record.  The per-record
+path, kept inline here as the oracle, ran one forward per record: it
+encoded each view alone, read each out alone, scored each record's
+summary against its own positives and negatives, and pooled its own rows.
 """
 
 import dataclasses
@@ -37,7 +37,6 @@ from subgraph_infomax.models import (
     VARIANTS,
     build_model,
     khop_forward,
-    topk_softmax_pool,
 )
 from subgraph_infomax.optim import ParameterStore
 from subgraph_infomax.train import evaluate
@@ -277,6 +276,17 @@ def oracle_khop_loss(pos, neg):
     return ad.scale(total, -1.0 / n)
 
 
+def oracle_pool(scores, h, node_ids, pool_ratio, mlp):
+    """One record's top-k softmax pool, ``(pooled row, selected ids)``: its
+    ``ceil(pool_ratio * n)`` top-scoring rows (ties to the lower id), their
+    scores' softmax times ``mlp`` of their rows, one product."""
+    n = node_ids.size
+    count = min(n, max(1, math.ceil(pool_ratio * n)))
+    selected = np.sort(np.lexsort((node_ids, -scores.values[:, 0]))[:count])
+    weights = ad.softmax_rows(ad.transpose(ad.gather_rows(scores, selected)))
+    return ad.matmul(weights, mlp(ad.gather_rows(h, selected))), node_ids[selected]
+
+
 def oracle_khop_stage(model, record, partial, rng):
     """One record's k-hop stage: its partition, its two encodes, its scores,
     its pool and its membership loss; ``(s_khop, s_obs, loss, selected_ids)``."""
@@ -296,7 +306,7 @@ def oracle_khop_stage(model, record, partial, rng):
     if not cfg.include_observed_in_pool and partition.neighbors.size:
         rows = np.flatnonzero(np.isin(node_ids, partition.neighbors))
         pool = (ad.gather_rows(scores, rows), ad.gather_rows(h_khop, rows), partition.neighbors)
-    s_khop, selected_ids = topk_softmax_pool(*pool, cfg.pool_ratio, model.pool_mlp, np.arange(len(pool[2])))
+    s_khop, selected_ids = oracle_pool(*pool, cfg.pool_ratio, model.pool_mlp)
     member = np.isin(node_ids, record.node_ids)
     pos_rows, neg_rows = np.flatnonzero(member), np.flatnonzero(~member)
     loss = oracle_khop_loss(

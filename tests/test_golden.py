@@ -92,15 +92,20 @@ def golden(name: str, skylakex: str) -> str:
 # segment mean.  ``SWEEP_GOLDEN`` held.  ps-graphcl's was re-recorded
 # again when its augmentations moved from each record's view to the batch's
 # union: the same distribution of augmented views from a new rng stream.
+# The k-hop digests were re-recorded once more when the k-hop stage scored
+# each union with one product, ``h (W s^T)`` against every summary with
+# each row keeping its own column, and pooled the batch with one segment
+# softmax and one segment sum instead of a softmax and a product per
+# record: no rng draw moved, only the rounding.  ``SWEEP_GOLDEN`` held.
 GOLDEN = {
     "baseline": "f33a3c6f014d8ee8",
     "ps-dgi": "d8bad49164bd7ddd",
     "ps-infograph": "d9a7d188154cd650",
     "ps-mvgrl": "cc34d9cc657df09d",
     "ps-graphcl": "f1249c8dbf27c255",  # augmentations over the batch's union
-    "khop": "057ab25c837d2301",
-    "khop+ps-dgi": "372a39b05f0dedc8",
-    "khop+ps-infograph": "e46a617c312c8ece",
+    "khop": "67e7f68af4146734",  # batched k-hop score and pool
+    "khop+ps-dgi": "b7287c7a37bee1bc",  # batched k-hop score and pool
+    "khop+ps-infograph": "e20c69efe7e8920e",  # batched k-hop score and pool
 }
 
 # Options no variant default turns on: name -> (variant, model overrides,
@@ -108,26 +113,27 @@ GOLDEN = {
 # gradient accumulation 2 steps Adam after batches 2 and 3, and accumulation
 # 4 only after batch 3.  ``frozen-table`` trains no embedding row, so no
 # gradient reaches the first layer's input.  All were re-recorded with the
-# training digests above, and the k-hop ones with the k-hop stage.
+# training digests above, and the k-hop ones with the k-hop stage and
+# again with its batched score and pool.
 EXTRA_GOLDEN = {
     "khop/pool-neighbors-only": (
-        "khop", {"include_observed_in_pool": False}, {}, "69905f200201d171",
+        "khop", {"include_observed_in_pool": False}, {}, "e7efd364009df32b",  # batched k-hop score and pool
     ),
     "khop+ps-infograph/concat-summary": (
-        "khop+ps-infograph", {"concat_observed_summary": True}, {}, "f2d6cbc83bfbffb4",
+        "khop+ps-infograph", {"concat_observed_summary": True}, {}, "1fc69095c0a4d772",  # batched k-hop score and pool
     ),
     "khop+ps-dgi/positional-ordered": (
         "khop+ps-dgi", {"use_positional_encoding": True},
-        {"protocol": ObservationProtocol(n_obs=3, ordered=True)}, "124fce7e64914aca",
+        {"protocol": ObservationProtocol(n_obs=3, ordered=True)}, "4ca5936522cfc946",  # batched k-hop score and pool
     ),
     "khop+ps-dgi/attention-bidirectional": (
         "khop+ps-dgi", {"premixer": "attention", "bidirectional": True}, {},
-        "86a4a6fcc2251d05",
+        "531ac3bb3431e80e",  # batched k-hop score and pool
     ),
     "ps-infograph/grad-accum-2": ("ps-infograph", {}, {"grad_accum": 2}, "4364797735241c1a"),
     "ps-infograph/grad-accum-4": ("ps-infograph", {}, {"grad_accum": 4}, "4a9dad392f056374"),
     "khop+ps-infograph/frozen-table": (
-        "khop+ps-infograph", {}, {"embedding_trainable": False}, "3d457f3e73a8df5d",
+        "khop+ps-infograph", {}, {"embedding_trainable": False}, "7aa7427b692febb9",  # batched k-hop score and pool
     ),
 }
 
@@ -198,35 +204,37 @@ def sweep_digest(out_dir) -> str:
 # ``KhopPartition.node_ids`` and stopped gathering rows by identity, and
 # re-recorded with the training digests for ``sage_combine``, and again
 # when the stage became one forward over its batch, for the row-product
-# score.
+# score, and again for the batched score and pool (one product per union,
+# one segment softmax per batch).
 KHOP_GOLDEN = {
-    "default-pool": (True, False, "a45f6bf2fbd1a726"),
-    "neighbors-only-pool": (False, False, "44037cf66548b1d4"),
-    "no-neighbors-fallback": (False, True, "19863bf560a5a5c1"),
+    "default-pool": (True, False, "556e25b802521d5c"),  # batched k-hop score and pool
+    "neighbors-only-pool": (False, False, "2d5032899ff96eb1"),  # batched k-hop score and pool
+    "no-neighbors-fallback": (False, True, "cacf9321da73b4be"),  # batched k-hop score and pool
 }
 
 
 # Every run above recorded under OPENBLAS_CORETYPE=Haswell (numpy 2.4.6).
-# The sweep and the no-neighbours k-hop stage read as on SkylakeX.
+# The sweep reads as on SkylakeX.  The k-hop runs were re-recorded with the
+# SkylakeX ones for the batched score and pool.
 HASWELL_GOLDEN = {
     "baseline": "05777154ba693120",
     "ps-dgi": "5b73b0df33fbe715",
     "ps-infograph": "ced907174ecd6cf3",
     "ps-mvgrl": "4597bb4e82fdb0a8",
     "ps-graphcl": "57d3d15b4498e55c",  # augmentations over the batch's union
-    "khop": "2555e6c972c489d6",
-    "khop+ps-dgi": "2c9700202e256e6e",
-    "khop+ps-infograph": "1aa003febc42331e",
-    "khop/pool-neighbors-only": "ce465b5486b6bcd2",
-    "khop+ps-infograph/concat-summary": "9908187f3b8465f6",
-    "khop+ps-dgi/positional-ordered": "73d28d2ff4389710",
-    "khop+ps-dgi/attention-bidirectional": "a1ff8db86e7cc644",
+    "khop": "547359debe050600",  # batched k-hop score and pool
+    "khop+ps-dgi": "485e347cd5eb2752",  # batched k-hop score and pool
+    "khop+ps-infograph": "bb28539ec9aa0b34",  # batched k-hop score and pool
+    "khop/pool-neighbors-only": "fb9e606a84678d62",  # batched k-hop score and pool
+    "khop+ps-infograph/concat-summary": "5f997104c39a6054",  # batched k-hop score and pool
+    "khop+ps-dgi/positional-ordered": "db4fcd7a1dde482c",  # batched k-hop score and pool
+    "khop+ps-dgi/attention-bidirectional": "797307b4bbf1f53e",  # batched k-hop score and pool
     "ps-infograph/grad-accum-2": "55c4a91e6ce9d3d5",
     "ps-infograph/grad-accum-4": "2618674a25c19e92",
-    "khop+ps-infograph/frozen-table": "569a45a64b249543",
-    "default-pool": "a9c86454acf76241",
-    "neighbors-only-pool": "ef7490dec88d1a30",
-    "no-neighbors-fallback": "19863bf560a5a5c1",
+    "khop+ps-infograph/frozen-table": "69c4b3112984bb0a",  # batched k-hop score and pool
+    "default-pool": "4a95e6cd746bd49b",  # batched k-hop score and pool
+    "neighbors-only-pool": "d2be1b4a72b8de24",  # batched k-hop score and pool
+    "no-neighbors-fallback": "263f74b0abe36802",  # batched k-hop score and pool
     "sweep": "3d13723b2403f9c5",
 }
 

@@ -1,5 +1,6 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from subgraph_infomax.data import (
     generate_synthetic,
     sample_observed,
 )
-from subgraph_infomax.graph import SubgraphRecord, induced_partial_subgraph
+from subgraph_infomax.graph import KhopPartition, SubgraphRecord, induced_partial_subgraph
 from subgraph_infomax.layers import Mlp
 from subgraph_infomax.models import (
     VARIANTS,
@@ -294,6 +295,18 @@ class TestVariantLossValues:
             assert li == pytest.approx(want, abs=1e-12)
 
 
+def pick(scores, node_ids, pool_ratio, start=0, neighbors=None, include_observed=True):
+    """``khop_forward``'s pick over ``node_ids``, the rows of ``scores``
+    from ``start``, for a model with only these pool settings."""
+    config = toy_config("khop", pool_ratio=pool_ratio, include_observed_in_pool=include_observed)
+    ids = np.array(node_ids, dtype=np.int64)
+    partition = KhopPartition(
+        ids, np.empty((0, 2), dtype=np.int64),
+        neighbors=np.array(ids if neighbors is None else neighbors, dtype=np.int64),
+    )
+    return khop_forward(SimpleNamespace(config=config), None, partition, scores, start)
+
+
 class TestTopkPooling:
     def identity_mlp(self, dim=2):
         store = ParameterStore()
@@ -309,8 +322,9 @@ class TestTopkPooling:
         # pooled summary reproduces the weights.
         scores = Tensor(np.array([[2.0], [1.0], [0.0], [-1.0]]))
         h = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [5.0, 5.0], [7.0, 7.0]]))
-        pooled, ids = topk_softmax_pool(scores, h, np.arange(4), 0.5, self.identity_mlp(), np.arange(4))
-        assert_ids(ids, (0, 1))
+        picked = pick(scores, np.arange(4), 0.5)
+        assert_ids(picked.selected_ids, (0, 1))
+        pooled = topk_softmax_pool(scores, h, [picked.rows], self.identity_mlp())
         assert pooled.values[0] == pytest.approx([0.73106, 0.26894], abs=1e-5)
 
     def test_uniform_scores_full_ratio_is_mean(self):
@@ -318,25 +332,53 @@ class TestTopkPooling:
         rng = np.random.default_rng(1)
         h = Tensor(np.abs(rng.normal(size=(5, 2))))
         scores = Tensor(np.full((5, 1), 0.3))
-        pooled, ids = topk_softmax_pool(scores, h, np.arange(5), 1.0, self.identity_mlp(), np.arange(5))
-        assert_ids(ids, (0, 1, 2, 3, 4))
+        picked = pick(scores, np.arange(5), 1.0)
+        assert_ids(picked.selected_ids, (0, 1, 2, 3, 4))
+        pooled = topk_softmax_pool(scores, h, [picked.rows], self.identity_mlp())
         assert np.allclose(pooled.values, h.values.mean(axis=0, keepdims=True), atol=1e-12)
 
     def test_single_selection_is_mlp_of_row(self):
         h = Tensor(np.array([[3.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
         scores = Tensor(np.array([[9.0], [1.0], [0.0]]))
-        pooled, ids = topk_softmax_pool(scores, h, np.arange(3), 0.01, self.identity_mlp(), np.arange(3))
-        assert_ids(ids, (0,))
+        picked = pick(scores, np.arange(3), 0.01)
+        assert_ids(picked.selected_ids, (0,))
+        pooled = topk_softmax_pool(scores, h, [picked.rows], self.identity_mlp())
         assert np.allclose(pooled.values, [[3.0, 1.0]], atol=1e-12)
 
     def test_ties_break_toward_lower_node_id(self):
-        h = Tensor(np.zeros((4, 2)))
         scores = Tensor(np.zeros((4, 1)))
         for _ in range(3):
-            _, ids = topk_softmax_pool(
-                scores, h, np.array([7, 3, 9, 5]), 0.5, self.identity_mlp(), np.arange(4)
-            )
-            assert_ids(ids, (3, 5))
+            picked = pick(scores, [7, 3, 9, 5], 0.5)
+            assert_ids(picked.selected_ids, (3, 5))
+            assert picked.rows.tolist() == [1, 3]
+
+    def test_each_segment_breaks_its_ties_toward_its_lower_ids(self):
+        # Two records of four tied rows each: each keeps its own two lowest
+        # ids, and pools the mean of its own picked rows.
+        scores = Tensor(np.zeros((8, 1)))
+        h = Tensor(np.abs(np.random.default_rng(2).normal(size=(8, 2))))
+        first = pick(scores, [7, 3, 9, 5], 0.5, start=0)
+        second = pick(scores, [8, 2, 6, 4], 0.5, start=4)
+        assert_ids(first.selected_ids, (3, 5))
+        assert_ids(second.selected_ids, (2, 4))
+        assert first.rows.tolist() == [1, 3] and second.rows.tolist() == [5, 7]
+        pooled = topk_softmax_pool(scores, h, [first.rows, second.rows], self.identity_mlp())
+        want = np.stack([h.values[[1, 3]].mean(axis=0), h.values[[5, 7]].mean(axis=0)])
+        np.testing.assert_allclose(pooled.values, want, rtol=1e-12, atol=1e-12)
+
+    def test_the_neighbours_only_pick_falls_back_to_every_row(self):
+        scores = Tensor(np.array([[5.0], [1.0], [2.0], [0.0]]))
+        # Only the neighbours 3 and 4 compete, and ceil(0.5 * 2) = 1 is kept;
+        # with no neighbour all four rows compete.
+        neighbours_only = pick(scores, [1, 2, 3, 4], 0.5, neighbors=[3, 4], include_observed=False)
+        assert_ids(neighbours_only.selected_ids, (3,))
+        assert neighbours_only.rows.tolist() == [2]
+        assert_ids(pick(scores, [1, 2, 3, 4], 0.5, neighbors=[], include_observed=False).selected_ids, (1, 3))
+
+    def test_an_empty_pick_is_refused(self):
+        with pytest.raises(ValueError, match="picks of \\[1, 0\\] rows"):
+            topk_softmax_pool(Tensor(np.zeros((2, 1))), Tensor(np.zeros((2, 2))),
+                              [np.array([0]), np.array([], dtype=np.int64)], self.identity_mlp())
 
 
 class TestKhopForward:
@@ -359,16 +401,20 @@ class TestKhopForward:
         records, partials = step_inputs(bundle)
         stage = model.khop_stage(records, partials, rng=np.random.default_rng(0), training=True)
         # dropout 0, p_d 0 and no cap: the training forward draws nothing.
+        w = model.khop_discriminator.w
         for i, (record, partial, partition) in enumerate(zip(records, partials, stage.partitions)):
             h = encode(model.encoder, model.table, partition.node_ids, partition.edges)
             s_obs = ad.gather_rows(stage.s_obs, [i])
-            scores = model.khop_discriminator(h, s_obs)
+            # The stage's association, h (W s^T), for this record's column
+            # alone: a matrix-vector product, which rounds in its last bits
+            # unlike the stage's one product against every summary.
+            scores = ad.matmul(h, ad.matmul(w, ad.transpose(s_obs)))
             member = np.isin(partition.node_ids, record.node_ids)
             assert member.sum() > len(partial.node_ids) and not member.all()
             want = khop_loss(scores, member).item()
-            assert stage.loss.values[i, 0] == want
+            assert stage.loss.values[i, 0] == pytest.approx(want, rel=1e-12, abs=0)
 
-    def test_the_pool_reads_its_records_rows_of_the_batch(self):
+    def test_the_pick_reads_its_records_rows_of_the_batch(self):
         bundle, model = make_toy("khop")
         records, partials = step_inputs(bundle)
         stage = model.khop_stage(records, partials, rng=np.random.default_rng(0), training=True)
@@ -376,15 +422,15 @@ class TestKhopForward:
         sizes = [len(p.node_ids) for p in stage.partitions]
         scores = Tensor(gen.normal(size=(sum(sizes), 1)))
         h = Tensor(gen.normal(size=(sum(sizes), model.config.hidden_dim)))
-        start = sizes[0]
-        got = khop_forward(model, records[1], stage.partitions[1], scores, h, start)
-        rows = np.arange(start, start + sizes[1])
-        want = topk_softmax_pool(
-            ad.gather_rows(scores, rows), ad.gather_rows(h, rows),
-            stage.partitions[1].node_ids, model.config.pool_ratio, model.pool_mlp, np.arange(sizes[1]),
-        )
-        assert_ids(got.selected_ids, want[1])
-        np.testing.assert_array_equal(got.s_khop.values, want[0].values)
+        starts = np.cumsum(sizes) - sizes
+        picks = [khop_forward(model, r, p, scores, s) for r, p, s in zip(records, stage.partitions, starts)]
+        rows = np.arange(starts[1], starts[1] + sizes[1])
+        alone = khop_forward(model, records[1], stage.partitions[1], ad.gather_rows(scores, rows), 0)
+        np.testing.assert_array_equal(picks[1].rows, alone.rows + starts[1])
+        assert_ids(picks[1].selected_ids, alone.selected_ids)
+        pooled = topk_softmax_pool(scores, h, [p.rows for p in picks], model.pool_mlp)
+        own = topk_softmax_pool(ad.gather_rows(scores, rows), ad.gather_rows(h, rows), [alone.rows], model.pool_mlp)
+        np.testing.assert_allclose(pooled.values[1:2], own.values, rtol=1e-12, atol=0)
 
     def test_inference_has_no_loss(self):
         bundle, model = make_toy("khop")
@@ -393,9 +439,54 @@ class TestKhopForward:
 
     def test_unions_split_at_the_edge_budget(self):
         # The fourth view is over the budget alone, so it forms its own union.
-        assert _union_chunks([3, 4, 2, 12, 0, 5], 9) == [(0, 3), (3, 4), (4, 6)]
-        assert _union_chunks([3, 4, 2], 9) == [(0, 3)]
-        assert _union_chunks([10], 9) == [(0, 1)]
+        assert _union_chunks([3, 4, 2, 12, 0, 5], 9, 8) == [(0, 3), (3, 4), (4, 6)]
+        assert _union_chunks([3, 4, 2], 9, 8) == [(0, 3)]
+        assert _union_chunks([10], 9, 8) == [(0, 1)]
+
+    def test_unions_close_at_the_view_cap(self):
+        assert _union_chunks([0] * 7, 9, 3) == [(0, 3), (3, 6), (6, 7)]
+        assert _union_chunks([3, 4, 2, 1, 1], 9, 2) == [(0, 2), (2, 4), (4, 5)]
+        assert _union_chunks([1] * 4, 9, 1) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+    def test_partitions_that_do_not_match_the_batch_are_refused(self):
+        bundle, model = make_toy("khop")
+        records, partials = step_inputs(bundle)
+        stage = model.khop_stage(records, partials, training=False)
+        with pytest.raises(ValueError, match="2 partitions for 3 views"):
+            model.step(records, partials, partitions=stage.partitions[:2])
+        # Each record's partition given to the next record: record 0's view
+        # is not in record 1's partition.
+        shifted = stage.partitions[1:] + stage.partitions[:1]
+        missing = np.setdiff1d(partials[0].node_ids, shifted[0].node_ids)
+        assert missing.size
+        with pytest.raises(ValueError, match=f"partition 0 lacks observed id {missing[0]} of its view"):
+            model.step(records, partials, partitions=shifted)
+        ok = model.step(records, partials, partitions=stage.partitions)
+        assert ok.logits.shape == (3, bundle.num_classes)
+
+    @pytest.mark.parametrize("variant", ["khop", "khop+ps-infograph"])
+    def test_the_tape_does_not_grow_with_the_batch(self, variant):
+        # Within one k-hop union (hidden_dim 4 holds four views) a training
+        # objective has the same tape nodes for 2 records as for 4: every
+        # per-record pick feeds one batched pool.
+        bundle, model = make_toy(variant)
+        protocol = ObservationProtocol(n_obs=2, train_jitter=False)
+        sampler = np.random.default_rng(0)
+        records = bundle.records[:4]
+        partials = [induced_partial_subgraph(r, sample_observed(r, protocol, "train", sampler)) for r in records]
+
+        def tape_nodes(count):
+            objective = model.step(records[:count], partials[:count], rng=np.random.default_rng(1),
+                                   training=True).objective
+            seen, stack = {id(objective)}, [objective]
+            while stack:
+                for parent in stack.pop()._parents:
+                    if id(parent) not in seen:
+                        seen.add(id(parent))
+                        stack.append(parent)
+            return len(seen)
+
+        assert tape_nodes(2) == tape_nodes(4)
 
     def test_positions_need_an_order_on_every_record_or_none(self):
         bundle, model = make_toy("khop+ps-dgi", use_positional_encoding=True)
